@@ -7,25 +7,47 @@ weight, and its insertion index.  Retrieval ranks records by
 
 where age is measured in insertion steps from the newest record and lambda
 is ln(2) divided by the recency half-life.  Ties prefer the more recent
-insertion, then the lower record id.
+insertion.
 
-The bank is safe to share between threads: appends take a lock and every
-retrieval works over a consistent snapshot.
+Retrieval is incremental and exact.  The bank is append-only and a
+component asks the same query every step, so a bank keeps, for each of its
+RELEVANCE_CACHE_QUERIES most recently used queries, the query's embedding
+and its cosine against every record seen so far; beside them it keeps a
+table of exp(-lambda * age) by age and a flat list of importances.  The
+weights are applied at call time with the arithmetic of ``score``, so every
+score is bit-equal to ``MemoryBank.score``.  Over a bank of n records, a
+query not in the cache costs one embedding and n cosines; a cached query
+costs one cosine per record added since its last call, plus O(n)
+C-level multiplies and adds for the score vector and an O(n log k) heap for
+the top k.
+
+The bank is safe to share between threads: appends and retrievals take
+its lock, so a retrieval sees every record added before it started.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
+import operator
 import threading
+from collections import OrderedDict
+from functools import lru_cache
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import repeat
 from typing import Callable, Protocol
 
 NORM_TOLERANCE = 1e-9
 
 DEFAULT_WEIGHTS = (1.0, 1.0, 1.0)
 DEFAULT_HALF_LIFE = 100.0
+
+# Queries per bank whose relevance vectors stay cached.  A component's
+# query is fixed (its query text or the agent's name), so a bank sees few
+# distinct queries; each cached one holds a float per record.
+RELEVANCE_CACHE_QUERIES = 8
 
 
 class Embedder(Protocol):
@@ -34,6 +56,13 @@ class Embedder(Protocol):
     dimension: int
 
     def embed(self, text: str) -> tuple[float, ...]: ...
+
+
+@lru_cache(maxsize=8)
+def _coordinate_prefixes(dimension: int, seed: int) -> tuple:
+    """Hash states after f"{seed}|{i}|" for each coordinate i, shared by
+    every HashEmbedder with these settings; embed only copies them."""
+    return tuple(hashlib.sha256(f"{seed}|{i}|".encode()) for i in range(dimension))
 
 
 class HashEmbedder:
@@ -49,12 +78,15 @@ class HashEmbedder:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
         self.seed = seed
+        self._prefixes = _coordinate_prefixes(dimension, seed)
 
     def embed(self, text: str) -> tuple[float, ...]:
+        encoded = text.encode()
         raw = []
-        for i in range(self.dimension):
-            digest = hashlib.sha256(f"{self.seed}|{i}|{text}".encode()).digest()
-            bucket = int.from_bytes(digest[:8], "big")
+        for prefix in self._prefixes:
+            digest = prefix.copy()
+            digest.update(encoded)
+            bucket = int.from_bytes(digest.digest()[:8], "big")
             raw.append(bucket / 2**63 - 1.0)
         norm = math.sqrt(sum(x * x for x in raw))
         if norm == 0.0:  # pragma: no cover - digest output is never all-zero buckets
@@ -71,7 +103,7 @@ def _check_unit_norm(embedding: tuple[float, ...]) -> None:
 
 def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
     # Both vectors are unit-norm, so the dot product is the cosine.
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -108,6 +140,12 @@ class MemoryBank:
         self.importance_scorer = importance_scorer
         self._records: list[MemoryRecord] = []
         self._lock = threading.Lock()
+        # Retrieval state, extended lazily to cover every record (see module
+        # docstring): query -> (query embedding, cosine per record), least
+        # recently used first; exp(-decay * age) by age; importance per record.
+        self._relevance: OrderedDict[str, tuple[tuple[float, ...], list[float]]] = OrderedDict()
+        self._recency: list[float] = []
+        self._importances: list[float] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -146,26 +184,55 @@ class MemoryBank:
         return w_rel * relevance + w_rec * recency + w_imp * record.importance
 
     def retrieve_associative(self, query: str, k: int) -> list[MemoryRecord]:
-        """Top-k records by combined relevance, recency, and importance."""
+        """Top-k records by combined relevance, recency, and importance.
+
+        Equal to ranking every record by ``score`` and breaking ties
+        toward the more recent insertion.
+        """
         if k <= 0:
             return []
-        records = self.snapshot()
-        if not records:
-            return []
-        query_embedding = self.embedder.embed(query)
-        latest_index = records[-1].index
-        ranked = sorted(
-            records,
-            key=lambda r: (-self.score(query_embedding, r, latest_index), -r.index, r.index),
-        )
-        return ranked[: min(k, len(ranked))]
+        with self._lock:
+            if not self._records:
+                return []
+            cached = self._relevance.get(query)
+        if cached is None:
+            cached = (self.embedder.embed(query), [])
+        query_embedding, relevance = cached
+        with self._lock:
+            records = self._records
+            n = len(records)
+            self._relevance[query] = cached
+            self._relevance.move_to_end(query)
+            if len(self._relevance) > RELEVANCE_CACHE_QUERIES:
+                self._relevance.popitem(last=False)
+            relevance.extend(cosine(query_embedding, r.embedding) for r in records[len(relevance) : n])
+            recency = self._recency
+            recency.extend(math.exp(-self.decay * age) for age in range(len(recency), n))
+            importances = self._importances
+            importances.extend(r.importance for r in records[len(importances) : n])
+            # score() for every record, term by term in the same order.
+            w_rel, w_rec, w_imp = self.weights
+            scores = list(
+                map(
+                    operator.add,
+                    map(
+                        operator.add,
+                        map(operator.mul, repeat(w_rel), relevance),
+                        map(operator.mul, repeat(w_rec), recency[n - 1 :: -1]),
+                    ),
+                    map(operator.mul, repeat(w_imp), importances),
+                )
+            )
+            # Newest first: nlargest keeps the earlier of equal scores.
+            top = heapq.nlargest(k, range(n - 1, -1, -1), key=scores.__getitem__)
+            return [records[i] for i in top]
 
     def retrieve_recent(self, k: int) -> list[MemoryRecord]:
         """The k newest records, oldest of them first."""
         if k <= 0:
             return []
-        records = self.snapshot()
-        return records[-k:]
+        with self._lock:
+            return self._records[-k:]
 
     def retrieve_by_time(self, start: datetime, end: datetime) -> list[MemoryRecord]:
         """Records with start <= timestamp <= end, in insertion order."""

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import sys
 import threading
 from datetime import datetime, timedelta
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gabm.memory import (
     DEFAULT_HALF_LIFE,
+    RELEVANCE_CACHE_QUERIES,
     HashEmbedder,
     MemoryBank,
     MemoryRecord,
@@ -220,3 +226,134 @@ def test_default_half_life_and_weights_applied():
 def test_cosine_of_unit_vectors():
     assert cosine((1.0, 0.0), (0.0, 1.0)) == 0.0
     assert cosine((1.0, 0.0), (1.0, 0.0)) == 1.0
+
+
+def reference_hash_embed(dimension: int, seed: int, text: str) -> tuple[float, ...]:
+    """HashEmbedder.embed as first written: one full digest per coordinate."""
+    raw = []
+    for i in range(dimension):
+        digest = hashlib.sha256(f"{seed}|{i}|{text}".encode()).digest()
+        raw.append(int.from_bytes(digest[:8], "big") / 2**63 - 1.0)
+    norm = math.sqrt(sum(x * x for x in raw))
+    return tuple(x / norm for x in raw)
+
+
+def test_hash_embedder_golden_vectors():
+    # Frozen from the one-digest-per-coordinate embedder.  The norm is a
+    # float sum, which Python 3.12 compensates, so these inputs are ones
+    # whose vectors come out the same on 3.10, 3.11 and 3.12.
+    assert HashEmbedder(dimension=4, seed=3).embed("the pub is snowed in") == (
+        0.7406885539245878, 0.4624844054387772, -0.13706740678898224, -0.4676549655538659,
+    )
+    assert HashEmbedder().embed("Alice met Bob at the mill.") == (
+        -0.39823591212533027, 0.1515891725648429, -0.4333142726736975, -0.03787708846194285,
+        0.14719131760303386, -0.42566847491068693, -0.09694658564644176, -0.37791547804508013,
+        0.039148597630437106, -0.25520003424394516, -0.04293156920320769, 0.12521687986648306,
+        -0.17785029532552038, -0.08999937065471057, 0.36727257558741216, 0.12390903494158062,
+    )
+    assert HashEmbedder().embed("\u00dcn\u00efc\u00f6d\u00e9 \u2603 text") == (
+        -0.3862282228874588, -0.07442476880078083, 0.3811245714646009, -0.31569299965066044,
+        -0.17412018333367185, -0.15081425641185575, 0.12693158947677805, 0.31456986069545717,
+        0.3808800340397892, -0.1448957606439114, 0.32067370305099874, -0.1787354905248673,
+        -0.038384760955400624, 0.25078573917299385, -0.06906585879219135, 0.24952504865079225,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.text(max_size=40), dimension=st.integers(1, 24), seed=st.integers(0, 5))
+def test_hash_embedder_matches_reference(text, dimension, seed):
+    assert HashEmbedder(dimension=dimension, seed=seed).embed(text) == reference_hash_embed(
+        dimension, seed, text
+    )
+
+
+def oracle_score(bank: MemoryBank, query_embedding, record: MemoryRecord, latest: int) -> float:
+    """The scoring formula in plain arithmetic, one record at a time."""
+    w_rel, w_rec, w_imp = bank.weights
+    relevance = sum(a * b for a, b in zip(query_embedding, record.embedding))
+    recency = math.exp(-(math.log(2.0) / bank.half_life) * (latest - record.index))
+    return w_rel * relevance + w_rec * recency + w_imp * record.importance
+
+
+# More queries than a bank caches, so some retrievals follow an eviction;
+# few texts, so duplicate records tie exactly when the recency weight is 0.
+CACHE_QUERIES = [f"query {i}" for i in range(RELEVANCE_CACHE_QUERIES + 3)]
+CACHE_TEXTS = ["snow at the mill", "the ferry is late", "beans for a cow"]
+WEIGHTS = st.tuples(
+    st.floats(0.0, 2.0), st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0), st.floats(0.0, 2.0)
+)
+BANK_OPERATIONS = st.lists(
+    st.tuples(st.just("add"), st.sampled_from(CACHE_TEXTS), st.sampled_from([0.0, 0.5, 1.0]))
+    | st.tuples(st.just("retrieve"), st.sampled_from(CACHE_QUERIES), st.integers(0, 40))
+    | st.tuples(st.just("weights"), WEIGHTS, st.none()),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights=WEIGHTS, half_life=st.floats(1.0, 50.0), operations=BANK_OPERATIONS)
+def test_cached_retrieval_matches_full_scan_oracle(weights, half_life, operations):
+    bank = MemoryBank(embedder=HashEmbedder(dimension=4), weights=weights, half_life=half_life)
+    for op, arg, value in operations:
+        if op == "add":
+            bank.add(arg, T0, importance=value)
+        elif op == "weights":
+            bank.weights = arg
+        else:
+            got = [r.index for r in bank.retrieve_associative(arg, value)]
+            assert got == brute_force_rank(bank, arg, value)
+            query_embedding = bank.embedder.embed(arg)
+            for record in bank.snapshot():
+                expected = oracle_score(bank, query_embedding, record, len(bank) - 1)
+                assert bank.score(query_embedding, record, len(bank) - 1) == expected
+
+
+def test_concurrent_adds_and_retrievals_stay_exact():
+    bank = MemoryBank(embedder=HashEmbedder(dimension=4), weights=(1.0, 0.5, 1.0), half_life=20.0)
+    queries = ["query 0", "query 1", "query 2"]
+    seen: list[tuple[int, int, str, int, list[int]]] = []
+
+    def writer(offset: int):
+        for i in range(50):
+            bank.add(f"w{offset}-{i % 7}", T0, importance=(i % 3) / 2)
+
+    def reader(offset: int):
+        for i in range(50):
+            query, k = queries[(i + offset) % 3], 1 + i % 10
+            before = len(bank)
+            got = [r.index for r in bank.retrieve_associative(query, k)]
+            seen.append((before, len(bank), query, k, got))
+
+    threads = [threading.Thread(target=writer, args=(n,)) for n in range(4)]
+    threads += [threading.Thread(target=reader, args=(n,)) for n in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(bank) == 200 and len(seen) == 100
+
+    records = bank.snapshot()
+
+    def prefix(n: int) -> SimpleNamespace:
+        return SimpleNamespace(
+            snapshot=lambda: records[:n],
+            embedder=bank.embedder,
+            weights=bank.weights,
+            half_life=bank.half_life,
+        )
+
+    # Each retrieval ranked the bank as it stood at some moment of the call.
+    for before, after, query, k, got in seen:
+        assert any(got == brute_force_rank(prefix(n), query, k) for n in range(before, after + 1))
+    # The cached relevance vectors, extended between concurrent adds, still
+    # line up with the records.
+    for query in queries:
+        for k in (1, 10, 200):
+            got = [r.index for r in bank.retrieve_associative(query, k)]
+            assert got == brute_force_rank(bank, query, k)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import io
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,15 @@ from gabm.trace import read_trace, replay, run_built_scenario
 SCENARIOS = Path(gabm.__file__).parent / "scenarios"
 SCRIPTED = ["calendar.json", "magic_beans.json", "three_questions.json"]
 SKETCHES = ["riverbend_election.json", "cyberball.json"]
+# sha256 of each scripted fixture's trace: the shipped fixtures must replay
+# byte for byte from one release to the next.  A deliberate change to the
+# trace format or to what a fixture's run writes bumps
+# config.ENGINE_VERSION and updates these pins in the same change.
+FIXTURE_TRACE_SHA256 = {
+    "calendar.json": "ffff1fa33db29873a26460d9abf631a674df7b5d8ca100e3b58d63fe3dfe96c4",
+    "magic_beans.json": "1163aae51e3bb4b6462bbc685d1e87e7d31a3e6e8a40fe73604b35621b1e7a7a",
+    "three_questions.json": "87ea98806165b5213afa8836971af6c2e2757748de0dee50e0b96c6ffe313c41",
+}
 
 
 @pytest.mark.parametrize("name", SCRIPTED + SKETCHES)
@@ -80,3 +91,10 @@ def test_scripted_fixtures_record_and_replay(tmp_path, name):
     assert read_trace(out).errors == []
     report = replay(out)
     assert report.ok, report.detail
+
+
+@pytest.mark.parametrize("name", SCRIPTED)
+def test_scripted_fixture_traces_are_pinned(name):
+    out = io.StringIO()
+    run_built_scenario(build(load_config(SCENARIOS / name)), out=out)
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == FIXTURE_TRACE_SHA256[name]
