@@ -6,11 +6,13 @@ the rendered call to action, then samples the model once (plus retries for
 numeric answers).  Component updates run separately: each due component
 stages its next state while reading the pre-update states of its peers, and
 all staged states publish together once the pass completes.  That two-phase
-swap keeps reads consistent no matter how updates are scheduled.
+swap keeps reads consistent no matter how updates are scheduled, which is
+what lets the updates of one pass run in parallel.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from datetime import datetime
 from decimal import Decimal
@@ -18,7 +20,7 @@ from decimal import Decimal
 from .errors import EpisodeAbort, InvalidModelOutput, NotANumber
 from .kernel import ActionSpec, AgentAction, GameClock, Observation, OutputKind, parse_float_token
 from .memory import MemoryBank
-from .model import GenerativeModel, render_choice_prompt
+from .model import GenerativeModel, render_choice_prompt, run_in_order
 
 DEFAULT_PREAMBLE = "Instructions: this is a social simulation. Answer as {name} would."
 FLOAT_SUFFIX = "Answer with a single number."
@@ -207,7 +209,6 @@ class GenerativeAgent:
         components: list[AgentComponent] | None = None,
         preamble: str = DEFAULT_PREAMBLE,
         clock: GameClock | None = None,
-        concurrent_updates: bool = False,
     ):
         if not name:
             raise ValueError("agent needs a non-empty name")
@@ -223,10 +224,6 @@ class GenerativeAgent:
             component.bind(self)
         self.preamble = preamble
         self.clock = clock
-        # Concurrent passes stay consistent thanks to the two-phase swap but
-        # interleave model calls nondeterministically; replayable scenarios
-        # keep the default.
-        self.concurrent_updates = concurrent_updates
         self.last_prompt = ""
         self._update_passes = 0
 
@@ -260,35 +257,28 @@ class GenerativeAgent:
     def update_components(self) -> None:
         """Run one two-phase update pass over all due components.
 
-        Every due component's update reads peers' pre-pass states; staged
-        results publish together afterwards.  A component failure aborts the
-        episode naming the component.
+        Every due component's update reads peers' pre-pass states, so the
+        updates do not depend on each other: ``run_in_order`` issues them
+        together when the model is slow enough for that to pay, and the
+        trace records their model calls in declaration order either way.
+        Staged results publish together afterwards.  A component failure
+        aborts the episode naming the first failing component in
+        declaration order; later components' calls are not recorded.
         """
         pass_index = self._update_passes
         self._update_passes += 1
         due = [c for c in self.components if c.due(pass_index)]
-        if self.concurrent_updates and len(due) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=len(due)) as pool:
-                futures = {pool.submit(c.update): c for c in due}
-                for future, component in futures.items():
-                    try:
-                        future.result()
-                    except Exception as exc:
-                        raise EpisodeAbort(
-                            f"component {self.name}/{component.name} failed during update: {exc}"
-                        ) from exc
-        else:
-            for component in due:
-                try:
-                    component.update()
-                except Exception as exc:
-                    raise EpisodeAbort(
-                        f"component {self.name}/{component.name} failed during update: {exc}"
-                    ) from exc
+        run_in_order([functools.partial(self._update_one, c) for c in due], self.model)
         for component in due:
             component.commit()
+
+    def _update_one(self, component: AgentComponent) -> None:
+        try:
+            component.update()
+        except Exception as exc:
+            raise EpisodeAbort(
+                f"component {self.name}/{component.name} failed during update: {exc}"
+            ) from exc
 
     def context_of_action(self, spec: ActionSpec) -> str:
         """Render the full acting prompt for one spec.

@@ -63,11 +63,3 @@ class ConfigValidationError(SimulationError):
         lines = "\n".join(f"  - {issue}" for issue in issues)
         super().__init__(f"invalid scenario config:\n{lines}")
 
-
-class ReplayDivergence(SimulationError):
-    """A replayed run stopped matching the recorded trace."""
-
-    def __init__(self, step: int, detail: str):
-        self.step = step
-        self.detail = detail
-        super().__init__(f"replay diverged at step {step}: {detail}")

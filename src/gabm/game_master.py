@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .agent import GenerativeAgent
-from .errors import ConfigError, EpisodeAbort, SimulationError
+from .errors import ConfigError, InvalidModelOutput, SimulationError
 from .kernel import (
     ActionSpec,
     AgentAction,
@@ -150,7 +150,6 @@ class GameMaster:
         preamble: str = DEFAULT_GM_PREAMBLE,
         rng: random.Random | None = None,
         name: str = "game master",
-        concurrent_action: bool = False,
     ):
         names = [p.name for p in players]
         if len(set(names)) != len(names):
@@ -166,9 +165,6 @@ class GameMaster:
         self.memory = memory if memory is not None else MemoryBank()
         self.preamble = preamble
         self.rng = rng or random.Random(0)
-        # Concurrent turns interleave model calls and event order
-        # nondeterministically; replayable runs keep the default.
-        self.concurrent_action = concurrent_action
         self.notification_hub = None  # set when a digital universe attaches
         self.trace: list[TraceRecord] = []
         self.on_record: Callable[[TraceRecord], None] | None = None
@@ -285,6 +281,8 @@ class GameMaster:
             context + f"Relevant state: {relevant}\n" + outcome_question,
             caller="gm:resolve:outcome",
         ).strip()
+        if not outcome:
+            raise InvalidModelOutput(f"game master gave no outcome for {action.actor}'s action")
         observers = self.model.sample_text(
             context + f"Event: {outcome}\n" + OBSERVERS_QUESTION,
             caller="gm:resolve:observers",
@@ -352,13 +350,10 @@ class GameMaster:
                 order = list(self.players)
                 self.rng.shuffle(order)
                 terminated = False
-                if self.concurrent_action and len(order) > 1:
-                    terminated = self._run_round_concurrent(order, step)
-                else:
-                    for player in order:
-                        if self._acting_turn(player, step):
-                            terminated = True
-                            break
+                for player in order:
+                    if self._acting_turn(player, step):
+                        terminated = True
+                        break
                 if terminated:
                     reason = "component-terminated"
                     break
@@ -369,25 +364,6 @@ class GameMaster:
             error_text = str(exc)
         grounded = {c.name: c.state() for c in self.components}
         return EpisodeResult(trace=list(self.trace), reason=reason, grounded=grounded, error=error_text)
-
-    def _run_round_concurrent(self, order: list[GenerativeAgent], step: int) -> bool:
-        """All players of one round act in parallel; resolution serializes.
-
-        Event order and model-call attribution depend on thread timing, so
-        this path is for experiments, not replayable runs.
-        """
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        resolve_lock = threading.Lock()
-
-        def one_turn(player: GenerativeAgent) -> bool:
-            with resolve_lock:
-                return self._acting_turn(player, step)
-
-        with ThreadPoolExecutor(max_workers=len(order)) as pool:
-            outcomes = list(pool.map(one_turn, order))
-        return any(outcomes)
 
 
 def spawn_nested_game(

@@ -8,25 +8,55 @@ holding the complete prompt/response log for each acting turn.
 ScriptedModel is the deterministic test backend: an ordered rule list with
 per-rule consumption budgets and a default response.  HttpModel adapts any
 chat-completions endpoint and is never touched by the default test suite.
+
+``run_in_order`` issues independent tasks together when the model is slow
+enough for that to pay, and records their calls in task order, so a trace
+does not depend on which call came back first.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import logging
 import os
 import re
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import BackendUnavailable, NoMatchingOption
 from .kernel import ModelCall, parse_choice
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
+log = logging.getLogger(__name__)
 
 # Crude budget bridge for backends that meter tokens rather than characters.
 CHARS_PER_TOKEN = 4
 
 CHOICE_RETRY_BUDGET = 3
 _CHOICE_REPAIR = "Answer with exactly one of the options, verbatim."
+
+# run_in_order issues tasks in parallel only for a model whose measured
+# wall time per call is at least this: below it the hand-offs between
+# threads cost more than the overlap saves.
+PARALLEL_MIN_CALL_S = 0.001
+# Weight of the newest call in the moving average of call wall time.
+CALL_TIME_WEIGHT = 0.1
+# Upper bound on pool threads; they start only as batches need them.
+POOL_MAX_WORKERS = 16
+
+# The calls of the parallel task running in this context, as (recorder,
+# call) pairs held back until run_in_order hands them on in task order.
+_call_slot: contextvars.ContextVar[list | None] = contextvars.ContextVar(
+    "gabm_call_slot", default=None
+)
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 
 class CallRecorder:
@@ -50,6 +80,8 @@ class GenerativeModel:
 
     def __init__(self):
         self._recorder: CallRecorder | None = None
+        # Moving average of the wall time of _complete; None before any call.
+        self.call_seconds: float | None = None
 
     def set_recorder(self, recorder: CallRecorder | None) -> None:
         self._recorder = recorder
@@ -57,14 +89,32 @@ class GenerativeModel:
     def _complete(self, prompt: str, max_chars: int | None) -> str:
         raise NotImplementedError
 
-    def _record(self, caller: str, prompt: str, response: str) -> None:
-        if self._recorder is not None:
-            self._recorder.record(
-                ModelCall(caller=caller, prompt=prompt, response=response, backend=self.backend_id)
-            )
+    def _record(self, caller: str, prompt: str, response: str, backend: str | None = None) -> None:
+        recorder = self._recorder
+        if recorder is None:
+            return
+        call = ModelCall(
+            caller=caller,
+            prompt=prompt,
+            response=response,
+            backend=self.backend_id if backend is None else backend,
+        )
+        slot = _call_slot.get()
+        if slot is None:
+            recorder.record(call)
+        else:
+            slot.append((recorder, call))
 
     def sample_text(self, prompt: str, *, max_chars: int | None = None, caller: str = "") -> str:
+        start = time.perf_counter()
         response = self._complete(prompt, max_chars)
+        elapsed = time.perf_counter() - start
+        # Unlocked: a racing update loses one sample, which the gate in
+        # run_in_order tolerates.
+        average = self.call_seconds
+        self.call_seconds = (
+            elapsed if average is None else average + CALL_TIME_WEIGHT * (elapsed - average)
+        )
         self._record(caller, prompt, response)
         return response
 
@@ -88,6 +138,74 @@ class GenerativeModel:
             except NoMatchingOption as exc:
                 last_error = exc
         raise last_error  # type: ignore[misc]
+
+
+def _shared_pool() -> ThreadPoolExecutor:
+    # Imported here so a run that never goes parallel does not load it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=POOL_MAX_WORKERS, thread_name_prefix="gabm")
+        return _pool
+
+
+def _run_in_slot(slot: list, task: Callable[[], object]) -> None:
+    token = _call_slot.set(slot)
+    try:
+        task()
+    finally:
+        _call_slot.reset(token)
+
+
+def run_in_order(tasks: Sequence[Callable[[], object]], model: GenerativeModel) -> None:
+    """Run independent tasks; their model calls are recorded in task order.
+
+    With more than one task and a model whose measured call time is at
+    least ``PARALLEL_MIN_CALL_S``, the tasks run together on a shared
+    thread pool; otherwise one after another.  Either way the recorder
+    sees every call of task 0, then of task 1, and so on, whatever order
+    the calls came back in.  Tasks must not depend on each other's
+    effects.  If tasks fail, the error of the first failing one is raised
+    once all have finished, and the calls of the tasks after it are
+    dropped, so the record is what the serial run would have left.
+    """
+    average = model.call_seconds
+    if len(tasks) < 2 or average is None or average < PARALLEL_MIN_CALL_S:
+        for task in tasks:
+            task()
+        return
+    pool = _shared_pool()
+    slots: list[list] = [[] for _ in tasks]
+    futures = [
+        pool.submit(contextvars.copy_context().run, _run_in_slot, slot, task)
+        for slot, task in zip(slots[1:], tasks[1:])
+    ]
+    errors: list[BaseException | None] = [None] * len(tasks)
+    try:
+        _run_in_slot(slots[0], tasks[0])
+    except BaseException as exc:  # noqa: BLE001 - re-raised below, in task order
+        errors[0] = exc
+    for index, future in enumerate(futures, start=1):
+        # A task no thread has started yet runs here, so a batch nested in
+        # a task never waits on a pool that its own batch has filled.
+        if not future.cancel():
+            errors[index] = future.exception()
+        elif all(error is None for error in errors):
+            try:
+                _run_in_slot(slots[index], tasks[index])
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors[index] = exc
+    enclosing = _call_slot.get()
+    for slot, error in zip(slots, errors):
+        if enclosing is not None:
+            enclosing.extend(slot)
+        else:
+            for recorder, call in slot:
+                recorder.record(call)
+        if error is not None:
+            raise error
 
 
 def render_choice_prompt(prompt: str, options: list[str] | tuple[str, ...]) -> str:
@@ -254,7 +372,7 @@ class HttpModel(GenerativeModel):
             headers["Authorization"] = f"Bearer {self.api_key}"
         url = f"{self.endpoint}/chat/completions"
         last_error: Exception | None = None
-        for attempt in range(self.max_retries):
+        for attempt in range(1, self.max_retries + 1):
             try:
                 reply = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
                 reply.raise_for_status()
@@ -262,33 +380,84 @@ class HttpModel(GenerativeModel):
                 return body["choices"][0]["message"]["content"]
             except Exception as exc:  # noqa: BLE001 - any transport failure retries
                 last_error = exc
-                time.sleep(min(2.0**attempt, 8.0))
+            status = getattr(getattr(last_error, "response", None), "status_code", None)
+            if isinstance(status, int) and 400 <= status < 500 and status != 429:
+                raise BackendUnavailable(f"model endpoint rejected the request: {last_error}")
+            if attempt < self.max_retries:
+                delay = min(2.0 ** (attempt - 1), 8.0)
+                log.warning(
+                    "model endpoint call failed (attempt %d of %d), retrying in %g s: %s",
+                    attempt, self.max_retries, delay, last_error,
+                )
+                time.sleep(delay)
         raise BackendUnavailable(f"model endpoint failed after {self.max_retries} tries: {last_error}")
 
 
 class ReplayModel(GenerativeModel):
-    """Feeds back a recorded call sequence, in original issue order.
+    """Feeds back a recorded call sequence.
 
-    Each call pops the next recorded response regardless of prompt content;
-    any divergence from the original run then shows up as a byte difference
-    in the regenerated trace.  The recorded backend id is replayed too so
-    regenerated model-call entries match the originals exactly.
+    Each call takes the first unconsumed recorded call with the same
+    caller, or failing that the first unconsumed call of any caller, and
+    answers with its response regardless of prompt content.  On a run that
+    follows the recording this is the next recorded call; calls issued
+    together by ``run_in_order`` each find their own, whatever order they
+    arrive in.  Any divergence from the original run then shows up as a
+    byte difference in the regenerated trace.  Each regenerated call also
+    carries the backend id of the recorded call it took, so model-call
+    entries match the originals exactly; a call past the end answers ""
+    with the last recorded backend id.
     """
+
+    backend_id = "replay"
 
     def __init__(self, calls: list[ModelCall]):
         super().__init__()
-        self._queue = list(calls)
-        self._position = 0
-        self.backend_id = "replay"
+        self._calls = list(calls)
+        self._taken = [False] * len(self._calls)
+        self._taken_count = 0
+        self._first_untaken = 0
+        # Untaken indices by caller, built on the first call out of turn.
+        self._by_caller: dict[str, deque[int]] | None = None
+        self._overflow_backend = self._calls[-1].backend if self._calls else self.backend_id
+        self._lock = threading.Lock()
 
-    def _complete(self, prompt: str, max_chars: int | None) -> str:
-        if self._position >= len(self._queue):
+    def _take(self, caller: str) -> ModelCall | None:
+        with self._lock:
+            calls, taken = self._calls, self._taken
+            index = self._first_untaken
+            while index < len(calls) and taken[index]:
+                index += 1
+            self._first_untaken = index
+            if index == len(calls):
+                return None
+            if calls[index].caller != caller:
+                index = self._first_untaken_of(caller, index)
+            taken[index] = True
+            self._taken_count += 1
+            return calls[index]
+
+    def _first_untaken_of(self, caller: str, fallback: int) -> int:
+        """First untaken index with this caller, else ``fallback``; lock held."""
+        if self._by_caller is None:
+            self._by_caller = {}
+            # Every index before the first untaken one is taken.
+            for index in range(fallback, len(self._calls)):
+                if not self._taken[index]:
+                    self._by_caller.setdefault(self._calls[index].caller, deque()).append(index)
+        same_caller = self._by_caller.get(caller)
+        # Indices taken in turn stay queued until they reach the front.
+        while same_caller and self._taken[same_caller[0]]:
+            same_caller.popleft()
+        return same_caller.popleft() if same_caller else fallback
+
+    def sample_text(self, prompt: str, *, max_chars: int | None = None, caller: str = "") -> str:
+        recorded = self._take(caller)
+        if recorded is None:
+            self._record(caller, prompt, "", self._overflow_backend)
             return ""
-        recorded = self._queue[self._position]
-        self._position += 1
-        self.backend_id = recorded.backend
+        self._record(caller, prompt, recorded.response, recorded.backend)
         return recorded.response
 
     @property
     def exhausted(self) -> bool:
-        return self._position >= len(self._queue)
+        return self._taken_count == len(self._calls)

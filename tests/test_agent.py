@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import threading
+import time
 from datetime import datetime
 
 import pytest
 
+import gabm.model
 from gabm.agent import (
     DEFAULT_PREAMBLE,
     FLOAT_SUFFIX,
@@ -17,7 +20,7 @@ from gabm.agent import (
 )
 from gabm.errors import EpisodeAbort, InvalidModelOutput
 from gabm.kernel import ActionSpec, GameClock, Observation, OutputKind
-from gabm.model import CallRecorder, ScriptedModel, ScriptRule
+from gabm.model import PARALLEL_MIN_CALL_S, CallRecorder, ScriptedModel, ScriptRule
 
 T0 = datetime(2024, 5, 1, 9, 0)
 FREE_SPEC = ActionSpec("What would {name} do next? It is {time}.", OutputKind.FREE_TEXT)
@@ -341,3 +344,107 @@ def test_last_prompt_survives_act():
     agent = make_agent([])
     agent.act(FREE_SPEC)
     assert agent.last_prompt.endswith("What would Ada do next? It is 2024-05-01T09:00.")
+
+
+QUESTION_RULES = {
+    "situation": ScriptRule(contains="What kind of situation", response="a market day"),
+    "identity": ScriptRule(contains="What kind of person is", response="a careful trader"),
+    "disposition": ScriptRule(contains="What does a person such as", response="haggles politely"),
+}
+UPDATE_CALLERS = [f"component:Ada/{name}:update" for name in QUESTION_RULES]
+
+
+class SlowQuestionModel(ScriptedModel):
+    """The three questions' script behind a slow model.
+
+    Any other prompt takes ``other_ms``.  A question may wait on
+    ``barrier``, and for the question ``after`` maps it to to finish
+    first.  Completions are logged by question, in completion order, with
+    the thread that ran them.
+    """
+
+    def __init__(self, other_ms=2.0, barrier=None, after=None):
+        super().__init__(rules=list(QUESTION_RULES.values()))
+        self.other_ms = other_ms
+        self.barrier = barrier
+        self.after = after or {}
+        self.done = {name: threading.Event() for name in QUESTION_RULES}
+        self.finished: list[tuple[str, str]] = []
+        self._log_lock = threading.Lock()
+
+    def _complete(self, prompt, max_chars):
+        question = next((n for n, r in QUESTION_RULES.items() if r.matches(prompt)), None)
+        if question is None:
+            time.sleep(self.other_ms / 1000)
+        else:
+            if self.barrier is not None:
+                self.barrier.wait()
+            if question in self.after:
+                assert self.done[self.after[question]].wait(timeout=5)
+        with self._log_lock:
+            self.finished.append((question, threading.current_thread().name))
+        if question is not None:
+            self.done[question].set()
+        return super()._complete(prompt, max_chars)
+
+
+def slow_agent(model, components=None):
+    model.sample_text("warm up")
+    assert model.call_seconds >= PARALLEL_MIN_CALL_S
+    recorder = CallRecorder()
+    model.set_recorder(recorder)
+    return make_agent(components or three_questions_components(), model=model), recorder
+
+
+def test_update_pass_issues_three_questions_together_above_the_gate():
+    # Run one after another, the first question would wait out the timeout.
+    barrier = threading.Barrier(3, timeout=5)
+    agent, recorder = slow_agent(SlowQuestionModel(barrier=barrier))
+    agent.update_components()
+    assert not barrier.broken
+    assert agent.component_states() == {
+        "situation": "a market day",
+        "identity": "a careful trader",
+        "disposition": "haggles politely",
+    }
+    assert [c.caller for c in recorder.calls] == UPDATE_CALLERS
+
+
+def test_update_pass_records_calls_in_declaration_order():
+    # Each question answers only once the next one has: reverse order.
+    model = SlowQuestionModel(after={"situation": "identity", "identity": "disposition"})
+    agent, recorder = slow_agent(model)
+    agent.update_components()
+    assert [q for q, _ in model.finished[1:]] == ["disposition", "identity", "situation"]
+    assert [c.caller for c in recorder.calls] == UPDATE_CALLERS
+
+
+def test_parallel_component_failure_names_it_and_drops_later_calls():
+    class Broken(AgentComponent):
+        def update(self):
+            self.agent.model.sample_text("checking the weather", caller="weather")
+            raise RuntimeError("kaput")
+
+    situation, identity, _ = three_questions_components()
+    model = SlowQuestionModel(after={"situation": "identity"})
+    agent, recorder = slow_agent(model, [situation, Broken("weather"), identity])
+    with pytest.raises(EpisodeAbort, match=r"Ada/weather failed during update: kaput"):
+        agent.update_components()
+    # identity did run, but the serial pass would have stopped before it.
+    assert model.done["identity"].is_set()
+    assert [c.caller for c in recorder.calls] == [UPDATE_CALLERS[0], "weather"]
+    assert situation.state() == ""
+
+
+def test_update_pass_starts_no_thread_for_a_fast_model(monkeypatch):
+    def no_pool():
+        raise AssertionError("a fast model must not start pool threads")
+
+    monkeypatch.setattr(gabm.model, "_shared_pool", no_pool)
+    model = SlowQuestionModel(other_ms=0)
+    agent = make_agent(three_questions_components(), model=model)
+    model.sample_text("warm up")
+    assert model.call_seconds < PARALLEL_MIN_CALL_S
+    agent.update_components()
+    agent.update_components()
+    assert {thread for _, thread in model.finished} == {threading.current_thread().name}

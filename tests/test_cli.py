@@ -4,7 +4,9 @@ import json
 from pathlib import Path
 
 from gabm.cli import main
+from gabm.config import build, load_config
 from gabm.kernel import canonical_json
+from gabm.trace import replay, run_built_scenario
 
 from test_trace import CONFIG, SCRIPT, write_scenario
 
@@ -127,6 +129,28 @@ def test_replay_ok(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", "--trace", str(out)]) == 0
     assert "replay OK (6 records byte-identical)" in capsys.readouterr().out
+
+
+def test_blank_gm_outcome_ends_in_error_and_replays(tmp_path, capsys):
+    script = {
+        "default": "pass",
+        "rules": [
+            {"contains": "extract any completed trade", "response": "NONE"},
+            {"contains": "What event results", "response": "   "},
+        ],
+    }
+    (tmp_path / "script.json").write_text(json.dumps(script), encoding="utf-8")
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(CONFIG), encoding="utf-8")
+    outcome = run_built_scenario(build(load_config(config_path)))
+    assert outcome.result.reason == "error"
+    assert "game master gave no outcome" in outcome.result.error
+    out = tmp_path / "trace.jsonl"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert "episode aborted: game master gave no outcome" in capsys.readouterr().err
+    report = replay(out)
+    assert report.ok, report.detail
+    assert report.records_checked == 1
 
 
 def test_replay_divergence_exit_code(tmp_path, capsys):

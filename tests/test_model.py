@@ -1,18 +1,27 @@
 from __future__ import annotations
 
 import json
+import logging
+import sys
+import threading
+import time
+import types
 
 import pytest
 
-from gabm.errors import NoMatchingOption
+from gabm.errors import BackendUnavailable, NoMatchingOption
 from gabm.kernel import ModelCall
 from gabm.model import (
+    PARALLEL_MIN_CALL_S,
     CallRecorder,
     EchoModel,
+    GenerativeModel,
+    HttpModel,
     ReplayModel,
     ScriptRule,
     ScriptedModel,
     render_choice_prompt,
+    run_in_order,
 )
 
 
@@ -160,3 +169,172 @@ def test_replay_model_feeds_recorded_sequence():
     assert model.exhausted
     assert model.sample_text("overflow") == ""
     assert [c.backend for c in recorder.calls] == ["scripted", "http", "http"]
+
+
+def test_replay_model_matches_caller_when_calls_arrive_out_of_order():
+    calls = [
+        ModelCall("a", "p1", "r1", "scripted"),
+        ModelCall("b", "p2", "r2", "http"),
+        ModelCall("a", "p3", "r3", "scripted"),
+    ]
+    model = ReplayModel(calls)
+    recorder = CallRecorder()
+    model.set_recorder(recorder)
+    assert model.sample_text("x", caller="b") == "r2"
+    assert model.sample_text("x", caller="a") == "r1"
+    # No unconsumed call from "c": the next unconsumed call of any caller.
+    assert model.sample_text("x", caller="c") == "r3"
+    assert model.exhausted
+    assert [c.backend for c in recorder.calls] == ["http", "scripted", "scripted"]
+
+
+class SleepyModel(GenerativeModel):
+    """Answers with the prompt after sleeping the milliseconds in ``delays``.
+
+    Logs the prompt and thread of each completion, in completion order.
+    """
+
+    backend_id = "sleepy"
+
+    def __init__(self, delays: dict[str, float] | None = None, default_ms: float = 2.0):
+        super().__init__()
+        self.delays = delays or {}
+        self.default_ms = default_ms
+        self.finished: list[tuple[str, str]] = []
+        self._lock = threading.Lock()
+
+    def _complete(self, prompt: str, max_chars: int | None) -> str:
+        time.sleep(self.delays.get(prompt, self.default_ms) / 1000)
+        with self._lock:
+            self.finished.append((prompt, threading.current_thread().name))
+        return prompt
+
+
+def warmed(model: GenerativeModel) -> GenerativeModel:
+    model.sample_text("warm up")
+    assert model.call_seconds >= PARALLEL_MIN_CALL_S
+    return model
+
+
+def test_run_in_order_records_in_task_order_not_completion_order():
+    model = warmed(SleepyModel({"first": 60, "second": 30, "third": 1}))
+    recorder = CallRecorder()
+    model.set_recorder(recorder)
+    run_in_order([lambda p=p: model.sample_text(p, caller=p) for p in ("first", "second", "third")], model)
+    assert [c.caller for c in recorder.calls] == ["first", "second", "third"]
+
+
+def test_run_in_order_hands_nested_batches_to_the_enclosing_task():
+    model = warmed(SleepyModel({"a": 40, "b1": 30, "b2": 1, "c": 1}))
+    recorder = CallRecorder()
+    model.set_recorder(recorder)
+
+    def call(prompt):
+        return lambda: model.sample_text(prompt, caller=prompt)
+
+    def nested():
+        model.sample_text("b0", caller="b0")
+        run_in_order([call("b1"), call("b2")], model)
+
+    run_in_order([call("a"), nested, call("c")], model)
+    assert [c.caller for c in recorder.calls] == ["a", "b0", "b1", "b2", "c"]
+
+
+def test_run_in_order_raises_first_failure_in_task_order_and_drops_later_calls():
+    model = warmed(SleepyModel({"slow failure": 40}))
+    recorder = CallRecorder()
+    model.set_recorder(recorder)
+
+    def fail(prompt):
+        def task():
+            model.sample_text(prompt, caller=prompt)
+            raise RuntimeError(prompt)
+
+        return task
+
+    tasks = [
+        lambda: model.sample_text("ok", caller="ok"),
+        fail("slow failure"),
+        fail("fast failure"),
+        lambda: model.sample_text("later", caller="later"),
+    ]
+    with pytest.raises(RuntimeError, match="slow failure"):
+        run_in_order(tasks, model)
+    assert [c.caller for c in recorder.calls] == ["ok", "slow failure"]
+
+
+def test_run_in_order_stays_on_the_calling_thread_below_the_gate():
+    model = SleepyModel(default_ms=0)
+    model.sample_text("warm up")
+    assert model.call_seconds < PARALLEL_MIN_CALL_S
+    run_in_order([lambda p=p: model.sample_text(p) for p in "abc"], model)
+    assert {thread for _, thread in model.finished} == {threading.current_thread().name}
+
+
+class FakeHTTPError(Exception):
+    def __init__(self, reply):
+        super().__init__(f"HTTP {reply.status_code}")
+        self.response = reply
+
+
+class FakeReply:
+    def __init__(self, status_code: int, content: str = ""):
+        self.status_code = status_code
+        self.content = content
+
+    def raise_for_status(self):
+        if self.status_code >= 400:
+            raise FakeHTTPError(self)
+
+    def json(self):
+        return {"choices": [{"message": {"content": self.content}}]}
+
+
+@pytest.fixture
+def fake_http(monkeypatch):
+    """A stub ``requests`` whose replies are queued by the test; no network."""
+    replies: list = []
+    posts: list[str] = []
+    sleeps: list[float] = []
+
+    def post(url, json, headers, timeout):
+        posts.append(url)
+        reply = replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    monkeypatch.setitem(sys.modules, "requests", types.SimpleNamespace(post=post))
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    return types.SimpleNamespace(replies=replies, posts=posts, sleeps=sleeps)
+
+
+def test_http_model_retries_transient_errors_with_backoff(fake_http, caplog):
+    fake_http.replies += [FakeReply(503), FakeReply(429), FakeReply(200, "hello")]
+    model = HttpModel(endpoint="http://model.invalid/v1", max_retries=3)
+    with caplog.at_level(logging.WARNING, logger="gabm.model"):
+        assert model.sample_text("hi") == "hello"
+    assert fake_http.sleeps == [1.0, 2.0]
+    assert len(caplog.records) == 2
+    assert "attempt 1 of 3" in caplog.records[0].getMessage()
+    assert "HTTP 429" in caplog.records[1].getMessage()
+
+
+def test_http_model_does_not_sleep_after_the_last_attempt(fake_http, caplog):
+    fake_http.replies += [ConnectionError("refused")] * 3
+    model = HttpModel(endpoint="http://model.invalid/v1", max_retries=3)
+    with caplog.at_level(logging.WARNING, logger="gabm.model"):
+        with pytest.raises(BackendUnavailable, match="after 3 tries: refused"):
+            model.sample_text("hi")
+    assert len(fake_http.posts) == 3
+    assert fake_http.sleeps == [1.0, 2.0]
+    assert len(caplog.records) == 2
+
+
+def test_http_model_does_not_retry_client_errors(fake_http):
+    fake_http.replies += [FakeReply(400)]
+    model = HttpModel(endpoint="http://model.invalid/v1", max_retries=3)
+    with pytest.raises(BackendUnavailable, match="rejected the request: HTTP 400"):
+        model.sample_text("hi")
+    assert len(fake_http.posts) == 1
+    assert fake_http.sleeps == []

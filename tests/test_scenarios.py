@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import io
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import gabm
-from gabm.config import build, load_config
+from gabm.config import build, build_model, load_config
+from gabm.model import GenerativeModel
 from gabm.trace import read_trace, replay, run_built_scenario
 
 SCENARIOS = Path(gabm.__file__).parent / "scenarios"
@@ -98,3 +101,47 @@ def test_scripted_fixture_traces_are_pinned(name):
     out = io.StringIO()
     run_built_scenario(build(load_config(SCENARIOS / name)), out=out)
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == FIXTURE_TRACE_SHA256[name]
+
+
+class SlowReorderingModel(GenerativeModel):
+    """Wraps a fixture's scripted model behind a delay that varies by question.
+
+    Of the three questions, the first asked answers last and the last
+    first, so calls issued together come back in reverse order.  Prompts
+    are logged in completion order.
+    """
+
+    DELAYS_MS = (("What kind of situation", 9), ("What kind of person", 5))
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+        self.finished: list[str] = []
+        self._lock = threading.Lock()
+
+    @property
+    def backend_id(self):
+        return self.inner.backend_id
+
+    def _complete(self, prompt, max_chars):
+        delay = next((ms for text, ms in self.DELAYS_MS if text in prompt), 1.5)
+        time.sleep(delay / 1000)
+        with self._lock:
+            self.finished.append(prompt)
+        return self.inner._complete(prompt, max_chars)
+
+
+@pytest.mark.parametrize("name", SCRIPTED)
+def test_fixtures_behind_a_slow_reordering_model_keep_their_pinned_traces(tmp_path, name):
+    config = load_config(SCENARIOS / name)
+    model = SlowReorderingModel(build_model(config))
+    out = tmp_path / "trace.jsonl"
+    with open(out, "w", encoding="utf-8") as handle:
+        run_built_scenario(build(config, model=model), out=handle)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXTURE_TRACE_SHA256[name]
+    report = replay(out)
+    assert report.ok, report.detail
+    if name == "three_questions.json":
+        recorded = [call.prompt for r in read_trace(out).records for call in r.model_calls]
+        assert sorted(recorded) == sorted(model.finished)
+        assert recorded != model.finished  # the update passes did overlap
