@@ -1,15 +1,35 @@
 """The game master: resolves player actions into events and runs episodes.
 
-Resolution of one acting turn follows a fixed sequence.  Components first
-react to the attempted action (and may veto it), then publish their states;
-the game master reasons in three recorded model calls (relevant state, the
-outcome event, who observes what); the event is memorized; finally
-components react to the resolved event, which is when observations fan out
-to players.  Episode termination is polled after every acting turn.
+Resolution of one acting turn follows a fixed sequence:
+
+1. ``update_before_event``: components react to the attempted action (and
+   may veto it), then publish their states (``state()``), which make up
+   the resolution context.
+2. One batch: the pre-event query of each component that has one, and the
+   game master's "relevant state" call.  Then each component's pre-event
+   effect, which may veto the action too.
+3. The outcome call, which alone reads the veto, gives the event.
+4. One batch: the game master's "who observes what" call and the
+   post-event query of each component that has one.  The observer lines
+   are parsed and the event is memorized.
+5. Per component, its post-event effect, then ``update_after_event``.
+   This is when grounded variables change and observations fan out.
+
+Episode termination is polled after every acting turn.  The calls of a
+batch are independent of one another, so ``run_holding_calls`` issues them
+together when the model is slow enough for that to pay; either way each
+call is recorded where the one-at-a-time sequence makes it (a query's
+calls just before its effect), so a trace does not depend on the model's
+speed.  If a call in a batch fails, everything before it in that sequence
+still happens (calls recorded, effects applied, the event memorized) and
+nothing after it does.  The one difference from asking one call at a time
+is on the pre-event side: there every ``update_before_event`` has already
+run, and the states snapshot is in the record, when a query fails.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -27,7 +47,7 @@ from .kernel import (
     TraceRecord,
 )
 from .memory import MemoryBank
-from .model import CallRecorder, GenerativeModel
+from .model import CallRecorder, GenerativeModel, run_holding_calls
 
 DEFAULT_GM_PREAMBLE = (
     "Instructions: you are the game master of a social simulation. "
@@ -50,14 +70,32 @@ OBSERVERS_QUESTION = (
 )
 
 
+Effect = Callable[[], None]
+
+
 class GMComponent:
     """One slice of game-master state, e.g. an inventory or a location map.
 
     ``state()`` renders the full picture for the game master's own
     reasoning; ``partial_state(player)`` renders only what that player may
-    know.  ``update_before_event`` sees the attempted action and may veto
-    it; ``update_after_event`` sees the resolved event and is the place to
-    emit observations and mutate grounded variables.
+    know.  ``update_before_event`` sees the attempted action and may
+    ``veto`` it; ``update_after_event`` sees the resolved event and is the
+    place to emit observations and mutate grounded variables.
+
+    A component that asks the model about the action or the event does so
+    by overriding ``query_before_event`` or ``query_after_event``; only
+    overridden queries join the game master's batches.  A query may run on
+    a pool thread, together with the game master's own calls, so besides
+    calling ``gm.model`` it only reads the action or event and the
+    component's own state, and touches no game master, record, note,
+    observation or other component.  It returns the effect to apply, or
+    None.  The game master applies effects on its own thread in
+    declaration order: pre-event effects after every
+    ``update_before_event`` and before the outcome call, each post-event
+    effect just before the same component's ``update_after_event``.  A
+    pre-event effect may veto.  When more than one component vetoes, the
+    last veto in that order stands: one made by a pre-event effect wins
+    over one made in ``update_before_event``.
     """
 
     def __init__(self, name: str):
@@ -79,11 +117,22 @@ class GMComponent:
     def update_before_event(self, cause: AgentAction) -> None:
         pass
 
+    def query_before_event(self, cause: AgentAction) -> Effect | None:
+        return None
+
+    def query_after_event(self, event: EventStatement) -> Effect | None:
+        return None
+
     def update_after_event(self, event: EventStatement) -> None:
         pass
 
     def terminate_episode(self) -> bool:
         return False
+
+
+def _asks(component: GMComponent, query: str) -> bool:
+    # The default query hooks ask nothing, so they stay out of the batches.
+    return getattr(type(component), query) is not getattr(GMComponent, query)
 
 
 class ObservationDelivery(GMComponent):
@@ -270,9 +319,20 @@ class GameMaster:
         if self._current_record is not None:
             self._current_record.gm_states = dict(gm_states)
         context = self._gm_context(action, gm_states)
-        relevant = self.model.sample_text(
-            context + STATE_QUESTION, caller="gm:resolve:state"
-        ).strip()
+        *before, state = run_holding_calls(
+            [
+                functools.partial(c.query_before_event, action)
+                for c in self.components
+                if _asks(c, "query_before_event")
+            ]
+            + [self._asker(context + STATE_QUESTION, "gm:resolve:state")],
+            self.model,
+        )
+        for take in before:
+            effect = take()
+            if effect is not None:
+                effect()
+        relevant = state().strip()
         if self._veto_reason is not None:
             outcome_question = VETOED_OUTCOME_QUESTION.replace("{reason}", self._veto_reason)
         else:
@@ -283,18 +343,32 @@ class GameMaster:
         ).strip()
         if not outcome:
             raise InvalidModelOutput(f"game master gave no outcome for {action.actor}'s action")
-        observers = self.model.sample_text(
-            context + f"Event: {outcome}\n" + OBSERVERS_QUESTION,
-            caller="gm:resolve:observers",
-        )
-        self._parse_observers(observers)
         event = EventStatement(text=outcome, cause=action, timestamp=self.clock.current_time)
+        asks = [_asks(c, "query_after_event") for c in self.components]
+        observers, *after = run_holding_calls(
+            [self._asker(f"{context}Event: {outcome}\n{OBSERVERS_QUESTION}", "gm:resolve:observers")]
+            + [
+                functools.partial(c.query_after_event, event)
+                for c, c_asks in zip(self.components, asks)
+                if c_asks
+            ],
+            self.model,
+        )
+        self._parse_observers(observers())
         self.memory.add(event.text, event.timestamp)
         if self._current_record is not None:
             self._current_record.event = event.text
-        for component in self.components:
+        takers = iter(after)
+        for component, c_asks in zip(self.components, asks):
+            if c_asks:
+                effect = next(takers)()
+                if effect is not None:
+                    effect()
             component.update_after_event(event)
         return event
+
+    def _asker(self, prompt: str, caller: str) -> Callable[[], str]:
+        return functools.partial(self.model.sample_text, prompt, caller=caller)
 
     # ---- the episode loop ----------------------------------------------------
 

@@ -9,13 +9,14 @@ says why.  Items are never minted or burned outside the initial endowment.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
 from .agent import GenerativeAgent
 from .errors import ConfigError, InvalidModelOutput, NoMatchingOption
 from .kernel import ActionSpec, AgentAction, EventStatement
-from .game_master import GameMaster, GMComponent
+from .game_master import Effect, GameMaster, GMComponent
 
 MONEY_ITEM = "coin"
 CENT = Decimal("0.01")
@@ -152,6 +153,8 @@ class InventoryComponent(GMComponent):
     the balances cannot cover, so the narrated event describes a failed
     attempt.  After resolution it extracts trades from the event statement
     and settles them; both legs of a trade move atomically or not at all.
+    Both extractions are the component's queries; the notes, the veto and
+    the settlement are their effects.
     """
 
     def __init__(
@@ -163,7 +166,6 @@ class InventoryComponent(GMComponent):
         super().__init__(name)
         self.inventory = InventoryState(endowments, items)
         self._vetoed = False
-        self._actor = ""
 
     def state(self) -> str:
         lines = []
@@ -188,18 +190,25 @@ class InventoryComponent(GMComponent):
         return None
 
     def update_before_event(self, cause: AgentAction) -> None:
-        assert self.gm is not None
         self._vetoed = False
-        self._actor = cause.actor
+
+    def query_before_event(self, cause: AgentAction) -> Effect:
+        assert self.gm is not None
         trades, warnings = parse_trade_from_event(self.inventory, cause.text, self.gm.model)
-        for warning in warnings:
-            self.gm.audit_note(f"{self.name}: {warning}")
+        return functools.partial(self._check_attempt, trades, warnings)
+
+    def _check_attempt(self, trades: list[Trade], warnings: list[str]) -> None:
+        self._note_warnings(warnings)
         for trade in trades:
             reason = self._affordability(trade)
             if reason is not None:
                 self.gm.veto(reason)
                 self._vetoed = True
                 return
+
+    def _note_warnings(self, warnings: list[str]) -> None:
+        for warning in warnings:
+            self.gm.audit_note(f"{self.name}: {warning}")
 
     def settle(self, actor: str, trade: Trade) -> TransferResult:
         """Apply one trade atomically; on refusal tell the actor why."""
@@ -229,16 +238,18 @@ class InventoryComponent(GMComponent):
             self.gm.emit_observation(self.name, actor, f"Your action was invalid: {result.reason}.")
         return result
 
-    def update_after_event(self, event: EventStatement) -> None:
+    def query_after_event(self, event: EventStatement) -> Effect | None:
         assert self.gm is not None
         if self._vetoed:
             # The failed attempt was already narrated; nothing settles.
-            return
+            return None
         trades, warnings = parse_trade_from_event(self.inventory, event.text, self.gm.model)
-        for warning in warnings:
-            self.gm.audit_note(f"{self.name}: {warning}")
+        return functools.partial(self._settle_event, event.cause.actor, trades, warnings)
+
+    def _settle_event(self, actor: str, trades: list[Trade], warnings: list[str]) -> None:
+        self._note_warnings(warnings)
         for trade in trades:
-            self.settle(event.cause.actor, trade)
+            self.settle(actor, trade)
 
 
 class LocationComponent(GMComponent):

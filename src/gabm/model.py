@@ -11,12 +11,15 @@ chat-completions endpoint and is never touched by the default test suite.
 
 ``run_in_order`` issues independent tasks together when the model is slow
 enough for that to pay, and records their calls in task order, so a trace
-does not depend on which call came back first.
+does not depend on which call came back first.  ``run_holding_calls`` does
+the same but leaves it to the caller to say when each task's calls are
+recorded.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import json
 import logging
 import os
@@ -51,7 +54,7 @@ CALL_TIME_WEIGHT = 0.1
 POOL_MAX_WORKERS = 16
 
 # The calls of the parallel task running in this context, as (recorder,
-# call) pairs held back until run_in_order hands them on in task order.
+# call) pairs held back until the task's taker hands them on.
 _call_slot: contextvars.ContextVar[list | None] = contextvars.ContextVar(
     "gabm_call_slot", default=None
 )
@@ -151,61 +154,74 @@ def _shared_pool() -> ThreadPoolExecutor:
         return _pool
 
 
-def _run_in_slot(slot: list, task: Callable[[], object]) -> None:
-    token = _call_slot.set(slot)
+def _hand_over(calls: list, result: object = None, error: BaseException | None = None) -> object:
+    # Inside a task of an enclosing batch the calls join that task's held
+    # calls; otherwise each goes to its recorder.
+    enclosing = _call_slot.get()
+    if enclosing is not None:
+        enclosing.extend(calls)
+    else:
+        for recorder, call in calls:
+            recorder.record(call)
+    if error is not None:
+        raise error
+    return result
+
+
+def _run_holding(task: Callable[[], object]) -> Callable[[], object]:
+    # Runs the task with its calls held back; returns its taker.
+    calls: list = []
+    token = _call_slot.set(calls)
     try:
-        task()
+        result = task()
+    except BaseException as exc:  # noqa: BLE001 - raised when taken
+        return functools.partial(_hand_over, calls, error=exc)
     finally:
         _call_slot.reset(token)
+    return functools.partial(_hand_over, calls, result)
+
+
+def run_holding_calls(
+    tasks: Sequence[Callable[[], object]], model: GenerativeModel
+) -> list[Callable[[], object]]:
+    """Run independent tasks; return one taker per task, in task order.
+
+    Calling a task's taker records the task's model calls and returns its
+    result or raises its error, so the caller decides where in its own
+    sequence each task's calls appear.  With more than one task and a
+    model whose measured call time is at least ``PARALLEL_MIN_CALL_S``,
+    the tasks run together on a shared thread pool before this returns,
+    and their calls are held until taken.  Otherwise each taker is the
+    task itself, which runs on the calling thread when taken.  Tasks must
+    not depend on each other's effects or on what the caller does between
+    takes.  A caller that takes the tasks in order and stops at the first
+    error records what running them one at a time would have recorded:
+    the calls of the tasks after a failing one are never recorded, whether
+    or not they ran.
+    """
+    average = model.call_seconds
+    if len(tasks) < 2 or average is None or average < PARALLEL_MIN_CALL_S:
+        return list(tasks)
+    pool = _shared_pool()
+    futures = [pool.submit(contextvars.copy_context().run, _run_holding, task) for task in tasks[1:]]
+    takers = [_run_holding(tasks[0])]
+    for task, future in zip(tasks[1:], futures):
+        # A task no thread has started yet runs when taken, so a batch
+        # nested in a task never waits on a pool that its own batch filled.
+        takers.append(task if future.cancel() else future.result())
+    return takers
 
 
 def run_in_order(tasks: Sequence[Callable[[], object]], model: GenerativeModel) -> None:
     """Run independent tasks; their model calls are recorded in task order.
 
-    With more than one task and a model whose measured call time is at
-    least ``PARALLEL_MIN_CALL_S``, the tasks run together on a shared
-    thread pool; otherwise one after another.  Either way the recorder
-    sees every call of task 0, then of task 1, and so on, whatever order
-    the calls came back in.  Tasks must not depend on each other's
-    effects.  If tasks fail, the error of the first failing one is raised
-    once all have finished, and the calls of the tasks after it are
-    dropped, so the record is what the serial run would have left.
+    The recorder sees every call of task 0, then of task 1, and so on,
+    whatever order the calls came back in.  If tasks fail, the first
+    failing task's error is raised once its calls are recorded, and the
+    calls of the tasks after it are dropped.
     """
-    average = model.call_seconds
-    if len(tasks) < 2 or average is None or average < PARALLEL_MIN_CALL_S:
-        for task in tasks:
-            task()
-        return
-    pool = _shared_pool()
-    slots: list[list] = [[] for _ in tasks]
-    futures = [
-        pool.submit(contextvars.copy_context().run, _run_in_slot, slot, task)
-        for slot, task in zip(slots[1:], tasks[1:])
-    ]
-    errors: list[BaseException | None] = [None] * len(tasks)
-    try:
-        _run_in_slot(slots[0], tasks[0])
-    except BaseException as exc:  # noqa: BLE001 - re-raised below, in task order
-        errors[0] = exc
-    for index, future in enumerate(futures, start=1):
-        # A task no thread has started yet runs here, so a batch nested in
-        # a task never waits on a pool that its own batch has filled.
-        if not future.cancel():
-            errors[index] = future.exception()
-        elif all(error is None for error in errors):
-            try:
-                _run_in_slot(slots[index], tasks[index])
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors[index] = exc
-    enclosing = _call_slot.get()
-    for slot, error in zip(slots, errors):
-        if enclosing is not None:
-            enclosing.extend(slot)
-        else:
-            for recorder, call in slot:
-                recorder.record(call)
-        if error is not None:
-            raise error
+    for take in run_holding_calls(tasks, model):
+        take()
 
 
 def render_choice_prompt(prompt: str, options: list[str] | tuple[str, ...]) -> str:

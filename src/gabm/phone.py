@@ -11,6 +11,7 @@ app state survives scene boundaries.
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 from dataclasses import dataclass, field
@@ -20,10 +21,9 @@ from typing import Callable
 
 from .agent import GenerativeAgent
 from .errors import ConfigError, NoMatchingOption
-from .game_master import GameMaster, GMComponent, NestedScene, spawn_nested_game
+from .game_master import Effect, GameMaster, GMComponent, NestedScene, spawn_nested_game
 from .kernel import (
     ActionSpec,
-    AgentAction,
     EventStatement,
     GameClock,
     Observation,
@@ -546,21 +546,30 @@ def run_phone_scene(
 
 
 class SceneTrigger(GMComponent):
-    """Watches every resolved event and spins up phone scenes when one fits."""
+    """Watches every resolved event and spins up phone scenes when one fits.
+
+    Asking whether the event involves a phone is its query; notes and the
+    scene are the effect.
+    """
 
     def __init__(self, universe: PhoneUniverse, name: str = "phone scene trigger"):
         super().__init__(name)
         self.universe = universe
-        self._actor = ""
 
-    def update_before_event(self, cause: AgentAction) -> None:
-        self._actor = cause.actor
-
-    def update_after_event(self, event: EventStatement) -> None:
+    def query_after_event(self, event: EventStatement) -> Effect:
         assert self.gm is not None
-        if not detect_phone_event(event.text, self.gm.model, note=self.gm.audit_note):
+        notes: list[str] = []
+        detected = detect_phone_event(event.text, self.gm.model, note=notes.append)
+        return functools.partial(self._react, event, detected, notes)
+
+    def _react(self, event: EventStatement, detected: bool, notes: list[str]) -> None:
+        assert self.gm is not None
+        for note in notes:
+            self.gm.audit_note(note)
+        if not detected:
             return
-        if self.universe.phone_for(self._actor) is None:
-            self.gm.audit_note(f"{self._actor} has no phone; scene skipped")
+        actor = event.cause.actor
+        if self.universe.phone_for(actor) is None:
+            self.gm.audit_note(f"{actor} has no phone; scene skipped")
             return
-        run_phone_scene(self.gm, self.universe, self._actor, trigger=event.text)
+        run_phone_scene(self.gm, self.universe, actor, trigger=event.text)

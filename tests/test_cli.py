@@ -3,11 +3,17 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
+import gabm.config
 from gabm.cli import main
 from gabm.config import build, load_config
+from gabm.game_master import OBSERVERS_QUESTION, STATE_QUESTION
 from gabm.kernel import canonical_json
+from gabm.phone import DETECT_PHONE_QUESTION
 from gabm.trace import replay, run_built_scenario
 
+from test_game_master import POST_EXTRACT, PRE_EXTRACT, BatchModel
 from test_trace import CONFIG, SCRIPT, write_scenario
 
 
@@ -168,3 +174,42 @@ def test_replay_divergence_exit_code(tmp_path, capsys):
 def test_replay_unreadable_trace(tmp_path, capsys):
     assert main(["replay", "--trace", str(tmp_path / "absent.jsonl")]) == 1
     assert "cannot replay" in capsys.readouterr().err
+
+
+PHONE_MARKET = {
+    "seed": 1,
+    "max_steps": 1,
+    "clock": {"start": "2024-05-01T09:00", "step_minutes": 30, "mode": "round"},
+    "model": {"kind": "scripted"},
+    "agents": [{"name": "Alice"}],
+    "apps": [{"kind": "calendar"}],
+    "phones": {"Alice": ["calendar"]},
+    "gm": {
+        "components": [
+            {"type": "scene_trigger"},
+            {"type": "inventory", "endowments": {"Alice": {"coin": 5}}},
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("delay_ms", [0, 2], ids=["serial", "parallel"])
+@pytest.mark.parametrize(
+    "fail_on",
+    [PRE_EXTRACT, STATE_QUESTION, OBSERVERS_QUESTION, DETECT_PHONE_QUESTION, POST_EXTRACT],
+    ids=["pre-extract", "state", "observers", "phone-detect", "settle-extract"],
+)
+def test_run_exits_two_when_the_backend_fails_inside_a_resolution_batch(
+    tmp_path, capsys, monkeypatch, fail_on, delay_ms
+):
+    def failing_model(config, script_override=None):
+        model = BatchModel(delay_ms=delay_ms, fail_on=fail_on)
+        model.sample_text("warm up")
+        return model
+
+    monkeypatch.setattr(gabm.config, "build_model", failing_model)
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(PHONE_MARKET), encoding="utf-8")
+    out = tmp_path / "trace.jsonl"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"episode aborted: backend lost while asking {fail_on!r}" in capsys.readouterr().err

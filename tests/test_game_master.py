@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+import threading
+import time
 from datetime import datetime, timedelta
 
 import pytest
 
+import gabm.model
 from gabm.agent import AgentComponent, GenerativeAgent
-from gabm.errors import ConfigError
+from gabm.errors import BackendUnavailable, ConfigError
 from gabm.game_master import (
     ConversationScene,
     GameMaster,
@@ -18,8 +21,10 @@ from gabm.game_master import (
     OBSERVERS_QUESTION,
     STATE_QUESTION,
 )
+from gabm.grounding import InventoryComponent
 from gabm.kernel import ActionSpec, ClockMode, GameClock, OutputKind
 from gabm.model import ScriptedModel, ScriptRule
+from gabm.phone import DETECT_PHONE_QUESTION, CalendarApp, PhoneUniverse, SceneTrigger
 
 T0 = datetime(2024, 5, 1, 9, 0)
 
@@ -265,6 +270,29 @@ def test_veto_rewords_outcome_and_notifies_actor():
     assert "Your action was invalid: theft is impossible here." in alice.memory.texts()
     # The veto is per-action: nothing sticks to the game master afterwards.
     assert gm.veto_reason is None or gm.veto_reason == "theft is impossible here"
+
+
+def test_a_pre_event_effect_veto_wins_over_an_update_before_event_veto():
+    class NoStealing(GMComponent):
+        def update_before_event(self, cause):
+            self.gm.veto("theft is impossible here")
+
+    class NoShouting(GMComponent):
+        def query_before_event(self, cause):
+            return lambda: self.gm.veto("shouting is not allowed")
+
+    model = ScriptedModel(default_response="steal the gem")
+    alice = GenerativeAgent("Alice", model)
+    # Declared first, the effect's veto still comes after every
+    # update_before_event, so its reason is the one that stands.
+    gm = make_gm(
+        players=[alice],
+        components=[NoShouting("voice"), NoStealing("rules"), ObservationDelivery()],
+        model=model,
+    )
+    gm.run_episode(max_steps=1)
+    assert gm.veto_reason == "shouting is not allowed"
+    assert "Your action was invalid: shouting is not allowed." in alice.memory.texts()
 
 
 def test_veto_state_resets_between_actions():
@@ -528,3 +556,189 @@ def test_conversation_restores_speaker_clock():
     # The utterance was memorized at scene time, not the agent's own time.
     record = alice.memory.snapshot()[0]
     assert record.timestamp == T0
+
+
+# ---- the batched resolution stages -------------------------------------------
+
+# Distinct prompt pieces of the calls issued together in one turn.
+PRE_EXTRACT = "Text: offers Bob"  # the trade check on the attempted action
+POST_EXTRACT = "Text: Alice bought"  # settlement extraction from the event
+EVENT = "Alice bought 2 beans from Bob on her phone."
+
+BATCH_RULES = [
+    ScriptRule(contains="What would Alice", response="offers Bob 3 coin for 2 beans"),
+    ScriptRule(contains=PRE_EXTRACT, response="TRADE Alice Bob beans 2 3\nhaggle"),
+    ScriptRule(contains=POST_EXTRACT, response="TRADE Alice Bob beans 2 3"),
+    ScriptRule(contains="What event results", response=EVENT),
+    ScriptRule(contains=OBSERVERS_QUESTION, response="Alice: Bob hands over the beans\nBob: sees coins"),
+    ScriptRule(contains=DETECT_PHONE_QUESTION, response="yes"),
+    ScriptRule(contains="finished using the phone", response="yes"),
+]
+
+# One turn's calls, in the order the one-at-a-time sequence makes them: the
+# scene trigger is declared before the inventory, so its phone scene comes
+# before the settlement extraction.
+BATCH_TURN_CALLERS = [
+    "agent:Alice:act",
+    "grounding:inventory:extract",
+    "gm:resolve:state",
+    "gm:resolve:outcome",
+    "gm:resolve:observers",
+    "phone:detect",
+    "phone:scene:done",
+    "grounding:inventory:extract",
+]
+BATCH_TURN_NOTES = [
+    "inventory: unparseable trade line: 'haggle'",
+    "observer line ignored (unknown player): Bob: sees coins",
+    "scene start: phone: Alice",
+    "scene end: phone: Alice",
+    "inventory: Amendment: transfer of 2.00 beans from Bob to Alice for 3.00 coin succeeded.",
+]
+
+
+class BatchModel(ScriptedModel):
+    """The batch script behind a model that takes ``delay_ms`` per call.
+
+    A prompt containing a key of ``meet`` waits on that barrier instead of
+    sleeping, and one containing ``fail_on`` raises BackendUnavailable.
+    Completions are logged by thread name.
+    """
+
+    def __init__(self, delay_ms=0.0, meet=None, fail_on=None):
+        rules = [ScriptRule.from_dict(rule.to_dict()) for rule in BATCH_RULES]
+        super().__init__(rules=rules, default_response="pass")
+        self.delay_ms = delay_ms
+        self.meet = meet or {}
+        self.fail_on = fail_on
+        self.threads: set[str] = set()
+
+    def _complete(self, prompt, max_chars):
+        if self.fail_on is not None and self.fail_on in prompt:
+            raise BackendUnavailable(f"backend lost while asking {self.fail_on!r}")
+        barrier = next((b for marker, b in self.meet.items() if marker in prompt), None)
+        if barrier is not None:
+            barrier.wait()
+        elif self.delay_ms:
+            time.sleep(self.delay_ms / 1000)
+        self.threads.add(threading.current_thread().name)
+        return super()._complete(prompt, max_chars)
+
+
+def run_batch_turn(model):
+    """One turn by Alice, who buys beans on her phone; returns its record."""
+    model.sample_text("warm up")
+    universe = PhoneUniverse(apps=[CalendarApp()])
+    universe.give_phone("Alice", ["calendar"])
+    inventory = InventoryComponent({"Alice": {"coin": 5}, "Bob": {"beans": 2}})
+    gm = make_gm(
+        players=[GenerativeAgent("Alice", model)],
+        components=[SceneTrigger(universe), inventory, ObservationDelivery()],
+        model=model,
+    )
+    universe.attach(gm)
+    result = gm.run_episode(max_steps=1)
+    (record,) = result.trace
+    return result, record
+
+
+def calls_of(record):
+    return [(c.caller, c.prompt, c.response) for c in record.model_calls]
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (PRE_EXTRACT, STATE_QUESTION),
+        (OBSERVERS_QUESTION, POST_EXTRACT),
+        (OBSERVERS_QUESTION, DETECT_PHONE_QUESTION),
+    ],
+    ids=["extract+state", "observers+settle-extract", "observers+phone-detect"],
+)
+def test_resolution_stage_issues_its_calls_together(pair):
+    # Run one after another, the first of the pair would wait out the timeout.
+    barrier = threading.Barrier(2, timeout=5)
+    model = BatchModel(delay_ms=2, meet=dict.fromkeys(pair, barrier))
+    result, record = run_batch_turn(model)
+    assert result.reason == "max-steps"
+    assert not barrier.broken
+    assert [c.caller for c in record.model_calls] == BATCH_TURN_CALLERS
+    assert record.notes == BATCH_TURN_NOTES
+
+
+def test_batched_turn_records_what_the_serial_turn_records():
+    serial_result, serial = run_batch_turn(BatchModel(delay_ms=0))
+    model = BatchModel(delay_ms=2)
+    parallel_result, parallel = run_batch_turn(model)
+    assert len(model.threads) > 1  # the batches did run on pool threads
+    assert [c.caller for c in serial.model_calls] == BATCH_TURN_CALLERS
+    assert serial.notes == BATCH_TURN_NOTES
+    assert calls_of(parallel) == calls_of(serial)
+    assert parallel.notes == serial.notes
+    assert parallel.observations == serial.observations
+    assert parallel.event == serial.event == EVENT
+    assert parallel_result.grounded == serial_result.grounded
+
+
+def test_batched_turn_starts_no_thread_for_a_fast_model(monkeypatch):
+    def no_pool():
+        raise AssertionError("a fast model must not start pool threads")
+
+    monkeypatch.setattr(gabm.model, "_shared_pool", no_pool)
+    model = BatchModel(delay_ms=0)
+    result, record = run_batch_turn(model)
+    assert result.reason == "max-steps"
+    assert model.threads == {threading.current_thread().name}
+    assert [c.caller for c in record.model_calls] == BATCH_TURN_CALLERS
+
+
+def test_components_without_queries_stay_out_of_the_batches(monkeypatch):
+    # With no component query each batch is one call, which the game master
+    # makes itself even when the model is slow.
+    def no_pool():
+        raise AssertionError("a batch of one call must not start pool threads")
+
+    monkeypatch.setattr(gabm.model, "_shared_pool", no_pool)
+    model = BatchModel(delay_ms=2)
+    model.sample_text("warm up")
+    gm = make_gm(
+        players=[GenerativeAgent("Alice", model)],
+        components=[ObservationDelivery(), PhraseTerminator("never said")],
+        model=model,
+    )
+    result = gm.run_episode(max_steps=1)
+    assert result.reason == "max-steps"
+    assert model.threads == {threading.current_thread().name}
+
+
+@pytest.mark.parametrize(
+    "fail_on, kept_callers, kept_notes, event",
+    [
+        (PRE_EXTRACT, 1, 0, ""),
+        (STATE_QUESTION, 2, 1, ""),
+        (OBSERVERS_QUESTION, 4, 1, ""),
+        (DETECT_PHONE_QUESTION, 5, 2, EVENT),
+        (POST_EXTRACT, 7, 4, EVENT),
+    ],
+    ids=["pre-extract", "state", "observers", "phone-detect", "settle-extract"],
+)
+def test_failing_call_in_a_batch_ends_in_error_with_the_serial_partial_record(
+    fail_on, kept_callers, kept_notes, event
+):
+    runs = [run_batch_turn(BatchModel(delay_ms=delay, fail_on=fail_on)) for delay in (0, 2)]
+    for result, record in runs:
+        assert result.reason == "error"
+        assert fail_on in result.error
+        # Everything before the failing call in the one-at-a-time sequence
+        # is kept: the inventory's warning note when the state call fails,
+        # the event and the phone scene declared before a failing
+        # settlement extraction.  The failed call never completed, and the
+        # calls of the batch's tasks after it are dropped, whether or not
+        # they ran.
+        assert [c.caller for c in record.model_calls] == BATCH_TURN_CALLERS[:kept_callers]
+        assert record.notes == BATCH_TURN_NOTES[:kept_notes]
+        assert record.event == event
+    (_, serial), (_, parallel) = runs
+    assert calls_of(parallel) == calls_of(serial)
+    assert parallel.observations == serial.observations
+    assert parallel.gm_states == serial.gm_states

@@ -21,6 +21,7 @@ from gabm.model import (
     ScriptRule,
     ScriptedModel,
     render_choice_prompt,
+    run_holding_calls,
     run_in_order,
 )
 
@@ -204,7 +205,11 @@ class SleepyModel(GenerativeModel):
         self._lock = threading.Lock()
 
     def _complete(self, prompt: str, max_chars: int | None) -> str:
-        time.sleep(self.delays.get(prompt, self.default_ms) / 1000)
+        delay_ms = self.delays.get(prompt, self.default_ms)
+        if delay_ms:
+            # Even sleep(0) gives up the CPU, which on a busy host can take
+            # milliseconds to come back and lift a 0 ms model over the gate.
+            time.sleep(delay_ms / 1000)
         with self._lock:
             self.finished.append((prompt, threading.current_thread().name))
         return prompt
@@ -261,6 +266,39 @@ def test_run_in_order_raises_first_failure_in_task_order_and_drops_later_calls()
     with pytest.raises(RuntimeError, match="slow failure"):
         run_in_order(tasks, model)
     assert [c.caller for c in recorder.calls] == ["ok", "slow failure"]
+
+
+@pytest.mark.parametrize("delay_ms", [0, 2], ids=["serial", "parallel"])
+def test_run_holding_calls_records_only_what_is_taken(delay_ms):
+    model = SleepyModel(default_ms=delay_ms)
+    model.sample_text("warm up")
+    recorder = CallRecorder()
+    model.set_recorder(recorder)
+
+    def fail():
+        model.sample_text("failing", caller="failing")
+        raise RuntimeError("failing")
+
+    tasks = [
+        lambda: model.sample_text("ok", caller="ok"),
+        fail,
+        lambda: model.sample_text("later", caller="later"),
+    ]
+    # The gate reads the measured call time, which a host stall can push
+    # over it even at 0 ms, so check against what this batch will see.
+    together = model.call_seconds >= PARALLEL_MIN_CALL_S
+    take_ok, take_failed, _ = run_holding_calls(tasks, model)
+    assert recorder.calls == []
+    assert take_ok() == "ok"
+    assert [c.caller for c in recorder.calls] == ["ok"]
+    with pytest.raises(RuntimeError, match="failing"):
+        take_failed()
+    assert [c.caller for c in recorder.calls] == ["ok", "failing"]
+    # Run together, all three ran before the first take; one at a time,
+    # each runs when taken.  Either way the untaken task's call is not
+    # recorded.
+    ran = [prompt for prompt, _ in model.finished[1:]]
+    assert sorted(ran) == (["failing", "later", "ok"] if together else ["failing", "ok"])
 
 
 def test_run_in_order_stays_on_the_calling_thread_below_the_gate():

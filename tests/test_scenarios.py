@@ -10,11 +10,14 @@ import pytest
 
 import gabm
 from gabm.config import build, build_model, load_config
-from gabm.model import GenerativeModel
+from gabm.model import GenerativeModel, ScriptedModel, ScriptRule
 from gabm.trace import read_trace, replay, run_built_scenario
 
 SCENARIOS = Path(gabm.__file__).parent / "scenarios"
 SCRIPTED = ["calendar.json", "magic_beans.json", "three_questions.json"]
+# Sketches ship for an HTTP model.  cyberball runs below behind a scripted
+# stand-in; riverbend_election seeds its agents from profiles at build time,
+# and those genesis calls are not yet recorded, so its traces cannot replay.
 SKETCHES = ["riverbend_election.json", "cyberball.json"]
 # sha256 of each scripted fixture's trace: the shipped fixtures must replay
 # byte for byte from one release to the next.  A deliberate change to the
@@ -107,11 +110,17 @@ class SlowReorderingModel(GenerativeModel):
     """Wraps a fixture's scripted model behind a delay that varies by question.
 
     Of the three questions, the first asked answers last and the last
-    first, so calls issued together come back in reverse order.  Prompts
-    are logged in completion order.
+    first, and the game master's state and observers questions answer
+    after the component queries issued with them, so calls issued together
+    come back in reverse order.  Prompts are logged in completion order.
     """
 
-    DELAYS_MS = (("What kind of situation", 9), ("What kind of person", 5))
+    DELAYS_MS = (
+        ("What kind of situation", 9),
+        ("What kind of person", 5),
+        ("What is the state of the world", 7),
+        ("Who observes this event", 7),
+    )
 
     def __init__(self, inner):
         super().__init__()
@@ -141,7 +150,61 @@ def test_fixtures_behind_a_slow_reordering_model_keep_their_pinned_traces(tmp_pa
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXTURE_TRACE_SHA256[name]
     report = replay(out)
     assert report.ok, report.detail
-    if name == "three_questions.json":
-        recorded = [call.prompt for r in read_trace(out).records for call in r.model_calls]
-        assert sorted(recorded) == sorted(model.finished)
-        assert recorded != model.finished  # the update passes did overlap
+    recorded = [call.prompt for r in read_trace(out).records for call in r.model_calls]
+    assert sorted(recorded) == sorted(model.finished)
+    assert recorded != model.finished  # calls issued together did overlap
+
+
+def cyberball_stand_in() -> ScriptedModel:
+    """Scripted answers for cyberball.json, which ships for an HTTP model.
+
+    Ava and Ben pass only to each other.  On the third round Caleb walks
+    off, the event says the game ended, and the phrase terminator stops
+    the episode.  In the questionnaire Caleb reports exclusion; Ben's first
+    belonging answer fits no option, so the choice repair prompt runs.
+    """
+    rules = [
+        ScriptRule(contains="What does Ava do next", response="throws the ball to Ben"),
+        ScriptRule(contains="What does Ben do next", response="throws the ball to Ava"),
+        ScriptRule(contains="What does Caleb do next? It is 2024-04-02T15:04", response="leaves the park"),
+        ScriptRule(contains="What does Caleb do next", response="waves for the ball"),
+        ScriptRule(contains="Caleb: leaves the park\nRelevant state", response="Caleb walked off, and the game ended."),
+        ScriptRule(contains_all=("What event results", "by Ava:"), response="Ava threw the ball to Ben."),
+        ScriptRule(contains_all=("What event results", "by Ben:"), response="Ben threw the ball to Ava."),
+        ScriptRule(contains="What event results", response="Caleb waved, but nobody threw to him."),
+        ScriptRule(contains="Who observes this event", response="Ava: the throw\nBen: the throw\nCaleb: the throw"),
+        ScriptRule(contains="Caleb felt ignored", response="strongly agree"),
+        ScriptRule(contains="felt ignored", response="disagree"),
+        ScriptRule(contains="Ben felt like they belonged", response="it depends", max_uses=1),
+        ScriptRule(contains="Caleb felt like they belonged", response="strongly disagree"),
+        ScriptRule(contains="felt like they belonged", response="agree"),
+        ScriptRule(contains="control did Caleb", response="maybe 2"),
+        ScriptRule(contains="control did", response="7 out of 10"),
+    ]
+    return ScriptedModel(rules=rules, default_response="The park is quiet.")
+
+
+def test_cyberball_behind_a_scripted_stand_in_ends_and_replays(tmp_path):
+    config = load_config(SCENARIOS / "cyberball.json")
+    built = build(config, model=cyberball_stand_in())
+    out = tmp_path / "trace.jsonl"
+    with open(out, "w", encoding="utf-8") as handle:
+        outcome = run_built_scenario(built, out=handle)
+    assert outcome.result.reason == "component-terminated"
+    turns = [r for r in outcome.result.trace if r.kind == "turn"]
+    assert turns[-1].event == "Caleb walked off, and the game ended."
+    assert {r.step for r in turns} == {0, 1, 2}
+    questionnaires = [r for r in outcome.result.trace if r.kind == "questionnaire"]
+    answers = {
+        name: [r.action.text for r in questionnaires if r.actor == name] for name in ("Ava", "Ben", "Caleb")
+    }
+    assert answers == {
+        "Ava": ["disagree", "agree", "7"],
+        "Ben": ["disagree", "agree", "7"],
+        "Caleb": ["strongly agree", "strongly disagree", "2"],
+    }
+    ben_belonging = next(r for r in questionnaires if r.actor == "Ben" and "belonged" in r.prompts[0])
+    assert [c.response for c in ben_belonging.model_calls] == ["it depends", "agree"]
+    report = replay(out)
+    assert report.ok, report.detail
+    assert report.records_checked == len(outcome.result.trace)
