@@ -53,7 +53,6 @@ from .kernel import (
     Observation,
     OutputKind,
     TraceRecord,
-    parse_action_output,
 )
 from .memory import HashEmbedder, MemoryBank, MemoryRecord
 from .model import EchoModel, GenerativeModel, HttpModel, ScriptedModel, ScriptRule
@@ -129,7 +128,6 @@ __all__ = [
     "generate_backstory",
     "generate_formative_memories",
     "load_config",
-    "parse_action_output",
     "parse_trade_from_event",
     "read_trace",
     "render_app_catalog",

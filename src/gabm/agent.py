@@ -26,6 +26,7 @@ DEFAULT_PREAMBLE = "Instructions: this is a social simulation. Answer as {name} 
 FLOAT_SUFFIX = "Answer with a single number."
 FLOAT_RETRY_BUDGET = 3
 _FLOAT_REPAIR = "Answer with a single number and nothing else."
+RETRIEVAL_MODES = ("recent", "associative", "none")
 
 # Fallback timestamp for agents acting outside any clocked episode.
 EPOCH = datetime(1970, 1, 1)
@@ -124,7 +125,7 @@ class ModelQueryComponent(AgentComponent):
         cadence: int | str = "step",
         initial_state: str = "",
     ):
-        if retrieval not in ("recent", "associative", "none"):
+        if retrieval not in RETRIEVAL_MODES:
             raise ValueError(f"unknown retrieval mode {retrieval!r}")
         super().__init__(name, cadence)
         self.question = question

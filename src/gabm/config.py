@@ -5,17 +5,30 @@ ScenarioConfig or raises ConfigValidationError carrying every problem
 found, each tagged UnresolvedReference (a name points at nothing) or
 MalformedField (a value has the wrong shape) with the offending path.
 ``build`` turns a validated config into live objects ready to run.
+
+Agent components, game-master components and apps are described once, in
+the registry tables ``AGENT_COMPONENTS``, ``GM_COMPONENTS`` and ``APPS``.
+Each maps a kind string to a ``Kind``: the kind's constructor, its config
+fields with their types, and the names it declares.  Validation checks a
+component object against its kind, unknown fields included, and ``build``
+passes the constructor only the fields the object contains.  So every
+field ``build`` reads is checked first, each default lives in one place
+(the constructor's signature), and a field is required exactly when its
+parameter has no default.  Adding a kind is one entry.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .agent import (
+    RETRIEVAL_MODES,
     AgentComponent,
     ConstantComponent,
     GenerativeAgent,
@@ -23,7 +36,7 @@ from .agent import (
     ObservationBuffer,
     three_questions_components,
 )
-from .errors import ConfigIssue, ConfigValidationError, SimulationError
+from .errors import ConfigError, ConfigIssue, ConfigValidationError
 from .game_master import (
     DEFAULT_GM_PREAMBLE,
     GameMaster,
@@ -32,13 +45,12 @@ from .game_master import (
     PhraseTerminator,
 )
 from .genesis import AgentProfile, generate_and_seed
-from .grounding import InventoryComponent, LocationComponent, Questionnaire
+from .grounding import InventoryComponent, LocationComponent, Questionnaire, as_quantity
 from .kernel import (
     ActionSpec,
     ClockMode,
     DEFAULT_CALL_TO_ACTION,
     GameClock,
-    OutputKind,
     canonical_json,
     parse_time,
 )
@@ -48,17 +60,8 @@ from .phone import CalendarApp, PhoneUniverse, SceneTrigger
 
 ENGINE_VERSION = "0.1.0"
 
-MODEL_KINDS = ("scripted", "echo", "http")
+MODEL_KINDS = {"scripted": ScriptedModel, "echo": EchoModel, "http": HttpModel}
 CLOCK_MODES = {"round": ClockMode.ADVANCE_PER_ROUND, "player": ClockMode.ADVANCE_PER_PLAYER}
-AGENT_COMPONENT_TYPES = ("constant", "observations", "model_query", "three_questions")
-GM_COMPONENT_TYPES = (
-    "inventory",
-    "locations",
-    "scene_trigger",
-    "phrase_terminator",
-    "observation_delivery",
-)
-APP_KINDS = ("calendar",)
 TOP_LEVEL_KEYS = {
     "seed",
     "max_steps",
@@ -106,12 +109,147 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_text(value) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_quantity(value) -> bool:
+    try:
+        as_quantity(value)
+    except ConfigError:
+        return False
+    return True
+
+
+class _Type(NamedTuple):
+    """A field type: the values it accepts, and the issue for any other."""
+
+    accepts: Callable[[object], bool]
+    must: str
+    required_message: str = ""  # for a required field, when not ``must``
+
+    def check(self, v: "_Validator", path: str, value, required: bool) -> None:
+        if not self.accepts(value):
+            v.malformed(path, (self.required_message or self.must) if required else self.must)
+
+
+class _Map(NamedTuple):
+    """An object of key -> value; with ``by_agent`` each key must name an agent."""
+
+    values: "_Type | _Map"
+    by_agent: bool = False
+
+    def check(self, v: "_Validator", path: str, value, required: bool) -> None:
+        if not isinstance(value, dict):
+            v.malformed(path, "must be an object")
+            return
+        for key, item in value.items():
+            if self.by_agent and key not in v.agent_names:
+                v.unresolved(f"{path}.{key}", f"no agent named {key!r}")
+            self.values.check(v, f"{path}.{key}", item, False)
+
+
+class _Reads:
+    """Peer component names, resolved once all of the agent's components are declared."""
+
+    def check(self, v: "_Validator", path: str, value, required: bool) -> None:
+        v.reads.append((path, value))
+
+
+_TEXT = _Type(_is_text, "must be a non-empty string", "required non-empty string")
+_STRING = _Type(lambda v: isinstance(v, str), "must be a string", "required string")
+_STRINGS = _Type(_is_string_list, "must be a list of strings")
+_COUNT = _Type(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
+_POSITIVE = _Type(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
+_BOOL = _Type(lambda v: isinstance(v, bool), "must be true or false")
+
+
+class Kind:
+    """One registry entry: a constructor, and each config field it takes with its type.
+
+    A kind with a ``name`` field declares that name, defaulting as ``make``
+    does; any other kind declares ``declares``.  ``universe`` marks a
+    constructor that takes the phone universe.
+    """
+
+    def __init__(self, make: Callable, *, declares=(), universe: bool = False, **fields):
+        params = inspect.signature(make).parameters
+        self.make = make
+        self.fields = fields
+        self.required = frozenset(f for f in fields if params[f].default is inspect.Parameter.empty)
+        self.universe = universe
+        self._declares = list(declares)
+        if "name" in fields:
+            default = params["name"].default
+            self._name_default = "" if default is inspect.Parameter.empty else default
+
+    def declares(self, obj: dict) -> list:
+        if "name" in self.fields:
+            return [obj.get("name", self._name_default)]
+        return self._declares
+
+    def build(self, obj: dict, **extra):
+        return self.make(**extra, **{name: obj[name] for name in self.fields if name in obj})
+
+
+AGENT_COMPONENTS = {
+    "constant": Kind(ConstantComponent, name=_TEXT, text=_STRING),
+    "observations": Kind(
+        ObservationBuffer,
+        name=_TEXT,
+        max_items=_Type(lambda v: _is_int(v) and 0 <= v < 2**31, "must be an integer in [0, 2^31)"),
+    ),
+    "model_query": Kind(
+        ModelQueryComponent,
+        name=_TEXT,
+        question=_TEXT,
+        retrieval=_Type(lambda v: v in RETRIEVAL_MODES, "must be recent, associative, or none"),
+        k=_COUNT,
+        query_text=_STRING,
+        reads=_Reads(),
+        cadence=_Type(
+            lambda v: v in ("step", "manual") or (_is_int(v) and v >= 1),
+            'must be "step", "manual" or a positive integer',
+        ),
+        initial_state=_STRING,
+    ),
+    "three_questions": Kind(
+        three_questions_components,
+        declares=[c.name for c in three_questions_components()],
+        k=_COUNT,
+    ),
+}
+GM_COMPONENTS = {
+    "inventory": Kind(
+        InventoryComponent,
+        endowments=_Map(_Map(_Type(_is_quantity, "must be a quantity")), by_agent=True),
+        items=_STRINGS,
+        name=_TEXT,
+    ),
+    "locations": Kind(LocationComponent, locations=_Map(_TEXT, by_agent=True), name=_TEXT),
+    "scene_trigger": Kind(SceneTrigger, universe=True, name=_TEXT),
+    "phrase_terminator": Kind(PhraseTerminator, phrase=_TEXT, name=_TEXT),
+    "observation_delivery": Kind(ObservationDelivery, name=_TEXT),
+}
+APPS = {"calendar": Kind(CalendarApp, name=_TEXT)}
+_PROFILE = Kind(AgentProfile, age=_POSITIVE, traits=_STRINGS, context=_STRING)
+_GM_FIELDS = {"preamble": _STRING}
+_SCENE_FIELDS = {"minutes": _COUNT, "max_actions": _POSITIVE, "child_step_minutes": _COUNT}
+_BATTERY_FIELDS = {"name": _TEXT, "administer_at_end": _BOOL}
+
+
 class _Validator:
     def __init__(self, raw: dict, base_dir: Path, check_files: bool = True):
         self.raw = raw
         self.base_dir = base_dir
         self.check_files = check_files
         self.issues: list[ConfigIssue] = []
+        self.agent_names: set[str] = set()
+        self.reads: list[tuple[str, object]] = []
 
     def malformed(self, path: str, message: str) -> None:
         self.issues.append(ConfigIssue("MalformedField", path, message))
@@ -132,13 +270,40 @@ class _Validator:
         self._check_clock()
         self._check_model()
         self._check_action_spec("action_spec", raw.get("action_spec"))
-        agent_names = self._check_agents()
-        self._check_gm(agent_names)
+        self.agent_names = self._check_agents()
+        self._check_gm()
         app_names = self._check_apps()
-        self._check_phones(agent_names, app_names)
-        self._check_scene()
+        self._check_phones(app_names)
+        if raw.get("scene") is not None:
+            self._check_fields("scene", raw["scene"], _SCENE_FIELDS)
         self._check_questionnaires()
         return self.issues
+
+    def _check_fields(self, path: str, obj, fields: dict, required=frozenset()) -> bool:
+        """Check an object's listed fields; False when it is not an object."""
+        if not isinstance(obj, dict):
+            self.malformed(path, "must be an object")
+            return False
+        for name, ftype in fields.items():
+            if name in obj or name in required:
+                ftype.check(self, f"{path}.{name}", obj.get(name), name in required)
+        return True
+
+    def _check_kind(self, path: str, obj, key: str, kinds: dict[str, Kind]) -> Kind | None:
+        """Check a component or app object against its registry entry."""
+        if not isinstance(obj, dict):
+            self.malformed(path, "must be an object")
+            return None
+        kind = obj.get(key)
+        entry = kinds.get(kind) if isinstance(kind, str) else None
+        if entry is None:
+            self.malformed(f"{path}.{key}", f"must be one of {list(kinds)}")
+            return None
+        for name in obj:
+            if name != key and name not in entry.fields:
+                self.malformed(f"{path}.{name}", "unknown field")
+        self._check_fields(path, obj, entry.fields, entry.required)
+        return entry
 
     def _check_seed(self) -> None:
         seed = self.raw.get("seed")
@@ -167,11 +332,9 @@ class _Validator:
                 parse_time(start)
             except ValueError:
                 self.malformed("clock.start", f"not an ISO minute timestamp: {start!r}")
-        step = clock.get("step_minutes")
-        if not _is_int(step) or step < 0:
-            self.malformed("clock.step_minutes", "must be a non-negative integer")
+        _COUNT.check(self, "clock.step_minutes", clock.get("step_minutes"), True)
         mode = clock.get("mode", "round")
-        if mode not in CLOCK_MODES:
+        if not isinstance(mode, str) or mode not in CLOCK_MODES:
             self.malformed("clock.mode", f"must be one of {sorted(CLOCK_MODES)}")
 
     def _check_model(self) -> None:
@@ -180,7 +343,7 @@ class _Validator:
             self.malformed("model", "required object with kind")
             return
         kind = model.get("kind")
-        if kind not in MODEL_KINDS:
+        if not isinstance(kind, str) or kind not in MODEL_KINDS:
             self.malformed("model.kind", f"must be one of {list(MODEL_KINDS)}")
         script = self.raw.get("script")
         if script is not None:
@@ -195,13 +358,12 @@ class _Validator:
         if not isinstance(spec, dict):
             self.malformed(path, "must be an object")
             return
-        if not isinstance(spec.get("call_to_action"), str) or not spec.get("call_to_action"):
-            self.malformed(f"{path}.call_to_action", "required non-empty string")
+        _TEXT.check(self, f"{path}.call_to_action", spec.get("call_to_action"), True)
         kind = spec.get("output_kind", "free")
         if kind not in ("free", "choice", "float"):
             self.malformed(f"{path}.output_kind", "must be free, choice, or float")
         options = spec.get("options", [])
-        if not isinstance(options, list) or not all(isinstance(o, str) for o in options):
+        if not _is_string_list(options):
             self.malformed(f"{path}.options", "must be a list of strings")
         elif kind == "choice":
             if len(options) < 2 or len(set(options)) != len(options):
@@ -227,20 +389,11 @@ class _Validator:
             if name in names:
                 self.malformed(f"{path}.name", f"duplicate agent name {name!r}")
             names.add(name)
-            memories = agent.get("initial_memories", [])
-            if not isinstance(memories, list) or not all(isinstance(m, str) for m in memories):
+            if not _is_string_list(agent.get("initial_memories", [])):
                 self.malformed(f"{path}.initial_memories", "must be a list of strings")
-            profile = agent.get("profile")
-            if profile is not None:
-                if not isinstance(profile, dict):
-                    self.malformed(f"{path}.profile", "must be an object")
-                else:
-                    age = profile.get("age")
-                    if not _is_int(age) or age <= 0:
-                        self.malformed(f"{path}.profile.age", "must be a positive integer")
-                    traits = profile.get("traits", [])
-                    if not isinstance(traits, list) or not all(isinstance(t, str) for t in traits):
-                        self.malformed(f"{path}.profile.traits", "must be a list of strings")
+            if agent.get("profile") is not None:
+                profile = agent["profile"]
+                self._check_fields(f"{path}.profile", profile, _PROFILE.fields, _PROFILE.required)
             self._check_agent_components(path, agent, name)
         return names
 
@@ -249,98 +402,31 @@ class _Validator:
         if not isinstance(components, list):
             self.malformed(f"{path}.components", "must be a list")
             return
-        declared: list[str] = []
+        declared: list = []
+        self.reads = []
         for j, comp in enumerate(components):
-            cpath = f"{path}.components[{j}]"
-            if not isinstance(comp, dict):
-                self.malformed(cpath, "must be an object")
-                continue
-            ctype = comp.get("type")
-            if ctype not in AGENT_COMPONENT_TYPES:
-                self.malformed(f"{cpath}.type", f"must be one of {list(AGENT_COMPONENT_TYPES)}")
-                continue
-            if ctype == "constant":
-                if not isinstance(comp.get("name"), str) or not comp.get("name"):
-                    self.malformed(f"{cpath}.name", "required non-empty string")
-                if not isinstance(comp.get("text"), str):
-                    self.malformed(f"{cpath}.text", "required string")
-                declared.append(comp.get("name", ""))
-            elif ctype == "observations":
-                declared.append(comp.get("name", "recent observations"))
-            elif ctype == "model_query":
-                if not isinstance(comp.get("name"), str) or not comp.get("name"):
-                    self.malformed(f"{cpath}.name", "required non-empty string")
-                if not isinstance(comp.get("question"), str) or not comp.get("question"):
-                    self.malformed(f"{cpath}.question", "required non-empty string")
-                retrieval = comp.get("retrieval", "recent")
-                if retrieval not in ("recent", "associative", "none"):
-                    self.malformed(f"{cpath}.retrieval", "must be recent, associative, or none")
-                declared.append(comp.get("name", ""))
-            elif ctype == "three_questions":
-                declared.extend(["situation", "identity", "disposition"])
-        for j, comp in enumerate(components):
-            if not isinstance(comp, dict) or comp.get("type") != "model_query":
-                continue
-            reads = comp.get("reads", [])
+            kind = self._check_kind(f"{path}.components[{j}]", comp, "type", AGENT_COMPONENTS)
+            if kind is not None:
+                declared.extend(kind.declares(comp))
+        for reads_path, reads in self.reads:
             if not isinstance(reads, list):
-                self.malformed(f"{path}.components[{j}].reads", "must be a list")
+                self.malformed(reads_path, "must be a list")
                 continue
             for read in reads:
                 if read not in declared:
-                    self.unresolved(
-                        f"{path}.components[{j}].reads",
-                        f"agent {agent_name!r} declares no component {read!r}",
-                    )
+                    message = f"agent {agent_name!r} declares no component {read!r}"
+                    self.unresolved(reads_path, message)
 
-    def _check_gm(self, agent_names: set[str]) -> None:
+    def _check_gm(self) -> None:
         gm = self.raw.get("gm", {})
-        if not isinstance(gm, dict):
-            self.malformed("gm", "must be an object")
+        if not self._check_fields("gm", gm, _GM_FIELDS):
             return
         components = gm.get("components", [])
         if not isinstance(components, list):
             self.malformed("gm.components", "must be a list")
             return
         for i, comp in enumerate(components):
-            path = f"gm.components[{i}]"
-            if not isinstance(comp, dict):
-                self.malformed(path, "must be an object")
-                continue
-            ctype = comp.get("type")
-            if ctype not in GM_COMPONENT_TYPES:
-                self.malformed(f"{path}.type", f"must be one of {list(GM_COMPONENT_TYPES)}")
-                continue
-            if ctype == "inventory":
-                endowments = comp.get("endowments", {})
-                if not isinstance(endowments, dict):
-                    self.malformed(f"{path}.endowments", "must be an object")
-                    continue
-                for player, holdings in endowments.items():
-                    if player not in agent_names:
-                        self.unresolved(
-                            f"{path}.endowments.{player}", f"no agent named {player!r}"
-                        )
-                    if not isinstance(holdings, dict):
-                        self.malformed(f"{path}.endowments.{player}", "must be an object")
-                        continue
-                    for item, qty in holdings.items():
-                        if not isinstance(qty, (int, float, str)) or isinstance(qty, bool):
-                            self.malformed(
-                                f"{path}.endowments.{player}.{item}", "must be a quantity"
-                            )
-            elif ctype == "locations":
-                locations = comp.get("locations", {})
-                if not isinstance(locations, dict):
-                    self.malformed(f"{path}.locations", "must be an object")
-                    continue
-                for player, label in locations.items():
-                    if player not in agent_names:
-                        self.unresolved(f"{path}.locations.{player}", f"no agent named {player!r}")
-                    if not isinstance(label, str) or not label:
-                        self.malformed(f"{path}.locations.{player}", "must be a non-empty string")
-            elif ctype == "phrase_terminator":
-                if not isinstance(comp.get("phrase"), str) or not comp.get("phrase"):
-                    self.malformed(f"{path}.phrase", "required non-empty string")
+            self._check_kind(f"gm.components[{i}]", comp, "type", GM_COMPONENTS)
 
     def _check_apps(self) -> set[str]:
         apps = self.raw.get("apps", [])
@@ -350,48 +436,34 @@ class _Validator:
             return names
         for i, app in enumerate(apps):
             path = f"apps[{i}]"
+            kind = self._check_kind(path, app, "kind", APPS)
             if not isinstance(app, dict):
-                self.malformed(path, "must be an object")
                 continue
-            if app.get("kind") not in APP_KINDS:
-                self.malformed(f"{path}.kind", f"must be one of {list(APP_KINDS)}")
-            name = app.get("name", app.get("kind"))
-            if not isinstance(name, str) or not name:
-                self.malformed(f"{path}.name", "must be a non-empty string")
+            # An app of unknown kind is still named, by default after its kind.
+            name = kind.declares(app)[0] if kind else app.get("name", app.get("kind"))
+            if not _is_text(name):
+                if kind is None:
+                    self.malformed(f"{path}.name", "must be a non-empty string")
                 continue
             if name in names:
                 self.malformed(f"{path}.name", f"duplicate app name {name!r}")
             names.add(name)
         return names
 
-    def _check_phones(self, agent_names: set[str], app_names: set[str]) -> None:
+    def _check_phones(self, app_names: set[str]) -> None:
         phones = self.raw.get("phones", {})
         if not isinstance(phones, dict):
             self.malformed("phones", "must be an object of owner -> app names")
             return
         for owner, apps in phones.items():
-            if owner not in agent_names:
+            if owner not in self.agent_names:
                 self.unresolved(f"phones.{owner}", f"no agent named {owner!r}")
-            if not isinstance(apps, list) or not all(isinstance(a, str) for a in apps):
+            if not _is_string_list(apps):
                 self.malformed(f"phones.{owner}", "must be a list of app names")
                 continue
             for app in apps:
                 if app not in app_names:
                     self.unresolved(f"phones.{owner}", f"no app named {app!r}")
-
-    def _check_scene(self) -> None:
-        scene = self.raw.get("scene")
-        if scene is None:
-            return
-        if not isinstance(scene, dict):
-            self.malformed("scene", "must be an object")
-            return
-        minutes = scene.get("minutes", 30)
-        if not _is_int(minutes) or minutes < 0:
-            self.malformed("scene.minutes", "must be a non-negative integer")
-        max_actions = scene.get("max_actions", 5)
-        if not _is_int(max_actions) or max_actions < 1:
-            self.malformed("scene.max_actions", "must be a positive integer")
 
     def _check_questionnaires(self) -> None:
         questionnaires = self.raw.get("questionnaires", [])
@@ -400,11 +472,8 @@ class _Validator:
             return
         for i, battery in enumerate(questionnaires):
             path = f"questionnaires[{i}]"
-            if not isinstance(battery, dict):
-                self.malformed(path, "must be an object")
+            if not self._check_fields(path, battery, _BATTERY_FIELDS, {"name"}):
                 continue
-            if not isinstance(battery.get("name"), str) or not battery.get("name"):
-                self.malformed(f"{path}.name", "required non-empty string")
             questions = battery.get("questions")
             if not isinstance(questions, list) or not questions:
                 self.malformed(f"{path}.questions", "required non-empty list")
@@ -432,11 +501,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigValidationError(
             [ConfigIssue("MalformedField", str(path), f"not valid JSON: {exc}")]
         ) from exc
-    base_dir = path.parent
-    issues = validate_config(raw, base_dir)
-    if issues:
-        raise ConfigValidationError(issues)
-    return ScenarioConfig(raw=raw, base_dir=base_dir, path=path)
+    config = config_from_dict(raw, path.parent)
+    config.path = path
+    return config
 
 
 def config_from_dict(raw: dict, base_dir: str | Path = ".", check_files: bool = True) -> ScenarioConfig:
@@ -465,54 +532,15 @@ class BuiltScenario:
 def _build_action_spec(spec: dict | None) -> ActionSpec:
     if spec is None:
         return ActionSpec(DEFAULT_CALL_TO_ACTION)
-    return ActionSpec(
-        call_to_action=spec["call_to_action"],
-        output_kind=OutputKind(spec.get("output_kind", "free")),
-        options=tuple(spec.get("options", ())),
-    )
-
-
-def _build_agent_components(component_configs: list[dict]) -> list[AgentComponent]:
-    components: list[AgentComponent] = []
-    for comp in component_configs:
-        ctype = comp["type"]
-        if ctype == "constant":
-            components.append(ConstantComponent(comp["name"], comp["text"]))
-        elif ctype == "observations":
-            components.append(
-                ObservationBuffer(
-                    name=comp.get("name", "recent observations"),
-                    max_items=comp.get("max_items", 20),
-                )
-            )
-        elif ctype == "model_query":
-            components.append(
-                ModelQueryComponent(
-                    name=comp["name"],
-                    question=comp["question"],
-                    retrieval=comp.get("retrieval", "recent"),
-                    k=comp.get("k", 25),
-                    query_text=comp.get("query_text"),
-                    reads=tuple(comp.get("reads", ())),
-                    cadence=comp.get("cadence", "step"),
-                    initial_state=comp.get("initial_state", ""),
-                )
-            )
-        elif ctype == "three_questions":
-            components.extend(three_questions_components(k=comp.get("k", 25)))
-    return components
+    return ActionSpec.from_dict(spec)
 
 
 def build_model(config: ScenarioConfig, script_override: str | Path | None = None) -> GenerativeModel:
-    kind = config.raw["model"]["kind"]
-    if kind == "scripted":
-        script = Path(script_override) if script_override else config.script_path()
-        if script is not None:
-            return ScriptedModel.from_file(str(script))
-        return ScriptedModel()
-    if kind == "echo":
-        return EchoModel()
-    return HttpModel()
+    kind = MODEL_KINDS[config.raw["model"]["kind"]]
+    script = Path(script_override) if script_override else config.script_path()
+    if kind is ScriptedModel and script is not None:
+        return ScriptedModel.from_file(str(script))
+    return kind()
 
 
 def build(
@@ -538,73 +566,43 @@ def build(
 
     players: list[GenerativeAgent] = []
     for agent_cfg in raw["agents"]:
+        components: list[AgentComponent] = []
+        for comp in agent_cfg.get("components", []):
+            made = AGENT_COMPONENTS[comp["type"]].build(comp)
+            components.extend(made if isinstance(made, list) else [made])
         bank = MemoryBank(embedder=HashEmbedder())
         agent = GenerativeAgent(
-            name=agent_cfg["name"],
-            model=model,
-            memory=bank,
-            components=_build_agent_components(agent_cfg.get("components", [])),
-            clock=clock,
+            name=agent_cfg["name"], model=model, memory=bank, components=components, clock=clock
         )
         profile_cfg = agent_cfg.get("profile")
         if profile_cfg is not None:
-            profile = AgentProfile(
-                name=agent.name,
-                age=profile_cfg["age"],
-                traits=tuple(profile_cfg.get("traits", ())),
-                context=profile_cfg.get("context", ""),
-            )
+            profile = _PROFILE.build(profile_cfg, name=agent.name)
             generate_and_seed(profile, model, bank, clock.current_time)
         for text in agent_cfg.get("initial_memories", []):
             bank.add(text, clock.current_time)
         players.append(agent)
 
+    gm_cfg = raw.get("gm", {})
+    gm_kinds = [(GM_COMPONENTS[comp["type"]], comp) for comp in gm_cfg.get("components", [])]
     universe: PhoneUniverse | None = None
     apps_cfg = raw.get("apps", [])
     phones_cfg = raw.get("phones", {})
-    scene_cfg = raw.get("scene", {})
-    needs_universe = bool(apps_cfg or phones_cfg or scene_cfg) or any(
-        comp.get("type") == "scene_trigger" for comp in raw.get("gm", {}).get("components", [])
-    )
-    if needs_universe:
+    scene_cfg = raw.get("scene") or {}
+    if apps_cfg or phones_cfg or scene_cfg or any(kind.universe for kind, _ in gm_kinds):
         universe = PhoneUniverse(
             scene_minutes=scene_cfg.get("minutes", 30),
             max_actions=scene_cfg.get("max_actions", 5),
             child_step_minutes=scene_cfg.get("child_step_minutes", 1),
         )
         for app_cfg in apps_cfg:
-            if app_cfg["kind"] == "calendar":
-                universe.register_app(CalendarApp(name=app_cfg.get("name", "calendar")))
+            universe.register_app(APPS[app_cfg["kind"]].build(app_cfg))
         for owner, app_names in phones_cfg.items():
             universe.give_phone(owner, app_names)
 
     gm_components: list[GMComponent] = []
-    has_delivery = False
-    for comp in raw.get("gm", {}).get("components", []):
-        ctype = comp["type"]
-        if ctype == "inventory":
-            gm_components.append(
-                InventoryComponent(
-                    endowments=comp.get("endowments", {}),
-                    items=comp.get("items"),
-                    name=comp.get("name", "inventory"),
-                )
-            )
-        elif ctype == "locations":
-            gm_components.append(
-                LocationComponent(comp.get("locations", {}), name=comp.get("name", "locations"))
-            )
-        elif ctype == "scene_trigger":
-            assert universe is not None
-            gm_components.append(SceneTrigger(universe, name=comp.get("name", "phone scene trigger")))
-        elif ctype == "phrase_terminator":
-            gm_components.append(
-                PhraseTerminator(comp["phrase"], name=comp.get("name", "episode end watcher"))
-            )
-        elif ctype == "observation_delivery":
-            gm_components.append(ObservationDelivery(name=comp.get("name", "observation delivery")))
-            has_delivery = True
-    if not has_delivery:
+    for kind, comp in gm_kinds:
+        gm_components.append(kind.build(comp, **({"universe": universe} if kind.universe else {})))
+    if not any(isinstance(c, ObservationDelivery) for c in gm_components):
         gm_components.append(ObservationDelivery())
 
     gm = GameMaster(
@@ -613,7 +611,7 @@ def build(
         clock=clock,
         components=gm_components,
         action_spec=_build_action_spec(raw.get("action_spec")),
-        preamble=raw.get("gm", {}).get("preamble") or DEFAULT_GM_PREAMBLE,
+        preamble=gm_cfg.get("preamble") or DEFAULT_GM_PREAMBLE,
         rng=random.Random(seed),
     )
     if universe is not None:
@@ -623,7 +621,7 @@ def build(
     for battery in raw.get("questionnaires", []):
         questions = [_build_action_spec(q) for q in battery["questions"]]
         questionnaires.append(
-            (Questionnaire(battery["name"], questions), bool(battery.get("administer_at_end")))
+            (Questionnaire(battery["name"], questions), battery.get("administer_at_end", False))
         )
 
     return BuiltScenario(

@@ -28,6 +28,8 @@ def as_quantity(value) -> Decimal:
         amount = Decimal(str(value)).quantize(CENT)
     except InvalidOperation as exc:
         raise ConfigError(f"not a quantity: {value!r}") from exc
+    if amount.is_nan():
+        raise ConfigError(f"not a quantity: {value!r}")
     if amount < 0:
         raise ConfigError(f"quantities cannot be negative: {value!r}")
     return amount
@@ -159,12 +161,12 @@ class InventoryComponent(GMComponent):
 
     def __init__(
         self,
-        endowments: dict[str, dict[str, object]],
+        endowments: dict[str, dict[str, object]] | None = None,
         items: list[str] | None = None,
         name: str = "inventory",
     ):
         super().__init__(name)
-        self.inventory = InventoryState(endowments, items)
+        self.inventory = InventoryState(endowments or {}, items)
         self._vetoed = False
 
     def state(self) -> str:
@@ -255,9 +257,9 @@ class InventoryComponent(GMComponent):
 class LocationComponent(GMComponent):
     """Keeps exactly one lowercase location label per player."""
 
-    def __init__(self, locations: dict[str, str], name: str = "locations"):
+    def __init__(self, locations: dict[str, str] | None = None, name: str = "locations"):
         super().__init__(name)
-        self.locations = {player: label.lower() for player, label in locations.items()}
+        self.locations = {player: label.lower() for player, label in (locations or {}).items()}
 
     def state(self) -> str:
         return " ".join(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from decimal import Decimal, InvalidOperation
 
-from .errors import NoMatchingOption, NotANumber
+from .errors import EpisodeAbort, NoMatchingOption, NotANumber
 
 TIME_FORMAT = "%Y-%m-%dT%H:%M"
 
@@ -52,7 +52,8 @@ class GameClock:
 
     ``advance`` moves time forward by one step and bumps the step index.
     ``advance_by`` moves time without consuming a step; nested scenes use it
-    to charge their duration to the parent game.  Time never moves backward.
+    to charge their duration to the parent game.  Time never moves backward,
+    and a move past the last representable minute raises EpisodeAbort.
     """
 
     current_time: datetime
@@ -66,14 +67,18 @@ class GameClock:
         self.current_time = floor_to_minute(self.current_time)
 
     def advance(self) -> "GameClock":
-        self.current_time += timedelta(minutes=self.step_minutes)
+        self.advance_by(self.step_minutes)
         self.step_index += 1
         return self
 
     def advance_by(self, minutes: int) -> "GameClock":
         if minutes < 0:
             raise ValueError("cannot move the clock backward")
-        self.current_time += timedelta(minutes=minutes)
+        try:
+            self.current_time += timedelta(minutes=minutes)
+        except OverflowError as exc:
+            message = f"the clock cannot move {minutes} minutes past {self.now_text()}"
+            raise EpisodeAbort(message) from exc
         return self
 
     def now_text(self) -> str:
@@ -354,12 +359,3 @@ def parse_float_token(raw: str) -> Decimal:
         return Decimal(match.group(0))
     except InvalidOperation as exc:  # pragma: no cover - regex precludes this
         raise NotANumber(f"unparseable number token {match.group(0)!r}") from exc
-
-
-def parse_action_output(raw: str, spec: ActionSpec):
-    """Reduce a raw model answer to the payload the spec's kind demands."""
-    if spec.output_kind is OutputKind.FREE_TEXT:
-        return raw.strip()
-    if spec.output_kind is OutputKind.CHOICE:
-        return parse_choice(raw, spec.options)[1]
-    return parse_float_token(raw)

@@ -375,7 +375,8 @@ class SlowQuestionModel(ScriptedModel):
     def _complete(self, prompt, max_chars):
         question = next((n for n, r in QUESTION_RULES.items() if r.matches(prompt)), None)
         if question is None:
-            time.sleep(self.other_ms / 1000)
+            if self.other_ms:  # sleep(0) yields the CPU, which can take over 1 ms to come back
+                time.sleep(self.other_ms / 1000)
         else:
             if self.barrier is not None:
                 self.barrier.wait()

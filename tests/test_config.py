@@ -5,9 +5,14 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gabm.agent import ConstantComponent, ModelQueryComponent, ObservationBuffer
+from gabm.cli import main
 from gabm.config import (
+    AGENT_COMPONENTS,
+    APPS,
+    GM_COMPONENTS,
     ScenarioConfig,
     build,
     config_from_dict,
@@ -19,7 +24,8 @@ from gabm.game_master import ObservationDelivery, PhraseTerminator
 from gabm.grounding import InventoryComponent, LocationComponent
 from gabm.kernel import ClockMode, OutputKind
 from gabm.model import EchoModel, ScriptedModel, ScriptRule
-from gabm.phone import SceneTrigger
+from gabm.phone import PhoneUniverse, SceneTrigger
+from gabm.trace import run_built_scenario
 
 
 def valid_raw() -> dict:
@@ -355,3 +361,156 @@ def test_config_round_trips_through_canonical_json(tmp_path):
     assert rehydrated == raw
     again = config_from_dict(rehydrated, tmp_path)
     assert again.config_hash() == config.config_hash()
+
+
+def _agent_component(i: int, j: int, **fields):
+    return lambda raw: raw["agents"][i]["components"][j].update(fields)
+
+
+def _gm_component(i: int, **fields):
+    return lambda raw: raw["gm"]["components"][i].update(fields)
+
+
+def _endowment(player: str, **holdings):
+    return lambda raw: raw["gm"]["components"][0]["endowments"][player].update(holdings)
+
+
+def _top(**fields):
+    return lambda raw: raw.update(fields)
+
+
+BATTERY = {"name": "exit", "administer_at_end": "yes", "questions": [{"call_to_action": "Why?"}]}
+
+# Each edit of valid_raw() makes one field malformed in a way that build or
+# the run used to trip over, or that was silently ignored.
+REJECTED_EDITS = [
+    ("max_items", _agent_component(0, 1, max_items="x"), "agents[0].components[1].max_items"),
+    ("window too large", _agent_component(0, 1, max_items=2**63), "agents[0].components[1].max_items"),
+    ("unknown component field", _agent_component(0, 1, maxitems=3), "agents[0].components[1].maxitems"),
+    ("cadence 0", _agent_component(0, 2, cadence=0), "agents[0].components[2].cadence"),
+    ("cadence word", _agent_component(0, 2, cadence="hourly"), "agents[0].components[2].cadence"),
+    ("model_query k", _agent_component(0, 2, k="x"), "agents[0].components[2].k"),
+    ("three_questions k", _agent_component(1, 0, k="x"), "agents[1].components[0].k"),
+    (
+        "profile context",
+        lambda raw: raw["agents"][0].update(profile={"age": 30, "context": 5}),
+        "agents[0].profile.context",
+    ),
+    ("inventory quantity", _endowment("Alice", lamp="abc"), "gm.components[0].endowments.Alice.lamp"),
+    ("negative quantity", _endowment("Bob", coin=-2), "gm.components[0].endowments.Bob.coin"),
+    ("nan quantity", _endowment("Bob", coin="nan"), "gm.components[0].endowments.Bob.coin"),
+    ("inventory items string", _gm_component(0, items="coin"), "gm.components[0].items"),
+    ("unknown gm component field", _gm_component(1, where="x"), "gm.components[1].where"),
+    ("gm preamble", lambda raw: raw["gm"].update(preamble=5), "gm.preamble"),
+    ("unknown app field", _top(apps=[{"kind": "calendar", "size": 3}]), "apps[0].size"),
+    ("scene child_step_minutes", _top(scene={"child_step_minutes": "x"}), "scene.child_step_minutes"),
+    ("administer_at_end", _top(questionnaires=[BATTERY]), "questionnaires[0].administer_at_end"),
+    ("unhashable clock mode", lambda raw: raw["clock"].update(mode=[]), "clock.mode"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit,path", [pytest.param(edit, path, id=name) for name, edit, path in REJECTED_EDITS]
+)
+def test_malformed_field_is_rejected_at_its_path(tmp_path, capsys, edit, path):
+    raw = valid_raw()
+    edit(raw)
+    issues = validate_config(raw, tmp_path)
+    assert [(i.kind, i.path) for i in issues] == [("MalformedField", path)]
+    assert main(["validate-config", "--config", str(write_config(tmp_path, raw))]) == 1
+    assert path in capsys.readouterr().err
+
+
+# The smallest object of each registry kind: its required fields only.
+MINIMAL_OBJECTS = {
+    "constant": {"type": "constant", "name": "goal", "text": "sell the lamp"},
+    "observations": {"type": "observations"},
+    "model_query": {"type": "model_query", "name": "plan", "question": "What next?"},
+    "three_questions": {"type": "three_questions"},
+    "inventory": {"type": "inventory"},
+    "locations": {"type": "locations"},
+    "scene_trigger": {"type": "scene_trigger"},
+    "phrase_terminator": {"type": "phrase_terminator", "phrase": "the market closed"},
+    "observation_delivery": {"type": "observation_delivery"},
+    "calendar": {"kind": "calendar"},
+}
+
+
+def test_every_registry_kind_has_a_minimal_object():
+    assert set(MINIMAL_OBJECTS) == set(AGENT_COMPONENTS) | set(GM_COMPONENTS) | set(APPS)
+
+
+@pytest.mark.parametrize("kind", list(MINIMAL_OBJECTS))
+def test_minimal_config_of_each_kind_runs_to_max_steps(tmp_path, kind):
+    raw = {
+        "seed": 3,
+        "max_steps": 1,
+        "clock": {"start": "2024-05-01T09:00", "step_minutes": 10},
+        "model": {"kind": "echo"},
+        "agents": [{"name": "Alice"}, {"name": "Bob"}],
+    }
+    obj = MINIMAL_OBJECTS[kind]
+    if kind in AGENT_COMPONENTS:
+        raw["agents"][0]["components"] = [obj]
+    elif kind in GM_COMPONENTS:
+        raw["gm"] = {"components": [obj]}
+    else:
+        raw["apps"] = [obj]
+        raw["phones"] = {"Alice": [kind]}
+    built = build(config_from_dict(raw, tmp_path))
+    outcome = run_built_scenario(built)
+    assert (outcome.result.reason, outcome.result.error) == ("max-steps", "")
+    assert outcome.records_written == 2
+
+
+def test_null_scene_builds_a_universe_with_default_scene_settings(tmp_path):
+    raw = valid_raw()
+    raw["apps"] = [{"kind": "calendar"}]
+    raw["scene"] = None
+    built = build(config_from_dict(raw, tmp_path))
+    assert built.universe.scene_minutes == PhoneUniverse().scene_minutes
+
+
+def _positions(node, path=()):
+    """The path of every value inside a config, and of every object in it."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _positions(value, path + (key,))
+
+
+def _at(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_replaced_or_unknown_field_is_rejected_or_runs_to_an_ending(data):
+    raw = valid_raw()
+    positions = list(_positions(raw))
+    if data.draw(st.booleans(), label="replace a field"):
+        path = data.draw(st.sampled_from([p for p, _ in positions]), label="field")
+        _at(raw, path[:-1])[path[-1]] = data.draw(JSON_VALUES, label="value")
+    else:
+        objects = [()] + [p for p, value in positions if isinstance(value, dict)]
+        obj = _at(raw, data.draw(st.sampled_from(objects), label="object"))
+        key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in obj), label="key")
+        obj[key] = data.draw(JSON_VALUES, label="value")
+    if validate_config(raw, Path(".")):
+        return
+    built = build(config_from_dict(raw), model=EchoModel(), max_steps_override=2)
+    outcome = run_built_scenario(built)
+    assert outcome.result.reason in {"max-steps", "component-terminated", "error"}

@@ -5,7 +5,7 @@ from decimal import Decimal
 
 import pytest
 
-from gabm.errors import NoMatchingOption, NotANumber
+from gabm.errors import EpisodeAbort, NoMatchingOption, NotANumber
 from gabm.kernel import (
     ActionSpec,
     AgentAction,
@@ -16,7 +16,6 @@ from gabm.kernel import (
     Observation,
     OutputKind,
     TraceRecord,
-    parse_action_output,
     parse_choice,
     parse_float_token,
     parse_time,
@@ -57,6 +56,17 @@ def test_clock_advance_by_refuses_backward():
     assert clock.step_index == 0
     with pytest.raises(ValueError):
         clock.advance_by(-1)
+
+
+def test_clock_overflow_aborts_and_leaves_the_clock_unmoved():
+    last_hour = datetime(9999, 12, 31, 23, 0)
+    clock = GameClock(current_time=last_hour, step_minutes=60)
+    with pytest.raises(EpisodeAbort, match="cannot move 60 minutes past 9999-12-31T23:00"):
+        clock.advance()
+    with pytest.raises(EpisodeAbort):
+        GameClock(current_time=datetime(2024, 5, 1, 8, 0)).advance_by(10**20)
+    assert clock.current_time == last_hour
+    assert clock.step_index == 0
 
 
 def test_clock_modes_are_distinct_values():
@@ -152,15 +162,6 @@ def test_float_first_token(raw, expected):
 def test_float_rejects_numberless_text(raw):
     with pytest.raises(NotANumber):
         parse_float_token(raw)
-
-
-def test_parse_action_output_dispatch():
-    free = ActionSpec("say")
-    assert parse_action_output("  hello there  ", free) == "hello there"
-    choice = ActionSpec("pick", OutputKind.CHOICE, options=("yes", "no"))
-    assert parse_action_output("Yes", choice) == "yes"
-    rate = ActionSpec("rate", OutputKind.FLOAT)
-    assert parse_action_output("maybe 4.5?", rate) == Decimal("4.5")
 
 
 def _sample_record() -> TraceRecord:
