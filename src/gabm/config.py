@@ -24,6 +24,7 @@ import inspect
 import json
 import random
 from dataclasses import dataclass, field
+from datetime import datetime
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -44,7 +45,7 @@ from .game_master import (
     ObservationDelivery,
     PhraseTerminator,
 )
-from .genesis import AgentProfile, generate_and_seed
+from .genesis import MAX_AGE, AgentProfile, generate_and_seed
 from .grounding import InventoryComponent, LocationComponent, Questionnaire, as_quantity
 from .kernel import (
     ActionSpec,
@@ -236,7 +237,12 @@ GM_COMPONENTS = {
     "observation_delivery": Kind(ObservationDelivery, name=_TEXT),
 }
 APPS = {"calendar": Kind(CalendarApp, name=_TEXT)}
-_PROFILE = Kind(AgentProfile, age=_POSITIVE, traits=_STRINGS, context=_STRING)
+_PROFILE = Kind(
+    AgentProfile,
+    age=_Type(lambda v: _is_int(v) and 1 <= v <= MAX_AGE, f"must be an integer in [1, {MAX_AGE}]"),
+    traits=_STRINGS,
+    context=_STRING,
+)
 _GM_FIELDS = {"preamble": _STRING}
 _SCENE_FIELDS = {"minutes": _COUNT, "max_actions": _POSITIVE, "child_step_minutes": _COUNT}
 _BATTERY_FIELDS = {"name": _TEXT, "administer_at_end": _BOOL}
@@ -250,6 +256,7 @@ class _Validator:
         self.issues: list[ConfigIssue] = []
         self.agent_names: set[str] = set()
         self.reads: list[tuple[str, object]] = []
+        self.start: datetime | None = None  # clock.start, once it parses
 
     def malformed(self, path: str, message: str) -> None:
         self.issues.append(ConfigIssue("MalformedField", path, message))
@@ -329,7 +336,7 @@ class _Validator:
             self.malformed("clock.start", "required ISO minute timestamp")
         else:
             try:
-                parse_time(start)
+                self.start = parse_time(start)
             except ValueError:
                 self.malformed("clock.start", f"not an ISO minute timestamp: {start!r}")
         _COUNT.check(self, "clock.step_minutes", clock.get("step_minutes"), True)
@@ -392,10 +399,17 @@ class _Validator:
             if not _is_string_list(agent.get("initial_memories", [])):
                 self.malformed(f"{path}.initial_memories", "must be a list of strings")
             if agent.get("profile") is not None:
-                profile = agent["profile"]
-                self._check_fields(f"{path}.profile", profile, _PROFILE.fields, _PROFILE.required)
+                self._check_profile(f"{path}.profile", agent["profile"])
             self._check_agent_components(path, agent, name)
         return names
+
+    def _check_profile(self, path: str, profile) -> None:
+        if not self._check_fields(path, profile, _PROFILE.fields, _PROFILE.required):
+            return
+        # Genesis back-dates the backstory to the birth year, start - age.
+        age = profile.get("age")
+        if self.start is not None and _PROFILE.fields["age"].accepts(age) and age >= self.start.year:
+            self.malformed(f"{path}.age", f"back-dates before year 1 of clock.start {self.start.year}")
 
     def _check_agent_components(self, path: str, agent: dict, agent_name: str) -> None:
         components = agent.get("components", [])

@@ -18,6 +18,10 @@ from .model import GenerativeModel
 
 log = logging.getLogger(__name__)
 
+# Oldest profile age.  The default ladder makes one model call per decade
+# of age, and the birth year must still be a valid date.
+MAX_AGE = 150
+
 BACKSTORY_PROMPT = (
     "Write a short biography for a fictional person.\n"
     "Name: {name}\n"
@@ -46,8 +50,8 @@ class AgentProfile:
     context: str = ""
 
     def __post_init__(self):
-        if self.age <= 0:
-            raise ValueError("age must be positive")
+        if not 0 < self.age <= MAX_AGE:
+            raise ValueError(f"age must lie in [1, {MAX_AGE}]")
 
     def traits_text(self) -> str:
         return ", ".join(self.traits) if self.traits else "(none given)"

@@ -379,6 +379,14 @@ def _top(**fields):
     return lambda raw: raw.update(fields)
 
 
+def _profile(age: int, start: str = "2024-05-01T09:00"):
+    def edit(raw):
+        raw["clock"]["start"] = start
+        raw["agents"][0]["profile"] = {"age": age}
+
+    return edit
+
+
 BATTERY = {"name": "exit", "administer_at_end": "yes", "questions": [{"call_to_action": "Why?"}]}
 
 # Each edit of valid_raw() makes one field malformed in a way that build or
@@ -406,6 +414,8 @@ REJECTED_EDITS = [
     ("scene child_step_minutes", _top(scene={"child_step_minutes": "x"}), "scene.child_step_minutes"),
     ("administer_at_end", _top(questionnaires=[BATTERY]), "questionnaires[0].administer_at_end"),
     ("unhashable clock mode", lambda raw: raw["clock"].update(mode=[]), "clock.mode"),
+    ("profile age above 150", _profile(20000), "agents[0].profile.age"),
+    ("profile age before year 1", _profile(90, start="0050-05-01T08:00"), "agents[0].profile.age"),
 ]
 
 
@@ -419,6 +429,38 @@ def test_malformed_field_is_rejected_at_its_path(tmp_path, capsys, edit, path):
     assert [(i.kind, i.path) for i in issues] == [("MalformedField", path)]
     assert main(["validate-config", "--config", str(write_config(tmp_path, raw))]) == 1
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_profile(20000), id="age 20000"),
+        pytest.param(_profile(90, start="0050-05-01T08:00"), id="year 50"),
+    ],
+)
+def test_run_rejects_a_profile_that_back_dates_out_of_range(tmp_path, capsys, edit):
+    # Both used to pass validation, then end `gabm run` with a raw ValueError
+    # from back-dating the backstory.
+    raw = valid_raw()
+    edit(raw)
+    out = tmp_path / "trace.jsonl"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
+    assert "agents[0].profile.age" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "start,age",
+    [pytest.param("2024-05-01T09:00", 150, id="age 150"), pytest.param("0050-05-01T08:00", 49, id="year 1")],
+)
+def test_oldest_profile_builds_and_runs(tmp_path, start, age):
+    raw = valid_raw()
+    _profile(age, start)(raw)
+    assert validate_config(raw, tmp_path) == []
+    built = build(config_from_dict(raw, tmp_path), model=EchoModel(), max_steps_override=1)
+    first = built.players[0].memory.snapshot()[0]
+    assert first.timestamp.year == int(start[:4]) - age
+    assert run_built_scenario(built).result.reason == "max-steps"
 
 
 # The smallest object of each registry kind: its required fields only.

@@ -7,6 +7,7 @@ import pytest
 
 from gabm.errors import InvalidModelOutput
 from gabm.genesis import (
+    MAX_AGE,
     AgentProfile,
     FormativeMemory,
     FormativeMemorySet,
@@ -51,6 +52,10 @@ def test_ladder_rungs_always_below_age():
 def test_profile_validation_and_traits_text():
     with pytest.raises(ValueError):
         AgentProfile(name="Kid", age=0)
+    with pytest.raises(ValueError):
+        AgentProfile(name="Elder", age=MAX_AGE + 1)
+    assert AgentProfile(name="Elder", age=MAX_AGE).age == MAX_AGE
+    assert len(default_age_ladder(MAX_AGE)) == 16
     profile = AgentProfile(name="Ada", age=30, traits=("stubborn", "kind"))
     assert profile.traits_text() == "stubborn, kind"
     assert AgentProfile(name="Ada", age=30).traits_text() == "(none given)"

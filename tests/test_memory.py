@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gabm import memory
 from gabm.memory import (
     DEFAULT_HALF_LIFE,
+    EMBED_CACHE_TEXTS,
     RELEVANCE_CACHE_QUERIES,
     HashEmbedder,
     MemoryBank,
@@ -265,6 +267,72 @@ def test_hash_embedder_matches_reference(text, dimension, seed):
     assert HashEmbedder(dimension=dimension, seed=seed).embed(text) == reference_hash_embed(
         dimension, seed, text
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    texts=st.lists(st.text(max_size=20), min_size=1, max_size=12),
+    repeats=st.lists(st.integers(0, 11), max_size=20),
+    dimension_seed=st.sampled_from([(16, 0), (16, 1), (4, 3), (24, 5)]),
+)
+def test_memoized_vectors_match_reference_through_repeats_and_eviction(texts, repeats, dimension_seed):
+    dimension, seed = dimension_seed
+    embedder = HashEmbedder(dimension=dimension, seed=seed)
+    order = texts + [texts[i % len(texts)] for i in repeats]
+    expected = [reference_hash_embed(dimension, seed, text) for text in order]
+    assert [embedder.embed(text) for text in order] == expected
+    # More distinct texts than the memo holds push every text above out.
+    for i in range(EMBED_CACHE_TEXTS + 1):
+        embedder.embed(f"filler {i}")
+    misses = memory._hash_embed.cache_info().misses
+    assert [embedder.embed(text) for text in order] == expected
+    assert memory._hash_embed.cache_info().misses - misses == len(set(order))
+
+
+def test_threads_embedding_the_same_texts_get_equal_vectors():
+    texts = [f"shared text {i}" for i in range(300)]
+    memory._hash_embed.cache_clear()
+    start = threading.Barrier(8)
+    results: list[list[tuple[float, ...]]] = []
+
+    def embedder_thread():
+        embedder = HashEmbedder()
+        start.wait()
+        results.append([embedder.embed(text) for text in texts])
+
+    threads = [threading.Thread(target=embedder_thread) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8
+    expected = [reference_hash_embed(16, 0, text) for text in texts]
+    assert all(vectors == expected for vectors in results)
+
+
+def test_fanned_out_text_is_digested_once(monkeypatch):
+    # One observation reaching 24 agents' banks runs the digest loop once;
+    # every record shares the one vector.
+    text = "Ada noticed the bell ring in the square."
+    memory._hash_embed.cache_clear()
+    digest_loops = []
+    prefixes = memory._coordinate_prefixes
+    monkeypatch.setattr(
+        memory, "_coordinate_prefixes", lambda *key: digest_loops.append(key) or prefixes(*key)
+    )
+    banks = [MemoryBank() for _ in range(24)]
+    for bank in banks:
+        bank.add(text, T0)
+    assert digest_loops == [(16, 0)]
+    assert memory._hash_embed.cache_info().hits == 23
+    vectors = [bank.get(0).embedding for bank in banks]
+    assert vectors == [reference_hash_embed(16, 0, text)] * 24
+    assert all(vector is vectors[0] for vector in vectors)
 
 
 def oracle_score(bank: MemoryBank, query_embedding, record: MemoryRecord, latest: int) -> float:
