@@ -11,7 +11,6 @@ from .agent import (
     GenerativeAgent,
     ModelQueryComponent,
     ObservationBuffer,
-    SequentialComponents,
     three_questions_components,
 )
 from .config import BuiltScenario, ScenarioConfig, build, load_config
@@ -116,7 +115,6 @@ __all__ = [
     "ScenarioConfig",
     "ScriptRule",
     "ScriptedModel",
-    "SequentialComponents",
     "SimulationError",
     "TraceRecord",
     "administer_questionnaire",

@@ -164,35 +164,6 @@ class ModelQueryComponent(AgentComponent):
         self.publish(answer.strip())
 
 
-class SequentialComponents(AgentComponent):
-    """Wrap several components into one, updating children strictly in order.
-
-    Unlike the agent-level pass, each child's staged state commits before
-    the next child runs, so later children read earlier children's fresh
-    states.  The wrapper renders as a single section whose state stacks the
-    children's states.
-    """
-
-    def __init__(self, name: str, children: list[AgentComponent]):
-        super().__init__(name)
-        self.children = list(children)
-
-    def bind(self, agent: "GenerativeAgent") -> None:
-        super().bind(agent)
-        for child in self.children:
-            child.bind(agent)
-
-    def observe(self, observation: Observation) -> None:
-        for child in self.children:
-            child.observe(observation)
-
-    def update(self) -> None:
-        for child in self.children:
-            child.update()
-            child.commit()
-        self.publish("\n".join(f"{c.name}: {c.state()}" for c in self.children))
-
-
 class GenerativeAgent:
     """A named agent: memory bank, ordered components, and a model handle.
 
@@ -282,22 +253,12 @@ class GenerativeAgent:
             ) from exc
 
     def context_of_action(self, spec: ActionSpec) -> str:
-        """Render the full acting prompt for one spec.
-
-        If the model declares a character budget and the rendered prompt
-        exceeds it, component sections are dropped from the oldest (first)
-        onward; the preamble and call to action always survive.
-        """
+        """Render the full acting prompt for one spec."""
         call = spec.render(self.name, self.now_text())
         if spec.output_kind is OutputKind.FLOAT:
             call = f"{call} {FLOAT_SUFFIX}"
-        sections = [f"{c.name}: {c.state()}\n" for c in self.components]
-        prompt = self.preamble_text() + "\n" + "".join(sections) + call
-        budget = self.model.context_char_budget
-        while budget is not None and len(prompt) > budget and sections:
-            sections.pop(0)
-            prompt = self.preamble_text() + "\n" + "".join(sections) + call
-        return prompt
+        sections = "".join([f"{c.name}: {c.state()}\n" for c in self.components])
+        return self.preamble_text() + "\n" + sections + call
 
     def act(self, spec: ActionSpec) -> AgentAction:
         prompt = self.context_of_action(spec)

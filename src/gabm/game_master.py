@@ -455,9 +455,6 @@ def spawn_nested_game(
     game master's memory between scene markers, and the parent clock is
     charged exactly the configured scene duration.
     """
-    for name in participants:
-        if name not in parent_gm._player_index:
-            raise ConfigError(f"scene participant {name!r} is not a player of the parent game")
     agents = [parent_gm.player(name) for name in participants]
     moment = parent_gm.clock.current_time
     parent_gm.memory.add(f"[scene start: {label}]", moment)

@@ -232,14 +232,6 @@ class InventoryComponent(GMComponent):
         self.gm.audit_note(f"{self.name}: trade refused ({reason})")
         return TransferResult(ok=False, reason=reason)
 
-    def request_transfer(self, actor: str, frm: str, to: str, item: str, qty: Decimal) -> TransferResult:
-        """Direct grounded transfer used by harnesses and apps."""
-        assert self.gm is not None
-        result = apply_transfer(self.inventory, frm, to, item, qty)
-        if not result.ok:
-            self.gm.emit_observation(self.name, actor, f"Your action was invalid: {result.reason}.")
-        return result
-
     def query_after_event(self, event: EventStatement) -> Effect | None:
         assert self.gm is not None
         if self._vetoed:
@@ -270,11 +262,6 @@ class LocationComponent(GMComponent):
         if player not in self.locations:
             return ""
         return f"You are at the {self.locations[player]}."
-
-    def set_location(self, player: str, label: str) -> None:
-        if player not in self.locations:
-            raise ConfigError(f"unknown player {player!r}")
-        self.locations[player] = label.lower()
 
 
 @dataclass

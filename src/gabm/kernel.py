@@ -84,14 +84,6 @@ class GameClock:
     def now_text(self) -> str:
         return format_time(self.current_time)
 
-    def copy(self) -> "GameClock":
-        return GameClock(
-            current_time=self.current_time,
-            step_minutes=self.step_minutes,
-            mode=self.mode,
-            step_index=self.step_index,
-        )
-
 
 class OutputKind(enum.Enum):
     FREE_TEXT = "free"

@@ -197,10 +197,6 @@ class MemoryBank:
         with self._lock:
             return list(self._records)
 
-    def get(self, index: int) -> MemoryRecord:
-        with self._lock:
-            return self._records[index]
-
     def score(self, query_embedding: tuple[float, ...], record: MemoryRecord, latest_index: int) -> float:
         w_rel, w_rec, w_imp = self.weights
         relevance = cosine(query_embedding, record.embedding)
@@ -257,10 +253,6 @@ class MemoryBank:
             return []
         with self._lock:
             return self._records[-k:]
-
-    def retrieve_by_time(self, start: datetime, end: datetime) -> list[MemoryRecord]:
-        """Records with start <= timestamp <= end, in insertion order."""
-        return [r for r in self.snapshot() if start <= r.timestamp <= end]
 
     def texts(self) -> list[str]:
         return [r.text for r in self.snapshot()]

@@ -26,7 +26,6 @@ import os
 import re
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -78,8 +77,6 @@ class GenerativeModel:
     """Base backend: subclasses implement ``_complete`` only."""
 
     backend_id = "abstract"
-    # Prompt budget in characters; None means unbounded.
-    context_char_budget: int | None = None
 
     def __init__(self):
         self._recorder: CallRecorder | None = None
@@ -410,70 +407,26 @@ class HttpModel(GenerativeModel):
 
 
 class ReplayModel(GenerativeModel):
-    """Feeds back a recorded call sequence.
+    """Feeds back a recorded call sequence, in recorded order.
 
-    Each call takes the first unconsumed recorded call with the same
-    caller, or failing that the first unconsumed call of any caller, and
-    answers with its response regardless of prompt content.  On a run that
-    follows the recording this is the next recorded call; calls issued
-    together by ``run_in_order`` each find their own, whatever order they
-    arrive in.  Any divergence from the original run then shows up as a
-    byte difference in the regenerated trace.  Each regenerated call also
-    carries the backend id of the recorded call it took, so model-call
-    entries match the originals exactly; a call past the end answers ""
-    with the last recorded backend id.
+    Each call answers with the next recorded response and backend id,
+    whatever its prompt or caller; a call past the end answers "" with the
+    last recorded backend id.  Replay measures no call time, so
+    ``run_holding_calls`` runs every batch one task at a time and the calls
+    arrive in the order the trace holds them.
     """
 
     backend_id = "replay"
 
     def __init__(self, calls: list[ModelCall]):
         super().__init__()
-        self._calls = list(calls)
-        self._taken = [False] * len(self._calls)
-        self._taken_count = 0
-        self._first_untaken = 0
-        # Untaken indices by caller, built on the first call out of turn.
-        self._by_caller: dict[str, deque[int]] | None = None
-        self._overflow_backend = self._calls[-1].backend if self._calls else self.backend_id
-        self._lock = threading.Lock()
-
-    def _take(self, caller: str) -> ModelCall | None:
-        with self._lock:
-            calls, taken = self._calls, self._taken
-            index = self._first_untaken
-            while index < len(calls) and taken[index]:
-                index += 1
-            self._first_untaken = index
-            if index == len(calls):
-                return None
-            if calls[index].caller != caller:
-                index = self._first_untaken_of(caller, index)
-            taken[index] = True
-            self._taken_count += 1
-            return calls[index]
-
-    def _first_untaken_of(self, caller: str, fallback: int) -> int:
-        """First untaken index with this caller, else ``fallback``; lock held."""
-        if self._by_caller is None:
-            self._by_caller = {}
-            # Every index before the first untaken one is taken.
-            for index in range(fallback, len(self._calls)):
-                if not self._taken[index]:
-                    self._by_caller.setdefault(self._calls[index].caller, deque()).append(index)
-        same_caller = self._by_caller.get(caller)
-        # Indices taken in turn stay queued until they reach the front.
-        while same_caller and self._taken[same_caller[0]]:
-            same_caller.popleft()
-        return same_caller.popleft() if same_caller else fallback
+        self._calls = iter(calls)
+        self._overflow_backend = calls[-1].backend if calls else self.backend_id
 
     def sample_text(self, prompt: str, *, max_chars: int | None = None, caller: str = "") -> str:
-        recorded = self._take(caller)
+        recorded = next(self._calls, None)
         if recorded is None:
             self._record(caller, prompt, "", self._overflow_backend)
             return ""
         self._record(caller, prompt, recorded.response, recorded.backend)
         return recorded.response
-
-    @property
-    def exhausted(self) -> bool:
-        return self._taken_count == len(self._calls)

@@ -2,7 +2,7 @@
 
 Free-text actions get grounded against app capabilities in two stages:
 first one choice call picks an "app.action" from the installed catalog,
-then one model call per required parameter supplies a typed value.  The
+then one model call per parameter supplies a typed value.  The
 invocation returns result text for the owner and may queue notifications,
 which land as observations at the recipient's next pre-act phase, exactly
 once.  Apps are singletons shared by every phone that installs them, so
@@ -16,7 +16,6 @@ import re
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from decimal import Decimal
 from typing import Callable
 
 from .agent import GenerativeAgent
@@ -45,19 +44,10 @@ class ParamDescriptor:
     name: str
     kind: str
     description: str = ""
-    required: bool = True
 
     def __post_init__(self):
         if self.kind not in PARAM_KINDS:
             raise ValueError(f"unknown parameter kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "description": self.description,
-            "required": self.required,
-        }
 
 
 @dataclass(frozen=True)
@@ -66,26 +56,12 @@ class AppActionDescriptor:
     description: str
     params: tuple[ParamDescriptor, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "params": [p.to_dict() for p in self.params],
-        }
-
 
 @dataclass(frozen=True)
 class AppDescriptor:
     name: str
     description: str
     actions: tuple[AppActionDescriptor, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "actions": [a.to_dict() for a in self.actions],
-        }
 
 
 class NotificationHub:
@@ -104,10 +80,6 @@ class NotificationHub:
             mine = [text for who, text in self._queue if who == recipient]
             self._queue = [(who, text) for who, text in self._queue if who != recipient]
             return mine
-
-    def pending(self) -> int:
-        with self._lock:
-            return len(self._queue)
 
 
 def deliver_notifications(hub: NotificationHub, gm: GameMaster, player: str) -> int:
@@ -351,7 +323,7 @@ def translate_action(
     """Ground one free-text phone action into a typed app invocation.
 
     Stage one is a single choice over every installed "app.action"; stage
-    two asks the model for each required parameter in declaration order.
+    two asks the model for each parameter in declaration order.
     Returns None when no app fits or a parameter never parses; the reason
     goes through ``note``.
     """
@@ -378,8 +350,6 @@ def translate_action(
     label, app, action = catalog[index]
     args: dict = {}
     for param in action.params:
-        if not param.required:
-            continue
         ask = (
             f"{phone.owner} wants to: {text}\n"
             f"The chosen app action is {label}.\n"

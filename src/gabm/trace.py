@@ -281,7 +281,6 @@ def replay(path: str | Path) -> ReplayReport:
     built = config_mod.build(
         cfg, model=model, seed_override=header.seed, max_steps_override=header.max_steps
     )
-    regenerated: list[str] = []
     sink_records: list[TraceRecord] = []
     run_built_scenario(built, out=None, on_record=sink_records.append)
     regenerated = [record.to_json_line() for record in sink_records]

@@ -21,7 +21,7 @@ import gabm
 from gabm.agent import GenerativeAgent, ObservationBuffer, ConstantComponent
 from gabm.config import build, load_config
 from gabm.game_master import ConversationScene, GameMaster, GMComponent, spawn_nested_game
-from gabm.grounding import InventoryComponent
+from gabm.grounding import InventoryComponent, Trade
 from gabm.kernel import ActionSpec, GameClock, Observation, parse_time
 from gabm.memory import HashEmbedder, MemoryBank
 from gabm.model import ScriptedModel, ScriptRule
@@ -215,23 +215,34 @@ def test_criterion_4_transfers_conserve_and_reject_safely():
     rng = random.Random(4242)
     rejections = {name: 0 for name in names}
     rejected = 0
+    settled_paid = settled_gifts = 0
     for _ in range(1000):
-        frm, to = rng.sample(names, 2)
+        buyer, seller = rng.sample(names, 2)
         item = rng.choice(list(initial))
         qty = Decimal(rng.randint(1, 4000)) / 100
-        result = inventory.request_transfer(frm, frm, to, item, qty)
+        # Half the trades are gifts, so the coin leg is skipped as often as run.
+        price = Decimal(rng.choice((0, rng.randint(1, 4000)))) / 100
+        actor = rng.choice((buyer, seller))
+        before = {name: dict(inventory.inventory.balances[name]) for name in names}
+        result = inventory.settle(actor, Trade(buyer=buyer, seller=seller, item=item, qty=qty, price=price))
         if not result.ok:
             rejected += 1
-            rejections[frm] += 1
+            rejections[actor] += 1
+            assert inventory.inventory.balances == before
+        elif price > 0:
+            settled_paid += 1
+        else:
+            settled_gifts += 1
         assert totals() == initial
         for name in names:
             for held in initial:
                 assert inventory.inventory.get(name, held) >= 0
     assert rejected > 0  # the draw range guarantees plenty of overdrafts
+    assert settled_paid > 0 and settled_gifts > 0
     for player in players:
         invalid = [t for t in player.memory.texts() if t.startswith("Your action was invalid:")]
         assert len(invalid) == rejections[player.name]
-    print(f"\nPASS grounding invariants: 1000 transfers, {rejected} rejected, conservation exact")
+    print(f"\nPASS grounding invariants: 1000 trades, {rejected} rejected, conservation exact")
 
 
 # --- 5. nested scenes -------------------------------------------------------------

@@ -15,7 +15,6 @@ from gabm.agent import (
     GenerativeAgent,
     ModelQueryComponent,
     ObservationBuffer,
-    SequentialComponents,
     three_questions_components,
 )
 from gabm.errors import EpisodeAbort, InvalidModelOutput
@@ -218,26 +217,6 @@ def test_float_act_retries_then_raises():
     assert model.call_count == 2
 
 
-def test_context_budget_drops_oldest_sections_never_the_call():
-    model = ScriptedModel(default_response="ok")
-    agent = make_agent(
-        [ConstantComponent("ancient", "A" * 200), ConstantComponent("fresh", "B")],
-        model=model,
-    )
-    full = agent.context_of_action(FREE_SPEC)
-    model.context_char_budget = len(full) - 1
-    trimmed = agent.context_of_action(FREE_SPEC)
-    assert "ancient" not in trimmed
-    assert "fresh: B\n" in trimmed
-    assert trimmed.endswith("What would Ada do next? It is 2024-05-01T09:00.")
-    model.context_char_budget = 10  # tighter than even the fixed parts
-    bare = agent.context_of_action(FREE_SPEC)
-    assert bare == (
-        DEFAULT_PREAMBLE.replace("{name}", "Ada")
-        + "\nWhat would Ada do next? It is 2024-05-01T09:00."
-    )
-
-
 def test_model_query_component_prompt_shape():
     model = ScriptedModel(default_response="a quiet morning")
     recorder = CallRecorder()
@@ -315,18 +294,6 @@ def test_three_questions_wiring_and_prompts():
     identity_prompt = second_pass[1].prompt
     assert "Memories of Ada:\n- Ada set up her stall.\n" in identity_prompt
     assert [c.k for c in components[:2]] == [25, 25]
-
-
-def test_sequential_components_chain_fresh_states():
-    counter = Counter("counter")
-    reader = PeerReader("reader", "counter")
-    chain = SequentialComponents("chain", [counter, reader])
-    agent = make_agent([chain])
-    # The reader resolves its peer through the agent, which only knows the
-    # wrapper, so point it at the wrapper's child directly.
-    reader.update = lambda: reader.publish(f"saw [{counter.state()}]")  # type: ignore[method-assign]
-    agent.update_components()
-    assert chain.state() == "counter: run 1\nreader: saw [run 1]"
 
 
 def test_duplicate_component_names_rejected():

@@ -121,21 +121,6 @@ def test_retrieve_recent_is_oldest_first_window():
     assert bank.retrieve_recent(0) == []
 
 
-def test_retrieve_by_time_boundaries_inclusive():
-    bank = MemoryBank()
-    bank.add("a", T0)
-    bank.add("b", T0 + timedelta(minutes=1))
-    bank.add("c", T0 + timedelta(minutes=2))
-    window = bank.retrieve_by_time(T0, T0 + timedelta(minutes=1))
-    assert [r.text for r in window] == ["a", "b"]
-    exact = bank.retrieve_by_time(T0 + timedelta(minutes=1), T0 + timedelta(minutes=1))
-    assert [r.text for r in exact] == ["b"]
-    assert bank.retrieve_by_time(T0 + timedelta(minutes=3), T0 + timedelta(minutes=4)) == []
-    # Out-of-order timestamps still filter purely by the window.
-    bank.add("backfill", T0 - timedelta(days=1))
-    assert [r.text for r in bank.retrieve_by_time(T0 - timedelta(days=2), T0)] == ["a", "backfill"]
-
-
 def brute_force_rank(bank: MemoryBank, query: str, k: int) -> list[int]:
     """Independent oracle: full scan, explicit selection, documented ties."""
     records = bank.snapshot()
@@ -330,7 +315,7 @@ def test_fanned_out_text_is_digested_once(monkeypatch):
         bank.add(text, T0)
     assert digest_loops == [(16, 0)]
     assert memory._hash_embed.cache_info().hits == 23
-    vectors = [bank.get(0).embedding for bank in banks]
+    vectors = [bank.snapshot()[0].embedding for bank in banks]
     assert vectors == [reference_hash_embed(16, 0, text)] * 24
     assert all(vector is vectors[0] for vector in vectors)
 

@@ -167,12 +167,11 @@ def test_replay_model_feeds_recorded_sequence():
     model.set_recorder(recorder)
     assert model.sample_text("anything") == "r1"
     assert model.sample_text("anything else") == "r2"
-    assert model.exhausted
     assert model.sample_text("overflow") == ""
     assert [c.backend for c in recorder.calls] == ["scripted", "http", "http"]
 
 
-def test_replay_model_matches_caller_when_calls_arrive_out_of_order():
+def test_replay_model_answers_in_recorded_order_and_never_runs_a_batch_together():
     calls = [
         ModelCall("a", "p1", "r1", "scripted"),
         ModelCall("b", "p2", "r2", "http"),
@@ -181,12 +180,16 @@ def test_replay_model_matches_caller_when_calls_arrive_out_of_order():
     model = ReplayModel(calls)
     recorder = CallRecorder()
     model.set_recorder(recorder)
-    assert model.sample_text("x", caller="b") == "r2"
-    assert model.sample_text("x", caller="a") == "r1"
-    # No unconsumed call from "c": the next unconsumed call of any caller.
+    # The caller does not steer which recorded call answers.
+    assert model.sample_text("x", caller="b") == "r1"
+    assert model.sample_text("x", caller="a") == "r2"
     assert model.sample_text("x", caller="c") == "r3"
-    assert model.exhausted
-    assert [c.backend for c in recorder.calls] == ["http", "scripted", "scripted"]
+    assert [c.backend for c in recorder.calls] == ["scripted", "http", "scripted"]
+    # Replay measures no call time, so a batch runs one task at a time, in
+    # task order, when each is taken: the order the trace recorded.
+    assert model.call_seconds is None
+    tasks = [lambda: model.sample_text("y"), lambda: model.sample_text("z")]
+    assert run_holding_calls(tasks, model) == tasks
 
 
 class SleepyModel(GenerativeModel):
