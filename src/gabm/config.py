@@ -50,7 +50,6 @@ from .grounding import InventoryComponent, LocationComponent, Questionnaire, as_
 from .kernel import (
     ActionSpec,
     ClockMode,
-    DEFAULT_CALL_TO_ACTION,
     GameClock,
     canonical_json,
     parse_time,
@@ -276,7 +275,8 @@ class _Validator:
         self._check_max_steps()
         self._check_clock()
         self._check_model()
-        self._check_action_spec("action_spec", raw.get("action_spec"))
+        if raw.get("action_spec") is not None:
+            self._check_action_spec("action_spec", raw["action_spec"])
         self.agent_names = self._check_agents()
         self._check_gm()
         app_names = self._check_apps()
@@ -340,8 +340,8 @@ class _Validator:
             except ValueError:
                 self.malformed("clock.start", f"not an ISO minute timestamp: {start!r}")
         _COUNT.check(self, "clock.step_minutes", clock.get("step_minutes"), True)
-        mode = clock.get("mode", "round")
-        if not isinstance(mode, str) or mode not in CLOCK_MODES:
+        mode = clock.get("mode")
+        if "mode" in clock and not (isinstance(mode, str) and mode in CLOCK_MODES):
             self.malformed("clock.mode", f"must be one of {sorted(CLOCK_MODES)}")
 
     def _check_model(self) -> None:
@@ -360,8 +360,6 @@ class _Validator:
                 self.unresolved("script", f"script file not found: {script}")
 
     def _check_action_spec(self, path: str, spec) -> None:
-        if spec is None:
-            return
         if not isinstance(spec, dict):
             self.malformed(path, "must be an object")
             return
@@ -543,12 +541,6 @@ class BuiltScenario:
     max_steps: int = 1
 
 
-def _build_action_spec(spec: dict | None) -> ActionSpec:
-    if spec is None:
-        return ActionSpec(DEFAULT_CALL_TO_ACTION)
-    return ActionSpec.from_dict(spec)
-
-
 def build_model(config: ScenarioConfig, script_override: str | Path | None = None) -> GenerativeModel:
     kind = MODEL_KINDS[config.raw["model"]["kind"]]
     script = Path(script_override) if script_override else config.script_path()
@@ -571,11 +563,13 @@ def build(
     if model is None:
         model = build_model(config, script_override)
 
+    # Each object passes on only the fields the config sets; the
+    # constructors hold the defaults.
     clock_cfg = raw["clock"]
     clock = GameClock(
         current_time=parse_time(clock_cfg["start"]),
         step_minutes=clock_cfg["step_minutes"],
-        mode=CLOCK_MODES[clock_cfg.get("mode", "round")],
+        **({"mode": CLOCK_MODES[clock_cfg["mode"]]} if "mode" in clock_cfg else {}),
     )
 
     players: list[GenerativeAgent] = []
@@ -603,11 +597,10 @@ def build(
     phones_cfg = raw.get("phones", {})
     scene_cfg = raw.get("scene") or {}
     if apps_cfg or phones_cfg or scene_cfg or any(kind.universe for kind, _ in gm_kinds):
-        universe = PhoneUniverse(
-            scene_minutes=scene_cfg.get("minutes", 30),
-            max_actions=scene_cfg.get("max_actions", 5),
-            child_step_minutes=scene_cfg.get("child_step_minutes", 1),
-        )
+        scene = {name: scene_cfg[name] for name in _SCENE_FIELDS if name in scene_cfg}
+        if "minutes" in scene:
+            scene["scene_minutes"] = scene.pop("minutes")
+        universe = PhoneUniverse(**scene)
         for app_cfg in apps_cfg:
             universe.register_app(APPS[app_cfg["kind"]].build(app_cfg))
         for owner, app_names in phones_cfg.items():
@@ -619,12 +612,13 @@ def build(
     if not any(isinstance(c, ObservationDelivery) for c in gm_components):
         gm_components.append(ObservationDelivery())
 
+    action_spec = raw.get("action_spec")
     gm = GameMaster(
         model=model,
         players=players,
         clock=clock,
         components=gm_components,
-        action_spec=_build_action_spec(raw.get("action_spec")),
+        action_spec=ActionSpec.from_dict(action_spec) if action_spec is not None else None,
         preamble=gm_cfg.get("preamble") or DEFAULT_GM_PREAMBLE,
         rng=random.Random(seed),
     )
@@ -633,7 +627,7 @@ def build(
 
     questionnaires: list[tuple[Questionnaire, bool]] = []
     for battery in raw.get("questionnaires", []):
-        questions = [_build_action_spec(q) for q in battery["questions"]]
+        questions = [ActionSpec.from_dict(q) for q in battery["questions"]]
         questionnaires.append(
             (Questionnaire(battery["name"], questions), battery.get("administer_at_end", False))
         )

@@ -47,7 +47,7 @@ from .kernel import (
     TraceRecord,
 )
 from .memory import MemoryBank
-from .model import CallRecorder, GenerativeModel, run_holding_calls
+from .model import GenerativeModel, close_calls, open_calls, run_holding_calls
 
 DEFAULT_GM_PREAMBLE = (
     "Instructions: you are the game master of a social simulation. "
@@ -149,14 +149,10 @@ class ObservationDelivery(GMComponent):
     def update_after_event(self, event: EventStatement) -> None:
         assert self.gm is not None
         for recipient, text in self.gm.drain_pending_observations():
-            self.gm.emit_observation(self.name, recipient, text)
+            self.gm.emit_observation(recipient, text)
         veto = self.gm.veto_reason
         if veto is not None:
-            self.gm.emit_observation(
-                self.name,
-                event.cause.actor,
-                f"Your action was invalid: {veto}.",
-            )
+            self.gm.emit_observation(event.cause.actor, f"Your action was invalid: {veto}.")
 
 
 class PhraseTerminator(GMComponent):
@@ -225,14 +221,7 @@ class GameMaster:
         self._veto_reason: str | None = None
         self._pending_observations: list[tuple[str, str]] = []
         self._current_record: TraceRecord | None = None
-        self._models = self._collect_models()
-
-    def _collect_models(self) -> list[GenerativeModel]:
-        models: list[GenerativeModel] = [self.model]
-        for player in self.players:
-            if all(player.model is not m for m in models):
-                models.append(player.model)
-        return models
+        self._record_calls = None  # the token of the open record's call list
 
     def player(self, name: str) -> GenerativeAgent:
         try:
@@ -258,7 +247,7 @@ class GameMaster:
         self._pending_observations = []
         return drained
 
-    def emit_observation(self, source: str, player: str, text: str) -> None:
+    def emit_observation(self, player: str, text: str) -> None:
         """Deliver text to one player and log it to the current turn record."""
         target = self.player(player)
         observation = Observation(recipient=player, text=text, timestamp=self.clock.current_time)
@@ -282,7 +271,7 @@ class GameMaster:
             component.update()
             partial = component.partial_state(player.name)
             if partial:
-                self.emit_observation(component.name, player.name, partial)
+                self.emit_observation(player.name, partial)
 
     def _gm_context(self, action: AgentAction, gm_states: dict[str, str]) -> str:
         parts = [self.preamble, "\n"]
@@ -372,7 +361,8 @@ class GameMaster:
 
     # ---- the episode loop ----------------------------------------------------
 
-    def begin_record(self, kind: str, step: int, actor: str) -> tuple[TraceRecord, CallRecorder]:
+    def begin_record(self, kind: str, step: int, actor: str) -> TraceRecord:
+        """Open a record; every model call made here until finish_record goes into it."""
         record = TraceRecord(
             kind=kind,
             step=step,
@@ -381,16 +371,13 @@ class GameMaster:
             actor=actor,
         )
         self._turn_counter += 1
-        recorder = CallRecorder()
-        for model in self._models:
-            model.set_recorder(recorder)
         self._current_record = record
-        return record, recorder
+        self._record_calls = open_calls(record.model_calls)
+        return record
 
-    def finish_record(self, record: TraceRecord, recorder: CallRecorder) -> None:
-        record.model_calls = list(recorder.calls)
-        for model in self._models:
-            model.set_recorder(None)
+    def finish_record(self, record: TraceRecord) -> None:
+        close_calls(self._record_calls)
+        self._record_calls = None
         self._current_record = None
         self.trace.append(record)
         if self.on_record is not None:
@@ -398,7 +385,7 @@ class GameMaster:
 
     def _acting_turn(self, player: GenerativeAgent, step: int) -> bool:
         """Run one player's full turn; True if a component ended the episode."""
-        record, recorder = self.begin_record("turn", step, player.name)
+        record = self.begin_record("turn", step, player.name)
         try:
             self.pre_act_observe(player)
             record.agent_states = player.component_states()
@@ -408,7 +395,7 @@ class GameMaster:
             self.update_from_player(action)
             player.update_components()
         finally:
-            self.finish_record(record, recorder)
+            self.finish_record(record)
         if self.clock.mode is ClockMode.ADVANCE_PER_PLAYER:
             self.clock.advance()
         # Poll every component exactly once, even after a hit.

@@ -228,7 +228,7 @@ class InventoryComponent(GMComponent):
             self.gm.memory.add(amendment, self.gm.clock.current_time)
             self.gm.audit_note(f"{self.name}: {amendment}")
             return TransferResult(ok=True, reason="transfer succeeded")
-        self.gm.emit_observation(self.name, actor, f"Your action was invalid: {reason}.")
+        self.gm.emit_observation(actor, f"Your action was invalid: {reason}.")
         self.gm.audit_note(f"{self.name}: trade refused ({reason})")
         return TransferResult(ok=False, reason=reason)
 
@@ -296,7 +296,7 @@ def administer_questionnaire(
         administration=sum(1 for s in questionnaire.sheets if s.player == player_name),
     )
     for spec in questionnaire.questions:
-        record, recorder = gm.begin_record("questionnaire", gm.clock.step_index, player_name)
+        record = gm.begin_record("questionnaire", gm.clock.step_index, player_name)
         try:
             try:
                 action = player.act(spec)
@@ -308,7 +308,7 @@ def administer_questionnaire(
             record.prompts.append(player.last_prompt)
             record.agent_states = player.component_states()
         finally:
-            gm.finish_record(record, recorder)
+            gm.finish_record(record)
         sheet.answers.append((spec.call_to_action, answer))
     questionnaire.sheets.append(sheet)
     return sheet

@@ -180,21 +180,6 @@ class EventStatement:
         if self.timestamp < self.cause.timestamp:
             raise ValueError("an event cannot precede its cause")
 
-    def to_dict(self) -> dict:
-        return {
-            "text": self.text,
-            "cause": self.cause.to_dict(),
-            "time": format_time(self.timestamp),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EventStatement":
-        return cls(
-            text=data["text"],
-            cause=AgentAction.from_dict(data["cause"]),
-            timestamp=parse_time(data["time"]),
-        )
-
 
 @dataclass(frozen=True)
 class Observation:

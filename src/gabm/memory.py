@@ -254,9 +254,6 @@ class MemoryBank:
         with self._lock:
             return self._records[-k:]
 
-    def texts(self) -> list[str]:
-        return [r.text for r in self.snapshot()]
-
 
 def importance_from_model(model, prompt_template: str) -> Callable[[str], float]:
     """Build an importance scorer that asks a model to rate each new memory.

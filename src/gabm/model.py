@@ -1,9 +1,11 @@
 """Language model backends behind one narrow sampling interface.
 
 The engine only ever needs two operations: sample free text, and sample one
-option from a fixed list.  Every call is recorded to whichever CallRecorder
-is currently installed on the backend, which is how trace records end up
-holding the complete prompt/response log for each acting turn.
+option from a fixed list.  Every call is recorded into the call list open in
+the calling context (``open_calls``), and only there; the game master opens
+each trace record's list for the span of that record, so a record holds the
+complete prompt/response log of its turn, whichever backend answered.  A
+call made with no list open is recorded nowhere.
 
 ScriptedModel is the deterministic test backend: an ordered rule list with
 per-rule consumption budgets and a default response.  HttpModel adapts any
@@ -52,8 +54,8 @@ CALL_TIME_WEIGHT = 0.1
 # Upper bound on pool threads; they start only as batches need them.
 POOL_MAX_WORKERS = 16
 
-# The calls of the parallel task running in this context, as (recorder,
-# call) pairs held back until the task's taker hands them on.
+# The call list open in this context: a trace record's model calls, or the
+# calls of the parallel task running here, held until its taker hands them on.
 _call_slot: contextvars.ContextVar[list | None] = contextvars.ContextVar(
     "gabm_call_slot", default=None
 )
@@ -61,16 +63,17 @@ _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
 
-class CallRecorder:
-    """Thread-safe sink for model calls, drained into one trace record."""
+def open_calls(calls: list[ModelCall]) -> contextvars.Token:
+    """Record the model calls made in this context into ``calls`` until closed.
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.calls: list[ModelCall] = []
+    The list stays open until ``close_calls`` gets the returned token,
+    which reopens whatever list was open before.
+    """
+    return _call_slot.set(calls)
 
-    def record(self, call: ModelCall) -> None:
-        with self._lock:
-            self.calls.append(call)
+
+def close_calls(token: contextvars.Token) -> None:
+    _call_slot.reset(token)
 
 
 class GenerativeModel:
@@ -79,31 +82,23 @@ class GenerativeModel:
     backend_id = "abstract"
 
     def __init__(self):
-        self._recorder: CallRecorder | None = None
         # Moving average of the wall time of _complete; None before any call.
         self.call_seconds: float | None = None
-
-    def set_recorder(self, recorder: CallRecorder | None) -> None:
-        self._recorder = recorder
 
     def _complete(self, prompt: str, max_chars: int | None) -> str:
         raise NotImplementedError
 
     def _record(self, caller: str, prompt: str, response: str, backend: str | None = None) -> None:
-        recorder = self._recorder
-        if recorder is None:
-            return
-        call = ModelCall(
-            caller=caller,
-            prompt=prompt,
-            response=response,
-            backend=self.backend_id if backend is None else backend,
-        )
-        slot = _call_slot.get()
-        if slot is None:
-            recorder.record(call)
-        else:
-            slot.append((recorder, call))
+        calls = _call_slot.get()
+        if calls is not None:
+            calls.append(
+                ModelCall(
+                    caller=caller,
+                    prompt=prompt,
+                    response=response,
+                    backend=self.backend_id if backend is None else backend,
+                )
+            )
 
     def sample_text(self, prompt: str, *, max_chars: int | None = None, caller: str = "") -> str:
         start = time.perf_counter()
@@ -152,14 +147,11 @@ def _shared_pool() -> ThreadPoolExecutor:
 
 
 def _hand_over(calls: list, result: object = None, error: BaseException | None = None) -> object:
-    # Inside a task of an enclosing batch the calls join that task's held
-    # calls; otherwise each goes to its recorder.
+    # The calls join the list open where the task is taken: the record's,
+    # or an enclosing task's held calls.
     enclosing = _call_slot.get()
     if enclosing is not None:
         enclosing.extend(calls)
-    else:
-        for recorder, call in calls:
-            recorder.record(call)
     if error is not None:
         raise error
     return result
@@ -168,13 +160,13 @@ def _hand_over(calls: list, result: object = None, error: BaseException | None =
 def _run_holding(task: Callable[[], object]) -> Callable[[], object]:
     # Runs the task with its calls held back; returns its taker.
     calls: list = []
-    token = _call_slot.set(calls)
+    token = open_calls(calls)
     try:
         result = task()
     except BaseException as exc:  # noqa: BLE001 - raised when taken
         return functools.partial(_hand_over, calls, error=exc)
     finally:
-        _call_slot.reset(token)
+        close_calls(token)
     return functools.partial(_hand_over, calls, result)
 
 
@@ -183,15 +175,15 @@ def run_holding_calls(
 ) -> list[Callable[[], object]]:
     """Run independent tasks; return one taker per task, in task order.
 
-    Calling a task's taker records the task's model calls and returns its
-    result or raises its error, so the caller decides where in its own
-    sequence each task's calls appear.  With more than one task and a
-    model whose measured call time is at least ``PARALLEL_MIN_CALL_S``,
-    the tasks run together on a shared thread pool before this returns,
-    and their calls are held until taken.  Otherwise each taker is the
-    task itself, which runs on the calling thread when taken.  Tasks must
-    not depend on each other's effects or on what the caller does between
-    takes.  A caller that takes the tasks in order and stops at the first
+    Calling a task's taker records the task's model calls into the call
+    list open where it is called and returns its result or raises its
+    error, so the caller decides where in its own sequence each task's
+    calls appear.  With more than one task and a model whose measured
+    call time is at least ``PARALLEL_MIN_CALL_S``, the tasks run together
+    on a shared thread pool before this returns, and their calls are held
+    until taken.  Otherwise each taker is the task itself, which runs on
+    the calling thread when taken.  Tasks must not depend on each other's
+    effects or on what the caller does between takes.  A caller that takes the tasks in order and stops at the first
     error records what running them one at a time would have recorded:
     the calls of the tasks after a failing one are never recorded, whether
     or not they ran.
@@ -212,7 +204,7 @@ def run_holding_calls(
 def run_in_order(tasks: Sequence[Callable[[], object]], model: GenerativeModel) -> None:
     """Run independent tasks; their model calls are recorded in task order.
 
-    The recorder sees every call of task 0, then of task 1, and so on,
+    The open call list gets every call of task 0, then of task 1, and so on,
     whatever order the calls came back in.  If tasks fail, the first
     failing task's error is raised once its calls are recorded, and the
     calls of the tasks after it are dropped.
@@ -308,12 +300,6 @@ class ScriptedModel(GenerativeModel):
                     rule.uses += 1
                     return rule.response
             return self.default_response
-
-    def to_dict(self) -> dict:
-        return {
-            "default": self.default_response,
-            "rules": [rule.to_dict() for rule in self.rules],
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScriptedModel":

@@ -86,7 +86,7 @@ def deliver_notifications(hub: NotificationHub, gm: GameMaster, player: str) -> 
     """Hand every queued notification for one player over as observations."""
     texts = hub.pop_for(player)
     for text in texts:
-        gm.emit_observation("notifications", player, text)
+        gm.emit_observation(player, text)
     return len(texts)
 
 

@@ -28,6 +28,8 @@ from gabm.model import ScriptedModel, ScriptRule
 from gabm.phone import CalendarApp, PhoneUniverse, run_phone_scene
 from gabm.trace import replay, run_built_scenario
 
+from conftest import memory_texts
+
 SCENARIOS = Path(gabm.__file__).parent / "scenarios"
 SCRIPTED_FIXTURES = ["calendar.json", "magic_beans.json", "three_questions.json"]
 
@@ -240,7 +242,7 @@ def test_criterion_4_transfers_conserve_and_reject_safely():
     assert rejected > 0  # the draw range guarantees plenty of overdrafts
     assert settled_paid > 0 and settled_gifts > 0
     for player in players:
-        invalid = [t for t in player.memory.texts() if t.startswith("Your action was invalid:")]
+        invalid = [t for t in memory_texts(player.memory) if t.startswith("Your action was invalid:")]
         assert len(invalid) == rejections[player.name]
     print(f"\nPASS grounding invariants: 1000 trades, {rejected} rejected, conservation exact")
 
@@ -293,7 +295,7 @@ def test_criterion_5_nested_scenes_round_trip():
         scene_minutes=25,
         label="errand",
     )
-    assert gm.memory.texts() == [
+    assert memory_texts(gm.memory) == [
         "[scene start: errand]",
         "[scene start: phone: Alice]",
         "Alice started using the phone.",
@@ -315,14 +317,14 @@ def test_criterion_5_nested_scenes_round_trip():
         scene_minutes=10,
         label="hallway chat",
     )
-    texts = gm.memory.texts()
+    texts = memory_texts(gm.memory)
     assert texts[-3:] == [
         'Alice said: "see you at ten"',
         "The conversation ended.",
         "[scene end: hallway chat]",
     ]
     assert gm.clock.current_time == parse_time("2024-05-01T10:05")
-    assert 'Alice said: "see you at ten"' in bob.memory.texts()
+    assert 'Alice said: "see you at ten"' in memory_texts(bob.memory)
     print("\nPASS nested scenes: LIFO markers, child memories merged, clock charged exactly")
 
 

@@ -19,7 +19,9 @@ from gabm.agent import (
 )
 from gabm.errors import EpisodeAbort, InvalidModelOutput
 from gabm.kernel import ActionSpec, GameClock, Observation, OutputKind
-from gabm.model import PARALLEL_MIN_CALL_S, CallRecorder, ScriptedModel, ScriptRule
+from gabm.model import PARALLEL_MIN_CALL_S, ScriptedModel, ScriptRule
+
+from conftest import memory_texts
 
 T0 = datetime(2024, 5, 1, 9, 0)
 FREE_SPEC = ActionSpec("What would {name} do next? It is {time}.", OutputKind.FREE_TEXT)
@@ -156,7 +158,7 @@ def test_observation_buffer_default_window_is_twenty():
 def test_observe_checks_recipient_and_feeds_memory():
     agent = make_agent([])
     agent.observe(Observation("Ada", "the door creaked", T0))
-    assert agent.memory.texts() == ["the door creaked"]
+    assert memory_texts(agent.memory) == ["the door creaked"]
     with pytest.raises(ValueError):
         agent.observe(Observation("Bob", "not for you", T0))
 
@@ -168,7 +170,7 @@ def test_free_text_act_memorizes_verbatim():
     assert action.actor == "Ada"
     assert action.text == "walks to the pier"
     assert action.timestamp == T0
-    assert agent.memory.texts() == ["walks to the pier"]
+    assert memory_texts(agent.memory) == ["walks to the pier"]
 
 
 def test_empty_free_text_is_invalid():
@@ -177,27 +179,23 @@ def test_empty_free_text_is_invalid():
         agent.act(FREE_SPEC)
 
 
-def test_choice_act_lists_options_and_returns_option_text():
+def test_choice_act_lists_options_and_returns_option_text(calls):
     spec = ActionSpec("Which way does {name} go?", OutputKind.CHOICE, ("go north", "go south"))
     model = ScriptedModel(rules=[ScriptRule(contains="Pick exactly one option", response="Go South")])
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
     agent = make_agent([], model=model)
     action = agent.act(spec)
     assert action.text == "go south"
-    prompt = recorder.calls[0].prompt
+    prompt = calls[0].prompt
     assert "Pick exactly one option:\n- go north\n- go south\nAnswer:" in prompt
 
 
-def test_float_act_appends_suffix_and_normalizes():
+def test_float_act_appends_suffix_and_normalizes(calls):
     spec = ActionSpec("How many apples does {name} buy?", OutputKind.FLOAT)
     model = ScriptedModel(default_response="about 2.50 apples")
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
     agent = make_agent([], model=model)
     action = agent.act(spec)
     assert action.text == "2.50"
-    assert recorder.calls[0].prompt.endswith(f"How many apples does Ada buy? {FLOAT_SUFFIX}")
+    assert calls[0].prompt.endswith(f"How many apples does Ada buy? {FLOAT_SUFFIX}")
 
 
 def test_float_act_retries_then_raises():
@@ -217,10 +215,8 @@ def test_float_act_retries_then_raises():
     assert model.call_count == 2
 
 
-def test_model_query_component_prompt_shape():
+def test_model_query_component_prompt_shape(calls):
     model = ScriptedModel(default_response="a quiet morning")
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
     component = ModelQueryComponent(
         name="summary",
         question="What is happening around {name}?",
@@ -233,7 +229,7 @@ def test_model_query_component_prompt_shape():
     agent.memory.add("breaking news", T0)
     agent.update_components()
     assert component.state() == "a quiet morning"
-    call = recorder.calls[0]
+    call = calls[0]
     assert call.caller == "component:Ada/summary:update"
     assert call.prompt == (
         "Instructions: this is a social simulation. Answer as Ada would.\n"
@@ -244,17 +240,15 @@ def test_model_query_component_prompt_shape():
     )
 
 
-def test_model_query_reads_render_peer_sections():
+def test_model_query_reads_render_peer_sections(calls):
     model = ScriptedModel(default_response="fine")
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
     component = ModelQueryComponent(
         name="verdict", question="So?", retrieval="none", reads=("goal",)
     )
     agent = make_agent([ConstantComponent("goal", "win"), component], model=model)
     agent.update_components()
-    assert "goal: win\n" in recorder.calls[0].prompt
-    assert "Memories of" not in recorder.calls[0].prompt
+    assert "goal: win\n" in calls[0].prompt
+    assert "Memories of" not in calls[0].prompt
 
 
 def test_model_query_rejects_unknown_retrieval():
@@ -262,7 +256,7 @@ def test_model_query_rejects_unknown_retrieval():
         ModelQueryComponent(name="x", question="q", retrieval="psychic")
 
 
-def test_three_questions_wiring_and_prompts():
+def test_three_questions_wiring_and_prompts(calls):
     model = ScriptedModel(
         rules=[
             ScriptRule(contains="What kind of situation", response="a market day"),
@@ -270,8 +264,6 @@ def test_three_questions_wiring_and_prompts():
             ScriptRule(contains="What does a person such as", response="haggles politely"),
         ]
     )
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
     components = three_questions_components()
     agent = make_agent(components, model=model)
     agent.memory.add("Ada set up her stall.", T0)
@@ -283,7 +275,7 @@ def test_three_questions_wiring_and_prompts():
         "identity": "a careful trader",
         "disposition": "haggles politely",
     }
-    second_pass = recorder.calls[3:]
+    second_pass = calls[3:]
     disposition_prompt = second_pass[2].prompt
     assert "situation: a market day\n" in disposition_prompt
     assert "identity: a careful trader\n" in disposition_prompt
@@ -356,18 +348,17 @@ class SlowQuestionModel(ScriptedModel):
         return super()._complete(prompt, max_chars)
 
 
-def slow_agent(model, components=None):
+def slow_agent(model, calls, components=None):
     model.sample_text("warm up")
     assert model.call_seconds >= PARALLEL_MIN_CALL_S
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
-    return make_agent(components or three_questions_components(), model=model), recorder
+    calls.clear()  # the warm-up call is no part of the pass
+    return make_agent(components or three_questions_components(), model=model)
 
 
-def test_update_pass_issues_three_questions_together_above_the_gate():
+def test_update_pass_issues_three_questions_together_above_the_gate(calls):
     # Run one after another, the first question would wait out the timeout.
     barrier = threading.Barrier(3, timeout=5)
-    agent, recorder = slow_agent(SlowQuestionModel(barrier=barrier))
+    agent = slow_agent(SlowQuestionModel(barrier=barrier), calls)
     agent.update_components()
     assert not barrier.broken
     assert agent.component_states() == {
@@ -375,19 +366,19 @@ def test_update_pass_issues_three_questions_together_above_the_gate():
         "identity": "a careful trader",
         "disposition": "haggles politely",
     }
-    assert [c.caller for c in recorder.calls] == UPDATE_CALLERS
+    assert [c.caller for c in calls] == UPDATE_CALLERS
 
 
-def test_update_pass_records_calls_in_declaration_order():
+def test_update_pass_records_calls_in_declaration_order(calls):
     # Each question answers only once the next one has: reverse order.
     model = SlowQuestionModel(after={"situation": "identity", "identity": "disposition"})
-    agent, recorder = slow_agent(model)
+    agent = slow_agent(model, calls)
     agent.update_components()
     assert [q for q, _ in model.finished[1:]] == ["disposition", "identity", "situation"]
-    assert [c.caller for c in recorder.calls] == UPDATE_CALLERS
+    assert [c.caller for c in calls] == UPDATE_CALLERS
 
 
-def test_parallel_component_failure_names_it_and_drops_later_calls():
+def test_parallel_component_failure_names_it_and_drops_later_calls(calls):
     class Broken(AgentComponent):
         def update(self):
             self.agent.model.sample_text("checking the weather", caller="weather")
@@ -395,12 +386,12 @@ def test_parallel_component_failure_names_it_and_drops_later_calls():
 
     situation, identity, _ = three_questions_components()
     model = SlowQuestionModel(after={"situation": "identity"})
-    agent, recorder = slow_agent(model, [situation, Broken("weather"), identity])
+    agent = slow_agent(model, calls, [situation, Broken("weather"), identity])
     with pytest.raises(EpisodeAbort, match=r"Ada/weather failed during update: kaput"):
         agent.update_components()
     # identity did run, but the serial pass would have stopped before it.
     assert model.done["identity"].is_set()
-    assert [c.caller for c in recorder.calls] == [UPDATE_CALLERS[0], "weather"]
+    assert [c.caller for c in calls] == [UPDATE_CALLERS[0], "weather"]
     assert situation.state() == ""
 
 

@@ -27,6 +27,8 @@ from gabm.model import EchoModel, ScriptedModel, ScriptRule
 from gabm.phone import PhoneUniverse, SceneTrigger
 from gabm.trace import run_built_scenario
 
+from conftest import memory_texts
+
 
 def valid_raw() -> dict:
     return {
@@ -228,7 +230,7 @@ def test_build_wires_everything(tmp_path):
         ObservationBuffer,
         ModelQueryComponent,
     ]
-    assert alice.memory.texts() == ["Alice likes mornings."]
+    assert memory_texts(alice.memory) == ["Alice likes mornings."]
     bob = built.players[1]
     assert [c.name for c in bob.components] == ["situation", "identity", "disposition"]
 
@@ -312,7 +314,7 @@ def test_build_profile_seeds_memory(tmp_path):
     )
     built = build(config_from_dict(raw, tmp_path), model=model)
     alice = built.players[0]
-    texts = alice.memory.texts()
+    texts = memory_texts(alice.memory)
     assert texts[0] == "Alice, 30, wry."
     assert texts.count("I raced the tide.") == 4  # ladder for 30: [6, 12, 18, 25]
     assert texts[-1] == "Alice likes mornings."  # initial memories land after seeding
@@ -414,6 +416,12 @@ REJECTED_EDITS = [
     ("scene child_step_minutes", _top(scene={"child_step_minutes": "x"}), "scene.child_step_minutes"),
     ("administer_at_end", _top(questionnaires=[BATTERY]), "questionnaires[0].administer_at_end"),
     ("unhashable clock mode", lambda raw: raw["clock"].update(mode=[]), "clock.mode"),
+    ("null clock mode", lambda raw: raw["clock"].update(mode=None), "clock.mode"),
+    (
+        "null question",
+        _top(questionnaires=[{"name": "exit", "questions": [None]}]),
+        "questionnaires[0].questions[0]",
+    ),
     ("profile age above 150", _profile(20000), "agents[0].profile.age"),
     ("profile age before year 1", _profile(90, start="0050-05-01T08:00"), "agents[0].profile.age"),
 ]

@@ -26,6 +26,8 @@ from gabm.kernel import ActionSpec, ClockMode, GameClock, OutputKind
 from gabm.model import ScriptedModel, ScriptRule
 from gabm.phone import DETECT_PHONE_QUESTION, CalendarApp, PhoneUniverse, SceneTrigger
 
+from conftest import memory_texts
+
 T0 = datetime(2024, 5, 1, 9, 0)
 
 
@@ -201,7 +203,7 @@ def test_event_statements_append_to_gm_memory():
     )
     gm = make_gm(players=[GenerativeAgent("Alice", model)], model=model)
     gm.run_episode(max_steps=2)
-    assert gm.memory.texts() == ["Alice tripped over the cat.", "Alice tripped over the cat."]
+    assert memory_texts(gm.memory) == ["Alice tripped over the cat.", "Alice tripped over the cat."]
 
 
 def test_partial_states_reach_the_player_before_acting():
@@ -213,7 +215,7 @@ def test_partial_states_reach_the_player_before_acting():
     player = GenerativeAgent("Alice", model)
     gm = make_gm(players=[player], components=[Whisper("whisper")], model=model)
     result = gm.run_episode(max_steps=1)
-    assert player.memory.texts()[0] == "psst, Alice"
+    assert memory_texts(player.memory)[0] == "psst, Alice"
     observation = result.trace[0].observations[0]
     assert (observation.recipient, observation.text) == ("Alice", "psst, Alice")
 
@@ -231,10 +233,10 @@ def test_observer_lines_fan_out_through_observation_delivery():
     alice = GenerativeAgent("Alice", model)
     bob = GenerativeAgent("Bob", model)
     gm = make_gm(players=[alice, bob], components=[ObservationDelivery()], model=model)
-    record, recorder = gm.begin_record("turn", 0, "Alice")
+    record = gm.begin_record("turn", 0, "Alice")
     gm.update_from_player(alice.act(gm.action_spec))
-    gm.finish_record(record, recorder)
-    assert bob.memory.texts() == ["Alice waved at him"]
+    gm.finish_record(record)
+    assert memory_texts(bob.memory) == ["Alice waved at him"]
     assert record.observations[0].recipient == "Bob"
     assert record.notes == ["observer line ignored (unknown player): Zed: sees nothing"]
 
@@ -267,7 +269,7 @@ def test_veto_rewords_outcome_and_notifies_actor():
     outcome_prompts = [p for p in prompts_seen if "The attempted action is invalid" in p]
     assert outcome_prompts and "theft is impossible here" in outcome_prompts[0]
     assert result.trace[0].event == "Alice reached for the gem but it would not budge."
-    assert "Your action was invalid: theft is impossible here." in alice.memory.texts()
+    assert "Your action was invalid: theft is impossible here." in memory_texts(alice.memory)
     # The veto is per-action: nothing sticks to the game master afterwards.
     assert gm.veto_reason is None or gm.veto_reason == "theft is impossible here"
 
@@ -292,7 +294,7 @@ def test_a_pre_event_effect_veto_wins_over_an_update_before_event_veto():
     )
     gm.run_episode(max_steps=1)
     assert gm.veto_reason == "shouting is not allowed"
-    assert "Your action was invalid: shouting is not allowed." in alice.memory.texts()
+    assert "Your action was invalid: shouting is not allowed." in memory_texts(alice.memory)
 
 
 def test_veto_state_resets_between_actions():
@@ -308,14 +310,14 @@ def test_veto_state_resets_between_actions():
     alice = GenerativeAgent("Alice", model)
     gm = make_gm(players=[alice], components=[NoStealing("rules"), ObservationDelivery()], model=model)
     gm.run_episode(max_steps=2)
-    invalid = [t for t in alice.memory.texts() if t.startswith("Your action was invalid")]
+    invalid = [t for t in memory_texts(alice.memory) if t.startswith("Your action was invalid")]
     assert len(invalid) == 1
 
 
 def test_emit_observation_rejects_unknown_player():
     gm = make_gm()
     with pytest.raises(ConfigError):
-        gm.emit_observation("test", "Nobody", "hello")
+        gm.emit_observation("Nobody", "hello")
 
 
 def test_action_from_unregistered_player_rejected():
@@ -431,7 +433,7 @@ def test_spawn_nested_game_brackets_memories_and_charges_time():
         label="tea break",
     )
     assert memories == ["they argued", "they made up"]
-    assert gm.memory.texts() == [
+    assert memory_texts(gm.memory) == [
         "[scene start: tea break]",
         "they argued",
         "they made up",
@@ -476,7 +478,7 @@ def test_nested_scenes_unwind_last_in_first_out():
         scene_minutes=30,
         label="outer",
     )
-    assert gm.memory.texts() == [
+    assert memory_texts(gm.memory) == [
         "[scene start: outer]",
         "[scene start: inner]",
         "inner happening",
@@ -506,8 +508,8 @@ def test_conversation_scene_round_robin_with_shared_dialogue():
         'Bob said: "Hello Alice"',
         "The conversation ended.",
     ]
-    assert 'Alice said: "Hello Bob"' in bob.memory.texts()
-    assert 'Bob said: "Hello Alice"' in alice.memory.texts()
+    assert 'Alice said: "Hello Bob"' in memory_texts(bob.memory)
+    assert 'Bob said: "Hello Alice"' in memory_texts(alice.memory)
     assert clock.current_time == T0 + timedelta(minutes=4)
     assert 'Alice said: "Hello Bob"' in bob.last_prompt
 
@@ -742,3 +744,69 @@ def test_failing_call_in_a_batch_ends_in_error_with_the_serial_partial_record(
     assert calls_of(parallel) == calls_of(serial)
     assert parallel.observations == serial.observations
     assert parallel.gm_states == serial.gm_states
+
+
+class OwnModelComponent(GMComponent):
+    """Asks a model of its own, neither the game master's nor a player's.
+
+    With ``meet`` its post-event query waits on that barrier first.
+    """
+
+    def __init__(self, meet=None):
+        super().__init__("own model")
+        self.model = ScriptedModel(default_response="noted")
+        self.meet = meet
+
+    def query_before_event(self, cause):
+        self.model.sample_text(f"Check: {cause.text}", caller="component:own:before")
+        return None
+
+    def query_after_event(self, event):
+        if self.meet is not None:
+            self.meet.wait()
+        self.model.sample_text(f"Note: {event.text}", caller="component:own:after")
+        return None
+
+
+@pytest.mark.parametrize("delay_ms", [0, 2], ids=["serial", "parallel"])
+def test_a_call_from_a_model_the_game_master_does_not_hold_lands_in_the_turn_record(delay_ms):
+    # Above the gate the post-event query must run together with the
+    # observers call, or that call waits out the timeout.
+    barrier = threading.Barrier(2, timeout=5) if delay_ms else None
+    model = BatchModel(delay_ms=delay_ms, meet={OBSERVERS_QUESTION: barrier} if barrier else None)
+    model.sample_text("warm up")
+    own = OwnModelComponent(meet=barrier)
+    gm = make_gm(
+        players=[GenerativeAgent("Alice", model)],
+        components=[own, ObservationDelivery()],
+        model=model,
+    )
+    result = gm.run_episode(max_steps=1)
+    assert result.reason == "max-steps"
+    assert barrier is None or not barrier.broken
+    (record,) = result.trace
+    assert [c.caller for c in record.model_calls] == [
+        "agent:Alice:act",
+        "component:own:before",
+        "gm:resolve:state",
+        "gm:resolve:outcome",
+        "gm:resolve:observers",
+        "component:own:after",
+    ]
+    own_calls = [c for c in record.model_calls if c.caller.startswith("component:own")]
+    assert [c.prompt for c in own_calls] == [
+        "Check: offers Bob 3 coin for 2 beans",
+        f"Note: {EVENT}",
+    ]
+    assert {c.response for c in own_calls} == {"noted"}
+
+
+@pytest.mark.parametrize("delay_ms", [0, 2], ids=["serial", "parallel"])
+def test_an_episode_ending_in_error_inside_a_batch_leaves_no_call_list_open(delay_ms):
+    model = BatchModel(delay_ms=delay_ms, fail_on=POST_EXTRACT)
+    result, record = run_batch_turn(model)
+    assert result.reason == "error"
+    kept = list(record.model_calls)
+    model.sample_text("after the episode", caller="later")
+    assert record.model_calls == kept
+    assert all(c.caller != "later" for r in result.trace for c in r.model_calls)

@@ -19,7 +19,9 @@ from gabm.genesis import (
     seed_memory,
 )
 from gabm.memory import MemoryBank
-from gabm.model import CallRecorder, ScriptedModel, ScriptRule
+from gabm.model import ScriptedModel, ScriptRule
+
+from conftest import memory_texts
 
 START = datetime(2024, 5, 1, 9, 0)
 
@@ -61,21 +63,19 @@ def test_profile_validation_and_traits_text():
     assert AgentProfile(name="Ada", age=30).traits_text() == "(none given)"
 
 
-def test_backstory_prompt_carries_profile_verbatim():
+def test_backstory_prompt_carries_profile_verbatim(calls):
     model = ScriptedModel(default_response="Ada grew up near the docks.")
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
     profile = AgentProfile(
         name="Ada", age=34, traits=("stubborn", "secretly sentimental"), context="runs a ferry"
     )
     backstory = generate_backstory(profile, model)
     assert backstory == "Ada grew up near the docks."
-    prompt = recorder.calls[0].prompt
+    prompt = calls[0].prompt
     assert "Name: Ada" in prompt
     assert "Age: 34" in prompt
     assert "Traits: stubborn, secretly sentimental" in prompt
     assert "Context: runs a ferry" in prompt
-    assert recorder.calls[0].caller == "genesis:Ada:backstory"
+    assert calls[0].caller == "genesis:Ada:backstory"
 
 
 def test_backstory_retries_once_then_fails():
@@ -94,7 +94,7 @@ def test_backstory_retries_once_then_fails():
     assert hopeless.call_count == 2
 
 
-def test_formative_memories_one_call_per_age():
+def test_formative_memories_one_call_per_age(calls):
     model = ScriptedModel(
         rules=[
             ScriptRule(contains="at age 6", response="I fell out of a tree."),
@@ -102,15 +102,13 @@ def test_formative_memories_one_call_per_age():
             ScriptRule(contains="at age 18", response="I left home at dawn."),
         ]
     )
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
     profile = AgentProfile(name="Ada", age=20, traits=("brave",))
     memory_set = generate_formative_memories(profile, "Ada's story.", model)
     assert [m.age for m in memory_set.memories] == [6, 12, 18]
     assert memory_set.memories[0].text == "I fell out of a tree."
-    callers = [c.caller for c in recorder.calls]
+    callers = [c.caller for c in calls]
     assert callers == ["genesis:Ada:age-6", "genesis:Ada:age-12", "genesis:Ada:age-18"]
-    prompt = recorder.calls[0].prompt
+    prompt = calls[0].prompt
     assert "Biography of Ada:\nAda's story.\n" in prompt
     assert "the traits: brave" in prompt
 
@@ -174,4 +172,4 @@ def test_generate_and_seed_composes():
     assert memory_set.backstory == "Ada, 20, sails."
     assert len(memory_set.memories) == 3  # ladder for age 20: [6, 12, 18]
     assert len(bank) == 4
-    assert bank.texts() == ["Ada, 20, sails."] + ["I learned to swim."] * 3
+    assert memory_texts(bank) == ["Ada, 20, sails."] + ["I learned to swim."] * 3

@@ -24,6 +24,8 @@ from gabm.grounding import (
 from gabm.kernel import ActionSpec, GameClock, OutputKind
 from gabm.model import ScriptedModel, ScriptRule
 
+from conftest import memory_texts
+
 T0 = datetime(2024, 5, 1, 9, 0)
 
 
@@ -175,7 +177,7 @@ def test_affordable_trade_settles_atomically_through_a_turn():
     assert inventory.inventory.get("Alice", "coin") == Decimal("7.00")
     assert inventory.inventory.get("Bob", "beans") == Decimal("3.00")
     assert inventory.inventory.get("Bob", "coin") == Decimal("3.00")
-    amendments = [t for t in gm.memory.texts() if t.startswith("Amendment")]
+    amendments = [t for t in memory_texts(gm.memory) if t.startswith("Amendment")]
     assert amendments == [
         "Amendment: transfer of 2.00 beans from Bob to Alice for 3.00 coin succeeded."
     ]
@@ -206,7 +208,7 @@ def test_unaffordable_attempt_is_vetoed_and_narrated_as_failure():
     assert record.event == "Bob reached for the beans but the deal fell through."
     assert inventory.inventory.get("Alice", "beans") == Decimal("5.00")
     assert inventory.inventory.get("Bob", "coin") == Decimal("1.00")
-    assert "Your action was invalid: insufficient beans." in bob.memory.texts()
+    assert "Your action was invalid: insufficient beans." in memory_texts(bob.memory)
 
 
 def test_settle_refuses_when_post_event_balance_is_short():
@@ -215,11 +217,11 @@ def test_settle_refuses_when_post_event_balance_is_short():
         endowments={"Alice": {"coin": 2}, "Bob": {"beans": 1}},
     rules=[],
     )
-    record, recorder = gm.begin_record("turn", 0, "Alice")
+    record = gm.begin_record("turn", 0, "Alice")
     outcome = inventory.settle(
         "Alice", Trade(buyer="Alice", seller="Bob", item="beans", qty=Decimal("1"), price=Decimal("5"))
     )
-    gm.finish_record(record, recorder)
+    gm.finish_record(record)
     assert not outcome.ok and outcome.reason == "insufficient coin"
     assert inventory.inventory.get("Bob", "beans") == Decimal("1.00")
     assert inventory.inventory.get("Alice", "coin") == Decimal("2.00")
@@ -285,7 +287,7 @@ def test_questionnaire_leaves_clock_and_state_alone():
     administer_questionnaire(questionnaire, gm, "Alice")
     assert gm.clock.current_time == T0
     assert gm.clock.step_index == 0
-    assert gm.memory.texts() == []  # no events were resolved
+    assert memory_texts(gm.memory) == []  # no events were resolved
 
 
 def test_questionnaire_no_response_fallback():

@@ -13,13 +13,14 @@ from gabm.errors import BackendUnavailable, NoMatchingOption
 from gabm.kernel import ModelCall
 from gabm.model import (
     PARALLEL_MIN_CALL_S,
-    CallRecorder,
     EchoModel,
     GenerativeModel,
     HttpModel,
     ReplayModel,
     ScriptRule,
     ScriptedModel,
+    close_calls,
+    open_calls,
     render_choice_prompt,
     run_holding_calls,
     run_in_order,
@@ -86,19 +87,25 @@ def test_rule_needs_exactly_one_matcher():
 
 
 def test_script_round_trips_through_json(tmp_path):
-    model = ScriptedModel(
-        rules=[
-            ScriptRule(contains="a", response="1", max_uses=2),
-            ScriptRule(pattern="b+", response="2"),
-            ScriptRule(contains_all=("c", "d"), response="3"),
+    script = {
+        "default": "dflt",
+        "rules": [
+            {"contains": "a", "response": "1", "max_uses": 2},
+            {"pattern": "b+", "response": "2"},
+            {"contains_all": ["c", "d"], "response": "3"},
         ],
-        default_response="dflt",
-    )
+    }
     path = tmp_path / "script.json"
-    path.write_text(json.dumps(model.to_dict()), encoding="utf-8")
-    again = ScriptedModel.from_file(str(path))
-    assert again.to_dict() == model.to_dict()
-    assert again.sample_text("a") == "1"
+    path.write_text(json.dumps(script), encoding="utf-8")
+    model = ScriptedModel.from_file(str(path))
+    assert model.rules == [
+        ScriptRule(contains="a", response="1", max_uses=2),
+        ScriptRule(pattern="b+", response="2"),
+        ScriptRule(contains_all=("c", "d"), response="3"),
+    ]
+    assert [rule.to_dict() for rule in model.rules] == script["rules"]
+    assert model.default_response == "dflt"
+    assert model.sample_text("a") == "1"
 
 
 def test_sample_choice_matches_directly():
@@ -107,7 +114,7 @@ def test_sample_choice_matches_directly():
     assert (index, text) == (1, "no")
 
 
-def test_sample_choice_retries_then_succeeds():
+def test_sample_choice_retries_then_succeeds(calls):
     model = ScriptedModel(
         rules=[
             ScriptRule(contains="pick", response="garbage", max_uses=1),
@@ -115,13 +122,11 @@ def test_sample_choice_retries_then_succeeds():
             ScriptRule(contains="pick", response="yes"),
         ]
     )
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
     index, text = model.sample_choice("pick one", ("yes", "no"))
     assert (index, text) == (0, "yes")
     # Two failures plus the success, every attempt logged.
-    assert len(recorder.calls) == 3
-    assert "exactly one of the options" in recorder.calls[1].prompt
+    assert len(calls) == 3
+    assert "exactly one of the options" in calls[1].prompt
 
 
 def test_sample_choice_exhausts_retry_budget():
@@ -132,17 +137,23 @@ def test_sample_choice_exhausts_retry_budget():
     assert model.call_count == 4
 
 
-def test_recorder_sees_every_call_in_order():
+def test_calls_are_recorded_into_the_open_list_only():
     model = ScriptedModel(rules=[ScriptRule(contains="q", response="a")])
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
+    model.sample_text("q0", caller="zero")  # no list open: recorded nowhere
+    outer: list[ModelCall] = []
+    inner: list[ModelCall] = []
+    outer_token = open_calls(outer)
     model.sample_text("q1", caller="one")
-    model.sample_text("q2", caller="two")
-    model.set_recorder(None)
+    inner_token = open_calls(inner)
+    EchoModel().sample_text("q2", caller="two")
+    close_calls(inner_token)
     model.sample_text("q3", caller="three")
-    assert [c.caller for c in recorder.calls] == ["one", "two"]
-    assert [c.response for c in recorder.calls] == ["a", "a"]
-    assert all(c.backend == "scripted" for c in recorder.calls)
+    close_calls(outer_token)
+    model.sample_text("q4", caller="four")
+    assert [c.caller for c in outer] == ["one", "three"]
+    assert [c.response for c in outer] == ["a", "a"]
+    assert [c.caller for c in inner] == ["two"]
+    assert [c.backend for c in outer + inner] == ["scripted", "scripted", "echo"]
 
 
 def test_echo_model_answers_last_line():
@@ -157,34 +168,30 @@ def test_render_choice_prompt_lists_options():
     assert "- red" in rendered and "- blue" in rendered
 
 
-def test_replay_model_feeds_recorded_sequence():
-    calls = [
+def test_replay_model_feeds_recorded_sequence(calls):
+    recorded = [
         ModelCall("a", "p1", "r1", "scripted"),
         ModelCall("b", "p2", "r2", "http"),
     ]
-    model = ReplayModel(calls)
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
+    model = ReplayModel(recorded)
     assert model.sample_text("anything") == "r1"
     assert model.sample_text("anything else") == "r2"
     assert model.sample_text("overflow") == ""
-    assert [c.backend for c in recorder.calls] == ["scripted", "http", "http"]
+    assert [c.backend for c in calls] == ["scripted", "http", "http"]
 
 
-def test_replay_model_answers_in_recorded_order_and_never_runs_a_batch_together():
-    calls = [
+def test_replay_model_answers_in_recorded_order_and_never_runs_a_batch_together(calls):
+    recorded = [
         ModelCall("a", "p1", "r1", "scripted"),
         ModelCall("b", "p2", "r2", "http"),
         ModelCall("a", "p3", "r3", "scripted"),
     ]
-    model = ReplayModel(calls)
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
+    model = ReplayModel(recorded)
     # The caller does not steer which recorded call answers.
     assert model.sample_text("x", caller="b") == "r1"
     assert model.sample_text("x", caller="a") == "r2"
     assert model.sample_text("x", caller="c") == "r3"
-    assert [c.backend for c in recorder.calls] == ["scripted", "http", "scripted"]
+    assert [c.backend for c in calls] == ["scripted", "http", "scripted"]
     # Replay measures no call time, so a batch runs one task at a time, in
     # task order, when each is taken: the order the trace recorded.
     assert model.call_seconds is None
@@ -218,24 +225,21 @@ class SleepyModel(GenerativeModel):
         return prompt
 
 
-def warmed(model: GenerativeModel) -> GenerativeModel:
+def warmed(model: GenerativeModel, calls: list[ModelCall]) -> GenerativeModel:
     model.sample_text("warm up")
     assert model.call_seconds >= PARALLEL_MIN_CALL_S
+    calls.clear()  # the warm-up call is no part of the check
     return model
 
 
-def test_run_in_order_records_in_task_order_not_completion_order():
-    model = warmed(SleepyModel({"first": 60, "second": 30, "third": 1}))
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
+def test_run_in_order_records_in_task_order_not_completion_order(calls):
+    model = warmed(SleepyModel({"first": 60, "second": 30, "third": 1}), calls)
     run_in_order([lambda p=p: model.sample_text(p, caller=p) for p in ("first", "second", "third")], model)
-    assert [c.caller for c in recorder.calls] == ["first", "second", "third"]
+    assert [c.caller for c in calls] == ["first", "second", "third"]
 
 
-def test_run_in_order_hands_nested_batches_to_the_enclosing_task():
-    model = warmed(SleepyModel({"a": 40, "b1": 30, "b2": 1, "c": 1}))
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
+def test_run_in_order_hands_nested_batches_to_the_enclosing_task(calls):
+    model = warmed(SleepyModel({"a": 40, "b1": 30, "b2": 1, "c": 1}), calls)
 
     def call(prompt):
         return lambda: model.sample_text(prompt, caller=prompt)
@@ -245,13 +249,11 @@ def test_run_in_order_hands_nested_batches_to_the_enclosing_task():
         run_in_order([call("b1"), call("b2")], model)
 
     run_in_order([call("a"), nested, call("c")], model)
-    assert [c.caller for c in recorder.calls] == ["a", "b0", "b1", "b2", "c"]
+    assert [c.caller for c in calls] == ["a", "b0", "b1", "b2", "c"]
 
 
-def test_run_in_order_raises_first_failure_in_task_order_and_drops_later_calls():
-    model = warmed(SleepyModel({"slow failure": 40}))
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
+def test_run_in_order_raises_first_failure_in_task_order_and_drops_later_calls(calls):
+    model = warmed(SleepyModel({"slow failure": 40}), calls)
 
     def fail(prompt):
         def task():
@@ -268,15 +270,14 @@ def test_run_in_order_raises_first_failure_in_task_order_and_drops_later_calls()
     ]
     with pytest.raises(RuntimeError, match="slow failure"):
         run_in_order(tasks, model)
-    assert [c.caller for c in recorder.calls] == ["ok", "slow failure"]
+    assert [c.caller for c in calls] == ["ok", "slow failure"]
 
 
 @pytest.mark.parametrize("delay_ms", [0, 2], ids=["serial", "parallel"])
-def test_run_holding_calls_records_only_what_is_taken(delay_ms):
+def test_run_holding_calls_records_only_what_is_taken(delay_ms, calls):
     model = SleepyModel(default_ms=delay_ms)
     model.sample_text("warm up")
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
+    calls.clear()
 
     def fail():
         model.sample_text("failing", caller="failing")
@@ -291,12 +292,12 @@ def test_run_holding_calls_records_only_what_is_taken(delay_ms):
     # over it even at 0 ms, so check against what this batch will see.
     together = model.call_seconds >= PARALLEL_MIN_CALL_S
     take_ok, take_failed, _ = run_holding_calls(tasks, model)
-    assert recorder.calls == []
+    assert calls == []
     assert take_ok() == "ok"
-    assert [c.caller for c in recorder.calls] == ["ok"]
+    assert [c.caller for c in calls] == ["ok"]
     with pytest.raises(RuntimeError, match="failing"):
         take_failed()
-    assert [c.caller for c in recorder.calls] == ["ok", "failing"]
+    assert [c.caller for c in calls] == ["ok", "failing"]
     # Run together, all three ran before the first take; one at a time,
     # each runs when taken.  Either way the untaken task's call is not
     # recorded.

@@ -9,7 +9,7 @@ from gabm.agent import GenerativeAgent
 from gabm.errors import ConfigError
 from gabm.game_master import GameMaster
 from gabm.kernel import GameClock
-from gabm.model import CallRecorder, ScriptedModel, ScriptRule
+from gabm.model import ScriptedModel, ScriptRule
 from gabm.phone import (
     AppActionDescriptor,
     AppContext,
@@ -26,6 +26,8 @@ from gabm.phone import (
     run_phone_scene,
     translate_action,
 )
+
+from conftest import memory_texts
 
 T0 = datetime(2024, 5, 1, 9, 0)
 
@@ -135,7 +137,7 @@ def test_deliver_notifications_lands_as_observations():
     hub.push("Bob", "your package arrived")
     count = deliver_notifications(hub, gm, "Bob")
     assert count == 1
-    assert bob.memory.texts() == ["your package arrived"]
+    assert memory_texts(bob.memory) == ["your package arrived"]
     assert deliver_notifications(hub, gm, "Bob") == 0
 
 
@@ -148,12 +150,12 @@ def test_notifications_arrive_at_next_pre_act_only_for_recipient():
     universe.attach(gm)
     universe.hub.push("Bob", "ping")
     gm.pre_act_observe(alice)
-    assert alice.memory.texts() == []
-    assert bob.memory.texts() == []
+    assert memory_texts(alice.memory) == []
+    assert memory_texts(bob.memory) == []
     gm.pre_act_observe(bob)
-    assert bob.memory.texts() == ["ping"]
+    assert memory_texts(bob.memory) == ["ping"]
     gm.pre_act_observe(bob)
-    assert bob.memory.texts() == ["ping"]  # delivered exactly once
+    assert memory_texts(bob.memory) == ["ping"]  # delivered exactly once
 
 
 def universe_with_phone(owner="Alice") -> tuple[PhoneUniverse, Phone]:
@@ -173,7 +175,7 @@ def test_universe_registration_rules():
     assert universe.phone_for("Nobody") is None
 
 
-def test_translate_action_happy_path():
+def test_translate_action_happy_path(calls):
     universe, phone = universe_with_phone()
     model = ScriptedModel(
         rules=[
@@ -183,8 +185,6 @@ def test_translate_action_happy_path():
             ScriptRule(contains="parameter 'when'", response="tomorrow at 12:30"),
         ]
     )
-    recorder = CallRecorder()
-    model.set_recorder(recorder)
     invocation = translate_action(universe, phone, "set up lunch with Bob", model, now=T0)
     assert invocation is not None
     assert (invocation.app, invocation.action) == ("calendar", "add_meeting")
@@ -194,13 +194,13 @@ def test_translate_action_happy_path():
         "when": datetime(2024, 5, 2, 12, 30),
     }
     assert invocation.result == "Added meeting 'lunch' with Bob at 2024-05-02T12:30."
-    assert [c.caller for c in recorder.calls] == [
+    assert [c.caller for c in calls] == [
         "phone:translate:choose",
         "phone:translate:param:title",
         "phone:translate:param:participant",
         "phone:translate:param:when",
     ]
-    choose_prompt = recorder.calls[0].prompt
+    choose_prompt = calls[0].prompt
     assert "Alice wants to: set up lunch with Bob" in choose_prompt
     assert "Apps installed on Alice's phone:" in choose_prompt
     assert universe.hub.pop_for("Bob") == ["New meeting 'lunch' with Alice at 2024-05-02T12:30."]
@@ -300,8 +300,8 @@ def test_phone_scene_single_action_then_done():
         "Alice finished using the phone.",
     ]
     assert clock.current_time == datetime(2024, 5, 1, 9, 1)
-    assert "The calendar is empty." in alice.memory.texts()
-    assert "check my calendar" in alice.memory.texts()
+    assert "The calendar is empty." in memory_texts(alice.memory)
+    assert "check my calendar" in memory_texts(alice.memory)
 
 
 def test_phone_scene_untranslatable_action_ends_scene():
@@ -315,7 +315,7 @@ def test_phone_scene_untranslatable_action_ends_scene():
     _, alice, _, scene = scene_fixture(model)
     memories = scene.run()
     assert memories[-1] == "The phone has no suitable app for that."
-    assert "The phone has no suitable app for that." in alice.memory.texts()
+    assert "The phone has no suitable app for that." in memory_texts(alice.memory)
 
 
 def test_phone_scene_hits_step_cap():
@@ -363,7 +363,7 @@ def test_run_phone_scene_brackets_and_charges_parent_clock():
     universe.attach(gm)
     memories = run_phone_scene(gm, universe, "Alice", trigger="Alice pulled out her phone.")
     assert memories[0] == "Alice started using the phone."
-    texts = gm.memory.texts()
+    texts = memory_texts(gm.memory)
     assert texts[0] == "[scene start: phone: Alice]"
     assert texts[-1] == "[scene end: phone: Alice]"
     assert "Phone: The calendar is empty." in texts
@@ -399,7 +399,7 @@ def test_scene_trigger_fires_only_for_phone_events_by_phone_owners():
     )
     universe.attach(gm)
     gm.run_episode(max_steps=1)
-    texts = gm.memory.texts()
+    texts = memory_texts(gm.memory)
     assert "[scene start: phone: Alice]" in texts
     assert "Alice started using the phone." in texts
     assert not any("phone: Bob" in t for t in texts)
@@ -426,7 +426,7 @@ def test_scene_trigger_skips_actor_without_phone():
     universe.attach(gm)
     result = gm.run_episode(max_steps=1)
     assert any("has no phone; scene skipped" in n for n in result.trace[0].notes)
-    assert gm.memory.texts() == ["Bob fiddled with his phone."]
+    assert memory_texts(gm.memory) == ["Bob fiddled with his phone."]
 
 
 def test_app_state_is_shared_across_scenes_and_phones():
