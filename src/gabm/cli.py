@@ -7,9 +7,9 @@ abort, 3 replay divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from pathlib import Path
 
 from . import config as config_mod
 from . import trace as trace_mod
@@ -55,30 +55,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # The overrides take the config's own field types.
+    for flag, value, ftype in (
+        ("--seed", args.seed, config_mod.SEED),
+        ("--max-steps", args.max_steps, config_mod.MAX_STEPS),
+    ):
+        if value is not None and not ftype.accepts(value):
+            print(f"{flag} {ftype.must}, got {value}", file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         cfg = config_mod.load_config(args.config)
     except ConfigValidationError as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
+    # Open the trace before building, so an unwritable path costs no model calls.
     try:
-        built = config_mod.build(
-            cfg,
-            script_override=args.script,
-            seed_override=args.seed,
-            max_steps_override=args.max_steps,
-        )
-    except SimulationError as exc:
-        print(f"cannot build scenario: {exc}", file=sys.stderr)
+        handle = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        print(f"cannot write trace: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    out_path = Path(args.out) if args.out else None
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            outcome = trace_mod.run_built_scenario(built, out=handle)
-    else:
-        outcome = trace_mod.run_built_scenario(built, out=None)
+    with handle or contextlib.nullcontext():
+        try:
+            built = config_mod.build(
+                cfg,
+                script_override=args.script,
+                seed_override=args.seed,
+                max_steps_override=args.max_steps,
+            )
+        except SimulationError as exc:
+            print(f"cannot build scenario: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        outcome = trace_mod.run_built_scenario(built, out=handle)
     print(trace_mod.summarize(outcome))
-    if out_path is not None:
-        print(f"trace: {out_path} ({outcome.records_written} records)")
+    if args.out:
+        print(f"trace: {args.out} ({outcome.records_written} records)")
     if outcome.result.reason == "error":
         print(f"episode aborted: {outcome.result.error}", file=sys.stderr)
         return EXIT_ABORT
@@ -103,18 +113,27 @@ def _parse_step_range(text: str) -> tuple[int, int]:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     try:
+        step_range = _parse_step_range(args.steps) if args.steps else None
+    except ValueError:
+        print(f"--steps must be A:B with integer bounds, got {args.steps!r}", file=sys.stderr)
+        return EXIT_VALIDATION
+    try:
         read = trace_mod.read_trace(args.trace)
     except OSError as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     for line_no, message in read.errors:
         print(f"line {line_no}: corrupt record ({message})", file=sys.stderr)
-    step_range = _parse_step_range(args.steps) if args.steps else None
     records = trace_mod.filter_records(
         read.records, agent=args.agent, step_range=step_range, search=args.search
     )
     if args.extract_pairs:
-        with open(args.extract_pairs, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(args.extract_pairs, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"cannot write pairs: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        with handle:
             for pair in trace_mod.extract_pairs(records):
                 handle.write(json.dumps(pair, sort_keys=True, ensure_ascii=False) + "\n")
         print(f"wrote {len(records)} record(s) worth of pairs to {args.extract_pairs}")

@@ -6,15 +6,22 @@ found, each tagged UnresolvedReference (a name points at nothing) or
 MalformedField (a value has the wrong shape) with the offending path.
 ``build`` turns a validated config into live objects ready to run.
 
-Agent components, game-master components and apps are described once, in
-the registry tables ``AGENT_COMPONENTS``, ``GM_COMPONENTS`` and ``APPS``.
-Each maps a kind string to a ``Kind``: the kind's constructor, its config
-fields with their types, and the names it declares.  Validation checks a
-component object against its kind, unknown fields included, and ``build``
-passes the constructor only the fields the object contains.  So every
-field ``build`` reads is checked first, each default lives in one place
-(the constructor's signature), and a field is required exactly when its
-parameter has no default.  Adding a kind is one entry.
+Every config object has a field table, a dict of field name -> type, and
+one checker, ``_Validator._check_fields``, checks each object against its
+table; a key the table lacks is rejected, in every object.  Agent
+components, game-master components and apps are described once, in the
+registry tables ``AGENT_COMPONENTS``, ``GM_COMPONENTS`` and ``APPS``.  Each
+maps a kind string to a ``Kind``: the kind's constructor, its config fields
+with their types, and the names it declares; a field is required exactly
+when its parameter has no default.  The other objects (the top level,
+``clock``, ``model``, ``gm``, ``scene``, an agent, a profile, a
+questionnaire battery and an action spec) have their tables in
+``_CONFIG``; the rules across fields (the script file, ``reads``, age
+against ``clock.start``, agent, app and phone names, an action spec's
+options) run once the fields they read are checked.  ``build`` passes each
+constructor only the fields the config sets, so every field ``build``
+reads is checked first and each default lives in one place, the
+constructor's signature.  Adding a kind is one entry.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from .agent import (
 )
 from .errors import ConfigError, ConfigIssue, ConfigValidationError
 from .game_master import (
-    DEFAULT_GM_PREAMBLE,
     GameMaster,
     GMComponent,
     ObservationDelivery,
@@ -62,20 +68,6 @@ ENGINE_VERSION = "0.1.0"
 
 MODEL_KINDS = {"scripted": ScriptedModel, "echo": EchoModel, "http": HttpModel}
 CLOCK_MODES = {"round": ClockMode.ADVANCE_PER_ROUND, "player": ClockMode.ADVANCE_PER_PLAYER}
-TOP_LEVEL_KEYS = {
-    "seed",
-    "max_steps",
-    "clock",
-    "model",
-    "script",
-    "action_spec",
-    "agents",
-    "gm",
-    "apps",
-    "phones",
-    "scene",
-    "questionnaires",
-}
 
 
 @dataclass
@@ -131,10 +123,12 @@ class _Type(NamedTuple):
     accepts: Callable[[object], bool]
     must: str
     required_message: str = ""  # for a required field, when not ``must``
+    missing: str = ""  # for a required field that is absent or null, when not the above
 
     def check(self, v: "_Validator", path: str, value, required: bool) -> None:
         if not self.accepts(value):
-            v.malformed(path, (self.required_message or self.must) if required else self.must)
+            message = required and ((value is None and self.missing) or self.required_message)
+            v.malformed(path, message or self.must)
 
 
 class _Map(NamedTuple):
@@ -153,11 +147,64 @@ class _Map(NamedTuple):
             self.values.check(v, f"{path}.{key}", item, False)
 
 
-class _Reads:
-    """Peer component names, resolved once all of the agent's components are declared."""
+class _Object(NamedTuple):
+    """A nested object: its field table, then ``rule`` across its fields."""
+
+    fields: dict
+    required: frozenset = frozenset()
+    must: str = "must be an object"
+    nullable: bool = False  # null stands for an absent object
+    rule: Callable | None = None  # (validator, path, object), once the fields are checked
 
     def check(self, v: "_Validator", path: str, value, required: bool) -> None:
-        v.reads.append((path, value))
+        if value is None and self.nullable:
+            return
+        if v._check_fields(path, value, self.fields, self.required, self.must) and self.rule:
+            self.rule(v, path, value)
+
+
+class _List(NamedTuple):
+    """A list whose items each have the type ``item``."""
+
+    item: "_Object | _Rule"
+    must: str = "must be a list"
+    non_empty: bool = False
+
+    def check(self, v: "_Validator", path: str, value, required: bool) -> None:
+        if not isinstance(value, list) or (self.non_empty and not value):
+            v.malformed(path, self.must)
+            return
+        for i, item in enumerate(value):
+            self.item.check(v, f"{path}[{i}]", item, True)
+
+
+class _Kinds(NamedTuple):
+    """A list of registry-kind objects, each checked against the kind its ``key`` names.
+
+    The names they declare collect in ``v.declared``, for an agent's reads.
+    """
+
+    key: str
+    kinds: dict
+
+    def check(self, v: "_Validator", path: str, value, required: bool) -> None:
+        if not isinstance(value, list):
+            v.malformed(path, "must be a list")
+            return
+        for i, obj in enumerate(value):
+            kind = v._check_kind(f"{path}[{i}]", obj, self.key, self.kinds)
+            if kind is not None:
+                v.declared.extend(kind.declares(obj))
+
+
+class _Rule(NamedTuple):
+    """A field checked by a function of (validator, path, value, required)."""
+
+    check: Callable  # called as the other types' ``check`` methods are
+
+
+# Peer component names, resolved once all of the agent's components are declared.
+_READS = _Rule(lambda v, path, value, required: v.reads.append((path, value)))
 
 
 _TEXT = _Type(_is_text, "must be a non-empty string", "required non-empty string")
@@ -166,6 +213,10 @@ _STRINGS = _Type(_is_string_list, "must be a list of strings")
 _COUNT = _Type(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
 _POSITIVE = _Type(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
 _BOOL = _Type(lambda v: isinstance(v, bool), "must be true or false")
+SEED = _Type(
+    lambda v: _is_int(v) and 0 <= v < 2**64, "must be an integer in [0, 2^64)", missing="required"
+)
+MAX_STEPS = _POSITIVE._replace(missing="required")
 
 
 class Kind:
@@ -193,7 +244,12 @@ class Kind:
         return self._declares
 
     def build(self, obj: dict, **extra):
-        return self.make(**extra, **{name: obj[name] for name in self.fields if name in obj})
+        return self.make(**extra, **_given(obj, self.fields))
+
+
+def _given(obj: dict, names) -> dict:
+    """The fields among ``names`` that ``obj`` sets."""
+    return {name: obj[name] for name in names if name in obj}
 
 
 AGENT_COMPONENTS = {
@@ -210,7 +266,7 @@ AGENT_COMPONENTS = {
         retrieval=_Type(lambda v: v in RETRIEVAL_MODES, "must be recent, associative, or none"),
         k=_COUNT,
         query_text=_STRING,
-        reads=_Reads(),
+        reads=_READS,
         cadence=_Type(
             lambda v: v in ("step", "manual") or (_is_int(v) and v >= 1),
             'must be "step", "manual" or a positive integer',
@@ -242,9 +298,170 @@ _PROFILE = Kind(
     traits=_STRINGS,
     context=_STRING,
 )
-_GM_FIELDS = {"preamble": _STRING}
-_SCENE_FIELDS = {"minutes": _COUNT, "max_actions": _POSITIVE, "child_step_minutes": _COUNT}
-_BATTERY_FIELDS = {"name": _TEXT, "administer_at_end": _BOOL}
+
+
+# The other config objects, each a field table plus the rules across fields.
+
+
+def _check_start(v: "_Validator", path: str, start, required: bool) -> None:
+    if not isinstance(start, str):
+        v.malformed(path, "required ISO minute timestamp")
+        return
+    try:
+        v.start = parse_time(start)
+    except ValueError:
+        v.malformed(path, f"not an ISO minute timestamp: {start!r}")
+
+
+def _check_script(v: "_Validator", path: str, script, required: bool) -> None:
+    if script is None:
+        return
+    if not isinstance(script, str):
+        v.malformed(path, "must be a path string")
+    elif v.check_files and not (v.base_dir / script).is_file():
+        v.unresolved(path, f"script file not found: {script}")
+
+
+_OUTPUT_KIND = _Type(lambda v: v in ("free", "choice", "float"), "must be free, choice, or float")
+
+
+def _check_options(v: "_Validator", path: str, spec: dict) -> None:
+    """Build the spec once its fields have their types: ActionSpec holds the option rules."""
+    shapes = (("output_kind", _OUTPUT_KIND), ("options", _STRINGS))
+    if all(name not in spec or ftype.accepts(spec[name]) for name, ftype in shapes):
+        try:
+            ActionSpec.from_dict({**spec, "call_to_action": ""})
+        except ValueError as exc:
+            v.malformed(f"{path}.options", str(exc))
+
+
+_ACTION_SPEC = _Object(
+    {"call_to_action": _TEXT, "output_kind": _OUTPUT_KIND, "options": _STRINGS},
+    frozenset({"call_to_action"}),
+    rule=_check_options,
+)
+
+
+def _check_age(v: "_Validator", path: str, profile: dict) -> None:
+    # Genesis back-dates the backstory to the birth year, start - age.
+    age = profile.get("age")
+    if v.start is not None and _PROFILE.fields["age"].accepts(age) and age >= v.start.year:
+        v.malformed(f"{path}.age", f"back-dates before year 1 of clock.start {v.start.year}")
+
+
+def _check_agent_name(v: "_Validator", path: str, name, required: bool) -> None:
+    """A name no earlier agent has; ``_check_agent`` has checked that it is text."""
+    if name in v.agent_names:
+        v.malformed(path, f"duplicate agent name {name!r}")
+    v.agent_names.add(name)
+
+
+_AGENT_FIELDS = {
+    "name": _Rule(_check_agent_name),
+    "initial_memories": _STRINGS,
+    "profile": _Object(_PROFILE.fields, _PROFILE.required, nullable=True, rule=_check_age),
+    "components": _Kinds("type", AGENT_COMPONENTS),
+}
+
+
+def _check_agent(v: "_Validator", path: str, agent, required: bool) -> None:
+    """An agent's fields, then the reads of its components against the names they declare."""
+    name = agent.get("name") if isinstance(agent, dict) else None
+    if isinstance(agent, dict) and not _is_text(name):
+        _TEXT.check(v, f"{path}.name", name, True)  # and nothing else of a nameless agent
+        return
+    if not v._check_fields(path, agent, _AGENT_FIELDS):
+        return
+    for reads_path, reads in v.reads:
+        if not isinstance(reads, list):
+            v.malformed(reads_path, "must be a list")
+            continue
+        for read in reads:
+            if read not in v.declared:
+                v.unresolved(reads_path, f"agent {name!r} declares no component {read!r}")
+    v.reads, v.declared = [], []
+
+
+def _check_app(v: "_Validator", path: str, app, required: bool) -> None:
+    kind = v._check_kind(path, app, "kind", APPS)
+    if not isinstance(app, dict):
+        return
+    # An app of unknown kind is still named, by default after its kind.
+    name = kind.declares(app)[0] if kind else app.get("name", app.get("kind"))
+    if not _is_text(name):
+        if kind is None:
+            v.malformed(f"{path}.name", "must be a non-empty string")
+        return
+    if name in v.app_names:
+        v.malformed(f"{path}.name", f"duplicate app name {name!r}")
+    v.app_names.add(name)
+
+
+def _check_phones(v: "_Validator", path: str, phones, required: bool) -> None:
+    if not isinstance(phones, dict):
+        v.malformed(path, "must be an object of owner -> app names")
+        return
+    for owner, apps in phones.items():
+        if owner not in v.agent_names:
+            v.unresolved(f"{path}.{owner}", f"no agent named {owner!r}")
+        if not _is_string_list(apps):
+            v.malformed(f"{path}.{owner}", "must be a list of app names")
+            continue
+        for app in apps:
+            if app not in v.app_names:
+                v.unresolved(f"{path}.{owner}", f"no app named {app!r}")
+
+
+_SCENE = _Object(
+    {"minutes": _COUNT, "max_actions": _POSITIVE, "child_step_minutes": _COUNT}, nullable=True
+)
+_CONFIG = _Object(
+    {
+        "seed": SEED,
+        "max_steps": MAX_STEPS,
+        "clock": _Object(
+            {
+                "start": _Rule(_check_start),
+                "step_minutes": _COUNT,
+                "mode": _Type(
+                    lambda m: isinstance(m, str) and m in CLOCK_MODES,
+                    f"must be one of {sorted(CLOCK_MODES)}",
+                ),
+            },
+            frozenset({"start", "step_minutes"}),
+            "required object with start, step_minutes, mode",
+        ),
+        "model": _Object(
+            {
+                "kind": _Type(
+                    lambda k: isinstance(k, str) and k in MODEL_KINDS,
+                    f"must be one of {list(MODEL_KINDS)}",
+                )
+            },
+            frozenset({"kind"}),
+            "required object with kind",
+        ),
+        "script": _Rule(_check_script),
+        "action_spec": _ACTION_SPEC._replace(nullable=True),
+        "agents": _List(_Rule(_check_agent), "required non-empty list", non_empty=True),
+        "gm": _Object({"preamble": _TEXT, "components": _Kinds("type", GM_COMPONENTS)}),
+        "apps": _List(_Rule(_check_app)),
+        "phones": _Rule(_check_phones),
+        "scene": _SCENE,
+        "questionnaires": _List(
+            _Object(
+                {
+                    "name": _TEXT,
+                    "administer_at_end": _BOOL,
+                    "questions": _List(_ACTION_SPEC, "required non-empty list", non_empty=True),
+                },
+                frozenset({"name", "questions"}),
+            )
+        ),
+    },
+    frozenset({"seed", "max_steps", "clock", "model", "agents"}),
+    "config must be a JSON object",
+)
 
 
 class _Validator:
@@ -254,7 +471,10 @@ class _Validator:
         self.check_files = check_files
         self.issues: list[ConfigIssue] = []
         self.agent_names: set[str] = set()
+        self.app_names: set[str] = set()
+        # The reads fields and the declared component names of the agent being checked.
         self.reads: list[tuple[str, object]] = []
+        self.declared: list = []
         self.start: datetime | None = None  # clock.start, once it parses
 
     def malformed(self, path: str, message: str) -> None:
@@ -264,36 +484,29 @@ class _Validator:
         self.issues.append(ConfigIssue("UnresolvedReference", path, message))
 
     def run(self) -> list[ConfigIssue]:
-        raw = self.raw
-        if not isinstance(raw, dict):
-            self.malformed("$", "config must be a JSON object")
-            return self.issues
-        for key in raw:
-            if key not in TOP_LEVEL_KEYS:
-                self.malformed(key, "unknown field")
-        self._check_seed()
-        self._check_max_steps()
-        self._check_clock()
-        self._check_model()
-        if raw.get("action_spec") is not None:
-            self._check_action_spec("action_spec", raw["action_spec"])
-        self.agent_names = self._check_agents()
-        self._check_gm()
-        app_names = self._check_apps()
-        self._check_phones(app_names)
-        if raw.get("scene") is not None:
-            self._check_fields("scene", raw["scene"], _SCENE_FIELDS)
-        self._check_questionnaires()
+        _CONFIG.check(self, "$", self.raw, True)
         return self.issues
 
-    def _check_fields(self, path: str, obj, fields: dict, required=frozenset()) -> bool:
-        """Check an object's listed fields; False when it is not an object."""
+    def _check_fields(
+        self, path: str, obj, fields: dict, required=frozenset(), must="must be an object", kind_key=None
+    ) -> bool:
+        """Check an object against its field table; False when it is not an object.
+
+        Keys outside the table are unknown, except ``kind_key``, the key naming
+        a registry kind.  The fields are then checked in table order.
+        """
         if not isinstance(obj, dict):
-            self.malformed(path, "must be an object")
+            self.malformed(path, must)
             return False
+        prefix = "" if path == "$" else f"{path}."
+        for name in obj:
+            if name not in fields and name != kind_key:
+                self.malformed(f"{prefix}{name}", "unknown field")
         for name, ftype in fields.items():
-            if name in obj or name in required:
-                ftype.check(self, f"{path}.{name}", obj.get(name), name in required)
+            if name in obj:
+                ftype.check(self, prefix + name, obj[name], name in required)
+            elif name in required:
+                ftype.check(self, prefix + name, None, True)
         return True
 
     def _check_kind(self, path: str, obj, key: str, kinds: dict[str, Kind]) -> Kind | None:
@@ -306,192 +519,8 @@ class _Validator:
         if entry is None:
             self.malformed(f"{path}.{key}", f"must be one of {list(kinds)}")
             return None
-        for name in obj:
-            if name != key and name not in entry.fields:
-                self.malformed(f"{path}.{name}", "unknown field")
-        self._check_fields(path, obj, entry.fields, entry.required)
+        self._check_fields(path, obj, entry.fields, entry.required, kind_key=key)
         return entry
-
-    def _check_seed(self) -> None:
-        seed = self.raw.get("seed")
-        if seed is None:
-            self.malformed("seed", "required")
-        elif not _is_int(seed) or not (0 <= seed < 2**64):
-            self.malformed("seed", "must be an integer in [0, 2^64)")
-
-    def _check_max_steps(self) -> None:
-        steps = self.raw.get("max_steps")
-        if steps is None:
-            self.malformed("max_steps", "required")
-        elif not _is_int(steps) or steps < 1:
-            self.malformed("max_steps", "must be a positive integer")
-
-    def _check_clock(self) -> None:
-        clock = self.raw.get("clock")
-        if not isinstance(clock, dict):
-            self.malformed("clock", "required object with start, step_minutes, mode")
-            return
-        start = clock.get("start")
-        if not isinstance(start, str):
-            self.malformed("clock.start", "required ISO minute timestamp")
-        else:
-            try:
-                self.start = parse_time(start)
-            except ValueError:
-                self.malformed("clock.start", f"not an ISO minute timestamp: {start!r}")
-        _COUNT.check(self, "clock.step_minutes", clock.get("step_minutes"), True)
-        mode = clock.get("mode")
-        if "mode" in clock and not (isinstance(mode, str) and mode in CLOCK_MODES):
-            self.malformed("clock.mode", f"must be one of {sorted(CLOCK_MODES)}")
-
-    def _check_model(self) -> None:
-        model = self.raw.get("model")
-        if not isinstance(model, dict):
-            self.malformed("model", "required object with kind")
-            return
-        kind = model.get("kind")
-        if not isinstance(kind, str) or kind not in MODEL_KINDS:
-            self.malformed("model.kind", f"must be one of {list(MODEL_KINDS)}")
-        script = self.raw.get("script")
-        if script is not None:
-            if not isinstance(script, str):
-                self.malformed("script", "must be a path string")
-            elif self.check_files and not (self.base_dir / script).is_file():
-                self.unresolved("script", f"script file not found: {script}")
-
-    def _check_action_spec(self, path: str, spec) -> None:
-        if not isinstance(spec, dict):
-            self.malformed(path, "must be an object")
-            return
-        _TEXT.check(self, f"{path}.call_to_action", spec.get("call_to_action"), True)
-        kind = spec.get("output_kind", "free")
-        if kind not in ("free", "choice", "float"):
-            self.malformed(f"{path}.output_kind", "must be free, choice, or float")
-        options = spec.get("options", [])
-        if not _is_string_list(options):
-            self.malformed(f"{path}.options", "must be a list of strings")
-        elif kind == "choice":
-            if len(options) < 2 or len(set(options)) != len(options):
-                self.malformed(f"{path}.options", "choice needs at least two distinct options")
-        elif options:
-            self.malformed(f"{path}.options", f"{kind} takes no options")
-
-    def _check_agents(self) -> set[str]:
-        agents = self.raw.get("agents")
-        names: set[str] = set()
-        if not isinstance(agents, list) or not agents:
-            self.malformed("agents", "required non-empty list")
-            return names
-        for i, agent in enumerate(agents):
-            path = f"agents[{i}]"
-            if not isinstance(agent, dict):
-                self.malformed(path, "must be an object")
-                continue
-            name = agent.get("name")
-            if not isinstance(name, str) or not name:
-                self.malformed(f"{path}.name", "required non-empty string")
-                continue
-            if name in names:
-                self.malformed(f"{path}.name", f"duplicate agent name {name!r}")
-            names.add(name)
-            if not _is_string_list(agent.get("initial_memories", [])):
-                self.malformed(f"{path}.initial_memories", "must be a list of strings")
-            if agent.get("profile") is not None:
-                self._check_profile(f"{path}.profile", agent["profile"])
-            self._check_agent_components(path, agent, name)
-        return names
-
-    def _check_profile(self, path: str, profile) -> None:
-        if not self._check_fields(path, profile, _PROFILE.fields, _PROFILE.required):
-            return
-        # Genesis back-dates the backstory to the birth year, start - age.
-        age = profile.get("age")
-        if self.start is not None and _PROFILE.fields["age"].accepts(age) and age >= self.start.year:
-            self.malformed(f"{path}.age", f"back-dates before year 1 of clock.start {self.start.year}")
-
-    def _check_agent_components(self, path: str, agent: dict, agent_name: str) -> None:
-        components = agent.get("components", [])
-        if not isinstance(components, list):
-            self.malformed(f"{path}.components", "must be a list")
-            return
-        declared: list = []
-        self.reads = []
-        for j, comp in enumerate(components):
-            kind = self._check_kind(f"{path}.components[{j}]", comp, "type", AGENT_COMPONENTS)
-            if kind is not None:
-                declared.extend(kind.declares(comp))
-        for reads_path, reads in self.reads:
-            if not isinstance(reads, list):
-                self.malformed(reads_path, "must be a list")
-                continue
-            for read in reads:
-                if read not in declared:
-                    message = f"agent {agent_name!r} declares no component {read!r}"
-                    self.unresolved(reads_path, message)
-
-    def _check_gm(self) -> None:
-        gm = self.raw.get("gm", {})
-        if not self._check_fields("gm", gm, _GM_FIELDS):
-            return
-        components = gm.get("components", [])
-        if not isinstance(components, list):
-            self.malformed("gm.components", "must be a list")
-            return
-        for i, comp in enumerate(components):
-            self._check_kind(f"gm.components[{i}]", comp, "type", GM_COMPONENTS)
-
-    def _check_apps(self) -> set[str]:
-        apps = self.raw.get("apps", [])
-        names: set[str] = set()
-        if not isinstance(apps, list):
-            self.malformed("apps", "must be a list")
-            return names
-        for i, app in enumerate(apps):
-            path = f"apps[{i}]"
-            kind = self._check_kind(path, app, "kind", APPS)
-            if not isinstance(app, dict):
-                continue
-            # An app of unknown kind is still named, by default after its kind.
-            name = kind.declares(app)[0] if kind else app.get("name", app.get("kind"))
-            if not _is_text(name):
-                if kind is None:
-                    self.malformed(f"{path}.name", "must be a non-empty string")
-                continue
-            if name in names:
-                self.malformed(f"{path}.name", f"duplicate app name {name!r}")
-            names.add(name)
-        return names
-
-    def _check_phones(self, app_names: set[str]) -> None:
-        phones = self.raw.get("phones", {})
-        if not isinstance(phones, dict):
-            self.malformed("phones", "must be an object of owner -> app names")
-            return
-        for owner, apps in phones.items():
-            if owner not in self.agent_names:
-                self.unresolved(f"phones.{owner}", f"no agent named {owner!r}")
-            if not _is_string_list(apps):
-                self.malformed(f"phones.{owner}", "must be a list of app names")
-                continue
-            for app in apps:
-                if app not in app_names:
-                    self.unresolved(f"phones.{owner}", f"no app named {app!r}")
-
-    def _check_questionnaires(self) -> None:
-        questionnaires = self.raw.get("questionnaires", [])
-        if not isinstance(questionnaires, list):
-            self.malformed("questionnaires", "must be a list")
-            return
-        for i, battery in enumerate(questionnaires):
-            path = f"questionnaires[{i}]"
-            if not self._check_fields(path, battery, _BATTERY_FIELDS, {"name"}):
-                continue
-            questions = battery.get("questions")
-            if not isinstance(questions, list) or not questions:
-                self.malformed(f"{path}.questions", "required non-empty list")
-                continue
-            for j, question in enumerate(questions):
-                self._check_action_spec(f"{path}.questions[{j}]", question)
 
 
 def validate_config(raw: dict, base_dir: Path, check_files: bool = True) -> list[ConfigIssue]:
@@ -597,7 +626,7 @@ def build(
     phones_cfg = raw.get("phones", {})
     scene_cfg = raw.get("scene") or {}
     if apps_cfg or phones_cfg or scene_cfg or any(kind.universe for kind, _ in gm_kinds):
-        scene = {name: scene_cfg[name] for name in _SCENE_FIELDS if name in scene_cfg}
+        scene = _given(scene_cfg, _SCENE.fields)
         if "minutes" in scene:
             scene["scene_minutes"] = scene.pop("minutes")
         universe = PhoneUniverse(**scene)
@@ -619,8 +648,8 @@ def build(
         clock=clock,
         components=gm_components,
         action_spec=ActionSpec.from_dict(action_spec) if action_spec is not None else None,
-        preamble=gm_cfg.get("preamble") or DEFAULT_GM_PREAMBLE,
         rng=random.Random(seed),
+        **_given(gm_cfg, ["preamble"]),
     )
     if universe is not None:
         universe.attach(gm)

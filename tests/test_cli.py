@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -45,6 +46,35 @@ def test_run_honors_seed_and_step_overrides(tmp_path, capsys):
     assert header["seed"] == 9
     assert header["max_steps"] == 1
     assert "records: 4" in capsys.readouterr().out  # 1 round + 2 questionnaires
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        pytest.param("--max-steps", "0", "--max-steps must be a positive integer", id="max-steps 0"),
+        pytest.param("--max-steps", "-3", "--max-steps must be a positive integer", id="max-steps -3"),
+        pytest.param("--seed", "-1", "--seed must be an integer in [0, 2^64)", id="seed -1"),
+    ],
+)
+def test_run_rejects_an_override_the_config_could_not_hold(tmp_path, capsys, flag, value, message):
+    config_path = write_scenario(tmp_path)
+    out = tmp_path / "trace.jsonl"
+    assert main(["run", "--config", str(config_path), "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_reports_an_unwritable_trace_path_before_building(tmp_path, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a scenario whose trace cannot be written")
+
+    monkeypatch.setattr(gabm.config, "build", no_build)
+    config_path = write_scenario(tmp_path)
+    out = tmp_path / "missing" / "trace.jsonl"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write trace:") and err.count("\n") == 1
 
 
 def test_run_rejects_invalid_config(tmp_path, capsys):
@@ -125,6 +155,22 @@ def test_audit_extract_pairs_writes_jsonl(tmp_path, capsys):
     assert rows[0]["actor"] == "Alice"
 
 
+def test_audit_rejects_a_malformed_step_range(tmp_path, capsys):
+    _, out = run_trace(tmp_path)
+    capsys.readouterr()
+    assert main(["audit", "--trace", str(out), "--steps", "a:b"]) == 1
+    assert capsys.readouterr().err == "--steps must be A:B with integer bounds, got 'a:b'\n"
+
+
+def test_audit_reports_an_unwritable_pairs_path(tmp_path, capsys):
+    _, out = run_trace(tmp_path)
+    capsys.readouterr()
+    pairs = tmp_path / "missing" / "pairs.jsonl"
+    assert main(["audit", "--trace", str(out), "--extract-pairs", str(pairs)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write pairs:") and err.count("\n") == 1
+
+
 def test_audit_missing_trace(tmp_path, capsys):
     assert main(["audit", "--trace", str(tmp_path / "absent.jsonl")]) == 1
     assert "cannot read trace" in capsys.readouterr().err
@@ -157,6 +203,23 @@ def test_blank_gm_outcome_ends_in_error_and_replays(tmp_path, capsys):
     report = replay(out)
     assert report.ok, report.detail
     assert report.records_checked == 1
+
+
+def test_replay_rejects_an_embedded_config_with_an_unknown_field(tmp_path, capsys):
+    # A trace written before every config object rejected unknown fields may
+    # embed one; its config no longer validates, so it no longer replays.
+    _, out = run_trace(tmp_path)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    header["config"]["clock"]["tick"] = 3
+    config_bytes = canonical_json(header["config"]).encode("utf-8")
+    header["config_hash"] = hashlib.sha256(config_bytes).hexdigest()
+    lines[0] = canonical_json(header)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "embedded config invalid" in err and "MalformedField at clock.tick: unknown field" in err
 
 
 def test_replay_divergence_exit_code(tmp_path, capsys):

@@ -424,6 +424,33 @@ REJECTED_EDITS = [
     ),
     ("profile age above 150", _profile(20000), "agents[0].profile.age"),
     ("profile age before year 1", _profile(90, start="0050-05-01T08:00"), "agents[0].profile.age"),
+    ("empty gm preamble", lambda raw: raw["gm"].update(preamble=""), "gm.preamble"),
+    # A misspelt field in any object is an unknown field, not a silent default.
+    ("unknown clock field", lambda raw: raw["clock"].update(tick=3), "clock.tick"),
+    ("unknown model field", lambda raw: raw["model"].update(temperature=0), "model.temperature"),
+    (
+        "unknown action_spec field",
+        _top(action_spec={"call_to_action": "Go, {name}.", "bogus": 1}),
+        "action_spec.bogus",
+    ),
+    ("unknown scene field", _top(scene={"minuets": 3}), "scene.minuets"),
+    ("unknown gm field", lambda raw: raw["gm"].update(foo=3), "gm.foo"),
+    ("unknown agent field", lambda raw: raw["agents"][1].update(memories=["x"]), "agents[1].memories"),
+    (
+        "unknown profile field",
+        lambda raw: raw["agents"][0].update(profile={"age": 30, "trait": ["wry"]}),
+        "agents[0].profile.trait",
+    ),
+    (
+        "unknown questionnaire field",
+        _top(questionnaires=[{"name": "exit", "at_end": True, "questions": [{"call_to_action": "Why?"}]}]),
+        "questionnaires[0].at_end",
+    ),
+    (
+        "unknown question field",
+        _top(questionnaires=[{"name": "exit", "questions": [{"call_to_action": "Why?", "kind": "free"}]}]),
+        "questionnaires[0].questions[0].kind",
+    ),
 ]
 
 
