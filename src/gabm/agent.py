@@ -8,6 +8,11 @@ stages its next state while reading the pre-update states of its peers, and
 all staged states publish together once the pass completes.  That two-phase
 swap keeps reads consistent no matter how updates are scheduled, which is
 what lets the updates of one pass run in parallel.
+
+Components keep no reference to their agent: the agent passes itself to
+each ``update`` hook, and nothing is bound at construction.  An agent keeps
+no clock either: whoever asks it to act passes the time it acts at, so a
+nested scene on its own clock hands its own time in.
 """
 
 from __future__ import annotations
@@ -18,26 +23,23 @@ from datetime import datetime
 from decimal import Decimal
 
 from .errors import EpisodeAbort, InvalidModelOutput, NotANumber
-from .kernel import ActionSpec, AgentAction, GameClock, Observation, OutputKind, parse_float_token
+from .kernel import ActionSpec, AgentAction, Observation, OutputKind, format_time, parse_float_token
 from .memory import MemoryBank
-from .model import GenerativeModel, render_choice_prompt, run_in_order
+from .model import GenerativeModel, render_choice_prompt, run_in_order, sample_repaired
 
 DEFAULT_PREAMBLE = "Instructions: this is a social simulation. Answer as {name} would."
 FLOAT_SUFFIX = "Answer with a single number."
-FLOAT_RETRY_BUDGET = 3
 _FLOAT_REPAIR = "Answer with a single number and nothing else."
 RETRIEVAL_MODES = ("recent", "associative", "none")
-
-# Fallback timestamp for agents acting outside any clocked episode.
-EPOCH = datetime(1970, 1, 1)
 
 
 class AgentComponent:
     """One named slice of an agent's working state.
 
-    ``state()`` is side-effect free.  ``update()`` is the only mutator and
-    must stage its result through ``publish``; the owning agent commits all
-    staged states after the update pass.  ``cadence`` is "step" (every
+    ``state()`` is side-effect free.  ``update(agent)`` is the only mutator
+    and must stage its result through ``publish``; the owning agent passes
+    itself in, and commits all staged states after the update pass.  A
+    component holds no reference to its agent.  ``cadence`` is "step" (every
     update pass), an integer N (every Nth pass), or "manual" (never run by
     the agent's own scheduler).
     """
@@ -49,10 +51,6 @@ class AgentComponent:
         self.cadence = cadence
         self._state = ""
         self._staged: str | None = None
-        self.agent: "GenerativeAgent | None" = None
-
-    def bind(self, agent: "GenerativeAgent") -> None:
-        self.agent = agent
 
     def state(self) -> str:
         return self._state
@@ -72,7 +70,7 @@ class AgentComponent:
             return False
         return pass_index % int(self.cadence) == 0
 
-    def update(self) -> None:  # pragma: no cover - default is a no-op
+    def update(self, agent: "GenerativeAgent") -> None:  # pragma: no cover - default is a no-op
         pass
 
     def observe(self, observation: Observation) -> None:
@@ -98,7 +96,7 @@ class ObservationBuffer(AgentComponent):
     def observe(self, observation: Observation) -> None:
         self._pending.append(observation.text)
 
-    def update(self) -> None:
+    def update(self, agent: "GenerativeAgent") -> None:
         for text in self._pending:
             self._window.append(text)
         self._pending.clear()
@@ -135,30 +133,28 @@ class ModelQueryComponent(AgentComponent):
         self.reads = reads
         self._state = initial_state
 
-    def _retrieved(self) -> list[str]:
-        assert self.agent is not None
-        bank = self.agent.memory
+    def _retrieved(self, agent: "GenerativeAgent") -> list[str]:
+        bank = agent.memory
         if self.retrieval == "recent":
             return [r.text for r in bank.retrieve_recent(self.k)]
         if self.retrieval == "associative":
-            query = self.query_text or self.agent.name
+            query = self.query_text or agent.name
             return [r.text for r in bank.retrieve_associative(query, self.k)]
         return []
 
-    def update(self) -> None:
-        assert self.agent is not None
-        name = self.agent.name
-        parts = [self.agent.preamble_text(), "\n"]
-        memories = self._retrieved()
+    def update(self, agent: "GenerativeAgent") -> None:
+        name = agent.name
+        parts = [agent.preamble_text(), "\n"]
+        memories = self._retrieved(agent)
         if memories:
             parts.append(f"Memories of {name}:\n")
             for text in memories:
                 parts.append(f"- {text}\n")
         for peer_name in self.reads:
-            peer = self.agent.component(peer_name)
+            peer = agent.component(peer_name)
             parts.append(f"{peer.name}: {peer.state()}\n")
         parts.append(f"Question: {self.question.replace('{name}', name)}\nAnswer:")
-        answer = self.agent.model.sample_text(
+        answer = agent.model.sample_text(
             "".join(parts), caller=f"component:{name}/{self.name}:update"
         )
         self.publish(answer.strip())
@@ -180,7 +176,6 @@ class GenerativeAgent:
         memory: MemoryBank | None = None,
         components: list[AgentComponent] | None = None,
         preamble: str = DEFAULT_PREAMBLE,
-        clock: GameClock | None = None,
     ):
         if not name:
             raise ValueError("agent needs a non-empty name")
@@ -193,9 +188,7 @@ class GenerativeAgent:
             if component.name in seen:
                 raise ValueError(f"duplicate component name {component.name!r}")
             seen.add(component.name)
-            component.bind(self)
         self.preamble = preamble
-        self.clock = clock
         self.last_prompt = ""
         self._update_passes = 0
 
@@ -210,14 +203,6 @@ class GenerativeAgent:
 
     def component_states(self) -> dict[str, str]:
         return {component.name: component.state() for component in self.components}
-
-    def now(self) -> datetime:
-        return self.clock.current_time if self.clock is not None else EPOCH
-
-    def now_text(self) -> str:
-        from .kernel import format_time
-
-        return format_time(self.now())
 
     def observe(self, observation: Observation) -> None:
         if observation.recipient != self.name:
@@ -246,22 +231,23 @@ class GenerativeAgent:
 
     def _update_one(self, component: AgentComponent) -> None:
         try:
-            component.update()
+            component.update(self)
         except Exception as exc:
             raise EpisodeAbort(
                 f"component {self.name}/{component.name} failed during update: {exc}"
             ) from exc
 
-    def context_of_action(self, spec: ActionSpec) -> str:
-        """Render the full acting prompt for one spec."""
-        call = spec.render(self.name, self.now_text())
+    def context_of_action(self, spec: ActionSpec, now: datetime) -> str:
+        """Render the full acting prompt for one spec at time ``now``."""
+        call = spec.render(self.name, format_time(now))
         if spec.output_kind is OutputKind.FLOAT:
             call = f"{call} {FLOAT_SUFFIX}"
         sections = "".join([f"{c.name}: {c.state()}\n" for c in self.components])
         return self.preamble_text() + "\n" + sections + call
 
-    def act(self, spec: ActionSpec) -> AgentAction:
-        prompt = self.context_of_action(spec)
+    def act(self, spec: ActionSpec, now: datetime) -> AgentAction:
+        """Sample one action at time ``now``; the action is memorized at that time."""
+        prompt = self.context_of_action(spec, now)
         self.last_prompt = prompt
         caller = f"agent:{self.name}:act"
         if spec.output_kind is OutputKind.CHOICE:
@@ -274,22 +260,17 @@ class GenerativeAgent:
             text = self.model.sample_text(prompt, caller=caller).strip()
             if not text:
                 raise InvalidModelOutput(f"{self.name} produced an empty action")
-        action = AgentAction(actor=self.name, text=text, spec=spec, timestamp=self.now())
-        self.memory.add(text, self.now())
+        action = AgentAction(actor=self.name, text=text, spec=spec, timestamp=now)
+        self.memory.add(text, now)
         return action
 
     def _sample_float(self, prompt: str, caller: str) -> Decimal:
-        attempt_prompt = prompt
-        last_error: NotANumber | None = None
-        for attempt in range(1 + FLOAT_RETRY_BUDGET):
-            if attempt > 0:
-                attempt_prompt = attempt_prompt + "\n" + _FLOAT_REPAIR
-            raw = self.model.sample_text(attempt_prompt, caller=caller)
-            try:
-                return parse_float_token(raw)
-            except NotANumber as exc:
-                last_error = exc
-        raise InvalidModelOutput(f"{self.name} gave no numeric answer: {last_error}")
+        try:
+            return sample_repaired(
+                self.model, prompt, parse_float_token, NotANumber, _FLOAT_REPAIR, caller=caller
+            )
+        except NotANumber as exc:
+            raise InvalidModelOutput(f"{self.name} gave no numeric answer: {exc}") from None
 
 
 SITUATION_QUESTION = "What kind of situation is this?"

@@ -608,9 +608,7 @@ def build(
             made = AGENT_COMPONENTS[comp["type"]].build(comp)
             components.extend(made if isinstance(made, list) else [made])
         bank = MemoryBank(embedder=HashEmbedder())
-        agent = GenerativeAgent(
-            name=agent_cfg["name"], model=model, memory=bank, components=components, clock=clock
-        )
+        agent = GenerativeAgent(name=agent_cfg["name"], model=model, memory=bank, components=components)
         profile_cfg = agent_cfg.get("profile")
         if profile_cfg is not None:
             profile = _PROFILE.build(profile_cfg, name=agent.name)

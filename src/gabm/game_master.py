@@ -25,6 +25,11 @@ still happens (calls recorded, effects applied, the event memorized) and
 nothing after it does.  The one difference from asking one call at a time
 is on the pre-event side: there every ``update_before_event`` has already
 run, and the states snapshot is in the record, when a query fails.
+
+Components keep no reference to their game master: every hook that acts
+on it gets it as its first argument, and nothing is bound at construction.
+Players keep no clock: the game master passes its clock's time to ``act``,
+and a nested scene passes the time of its own clock.
 """
 
 from __future__ import annotations
@@ -79,8 +84,10 @@ class GMComponent:
     ``state()`` renders the full picture for the game master's own
     reasoning; ``partial_state(player)`` renders only what that player may
     know.  ``update_before_event`` sees the attempted action and may
-    ``veto`` it; ``update_after_event`` sees the resolved event and is the
-    place to emit observations and mutate grounded variables.
+    ``gm.veto`` it; ``update_after_event`` sees the resolved event and is
+    the place to emit observations and mutate grounded variables.  The game
+    master passes itself as the first argument of ``update`` and of every
+    event hook and query; a component holds no reference to it.
 
     A component that asks the model about the action or the event does so
     by overriding ``query_before_event`` or ``query_after_event``; only
@@ -89,8 +96,9 @@ class GMComponent:
     calling ``gm.model`` it only reads the action or event and the
     component's own state, and touches no game master, record, note,
     observation or other component.  It returns the effect to apply, or
-    None.  The game master applies effects on its own thread in
-    declaration order: pre-event effects after every
+    None; an effect that acts on the game master carries it, e.g. as a
+    ``functools.partial``.  The game master applies effects on its own
+    thread in declaration order: pre-event effects after every
     ``update_before_event`` and before the outcome call, each post-event
     effect just before the same component's ``update_after_event``.  A
     pre-event effect may veto.  When more than one component vetoes, the
@@ -100,10 +108,6 @@ class GMComponent:
 
     def __init__(self, name: str):
         self.name = name
-        self.gm: "GameMaster | None" = None
-
-    def bind(self, gm: "GameMaster") -> None:
-        self.gm = gm
 
     def state(self) -> str:
         return ""
@@ -111,19 +115,19 @@ class GMComponent:
     def partial_state(self, player: str) -> str:
         return ""
 
-    def update(self) -> None:
+    def update(self, gm: GameMaster) -> None:
         pass
 
-    def update_before_event(self, cause: AgentAction) -> None:
+    def update_before_event(self, gm: GameMaster, cause: AgentAction) -> None:
         pass
 
-    def query_before_event(self, cause: AgentAction) -> Effect | None:
+    def query_before_event(self, gm: GameMaster, cause: AgentAction) -> Effect | None:
         return None
 
-    def query_after_event(self, event: EventStatement) -> Effect | None:
+    def query_after_event(self, gm: GameMaster, event: EventStatement) -> Effect | None:
         return None
 
-    def update_after_event(self, event: EventStatement) -> None:
+    def update_after_event(self, gm: GameMaster, event: EventStatement) -> None:
         pass
 
     def terminate_episode(self) -> bool:
@@ -146,13 +150,12 @@ class ObservationDelivery(GMComponent):
     def __init__(self, name: str = "observation delivery"):
         super().__init__(name)
 
-    def update_after_event(self, event: EventStatement) -> None:
-        assert self.gm is not None
-        for recipient, text in self.gm.drain_pending_observations():
-            self.gm.emit_observation(recipient, text)
-        veto = self.gm.veto_reason
+    def update_after_event(self, gm: GameMaster, event: EventStatement) -> None:
+        for recipient, text in gm.drain_pending_observations():
+            gm.emit_observation(recipient, text)
+        veto = gm.veto_reason
         if veto is not None:
-            self.gm.emit_observation(event.cause.actor, f"Your action was invalid: {veto}.")
+            gm.emit_observation(event.cause.actor, f"Your action was invalid: {veto}.")
 
 
 class PhraseTerminator(GMComponent):
@@ -163,7 +166,7 @@ class PhraseTerminator(GMComponent):
         self.phrase = phrase
         self._triggered = False
 
-    def update_after_event(self, event: EventStatement) -> None:
+    def update_after_event(self, gm: GameMaster, event: EventStatement) -> None:
         if self.phrase.casefold() in event.text.casefold():
             self._triggered = True
 
@@ -204,8 +207,6 @@ class GameMaster:
         self.players = list(players)
         self.clock = clock
         self.components = list(components or [])
-        for component in self.components:
-            component.bind(self)
         self.action_spec = action_spec or ActionSpec(DEFAULT_CALL_TO_ACTION)
         self.memory = memory if memory is not None else MemoryBank()
         self.preamble = preamble
@@ -214,9 +215,6 @@ class GameMaster:
         self.trace: list[TraceRecord] = []
         self.on_record: Callable[[TraceRecord], None] | None = None
         self._player_index = {p.name: p for p in self.players}
-        for player in self.players:
-            if player.clock is None:
-                player.clock = self.clock
         self._turn_counter = 0
         self._veto_reason: str | None = None
         self._pending_observations: list[tuple[str, str]] = []
@@ -268,7 +266,7 @@ class GameMaster:
 
             deliver_notifications(self.notification_hub, self, player.name)
         for component in self.components:
-            component.update()
+            component.update(self)
             partial = component.partial_state(player.name)
             if partial:
                 self.emit_observation(player.name, partial)
@@ -303,14 +301,14 @@ class GameMaster:
         self._veto_reason = None
         self._pending_observations = []
         for component in self.components:
-            component.update_before_event(action)
+            component.update_before_event(self, action)
         gm_states = {c.name: c.state() for c in self.components}
         if self._current_record is not None:
             self._current_record.gm_states = dict(gm_states)
         context = self._gm_context(action, gm_states)
         *before, state = run_holding_calls(
             [
-                functools.partial(c.query_before_event, action)
+                functools.partial(c.query_before_event, self, action)
                 for c in self.components
                 if _asks(c, "query_before_event")
             ]
@@ -337,7 +335,7 @@ class GameMaster:
         observers, *after = run_holding_calls(
             [self._asker(f"{context}Event: {outcome}\n{OBSERVERS_QUESTION}", "gm:resolve:observers")]
             + [
-                functools.partial(c.query_after_event, event)
+                functools.partial(c.query_after_event, self, event)
                 for c, c_asks in zip(self.components, asks)
                 if c_asks
             ],
@@ -353,7 +351,7 @@ class GameMaster:
                 effect = next(takers)()
                 if effect is not None:
                     effect()
-            component.update_after_event(event)
+            component.update_after_event(self, event)
         return event
 
     def _asker(self, prompt: str, caller: str) -> Callable[[], str]:
@@ -389,7 +387,7 @@ class GameMaster:
         try:
             self.pre_act_observe(player)
             record.agent_states = player.component_states()
-            action = player.act(self.action_spec)
+            action = player.act(self.action_spec, self.clock.current_time)
             record.prompts.append(player.last_prompt)
             record.action = action
             self.update_from_player(action)
@@ -499,12 +497,7 @@ class ConversationScene(NestedScene):
             spec = ActionSpec(
                 f"The conversation so far:\n{so_far}\nWhat does {{name}} say next? It is {{time}}."
             )
-            saved_clock = speaker.clock
-            speaker.clock = self.clock
-            try:
-                utterance = speaker.act(spec)
-            finally:
-                speaker.clock = saved_clock
+            utterance = speaker.act(spec, self.clock.current_time)
             line = f'{speaker.name} said: "{utterance.text}"'
             dialogue.append(line)
             memories.append(line)

@@ -191,30 +191,28 @@ class InventoryComponent(GMComponent):
             return f"insufficient {MONEY_ITEM}"
         return None
 
-    def update_before_event(self, cause: AgentAction) -> None:
+    def update_before_event(self, gm: GameMaster, cause: AgentAction) -> None:
         self._vetoed = False
 
-    def query_before_event(self, cause: AgentAction) -> Effect:
-        assert self.gm is not None
-        trades, warnings = parse_trade_from_event(self.inventory, cause.text, self.gm.model)
-        return functools.partial(self._check_attempt, trades, warnings)
+    def query_before_event(self, gm: GameMaster, cause: AgentAction) -> Effect:
+        trades, warnings = parse_trade_from_event(self.inventory, cause.text, gm.model)
+        return functools.partial(self._check_attempt, gm, trades, warnings)
 
-    def _check_attempt(self, trades: list[Trade], warnings: list[str]) -> None:
-        self._note_warnings(warnings)
+    def _check_attempt(self, gm: GameMaster, trades: list[Trade], warnings: list[str]) -> None:
+        self._note_warnings(gm, warnings)
         for trade in trades:
             reason = self._affordability(trade)
             if reason is not None:
-                self.gm.veto(reason)
+                gm.veto(reason)
                 self._vetoed = True
                 return
 
-    def _note_warnings(self, warnings: list[str]) -> None:
+    def _note_warnings(self, gm: GameMaster, warnings: list[str]) -> None:
         for warning in warnings:
-            self.gm.audit_note(f"{self.name}: {warning}")
+            gm.audit_note(f"{self.name}: {warning}")
 
-    def settle(self, actor: str, trade: Trade) -> TransferResult:
+    def settle(self, gm: GameMaster, actor: str, trade: Trade) -> TransferResult:
         """Apply one trade atomically; on refusal tell the actor why."""
-        assert self.gm is not None
         reason = self._affordability(trade)
         if reason is None:
             if trade.qty > 0:
@@ -225,25 +223,26 @@ class InventoryComponent(GMComponent):
                 f"Amendment: transfer of {trade.qty} {trade.item} from {trade.seller} "
                 f"to {trade.buyer} for {trade.price} {MONEY_ITEM} succeeded."
             )
-            self.gm.memory.add(amendment, self.gm.clock.current_time)
-            self.gm.audit_note(f"{self.name}: {amendment}")
+            gm.memory.add(amendment, gm.clock.current_time)
+            gm.audit_note(f"{self.name}: {amendment}")
             return TransferResult(ok=True, reason="transfer succeeded")
-        self.gm.emit_observation(actor, f"Your action was invalid: {reason}.")
-        self.gm.audit_note(f"{self.name}: trade refused ({reason})")
+        gm.emit_observation(actor, f"Your action was invalid: {reason}.")
+        gm.audit_note(f"{self.name}: trade refused ({reason})")
         return TransferResult(ok=False, reason=reason)
 
-    def query_after_event(self, event: EventStatement) -> Effect | None:
-        assert self.gm is not None
+    def query_after_event(self, gm: GameMaster, event: EventStatement) -> Effect | None:
         if self._vetoed:
             # The failed attempt was already narrated; nothing settles.
             return None
-        trades, warnings = parse_trade_from_event(self.inventory, event.text, self.gm.model)
-        return functools.partial(self._settle_event, event.cause.actor, trades, warnings)
+        trades, warnings = parse_trade_from_event(self.inventory, event.text, gm.model)
+        return functools.partial(self._settle_event, gm, event.cause.actor, trades, warnings)
 
-    def _settle_event(self, actor: str, trades: list[Trade], warnings: list[str]) -> None:
-        self._note_warnings(warnings)
+    def _settle_event(
+        self, gm: GameMaster, actor: str, trades: list[Trade], warnings: list[str]
+    ) -> None:
+        self._note_warnings(gm, warnings)
         for trade in trades:
-            self.settle(actor, trade)
+            self.settle(gm, actor, trade)
 
 
 class LocationComponent(GMComponent):
@@ -299,7 +298,7 @@ def administer_questionnaire(
         record = gm.begin_record("questionnaire", gm.clock.step_index, player_name)
         try:
             try:
-                action = player.act(spec)
+                action = player.act(spec, gm.clock.current_time)
                 answer = action.text
                 record.action = action
             except (InvalidModelOutput, NoMatchingOption):

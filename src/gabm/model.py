@@ -29,7 +29,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from .errors import BackendUnavailable, NoMatchingOption
 from .kernel import ModelCall, parse_choice
@@ -42,7 +42,8 @@ log = logging.getLogger(__name__)
 # Crude budget bridge for backends that meter tokens rather than characters.
 CHARS_PER_TOKEN = 4
 
-CHOICE_RETRY_BUDGET = 3
+# Re-asks after an answer that does not parse, on top of the first ask.
+REPAIR_BUDGET = 3
 _CHOICE_REPAIR = "Answer with exactly one of the options, verbatim."
 
 # run_in_order issues tasks in parallel only for a model whose measured
@@ -61,6 +62,8 @@ _call_slot: contextvars.ContextVar[list | None] = contextvars.ContextVar(
 )
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+
+T = TypeVar("T")
 
 
 def open_calls(calls: list[ModelCall]) -> contextvars.Token:
@@ -120,19 +123,36 @@ class GenerativeModel:
 
         The first attempt sends the prompt as rendered by the caller.  Each
         repair attempt appends an explicit instruction to answer with exactly
-        one option.  After the retry budget the last parse error propagates.
+        one option.  After the repair budget the last parse error propagates.
         """
-        attempt_prompt = prompt
-        last_error: NoMatchingOption | None = None
-        for attempt in range(1 + CHOICE_RETRY_BUDGET):
-            if attempt > 0:
-                attempt_prompt = attempt_prompt + "\n" + _CHOICE_REPAIR
-            raw = self.sample_text(attempt_prompt, caller=caller)
-            try:
-                return parse_choice(raw, options)
-            except NoMatchingOption as exc:
-                last_error = exc
-        raise last_error  # type: ignore[misc]
+        parse = functools.partial(parse_choice, options=options)
+        return sample_repaired(self, prompt, parse, NoMatchingOption, _CHOICE_REPAIR, caller=caller)
+
+
+def sample_repaired(
+    model: GenerativeModel,
+    prompt: str,
+    parse: Callable[[str], T],
+    error: type[Exception],
+    repair: str,
+    *,
+    caller: str,
+) -> T:
+    """Ask and parse; on an ``error`` from ``parse``, add ``repair`` and ask again.
+
+    Each re-ask appends the repair line to the prompt so far, at most
+    ``REPAIR_BUDGET`` times; the last answer's parse error propagates.  A
+    failing model call is not retried.  No caught exception is kept: one
+    held in a local would tie this frame and its callers into a cycle.
+    """
+    for _ in range(REPAIR_BUDGET):
+        raw = model.sample_text(prompt, caller=caller)
+        try:
+            return parse(raw)
+        except error:
+            pass
+        prompt = prompt + "\n" + repair
+    return parse(model.sample_text(prompt, caller=caller))
 
 
 def _shared_pool() -> ThreadPoolExecutor:

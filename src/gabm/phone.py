@@ -29,10 +29,9 @@ from .kernel import (
     format_time,
     parse_float_token,
 )
-from .model import GenerativeModel
+from .model import GenerativeModel, sample_repaired
 
 PARAM_KINDS = ("text", "integer", "decimal", "datetime")
-PARAM_RETRY_BUDGET = 3
 
 _ISO_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}")
 _RELATIVE_RE = re.compile(r"\b(today|tomorrow)\s+at\s+(\d{1,2}):(\d{2})", re.IGNORECASE)
@@ -356,20 +355,14 @@ def translate_action(
             f"The current time is {format_time(now)}.\n"
             f"Provide the value for parameter '{param.name}' ({param.kind}). {param.description}"
         )
-        value = None
-        for attempt in range(1 + PARAM_RETRY_BUDGET):
-            if attempt > 0:
-                ask = ask + f"\nAnswer with just the {param.kind} value."
-            raw = model.sample_text(ask, caller=f"phone:translate:param:{param.name}")
-            try:
-                value = parse_param_value(raw, param.kind, now)
-                break
-            except ValueError:
-                continue
-        if value is None:
+        parse = functools.partial(parse_param_value, kind=param.kind, now=now)
+        repair = f"Answer with just the {param.kind} value."
+        caller = f"phone:translate:param:{param.name}"
+        try:
+            args[param.name] = sample_repaired(model, ask, parse, ValueError, repair, caller=caller)
+        except ValueError:
             log(f"parameter {param.name!r} never parsed; invocation skipped")
             return None
-        args[param.name] = value
     ctx = AppContext(owner=phone.owner, now=now, hub=universe.hub)
     result = app.invoke(action.name, ctx, args)
     return AppInvocation(app=app.descriptor().name, action=action.name, args=args, result=result)
@@ -444,12 +437,7 @@ class PhoneScene(NestedScene):
                 capped = False
                 break
             spec = ActionSpec("What does {name} do on the phone right now? It is {time}.")
-            saved_clock = owner.clock
-            owner.clock = self.clock
-            try:
-                action = owner.act(spec)
-            finally:
-                owner.clock = saved_clock
+            action = owner.act(spec, self.clock.current_time)
             log.append(f"{owner.name}: {action.text}")
             invocation = translate_action(
                 self.universe,
@@ -526,20 +514,18 @@ class SceneTrigger(GMComponent):
         super().__init__(name)
         self.universe = universe
 
-    def query_after_event(self, event: EventStatement) -> Effect:
-        assert self.gm is not None
+    def query_after_event(self, gm: GameMaster, event: EventStatement) -> Effect:
         notes: list[str] = []
-        detected = detect_phone_event(event.text, self.gm.model, note=notes.append)
-        return functools.partial(self._react, event, detected, notes)
+        detected = detect_phone_event(event.text, gm.model, note=notes.append)
+        return functools.partial(self._react, gm, event, detected, notes)
 
-    def _react(self, event: EventStatement, detected: bool, notes: list[str]) -> None:
-        assert self.gm is not None
+    def _react(self, gm: GameMaster, event: EventStatement, detected: bool, notes: list[str]) -> None:
         for note in notes:
-            self.gm.audit_note(note)
+            gm.audit_note(note)
         if not detected:
             return
         actor = event.cause.actor
         if self.universe.phone_for(actor) is None:
-            self.gm.audit_note(f"{actor} has no phone; scene skipped")
+            gm.audit_note(f"{actor} has no phone; scene skipped")
             return
-        run_phone_scene(self.gm, self.universe, actor, trigger=event.text)
+        run_phone_scene(gm, self.universe, actor, trigger=event.text)

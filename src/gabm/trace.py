@@ -261,7 +261,15 @@ def replay(path: str | Path) -> ReplayReport:
     """
     recorded = read_trace(path, strict=True)
     header = recorded.header
-    assert header is not None
+    if header is None:
+        return ReplayReport(ok=False, records_checked=0, detail="trace has no header")
+    # The header's overrides take the config's own field types, as ``gabm run``'s do.
+    for name, ftype in (("seed", config_mod.SEED), ("max_steps", config_mod.MAX_STEPS)):
+        value = getattr(header, name)
+        if not ftype.accepts(value):
+            return ReplayReport(
+                ok=False, records_checked=0, detail=f"header {name} {ftype.must}, got {value!r}"
+            )
     try:
         # The recorded calls stand in for the model, so the script file
         # need not exist where the trace is replayed.

@@ -34,14 +34,12 @@ SCENARIOS = Path(gabm.__file__).parent / "scenarios"
 SCRIPTED_FIXTURES = ["calendar.json", "magic_beans.json", "three_questions.json"]
 
 
-def fresh_agent(name: str, components=None, clock_start: str | None = "2024-05-01T09:00") -> GenerativeAgent:
-    clock = GameClock(current_time=parse_time(clock_start)) if clock_start else None
+def fresh_agent(name: str, components=None) -> GenerativeAgent:
     return GenerativeAgent(
         name=name,
         model=ScriptedModel(),
         memory=MemoryBank(embedder=HashEmbedder()),
         components=components or [],
-        clock=clock,
     )
 
 
@@ -76,21 +74,21 @@ class ProbeComponent(GMComponent):
         super().__init__("probe")
         self.log: list[str] = []
 
-    def update(self) -> None:
+    def update(self, gm) -> None:
         self.log.append("update")
 
     def partial_state(self, player: str) -> str:
         self.log.append("partial_state")
         return ""
 
-    def update_before_event(self, cause) -> None:
+    def update_before_event(self, gm, cause) -> None:
         self.log.append("before")
 
     def state(self) -> str:
         self.log.append("state")
         return ""
 
-    def update_after_event(self, event) -> None:
+    def update_after_event(self, gm, event) -> None:
         self.log.append("after")
 
     def terminate_episode(self) -> bool:
@@ -205,7 +203,6 @@ def test_criterion_4_transfers_conserve_and_reject_safely():
         components=[inventory],
         rng=random.Random(0),
     )
-    assert gm is inventory.gm
 
     def totals():
         return {
@@ -226,7 +223,7 @@ def test_criterion_4_transfers_conserve_and_reject_safely():
         price = Decimal(rng.choice((0, rng.randint(1, 4000)))) / 100
         actor = rng.choice((buyer, seller))
         before = {name: dict(inventory.inventory.balances[name]) for name in names}
-        result = inventory.settle(actor, Trade(buyer=buyer, seller=seller, item=item, qty=qty, price=price))
+        result = inventory.settle(gm, actor, Trade(buyer=buyer, seller=seller, item=item, qty=qty, price=price))
         if not result.ok:
             rejected += 1
             rejections[actor] += 1
@@ -355,6 +352,7 @@ def test_criterion_6_calendar_end_to_end():
 
 def test_criterion_7_sampling_contract():
     spec = ActionSpec("What would {name} do next? It is {time}.")
+    moment = parse_time("2024-05-01T09:00")
 
     # Component order is prompt order.
     forward = fresh_agent(
@@ -367,15 +365,15 @@ def test_criterion_7_sampling_contract():
         [ConstantComponent("plan", "sail"), ConstantComponent("goal", "win"),
          ConstantComponent("mood", "calm")],
     )
-    forward.act(spec)
-    backward.act(spec)
+    forward.act(spec, moment)
+    backward.act(spec, moment)
     assert "goal: win\nmood: calm\nplan: sail" in forward.last_prompt
     assert "plan: sail\ngoal: win\nmood: calm" in backward.last_prompt
     assert sorted(forward.last_prompt.splitlines()) == sorted(backward.last_prompt.splitlines())
 
     # No components: the prompt is exactly preamble plus call to action.
     bare = fresh_agent("Ada")
-    bare.act(spec)
+    bare.act(spec, moment)
     assert bare.last_prompt == (
         "Instructions: this is a social simulation. Answer as Ada would.\n"
         "What would Ada do next? It is 2024-05-01T09:00."
@@ -383,7 +381,6 @@ def test_criterion_7_sampling_contract():
 
     # The observation component carries the last 20 observations verbatim.
     watcher = fresh_agent("Ada", [ObservationBuffer()])
-    moment = parse_time("2024-05-01T09:00")
     texts = [f"observation number {i}" for i in range(25)]
     for text in texts:
         watcher.observe(Observation(recipient="Ada", text=text, timestamp=moment))
@@ -399,7 +396,7 @@ def test_criterion_7_sampling_contract():
 
 def test_criterion_8_initiative_positions_are_uniformish():
     names = ["Ada", "Beth", "Cole", "Dane"]
-    players = [fresh_agent(name, clock_start=None) for name in names]
+    players = [fresh_agent(name) for name in names]
     gm = GameMaster(
         model=ScriptedModel(),
         players=players,

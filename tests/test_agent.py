@@ -18,7 +18,7 @@ from gabm.agent import (
     three_questions_components,
 )
 from gabm.errors import EpisodeAbort, InvalidModelOutput
-from gabm.kernel import ActionSpec, GameClock, Observation, OutputKind
+from gabm.kernel import ActionSpec, Observation, OutputKind
 from gabm.model import PARALLEL_MIN_CALL_S, ScriptedModel, ScriptRule
 
 from conftest import memory_texts
@@ -32,7 +32,6 @@ def make_agent(components=None, model=None, **kwargs) -> GenerativeAgent:
         name="Ada",
         model=model or ScriptedModel(default_response="waits quietly"),
         components=components or [],
-        clock=GameClock(T0, step_minutes=30),
         **kwargs,
     )
 
@@ -41,7 +40,7 @@ def test_acting_prompt_stacks_preamble_sections_and_call():
     agent = make_agent(
         [ConstantComponent("goal", "win the regatta"), ConstantComponent("mood", "cheerful")]
     )
-    prompt = agent.context_of_action(FREE_SPEC)
+    prompt = agent.context_of_action(FREE_SPEC, T0)
     assert prompt == (
         "Instructions: this is a social simulation. Answer as Ada would.\n"
         "goal: win the regatta\n"
@@ -52,7 +51,7 @@ def test_acting_prompt_stacks_preamble_sections_and_call():
 
 def test_empty_component_list_prompt_is_preamble_plus_call():
     agent = make_agent([])
-    assert agent.context_of_action(FREE_SPEC) == (
+    assert agent.context_of_action(FREE_SPEC, T0) == (
         DEFAULT_PREAMBLE.replace("{name}", "Ada")
         + "\nWhat would Ada do next? It is 2024-05-01T09:00."
     )
@@ -61,8 +60,8 @@ def test_empty_component_list_prompt_is_preamble_plus_call():
 def test_component_order_is_part_of_the_prompt():
     a = ConstantComponent("goal", "win")
     b = ConstantComponent("mood", "cheerful")
-    one = make_agent([a, b]).context_of_action(FREE_SPEC)
-    two = make_agent([b, a]).context_of_action(FREE_SPEC)
+    one = make_agent([a, b]).context_of_action(FREE_SPEC, T0)
+    two = make_agent([b, a]).context_of_action(FREE_SPEC, T0)
     assert one != two
     assert sorted(one.splitlines()) == sorted(two.splitlines())
 
@@ -72,7 +71,7 @@ class Counter(AgentComponent):
         super().__init__(name, cadence)
         self.runs = 0
 
-    def update(self):
+    def update(self, agent):
         self.runs += 1
         self.publish(f"run {self.runs}")
 
@@ -84,8 +83,8 @@ class PeerReader(AgentComponent):
         super().__init__(name)
         self.peer = peer
 
-    def update(self):
-        self.publish(f"saw [{self.agent.component(self.peer).state()}]")
+    def update(self, agent):
+        self.publish(f"saw [{agent.component(self.peer).state()}]")
 
 
 def test_update_pass_reads_pre_update_peer_states():
@@ -126,7 +125,7 @@ def test_cadence_interval_and_manual():
 
 def test_component_failure_aborts_and_names_component():
     class Broken(AgentComponent):
-        def update(self):
+        def update(self, agent):
             raise RuntimeError("kaput")
 
     agent = make_agent([Broken("weather")])
@@ -166,7 +165,7 @@ def test_observe_checks_recipient_and_feeds_memory():
 def test_free_text_act_memorizes_verbatim():
     model = ScriptedModel(default_response="  walks to the pier  ")
     agent = make_agent([], model=model)
-    action = agent.act(FREE_SPEC)
+    action = agent.act(FREE_SPEC, T0)
     assert action.actor == "Ada"
     assert action.text == "walks to the pier"
     assert action.timestamp == T0
@@ -176,14 +175,14 @@ def test_free_text_act_memorizes_verbatim():
 def test_empty_free_text_is_invalid():
     agent = make_agent([], model=ScriptedModel(default_response="   "))
     with pytest.raises(InvalidModelOutput):
-        agent.act(FREE_SPEC)
+        agent.act(FREE_SPEC, T0)
 
 
 def test_choice_act_lists_options_and_returns_option_text(calls):
     spec = ActionSpec("Which way does {name} go?", OutputKind.CHOICE, ("go north", "go south"))
     model = ScriptedModel(rules=[ScriptRule(contains="Pick exactly one option", response="Go South")])
     agent = make_agent([], model=model)
-    action = agent.act(spec)
+    action = agent.act(spec, T0)
     assert action.text == "go south"
     prompt = calls[0].prompt
     assert "Pick exactly one option:\n- go north\n- go south\nAnswer:" in prompt
@@ -193,7 +192,7 @@ def test_float_act_appends_suffix_and_normalizes(calls):
     spec = ActionSpec("How many apples does {name} buy?", OutputKind.FLOAT)
     model = ScriptedModel(default_response="about 2.50 apples")
     agent = make_agent([], model=model)
-    action = agent.act(spec)
+    action = agent.act(spec, T0)
     assert action.text == "2.50"
     assert calls[0].prompt.endswith(f"How many apples does Ada buy? {FLOAT_SUFFIX}")
 
@@ -202,8 +201,8 @@ def test_float_act_retries_then_raises():
     spec = ActionSpec("Pick a number, {name}.", OutputKind.FLOAT)
     model = ScriptedModel(default_response="no idea")
     agent = make_agent([], model=model)
-    with pytest.raises(InvalidModelOutput):
-        agent.act(spec)
+    with pytest.raises(InvalidModelOutput, match="^Ada gave no numeric answer: no number found in 'no idea'$"):
+        agent.act(spec, T0)
     assert model.call_count == 4
     # One retry that recovers stops the escalation.
     model = ScriptedModel(
@@ -211,7 +210,7 @@ def test_float_act_retries_then_raises():
         default_response="7",
     )
     agent = make_agent([], model=model)
-    assert agent.act(spec).text == "7"
+    assert agent.act(spec, T0).text == "7"
     assert model.call_count == 2
 
 
@@ -301,7 +300,7 @@ def test_unknown_component_lookup_raises():
 
 def test_last_prompt_survives_act():
     agent = make_agent([])
-    agent.act(FREE_SPEC)
+    agent.act(FREE_SPEC, T0)
     assert agent.last_prompt.endswith("What would Ada do next? It is 2024-05-01T09:00.")
 
 
@@ -380,8 +379,8 @@ def test_update_pass_records_calls_in_declaration_order(calls):
 
 def test_parallel_component_failure_names_it_and_drops_later_calls(calls):
     class Broken(AgentComponent):
-        def update(self):
-            self.agent.model.sample_text("checking the weather", caller="weather")
+        def update(self, agent):
+            agent.model.sample_text("checking the weather", caller="weather")
             raise RuntimeError("kaput")
 
     situation, identity, _ = three_questions_components()

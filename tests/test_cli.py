@@ -234,6 +234,34 @@ def test_replay_divergence_exit_code(tmp_path, capsys):
     assert "replay DIVERGED at step 0" in capsys.readouterr().err
 
 
+def test_replay_rejects_a_trace_without_a_header(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert main(["replay", "--trace", str(empty)]) == 1
+    assert capsys.readouterr().err == "replay failed: trace has no header\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, must",
+    [
+        ("max_steps", "x", "must be a positive integer, got 'x'"),
+        ("max_steps", -2, "must be a positive integer, got -2"),
+        ("seed", "s", "must be an integer in [0, 2^64), got 's'"),
+    ],
+    ids=["max_steps-text", "max_steps-negative", "seed-text"],
+)
+def test_replay_rejects_a_header_seed_or_budget_that_run_cannot_write(tmp_path, capsys, field, value, must):
+    _, out = run_trace(tmp_path)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    header[field] = value
+    lines[0] = canonical_json(header)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(out)]) == 1
+    assert capsys.readouterr().err == f"replay failed: header {field} {must}\n"
+
+
 def test_replay_unreadable_trace(tmp_path, capsys):
     assert main(["replay", "--trace", str(tmp_path / "absent.jsonl")]) == 1
     assert "cannot replay" in capsys.readouterr().err

@@ -55,7 +55,7 @@ class LoggingComponent(GMComponent):
         super().__init__(name)
         self.log = log
 
-    def update(self):
+    def update(self, gm):
         self.log.append(f"{self.name}.update")
 
     def partial_state(self, player):
@@ -66,10 +66,10 @@ class LoggingComponent(GMComponent):
         self.log.append(f"{self.name}.state")
         return "steady"
 
-    def update_before_event(self, cause):
+    def update_before_event(self, gm, cause):
         self.log.append(f"{self.name}.before")
 
-    def update_after_event(self, event):
+    def update_after_event(self, gm, event):
         self.log.append(f"{self.name}.after")
 
     def terminate_episode(self):
@@ -234,7 +234,7 @@ def test_observer_lines_fan_out_through_observation_delivery():
     bob = GenerativeAgent("Bob", model)
     gm = make_gm(players=[alice, bob], components=[ObservationDelivery()], model=model)
     record = gm.begin_record("turn", 0, "Alice")
-    gm.update_from_player(alice.act(gm.action_spec))
+    gm.update_from_player(alice.act(gm.action_spec, gm.clock.current_time))
     gm.finish_record(record)
     assert memory_texts(bob.memory) == ["Alice waved at him"]
     assert record.observations[0].recipient == "Bob"
@@ -243,9 +243,9 @@ def test_observer_lines_fan_out_through_observation_delivery():
 
 def test_veto_rewords_outcome_and_notifies_actor():
     class NoStealing(GMComponent):
-        def update_before_event(self, cause):
+        def update_before_event(self, gm, cause):
             if "steal" in cause.text:
-                self.gm.veto("theft is impossible here")
+                gm.veto("theft is impossible here")
 
     prompts_seen: list[str] = []
 
@@ -276,12 +276,12 @@ def test_veto_rewords_outcome_and_notifies_actor():
 
 def test_a_pre_event_effect_veto_wins_over_an_update_before_event_veto():
     class NoStealing(GMComponent):
-        def update_before_event(self, cause):
-            self.gm.veto("theft is impossible here")
+        def update_before_event(self, gm, cause):
+            gm.veto("theft is impossible here")
 
     class NoShouting(GMComponent):
-        def query_before_event(self, cause):
-            return lambda: self.gm.veto("shouting is not allowed")
+        def query_before_event(self, gm, cause):
+            return lambda: gm.veto("shouting is not allowed")
 
     model = ScriptedModel(default_response="steal the gem")
     alice = GenerativeAgent("Alice", model)
@@ -299,9 +299,9 @@ def test_a_pre_event_effect_veto_wins_over_an_update_before_event_veto():
 
 def test_veto_state_resets_between_actions():
     class NoStealing(GMComponent):
-        def update_before_event(self, cause):
+        def update_before_event(self, gm, cause):
             if "steal" in cause.text:
-                self.gm.veto("not allowed")
+                gm.veto("not allowed")
 
     model = ScriptedModel(
         rules=[ScriptRule(contains="What would", response="steal everything", max_uses=1)],
@@ -323,19 +323,9 @@ def test_emit_observation_rejects_unknown_player():
 def test_action_from_unregistered_player_rejected():
     gm = make_gm()
     stranger = GenerativeAgent("Mallory", ScriptedModel(default_response="sneaks in"))
-    action = stranger.act(ActionSpec("What now, {name}?"))
+    action = stranger.act(ActionSpec("What now, {name}?"), T0)
     with pytest.raises(ConfigError):
         gm.update_from_player(action)
-
-
-def test_players_inherit_gm_clock_when_unset():
-    model = ScriptedModel()
-    fixed = GameClock(datetime(2030, 1, 1), step_minutes=5)
-    alice = GenerativeAgent("Alice", model)
-    bob = GenerativeAgent("Bob", model, clock=fixed)
-    gm = make_gm(players=[alice, bob], model=model)
-    assert alice.clock is gm.clock
-    assert bob.clock is fixed
 
 
 def test_duplicate_player_names_rejected():
@@ -380,7 +370,7 @@ def test_every_terminator_is_polled_each_turn():
 
 def test_component_crash_surfaces_as_error_result_with_partial_trace():
     class Flaky(AgentComponent):
-        def update(self):
+        def update(self, agent):
             raise RuntimeError("boom")
 
     model = ScriptedModel(default_response="works")
@@ -399,7 +389,7 @@ def test_grounded_snapshot_in_result():
             super().__init__("tally")
             self.count = 0
 
-        def update_after_event(self, event):
+        def update_after_event(self, gm, event):
             self.count += 1
 
         def state(self):
@@ -545,19 +535,18 @@ def test_conversation_hits_turn_cap():
     assert [m.split(" ")[0] for m in memories[:3]] == ["Alice", "Bob", "Alice"]
 
 
-def test_conversation_restores_speaker_clock():
+def test_conversation_speaker_acts_at_scene_time():
     model = ScriptedModel(
         rules=[ScriptRule(contains="Is the conversation over?", response="yes")],
         default_response="hello",
     )
-    own_clock = GameClock(datetime(2030, 1, 1))
-    alice = GenerativeAgent("Alice", model, clock=own_clock)
+    alice = GenerativeAgent("Alice", model)
     scene_clock = GameClock(T0, step_minutes=7)
     ConversationScene([alice], model, scene_clock).run()
-    assert alice.clock is own_clock
-    # The utterance was memorized at scene time, not the agent's own time.
+    # The utterance was memorized at scene time, and the prompt says so.
     record = alice.memory.snapshot()[0]
     assert record.timestamp == T0
+    assert alice.last_prompt.endswith("It is 2024-05-01T09:00.")
 
 
 # ---- the batched resolution stages -------------------------------------------
@@ -757,11 +746,11 @@ class OwnModelComponent(GMComponent):
         self.model = ScriptedModel(default_response="noted")
         self.meet = meet
 
-    def query_before_event(self, cause):
+    def query_before_event(self, gm, cause):
         self.model.sample_text(f"Check: {cause.text}", caller="component:own:before")
         return None
 
-    def query_after_event(self, event):
+    def query_after_event(self, gm, event):
         if self.meet is not None:
             self.meet.wait()
         self.model.sample_text(f"Note: {event.text}", caller="component:own:after")

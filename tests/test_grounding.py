@@ -219,6 +219,7 @@ def test_settle_refuses_when_post_event_balance_is_short():
     )
     record = gm.begin_record("turn", 0, "Alice")
     outcome = inventory.settle(
+        gm,
         "Alice", Trade(buyer="Alice", seller="Bob", item="beans", qty=Decimal("1"), price=Decimal("5"))
     )
     gm.finish_record(record)

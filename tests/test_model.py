@@ -12,7 +12,9 @@ import pytest
 from gabm.errors import BackendUnavailable, NoMatchingOption
 from gabm.kernel import ModelCall
 from gabm.model import (
+    _CHOICE_REPAIR,
     PARALLEL_MIN_CALL_S,
+    REPAIR_BUDGET,
     EchoModel,
     GenerativeModel,
     HttpModel,
@@ -129,12 +131,28 @@ def test_sample_choice_retries_then_succeeds(calls):
     assert "exactly one of the options" in calls[1].prompt
 
 
-def test_sample_choice_exhausts_retry_budget():
-    model = ScriptedModel(default_response="never an option")
-    with pytest.raises(NoMatchingOption):
+def test_sample_choice_exhausts_retry_budget(calls):
+    answers = ["first", "second", "third", "fourth"]
+    model = ScriptedModel(rules=[ScriptRule(contains="pick", response=a, max_uses=1) for a in answers])
+    with pytest.raises(NoMatchingOption, match="'fourth'"):
         model.sample_choice("pick", ("yes", "no"))
-    # One initial attempt plus three repairs.
-    assert model.call_count == 4
+    # One initial attempt plus three repairs, each added to the prompt so
+    # far; the last answer's parse error is the one raised.
+    assert REPAIR_BUDGET == 3 and model.call_count == 4
+    assert calls[-1].prompt == "pick" + ("\n" + _CHOICE_REPAIR) * 3
+
+
+def test_sample_choice_does_not_retry_a_failing_model_call():
+    class Down(GenerativeModel):
+        attempts = 0
+
+        def _complete(self, prompt, max_chars):
+            Down.attempts += 1
+            raise BackendUnavailable("endpoint down")
+
+    with pytest.raises(BackendUnavailable):
+        Down().sample_choice("pick", ("yes", "no"))
+    assert Down.attempts == 1
 
 
 def test_calls_are_recorded_into_the_open_list_only():

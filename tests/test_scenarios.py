@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import threading
@@ -208,3 +209,24 @@ def test_cyberball_behind_a_scripted_stand_in_ends_and_replays(tmp_path):
     report = replay(out)
     assert report.ok, report.detail
     assert report.records_checked == len(outcome.result.trace)
+
+
+def test_a_dropped_scenario_holds_no_reference_cycle(tmp_path):
+    # Together these runs cover the inventory, the phone scene trigger,
+    # three-questions agents, questionnaires, the phrase terminator and a
+    # repaired choice.  Nothing they leave behind should need the cyclic
+    # collector: dropping a scenario frees it at once.
+    gc.collect()
+    gc.disable()
+    try:
+        left = {}
+        for name in SCRIPTED + ["cyberball.json"]:
+            model = cyberball_stand_in() if name == "cyberball.json" else None
+            out = tmp_path / f"{name}.jsonl"
+            with open(out, "w", encoding="utf-8") as handle:
+                run_built_scenario(build(load_config(SCENARIOS / name), model=model), out=handle)
+            assert replay(out).ok
+            left[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert left == {name: 0 for name in left}
