@@ -64,7 +64,7 @@ from .memory import HashEmbedder, MemoryBank
 from .model import EchoModel, GenerativeModel, HttpModel, ScriptedModel
 from .phone import CalendarApp, PhoneUniverse, SceneTrigger
 
-ENGINE_VERSION = "0.1.0"
+ENGINE_VERSION = "0.2.0"
 
 MODEL_KINDS = {"scripted": ScriptedModel, "echo": EchoModel, "http": HttpModel}
 CLOCK_MODES = {"round": ClockMode.ADVANCE_PER_ROUND, "player": ClockMode.ADVANCE_PER_PLAYER}

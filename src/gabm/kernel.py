@@ -22,6 +22,11 @@ from decimal import Decimal, InvalidOperation
 from .errors import EpisodeAbort, NoMatchingOption, NotANumber
 
 TIME_FORMAT = "%Y-%m-%dT%H:%M"
+# The strings format_time writes for years 1000 to 9999, with every field in
+# its range; fromisoformat and strptime read each of them the same way.
+_TIME_SHAPE = re.compile(
+    r"\d{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|[12]\d|3[01])T(?:[01]\d|2[0-3]):[0-5]\d", re.ASCII
+)
 
 # First token that reads as a decimal number, sign and exponent allowed.
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
@@ -32,6 +37,17 @@ def format_time(moment: datetime) -> str:
 
 
 def parse_time(text: str) -> datetime:
+    """Parse a timestamp exactly as ``strptime(text, TIME_FORMAT)`` would.
+
+    What ``format_time`` writes takes the fast ``fromisoformat`` path; any
+    other string, valid or not, goes to strptime, which returns the same
+    value or raises its own error.
+    """
+    if _TIME_SHAPE.fullmatch(text):
+        try:
+            return datetime.fromisoformat(text)
+        except ValueError:  # a day past the end of its month, or year 0
+            pass
     return datetime.strptime(text, TIME_FORMAT)
 
 

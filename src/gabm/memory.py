@@ -21,12 +21,16 @@ costs one cosine per record added since its last call, plus O(n)
 C-level multiplies and adds for the score vector and an O(n log k) heap for
 the top k.
 
-Embedding is memoized per process: ``HashEmbedder`` computes each distinct
-text's vector once (16 SHA-256 digests at the default dimension) and every
-bank, query and replay in the process shares it while it stays among the
-EMBED_CACHE_TEXTS most recently embedded texts.  An observation delivered to
-24 agents is hashed once, not 24 times; a stream of all-distinct texts, such
-as a large initial memory list, misses every time and pays the full cost.
+The default embedder is a hashing bag-of-words (signed feature hashing,
+Weinberger et al. 2009): each lower-case ``\\w+`` token adds +1 or -1 to one
+coordinate, picked by its crc32, so texts that share words get related
+vectors and the relevance term means something.  Embedding is memoized per
+process: ``HashEmbedder`` computes each distinct text's vector once and
+every bank, query and replay in the process shares it while it stays among
+the EMBED_CACHE_TEXTS most recently embedded texts.  An observation
+delivered to 24 agents is tokenized once, not 24 times; a stream of
+all-distinct texts, such as a large initial memory list, misses every time
+and pays one pass over its tokens per text.
 
 The bank is safe to share between threads: appends and retrievals take
 its lock, so a retrieval sees every record added before it started.
@@ -34,11 +38,12 @@ its lock, so a retrieval sees every record added before it started.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 import operator
+import re
 import threading
+import zlib
 from collections import OrderedDict
 from functools import lru_cache
 from dataclasses import dataclass
@@ -47,6 +52,8 @@ from itertools import repeat
 from typing import Callable, Protocol
 
 NORM_TOLERANCE = 1e-9
+
+_TOKEN_RE = re.compile(r"\w+")
 
 DEFAULT_WEIGHTS = (1.0, 1.0, 1.0)
 DEFAULT_HALF_LIFE = 100.0
@@ -60,8 +67,9 @@ RELEVANCE_CACHE_QUERIES = 8
 # HashEmbedder in the process.  Measured on the benchmark workloads (seed 1),
 # distinct texts embedded per episode: crowd 159 (135 of its 6720 run-time
 # calls), market 151 (31 of 190 at run time), recall 19 of 284 at run time;
-# recall's 40k distinct initial memories stream through and miss.  An entry
-# holds a vector that records made from the same text share.
+# recall's 40k distinct initial memories stream through and miss, each miss
+# one pass of the token loop.  An entry holds a vector that records made
+# from the same text share.
 EMBED_CACHE_TEXTS = 1024
 
 
@@ -73,40 +81,35 @@ class Embedder(Protocol):
     def embed(self, text: str) -> tuple[float, ...]: ...
 
 
-@lru_cache(maxsize=8)
-def _coordinate_prefixes(dimension: int, seed: int) -> tuple:
-    """Hash states after f"{seed}|{i}|" for each coordinate i, shared by
-    every HashEmbedder with these settings; a memo miss only copies them."""
-    return tuple(hashlib.sha256(f"{seed}|{i}|".encode()) for i in range(dimension))
-
-
 @lru_cache(maxsize=EMBED_CACHE_TEXTS)
 def _hash_embed(dimension: int, seed: int, text: str) -> tuple[float, ...]:
     """The HashEmbedder vector of ``text``, computed once per distinct
     (dimension, seed, text) while it stays in the memo."""
-    encoded = text.encode()
-    raw = []
-    for prefix in _coordinate_prefixes(dimension, seed):
-        digest = prefix.copy()
-        digest.update(encoded)
-        bucket = int.from_bytes(digest.digest()[:8], "big")
-        raw.append(bucket / 2**63 - 1.0)
-    norm = math.sqrt(sum(x * x for x in raw))
-    if norm == 0.0:  # pragma: no cover - digest output is never all-zero buckets
-        raw[0] = 1.0
-        norm = 1.0
-    return tuple(x / norm for x in raw)
+    counts = [0] * dimension
+    for token in _TOKEN_RE.findall(text.lower()):
+        bucket = zlib.crc32(token.encode(), seed)
+        counts[bucket % dimension] += -1 if bucket & 0x80000000 else 1
+    # An int sum of squares is exact, so the norm is one correctly rounded
+    # sqrt and the vector is the same on every Python version.
+    squares = sum(count * count for count in counts)
+    if not squares:
+        return (1.0,) + (0.0,) * (dimension - 1)
+    norm = math.sqrt(squares)
+    return tuple(count / norm for count in counts)
 
 
 class HashEmbedder:
-    """Deterministic stand-in embedder for tests and scripted runs.
+    """Deterministic bag-of-words embedder for tests and scripted runs.
 
-    Coordinates are derived from a SHA-256 digest of the seed, coordinate
-    index, and text, then the vector is normalized.  Identical text always
-    maps to the identical vector; there is no semantic structure.  Each
-    distinct text is embedded once per process while it stays in the
-    shared memo (EMBED_CACHE_TEXTS entries); a repeat returns the memoized
-    tuple.
+    Each lower-case ``\\w+`` token of the text hashes, by ``zlib.crc32``
+    started at the seed, to coordinate ``crc % dimension``, and adds +1
+    there, or -1 when bit 31 of the crc is set.  The int counts are divided
+    by the square root of their int sum of squares, which is exact, so a
+    vector is the same on every Python version.  A text with no tokens, or
+    whose tokens cancel, maps to e_0.  Case and punctuation do not change
+    the vector; texts that share words get related vectors.  Each distinct
+    text is embedded once per process while it stays in the shared memo
+    (EMBED_CACHE_TEXTS entries); a repeat returns the memoized tuple.
     """
 
     def __init__(self, dimension: int = 16, seed: int = 0):

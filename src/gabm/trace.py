@@ -263,6 +263,17 @@ def replay(path: str | Path) -> ReplayReport:
     header = recorded.header
     if header is None:
         return ReplayReport(ok=False, records_checked=0, detail="trace has no header")
+    # Another engine version may embed, retrieve or record differently, so
+    # its traces are not expected to replay byte for byte.
+    if header.engine_version != config_mod.ENGINE_VERSION:
+        return ReplayReport(
+            ok=False,
+            records_checked=0,
+            detail=(
+                f"header engine_version must be {config_mod.ENGINE_VERSION!r}, "
+                f"got {header.engine_version!r}"
+            ),
+        )
     # The header's overrides take the config's own field types, as ``gabm run``'s do.
     for name, ftype in (("seed", config_mod.SEED), ("max_steps", config_mod.MAX_STEPS)):
         value = getattr(header, name)

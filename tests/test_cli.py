@@ -241,6 +241,21 @@ def test_replay_rejects_a_trace_without_a_header(tmp_path, capsys):
     assert capsys.readouterr().err == "replay failed: trace has no header\n"
 
 
+@pytest.mark.parametrize("version", [None, "0.1.0"], ids=["null", "0.1.0"])
+def test_replay_rejects_a_trace_from_another_engine_version(tmp_path, capsys, version):
+    _, out = run_trace(tmp_path)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    header["engine_version"] = version
+    lines[0] = canonical_json(header)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"replay failed: header engine_version must be '0.2.0', got {version!r}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "field, value, must",
     [

@@ -4,6 +4,8 @@ from datetime import datetime, timedelta
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gabm.errors import EpisodeAbort, NoMatchingOption, NotANumber
 from gabm.kernel import (
@@ -15,7 +17,9 @@ from gabm.kernel import (
     ModelCall,
     Observation,
     OutputKind,
+    TIME_FORMAT,
     TraceRecord,
+    format_time,
     parse_choice,
     parse_float_token,
     parse_time,
@@ -211,3 +215,42 @@ def test_time_round_trip_minute_resolution():
     assert parse_time("2024-05-01T08:09") == datetime(2024, 5, 1, 8, 9)
     with pytest.raises(ValueError):
         parse_time("2024-05-01 08:09")
+
+
+def _time_field(low: int, high: int):
+    """One field, mostly in range, written as format_time would or as
+    strptime also reads it: unpadded, space-padded, or in other digits."""
+    written = st.integers(low - 1, high + 1).flatmap(
+        lambda n: st.sampled_from([f"{n:02d}", f"{n}", f"{n:2d}"])
+    )
+    return written | st.from_regex(r"\d\d", fullmatch=True)
+
+
+# Anything at all; what format_time writes, including years below 1000;
+# and near misses of the format that fromisoformat or strptime might read.
+TIME_TEXTS = (
+    st.text(max_size=20)
+    | st.datetimes().map(format_time)
+    | st.builds(
+        "{}-{}-{}{}{}:{}{}".format,
+        st.from_regex(r"[0-9]{4}|\d{1,5}", fullmatch=True),
+        _time_field(1, 12),
+        _time_field(1, 31),
+        st.sampled_from("Tt _"),
+        _time_field(0, 23),
+        _time_field(0, 59),
+        st.sampled_from(["", ":00", "Z", "+01:00", ".5", " "]),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=TIME_TEXTS)
+def test_parse_time_accepts_exactly_what_strptime_accepts(text):
+    try:
+        expected = datetime.strptime(text, TIME_FORMAT)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_time(text)
+    else:
+        assert parse_time(text) == expected

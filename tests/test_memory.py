@@ -1,10 +1,11 @@
 from __future__ import annotations
 
-import hashlib
 import math
 import random
+import re
 import sys
 import threading
+import zlib
 from datetime import datetime, timedelta
 from types import SimpleNamespace
 
@@ -216,34 +217,75 @@ def test_cosine_of_unit_vectors():
 
 
 def reference_hash_embed(dimension: int, seed: int, text: str) -> tuple[float, ...]:
-    """HashEmbedder.embed as first written: one full digest per coordinate."""
-    raw = []
-    for i in range(dimension):
-        digest = hashlib.sha256(f"{seed}|{i}|{text}".encode()).digest()
-        raw.append(int.from_bytes(digest[:8], "big") / 2**63 - 1.0)
-    norm = math.sqrt(sum(x * x for x in raw))
-    return tuple(x / norm for x in raw)
+    """The token spec, one step at a time: each lower-case \\w+ token adds
+    +1 or -1 to one coordinate, from its crc32 started at the seed; the
+    counts are divided by the root of their integer sum of squares."""
+    tokens = re.findall(r"\w+", text.lower())
+    counts = [0] * dimension
+    for token in tokens:
+        crc = zlib.crc32(token.encode("utf-8"), seed)
+        sign = -1 if crc >= 2**31 else 1
+        counts[crc % dimension] += sign
+    squares = sum(count**2 for count in counts)
+    if squares == 0:
+        return tuple(1.0 if i == 0 else 0.0 for i in range(dimension))
+    return tuple(count / math.sqrt(squares) for count in counts)
 
 
 def test_hash_embedder_golden_vectors():
-    # Frozen from the one-digest-per-coordinate embedder.  The norm is a
-    # float sum, which Python 3.12 compensates, so these inputs are ones
-    # whose vectors come out the same on 3.10, 3.11 and 3.12.
+    # Frozen from the token-hashing embedder.  Every coordinate is an int
+    # count over the root of an int sum, so the vectors are the same on
+    # every Python version.  At seed 0, "met" and "the" land in the same
+    # coordinate with opposite signs and cancel; the snowman is no token.
     assert HashEmbedder(dimension=4, seed=3).embed("the pub is snowed in") == (
-        0.7406885539245878, 0.4624844054387772, -0.13706740678898224, -0.4676549655538659,
+        0.8944271909999159, 0.0, 0.0, 0.4472135954999579,
     )
     assert HashEmbedder().embed("Alice met Bob at the mill.") == (
-        -0.39823591212533027, 0.1515891725648429, -0.4333142726736975, -0.03787708846194285,
-        0.14719131760303386, -0.42566847491068693, -0.09694658564644176, -0.37791547804508013,
-        0.039148597630437106, -0.25520003424394516, -0.04293156920320769, 0.12521687986648306,
-        -0.17785029532552038, -0.08999937065471057, 0.36727257558741216, 0.12390903494158062,
+        -0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0,
     )
+    half = 1 / math.sqrt(2)
     assert HashEmbedder().embed("\u00dcn\u00efc\u00f6d\u00e9 \u2603 text") == (
-        -0.3862282228874588, -0.07442476880078083, 0.3811245714646009, -0.31569299965066044,
-        -0.17412018333367185, -0.15081425641185575, 0.12693158947677805, 0.31456986069545717,
-        0.3808800340397892, -0.1448957606439114, 0.32067370305099874, -0.1787354905248673,
-        -0.038384760955400624, 0.25078573917299385, -0.06906585879219135, 0.24952504865079225,
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, half, 0.0, 0.0, 0.0, half, 0.0, 0.0, 0.0, 0.0,
     )
+
+
+def test_case_and_punctuation_do_not_change_the_vector():
+    embedder = HashEmbedder()
+    plain = embedder.embed("alice met bob at the mill")
+    assert embedder.embed("Alice met Bob at the mill.") == plain
+    assert embedder.embed("ALICE -- met BOB, at the mill?!") == plain
+    assert embedder.embed("  alice\tmet\nbob at the   mill ") == plain
+
+
+# At seed 0, "met" and "the" add opposite signs to one coordinate.
+@pytest.mark.parametrize("text", ["", "!!", " ... \u2603 ", "met the"])
+def test_a_text_without_tokens_or_whose_tokens_cancel_embeds_to_the_first_axis(text):
+    assert HashEmbedder().embed(text) == (1.0,) + (0.0,) * 15
+    assert HashEmbedder(dimension=1).embed(text) == (1.0,)
+
+
+def test_a_query_by_name_ranks_the_records_that_mention_it_first():
+    # Relevance alone: the records sharing the query's one word come first.
+    # With 16 coordinates another word can share the name's coordinate and
+    # add to or cancel it, so this holds for a name whose coordinate the
+    # other words here leave alone, as "ada"'s at seed 0.
+    texts = [
+        "Ada mended the lantern at the mill.",
+        "Bruno sold a copper ring to Cyra.",
+        "Cyra found three letters at the ferry.",
+        "Ada counted the ledger twice.",
+        "Dmitri painted the bell rope.",
+        "Bruno borrowed a fishing net from Ada.",
+        "Edda buried the old map in the orchard.",
+        "The harvest fair was loud.",
+        "ADA, at last, sold the blue kettle!",
+    ]
+    bank = MemoryBank(weights=(1.0, 0.0, 0.0))
+    for text in texts:
+        bank.add(text, T0)
+    mentions = {i for i, text in enumerate(texts) if "ada" in text.lower()}
+    ranked = [r.index for r in bank.retrieve_associative("Ada", len(texts))]
+    assert set(ranked[: len(mentions)]) == mentions
 
 
 @settings(max_examples=100, deadline=None)
@@ -301,19 +343,21 @@ def test_threads_embedding_the_same_texts_get_equal_vectors():
 
 
 def test_fanned_out_text_is_digested_once(monkeypatch):
-    # One observation reaching 24 agents' banks runs the digest loop once;
+    # One observation reaching 24 agents' banks runs the token loop once;
     # every record shares the one vector.
     text = "Ada noticed the bell ring in the square."
     memory._hash_embed.cache_clear()
-    digest_loops = []
-    prefixes = memory._coordinate_prefixes
+    token_loops = []
+    token_re = memory._TOKEN_RE
     monkeypatch.setattr(
-        memory, "_coordinate_prefixes", lambda *key: digest_loops.append(key) or prefixes(*key)
+        memory,
+        "_TOKEN_RE",
+        SimpleNamespace(findall=lambda t: token_loops.append(t) or token_re.findall(t)),
     )
     banks = [MemoryBank() for _ in range(24)]
     for bank in banks:
         bank.add(text, T0)
-    assert digest_loops == [(16, 0)]
+    assert token_loops == [text.lower()]
     assert memory._hash_embed.cache_info().hits == 23
     vectors = [bank.snapshot()[0].embedding for bank in banks]
     assert vectors == [reference_hash_embed(16, 0, text)] * 24

@@ -25,9 +25,16 @@ SKETCHES = ["riverbend_election.json", "cyberball.json"]
 # trace format or to what a fixture's run writes bumps
 # config.ENGINE_VERSION and updates these pins in the same change.
 FIXTURE_TRACE_SHA256 = {
-    "calendar.json": "ffff1fa33db29873a26460d9abf631a674df7b5d8ca100e3b58d63fe3dfe96c4",
-    "magic_beans.json": "1163aae51e3bb4b6462bbc685d1e87e7d31a3e6e8a40fe73604b35621b1e7a7a",
-    "three_questions.json": "87ea98806165b5213afa8836971af6c2e2757748de0dee50e0b96c6ffe313c41",
+    "calendar.json": "861c728b476b837522beb68c4925fbb7b4e3f5c3e2e3619d3bda4c33a53ce780",
+    "magic_beans.json": "e9dba825495b59f4197a17b91f80f30d6771c5103e65ee3cc5f86571d887fa20",
+    "three_questions.json": "8de915cbf392c229e553b40859f7b2639975f4c6248b83e528914d1f634dce3a",
+}
+# sha256 of each trace's record lines, every line after the header.  Engine
+# 0.2.0 changed the embedder; calendar and magic_beans never retrieve
+# associatively, so their records are the ones engine 0.1.0 wrote.
+FIXTURE_RECORDS_SHA256 = {
+    "calendar.json": "042cf2746668cd065bb98ceb4f1634fc4b53db3428330cf8bf592e18cc6b2509",
+    "magic_beans.json": "ebba52323c0176ed77e0377db56aaa3791712494679e1cc67b1fed43d0d3dee7",
 }
 
 
@@ -105,6 +112,14 @@ def test_scripted_fixture_traces_are_pinned(name):
     out = io.StringIO()
     run_built_scenario(build(load_config(SCENARIOS / name)), out=out)
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == FIXTURE_TRACE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_RECORDS_SHA256))
+def test_fixtures_that_never_retrieve_keep_their_records_across_the_embedder_change(name):
+    out = io.StringIO()
+    run_built_scenario(build(load_config(SCENARIOS / name)), out=out)
+    records = out.getvalue().split("\n", 1)[1]
+    assert hashlib.sha256(records.encode("utf-8")).hexdigest() == FIXTURE_RECORDS_SHA256[name]
 
 
 class SlowReorderingModel(GenerativeModel):
