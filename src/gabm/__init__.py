@@ -58,7 +58,6 @@ from .model import EchoModel, GenerativeModel, HttpModel, ScriptedModel, ScriptR
 from .phone import (
     CalendarApp,
     NotificationHub,
-    Phone,
     PhoneUniverse,
     detect_phone_event,
     deliver_notifications,
@@ -108,7 +107,6 @@ __all__ = [
     "ObservationBuffer",
     "ObservationDelivery",
     "OutputKind",
-    "Phone",
     "PhoneUniverse",
     "PhraseTerminator",
     "Questionnaire",

@@ -25,7 +25,7 @@ from decimal import Decimal
 from .errors import EpisodeAbort, InvalidModelOutput, NotANumber
 from .kernel import ActionSpec, AgentAction, Observation, OutputKind, format_time, parse_float_token
 from .memory import MemoryBank
-from .model import GenerativeModel, render_choice_prompt, run_in_order, sample_repaired
+from .model import GenerativeModel, render_choice_prompt, run_holding_calls, sample_repaired
 
 DEFAULT_PREAMBLE = "Instructions: this is a social simulation. Answer as {name} would."
 FLOAT_SUFFIX = "Answer with a single number."
@@ -215,17 +215,18 @@ class GenerativeAgent:
         """Run one two-phase update pass over all due components.
 
         Every due component's update reads peers' pre-pass states, so the
-        updates do not depend on each other: ``run_in_order`` issues them
-        together when the model is slow enough for that to pay, and the
-        trace records their model calls in declaration order either way.
-        Staged results publish together afterwards.  A component failure
+        updates do not depend on each other: ``run_holding_calls`` issues
+        them together when the model is slow enough for that to pay, and
+        taking each in turn records their model calls in declaration order
+        either way.  Staged results publish together afterwards.  A component failure
         aborts the episode naming the first failing component in
         declaration order; later components' calls are not recorded.
         """
         pass_index = self._update_passes
         self._update_passes += 1
         due = [c for c in self.components if c.due(pass_index)]
-        run_in_order([functools.partial(self._update_one, c) for c in due], self.model)
+        for take in run_holding_calls([functools.partial(self._update_one, c) for c in due], self.model):
+            take()
         for component in due:
             component.commit()
 

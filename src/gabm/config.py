@@ -650,7 +650,7 @@ def build(
         **_given(gm_cfg, ["preamble"]),
     )
     if universe is not None:
-        universe.attach(gm)
+        gm.notification_hub = universe.hub
 
     questionnaires: list[tuple[Questionnaire, bool]] = []
     for battery in raw.get("questionnaires", []):

@@ -211,7 +211,7 @@ class GameMaster:
         self.memory = memory if memory is not None else MemoryBank()
         self.preamble = preamble
         self.rng = rng or random.Random(0)
-        self.notification_hub = None  # set when a digital universe attaches
+        self.notification_hub = None  # a phone universe's hub, when there is one
         self.trace: list[TraceRecord] = []
         self.on_record: Callable[[TraceRecord], None] | None = None
         self._player_index = {p.name: p for p in self.players}
@@ -382,7 +382,13 @@ class GameMaster:
             self.on_record(record)
 
     def _acting_turn(self, player: GenerativeAgent, step: int) -> bool:
-        """Run one player's full turn; True if a component ended the episode."""
+        """Run one player's full turn; True if a component ended the episode.
+
+        The act prompt is built from the component states the player
+        published at the end of its previous turn: ``update_components``
+        runs after the action is resolved, so what this turn's briefing
+        told the player reaches its act prompt one turn late.
+        """
         record = self.begin_record("turn", step, player.name)
         try:
             self.pre_act_observe(player)
@@ -425,27 +431,20 @@ class GameMaster:
         return EpisodeResult(trace=list(self.trace), reason=reason, grounded=grounded, error=error_text)
 
 
-def spawn_nested_game(
-    parent_gm: GameMaster,
-    child_factory: Callable[[list[GenerativeAgent], GameClock], "NestedScene"],
-    participants: list[str],
-    child_clock: GameClock,
-    scene_minutes: int,
-    label: str = "scene",
-) -> list[str]:
+def spawn_nested_game(parent_gm: GameMaster, scene, scene_minutes: int, label: str = "scene") -> list[str]:
     """Run a nested scene and merge its memories back into the parent.
 
-    The child plays out on its own clock; control returns last-in
-    first-out.  Every memory the child produces is appended to the parent
+    The scene is any object whose ``run()`` plays it out and returns its
+    memories.  The caller builds it, with its players resolved through
+    ``parent_gm.player`` and its own clock.  Control returns last-in
+    first-out.  Every memory the scene produces is appended to the parent
     game master's memory between scene markers, and the parent clock is
     charged exactly the configured scene duration.
     """
-    agents = [parent_gm.player(name) for name in participants]
     moment = parent_gm.clock.current_time
     parent_gm.memory.add(f"[scene start: {label}]", moment)
     parent_gm.audit_note(f"scene start: {label}")
-    child = child_factory(agents, child_clock)
-    memories = child.run()
+    memories = scene.run()
     for text in memories:
         parent_gm.memory.add(text, moment)
     parent_gm.memory.add(f"[scene end: {label}]", moment)
@@ -454,14 +453,7 @@ def spawn_nested_game(
     return memories
 
 
-class NestedScene:
-    """Interface nested scenes implement: play out and report memories."""
-
-    def run(self) -> list[str]:  # pragma: no cover - interface only
-        raise NotImplementedError
-
-
-class ConversationScene(NestedScene):
+class ConversationScene:
     """A spoken exchange among participants, played on its own clock.
 
     Participants speak round-robin; the dialogue so far travels in the call

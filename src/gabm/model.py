@@ -11,11 +11,10 @@ ScriptedModel is the deterministic test backend: an ordered rule list with
 per-rule consumption budgets and a default response.  HttpModel adapts any
 chat-completions endpoint and is never touched by the default test suite.
 
-``run_in_order`` issues independent tasks together when the model is slow
-enough for that to pay, and records their calls in task order, so a trace
-does not depend on which call came back first.  ``run_holding_calls`` does
-the same but leaves it to the caller to say when each task's calls are
-recorded.
+``run_holding_calls`` issues independent tasks together when the model is
+slow enough for that to pay, and leaves it to the caller to say when each
+task's calls are recorded, so a trace does not depend on which call came
+back first.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ CHARS_PER_TOKEN = 4
 REPAIR_BUDGET = 3
 _CHOICE_REPAIR = "Answer with exactly one of the options, verbatim."
 
-# run_in_order issues tasks in parallel only for a model whose measured
+# run_holding_calls issues tasks in parallel only for a model whose measured
 # wall time per call is at least this: below it the hand-offs between
 # threads cost more than the overlap saves.
 PARALLEL_MIN_CALL_S = 0.001
@@ -108,7 +107,7 @@ class GenerativeModel:
         response = self._complete(prompt, max_chars)
         elapsed = time.perf_counter() - start
         # Unlocked: a racing update loses one sample, which the gate in
-        # run_in_order tolerates.
+        # run_holding_calls tolerates.
         average = self.call_seconds
         self.call_seconds = (
             elapsed if average is None else average + CALL_TIME_WEIGHT * (elapsed - average)
@@ -219,18 +218,6 @@ def run_holding_calls(
         # nested in a task never waits on a pool that its own batch filled.
         takers.append(task if future.cancel() else future.result())
     return takers
-
-
-def run_in_order(tasks: Sequence[Callable[[], object]], model: GenerativeModel) -> None:
-    """Run independent tasks; their model calls are recorded in task order.
-
-    The open call list gets every call of task 0, then of task 1, and so on,
-    whatever order the calls came back in.  If tasks fail, the first
-    failing task's error is raised once its calls are recorded, and the
-    calls of the tasks after it are dropped.
-    """
-    for take in run_holding_calls(tasks, model):
-        take()
 
 
 def render_choice_prompt(prompt: str, options: list[str] | tuple[str, ...]) -> str:

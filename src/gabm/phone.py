@@ -5,8 +5,8 @@ first one choice call picks an "app.action" from the installed catalog,
 then one model call per parameter supplies a typed value.  The
 invocation returns result text for the owner and may queue notifications,
 which land as observations at the recipient's next pre-act phase, exactly
-once.  Apps are singletons shared by every phone that installs them, so
-app state survives scene boundaries.
+once.  A phone is its owner's list of apps.  Apps are singletons shared by
+every phone that installs them, so app state survives scene boundaries.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from __future__ import annotations
 import functools
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Callable
 
 from .agent import GenerativeAgent
 from .errors import ConfigError, NoMatchingOption
-from .game_master import Effect, GameMaster, GMComponent, NestedScene, spawn_nested_game
+from .game_master import Effect, GameMaster, GMComponent, spawn_nested_game
 from .kernel import (
     ActionSpec,
     EventStatement,
@@ -56,13 +56,6 @@ class AppActionDescriptor:
     params: tuple[ParamDescriptor, ...] = ()
 
 
-@dataclass(frozen=True)
-class AppDescriptor:
-    name: str
-    description: str
-    actions: tuple[AppActionDescriptor, ...]
-
-
 class NotificationHub:
     """Queued texts awaiting each recipient's next pre-act phase."""
 
@@ -94,20 +87,21 @@ class AppContext:
     """What an app handler may touch while executing one invocation."""
 
     owner: str
-    now: datetime
     hub: NotificationHub
 
 
 class PhoneApp:
-    """Base class: a descriptor plus one handler per declared action."""
+    """Base class: ``name``, ``description`` and ``actions`` describe the app
+    once; each declared action is handled by a ``do_<action>`` method."""
 
-    def descriptor(self) -> AppDescriptor:
-        raise NotImplementedError
+    name = ""
+    description = ""
+    actions: tuple[AppActionDescriptor, ...] = ()
 
     def invoke(self, action: str, ctx: AppContext, args: dict) -> str:
         handler = getattr(self, f"do_{action}", None)
         if handler is None:
-            raise ConfigError(f"app {self.descriptor().name!r} has no action {action!r}")
+            raise ConfigError(f"app {self.name!r} has no action {action!r}")
         return handler(ctx, **args)
 
 
@@ -122,58 +116,42 @@ class Meeting:
             raise ValueError("a meeting needs at least one participant")
 
 
-class CalendarStore:
-    """Shared meeting list; lives as long as the universe does."""
-
-    def __init__(self):
-        self.meetings: list[Meeting] = []
-
-    def add(self, when: datetime, participants: list[str], title: str) -> Meeting:
-        meeting = Meeting(when=when, participants=tuple(sorted(set(participants))), title=title)
-        self.meetings.append(meeting)
-        return meeting
-
-    def remove_by_title(self, title: str) -> int:
-        before = len(self.meetings)
-        self.meetings = [m for m in self.meetings if m.title != title]
-        return before - len(self.meetings)
-
-
 class CalendarApp(PhoneApp):
-    """Keeps track of meetings; can add, remove, and read them back."""
+    """Keeps track of meetings; can add, remove, and read them back.
+
+    ``meetings`` is shared by every phone the app is installed on and
+    lives as long as the universe does.
+    """
+
+    description = "Keeps track of meetings."
+    actions = (
+        AppActionDescriptor(
+            name="add_meeting",
+            description="Schedule a meeting with another person.",
+            params=(
+                ParamDescriptor("title", "text", "Short name for the meeting."),
+                ParamDescriptor("participant", "text", "Who else attends."),
+                ParamDescriptor("when", "datetime", "When the meeting starts."),
+            ),
+        ),
+        AppActionDescriptor(
+            name="check_calendar",
+            description="Read back the scheduled meetings.",
+        ),
+        AppActionDescriptor(
+            name="remove_meeting",
+            description="Delete meetings by exact title.",
+            params=(ParamDescriptor("title", "text", "Title of the meeting to delete."),),
+        ),
+    )
 
     def __init__(self, name: str = "calendar"):
         self.name = name
-        self.store = CalendarStore()
-
-    def descriptor(self) -> AppDescriptor:
-        return AppDescriptor(
-            name=self.name,
-            description="Keeps track of meetings.",
-            actions=(
-                AppActionDescriptor(
-                    name="add_meeting",
-                    description="Schedule a meeting with another person.",
-                    params=(
-                        ParamDescriptor("title", "text", "Short name for the meeting."),
-                        ParamDescriptor("participant", "text", "Who else attends."),
-                        ParamDescriptor("when", "datetime", "When the meeting starts."),
-                    ),
-                ),
-                AppActionDescriptor(
-                    name="check_calendar",
-                    description="Read back the scheduled meetings.",
-                ),
-                AppActionDescriptor(
-                    name="remove_meeting",
-                    description="Delete meetings by exact title.",
-                    params=(ParamDescriptor("title", "text", "Title of the meeting to delete."),),
-                ),
-            ),
-        )
+        self.meetings: list[Meeting] = []
 
     def do_add_meeting(self, ctx: AppContext, title: str, participant: str, when: datetime) -> str:
-        meeting = self.store.add(when=when, participants=[ctx.owner, participant], title=title)
+        meeting = Meeting(when=when, participants=tuple(sorted({ctx.owner, participant})), title=title)
+        self.meetings.append(meeting)
         when_text = format_time(meeting.when)
         if participant != ctx.owner:
             ctx.hub.push(
@@ -183,38 +161,31 @@ class CalendarApp(PhoneApp):
         return f"Added meeting '{title}' with {participant} at {when_text}."
 
     def do_check_calendar(self, ctx: AppContext) -> str:
-        if not self.store.meetings:
+        if not self.meetings:
             return "The calendar is empty."
         lines = [
             f"{format_time(m.when)}: '{m.title}' with {', '.join(m.participants)}"
-            for m in self.store.meetings
+            for m in self.meetings
         ]
         return "Meetings: " + "; ".join(lines)
 
     def do_remove_meeting(self, ctx: AppContext, title: str) -> str:
-        removed = self.store.remove_by_title(title)
+        kept = [m for m in self.meetings if m.title != title]
+        removed = len(self.meetings) - len(kept)
+        self.meetings = kept
         if removed == 0:
             return f"No meeting titled '{title}' found."
         return f"Removed {removed} meeting(s) titled '{title}'."
 
 
-@dataclass
-class Phone:
-    """One per player; apps are shared singletons, listed in install order."""
-
-    owner: str
-    apps: list[PhoneApp] = field(default_factory=list)
-
-
-def render_app_catalog(phone: Phone) -> str:
-    """Deterministic text catalog of everything the phone can do."""
-    if not phone.apps:
-        return f"{phone.owner}'s phone has no apps installed."
-    lines = [f"Apps installed on {phone.owner}'s phone:"]
-    for app in phone.apps:
-        desc = app.descriptor()
-        lines.append(f"{desc.name}: {desc.description}")
-        for action in desc.actions:
+def render_app_catalog(owner: str, apps: list[PhoneApp]) -> str:
+    """Deterministic text catalog of everything the owner's phone can do."""
+    if not apps:
+        return f"{owner}'s phone has no apps installed."
+    lines = [f"Apps installed on {owner}'s phone:"]
+    for app in apps:
+        lines.append(f"{app.name}: {app.description}")
+        for action in app.actions:
             params = ", ".join(f"{p.name}: {p.kind}" for p in action.params)
             lines.append(f"  {action.name}({params}) -- {action.description}")
     return "\n".join(lines)
@@ -259,16 +230,11 @@ def parse_param_value(raw: str, kind: str, now: datetime):
     raise ValueError(f"unknown parameter kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class AppInvocation:
-    app: str
-    action: str
-    args: dict
-    result: str
-
-
 class PhoneUniverse:
-    """Registry of apps and phones, plus the shared notification hub."""
+    """Registry of apps and phones, plus the shared notification hub.
+
+    ``phones`` maps each owner to the apps on their phone, in install order.
+    """
 
     def __init__(
         self,
@@ -280,19 +246,18 @@ class PhoneUniverse:
         self.apps: dict[str, PhoneApp] = {}
         for app in apps or []:
             self.register_app(app)
-        self.phones: dict[str, Phone] = {}
+        self.phones: dict[str, list[PhoneApp]] = {}
         self.hub = NotificationHub()
         self.scene_minutes = scene_minutes
         self.max_actions = max_actions
         self.child_step_minutes = child_step_minutes
 
     def register_app(self, app: PhoneApp) -> None:
-        name = app.descriptor().name
-        if name in self.apps:
-            raise ConfigError(f"duplicate app name {name!r}")
-        self.apps[name] = app
+        if app.name in self.apps:
+            raise ConfigError(f"duplicate app name {app.name!r}")
+        self.apps[app.name] = app
 
-    def give_phone(self, owner: str, app_names: list[str]) -> Phone:
+    def give_phone(self, owner: str, app_names: list[str]) -> None:
         if owner in self.phones:
             raise ConfigError(f"{owner!r} already has a phone")
         apps = []
@@ -300,45 +265,34 @@ class PhoneUniverse:
             if name not in self.apps:
                 raise ConfigError(f"unknown app {name!r}")
             apps.append(self.apps[name])
-        phone = Phone(owner=owner, apps=apps)
-        self.phones[owner] = phone
-        return phone
-
-    def phone_for(self, owner: str) -> Phone | None:
-        return self.phones.get(owner)
-
-    def attach(self, gm: GameMaster) -> None:
-        gm.notification_hub = self.hub
+        self.phones[owner] = apps
 
 
 def translate_action(
     universe: PhoneUniverse,
-    phone: Phone,
+    owner: str,
     text: str,
     model: GenerativeModel,
     now: datetime,
     note: Callable[[str], None] | None = None,
-) -> AppInvocation | None:
-    """Ground one free-text phone action into a typed app invocation.
+) -> str | None:
+    """Ground one free-text phone action into a typed app call and make it.
 
-    Stage one is a single choice over every installed "app.action"; stage
-    two asks the model for each parameter in declaration order.
-    Returns None when no app fits or a parameter never parses; the reason
-    goes through ``note``.
+    Stage one is a single choice over every "app.action" on the owner's
+    phone; stage two asks the model for each parameter in declaration
+    order.  Returns the app's result text, or None when no app fits or a
+    parameter never parses; the reason goes through ``note``.
     """
     log = note or (lambda _: None)
-    catalog: list[tuple[str, PhoneApp, AppActionDescriptor]] = []
-    for app in phone.apps:
-        desc = app.descriptor()
-        for action in desc.actions:
-            catalog.append((f"{desc.name}.{action.name}", app, action))
+    apps = universe.phones.get(owner, [])
+    catalog = [(f"{app.name}.{action.name}", app, action) for app in apps for action in app.actions]
     if not catalog:
         log("no suitable app (phone has no apps)")
         return None
     options = [label for label, _, _ in catalog]
     prompt = (
-        f"{render_app_catalog(phone)}\n"
-        f"{phone.owner} wants to: {text}\n"
+        f"{render_app_catalog(owner, apps)}\n"
+        f"{owner} wants to: {text}\n"
         "Which app action does this correspond to?"
     )
     try:
@@ -350,7 +304,7 @@ def translate_action(
     args: dict = {}
     for param in action.params:
         ask = (
-            f"{phone.owner} wants to: {text}\n"
+            f"{owner} wants to: {text}\n"
             f"The chosen app action is {label}.\n"
             f"The current time is {format_time(now)}.\n"
             f"Provide the value for parameter '{param.name}' ({param.kind}). {param.description}"
@@ -363,9 +317,7 @@ def translate_action(
         except ValueError:
             log(f"parameter {param.name!r} never parsed; invocation skipped")
             return None
-    ctx = AppContext(owner=phone.owner, now=now, hub=universe.hub)
-    result = app.invoke(action.name, ctx, args)
-    return AppInvocation(app=app.descriptor().name, action=action.name, args=args, result=result)
+    return app.invoke(action.name, AppContext(owner=owner, hub=universe.hub), args)
 
 
 DETECT_PHONE_QUESTION = (
@@ -390,8 +342,12 @@ def detect_phone_event(event_text: str, model: GenerativeModel, note: Callable[[
     return answer == "yes"
 
 
-class PhoneScene(NestedScene):
-    """Single-owner nested game: act on the phone until done or capped."""
+class PhoneScene:
+    """Single-owner nested game: act on the phone until done or capped.
+
+    ``note`` receives the scene's audit notes, e.g. the parent game
+    master's ``audit_note``.
+    """
 
     def __init__(
         self,
@@ -399,23 +355,21 @@ class PhoneScene(NestedScene):
         universe: PhoneUniverse,
         clock: GameClock,
         model: GenerativeModel,
-        parent_gm: GameMaster | None = None,
+        note: Callable[[str], None] | None = None,
         trigger: str = "",
     ):
-        phone = universe.phone_for(owner.name)
-        if phone is None:
+        if owner.name not in universe.phones:
             raise ConfigError(f"{owner.name!r} has no phone")
         self.owner = owner
-        self.phone = phone
         self.universe = universe
         self.clock = clock
         self.model = model
-        self.parent_gm = parent_gm
+        self.note = note
         self.trigger = trigger
 
     def _note(self, text: str) -> None:
-        if self.parent_gm is not None:
-            self.parent_gm.audit_note(f"phone scene: {text}")
+        if self.note is not None:
+            self.note(f"phone scene: {text}")
 
     def run(self) -> list[str]:
         owner = self.owner
@@ -439,15 +393,15 @@ class PhoneScene(NestedScene):
             spec = ActionSpec("What does {name} do on the phone right now? It is {time}.")
             action = owner.act(spec, self.clock.current_time)
             log.append(f"{owner.name}: {action.text}")
-            invocation = translate_action(
+            result = translate_action(
                 self.universe,
-                self.phone,
+                owner.name,
                 action.text,
                 self.model,
                 self.clock.current_time,
                 note=self._note,
             )
-            if invocation is None:
+            if result is None:
                 text = "The phone has no suitable app for that."
                 memories.append(text)
                 owner.observe(
@@ -455,14 +409,10 @@ class PhoneScene(NestedScene):
                 )
                 capped = False
                 break
-            log.append(f"Phone: {invocation.result}")
-            memories.append(f"Phone: {invocation.result}")
+            log.append(f"Phone: {result}")
+            memories.append(f"Phone: {result}")
             owner.observe(
-                Observation(
-                    recipient=owner.name,
-                    text=invocation.result,
-                    timestamp=self.clock.current_time,
-                )
+                Observation(recipient=owner.name, text=result, timestamp=self.clock.current_time)
             )
             self.clock.advance()
         if capped:
@@ -478,29 +428,15 @@ def run_phone_scene(
     trigger: str = "",
 ) -> list[str]:
     """Spawn the nested phone game for one owner and merge it back."""
-    child_clock = GameClock(
-        current_time=parent_gm.clock.current_time,
-        step_minutes=universe.child_step_minutes,
+    scene = PhoneScene(
+        owner=parent_gm.player(owner_name),
+        universe=universe,
+        clock=GameClock(parent_gm.clock.current_time, step_minutes=universe.child_step_minutes),
+        model=parent_gm.model,
+        note=parent_gm.audit_note,
+        trigger=trigger,
     )
-
-    def factory(agents: list[GenerativeAgent], clock: GameClock) -> PhoneScene:
-        return PhoneScene(
-            owner=agents[0],
-            universe=universe,
-            clock=clock,
-            model=parent_gm.model,
-            parent_gm=parent_gm,
-            trigger=trigger,
-        )
-
-    return spawn_nested_game(
-        parent_gm,
-        factory,
-        [owner_name],
-        child_clock,
-        universe.scene_minutes,
-        label=f"phone: {owner_name}",
-    )
+    return spawn_nested_game(parent_gm, scene, universe.scene_minutes, label=f"phone: {owner_name}")
 
 
 class SceneTrigger(GMComponent):
@@ -525,7 +461,7 @@ class SceneTrigger(GMComponent):
         if not detected:
             return
         actor = event.cause.actor
-        if self.universe.phone_for(actor) is None:
+        if actor not in self.universe.phones:
             gm.audit_note(f"{actor} has no phone; scene skipped")
             return
         run_phone_scene(gm, self.universe, actor, trigger=event.text)

@@ -248,7 +248,7 @@ def test_criterion_4_transfers_conserve_and_reject_safely():
 
 
 class ErrandScene:
-    """Depth-2 wrapper: runs a real phone scene inside itself."""
+    """Depth-2 scene: runs a real phone scene inside itself."""
 
     def __init__(self, gm: GameMaster, universe: PhoneUniverse):
         self.gm = gm
@@ -281,17 +281,10 @@ def test_criterion_5_nested_scenes_round_trip():
     universe = PhoneUniverse(scene_minutes=30, max_actions=3, child_step_minutes=1)
     universe.register_app(CalendarApp())
     universe.give_phone("Alice", ["calendar"])
-    universe.attach(gm)
+    gm.notification_hub = universe.hub
 
     step_before = gm.clock.step_index
-    spawn_nested_game(
-        gm,
-        lambda agents, clock: ErrandScene(gm, universe),
-        ["Alice"],
-        GameClock(current_time=gm.clock.current_time),
-        scene_minutes=25,
-        label="errand",
-    )
+    spawn_nested_game(gm, ErrandScene(gm, universe), scene_minutes=25, label="errand")
     assert memory_texts(gm.memory) == [
         "[scene start: errand]",
         "[scene start: phone: Alice]",
@@ -306,14 +299,8 @@ def test_criterion_5_nested_scenes_round_trip():
     assert gm.clock.step_index == step_before
 
     chat_clock = GameClock(current_time=gm.clock.current_time, step_minutes=2)
-    spawn_nested_game(
-        gm,
-        lambda agents, clock: ConversationScene(agents, model, clock, max_turns=4),
-        ["Alice", "Bob"],
-        chat_clock,
-        scene_minutes=10,
-        label="hallway chat",
-    )
+    chat = ConversationScene([gm.player("Alice"), gm.player("Bob")], model, chat_clock, max_turns=4)
+    spawn_nested_game(gm, chat, scene_minutes=10, label="hallway chat")
     texts = memory_texts(gm.memory)
     assert texts[-3:] == [
         'Alice said: "see you at ten"',
@@ -333,7 +320,7 @@ def test_criterion_6_calendar_end_to_end():
     built = build(load_config(SCENARIOS / "calendar.json"))
     outcome = run_built_scenario(built)
     elapsed = time.monotonic() - started
-    meetings = built.universe.apps["calendar"].store.meetings
+    meetings = built.universe.apps["calendar"].meetings
     assert len(meetings) == 1
     assert set(meetings[0].participants) == {"Alice", "Bob"}
     notifications = [

@@ -267,7 +267,7 @@ def test_build_scene_trigger_and_universe(tmp_path):
     assert built.universe is not None
     assert built.universe.scene_minutes == 10
     assert built.universe.max_actions == 2
-    assert built.universe.phone_for("Alice") is not None
+    assert "Alice" in built.universe.phones
     assert built.gm.notification_hub is built.universe.hub
     assert any(isinstance(c, SceneTrigger) for c in built.gm.components)
 

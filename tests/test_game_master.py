@@ -17,7 +17,6 @@ from gabm.game_master import (
     ObservationDelivery,
     PhraseTerminator,
     spawn_nested_game,
-    NestedScene,
     OBSERVERS_QUESTION,
     STATE_QUESTION,
 )
@@ -404,7 +403,7 @@ def test_grounded_snapshot_in_result():
 # ---- nested scenes ----------------------------------------------------------
 
 
-class CannedScene(NestedScene):
+class CannedScene:
     def __init__(self, memories: list[str]):
         self.memories = memories
 
@@ -415,12 +414,7 @@ class CannedScene(NestedScene):
 def test_spawn_nested_game_brackets_memories_and_charges_time():
     gm = make_gm()
     memories = spawn_nested_game(
-        gm,
-        lambda agents, clock: CannedScene(["they argued", "they made up"]),
-        participants=["Alice", "Bob"],
-        child_clock=GameClock(T0, step_minutes=1),
-        scene_minutes=45,
-        label="tea break",
+        gm, CannedScene(["they argued", "they made up"]), scene_minutes=45, label="tea break"
     )
     assert memories == ["they argued", "they made up"]
     assert memory_texts(gm.memory) == [
@@ -434,40 +428,26 @@ def test_spawn_nested_game_brackets_memories_and_charges_time():
 
 
 def test_spawn_nested_game_rejects_non_players():
+    # The caller resolves a scene's players through gm.player, so a scene
+    # for a non-player fails before any marker is written or time charged.
     gm = make_gm()
     with pytest.raises(ConfigError):
         spawn_nested_game(
-            gm,
-            lambda agents, clock: CannedScene([]),
-            participants=["Ghost"],
-            child_clock=GameClock(T0),
-            scene_minutes=5,
+            gm, ConversationScene([gm.player("Ghost")], gm.model, GameClock(T0)), scene_minutes=5
         )
+    assert memory_texts(gm.memory) == []
+    assert gm.clock.current_time == T0
 
 
 def test_nested_scenes_unwind_last_in_first_out():
     gm = make_gm()
 
-    class OuterScene(NestedScene):
+    class OuterScene:
         def run(self):
-            spawn_nested_game(
-                gm,
-                lambda agents, clock: CannedScene(["inner happening"]),
-                participants=["Bob"],
-                child_clock=GameClock(T0, step_minutes=1),
-                scene_minutes=10,
-                label="inner",
-            )
+            spawn_nested_game(gm, CannedScene(["inner happening"]), scene_minutes=10, label="inner")
             return ["outer happening"]
 
-    spawn_nested_game(
-        gm,
-        lambda agents, clock: OuterScene(),
-        participants=["Alice", "Bob"],
-        child_clock=GameClock(T0, step_minutes=1),
-        scene_minutes=30,
-        label="outer",
-    )
+    spawn_nested_game(gm, OuterScene(), scene_minutes=30, label="outer")
     assert memory_texts(gm.memory) == [
         "[scene start: outer]",
         "[scene start: inner]",
@@ -627,7 +607,7 @@ def run_batch_turn(model):
         components=[SceneTrigger(universe), inventory, ObservationDelivery()],
         model=model,
     )
-    universe.attach(gm)
+    gm.notification_hub = universe.hub
     result = gm.run_episode(max_steps=1)
     (record,) = result.trace
     return result, record

@@ -25,7 +25,6 @@ from gabm.model import (
     open_calls,
     render_choice_prompt,
     run_holding_calls,
-    run_in_order,
 )
 
 
@@ -252,7 +251,10 @@ def warmed(model: GenerativeModel, calls: list[ModelCall]) -> GenerativeModel:
 
 def test_run_in_order_records_in_task_order_not_completion_order(calls):
     model = warmed(SleepyModel({"first": 60, "second": 30, "third": 1}), calls)
-    run_in_order([lambda p=p: model.sample_text(p, caller=p) for p in ("first", "second", "third")], model)
+    for take in run_holding_calls(
+        [lambda p=p: model.sample_text(p, caller=p) for p in ("first", "second", "third")], model
+    ):
+        take()
     assert [c.caller for c in calls] == ["first", "second", "third"]
 
 
@@ -264,9 +266,11 @@ def test_run_in_order_hands_nested_batches_to_the_enclosing_task(calls):
 
     def nested():
         model.sample_text("b0", caller="b0")
-        run_in_order([call("b1"), call("b2")], model)
+        for take in run_holding_calls([call("b1"), call("b2")], model):
+            take()
 
-    run_in_order([call("a"), nested, call("c")], model)
+    for take in run_holding_calls([call("a"), nested, call("c")], model):
+        take()
     assert [c.caller for c in calls] == ["a", "b0", "b1", "b2", "c"]
 
 
@@ -287,7 +291,8 @@ def test_run_in_order_raises_first_failure_in_task_order_and_drops_later_calls(c
         lambda: model.sample_text("later", caller="later"),
     ]
     with pytest.raises(RuntimeError, match="slow failure"):
-        run_in_order(tasks, model)
+        for take in run_holding_calls(tasks, model):
+            take()
     assert [c.caller for c in calls] == ["ok", "slow failure"]
 
 
@@ -327,7 +332,8 @@ def test_run_in_order_stays_on_the_calling_thread_below_the_gate():
     model = SleepyModel(default_ms=0)
     model.sample_text("warm up")
     assert model.call_seconds < PARALLEL_MIN_CALL_S
-    run_in_order([lambda p=p: model.sample_text(p) for p in "abc"], model)
+    for take in run_holding_calls([lambda p=p: model.sample_text(p) for p in "abc"], model):
+        take()
     assert {thread for _, thread in model.finished} == {threading.current_thread().name}
 
 

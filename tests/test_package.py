@@ -1,6 +1,19 @@
 from __future__ import annotations
 
+import importlib.util
+from datetime import datetime
+from pathlib import Path
+
+import pytest
+
 import gabm
+from gabm.agent import GenerativeAgent
+from gabm.errors import InvalidModelOutput, NoMatchingOption
+from gabm.kernel import ActionSpec, OutputKind
+from gabm.model import ScriptedModel, ScriptRule
+from gabm.phone import CalendarApp, PhoneUniverse, translate_action
+
+T0 = datetime(2024, 5, 1, 9, 0)
 
 
 def test_every_exported_name_exists_once():
@@ -8,3 +21,48 @@ def test_every_exported_name_exists_once():
     missing = [name for name in gabm.__all__ if not hasattr(gabm, name)]
     assert missing == []
     assert len(set(gabm.__all__)) == len(gabm.__all__)
+
+
+def _bench_tracing():
+    # The benchmark's span tracer, read from the checkout; nothing is installed.
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_entry_points_resolve_to_callables():
+    # The tracer wraps these by name; a renamed entry point would break only
+    # the traced benchmark run.
+    tracing = _bench_tracing()
+    missing = [
+        name
+        for owner, attr, name in tracing.ENTRY_POINTS
+        if not callable(getattr(owner, attr, None))
+    ]
+    assert missing == []
+
+
+def test_bench_repair_pattern_matches_every_re_ask(calls):
+    repair_re = _bench_tracing().REPAIR_RE
+    model = ScriptedModel(
+        rules=[ScriptRule(contains="Which app action", response="calendar.add_meeting")],
+        default_response="whenever works",  # no option, no number, no datetime
+    )
+    with pytest.raises(NoMatchingOption):
+        model.sample_choice("Pick one.", ["left", "right"], caller="choice")
+    agent = GenerativeAgent("Ada", model)
+    with pytest.raises(InvalidModelOutput):
+        agent.act(ActionSpec("Pick a number, {name}.", OutputKind.FLOAT), T0)
+    universe = PhoneUniverse(apps=[CalendarApp()])
+    universe.give_phone("Ada", ["calendar"])
+    assert translate_action(universe, "Ada", "plan lunch", model, now=T0) is None
+    asks: dict[str, list[str]] = {}
+    for call in calls:
+        asks.setdefault(call.caller, []).append(call.prompt)
+    for caller in ("choice", "agent:Ada:act", "phone:translate:param:when"):
+        first, *re_asks = asks[caller]
+        assert re_asks, caller
+        assert not repair_re.search(first), caller
+        assert all(repair_re.search(prompt) for prompt in re_asks), caller

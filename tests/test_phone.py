@@ -16,7 +16,6 @@ from gabm.phone import (
     CalendarApp,
     NotificationHub,
     ParamDescriptor,
-    Phone,
     PhoneScene,
     PhoneUniverse,
     deliver_notifications,
@@ -38,14 +37,12 @@ def test_param_descriptor_rejects_unknown_kind():
 
 
 def test_catalog_rendering_lists_every_action():
-    app = CalendarApp()
-    phone = Phone(owner="Alice", apps=[app])
-    catalog = render_app_catalog(phone)
+    catalog = render_app_catalog("Alice", [CalendarApp()])
     assert catalog.startswith("Apps installed on Alice's phone:")
     assert "calendar: Keeps track of meetings." in catalog
     assert "add_meeting(title: text, participant: text, when: datetime)" in catalog
     assert "check_calendar()" in catalog
-    assert render_app_catalog(Phone(owner="Bob")) == "Bob's phone has no apps installed."
+    assert render_app_catalog("Bob", []) == "Bob's phone has no apps installed."
 
 
 @pytest.mark.parametrize(
@@ -89,7 +86,7 @@ def test_parse_param_value_unknown_kind():
 def test_calendar_add_check_remove_and_notification():
     app = CalendarApp()
     hub = NotificationHub()
-    ctx = AppContext(owner="Alice", now=T0, hub=hub)
+    ctx = AppContext(owner="Alice", hub=hub)
     reply = app.do_add_meeting(ctx, title="sync", participant="Bob", when=datetime(2024, 5, 2, 10, 0))
     assert reply == "Added meeting 'sync' with Bob at 2024-05-02T10:00."
     assert hub.pop_for("Alice") == []
@@ -104,15 +101,15 @@ def test_calendar_add_check_remove_and_notification():
 def test_self_meeting_queues_no_notification():
     app = CalendarApp()
     hub = NotificationHub()
-    ctx = AppContext(owner="Alice", now=T0, hub=hub)
+    ctx = AppContext(owner="Alice", hub=hub)
     app.do_add_meeting(ctx, title="me time", participant="Alice", when=T0)
     assert hub.pop_for("Alice") == []
-    assert app.store.meetings[0].participants == ("Alice",)
+    assert app.meetings[0].participants == ("Alice",)
 
 
 def test_invoke_dispatches_by_name_and_rejects_unknown():
     app = CalendarApp()
-    ctx = AppContext(owner="Alice", now=T0, hub=NotificationHub())
+    ctx = AppContext(owner="Alice", hub=NotificationHub())
     assert app.invoke("check_calendar", ctx, {}) == "The calendar is empty."
     with pytest.raises(ConfigError):
         app.invoke("explode", ctx, {})
@@ -147,7 +144,7 @@ def test_notifications_arrive_at_next_pre_act_only_for_recipient():
     bob = GenerativeAgent("Bob", model)
     universe = PhoneUniverse()
     gm = GameMaster(model=model, players=[alice, bob], clock=GameClock(T0))
-    universe.attach(gm)
+    gm.notification_hub = universe.hub
     universe.hub.push("Bob", "ping")
     gm.pre_act_observe(alice)
     assert memory_texts(alice.memory) == []
@@ -158,25 +155,25 @@ def test_notifications_arrive_at_next_pre_act_only_for_recipient():
     assert memory_texts(bob.memory) == ["ping"]  # delivered exactly once
 
 
-def universe_with_phone(owner="Alice") -> tuple[PhoneUniverse, Phone]:
+def universe_with_phone(owner="Alice") -> PhoneUniverse:
     universe = PhoneUniverse(apps=[CalendarApp()])
-    phone = universe.give_phone(owner, ["calendar"])
-    return universe, phone
+    universe.give_phone(owner, ["calendar"])
+    return universe
 
 
 def test_universe_registration_rules():
-    universe, _ = universe_with_phone()
+    universe = universe_with_phone()
     with pytest.raises(ConfigError):
         universe.register_app(CalendarApp())
     with pytest.raises(ConfigError):
         universe.give_phone("Alice", ["calendar"])
     with pytest.raises(ConfigError):
         universe.give_phone("Bob", ["spreadsheet"])
-    assert universe.phone_for("Nobody") is None
+    assert "Nobody" not in universe.phones
 
 
 def test_translate_action_happy_path(calls):
-    universe, phone = universe_with_phone()
+    universe = universe_with_phone()
     model = ScriptedModel(
         rules=[
             ScriptRule(contains="Which app action", response="calendar.add_meeting"),
@@ -185,15 +182,14 @@ def test_translate_action_happy_path(calls):
             ScriptRule(contains="parameter 'when'", response="tomorrow at 12:30"),
         ]
     )
-    invocation = translate_action(universe, phone, "set up lunch with Bob", model, now=T0)
-    assert invocation is not None
-    assert (invocation.app, invocation.action) == ("calendar", "add_meeting")
-    assert invocation.args == {
-        "title": "lunch",
-        "participant": "Bob",
-        "when": datetime(2024, 5, 2, 12, 30),
-    }
-    assert invocation.result == "Added meeting 'lunch' with Bob at 2024-05-02T12:30."
+    result = translate_action(universe, "Alice", "set up lunch with Bob", model, now=T0)
+    assert result == "Added meeting 'lunch' with Bob at 2024-05-02T12:30."
+    (meeting,) = universe.apps["calendar"].meetings
+    assert (meeting.title, meeting.participants, meeting.when) == (
+        "lunch",
+        ("Alice", "Bob"),
+        datetime(2024, 5, 2, 12, 30),
+    )
     assert [c.caller for c in calls] == [
         "phone:translate:choose",
         "phone:translate:param:title",
@@ -207,16 +203,16 @@ def test_translate_action_happy_path(calls):
 
 
 def test_translate_action_no_matching_app():
-    universe, phone = universe_with_phone()
+    universe = universe_with_phone()
     notes: list[str] = []
     model = ScriptedModel(default_response="order a pizza")
-    assert translate_action(universe, phone, "fly a kite", model, now=T0, note=notes.append) is None
+    assert translate_action(universe, "Alice", "fly a kite", model, now=T0, note=notes.append) is None
     assert notes == ["no suitable app"]
     assert model.call_count == 4  # one choice + three repairs
 
 
 def test_translate_action_param_retry_recovers():
-    universe, phone = universe_with_phone()
+    universe = universe_with_phone()
     model = ScriptedModel(
         rules=[
             ScriptRule(contains="Which app action", response="calendar.remove_meeting"),
@@ -224,21 +220,22 @@ def test_translate_action_param_retry_recovers():
             ScriptRule(contains="parameter 'title'", response="standup"),
         ]
     )
-    invocation = translate_action(universe, phone, "cancel the standup", model, now=T0)
-    assert invocation is not None
-    assert invocation.args == {"title": "standup"}
-    assert invocation.result == "No meeting titled 'standup' found."
+    calls_before = model.call_count
+    result = translate_action(universe, "Alice", "cancel the standup", model, now=T0)
+    # The title parsed on its second ask and reached the app.
+    assert model.call_count - calls_before == 3
+    assert result == "No meeting titled 'standup' found."
 
 
 def test_translate_action_param_exhaustion_skips():
-    universe, phone = universe_with_phone()
+    universe = universe_with_phone()
     notes: list[str] = []
     model = ScriptedModel(
         rules=[ScriptRule(contains="Which app action", response="calendar.add_meeting")],
         default_response="whenever works",  # never a datetime, never empty text
     )
     result = translate_action(
-        universe, phone, "plan something", model, now=T0, note=notes.append
+        universe, "Alice", "plan something", model, now=T0, note=notes.append
     )
     assert result is None
     assert notes == ["parameter 'when' never parsed; invocation skipped"]
@@ -246,9 +243,9 @@ def test_translate_action_param_exhaustion_skips():
 
 def test_translate_action_empty_phone():
     universe = PhoneUniverse()
-    phone = universe.give_phone("Alice", [])
+    universe.give_phone("Alice", [])
     notes: list[str] = []
-    assert translate_action(universe, phone, "anything", ScriptedModel(), now=T0, note=notes.append) is None
+    assert translate_action(universe, "Alice", "anything", ScriptedModel(), now=T0, note=notes.append) is None
     assert notes == ["no suitable app (phone has no apps)"]
 
 
@@ -263,7 +260,7 @@ def test_detect_phone_event_paths():
 
 
 def scene_fixture(model: ScriptedModel):
-    universe, _ = universe_with_phone("Alice")
+    universe = universe_with_phone("Alice")
     alice = GenerativeAgent("Alice", model)
     clock = GameClock(T0, step_minutes=1)
     scene = PhoneScene(owner=alice, universe=universe, clock=clock, model=model)
@@ -280,7 +277,7 @@ def test_phone_scene_done_immediately_means_zero_invocations():
     ]
     assert clock.current_time == T0  # no action, no child ticks
     app = universe.apps["calendar"]
-    assert app.store.meetings == []
+    assert app.meetings == []
 
 
 def test_phone_scene_single_action_then_done():
@@ -360,7 +357,7 @@ def test_run_phone_scene_brackets_and_charges_parent_clock():
     universe.give_phone("Alice", ["calendar"])
     alice = GenerativeAgent("Alice", model)
     gm = GameMaster(model=model, players=[alice], clock=GameClock(T0, step_minutes=60))
-    universe.attach(gm)
+    gm.notification_hub = universe.hub
     memories = run_phone_scene(gm, universe, "Alice", trigger="Alice pulled out her phone.")
     assert memories[0] == "Alice started using the phone."
     texts = memory_texts(gm.memory)
@@ -397,12 +394,58 @@ def test_scene_trigger_fires_only_for_phone_events_by_phone_owners():
         clock=GameClock(T0, step_minutes=60),
         components=[SceneTrigger(universe)],
     )
-    universe.attach(gm)
+    gm.notification_hub = universe.hub
     gm.run_episode(max_steps=1)
     texts = memory_texts(gm.memory)
     assert "[scene start: phone: Alice]" in texts
     assert "Alice started using the phone." in texts
     assert not any("phone: Bob" in t for t in texts)
+
+
+CAPPED_SCENE = [
+    ScriptRule(contains="Which app action", response="calendar.check_calendar"),
+]
+UNPARSED_WHEN = [
+    ScriptRule(contains="Which app action", response="calendar.add_meeting"),
+    ScriptRule(contains="parameter 'title'", response="lunch"),
+    ScriptRule(contains="parameter 'participant'", response="Bob"),
+]
+
+
+@pytest.mark.parametrize(
+    "rules,note",
+    [
+        (CAPPED_SCENE, "phone scene: step cap reached"),
+        (UNPARSED_WHEN, "phone scene: parameter 'when' never parsed; invocation skipped"),
+    ],
+    ids=["step-cap", "unparsed-parameter"],
+)
+def test_phone_scene_notes_reach_the_turn_record(rules, note):
+    from gabm.phone import SceneTrigger
+
+    model = ScriptedModel(
+        rules=[
+            ScriptRule(contains="digital device", response="yes"),
+            ScriptRule(contains="What event results", response="Alice opened her phone."),
+            ScriptRule(contains="finished using the phone?", response="no"),
+            *rules,
+        ],
+        default_response="whenever works",  # never a datetime
+    )
+    universe = PhoneUniverse(apps=[CalendarApp()], max_actions=2)
+    universe.give_phone("Alice", ["calendar"])
+    gm = GameMaster(
+        model=model,
+        players=[GenerativeAgent("Alice", model)],
+        clock=GameClock(T0),
+        components=[SceneTrigger(universe)],
+    )
+    gm.notification_hub = universe.hub
+    result = gm.run_episode(max_steps=1)
+    assert result.reason == "max-steps"
+    notes = result.trace[0].notes
+    start = notes.index("scene start: phone: Alice")
+    assert note in notes[start:notes.index("scene end: phone: Alice")]
 
 
 def test_scene_trigger_skips_actor_without_phone():
@@ -423,7 +466,7 @@ def test_scene_trigger_skips_actor_without_phone():
         clock=GameClock(T0),
         components=[SceneTrigger(universe)],
     )
-    universe.attach(gm)
+    gm.notification_hub = universe.hub
     result = gm.run_episode(max_steps=1)
     assert any("has no phone; scene skipped" in n for n in result.trace[0].notes)
     assert memory_texts(gm.memory) == ["Bob fiddled with his phone."]
@@ -434,10 +477,8 @@ def test_app_state_is_shared_across_scenes_and_phones():
     universe = PhoneUniverse(apps=[app])
     universe.give_phone("Alice", ["calendar"])
     universe.give_phone("Bob", ["calendar"])
-    ctx = AppContext(owner="Alice", now=T0, hub=universe.hub)
+    ctx = AppContext(owner="Alice", hub=universe.hub)
     app.do_add_meeting(ctx, title="sync", participant="Bob", when=T0)
-    bob_phone = universe.phone_for("Bob")
-    assert bob_phone is not None
-    assert bob_phone.apps[0] is app
-    bob_ctx = AppContext(owner="Bob", now=T0, hub=universe.hub)
+    assert universe.phones["Bob"][0] is app
+    bob_ctx = AppContext(owner="Bob", hub=universe.hub)
     assert "sync" in app.do_check_calendar(bob_ctx)

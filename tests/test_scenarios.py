@@ -53,7 +53,7 @@ def test_calendar_meeting_and_notification():
     built = build(load_config(SCENARIOS / "calendar.json"))
     outcome = run_built_scenario(built)
     assert outcome.result.reason == "max-steps"
-    meetings = built.universe.apps["calendar"].store.meetings
+    meetings = built.universe.apps["calendar"].meetings
     assert len(meetings) == 1
     assert meetings[0].title == "garden sync"
     assert set(meetings[0].participants) == {"Alice", "Bob"}
