@@ -25,7 +25,6 @@ from .errors import (
     SimulationError,
 )
 from .game_master import (
-    ConversationScene,
     EpisodeResult,
     GameMaster,
     GMComponent,
@@ -81,7 +80,6 @@ __all__ = [
     "ConfigError",
     "ConfigValidationError",
     "ConstantComponent",
-    "ConversationScene",
     "EchoModel",
     "EpisodeAbort",
     "EpisodeResult",

@@ -212,7 +212,10 @@ _STRING = _Type(lambda v: isinstance(v, str), "must be a string", "required stri
 _STRINGS = _Type(_is_string_list, "must be a list of strings")
 _COUNT = _Type(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
 _POSITIVE = _Type(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
-_BOOL = _Type(lambda v: isinstance(v, bool), "must be true or false")
+# Every questionnaire runs once the episode ends, so its flag may only say so.
+_AT_END = _Type(
+    lambda v: v is True, "questionnaires run only at the end of the episode; must be true or absent"
+)
 SEED = _Type(
     lambda v: _is_int(v) and 0 <= v < 2**64, "must be an integer in [0, 2^64)", missing="required"
 )
@@ -452,7 +455,7 @@ _CONFIG = _Object(
             _Object(
                 {
                     "name": _TEXT,
-                    "administer_at_end": _BOOL,
+                    "administer_at_end": _AT_END,
                     "questions": _List(_ACTION_SPEC, "required non-empty list", non_empty=True),
                 },
                 frozenset({"name", "questions"}),
@@ -565,7 +568,7 @@ class BuiltScenario:
     model: GenerativeModel
     players: list[GenerativeAgent]
     universe: PhoneUniverse | None = None
-    questionnaires: list[tuple[Questionnaire, bool]] = field(default_factory=list)
+    questionnaires: list[Questionnaire] = field(default_factory=list)
     seed: int = 0
     max_steps: int = 1
 
@@ -652,12 +655,10 @@ def build(
     if universe is not None:
         gm.notification_hub = universe.hub
 
-    questionnaires: list[tuple[Questionnaire, bool]] = []
-    for battery in raw.get("questionnaires", []):
-        questions = [ActionSpec.from_dict(q) for q in battery["questions"]]
-        questionnaires.append(
-            (Questionnaire(battery["name"], questions), battery.get("administer_at_end", False))
-        )
+    questionnaires = [
+        Questionnaire(battery["name"], [ActionSpec.from_dict(q) for q in battery["questions"]])
+        for battery in raw.get("questionnaires", [])
+    ]
 
     return BuiltScenario(
         config=config,

@@ -452,61 +452,3 @@ def spawn_nested_game(parent_gm: GameMaster, scene, scene_minutes: int, label: s
     parent_gm.clock.advance_by(scene_minutes)
     return memories
 
-
-class ConversationScene:
-    """A spoken exchange among participants, played on its own clock.
-
-    Participants speak round-robin; the dialogue so far travels in the call
-    to action, each utterance is delivered to the other participants, and
-    after every utterance the model is asked whether the conversation is
-    over.  Memories are the utterances plus a closing line.
-    """
-
-    def __init__(
-        self,
-        participants: list[GenerativeAgent],
-        model: GenerativeModel,
-        clock: GameClock,
-        premise: str = "",
-        max_turns: int = 6,
-    ):
-        if not participants:
-            raise ValueError("a conversation needs at least one participant")
-        self.participants = list(participants)
-        self.model = model
-        self.clock = clock
-        self.premise = premise
-        self.max_turns = max_turns
-
-    def run(self) -> list[str]:
-        memories: list[str] = []
-        if self.premise:
-            memories.append(self.premise)
-        dialogue: list[str] = []
-        for turn in range(self.max_turns):
-            speaker = self.participants[turn % len(self.participants)]
-            so_far = "\n".join(dialogue) if dialogue else "(nobody has spoken yet)"
-            spec = ActionSpec(
-                f"The conversation so far:\n{so_far}\nWhat does {{name}} say next? It is {{time}}."
-            )
-            utterance = speaker.act(spec, self.clock.current_time)
-            line = f'{speaker.name} said: "{utterance.text}"'
-            dialogue.append(line)
-            memories.append(line)
-            for listener in self.participants:
-                if listener is not speaker:
-                    listener.observe(
-                        Observation(
-                            recipient=listener.name, text=line, timestamp=self.clock.current_time
-                        )
-                    )
-            self.clock.advance()
-            _, done = self.model.sample_choice(
-                "Dialogue:\n" + "\n".join(dialogue) + "\nIs the conversation over?",
-                ("yes", "no"),
-                caller="scene:conversation:done",
-            )
-            if done == "yes":
-                break
-        memories.append("The conversation ended.")
-        return memories

@@ -101,16 +101,11 @@ def generate_formative_memories(
     profile: AgentProfile,
     backstory: str,
     model: GenerativeModel,
-    ages: list[int] | None = None,
 ) -> FormativeMemorySet:
-    """One model call per target age; a bad age is skipped with a warning."""
-    if ages is None:
-        ages = default_age_ladder(profile.age)
-    for age in ages:
-        if age >= profile.age:
-            raise ValueError(f"formative age {age} is not below profile age {profile.age}")
+    """One model call per rung of ``default_age_ladder``; an empty answer is
+    skipped with a warning."""
     result = FormativeMemorySet(profile=profile, backstory=backstory)
-    for age in ages:
+    for age in default_age_ladder(profile.age):
         prompt = (
             FORMATIVE_PROMPT.replace("{name}", profile.name)
             .replace("{backstory}", backstory)
@@ -161,10 +156,9 @@ def generate_and_seed(
     model: GenerativeModel,
     bank: MemoryBank,
     episode_start: datetime,
-    ages: list[int] | None = None,
 ) -> FormativeMemorySet:
     """Backstory, formative memories, and seeding in one sweep."""
     backstory = generate_backstory(profile, model)
-    memory_set = generate_formative_memories(profile, backstory, model, ages)
+    memory_set = generate_formative_memories(profile, backstory, model)
     seed_memory(bank, memory_set, episode_start)
     return memory_set

@@ -10,7 +10,7 @@ says why.  Items are never minted or burned outside the initial endowment.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
 from .agent import GenerativeAgent
@@ -263,13 +263,6 @@ class LocationComponent(GMComponent):
         return f"You are at the {self.locations[player]}."
 
 
-@dataclass
-class AnswerSheet:
-    player: str
-    administration: int
-    answers: list[tuple[str, str]] = field(default_factory=list)
-
-
 class Questionnaire:
     """An ordered battery of questions, administered off the game clock."""
 
@@ -278,22 +271,19 @@ class Questionnaire:
             raise ValueError("a questionnaire needs at least one question")
         self.name = name
         self.questions = list(questions)
-        self.sheets: list[AnswerSheet] = []
 
 
 def administer_questionnaire(
     questionnaire: Questionnaire, gm: GameMaster, player_name: str
-) -> AnswerSheet:
+) -> list[str]:
     """Ask one player every question; the clock and grounded state hold still.
 
     Each question becomes one trace record tagged "questionnaire".  A model
     that keeps answering garbage yields the literal answer "no-response".
+    Returns the answers in question order.
     """
     player: GenerativeAgent = gm.player(player_name)
-    sheet = AnswerSheet(
-        player=player_name,
-        administration=sum(1 for s in questionnaire.sheets if s.player == player_name),
-    )
+    answers: list[str] = []
     for spec in questionnaire.questions:
         record = gm.begin_record("questionnaire", gm.clock.step_index, player_name)
         try:
@@ -308,6 +298,5 @@ def administer_questionnaire(
             record.agent_states = player.component_states()
         finally:
             gm.finish_record(record)
-        sheet.answers.append((spec.call_to_action, answer))
-    questionnaire.sheets.append(sheet)
-    return sheet
+        answers.append(answer)
+    return answers

@@ -49,7 +49,7 @@ from functools import lru_cache
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import repeat
-from typing import Callable, Protocol
+from typing import Protocol
 
 NORM_TOLERANCE = 1e-9
 
@@ -155,7 +155,6 @@ class MemoryBank:
         embedder: Embedder | None = None,
         weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
         half_life: float = DEFAULT_HALF_LIFE,
-        importance_scorer: Callable[[str], float] | None = None,
     ):
         if half_life <= 0:
             raise ValueError("half-life must be positive")
@@ -163,8 +162,6 @@ class MemoryBank:
         self.weights = weights
         self.half_life = half_life
         self.decay = math.log(2.0) / half_life
-        # Optional hook scoring importance of new text; defaults to 1.0.
-        self.importance_scorer = importance_scorer
         self._records: list[MemoryRecord] = []
         self._lock = threading.Lock()
         # Retrieval state, extended lazily to cover every record (see module
@@ -177,13 +174,8 @@ class MemoryBank:
     def __len__(self) -> int:
         return len(self._records)
 
-    def add(self, text: str, timestamp: datetime, importance: float | None = None) -> int:
+    def add(self, text: str, timestamp: datetime, importance: float = 1.0) -> int:
         """Append one record and return its id (== insertion index)."""
-        if importance is None:
-            if self.importance_scorer is not None:
-                importance = min(1.0, max(0.0, self.importance_scorer(text)))
-            else:
-                importance = 1.0
         embedding = self.embedder.embed(text)
         with self._lock:
             record = MemoryRecord(
@@ -257,24 +249,3 @@ class MemoryBank:
         with self._lock:
             return self._records[-k:]
 
-
-def importance_from_model(model, prompt_template: str) -> Callable[[str], float]:
-    """Build an importance scorer that asks a model to rate each new memory.
-
-    The template must contain ``{text}``.  Non-numeric answers fall back to
-    1.0; numeric answers are clamped into [0, 1].
-    """
-    from .errors import NotANumber
-    from .kernel import parse_float_token
-
-    def scorer(text: str) -> float:
-        raw = model.sample_text(
-            prompt_template.replace("{text}", text), caller="memory:importance"
-        )
-        try:
-            value = float(parse_float_token(raw))
-        except NotANumber:
-            return 1.0
-        return min(1.0, max(0.0, value))
-
-    return scorer

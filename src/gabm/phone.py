@@ -27,15 +27,13 @@ from .kernel import (
     GameClock,
     Observation,
     format_time,
-    parse_float_token,
 )
 from .model import GenerativeModel, sample_repaired
 
-PARAM_KINDS = ("text", "integer", "decimal", "datetime")
+PARAM_KINDS = ("text", "datetime")
 
 _ISO_RE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}")
 _RELATIVE_RE = re.compile(r"\b(today|tomorrow)\s+at\s+(\d{1,2}):(\d{2})", re.IGNORECASE)
-_INT_RE = re.compile(r"[-+]?\d+")
 
 
 @dataclass(frozen=True)
@@ -202,16 +200,6 @@ def parse_param_value(raw: str, kind: str, now: datetime):
         if not raw:
             raise ValueError("empty text value")
         return raw
-    if kind == "integer":
-        match = _INT_RE.search(raw)
-        if match is None:
-            raise ValueError(f"no integer in {raw!r}")
-        return int(match.group(0))
-    if kind == "decimal":
-        try:
-            return parse_float_token(raw)
-        except Exception as exc:
-            raise ValueError(str(exc)) from exc
     if kind == "datetime":
         iso = _ISO_RE.search(raw)
         if iso is not None:

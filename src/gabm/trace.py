@@ -142,9 +142,7 @@ def run_built_scenario(
     try:
         result = built.gm.run_episode(built.max_steps)
         if result.reason != "error":
-            for questionnaire, at_end in built.questionnaires:
-                if not at_end:
-                    continue
+            for questionnaire in built.questionnaires:
                 for player in built.players:
                     administer_questionnaire(questionnaire, built.gm, player.name)
             result = EpisodeResult(

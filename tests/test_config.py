@@ -347,13 +347,24 @@ def test_questionnaires_built_with_flag(tmp_path):
         },
     ]
     built = build(config_from_dict(raw, tmp_path))
-    assert [(q.name, flag) for q, flag in built.questionnaires] == [
-        ("exit poll", True),
-        ("midway", False),
-    ]
-    spec = built.questionnaires[1][0].questions[0]
+    assert [q.name for q in built.questionnaires] == ["exit poll", "midway"]
+    spec = built.questionnaires[1].questions[0]
     assert spec.output_kind is OutputKind.CHOICE
     assert spec.options == ("good", "bad")
+
+
+def test_a_questionnaire_flagged_false_is_rejected(tmp_path):
+    # Questionnaires run only after the episode; one flagged false used to be
+    # built and then never run.
+    raw = valid_raw()
+    raw["questionnaires"] = [
+        {"name": "midway", "administer_at_end": False, "questions": [{"call_to_action": "Mood?"}]}
+    ]
+    issues = validate_config(raw, tmp_path)
+    assert [(i.kind, i.path) for i in issues] == [
+        ("MalformedField", "questionnaires[0].administer_at_end")
+    ]
+    assert "only at the end" in issues[0].message
 
 
 def test_config_round_trips_through_canonical_json(tmp_path):

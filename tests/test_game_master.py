@@ -11,7 +11,6 @@ import gabm.model
 from gabm.agent import AgentComponent, GenerativeAgent
 from gabm.errors import BackendUnavailable, ConfigError
 from gabm.game_master import (
-    ConversationScene,
     GameMaster,
     GMComponent,
     ObservationDelivery,
@@ -432,9 +431,7 @@ def test_spawn_nested_game_rejects_non_players():
     # for a non-player fails before any marker is written or time charged.
     gm = make_gm()
     with pytest.raises(ConfigError):
-        spawn_nested_game(
-            gm, ConversationScene([gm.player("Ghost")], gm.model, GameClock(T0)), scene_minutes=5
-        )
+        spawn_nested_game(gm, CannedScene([f"{gm.player('Ghost').name} waved"]), scene_minutes=5)
     assert memory_texts(gm.memory) == []
     assert gm.clock.current_time == T0
 
@@ -457,76 +454,6 @@ def test_nested_scenes_unwind_last_in_first_out():
         "[scene end: outer]",
     ]
     assert gm.clock.current_time == T0 + timedelta(minutes=40)
-
-
-def test_conversation_scene_round_robin_with_shared_dialogue():
-    model = ScriptedModel(
-        rules=[
-            ScriptRule(contains="What does Alice say next", response="Hello Bob"),
-            ScriptRule(contains="What does Bob say next", response="Hello Alice"),
-            ScriptRule(contains="Is the conversation over?", response="no", max_uses=1),
-            ScriptRule(contains="Is the conversation over?", response="yes"),
-        ]
-    )
-    alice = GenerativeAgent("Alice", model)
-    bob = GenerativeAgent("Bob", model)
-    clock = GameClock(T0, step_minutes=2)
-    scene = ConversationScene([alice, bob], model, clock, max_turns=6)
-    memories = scene.run()
-    assert memories == [
-        'Alice said: "Hello Bob"',
-        'Bob said: "Hello Alice"',
-        "The conversation ended.",
-    ]
-    assert 'Alice said: "Hello Bob"' in memory_texts(bob.memory)
-    assert 'Bob said: "Hello Alice"' in memory_texts(alice.memory)
-    assert clock.current_time == T0 + timedelta(minutes=4)
-    assert 'Alice said: "Hello Bob"' in bob.last_prompt
-
-
-def test_conversation_dialogue_travels_in_call_to_action():
-    model = ScriptedModel(
-        rules=[
-            ScriptRule(contains="nobody has spoken yet", response="shall we begin?"),
-            ScriptRule(contains="Is the conversation over?", response="yes"),
-        ],
-        default_response="mm-hm",
-    )
-    alice = GenerativeAgent("Alice", model)
-    scene = ConversationScene([alice], model, GameClock(T0), premise="A quiet room.")
-    memories = scene.run()
-    assert memories == [
-        "A quiet room.",
-        'Alice said: "shall we begin?"',
-        "The conversation ended.",
-    ]
-
-
-def test_conversation_hits_turn_cap():
-    model = ScriptedModel(
-        rules=[ScriptRule(contains="Is the conversation over?", response="no")],
-        default_response="and another thing",
-    )
-    alice = GenerativeAgent("Alice", model)
-    bob = GenerativeAgent("Bob", model)
-    scene = ConversationScene([alice, bob], model, GameClock(T0), max_turns=3)
-    memories = scene.run()
-    assert len(memories) == 4  # 3 utterances + closing line
-    assert [m.split(" ")[0] for m in memories[:3]] == ["Alice", "Bob", "Alice"]
-
-
-def test_conversation_speaker_acts_at_scene_time():
-    model = ScriptedModel(
-        rules=[ScriptRule(contains="Is the conversation over?", response="yes")],
-        default_response="hello",
-    )
-    alice = GenerativeAgent("Alice", model)
-    scene_clock = GameClock(T0, step_minutes=7)
-    ConversationScene([alice], model, scene_clock).run()
-    # The utterance was memorized at scene time, and the prompt says so.
-    record = alice.memory.snapshot()[0]
-    assert record.timestamp == T0
-    assert alice.last_prompt.endswith("It is 2024-05-01T09:00.")
 
 
 # ---- the batched resolution stages -------------------------------------------

@@ -113,12 +113,6 @@ def test_formative_memories_one_call_per_age(calls):
     assert "the traits: brave" in prompt
 
 
-def test_formative_age_must_be_below_profile_age():
-    profile = AgentProfile(name="Ada", age=20)
-    with pytest.raises(ValueError):
-        generate_formative_memories(profile, "story", ScriptedModel(), ages=[6, 20])
-
-
 def test_empty_formative_answer_is_skipped_with_warning(caplog):
     model = ScriptedModel(
         rules=[ScriptRule(contains="at age 12", response="")],

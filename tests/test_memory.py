@@ -22,9 +22,7 @@ from gabm.memory import (
     MemoryBank,
     MemoryRecord,
     cosine,
-    importance_from_model,
 )
-from gabm.model import ScriptRule, ScriptedModel
 
 T0 = datetime(2024, 5, 1, 9, 0)
 
@@ -187,28 +185,14 @@ def test_concurrent_adds_stay_consistent():
     assert [r.index for r in bank.snapshot()] == list(range(200))
 
 
-def test_importance_hook_scores_new_records():
-    model = ScriptedModel(
-        rules=[
-            ScriptRule(contains="pivotal", response="0.9"),
-            ScriptRule(contains="Rate", response="not a number"),
-        ]
-    )
-    bank = MemoryBank(
-        importance_scorer=importance_from_model(model, "Rate 0 to 1: {text}")
-    )
-    bank.add("a pivotal moment", T0)
-    bank.add("an ordinary tuesday", T0)
-    bank.add("explicit", T0, importance=0.2)
-    importances = [r.importance for r in bank.snapshot()]
-    assert importances == [0.9, 1.0, 0.2]
-
-
 def test_default_half_life_and_weights_applied():
     bank = MemoryBank()
     assert bank.weights == (1.0, 1.0, 1.0)
     assert bank.half_life == DEFAULT_HALF_LIFE
     assert bank.decay == pytest.approx(math.log(2) / 100.0)
+    bank.add("plain", T0)
+    bank.add("explicit", T0, importance=0.2)
+    assert [r.importance for r in bank.snapshot()] == [1.0, 0.2]
 
 
 def test_cosine_of_unit_vectors():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import importlib.util
+from collections import Counter
 from datetime import datetime
 from pathlib import Path
 
@@ -14,6 +16,8 @@ from gabm.model import ScriptedModel, ScriptRule
 from gabm.phone import CalendarApp, PhoneUniverse, translate_action
 
 T0 = datetime(2024, 5, 1, 9, 0)
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gabm"
 
 
 def test_every_exported_name_exists_once():
@@ -23,9 +27,36 @@ def test_every_exported_name_exists_once():
     assert len(set(gabm.__all__)) == len(gabm.__all__)
 
 
+def test_every_public_definition_is_used_outside_tests():
+    # A public class or function that only tests reach looks like a feature
+    # and gives none.  A use is a name, an attribute or a string equal to it
+    # (the benchmark tracer wraps entry points by name) anywhere in the
+    # package or the benchmark, except the package's re-exports.
+    used: Counter[str] = Counter()
+    for path in [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        if path == SRC / "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                used[node.attr] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used[node.value] += 1
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        and not node.name.startswith("_")
+        and not used[node.name]
+    ]
+    assert unused == []
+
+
 def _bench_tracing():
     # The benchmark's span tracer, read from the checkout; nothing is installed.
-    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    path = ROOT / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

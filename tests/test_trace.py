@@ -91,6 +91,17 @@ def test_run_writes_header_then_records(tmp_path):
     assert all(r.event == "They chatted about beans." for r in read.records[:4])
 
 
+def test_a_questionnaire_without_the_flag_runs_at_the_end(tmp_path):
+    # An absent administer_at_end used to build a questionnaire that never ran.
+    (tmp_path / "script.json").write_text(json.dumps(SCRIPT), encoding="utf-8")
+    raw = json.loads(json.dumps(CONFIG))
+    del raw["questionnaires"][0]["administer_at_end"]
+    outcome = run_built_scenario(build(config_from_dict(raw, tmp_path)))
+    records = outcome.result.trace
+    assert [r.kind for r in records] == ["turn"] * 4 + ["questionnaire"] * 2
+    assert [r.action.text for r in records[4:]] == ["fine, thanks"] * 2
+
+
 def test_trace_lines_are_canonical_json(tmp_path):
     out = run_to_file(tmp_path)
     for line in out.read_text(encoding="utf-8").splitlines():
