@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -50,13 +51,22 @@ def test_hash_embedder_is_deterministic_and_unit_norm():
     assert abs(math.sqrt(sum(x * x for x in a)) - 1.0) < 1e-9
 
 
-def test_record_rejects_non_unit_embedding_and_bad_importance():
+def test_hash_vectors_are_checked_unit_norm_and_records_reject_bad_importance(monkeypatch):
+    # The norm is checked once, where the memo makes the vector; a record
+    # takes its embedding as given.
+    make = memory._hash_embed.__wrapped__
+    for text in ("", "the pub is snowed in", "Alice met Bob at the mill. " * 7):
+        vector = make(16, 0, text)
+        assert abs(math.sqrt(sum(x * x for x in vector)) - 1.0) <= memory.NORM_TOLERANCE
+    with pytest.raises(ValueError, match="norm"):
+        memory._check_unit_norm((0.5, 0.5))
+    checked = []
+    monkeypatch.setattr(memory, "_check_unit_norm", checked.append)
+    vector = make(16, 0, "the pub is snowed in")
+    assert checked == [vector]
+    MemoryRecord("x", T0, (0.5, 0.5), 1.0, 0)
     with pytest.raises(ValueError):
-        MemoryRecord("x", T0, (0.5, 0.5), 1.0, 0)
-    unit = (1.0, 0.0)
-    with pytest.raises(ValueError):
-        MemoryRecord("x", T0, unit, 1.5, 0)
-    MemoryRecord("x", T0, unit, 1.0, 0)
+        MemoryRecord("x", T0, (1.0, 0.0), 1.5, 0)
 
 
 def test_insertion_indices_strictly_increase():
@@ -438,3 +448,90 @@ def test_concurrent_adds_and_retrievals_stay_exact():
         for k in (1, 10, 200):
             got = [r.index for r in bank.retrieve_associative(query, k)]
             assert got == brute_force_rank(bank, query, k)
+
+
+WORDS = ["ada", "bruno", "cyra", "mill", "ferry", "lantern", "sold", "found", "the", "at", "met"]
+SIGNED_WEIGHTS = st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-2.0, 2.0)] * 3)
+PRUNED_QUERIES = WORDS[:4] + ["ada mill", "", "query 0"]
+PRUNED_TEXTS = st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join)
+PRUNED_OPERATIONS = st.lists(
+    st.tuples(st.just("add"), PRUNED_TEXTS, st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    | st.tuples(st.just("retrieve"), st.sampled_from(PRUNED_QUERIES), st.integers(0, 4) | st.integers(0, 50))
+    | st.tuples(st.just("weights"), SIGNED_WEIGHTS, st.none()),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    block=st.integers(1, 4),
+    dimension=st.sampled_from([4, 8]),
+    weights=SIGNED_WEIGHTS,
+    half_life=st.floats(0.5, 50.0),
+    operations=PRUNED_OPERATIONS,
+)
+def test_block_pruned_retrieval_matches_full_scan_oracle(block, dimension, weights, half_life, operations):
+    # Blocks of 1-4 records, so a bank spans many blocks and most calls
+    # prune some; weights of either sign or zero flip which end of each
+    # block bounds it.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(memory, "BLOCK_RECORDS", block)
+        bank = MemoryBank(embedder=HashEmbedder(dimension=dimension), weights=weights, half_life=half_life)
+        for op, arg, value in operations:
+            if op == "add":
+                bank.add(arg, T0, importance=value)
+            elif op == "weights":
+                bank.weights = arg
+            else:
+                got = [r.index for r in bank.retrieve_associative(arg, value)]
+                assert got == brute_force_rank(bank, arg, value)
+        # Every sign pattern of the weights, at small k so blocks are pruned.
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            bank.weights = tuple(sign * (abs(w) or 1.0) for sign, w in zip(signs, weights))
+            for query in PRUNED_QUERIES:
+                for k in (1, 3, len(bank) + 1):
+                    got = [r.index for r in bank.retrieve_associative(query, k)]
+                    assert got == brute_force_rank(bank, query, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dimension=st.integers(1, 24),
+    seed=st.integers(0, 3),
+    query=st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join) | st.sampled_from(["", "!!", "met the"]),
+    texts=st.lists(st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join) | st.text(max_size=12), max_size=8),
+)
+def test_sparse_cosines_equal_the_full_dot_bit_for_bit(dimension, seed, query, texts):
+    # Covers queries with one nonzero coordinate (one word, or a text that
+    # embeds to e_0), several, and all of them.
+    embedder = HashEmbedder(dimension=dimension, seed=seed)
+    query_embedding = embedder.embed(query)
+    embeddings = [embedder.embed(text) for text in texts]
+    got = [x.hex() for x in memory._cosines(query_embedding, embeddings)]
+    assert got == [cosine(query_embedding, e).hex() for e in embeddings]
+
+
+def test_a_repeated_name_query_scores_under_a_tenth_of_a_large_bank(monkeypatch):
+    # A recall-shaped bank: every memory names the agent, so relevance to
+    # the name varies little and recency sets the order; once the cache
+    # holds the query, a retrieval scores only the newest blocks.
+    rng = random.Random(5)
+    places = ["mill", "harbour", "chapel", "orchard", "forge", "market", "library", "ferry"]
+    things = ["a lantern", "the blue kettle", "three letters", "a fishing net", "the old map"]
+    verbs = ["mended", "lost", "found", "sold", "painted", "borrowed", "buried", "counted"]
+    bank = MemoryBank()
+    for day in range(10_000):
+        bank.add(f"Cyra {rng.choice(verbs)} {rng.choice(things)} at the {rng.choice(places)} on day {day}.", T0)
+    bank.retrieve_associative("Cyra", 25)
+    bank.add("Cyra walked to the mill and asked around.", T0)
+    scored = []
+    score_block = memory._score_block
+
+    def counting(weights, relevance, recency, importances, start, stop):
+        scored.append(stop - start)
+        return score_block(weights, relevance, recency, importances, start, stop)
+
+    monkeypatch.setattr(memory, "_score_block", counting)
+    got = [r.index for r in bank.retrieve_associative("Cyra", 25)]
+    assert 0 < sum(scored) < len(bank) / 10
+    assert got == brute_force_rank(bank, "Cyra", 25)
