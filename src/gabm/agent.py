@@ -175,7 +175,6 @@ class GenerativeAgent:
         model: GenerativeModel,
         memory: MemoryBank | None = None,
         components: list[AgentComponent] | None = None,
-        preamble: str = DEFAULT_PREAMBLE,
     ):
         if not name:
             raise ValueError("agent needs a non-empty name")
@@ -188,12 +187,11 @@ class GenerativeAgent:
             if component.name in seen:
                 raise ValueError(f"duplicate component name {component.name!r}")
             seen.add(component.name)
-        self.preamble = preamble
         self.last_prompt = ""
         self._update_passes = 0
 
     def preamble_text(self) -> str:
-        return self.preamble.replace("{name}", self.name)
+        return DEFAULT_PREAMBLE.replace("{name}", self.name)
 
     def component(self, name: str) -> AgentComponent:
         for candidate in self.components:

@@ -60,7 +60,6 @@ from .kernel import (
     canonical_json,
     parse_time,
 )
-from .memory import HashEmbedder, MemoryBank
 from .model import EchoModel, GenerativeModel, HttpModel, ScriptedModel
 from .phone import CalendarApp, PhoneUniverse, SceneTrigger
 
@@ -610,8 +609,8 @@ def build(
         for comp in agent_cfg.get("components", []):
             made = AGENT_COMPONENTS[comp["type"]].build(comp)
             components.extend(made if isinstance(made, list) else [made])
-        bank = MemoryBank(embedder=HashEmbedder())
-        agent = GenerativeAgent(name=agent_cfg["name"], model=model, memory=bank, components=components)
+        agent = GenerativeAgent(name=agent_cfg["name"], model=model, components=components)
+        bank = agent.memory
         profile_cfg = agent_cfg.get("profile")
         if profile_cfg is not None:
             profile = _PROFILE.build(profile_cfg, name=agent.name)

@@ -28,7 +28,8 @@ class EpisodeAbort(SimulationError):
 
 
 class ConfigError(SimulationError):
-    """A runtime operation referenced something the scenario never declared."""
+    """A runtime operation referenced something the scenario never declared,
+    or a file the scenario names is missing or malformed."""
 
 
 class ConfigIssue:

@@ -194,21 +194,18 @@ class GameMaster:
         clock: GameClock,
         components: list[GMComponent] | None = None,
         action_spec: ActionSpec | None = None,
-        memory: MemoryBank | None = None,
         preamble: str = DEFAULT_GM_PREAMBLE,
         rng: random.Random | None = None,
-        name: str = "game master",
     ):
         names = [p.name for p in players]
         if len(set(names)) != len(names):
             raise ValueError("player names must be unique")
-        self.name = name
         self.model = model
         self.players = list(players)
         self.clock = clock
         self.components = list(components or [])
         self.action_spec = action_spec or ActionSpec(DEFAULT_CALL_TO_ACTION)
-        self.memory = memory if memory is not None else MemoryBank()
+        self.memory = MemoryBank()
         self.preamble = preamble
         self.rng = rng or random.Random(0)
         self.notification_hub = None  # a phone universe's hub, when there is one

@@ -137,16 +137,16 @@ def seed_memory(
     """Write backstory and formative memories into a bank, back-dated.
 
     The backstory lands at the birth year; each formative memory lands
-    (profile age - memory age) years before episode start.  All records get
-    importance 1.0.  Returns the number of records written.
+    (profile age - memory age) years before episode start.  Returns the
+    number of records written.
     """
     profile = memory_set.profile
     count = 0
-    bank.add(memory_set.backstory, backdate(episode_start, profile.age), importance=1.0)
+    bank.add(memory_set.backstory, backdate(episode_start, profile.age))
     count += 1
     for memory in sorted(memory_set.memories, key=lambda m: m.age):
         moment = backdate(episode_start, profile.age - memory.age)
-        bank.add(memory.text, moment, importance=1.0)
+        bank.add(memory.text, moment)
         count += 1
     return count
 

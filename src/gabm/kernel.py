@@ -151,6 +151,27 @@ class ActionSpec:
 DEFAULT_CALL_TO_ACTION = "What would {name} do next? It is {time}."
 
 
+def _typed(value, kind: type, name: str):
+    """``value``, which a trace line must give as a ``kind`` (never a bool)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _text_map(values, name: str) -> dict[str, str]:
+    """``values``, which a trace line must give as an object of strings."""
+    if not isinstance(values, dict) or not all(isinstance(v, str) for v in values.values()):
+        raise ValueError(f"{name} must map names to strings, got {values!r}")
+    return values
+
+
+def _texts(values, name: str) -> list[str]:
+    """``values``, which a trace line must give as a list of strings."""
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ValueError(f"{name} must be a list of strings, got {values!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class AgentAction:
     """One resolved act attempt: who tried what, in response to which spec."""
@@ -175,8 +196,8 @@ class AgentAction:
     @classmethod
     def from_dict(cls, data: dict) -> "AgentAction":
         return cls(
-            actor=data["actor"],
-            text=data["text"],
+            actor=_typed(data["actor"], str, "action actor"),
+            text=_typed(data["text"], str, "action text"),
             spec=ActionSpec.from_dict(data["spec"]),
             timestamp=parse_time(data["time"]),
         )
@@ -219,8 +240,8 @@ class Observation:
     @classmethod
     def from_dict(cls, data: dict) -> "Observation":
         return cls(
-            recipient=data["recipient"],
-            text=data["text"],
+            recipient=_typed(data["recipient"], str, "observation recipient"),
+            text=_typed(data["text"], str, "observation text"),
             timestamp=parse_time(data["time"]),
         )
 
@@ -245,10 +266,10 @@ class ModelCall:
     @classmethod
     def from_dict(cls, data: dict) -> "ModelCall":
         return cls(
-            caller=data["caller"],
-            prompt=data["prompt"],
-            response=data["response"],
-            backend=data["backend"],
+            caller=_typed(data["caller"], str, "caller"),
+            prompt=_typed(data["prompt"], str, "prompt"),
+            response=_typed(data["response"], str, "response"),
+            backend=_typed(data["backend"], str, "backend"),
         )
 
 
@@ -295,19 +316,19 @@ class TraceRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "TraceRecord":
         return cls(
-            kind=data["kind"],
-            step=data["step"],
-            turn=data["turn"],
+            kind=_typed(data["kind"], str, "kind"),
+            step=_typed(data["step"], int, "step"),
+            turn=_typed(data["turn"], int, "turn"),
             timestamp=parse_time(data["time"]),
-            actor=data["actor"],
-            agent_states=dict(data["agent_states"]),
-            gm_states=dict(data["gm_states"]),
-            prompts=list(data["prompts"]),
+            actor=_typed(data["actor"], str, "actor"),
+            agent_states=_text_map(data["agent_states"], "agent_states"),
+            gm_states=_text_map(data["gm_states"], "gm_states"),
+            prompts=_texts(data["prompts"], "prompts"),
             action=AgentAction.from_dict(data["action"]) if data.get("action") else None,
-            event=data.get("event", ""),
+            event=_typed(data.get("event", ""), str, "event"),
             observations=[Observation.from_dict(o) for o in data["observations"]],
             model_calls=[ModelCall.from_dict(c) for c in data["model_calls"]],
-            notes=list(data.get("notes", ())),
+            notes=_texts(data.get("notes", []), "notes"),
         )
 
     def to_json_line(self) -> str:

@@ -1,37 +1,38 @@
 """Append-only associative memory with scored retrieval.
 
-Each record carries text, a timestamp, a unit-norm embedding, an importance
-weight, and its insertion index.  Retrieval ranks records by
+Each record carries text, a timestamp, a unit-norm embedding and its
+insertion index.  Retrieval ranks records by one fixed rule,
 
-    score = w_rel * cosine(query, record) + w_rec * exp(-lambda * age) + w_imp * importance
+    score = cosine(query, record) + exp(-_DECAY * age) + IMPORTANCE
 
-where age is measured in insertion steps from the newest record and lambda
-is ln(2) divided by the recency half-life.  Ties prefer the more recent
-insertion.
+summed left to right, where age is measured in insertion steps from the
+newest record, _DECAY is ln(2) / HALF_LIFE with a HALF_LIFE of 100
+insertions, and IMPORTANCE is 1.0 for every record.  The three terms have
+weight 1, as in Generative Agents (Park et al., 2023).  The constant
+importance term still matters: adding it rounds the sum at magnitude 2 to 3,
+which can tie two records that differed before, and ties prefer the more
+recent insertion.
 
 Retrieval is incremental, exact and pruned.  The bank is append-only and a
 component asks the same query every step, so a bank keeps, for each of its
 RELEVANCE_CACHE_QUERIES most recently used queries, the query's embedding
 and its cosine against every record seen so far; beside them it keeps a
-table of exp(-lambda * age) by age and a flat list of importances.  The
-records fall into blocks of BLOCK_RECORDS by insertion index, and each
-cached query keeps the least and greatest cosine of every block, as the
-bank does for importance; both are extended with the lists they summarize.
-At call time the weights bound each block's best score with the arithmetic
-of ``score``: a term takes the block's greatest value when its weight is
-non-negative and its least otherwise, and the recency term that of the
-block's newest or oldest record.  Rounded multiplication by a constant and
-rounded addition are monotone, so no score in a block exceeds its bound.
-Blocks are scored in descending order of bound, term by term as in
-``score``, and the scan stops once k records are held and the next bound
-is below the k-th score; a bound equal to it is still scored, because ties
-prefer the newer record.  Every score is bit-equal to ``MemoryBank.score``
-and the result is the full scan's.  Over a bank of n records, a query not
-in the cache costs one embedding and n cosines, each over the query's
-nonzero coordinates only; a cached query costs one cosine per record added
-since its last call, O(n / BLOCK_RECORDS) work for the bounds, and the
-scoring of each block it visits.  A query by an agent's name over its own
-memories, where recency decides most of the order, visits the newest few.
+table of exp(-_DECAY * age) by age.  The records fall into blocks of
+BLOCK_RECORDS by insertion index, and each cached query keeps the greatest
+cosine of every block, extended with the list it summarizes.  At call time
+a block's best score is bounded by the score rule applied to its greatest
+cosine and the recency of its newest record.  Rounded addition is
+monotone, so no score in a block exceeds its bound.  Blocks are scored in
+descending order of bound, and the scan stops once k records are held and
+the next bound is below the k-th score; a bound equal to it is still
+scored, because ties prefer the newer record.  Every score is bit-equal to
+the rule above and the result is the full scan's.  Over a bank of n
+records, a query not in the cache costs one embedding and n cosines, each
+over the query's nonzero coordinates only; a cached query costs one cosine
+per record added since its last call, O(n / BLOCK_RECORDS) work for the
+bounds, and the scoring of each block it visits.  A query by an agent's
+name over its own memories, where recency decides most of the order,
+visits the newest few.
 
 The default embedder is a hashing bag-of-words (signed feature hashing,
 Weinberger et al. 2009): each lower-case ``\\w+`` token adds +1 or -1 to one
@@ -66,8 +67,11 @@ NORM_TOLERANCE = 1e-9
 
 _TOKEN_RE = re.compile(r"\w+")
 
-DEFAULT_WEIGHTS = (1.0, 1.0, 1.0)
-DEFAULT_HALF_LIFE = 100.0
+# The score's recency half-life, in insertions, and the importance every
+# record carries.
+HALF_LIFE = 100.0
+IMPORTANCE = 1.0
+_DECAY = math.log(2.0) / HALF_LIFE
 
 # Queries per bank whose relevance vectors stay cached.  A component's
 # query is fixed (its query text or the agent's name), so a bank sees few
@@ -172,54 +176,28 @@ def _cosines(query: tuple[float, ...], embeddings: list[tuple[float, ...]]) -> I
     return map(cosine, repeat(pick(query)), map(pick, embeddings))
 
 
-def _extend_block_bounds(values: list[float], lows: list[float], highs: list[float], start: int, block: int) -> None:
-    """Make ``lows``/``highs`` the least/greatest of each ``block`` values,
-    given that they already are for ``values[:start]``."""
+def _extend_block_maxima(values: list[float], highs: list[float], start: int, block: int) -> None:
+    """Make ``highs`` the greatest of each ``block`` values, given that it
+    already is for ``values[:start]``."""
     for b in range(start // block, -(-len(values) // block)):
         chunk = values[max(start, b * block) : (b + 1) * block]
-        if b < len(lows):
-            lows[b] = min(lows[b], *chunk)
+        if b < len(highs):
             highs[b] = max(highs[b], *chunk)
         else:
-            lows.append(min(chunk))
             highs.append(max(chunk))
 
 
-def _weighted_sums(
-    weights: tuple[float, float, float],
-    relevance: Iterable[float],
-    recency: Iterable[float],
-    importance: Iterable[float],
-) -> list[float]:
-    """``w_rel*relevance + w_rec*recency + w_imp*importance`` elementwise,
-    term by term in the float order of ``MemoryBank.score``."""
-    w_rel, w_rec, w_imp = weights
-    return list(
-        map(
-            operator.add,
-            map(
-                operator.add,
-                map(operator.mul, repeat(w_rel), relevance),
-                map(operator.mul, repeat(w_rec), recency),
-            ),
-            map(operator.mul, repeat(w_imp), importance),
-        )
-    )
+def _scores(relevance: Iterable[float], recency: Iterable[float]) -> list[float]:
+    """``(relevance + recency) + IMPORTANCE`` elementwise, the score's float
+    order."""
+    return list(map(operator.add, map(operator.add, relevance, recency), repeat(IMPORTANCE)))
 
 
-def _score_block(
-    weights: tuple[float, float, float],
-    relevance: list[float],
-    recency: list[float],
-    importances: list[float],
-    start: int,
-    stop: int,
-) -> list[float]:
-    """The scores of records start..stop-1; record i has age n - 1 - i."""
-    n = len(importances)
-    return _weighted_sums(
-        weights, relevance[start:stop], reversed(recency[n - stop : n - start]), importances[start:stop]
-    )
+def _score_block(relevance: list[float], recency: list[float], start: int, stop: int) -> list[float]:
+    """The scores of records start..stop-1 of a bank of ``len(relevance)``
+    records; record i has age ``len(relevance) - 1 - i``."""
+    n = len(relevance)
+    return _scores(relevance[start:stop], reversed(recency[n - stop : n - start]))
 
 
 @dataclass(frozen=True)
@@ -227,58 +205,31 @@ class MemoryRecord:
     text: str
     timestamp: datetime
     embedding: tuple[float, ...]
-    importance: float
     index: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.importance <= 1.0:
-            raise ValueError("importance must lie in [0, 1]")
 
 
 class MemoryBank:
     """Append-only store of MemoryRecords for one agent or game master."""
 
-    def __init__(
-        self,
-        embedder: Embedder | None = None,
-        weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
-        half_life: float = DEFAULT_HALF_LIFE,
-    ):
-        if half_life <= 0:
-            raise ValueError("half-life must be positive")
+    def __init__(self, embedder: Embedder | None = None):
         self.embedder = embedder or HashEmbedder()
-        self.weights = weights
-        self.half_life = half_life
-        self.decay = math.log(2.0) / half_life
         self._records: list[MemoryRecord] = []
         self._lock = threading.Lock()
         # Retrieval state, extended lazily to cover every record (see module
-        # docstring): query -> (query embedding, cosine per record, least and
-        # greatest cosine per block), least recently used first;
-        # exp(-decay * age) by age; importance per record, and its least and
-        # greatest per block.
-        self._relevance: OrderedDict[
-            str, tuple[tuple[float, ...], list[float], list[float], list[float]]
-        ] = OrderedDict()
+        # docstring): query -> (query embedding, cosine per record, greatest
+        # cosine per block), least recently used first; exp(-_DECAY * age)
+        # by age.
+        self._relevance: OrderedDict[str, tuple[tuple[float, ...], list[float], list[float]]] = OrderedDict()
         self._recency: list[float] = []
-        self._importances: list[float] = []
-        self._importance_lows: list[float] = []
-        self._importance_highs: list[float] = []
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def add(self, text: str, timestamp: datetime, importance: float = 1.0) -> int:
+    def add(self, text: str, timestamp: datetime) -> int:
         """Append one record and return its id (== insertion index)."""
         embedding = self.embedder.embed(text)
         with self._lock:
-            record = MemoryRecord(
-                text=text,
-                timestamp=timestamp,
-                embedding=embedding,
-                importance=importance,
-                index=len(self._records),
-            )
+            record = MemoryRecord(text=text, timestamp=timestamp, embedding=embedding, index=len(self._records))
             self._records.append(record)
             return record.index
 
@@ -286,17 +237,11 @@ class MemoryBank:
         with self._lock:
             return list(self._records)
 
-    def score(self, query_embedding: tuple[float, ...], record: MemoryRecord, latest_index: int) -> float:
-        w_rel, w_rec, w_imp = self.weights
-        relevance = cosine(query_embedding, record.embedding)
-        recency = math.exp(-self.decay * (latest_index - record.index))
-        return w_rel * relevance + w_rec * recency + w_imp * record.importance
-
     def retrieve_associative(self, query: str, k: int) -> list[MemoryRecord]:
         """Top-k records by combined relevance, recency, and importance.
 
-        Equal to ranking every record by ``score`` and breaking ties
-        toward the more recent insertion.
+        Equal to ranking every record by the module docstring's score and
+        breaking ties toward the more recent insertion.
         """
         if k <= 0:
             return []
@@ -305,8 +250,8 @@ class MemoryBank:
                 return []
             cached = self._relevance.get(query)
         if cached is None:
-            cached = (self.embedder.embed(query), [], [], [])
-        query_embedding, relevance, relevance_lows, relevance_highs = cached
+            cached = (self.embedder.embed(query), [], [])
+        query_embedding, relevance, relevance_highs = cached
         block = BLOCK_RECORDS
         with self._lock:
             records = self._records
@@ -318,34 +263,17 @@ class MemoryBank:
             start = len(relevance)
             if start < n:
                 relevance.extend(_cosines(query_embedding, [r.embedding for r in records[start:n]]))
-                _extend_block_bounds(relevance, relevance_lows, relevance_highs, start, block)
+                _extend_block_maxima(relevance, relevance_highs, start, block)
             recency = self._recency
-            recency.extend(math.exp(-self.decay * age) for age in range(len(recency), n))
-            importances = self._importances
-            start = len(importances)
-            if start < n:
-                importances.extend(r.importance for r in records[start:n])
-                _extend_block_bounds(importances, self._importance_lows, self._importance_highs, start, block)
-            weights = self.weights
-            w_rel, w_rec, w_imp = weights
+            recency.extend(math.exp(-_DECAY * age) for age in range(len(recency), n))
             # Block b holds records b*block .. min(b*block + block, n) - 1,
-            # visited best bound first; a lone block needs no bound.
-            blocks = range(len(self._importance_lows))
+            # visited best bound first; a lone block needs no bound.  The
+            # recency table does not rise with age, so a block's newest
+            # record, at age max(n - b*block - block, 0), has its greatest.
+            blocks = range(len(relevance_highs))
             if len(blocks) > 1:
-                # The recency table falls with age (neighbours differ by a
-                # factor exp(-decay), more than a rounding step for any
-                # half-life under about 1e15), so a block's newest record
-                # has its greatest recency and its oldest the least.
-                if w_rec >= 0:
-                    ages = map(max, range(n - block, -block, -block), repeat(0))
-                else:
-                    ages = range(n - 1, -1, -block)
-                bounds = _weighted_sums(
-                    weights,
-                    relevance_highs if w_rel >= 0 else relevance_lows,
-                    map(recency.__getitem__, ages),
-                    self._importance_highs if w_imp >= 0 else self._importance_lows,
-                )
+                ages = map(max, range(n - block, -block, -block), repeat(0))
+                bounds = _scores(relevance_highs, map(recency.__getitem__, ages))
                 blocks = sorted(blocks, key=bounds.__getitem__, reverse=True)
             # (score, index) of the best records scored so far, best first:
             # the order of the full scan, whose ties prefer the newer record.
@@ -354,7 +282,7 @@ class MemoryBank:
                 if len(top) >= k and bounds[b] < top[k - 1][0]:
                     break
                 start = b * block
-                scores = _score_block(weights, relevance, recency, importances, start, min(start + block, n))
+                scores = _score_block(relevance, recency, start, min(start + block, n))
                 # Only a score at least the block's k-th best can make the top k.
                 floor = sorted(scores)[-min(k, len(scores))]
                 top += compress(zip(scores, count(start)), map(operator.ge, scores, repeat(floor)))

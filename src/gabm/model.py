@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
-from .errors import BackendUnavailable, NoMatchingOption
+from .errors import BackendUnavailable, ConfigError, NoMatchingOption
 from .kernel import ModelCall, parse_choice
 
 if TYPE_CHECKING:
@@ -245,6 +245,11 @@ class ScriptRule:
         matchers = [m for m in (self.contains, self.contains_all, self.pattern) if m is not None]
         if len(matchers) != 1:
             raise ValueError("rule needs exactly one of contains / contains_all / pattern")
+        texts = [self.response, self.contains, self.pattern, *(self.contains_all or ())]
+        if not all(isinstance(text, str) for text in texts if text is not None):
+            raise ValueError("rule response and matchers must be strings")
+        if self.max_uses is not None and type(self.max_uses) is not int:
+            raise ValueError("rule max_uses must be an integer")
         if self.pattern is not None:
             self._compiled = re.compile(self.pattern, re.DOTALL)
 
@@ -317,8 +322,18 @@ class ScriptedModel(GenerativeModel):
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedModel":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        """The model a JSON rule file describes; a file that is missing or
+        malformed raises ConfigError naming it."""
+        try:
+            with open(path, encoding="utf-8") as handle:
+                data = json.load(handle)
+            if not isinstance(data, dict):
+                raise ValueError("the file must hold a JSON object")
+            return cls.from_dict(data)
+        except KeyError as exc:
+            raise ConfigError(f"script file {path}: a rule has no {exc.args[0]!r}") from exc
+        except (OSError, ValueError, TypeError, AttributeError, re.error) as exc:
+            raise ConfigError(f"script file {path}: {exc}") from exc
 
 
 class EchoModel(GenerativeModel):

@@ -90,6 +90,40 @@ def test_run_reports_missing_file(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+BAD_SCRIPTS = {
+    "missing": None,
+    "not json": "{rules: [",
+    "top-level list": json.dumps([{"contains": "x", "response": "y"}]),
+    "rule without response": json.dumps({"rules": [{"contains": "x"}]}),
+    "contains and pattern": json.dumps({"rules": [{"contains": "x", "pattern": "y", "response": "z"}]}),
+    "bad pattern": json.dumps({"rules": [{"pattern": "[", "response": "z"}]}),
+    "number response": json.dumps({"rules": [{"contains": "x", "response": 5}]}),
+    "text max_uses": json.dumps({"rules": [{"contains": "x", "response": "z", "max_uses": "3"}]}),
+}
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("case", list(BAD_SCRIPTS))
+def test_run_reports_a_malformed_script_file_in_one_line(tmp_path, capsys, case, via_config):
+    config_path = write_scenario(tmp_path)
+    script = tmp_path / "bad_script.json"
+    if BAD_SCRIPTS[case] is not None:
+        script.write_text(BAD_SCRIPTS[case], encoding="utf-8")
+    args = ["run", "--config", str(config_path)]
+    if via_config:
+        config_path.write_text(json.dumps({**CONFIG, "script": script.name}), encoding="utf-8")
+    else:
+        args += ["--script", str(script)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    if via_config and case == "missing":
+        # The validator checks that a config's script file exists.
+        assert "script file not found: bad_script.json" in err
+    else:
+        assert err.startswith(f"cannot build scenario: script file {script}: ")
+        assert err.count("\n") == 1
+
+
 def test_run_exits_two_on_aborted_episode(tmp_path, capsys):
     (tmp_path / "script.json").write_text(json.dumps({"default": ""}), encoding="utf-8")
     config_path = tmp_path / "scenario.json"
@@ -140,6 +174,55 @@ def test_audit_reports_corrupt_lines(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "line 5: corrupt record" in captured.err
     assert "5 record(s) shown, 1 corrupt line(s) skipped" in captured.out
+
+
+def retype_first_record(out: Path, change) -> None:
+    """Apply ``change`` to the parsed first record of a trace and write it back."""
+    lines = out.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    change(record)
+    lines[1] = canonical_json(record)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "change, flags",
+    [
+        pytest.param(lambda r: r.update(step="x"), ["--steps", "0:1"], id="step text"),
+        pytest.param(lambda r: r.update(event=7), ["--search", "foo"], id="event number"),
+        pytest.param(lambda r: r["model_calls"][0].update(response=5), [], id="response number"),
+        pytest.param(lambda r: r["observations"][0].update(text=7), ["--search", "foo"], id="observation number"),
+        pytest.param(lambda r: r["action"].update(text=7), ["--search", "foo"], id="action number"),
+        pytest.param(lambda r: r["agent_states"].update(Alice=7), ["--agent", "Bob"], id="state number"),
+    ],
+)
+def test_audit_skips_a_record_with_wrong_json_types_as_corrupt(tmp_path, capsys, change, flags):
+    _, out = run_trace(tmp_path)
+    retype_first_record(out, change)
+    capsys.readouterr()
+    assert main(["audit", "--trace", str(out), *flags]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("line 2: corrupt record (")
+    assert "1 corrupt line(s) skipped" in captured.out
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(lambda r: r["model_calls"][0].update(response=5), "response must be str, got 5", id="response"),
+        pytest.param(lambda r: r.update(step="x"), "step must be int, got 'x'", id="step"),
+        pytest.param(lambda r: r.update(turn=True), "turn must be int, got True", id="turn"),
+        pytest.param(lambda r: r.update(event=7), "event must be str, got 7", id="event"),
+        pytest.param(lambda r: r.update(prompts=[1]), "prompts must be a list of strings, got [1]", id="prompts"),
+        pytest.param(lambda r: r.update(notes="n"), "notes must be a list of strings, got 'n'", id="notes"),
+    ],
+)
+def test_replay_rejects_a_record_with_wrong_json_types(tmp_path, capsys, change, message):
+    _, out = run_trace(tmp_path)
+    retype_first_record(out, change)
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(out)]) == 1
+    assert capsys.readouterr().err == f"cannot replay: bad trace record on line 2: {message}\n"
 
 
 def test_audit_extract_pairs_writes_jsonl(tmp_path, capsys):

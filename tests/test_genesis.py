@@ -133,7 +133,7 @@ def test_backdate_plain_and_leap_day():
     assert backdate(leap, 4) == datetime(2020, 2, 29, 8, 0)
 
 
-def test_seed_memory_backdates_and_maxes_importance():
+def test_seed_memory_backdates():
     bank = MemoryBank()
     profile = AgentProfile(name="Ada", age=30)
     memory_set = FormativeMemorySet(
@@ -148,7 +148,6 @@ def test_seed_memory_backdates_and_maxes_importance():
     assert records[0].timestamp == datetime(1994, 5, 1, 9, 0)  # birth year
     assert records[1].timestamp == datetime(2000, 5, 1, 9, 0)  # age 6, 24 years back
     assert records[2].timestamp == datetime(2012, 5, 1, 9, 0)  # age 18, 12 years back
-    assert all(r.importance == 1.0 for r in records)
     # Seeded records predate anything the episode will add.
     assert all(r.timestamp < START for r in records)
 

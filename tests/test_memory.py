@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import re
@@ -16,8 +15,9 @@ from hypothesis import strategies as st
 
 from gabm import memory
 from gabm.memory import (
-    DEFAULT_HALF_LIFE,
     EMBED_CACHE_TEXTS,
+    HALF_LIFE,
+    IMPORTANCE,
     RELEVANCE_CACHE_QUERIES,
     HashEmbedder,
     MemoryBank,
@@ -51,7 +51,7 @@ def test_hash_embedder_is_deterministic_and_unit_norm():
     assert abs(math.sqrt(sum(x * x for x in a)) - 1.0) < 1e-9
 
 
-def test_hash_vectors_are_checked_unit_norm_and_records_reject_bad_importance(monkeypatch):
+def test_hash_vectors_are_checked_unit_norm(monkeypatch):
     # The norm is checked once, where the memo makes the vector; a record
     # takes its embedding as given.
     make = memory._hash_embed.__wrapped__
@@ -64,9 +64,7 @@ def test_hash_vectors_are_checked_unit_norm_and_records_reject_bad_importance(mo
     monkeypatch.setattr(memory, "_check_unit_norm", checked.append)
     vector = make(16, 0, "the pub is snowed in")
     assert checked == [vector]
-    MemoryRecord("x", T0, (0.5, 0.5), 1.0, 0)
-    with pytest.raises(ValueError):
-        MemoryRecord("x", T0, (1.0, 0.0), 1.5, 0)
+    MemoryRecord("x", T0, (0.5, 0.5), 0)
 
 
 def test_insertion_indices_strictly_increase():
@@ -77,11 +75,11 @@ def test_insertion_indices_strictly_increase():
 
 
 def test_retrieval_scores_match_hand_computed_table():
-    # Three records, weights (1,1,1), half-life 10 insertions.  Expected
-    # scores frozen from independent arithmetic:
-    #   rec0: cos=1.0, age 2, imp 0.5  -> 2.370550563296124
-    #   rec1: cos=0.0, age 1, imp 1.0  -> 1.9330329915368074
-    #   rec2: cos=0.6, age 0, imp 0.25 -> 1.85
+    # Three records, half-life 100 insertions, importance 1.  Expected
+    # scores frozen from independent arithmetic, cos + 2**(-age/100) + 1:
+    #   rec0: cos=1.0, age 2 -> 2.9862327044933592
+    #   rec1: cos=0.0, age 1 -> 1.9930924954370359
+    #   rec2: cos=0.6, age 0 -> 2.6
     embedder = AxisEmbedder(
         {
             "query": (1.0, 0.0, 0.0, 0.0),
@@ -90,27 +88,45 @@ def test_retrieval_scores_match_hand_computed_table():
             "rec2": (0.6, 0.8, 0.0, 0.0),
         }
     )
-    bank = MemoryBank(embedder=embedder, weights=(1.0, 1.0, 1.0), half_life=10.0)
-    bank.add("rec0", T0, importance=0.5)
-    bank.add("rec1", T0, importance=1.0)
-    bank.add("rec2", T0, importance=0.25)
-    query_embedding = embedder.embed("query")
-    expected = {0: 2.370550563296124, 1: 1.9330329915368074, 2: 1.85}
-    for record in bank.snapshot():
-        got = bank.score(query_embedding, record, latest_index=2)
-        assert got == pytest.approx(expected[record.index], abs=1e-12)
+    bank = MemoryBank(embedder=embedder)
+    for text in ("rec0", "rec1", "rec2"):
+        bank.add(text, T0)
     retrieved = bank.retrieve_associative("query", k=3)
-    assert [r.text for r in retrieved] == ["rec0", "rec1", "rec2"]
+    assert [r.text for r in retrieved] == ["rec0", "rec2", "rec1"]
+    # The scores the retrieval compared, from the bank's own tables.
+    relevance = bank._relevance["query"][1]
+    got = memory._score_block(relevance, bank._recency, 0, 3)
+    assert got == pytest.approx([2.9862327044933592, 1.9930924954370359, 2.6], abs=1e-12)
 
 
 def test_equal_scores_prefer_recent_insertion():
-    # Recency weight zero and identical text make scores exactly equal.
-    bank = MemoryBank(weights=(1.0, 0.0, 1.0))
-    bank.add("same words", T0, importance=1.0)
-    bank.add("same words", T0, importance=1.0)
-    bank.add("same words", T0, importance=1.0)
-    retrieved = bank.retrieve_associative("same words", k=3)
-    assert [r.index for r in retrieved] == [2, 1, 0]
+    # The older record's cosine makes up exactly what its recency lost:
+    # 1 - recency is exact, as recency lies in [0.5, 1], so both sums are
+    # 1.0 before the importance term and 2.0 after it.
+    recency = math.exp(-math.log(2.0) / HALF_LIFE)
+    embedder = AxisEmbedder({"query": (1.0, 0.0), "old": (1.0 - recency, 0.0), "new": (0.0, 1.0)}, dimension=2)
+    bank = MemoryBank(embedder=embedder)
+    bank.add("old", T0)
+    bank.add("new", T0)
+    assert (1.0 - recency) + recency == 0.0 + 1.0
+    assert [r.text for r in bank.retrieve_associative("query", k=2)] == ["new", "old"]
+
+
+def test_scores_tied_only_by_the_importance_term_prefer_the_newer_record():
+    # Before the importance term the older record is one ulp ahead,
+    # 1 + 2**-52 against the newer's 0 + 1.0; adding IMPORTANCE rounds both
+    # to 2.0, and the tie goes to the newer record.  Without the term the
+    # older one would rank first.
+    recency = math.exp(-math.log(2.0) / HALF_LIFE)
+    ahead = math.nextafter(1.0, 2.0)
+    embedder = AxisEmbedder({"query": (1.0, 0.0), "old": (ahead - recency, 0.0), "new": (0.0, 1.0)}, dimension=2)
+    bank = MemoryBank(embedder=embedder)
+    bank.add("old", T0)
+    bank.add("new", T0)
+    assert (ahead - recency) + recency == ahead > 0.0 + 1.0
+    assert ahead + IMPORTANCE == 1.0 + IMPORTANCE
+    assert [r.text for r in bank.retrieve_associative("query", k=2)] == ["new", "old"]
+    assert [r.text for r in bank.retrieve_associative("query", k=1)] == ["new"]
 
 
 def test_k_covers_edge_sizes():
@@ -130,6 +146,13 @@ def test_retrieve_recent_is_oldest_first_window():
     assert bank.retrieve_recent(0) == []
 
 
+def oracle_score(query_embedding, record: MemoryRecord, latest: int) -> float:
+    """The scoring rule in plain arithmetic, one record at a time."""
+    relevance = sum(a * b for a, b in zip(query_embedding, record.embedding))
+    recency = math.exp(-(math.log(2.0) / HALF_LIFE) * (latest - record.index))
+    return relevance + recency + IMPORTANCE
+
+
 def brute_force_rank(bank: MemoryBank, query: str, k: int) -> list[int]:
     """Independent oracle: full scan, explicit selection, documented ties."""
     records = bank.snapshot()
@@ -137,13 +160,7 @@ def brute_force_rank(bank: MemoryBank, query: str, k: int) -> list[int]:
         return []
     query_embedding = bank.embedder.embed(query)
     latest = records[-1].index
-    w_rel, w_rec, w_imp = bank.weights
-    lam = math.log(2.0) / bank.half_life
-    scored = []
-    for record in records:
-        relevance = sum(a * b for a, b in zip(query_embedding, record.embedding))
-        recency = math.exp(-lam * (latest - record.index))
-        scored.append((w_rel * relevance + w_rec * recency + w_imp * record.importance, record))
+    scored = [(oracle_score(query_embedding, record, latest), record) for record in records]
     chosen: list[int] = []
     remaining = list(scored)
     while remaining and len(chosen) < k:
@@ -159,17 +176,9 @@ def brute_force_rank(bank: MemoryBank, query: str, k: int) -> list[int]:
 def test_ranking_agrees_with_brute_force_oracle():
     rng = random.Random(77)
     for trial in range(10):
-        weights = (rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(0, 2))
-        half_life = rng.uniform(1, 200)
-        bank = MemoryBank(
-            embedder=HashEmbedder(dimension=8, seed=trial), weights=weights, half_life=half_life
-        )
+        bank = MemoryBank(embedder=HashEmbedder(dimension=8, seed=trial))
         for i in range(rng.randrange(1, 60)):
-            bank.add(
-                f"memory {rng.randrange(20)}",
-                T0 + timedelta(minutes=i),
-                importance=rng.random(),
-            )
+            bank.add(f"memory {rng.randrange(20)}", T0 + timedelta(minutes=i))
         k = rng.randrange(1, len(bank) + 5)
         query = f"query {rng.randrange(10)}"
         got = [r.index for r in bank.retrieve_associative(query, k)]
@@ -193,16 +202,6 @@ def test_concurrent_adds_stay_consistent():
         t.join()
     assert len(bank) == 200
     assert [r.index for r in bank.snapshot()] == list(range(200))
-
-
-def test_default_half_life_and_weights_applied():
-    bank = MemoryBank()
-    assert bank.weights == (1.0, 1.0, 1.0)
-    assert bank.half_life == DEFAULT_HALF_LIFE
-    assert bank.decay == pytest.approx(math.log(2) / 100.0)
-    bank.add("plain", T0)
-    bank.add("explicit", T0, importance=0.2)
-    assert [r.importance for r in bank.snapshot()] == [1.0, 0.2]
 
 
 def test_cosine_of_unit_vectors():
@@ -259,8 +258,9 @@ def test_a_text_without_tokens_or_whose_tokens_cancel_embeds_to_the_first_axis(t
 
 
 def test_a_query_by_name_ranks_the_records_that_mention_it_first():
-    # Relevance alone: the records sharing the query's one word come first.
-    # With 16 coordinates another word can share the name's coordinate and
+    # The records sharing the query's one word come first: over nine records
+    # recency spans under 0.06, less than any gap in relevance here.  With
+    # 16 coordinates another word can share the name's coordinate and
     # add to or cancel it, so this holds for a name whose coordinate the
     # other words here leave alone, as "ada"'s at seed 0.
     texts = [
@@ -274,7 +274,7 @@ def test_a_query_by_name_ranks_the_records_that_mention_it_first():
         "The harvest fair was loud.",
         "ADA, at last, sold the blue kettle!",
     ]
-    bank = MemoryBank(weights=(1.0, 0.0, 0.0))
+    bank = MemoryBank()
     for text in texts:
         bank.add(text, T0)
     mentions = {i for i, text in enumerate(texts) if "ada" in text.lower()}
@@ -358,55 +358,37 @@ def test_fanned_out_text_is_digested_once(monkeypatch):
     assert all(vector is vectors[0] for vector in vectors)
 
 
-def oracle_score(bank: MemoryBank, query_embedding, record: MemoryRecord, latest: int) -> float:
-    """The scoring formula in plain arithmetic, one record at a time."""
-    w_rel, w_rec, w_imp = bank.weights
-    relevance = sum(a * b for a, b in zip(query_embedding, record.embedding))
-    recency = math.exp(-(math.log(2.0) / bank.half_life) * (latest - record.index))
-    return w_rel * relevance + w_rec * recency + w_imp * record.importance
-
-
-# More queries than a bank caches, so some retrievals follow an eviction;
-# few texts, so duplicate records tie exactly when the recency weight is 0.
+# More queries than a bank caches, so some retrievals follow an eviction.
 CACHE_QUERIES = [f"query {i}" for i in range(RELEVANCE_CACHE_QUERIES + 3)]
 CACHE_TEXTS = ["snow at the mill", "the ferry is late", "beans for a cow"]
-WEIGHTS = st.tuples(
-    st.floats(0.0, 2.0), st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0), st.floats(0.0, 2.0)
-)
 BANK_OPERATIONS = st.lists(
-    st.tuples(st.just("add"), st.sampled_from(CACHE_TEXTS), st.sampled_from([0.0, 0.5, 1.0]))
-    | st.tuples(st.just("retrieve"), st.sampled_from(CACHE_QUERIES), st.integers(0, 40))
-    | st.tuples(st.just("weights"), WEIGHTS, st.none()),
+    st.tuples(st.just("add"), st.sampled_from(CACHE_TEXTS))
+    | st.tuples(st.just("retrieve"), st.sampled_from(CACHE_QUERIES), st.integers(0, 40)),
     max_size=60,
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(weights=WEIGHTS, half_life=st.floats(1.0, 50.0), operations=BANK_OPERATIONS)
-def test_cached_retrieval_matches_full_scan_oracle(weights, half_life, operations):
-    bank = MemoryBank(embedder=HashEmbedder(dimension=4), weights=weights, half_life=half_life)
-    for op, arg, value in operations:
+@given(operations=BANK_OPERATIONS)
+def test_cached_retrieval_matches_full_scan_oracle(operations):
+    bank = MemoryBank(embedder=HashEmbedder(dimension=4))
+    for op, *args in operations:
         if op == "add":
-            bank.add(arg, T0, importance=value)
-        elif op == "weights":
-            bank.weights = arg
+            bank.add(args[0], T0)
         else:
-            got = [r.index for r in bank.retrieve_associative(arg, value)]
-            assert got == brute_force_rank(bank, arg, value)
-            query_embedding = bank.embedder.embed(arg)
-            for record in bank.snapshot():
-                expected = oracle_score(bank, query_embedding, record, len(bank) - 1)
-                assert bank.score(query_embedding, record, len(bank) - 1) == expected
+            query, k = args
+            got = [r.index for r in bank.retrieve_associative(query, k)]
+            assert got == brute_force_rank(bank, query, k)
 
 
 def test_concurrent_adds_and_retrievals_stay_exact():
-    bank = MemoryBank(embedder=HashEmbedder(dimension=4), weights=(1.0, 0.5, 1.0), half_life=20.0)
+    bank = MemoryBank(embedder=HashEmbedder(dimension=4))
     queries = ["query 0", "query 1", "query 2"]
     seen: list[tuple[int, int, str, int, list[int]]] = []
 
     def writer(offset: int):
         for i in range(50):
-            bank.add(f"w{offset}-{i % 7}", T0, importance=(i % 3) / 2)
+            bank.add(f"w{offset}-{i % 7}", T0)
 
     def reader(offset: int):
         for i in range(50):
@@ -432,12 +414,7 @@ def test_concurrent_adds_and_retrievals_stay_exact():
     records = bank.snapshot()
 
     def prefix(n: int) -> SimpleNamespace:
-        return SimpleNamespace(
-            snapshot=lambda: records[:n],
-            embedder=bank.embedder,
-            weights=bank.weights,
-            half_life=bank.half_life,
-        )
+        return SimpleNamespace(snapshot=lambda: records[:n], embedder=bank.embedder)
 
     # Each retrieval ranked the bank as it stood at some moment of the call.
     for before, after, query, k, got in seen:
@@ -451,47 +428,36 @@ def test_concurrent_adds_and_retrievals_stay_exact():
 
 
 WORDS = ["ada", "bruno", "cyra", "mill", "ferry", "lantern", "sold", "found", "the", "at", "met"]
-SIGNED_WEIGHTS = st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-2.0, 2.0)] * 3)
 PRUNED_QUERIES = WORDS[:4] + ["ada mill", "", "query 0"]
 PRUNED_TEXTS = st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join)
 PRUNED_OPERATIONS = st.lists(
-    st.tuples(st.just("add"), PRUNED_TEXTS, st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-    | st.tuples(st.just("retrieve"), st.sampled_from(PRUNED_QUERIES), st.integers(0, 4) | st.integers(0, 50))
-    | st.tuples(st.just("weights"), SIGNED_WEIGHTS, st.none()),
+    st.tuples(st.just("add"), PRUNED_TEXTS)
+    | st.tuples(st.just("retrieve"), st.sampled_from(PRUNED_QUERIES), st.integers(0, 4) | st.integers(0, 50)),
     max_size=60,
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    block=st.integers(1, 4),
-    dimension=st.sampled_from([4, 8]),
-    weights=SIGNED_WEIGHTS,
-    half_life=st.floats(0.5, 50.0),
-    operations=PRUNED_OPERATIONS,
-)
-def test_block_pruned_retrieval_matches_full_scan_oracle(block, dimension, weights, half_life, operations):
+@given(block=st.integers(1, 4), dimension=st.integers(1, 8), operations=PRUNED_OPERATIONS)
+def test_block_pruned_retrieval_matches_full_scan_oracle(block, dimension, operations):
     # Blocks of 1-4 records, so a bank spans many blocks and most calls
-    # prune some; weights of either sign or zero flip which end of each
-    # block bounds it.
+    # prune some; few coordinates, so many records share a cosine and
+    # recency alone separates them.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(memory, "BLOCK_RECORDS", block)
-        bank = MemoryBank(embedder=HashEmbedder(dimension=dimension), weights=weights, half_life=half_life)
-        for op, arg, value in operations:
+        bank = MemoryBank(embedder=HashEmbedder(dimension=dimension))
+        for op, *args in operations:
             if op == "add":
-                bank.add(arg, T0, importance=value)
-            elif op == "weights":
-                bank.weights = arg
+                bank.add(args[0], T0)
             else:
-                got = [r.index for r in bank.retrieve_associative(arg, value)]
-                assert got == brute_force_rank(bank, arg, value)
-        # Every sign pattern of the weights, at small k so blocks are pruned.
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            bank.weights = tuple(sign * (abs(w) or 1.0) for sign, w in zip(signs, weights))
-            for query in PRUNED_QUERIES:
-                for k in (1, 3, len(bank) + 1):
-                    got = [r.index for r in bank.retrieve_associative(query, k)]
-                    assert got == brute_force_rank(bank, query, k)
+                query, k = args
+                got = [r.index for r in bank.retrieve_associative(query, k)]
+                assert got == brute_force_rank(bank, query, k)
+        # Small k, so blocks are pruned, and k past the bank's size.
+        for query in PRUNED_QUERIES:
+            for k in (1, 3, len(bank) + 1):
+                got = [r.index for r in bank.retrieve_associative(query, k)]
+                assert got == brute_force_rank(bank, query, k)
 
 
 @settings(max_examples=200, deadline=None)
@@ -527,9 +493,9 @@ def test_a_repeated_name_query_scores_under_a_tenth_of_a_large_bank(monkeypatch)
     scored = []
     score_block = memory._score_block
 
-    def counting(weights, relevance, recency, importances, start, stop):
+    def counting(relevance, recency, start, stop):
         scored.append(stop - start)
-        return score_block(weights, relevance, recency, importances, start, stop)
+        return score_block(relevance, recency, start, stop)
 
     monkeypatch.setattr(memory, "_score_block", counting)
     got = [r.index for r in bank.retrieve_associative("Cyra", 25)]
