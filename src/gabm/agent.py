@@ -3,21 +3,20 @@
 An agent's behavior is sampled in two steps.  Acting concatenates the
 instruction preamble, every component's current state in a fixed order, and
 the rendered call to action, then samples the model once (plus retries for
-numeric answers).  Component updates run separately: each due component
-stages its next state while reading the pre-update states of its peers, and
-all staged states publish together once the pass completes.  That two-phase
-swap keeps reads consistent no matter how updates are scheduled, which is
-what lets the updates of one pass run in parallel.
+numeric answers).  Component updates run separately: every due component
+first builds the prompt of its model call, if it has one, from memory and
+its peers' pre-update states; once the calls are answered, each commits
+its answer, in declaration order.  Nothing changes until every prompt is
+built, so the calls of one pass are independent and can go out together.
 
 Components keep no reference to their agent: the agent passes itself to
-each ``update`` hook, and nothing is bound at construction.  An agent keeps
-no clock either: whoever asks it to act passes the time it acts at, so a
-nested scene on its own clock hands its own time in.
+each hook, and nothing is bound at construction.  An agent keeps no clock
+either: whoever asks it to act passes the time it acts at, so a nested
+scene on its own clock hands its own time in.
 """
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from datetime import datetime
 from decimal import Decimal
@@ -25,7 +24,7 @@ from decimal import Decimal
 from .errors import EpisodeAbort, InvalidModelOutput, NotANumber
 from .kernel import ActionSpec, AgentAction, Observation, OutputKind, format_time, parse_float_token
 from .memory import MemoryBank
-from .model import GenerativeModel, render_choice_prompt, run_holding_calls, sample_repaired
+from .model import GenerativeModel, ask_all, render_choice_prompt, sample_repaired
 
 DEFAULT_PREAMBLE = "Instructions: this is a social simulation. Answer as {name} would."
 FLOAT_SUFFIX = "Answer with a single number."
@@ -36,12 +35,12 @@ RETRIEVAL_MODES = ("recent", "associative", "none")
 class AgentComponent:
     """One named slice of an agent's working state.
 
-    ``state()`` is side-effect free.  ``update(agent)`` is the only mutator
-    and must stage its result through ``publish``; the owning agent passes
-    itself in, and commits all staged states after the update pass.  A
-    component holds no reference to its agent.  ``cadence`` is "step" (every
-    update pass), an integer N (every Nth pass), or "manual" (never run by
-    the agent's own scheduler).
+    ``state()`` is side-effect free.  An update pass calls ``prompt(agent)``,
+    the text to ask the agent's model or None, then ``commit(agent,
+    answer)`` with the answer (None when nothing was asked), the only place
+    the state changes.  A component holds no reference to its agent.
+    ``cadence`` is "step" (every update pass), an integer N (every Nth
+    pass), or "manual" (never run by the agent's own scheduler).
     """
 
     def __init__(self, name: str, cadence: int | str = "step"):
@@ -50,18 +49,9 @@ class AgentComponent:
         self.name = name
         self.cadence = cadence
         self._state = ""
-        self._staged: str | None = None
 
     def state(self) -> str:
         return self._state
-
-    def publish(self, new_state: str) -> None:
-        self._staged = new_state
-
-    def commit(self) -> None:
-        if self._staged is not None:
-            self._state = self._staged
-            self._staged = None
 
     def due(self, pass_index: int) -> bool:
         if self.cadence == "step":
@@ -70,7 +60,10 @@ class AgentComponent:
             return False
         return pass_index % int(self.cadence) == 0
 
-    def update(self, agent: "GenerativeAgent") -> None:  # pragma: no cover - default is a no-op
+    def prompt(self, agent: "GenerativeAgent") -> str | None:
+        return None
+
+    def commit(self, agent: "GenerativeAgent", answer: str | None) -> None:
         pass
 
     def observe(self, observation: Observation) -> None:
@@ -96,11 +89,10 @@ class ObservationBuffer(AgentComponent):
     def observe(self, observation: Observation) -> None:
         self._pending.append(observation.text)
 
-    def update(self, agent: "GenerativeAgent") -> None:
-        for text in self._pending:
-            self._window.append(text)
+    def commit(self, agent: "GenerativeAgent", answer: str | None) -> None:
+        self._window.extend(self._pending)
         self._pending.clear()
-        self.publish("\n".join(self._window))
+        self._state = "\n".join(self._window)
 
 
 class ModelQueryComponent(AgentComponent):
@@ -142,7 +134,7 @@ class ModelQueryComponent(AgentComponent):
             return [r.text for r in bank.retrieve_associative(query, self.k)]
         return []
 
-    def update(self, agent: "GenerativeAgent") -> None:
+    def prompt(self, agent: "GenerativeAgent") -> str:
         name = agent.name
         parts = [agent.preamble_text(), "\n"]
         memories = self._retrieved(agent)
@@ -154,10 +146,10 @@ class ModelQueryComponent(AgentComponent):
             peer = agent.component(peer_name)
             parts.append(f"{peer.name}: {peer.state()}\n")
         parts.append(f"Question: {self.question.replace('{name}', name)}\nAnswer:")
-        answer = agent.model.sample_text(
-            "".join(parts), caller=f"component:{name}/{self.name}:update"
-        )
-        self.publish(answer.strip())
+        return "".join(parts)
+
+    def commit(self, agent: "GenerativeAgent", answer: str | None) -> None:
+        self._state = answer.strip()
 
 
 class GenerativeAgent:
@@ -210,28 +202,34 @@ class GenerativeAgent:
             component.observe(observation)
 
     def update_components(self) -> None:
-        """Run one two-phase update pass over all due components.
+        """Run one update pass over all due components.
 
-        Every due component's update reads peers' pre-pass states, so the
-        updates do not depend on each other: ``run_holding_calls`` issues
-        them together when the model is slow enough for that to pay, and
-        taking each in turn records their model calls in declaration order
-        either way.  Staged results publish together afterwards.  A component failure
-        aborts the episode naming the first failing component in
-        declaration order; later components' calls are not recorded.
+        Every due prompt is built before any answer commits, so each reads
+        its peers' pre-pass states: ``ask_all`` issues the prompts together
+        when the model is slow enough for that to pay, and records their
+        calls in declaration order either way.  Answers then commit in
+        declaration order.  A failure aborts the episode naming the
+        failing component; later components' calls are not recorded.
         """
         pass_index = self._update_passes
         self._update_passes += 1
         due = [c for c in self.components if c.due(pass_index)]
-        for take in run_holding_calls([functools.partial(self._update_one, c) for c in due], self.model):
-            take()
-        for component in due:
-            component.commit()
-
-    def _update_one(self, component: AgentComponent) -> None:
+        prompts: list[str | None] = []
         try:
-            component.update(self)
+            for component in due:
+                prompts.append(component.prompt(self))
+            answers = ask_all(
+                self.model,
+                [
+                    (prompt, f"component:{self.name}/{c.name}:update")
+                    for c, prompt in zip(due, prompts)
+                    if prompt is not None
+                ],
+            )
+            for component, prompt in zip(due, prompts):
+                component.commit(self, None if prompt is None else next(answers))
         except Exception as exc:
+            # ``component`` is the one whose prompt, call or commit failed.
             raise EpisodeAbort(
                 f"component {self.name}/{component.name} failed during update: {exc}"
             ) from exc

@@ -3,28 +3,31 @@
 Resolution of one acting turn follows a fixed sequence:
 
 1. ``update_before_event``: components react to the attempted action (and
-   may veto it), then publish their states (``state()``), which make up
+   may veto it), then render their states (``state()``), which make up
    the resolution context.
-2. One batch: the pre-event query of each component that has one, and the
-   game master's "relevant state" call.  Then each component's pre-event
-   effect, which may veto the action too.
+2. One batch: the pre-event ask of each component that has one, and the
+   game master's "relevant state" call.  Then each asking component's
+   ``answer_before_event``, which may veto the action too.
 3. The outcome call, which alone reads the veto, gives the event.
 4. One batch: the game master's "who observes what" call and the
-   post-event query of each component that has one.  The observer lines
-   are parsed and the event is memorized.
-5. Per component, its post-event effect, then ``update_after_event``.
-   This is when grounded variables change and observations fan out.
+   post-event ask of each component that has one.  The observer lines are
+   parsed and the event is memorized.
+5. Per component, its ``answer_after_event`` if it asked, then
+   ``update_after_event``.  This is when grounded variables change and
+   observations fan out.
 
-Episode termination is polled after every acting turn.  The calls of a
-batch are independent of one another, so ``run_holding_calls`` issues them
-together when the model is slow enough for that to pay; either way each
-call is recorded where the one-at-a-time sequence makes it (a query's
-calls just before its effect), so a trace does not depend on the model's
+Episode termination is polled after every acting turn.  Every prompt of a
+batch is built before any of its answers is applied, so ``ask_all`` can
+issue the calls together when the model is slow enough for that to pay;
+only the calls leave the game master's thread.  Either way each call is
+recorded where the one-at-a-time sequence makes it (a component's call
+just before its answer hook), so a trace does not depend on the model's
 speed.  If a call in a batch fails, everything before it in that sequence
-still happens (calls recorded, effects applied, the event memorized) and
+still happens (calls recorded, answers applied, the event memorized) and
 nothing after it does.  The one difference from asking one call at a time
 is on the pre-event side: there every ``update_before_event`` has already
-run, and the states snapshot is in the record, when a query fails.
+run, and the states snapshot is in the record, when a component's call
+fails.
 
 Components keep no reference to their game master: every hook that acts
 on it gets it as its first argument, and nothing is bound at construction.
@@ -34,7 +37,6 @@ and a nested scene passes the time of its own clock.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -52,7 +54,7 @@ from .kernel import (
     TraceRecord,
 )
 from .memory import MemoryBank
-from .model import GenerativeModel, close_calls, open_calls, run_holding_calls
+from .model import GenerativeModel, ask_all, close_calls, open_calls
 
 DEFAULT_GM_PREAMBLE = (
     "Instructions: you are the game master of a social simulation. "
@@ -75,9 +77,6 @@ OBSERVERS_QUESTION = (
 )
 
 
-Effect = Callable[[], None]
-
-
 class GMComponent:
     """One slice of game-master state, e.g. an inventory or a location map.
 
@@ -89,21 +88,19 @@ class GMComponent:
     master passes itself as the first argument of ``update`` and of every
     event hook and query; a component holds no reference to it.
 
-    A component that asks the model about the action or the event does so
-    by overriding ``query_before_event`` or ``query_after_event``; only
-    overridden queries join the game master's batches.  A query may run on
-    a pool thread, together with the game master's own calls, so besides
-    calling ``gm.model`` it only reads the action or event and the
-    component's own state, and touches no game master, record, note,
-    observation or other component.  It returns the effect to apply, or
-    None; an effect that acts on the game master carries it, e.g. as a
-    ``functools.partial``.  The game master applies effects on its own
-    thread in declaration order: pre-event effects after every
+    A component that asks the model about the action or the event returns
+    a ``(prompt, caller)`` ask from ``query_before_event`` or
+    ``query_after_event`` (None asks nothing).  The ask joins the game
+    master's batch, and ``gm.model``'s answer goes to the matching
+    ``answer_before_event`` or ``answer_after_event``, which parses it and
+    applies its effect.  Every hook runs on the game master's thread.  All
+    of a batch's queries run before any of its answers is applied, in
+    declaration order: pre-event answers after every
     ``update_before_event`` and before the outcome call, each post-event
-    effect just before the same component's ``update_after_event``.  A
-    pre-event effect may veto.  When more than one component vetoes, the
-    last veto in that order stands: one made by a pre-event effect wins
-    over one made in ``update_before_event``.
+    answer just before the same component's ``update_after_event``.  A
+    pre-event answer may veto.  When more than one component vetoes, the
+    last veto in that order stands: one made in ``answer_before_event``
+    wins over one made in ``update_before_event``.
     """
 
     def __init__(self, name: str):
@@ -121,22 +118,23 @@ class GMComponent:
     def update_before_event(self, gm: GameMaster, cause: AgentAction) -> None:
         pass
 
-    def query_before_event(self, gm: GameMaster, cause: AgentAction) -> Effect | None:
+    def query_before_event(self, gm: GameMaster, cause: AgentAction) -> tuple[str, str] | None:
         return None
 
-    def query_after_event(self, gm: GameMaster, event: EventStatement) -> Effect | None:
+    def answer_before_event(self, gm: GameMaster, cause: AgentAction, answer: str) -> None:
+        pass
+
+    def query_after_event(self, gm: GameMaster, event: EventStatement) -> tuple[str, str] | None:
         return None
+
+    def answer_after_event(self, gm: GameMaster, event: EventStatement, answer: str) -> None:
+        pass
 
     def update_after_event(self, gm: GameMaster, event: EventStatement) -> None:
         pass
 
     def terminate_episode(self) -> bool:
         return False
-
-
-def _asks(component: GMComponent, query: str) -> bool:
-    # The default query hooks ask nothing, so they stay out of the batches.
-    return getattr(type(component), query) is not getattr(GMComponent, query)
 
 
 class ObservationDelivery(GMComponent):
@@ -303,20 +301,15 @@ class GameMaster:
         if self._current_record is not None:
             self._current_record.gm_states = dict(gm_states)
         context = self._gm_context(action, gm_states)
-        *before, state = run_holding_calls(
-            [
-                functools.partial(c.query_before_event, self, action)
-                for c in self.components
-                if _asks(c, "query_before_event")
-            ]
-            + [self._asker(context + STATE_QUESTION, "gm:resolve:state")],
-            self.model,
+        before = [
+            (c, ask) for c in self.components if (ask := c.query_before_event(self, action)) is not None
+        ]
+        answers = ask_all(
+            self.model, [ask for _, ask in before] + [(context + STATE_QUESTION, "gm:resolve:state")]
         )
-        for take in before:
-            effect = take()
-            if effect is not None:
-                effect()
-        relevant = state().strip()
+        for component, _ in before:
+            component.answer_before_event(self, action, next(answers))
+        relevant = next(answers).strip()
         if self._veto_reason is not None:
             outcome_question = VETOED_OUTCOME_QUESTION.replace("{reason}", self._veto_reason)
         else:
@@ -328,31 +321,21 @@ class GameMaster:
         if not outcome:
             raise InvalidModelOutput(f"game master gave no outcome for {action.actor}'s action")
         event = EventStatement(text=outcome, cause=action, timestamp=self.clock.current_time)
-        asks = [_asks(c, "query_after_event") for c in self.components]
-        observers, *after = run_holding_calls(
-            [self._asker(f"{context}Event: {outcome}\n{OBSERVERS_QUESTION}", "gm:resolve:observers")]
-            + [
-                functools.partial(c.query_after_event, self, event)
-                for c, c_asks in zip(self.components, asks)
-                if c_asks
-            ],
+        after = [c.query_after_event(self, event) for c in self.components]
+        answers = ask_all(
             self.model,
+            [(f"{context}Event: {outcome}\n{OBSERVERS_QUESTION}", "gm:resolve:observers")]
+            + [ask for ask in after if ask is not None],
         )
-        self._parse_observers(observers())
+        self._parse_observers(next(answers))
         self.memory.add(event.text, event.timestamp)
         if self._current_record is not None:
             self._current_record.event = event.text
-        takers = iter(after)
-        for component, c_asks in zip(self.components, asks):
-            if c_asks:
-                effect = next(takers)()
-                if effect is not None:
-                    effect()
+        for component, ask in zip(self.components, after):
+            if ask is not None:
+                component.answer_after_event(self, event, next(answers))
             component.update_after_event(self, event)
         return event
-
-    def _asker(self, prompt: str, caller: str) -> Callable[[], str]:
-        return functools.partial(self.model.sample_text, prompt, caller=caller)
 
     # ---- the episode loop ----------------------------------------------------
 
@@ -382,7 +365,7 @@ class GameMaster:
         """Run one player's full turn; True if a component ended the episode.
 
         The act prompt is built from the component states the player
-        published at the end of its previous turn: ``update_components``
+        committed at the end of its previous turn: ``update_components``
         runs after the action is resolved, so what this turn's briefing
         told the player reaches its act prompt one turn late.
         """

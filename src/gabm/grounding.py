@@ -9,14 +9,13 @@ says why.  Items are never minted or burned outside the initial endowment.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
 from .agent import GenerativeAgent
 from .errors import ConfigError, InvalidModelOutput, NoMatchingOption
 from .kernel import ActionSpec, AgentAction, EventStatement
-from .game_master import Effect, GameMaster, GMComponent
+from .game_master import GameMaster, GMComponent
 
 MONEY_ITEM = "coin"
 CENT = Decimal("0.01")
@@ -108,16 +107,18 @@ TRADE_PROMPT = (
 )
 
 
-def parse_trade_from_event(
-    inventory: InventoryState, text: str, model, caller: str = "grounding:inventory:extract"
-) -> tuple[list[Trade], list[str]]:
-    """One model call extracting trades under a strict line grammar.
+def _trade_ask(text: str) -> tuple[str, str]:
+    """The (prompt, caller) ask that extracts the trades in ``text``."""
+    return TRADE_PROMPT.replace("{text}", text), "grounding:inventory:extract"
+
+
+def parse_trade_from_event(inventory: InventoryState, raw: str) -> tuple[list[Trade], list[str]]:
+    """Parse the answer to a trade extraction ask under a strict line grammar.
 
     Returns (trades, warnings).  A line that does not parse, or that names
     an unknown player or item, contributes a warning and no trade:
     ambiguity is a logged no-op, never a guess.
     """
-    raw = model.sample_text(TRADE_PROMPT.replace("{text}", text), caller=caller)
     trades: list[Trade] = []
     warnings: list[str] = []
     for line in raw.splitlines():
@@ -155,8 +156,8 @@ class InventoryComponent(GMComponent):
     the balances cannot cover, so the narrated event describes a failed
     attempt.  After resolution it extracts trades from the event statement
     and settles them; both legs of a trade move atomically or not at all.
-    Both extractions are the component's queries; the notes, the veto and
-    the settlement are their effects.
+    Both extractions are the component's asks; its answer hooks parse them
+    and make the notes, the veto and the settlement.
     """
 
     def __init__(
@@ -194,22 +195,22 @@ class InventoryComponent(GMComponent):
     def update_before_event(self, gm: GameMaster, cause: AgentAction) -> None:
         self._vetoed = False
 
-    def query_before_event(self, gm: GameMaster, cause: AgentAction) -> Effect:
-        trades, warnings = parse_trade_from_event(self.inventory, cause.text, gm.model)
-        return functools.partial(self._check_attempt, gm, trades, warnings)
+    def query_before_event(self, gm: GameMaster, cause: AgentAction) -> tuple[str, str]:
+        return _trade_ask(cause.text)
 
-    def _check_attempt(self, gm: GameMaster, trades: list[Trade], warnings: list[str]) -> None:
-        self._note_warnings(gm, warnings)
-        for trade in trades:
+    def answer_before_event(self, gm: GameMaster, cause: AgentAction, answer: str) -> None:
+        for trade in self._parse_noting_warnings(gm, answer):
             reason = self._affordability(trade)
             if reason is not None:
                 gm.veto(reason)
                 self._vetoed = True
                 return
 
-    def _note_warnings(self, gm: GameMaster, warnings: list[str]) -> None:
+    def _parse_noting_warnings(self, gm: GameMaster, answer: str) -> list[Trade]:
+        trades, warnings = parse_trade_from_event(self.inventory, answer)
         for warning in warnings:
             gm.audit_note(f"{self.name}: {warning}")
+        return trades
 
     def settle(self, gm: GameMaster, actor: str, trade: Trade) -> TransferResult:
         """Apply one trade atomically; on refusal tell the actor why."""
@@ -230,19 +231,15 @@ class InventoryComponent(GMComponent):
         gm.audit_note(f"{self.name}: trade refused ({reason})")
         return TransferResult(ok=False, reason=reason)
 
-    def query_after_event(self, gm: GameMaster, event: EventStatement) -> Effect | None:
+    def query_after_event(self, gm: GameMaster, event: EventStatement) -> tuple[str, str] | None:
         if self._vetoed:
             # The failed attempt was already narrated; nothing settles.
             return None
-        trades, warnings = parse_trade_from_event(self.inventory, event.text, gm.model)
-        return functools.partial(self._settle_event, gm, event.cause.actor, trades, warnings)
+        return _trade_ask(event.text)
 
-    def _settle_event(
-        self, gm: GameMaster, actor: str, trades: list[Trade], warnings: list[str]
-    ) -> None:
-        self._note_warnings(gm, warnings)
-        for trade in trades:
-            self.settle(gm, actor, trade)
+    def answer_after_event(self, gm: GameMaster, event: EventStatement, answer: str) -> None:
+        for trade in self._parse_noting_warnings(gm, answer):
+            self.settle(gm, event.cause.actor, trade)
 
 
 class LocationComponent(GMComponent):

@@ -45,8 +45,9 @@ delivered to 24 agents is tokenized once, not 24 times; a stream of
 all-distinct texts, such as a large initial memory list, misses every time
 and pays one pass over its tokens per text.
 
-The bank is safe to share between threads: appends and retrievals take
-its lock, so a retrieval sees every record added before it started.
+A bank is not locked: the engine adds to it and retrieves from it on the
+thread that runs the episode only, and only model calls go to other
+threads.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-import threading
 import zlib
 from collections import OrderedDict
 from functools import lru_cache
@@ -214,7 +214,6 @@ class MemoryBank:
     def __init__(self, embedder: Embedder | None = None):
         self.embedder = embedder or HashEmbedder()
         self._records: list[MemoryRecord] = []
-        self._lock = threading.Lock()
         # Retrieval state, extended lazily to cover every record (see module
         # docstring): query -> (query embedding, cosine per record, greatest
         # cosine per block), least recently used first; exp(-_DECAY * age)
@@ -228,14 +227,12 @@ class MemoryBank:
     def add(self, text: str, timestamp: datetime) -> int:
         """Append one record and return its id (== insertion index)."""
         embedding = self.embedder.embed(text)
-        with self._lock:
-            record = MemoryRecord(text=text, timestamp=timestamp, embedding=embedding, index=len(self._records))
-            self._records.append(record)
-            return record.index
+        record = MemoryRecord(text=text, timestamp=timestamp, embedding=embedding, index=len(self._records))
+        self._records.append(record)
+        return record.index
 
     def snapshot(self) -> list[MemoryRecord]:
-        with self._lock:
-            return list(self._records)
+        return list(self._records)
 
     def retrieve_associative(self, query: str, k: int) -> list[MemoryRecord]:
         """Top-k records by combined relevance, recency, and importance.
@@ -243,57 +240,52 @@ class MemoryBank:
         Equal to ranking every record by the module docstring's score and
         breaking ties toward the more recent insertion.
         """
-        if k <= 0:
+        records = self._records
+        if k <= 0 or not records:
             return []
-        with self._lock:
-            if not self._records:
-                return []
-            cached = self._relevance.get(query)
+        cached = self._relevance.get(query)
         if cached is None:
             cached = (self.embedder.embed(query), [], [])
+        self._relevance[query] = cached
+        self._relevance.move_to_end(query)
+        if len(self._relevance) > RELEVANCE_CACHE_QUERIES:
+            self._relevance.popitem(last=False)
         query_embedding, relevance, relevance_highs = cached
+        n = len(records)
         block = BLOCK_RECORDS
-        with self._lock:
-            records = self._records
-            n = len(records)
-            self._relevance[query] = cached
-            self._relevance.move_to_end(query)
-            if len(self._relevance) > RELEVANCE_CACHE_QUERIES:
-                self._relevance.popitem(last=False)
-            start = len(relevance)
-            if start < n:
-                relevance.extend(_cosines(query_embedding, [r.embedding for r in records[start:n]]))
-                _extend_block_maxima(relevance, relevance_highs, start, block)
-            recency = self._recency
-            recency.extend(math.exp(-_DECAY * age) for age in range(len(recency), n))
-            # Block b holds records b*block .. min(b*block + block, n) - 1,
-            # visited best bound first; a lone block needs no bound.  The
-            # recency table does not rise with age, so a block's newest
-            # record, at age max(n - b*block - block, 0), has its greatest.
-            blocks = range(len(relevance_highs))
-            if len(blocks) > 1:
-                ages = map(max, range(n - block, -block, -block), repeat(0))
-                bounds = _scores(relevance_highs, map(recency.__getitem__, ages))
-                blocks = sorted(blocks, key=bounds.__getitem__, reverse=True)
-            # (score, index) of the best records scored so far, best first:
-            # the order of the full scan, whose ties prefer the newer record.
-            top: list[tuple[float, int]] = []
-            for b in blocks:
-                if len(top) >= k and bounds[b] < top[k - 1][0]:
-                    break
-                start = b * block
-                scores = _score_block(relevance, recency, start, min(start + block, n))
-                # Only a score at least the block's k-th best can make the top k.
-                floor = sorted(scores)[-min(k, len(scores))]
-                top += compress(zip(scores, count(start)), map(operator.ge, scores, repeat(floor)))
-                top.sort(reverse=True)
-                del top[k:]
-            return [records[i] for _, i in top]
+        start = len(relevance)
+        if start < n:
+            relevance.extend(_cosines(query_embedding, [r.embedding for r in records[start:n]]))
+            _extend_block_maxima(relevance, relevance_highs, start, block)
+        recency = self._recency
+        recency.extend(math.exp(-_DECAY * age) for age in range(len(recency), n))
+        # Block b holds records b*block .. min(b*block + block, n) - 1,
+        # visited best bound first; a lone block needs no bound.  The
+        # recency table does not rise with age, so a block's newest record,
+        # at age max(n - b*block - block, 0), has its greatest.
+        blocks = range(len(relevance_highs))
+        if len(blocks) > 1:
+            ages = map(max, range(n - block, -block, -block), repeat(0))
+            bounds = _scores(relevance_highs, map(recency.__getitem__, ages))
+            blocks = sorted(blocks, key=bounds.__getitem__, reverse=True)
+        # (score, index) of the best records scored so far, best first: the
+        # order of the full scan, whose ties prefer the newer record.
+        top: list[tuple[float, int]] = []
+        for b in blocks:
+            if len(top) >= k and bounds[b] < top[k - 1][0]:
+                break
+            start = b * block
+            scores = _score_block(relevance, recency, start, min(start + block, n))
+            # Only a score at least the block's k-th best can make the top k.
+            floor = sorted(scores)[-min(k, len(scores))]
+            top += compress(zip(scores, count(start)), map(operator.ge, scores, repeat(floor)))
+            top.sort(reverse=True)
+            del top[k:]
+        return [records[i] for _, i in top]
 
     def retrieve_recent(self, k: int) -> list[MemoryRecord]:
         """The k newest records, oldest of them first."""
         if k <= 0:
             return []
-        with self._lock:
-            return self._records[-k:]
+        return self._records[-k:]
 

@@ -11,10 +11,12 @@ ScriptedModel is the deterministic test backend: an ordered rule list with
 per-rule consumption budgets and a default response.  HttpModel adapts any
 chat-completions endpoint and is never touched by the default test suite.
 
-``run_holding_calls`` issues independent tasks together when the model is
-slow enough for that to pay, and leaves it to the caller to say when each
-task's calls are recorded, so a trace does not depend on which call came
-back first.
+``ask_all`` answers a batch of independent asks, each a prompt the caller
+has already built, and yields the answers in ask order.  When the model is
+slow enough for that to pay it issues them together on a thread pool whose
+jobs make the model call and nothing else; building prompts and applying
+answers stay on the calling thread.  Each call is recorded as its answer is
+yielded, so a trace does not depend on which call came back first.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
-from .errors import BackendUnavailable, ConfigError, NoMatchingOption
+from .errors import BackendUnavailable, ConfigError, InvalidModelOutput, NoMatchingOption
 from .kernel import ModelCall, parse_choice
 
 if TYPE_CHECKING:
@@ -45,9 +47,9 @@ CHARS_PER_TOKEN = 4
 REPAIR_BUDGET = 3
 _CHOICE_REPAIR = "Answer with exactly one of the options, verbatim."
 
-# run_holding_calls issues tasks in parallel only for a model whose measured
-# wall time per call is at least this: below it the hand-offs between
-# threads cost more than the overlap saves.
+# ask_all issues asks in parallel only for a model whose measured wall time
+# per call is at least this: below it the hand-offs between threads cost
+# more than the overlap saves.
 PARALLEL_MIN_CALL_S = 0.001
 # Weight of the newest call in the moving average of call wall time.
 CALL_TIME_WEIGHT = 0.1
@@ -55,7 +57,7 @@ CALL_TIME_WEIGHT = 0.1
 POOL_MAX_WORKERS = 16
 
 # The call list open in this context: a trace record's model calls, or the
-# calls of the parallel task running here, held until its taker hands them on.
+# call of the pool job running here, held until ask_all hands it on.
 _call_slot: contextvars.ContextVar[list | None] = contextvars.ContextVar(
     "gabm_call_slot", default=None
 )
@@ -107,7 +109,7 @@ class GenerativeModel:
         response = self._complete(prompt, max_chars)
         elapsed = time.perf_counter() - start
         # Unlocked: a racing update loses one sample, which the gate in
-        # run_holding_calls tolerates.
+        # ask_all tolerates.
         average = self.call_seconds
         self.call_seconds = (
             elapsed if average is None else average + CALL_TIME_WEIGHT * (elapsed - average)
@@ -116,16 +118,17 @@ class GenerativeModel:
         return response
 
     def sample_choice(
-        self, prompt: str, options: list[str] | tuple[str, ...], *, caller: str = ""
+        self, prompt: str, options: list[str] | tuple[str, ...], *, caller: str = "", first: str | None = None
     ) -> tuple[int, str]:
         """Ask for one option; re-prompt on garbage, then give up.
 
-        The first attempt sends the prompt as rendered by the caller.  Each
-        repair attempt appends an explicit instruction to answer with exactly
-        one option.  After the repair budget the last parse error propagates.
+        The first attempt sends the prompt as rendered by the caller, unless
+        ``first`` is its answer, already asked.  Each repair attempt appends
+        an explicit instruction to answer with exactly one option.  After
+        the repair budget the last parse error propagates.
         """
         parse = functools.partial(parse_choice, options=options)
-        return sample_repaired(self, prompt, parse, NoMatchingOption, _CHOICE_REPAIR, caller=caller)
+        return sample_repaired(self, prompt, parse, NoMatchingOption, _CHOICE_REPAIR, caller=caller, first=first)
 
 
 def sample_repaired(
@@ -136,22 +139,25 @@ def sample_repaired(
     repair: str,
     *,
     caller: str,
+    first: str | None = None,
 ) -> T:
     """Ask and parse; on an ``error`` from ``parse``, add ``repair`` and ask again.
 
-    Each re-ask appends the repair line to the prompt so far, at most
+    ``first``, when given, is the answer to ``prompt``, already asked.  Each
+    re-ask appends the repair line to the prompt so far, at most
     ``REPAIR_BUDGET`` times; the last answer's parse error propagates.  A
     failing model call is not retried.  No caught exception is kept: one
     held in a local would tie this frame and its callers into a cycle.
     """
+    raw = model.sample_text(prompt, caller=caller) if first is None else first
     for _ in range(REPAIR_BUDGET):
-        raw = model.sample_text(prompt, caller=caller)
         try:
             return parse(raw)
         except error:
             pass
         prompt = prompt + "\n" + repair
-    return parse(model.sample_text(prompt, caller=caller))
+        raw = model.sample_text(prompt, caller=caller)
+    return parse(raw)
 
 
 def _shared_pool() -> ThreadPoolExecutor:
@@ -165,59 +171,51 @@ def _shared_pool() -> ThreadPoolExecutor:
         return _pool
 
 
-def _hand_over(calls: list, result: object = None, error: BaseException | None = None) -> object:
-    # The calls join the list open where the task is taken: the record's,
-    # or an enclosing task's held calls.
-    enclosing = _call_slot.get()
-    if enclosing is not None:
-        enclosing.extend(calls)
-    if error is not None:
-        raise error
-    return result
-
-
-def _run_holding(task: Callable[[], object]) -> Callable[[], object]:
-    # Runs the task with its calls held back; returns its taker.
-    calls: list = []
+def _sample_holding(calls: list, model: GenerativeModel, prompt: str, caller: str) -> str:
+    # A pool job: one model call, recorded into ``calls`` until handed over.
     token = open_calls(calls)
     try:
-        result = task()
-    except BaseException as exc:  # noqa: BLE001 - raised when taken
-        return functools.partial(_hand_over, calls, error=exc)
+        return model.sample_text(prompt, caller=caller)
     finally:
         close_calls(token)
-    return functools.partial(_hand_over, calls, result)
 
 
-def run_holding_calls(
-    tasks: Sequence[Callable[[], object]], model: GenerativeModel
-) -> list[Callable[[], object]]:
-    """Run independent tasks; return one taker per task, in task order.
+def ask_all(model: GenerativeModel, asks: Sequence[tuple[str, str]]) -> Iterator[str]:
+    """Answer each ``(prompt, caller)`` ask; yield the responses in ask order.
 
-    Calling a task's taker records the task's model calls into the call
-    list open where it is called and returns its result or raises its
-    error, so the caller decides where in its own sequence each task's
-    calls appear.  With more than one task and a model whose measured
-    call time is at least ``PARALLEL_MIN_CALL_S``, the tasks run together
-    on a shared thread pool before this returns, and their calls are held
-    until taken.  Otherwise each taker is the task itself, which runs on
-    the calling thread when taken.  Tasks must not depend on each other's
-    effects or on what the caller does between takes.  A caller that takes the tasks in order and stops at the first
-    error records what running them one at a time would have recorded:
-    the calls of the tasks after a failing one are never recorded, whether
-    or not they ran.
+    Each response is ``model.sample_text(prompt, caller=caller)``, and its
+    recorded call joins the call list open where it is yielded, so the
+    caller decides where in its own sequence each call appears.  A failing
+    ask raises at its turn, and the calls of later asks are never recorded.
+    With more than one ask and a model whose measured call time is at
+    least ``PARALLEL_MIN_CALL_S``, every ask is issued together: the first
+    on the calling thread, the rest as jobs on a shared thread pool that
+    make that one call and nothing else, and all of them finish before the
+    first response is yielded.  Otherwise each ask is made on the calling
+    thread when its response is next.  Either way the calls recorded are
+    the ones asking one at a time records.
     """
     average = model.call_seconds
-    if len(tasks) < 2 or average is None or average < PARALLEL_MIN_CALL_S:
-        return list(tasks)
+    if len(asks) < 2 or average is None or average < PARALLEL_MIN_CALL_S:
+        for prompt, caller in asks:
+            yield model.sample_text(prompt, caller=caller)
+        return
+    from concurrent.futures import wait
+
+    (prompt, caller), *rest = asks
+    held: list[list] = [[] for _ in rest]
     pool = _shared_pool()
-    futures = [pool.submit(contextvars.copy_context().run, _run_holding, task) for task in tasks[1:]]
-    takers = [_run_holding(tasks[0])]
-    for task, future in zip(tasks[1:], futures):
-        # A task no thread has started yet runs when taken, so a batch
-        # nested in a task never waits on a pool that its own batch filled.
-        takers.append(task if future.cancel() else future.result())
-    return takers
+    jobs = [pool.submit(_sample_holding, calls, model, *ask) for calls, ask in zip(held, rest)]
+    try:
+        first = model.sample_text(prompt, caller=caller)
+    finally:
+        wait(jobs)
+    yield first
+    for calls, job in zip(held, jobs):
+        open_list = _call_slot.get()
+        if open_list is not None:
+            open_list.extend(calls)
+        yield job.result()
 
 
 def render_choice_prompt(prompt: str, options: list[str] | tuple[str, ...]) -> str:
@@ -315,9 +313,12 @@ class ScriptedModel(GenerativeModel):
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScriptedModel":
+        default = data.get("default", "pass")
+        if not isinstance(default, str):
+            raise ValueError("the default response must be a string")
         return cls(
             rules=[ScriptRule.from_dict(r) for r in data.get("rules", [])],
-            default_response=data.get("default", "pass"),
+            default_response=default,
         )
 
     @classmethod
@@ -357,7 +358,8 @@ class HttpModel(GenerativeModel):
     Endpoint, API key, and model name come from the constructor or the
     GABM_MODEL_ENDPOINT / GABM_MODEL_KEY / GABM_MODEL_NAME environment
     variables.  Transient failures are retried with backoff; a run out of
-    retries surfaces as BackendUnavailable.
+    retries surfaces as BackendUnavailable.  A reply whose message content
+    is not text, such as ``null``, raises InvalidModelOutput.
     """
 
     backend_id = "http"
@@ -397,10 +399,15 @@ class HttpModel(GenerativeModel):
             try:
                 reply = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
                 reply.raise_for_status()
-                body = reply.json()
-                return body["choices"][0]["message"]["content"]
+                content = reply.json()["choices"][0]["message"]["content"]
             except Exception as exc:  # noqa: BLE001 - any transport failure retries
                 last_error = exc
+            else:
+                if not isinstance(content, str):
+                    raise InvalidModelOutput(
+                        f"model endpoint answered with {type(content).__name__} content, not text"
+                    )
+                return content
             status = getattr(getattr(last_error, "response", None), "status_code", None)
             if isinstance(status, int) and 400 <= status < 500 and status != 429:
                 raise BackendUnavailable(f"model endpoint rejected the request: {last_error}")
@@ -419,9 +426,9 @@ class ReplayModel(GenerativeModel):
 
     Each call answers with the next recorded response and backend id,
     whatever its prompt or caller; a call past the end answers "" with the
-    last recorded backend id.  Replay measures no call time, so
-    ``run_holding_calls`` runs every batch one task at a time and the calls
-    arrive in the order the trace holds them.
+    last recorded backend id.  Replay measures no call time, so ``ask_all``
+    makes every batch's calls one at a time, in ask order, which is the
+    order the trace holds them in.
     """
 
     backend_id = "replay"

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import functools
 import re
-import threading
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Callable
 
 from .agent import GenerativeAgent
 from .errors import ConfigError, NoMatchingOption
-from .game_master import Effect, GameMaster, GMComponent, spawn_nested_game
+from .game_master import GameMaster, GMComponent, spawn_nested_game
 from .kernel import (
     ActionSpec,
     EventStatement,
@@ -58,18 +57,15 @@ class NotificationHub:
     """Queued texts awaiting each recipient's next pre-act phase."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._queue: list[tuple[str, str]] = []
 
     def push(self, recipient: str, text: str) -> None:
-        with self._lock:
-            self._queue.append((recipient, text))
+        self._queue.append((recipient, text))
 
     def pop_for(self, recipient: str) -> list[str]:
-        with self._lock:
-            mine = [text for who, text in self._queue if who == recipient]
-            self._queue = [(who, text) for who, text in self._queue if who != recipient]
-            return mine
+        mine = [text for who, text in self._queue if who == recipient]
+        self._queue = [(who, text) for who, text in self._queue if who != recipient]
+        return mine
 
 
 def deliver_notifications(hub: NotificationHub, gm: GameMaster, player: str) -> int:
@@ -313,16 +309,20 @@ DETECT_PHONE_QUESTION = (
 )
 
 
-def detect_phone_event(event_text: str, model: GenerativeModel, note: Callable[[str], None] | None = None) -> bool:
-    """One yes/no model call; anything unusable counts as no."""
+def _detect_ask(event_text: str) -> tuple[str, str]:
+    return f"Event: {event_text}\n{DETECT_PHONE_QUESTION}", "phone:detect"
+
+
+def detect_phone_event(
+    event_text: str, model: GenerativeModel, note: Callable[[str], None] | None = None, first: str | None = None
+) -> bool:
+    """One yes/no model call, unless ``first`` is its answer, already asked;
+    repair re-asks go to ``model``.  Anything unusable counts as no."""
     if not event_text.strip():
         return False
+    prompt, caller = _detect_ask(event_text)
     try:
-        _, answer = model.sample_choice(
-            f"Event: {event_text}\n{DETECT_PHONE_QUESTION}",
-            ("yes", "no"),
-            caller="phone:detect",
-        )
+        _, answer = model.sample_choice(prompt, ("yes", "no"), caller=caller, first=first)
     except NoMatchingOption:
         if note is not None:
             note("phone detection answer unusable; assuming no")
@@ -430,23 +430,19 @@ def run_phone_scene(
 class SceneTrigger(GMComponent):
     """Watches every resolved event and spins up phone scenes when one fits.
 
-    Asking whether the event involves a phone is its query; notes and the
-    scene are the effect.
+    Whether the event involves a phone is its post-event ask; its answer
+    hook makes any repair re-asks, the notes and the scene.
     """
 
     def __init__(self, universe: PhoneUniverse, name: str = "phone scene trigger"):
         super().__init__(name)
         self.universe = universe
 
-    def query_after_event(self, gm: GameMaster, event: EventStatement) -> Effect:
-        notes: list[str] = []
-        detected = detect_phone_event(event.text, gm.model, note=notes.append)
-        return functools.partial(self._react, gm, event, detected, notes)
+    def query_after_event(self, gm: GameMaster, event: EventStatement) -> tuple[str, str]:
+        return _detect_ask(event.text)
 
-    def _react(self, gm: GameMaster, event: EventStatement, detected: bool, notes: list[str]) -> None:
-        for note in notes:
-            gm.audit_note(note)
-        if not detected:
+    def answer_after_event(self, gm: GameMaster, event: EventStatement, answer: str) -> None:
+        if not detect_phone_event(event.text, gm.model, note=gm.audit_note, first=answer):
             return
         actor = event.cause.actor
         if actor not in self.universe.phones:

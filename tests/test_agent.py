@@ -19,7 +19,7 @@ from gabm.agent import (
 )
 from gabm.errors import EpisodeAbort, InvalidModelOutput
 from gabm.kernel import ActionSpec, Observation, OutputKind
-from gabm.model import PARALLEL_MIN_CALL_S, ScriptedModel, ScriptRule
+from gabm.model import PARALLEL_MIN_CALL_S, EchoModel, ScriptedModel, ScriptRule
 
 from conftest import memory_texts
 
@@ -71,26 +71,30 @@ class Counter(AgentComponent):
         super().__init__(name, cadence)
         self.runs = 0
 
-    def update(self, agent):
+    def commit(self, agent, answer):
         self.runs += 1
-        self.publish(f"run {self.runs}")
+        self._state = f"run {self.runs}"
 
 
 class PeerReader(AgentComponent):
-    """Publishes whatever its peer's state read as during the pass."""
+    """Asks about its peer's state as the prompt read it; an echoing model
+    hands that line back as the answer it commits."""
 
     def __init__(self, name, peer):
         super().__init__(name)
         self.peer = peer
 
-    def update(self, agent):
-        self.publish(f"saw [{agent.component(self.peer).state()}]")
+    def prompt(self, agent):
+        return f"saw [{agent.component(self.peer).state()}]"
+
+    def commit(self, agent, answer):
+        self._state = answer
 
 
 def test_update_pass_reads_pre_update_peer_states():
     counter = Counter("counter")
     reader = PeerReader("reader", "counter")
-    agent = make_agent([counter, reader])
+    agent = make_agent([counter, reader], model=EchoModel())
     agent.update_components()
     assert counter.state() == "run 1"
     assert reader.state() == "saw []"
@@ -103,7 +107,7 @@ def test_update_order_does_not_change_what_peers_read():
         counter = Counter("counter")
         reader = PeerReader("reader", "counter")
         parts = [counter, reader]
-        agent = make_agent([parts[i] for i in order])
+        agent = make_agent([parts[i] for i in order], model=EchoModel())
         agent.update_components()
         agent.update_components()
         assert reader.state() == "saw [run 1]"
@@ -123,14 +127,16 @@ def test_cadence_interval_and_manual():
         Counter("bad", cadence=0)
 
 
-def test_component_failure_aborts_and_names_component():
+def test_component_failure_aborts_and_names_component(calls):
     class Broken(AgentComponent):
-        def update(self, agent):
+        def prompt(self, agent):
             raise RuntimeError("kaput")
 
-    agent = make_agent([Broken("weather")])
-    with pytest.raises(EpisodeAbort, match=r"Ada/weather"):
+    agent = make_agent([ModelQueryComponent("mood", "How is {name}?"), Broken("weather")])
+    with pytest.raises(EpisodeAbort, match=r"Ada/weather failed during update: kaput"):
         agent.update_components()
+    # Every prompt is built before any call is made.
+    assert calls == []
 
 
 def test_observation_buffer_keeps_window_verbatim_newest_last():
@@ -379,8 +385,10 @@ def test_update_pass_records_calls_in_declaration_order(calls):
 
 def test_parallel_component_failure_names_it_and_drops_later_calls(calls):
     class Broken(AgentComponent):
-        def update(self, agent):
-            agent.model.sample_text("checking the weather", caller="weather")
+        def prompt(self, agent):
+            return "checking the weather"
+
+        def commit(self, agent, answer):
             raise RuntimeError("kaput")
 
     situation, identity, _ = three_questions_components()
@@ -388,10 +396,12 @@ def test_parallel_component_failure_names_it_and_drops_later_calls(calls):
     agent = slow_agent(model, calls, [situation, Broken("weather"), identity])
     with pytest.raises(EpisodeAbort, match=r"Ada/weather failed during update: kaput"):
         agent.update_components()
-    # identity did run, but the serial pass would have stopped before it.
+    # identity's call did run, but the serial pass would have stopped before it.
     assert model.done["identity"].is_set()
-    assert [c.caller for c in calls] == [UPDATE_CALLERS[0], "weather"]
-    assert situation.state() == ""
+    assert [c.caller for c in calls] == [UPDATE_CALLERS[0], "component:Ada/weather:update"]
+    # Answers commit in declaration order up to the failing component.
+    assert situation.state() == "a market day"
+    assert identity.state() == ""
 
 
 def test_update_pass_starts_no_thread_for_a_fast_model(monkeypatch):

@@ -99,6 +99,8 @@ BAD_SCRIPTS = {
     "bad pattern": json.dumps({"rules": [{"pattern": "[", "response": "z"}]}),
     "number response": json.dumps({"rules": [{"contains": "x", "response": 5}]}),
     "text max_uses": json.dumps({"rules": [{"contains": "x", "response": "z", "max_uses": "3"}]}),
+    "number default": json.dumps({"rules": [], "default": 5}),
+    "null default": json.dumps({"rules": [], "default": None}),
 }
 
 

@@ -8,7 +8,7 @@ from datetime import datetime, timedelta
 import pytest
 
 import gabm.model
-from gabm.agent import AgentComponent, GenerativeAgent
+from gabm.agent import AgentComponent, GenerativeAgent, three_questions_components
 from gabm.errors import BackendUnavailable, ConfigError
 from gabm.game_master import (
     GameMaster,
@@ -22,7 +22,8 @@ from gabm.game_master import (
 from gabm.grounding import InventoryComponent
 from gabm.kernel import ActionSpec, ClockMode, GameClock, OutputKind
 from gabm.model import ScriptedModel, ScriptRule
-from gabm.phone import DETECT_PHONE_QUESTION, CalendarApp, PhoneUniverse, SceneTrigger
+from gabm.memory import MemoryBank
+from gabm.phone import DETECT_PHONE_QUESTION, CalendarApp, NotificationHub, PhoneUniverse, SceneTrigger
 
 from conftest import memory_texts
 
@@ -279,11 +280,14 @@ def test_a_pre_event_effect_veto_wins_over_an_update_before_event_veto():
 
     class NoShouting(GMComponent):
         def query_before_event(self, gm, cause):
-            return lambda: gm.veto("shouting is not allowed")
+            return f"Is this shouting? {cause.text}", "component:voice:check"
+
+        def answer_before_event(self, gm, cause, answer):
+            gm.veto("shouting is not allowed")
 
     model = ScriptedModel(default_response="steal the gem")
     alice = GenerativeAgent("Alice", model)
-    # Declared first, the effect's veto still comes after every
+    # Declared first, the answer hook's veto still comes after every
     # update_before_event, so its reason is the one that stands.
     gm = make_gm(
         players=[alice],
@@ -368,7 +372,7 @@ def test_every_terminator_is_polled_each_turn():
 
 def test_component_crash_surfaces_as_error_result_with_partial_trace():
     class Flaky(AgentComponent):
-        def update(self, agent):
+        def commit(self, agent, answer):
             raise RuntimeError("boom")
 
     model = ScriptedModel(default_response="works")
@@ -642,36 +646,39 @@ def test_failing_call_in_a_batch_ends_in_error_with_the_serial_partial_record(
     assert parallel.gm_states == serial.gm_states
 
 
+JUDGE_EVENT = f"Judge: {EVENT}"
+
+
 class OwnModelComponent(GMComponent):
-    """Asks a model of its own, neither the game master's nor a player's.
+    """Asks the game master's model, then, from each answer hook, a model of
+    its own, neither the game master's nor a player's."""
 
-    With ``meet`` its post-event query waits on that barrier first.
-    """
-
-    def __init__(self, meet=None):
+    def __init__(self):
         super().__init__("own model")
         self.model = ScriptedModel(default_response="noted")
-        self.meet = meet
 
     def query_before_event(self, gm, cause):
+        return f"Judge: {cause.text}", "component:own:judge"
+
+    def answer_before_event(self, gm, cause, answer):
         self.model.sample_text(f"Check: {cause.text}", caller="component:own:before")
-        return None
 
     def query_after_event(self, gm, event):
-        if self.meet is not None:
-            self.meet.wait()
+        return f"Judge: {event.text}", "component:own:judge"
+
+    def answer_after_event(self, gm, event, answer):
         self.model.sample_text(f"Note: {event.text}", caller="component:own:after")
-        return None
 
 
 @pytest.mark.parametrize("delay_ms", [0, 2], ids=["serial", "parallel"])
 def test_a_call_from_a_model_the_game_master_does_not_hold_lands_in_the_turn_record(delay_ms):
-    # Above the gate the post-event query must run together with the
+    # Above the gate the post-event ask must go out together with the
     # observers call, or that call waits out the timeout.
     barrier = threading.Barrier(2, timeout=5) if delay_ms else None
-    model = BatchModel(delay_ms=delay_ms, meet={OBSERVERS_QUESTION: barrier} if barrier else None)
+    meet = {OBSERVERS_QUESTION: barrier, JUDGE_EVENT: barrier} if barrier else None
+    model = BatchModel(delay_ms=delay_ms, meet=meet)
     model.sample_text("warm up")
-    own = OwnModelComponent(meet=barrier)
+    own = OwnModelComponent()
     gm = make_gm(
         players=[GenerativeAgent("Alice", model)],
         components=[own, ObservationDelivery()],
@@ -683,13 +690,15 @@ def test_a_call_from_a_model_the_game_master_does_not_hold_lands_in_the_turn_rec
     (record,) = result.trace
     assert [c.caller for c in record.model_calls] == [
         "agent:Alice:act",
+        "component:own:judge",
         "component:own:before",
         "gm:resolve:state",
         "gm:resolve:outcome",
         "gm:resolve:observers",
+        "component:own:judge",
         "component:own:after",
     ]
-    own_calls = [c for c in record.model_calls if c.caller.startswith("component:own")]
+    own_calls = [c for c in record.model_calls if c.caller in ("component:own:before", "component:own:after")]
     assert [c.prompt for c in own_calls] == [
         "Check: offers Bob 3 coin for 2 beans",
         f"Note: {EVENT}",
@@ -706,3 +715,58 @@ def test_an_episode_ending_in_error_inside_a_batch_leaves_no_call_list_open(dela
     model.sample_text("after the episode", caller="later")
     assert record.model_calls == kept
     assert all(c.caller != "later" for r in result.trace for c in r.model_calls)
+
+
+# The phone scene of the turn below books a meeting with Bob, which pushes
+# a notification to him.
+MEETING_RULES = [
+    ScriptRule(contains="finished using the phone", response="no", max_uses=1),
+    ScriptRule(contains="What does Alice do on the phone", response="Add a meeting with Bob tomorrow at 10:00."),
+    ScriptRule(contains="Which app action", response="calendar.add_meeting"),
+    ScriptRule(contains="parameter 'title'", response="lunch"),
+    ScriptRule(contains="parameter 'participant'", response="Bob"),
+    ScriptRule(contains="parameter 'when'", response="tomorrow at 10:00"),
+]
+ENGINE_STATE = [
+    (MemoryBank, "add"),
+    (MemoryBank, "retrieve_associative"),
+    (MemoryBank, "retrieve_recent"),
+    (GameMaster, "emit_observation"),
+    (GameMaster, "audit_note"),
+    (GameMaster, "veto"),
+    (NotificationHub, "push"),
+]
+
+
+def test_engine_state_stays_on_the_calling_thread(monkeypatch):
+    touched: list[tuple[str, str]] = []
+
+    def logging_thread(name, original):
+        def logged(*args, **kwargs):
+            touched.append((name, threading.current_thread().name))
+            return original(*args, **kwargs)
+
+        return logged
+
+    for owner, attr in ENGINE_STATE:
+        monkeypatch.setattr(owner, attr, logging_thread(attr, getattr(owner, attr)))
+    model = BatchModel(delay_ms=2)
+    model.rules[:0] = MEETING_RULES
+    model.sample_text("warm up")
+    universe = PhoneUniverse(apps=[CalendarApp()])
+    universe.give_phone("Alice", ["calendar"])
+    # Alice cannot pay for the beans, so the trade check vetoes.
+    inventory = InventoryComponent({"Alice": {"coin": 1}, "Bob": {"beans": 2}})
+    alice = GenerativeAgent("Alice", model, components=three_questions_components())
+    gm = make_gm(
+        players=[alice],
+        components=[SceneTrigger(universe), inventory, ObservationDelivery()],
+        model=model,
+    )
+    gm.notification_hub = universe.hub
+    result = gm.run_episode(max_steps=1)
+    assert result.reason == "max-steps"
+    assert "Added meeting 'lunch' with Bob" in " ".join(memory_texts(gm.memory))
+    assert len(model.threads) > 1  # the batches did run on pool threads
+    assert {name for name, _ in touched} == {attr for _, attr in ENGINE_STATE}
+    assert {thread for _, thread in touched} == {threading.current_thread().name}

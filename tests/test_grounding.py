@@ -113,18 +113,16 @@ def test_transfers_conserve_totals_and_stay_non_negative(moves):
 
 def test_trade_line_grammar():
     inventory = basic_inventory()
-    model = ScriptedModel(
-        default_response=(
-            "TRADE Bob Alice beans 2 1.50\n"
-            "NONE\n"
-            "trade bob alice beans two 1\n"
-            "TRADE Bob Alice beans 2\n"
-            "TRADE Zed Alice beans 1 1\n"
-            "TRADE Bob Alice unicorn 1 1\n"
-            "TRADE Bob Alice beans 0 1"
-        )
+    answer = (
+        "TRADE Bob Alice beans 2 1.50\n"
+        "NONE\n"
+        "trade bob alice beans two 1\n"
+        "TRADE Bob Alice beans 2\n"
+        "TRADE Zed Alice beans 1 1\n"
+        "TRADE Bob Alice unicorn 1 1\n"
+        "TRADE Bob Alice beans 0 1"
     )
-    trades, warnings = parse_trade_from_event(inventory, "some event", model)
+    trades, warnings = parse_trade_from_event(inventory, answer)
     assert trades == [
         Trade(buyer="Bob", seller="Alice", item="beans", qty=Decimal("2.00"), price=Decimal("1.50"))
     ]
@@ -138,9 +136,7 @@ def test_trade_line_grammar():
 
 
 def test_trade_extraction_none_means_no_trades():
-    trades, warnings = parse_trade_from_event(
-        basic_inventory(), "nothing happened", ScriptedModel(default_response="NONE")
-    )
+    trades, warnings = parse_trade_from_event(basic_inventory(), "NONE")
     assert trades == [] and warnings == []
 
 

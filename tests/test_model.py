@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from gabm.errors import BackendUnavailable, NoMatchingOption
+from gabm.errors import BackendUnavailable, InvalidModelOutput, NoMatchingOption
 from gabm.kernel import ModelCall
 from gabm.model import (
     _CHOICE_REPAIR,
@@ -21,10 +21,10 @@ from gabm.model import (
     ReplayModel,
     ScriptRule,
     ScriptedModel,
+    ask_all,
     close_calls,
     open_calls,
     render_choice_prompt,
-    run_holding_calls,
 )
 
 
@@ -209,25 +209,30 @@ def test_replay_model_answers_in_recorded_order_and_never_runs_a_batch_together(
     assert model.sample_text("x", caller="a") == "r2"
     assert model.sample_text("x", caller="c") == "r3"
     assert [c.backend for c in calls] == ["scripted", "http", "scripted"]
-    # Replay measures no call time, so a batch runs one task at a time, in
-    # task order, when each is taken: the order the trace recorded.
+    # Replay measures no call time, so a batch makes one call at a time, in
+    # ask order, as each answer is next: the order the trace recorded.
     assert model.call_seconds is None
-    tasks = [lambda: model.sample_text("y"), lambda: model.sample_text("z")]
-    assert run_holding_calls(tasks, model) == tasks
+    answers = ask_all(model, [("y", "d"), ("z", "e")])
+    assert next(answers) == ""
+    assert [c.caller for c in calls] == ["b", "a", "c", "d"]
+    assert next(answers) == ""
+    assert [c.caller for c in calls] == ["b", "a", "c", "d", "e"]
 
 
 class SleepyModel(GenerativeModel):
     """Answers with the prompt after sleeping the milliseconds in ``delays``.
 
-    Logs the prompt and thread of each completion, in completion order.
+    Logs the prompt and thread of each completion, in completion order.  A
+    prompt in ``failing`` raises RuntimeError instead of answering.
     """
 
     backend_id = "sleepy"
 
-    def __init__(self, delays: dict[str, float] | None = None, default_ms: float = 2.0):
+    def __init__(self, delays: dict[str, float] | None = None, default_ms: float = 2.0, failing=()):
         super().__init__()
         self.delays = delays or {}
         self.default_ms = default_ms
+        self.failing = set(failing)
         self.finished: list[tuple[str, str]] = []
         self._lock = threading.Lock()
 
@@ -239,6 +244,8 @@ class SleepyModel(GenerativeModel):
             time.sleep(delay_ms / 1000)
         with self._lock:
             self.finished.append((prompt, threading.current_thread().name))
+        if prompt in self.failing:
+            raise RuntimeError(prompt)
         return prompt
 
 
@@ -249,81 +256,52 @@ def warmed(model: GenerativeModel, calls: list[ModelCall]) -> GenerativeModel:
     return model
 
 
+def asks(*prompts: str) -> list[tuple[str, str]]:
+    return [(prompt, prompt) for prompt in prompts]
+
+
 def test_run_in_order_records_in_task_order_not_completion_order(calls):
     model = warmed(SleepyModel({"first": 60, "second": 30, "third": 1}), calls)
-    for take in run_holding_calls(
-        [lambda p=p: model.sample_text(p, caller=p) for p in ("first", "second", "third")], model
-    ):
-        take()
+    answers = list(ask_all(model, asks("first", "second", "third")))
+    assert answers == ["first", "second", "third"]
     assert [c.caller for c in calls] == ["first", "second", "third"]
-
-
-def test_run_in_order_hands_nested_batches_to_the_enclosing_task(calls):
-    model = warmed(SleepyModel({"a": 40, "b1": 30, "b2": 1, "c": 1}), calls)
-
-    def call(prompt):
-        return lambda: model.sample_text(prompt, caller=prompt)
-
-    def nested():
-        model.sample_text("b0", caller="b0")
-        for take in run_holding_calls([call("b1"), call("b2")], model):
-            take()
-
-    for take in run_holding_calls([call("a"), nested, call("c")], model):
-        take()
-    assert [c.caller for c in calls] == ["a", "b0", "b1", "b2", "c"]
+    # They did go out together: the last asked finished first.
+    assert [prompt for prompt, _ in model.finished[1:]] == ["third", "second", "first"]
 
 
 def test_run_in_order_raises_first_failure_in_task_order_and_drops_later_calls(calls):
-    model = warmed(SleepyModel({"slow failure": 40}), calls)
-
-    def fail(prompt):
-        def task():
-            model.sample_text(prompt, caller=prompt)
-            raise RuntimeError(prompt)
-
-        return task
-
-    tasks = [
-        lambda: model.sample_text("ok", caller="ok"),
-        fail("slow failure"),
-        fail("fast failure"),
-        lambda: model.sample_text("later", caller="later"),
-    ]
+    model = SleepyModel({"slow failure": 40}, failing={"slow failure", "fast failure"})
+    warmed(model, calls)
+    answers = ask_all(model, asks("ok", "slow failure", "fast failure", "later"))
+    assert next(answers) == "ok"
     with pytest.raises(RuntimeError, match="slow failure"):
-        for take in run_holding_calls(tasks, model):
-            take()
-    assert [c.caller for c in calls] == ["ok", "slow failure"]
+        next(answers)
+    # A failed call records nothing, and the later asks' calls, which did
+    # run, are never handed on.
+    assert [c.caller for c in calls] == ["ok"]
+    assert sorted(prompt for prompt, _ in model.finished[1:]) == [
+        "fast failure", "later", "ok", "slow failure"
+    ]
 
 
 @pytest.mark.parametrize("delay_ms", [0, 2], ids=["serial", "parallel"])
 def test_run_holding_calls_records_only_what_is_taken(delay_ms, calls):
-    model = SleepyModel(default_ms=delay_ms)
+    model = SleepyModel(default_ms=delay_ms, failing={"failing"})
     model.sample_text("warm up")
     calls.clear()
-
-    def fail():
-        model.sample_text("failing", caller="failing")
-        raise RuntimeError("failing")
-
-    tasks = [
-        lambda: model.sample_text("ok", caller="ok"),
-        fail,
-        lambda: model.sample_text("later", caller="later"),
-    ]
     # The gate reads the measured call time, which a host stall can push
     # over it even at 0 ms, so check against what this batch will see.
     together = model.call_seconds >= PARALLEL_MIN_CALL_S
-    take_ok, take_failed, _ = run_holding_calls(tasks, model)
+    answers = ask_all(model, asks("ok", "failing", "later"))
     assert calls == []
-    assert take_ok() == "ok"
+    assert next(answers) == "ok"
     assert [c.caller for c in calls] == ["ok"]
     with pytest.raises(RuntimeError, match="failing"):
-        take_failed()
-    assert [c.caller for c in calls] == ["ok", "failing"]
-    # Run together, all three ran before the first take; one at a time,
-    # each runs when taken.  Either way the untaken task's call is not
-    # recorded.
+        next(answers)
+    assert [c.caller for c in calls] == ["ok"]
+    # Together, all three ran before the first answer; one at a time, each
+    # runs when its answer is next.  Either way the call after the failing
+    # one is not recorded.
     ran = [prompt for prompt, _ in model.finished[1:]]
     assert sorted(ran) == (["failing", "later", "ok"] if together else ["failing", "ok"])
 
@@ -332,8 +310,7 @@ def test_run_in_order_stays_on_the_calling_thread_below_the_gate():
     model = SleepyModel(default_ms=0)
     model.sample_text("warm up")
     assert model.call_seconds < PARALLEL_MIN_CALL_S
-    for take in run_holding_calls([lambda p=p: model.sample_text(p) for p in "abc"], model):
-        take()
+    assert list(ask_all(model, asks("a", "b", "c"))) == ["a", "b", "c"]
     assert {thread for _, thread in model.finished} == {threading.current_thread().name}
 
 
@@ -344,7 +321,7 @@ class FakeHTTPError(Exception):
 
 
 class FakeReply:
-    def __init__(self, status_code: int, content: str = ""):
+    def __init__(self, status_code: int, content: object = ""):
         self.status_code = status_code
         self.content = content
 
@@ -395,6 +372,16 @@ def test_http_model_does_not_sleep_after_the_last_attempt(fake_http, caplog):
     assert len(fake_http.posts) == 3
     assert fake_http.sleeps == [1.0, 2.0]
     assert len(caplog.records) == 2
+
+
+@pytest.mark.parametrize("content", [None, 5, ["text"]], ids=["null", "number", "list"])
+def test_http_model_rejects_a_reply_whose_content_is_not_text(fake_http, content):
+    fake_http.replies += [FakeReply(200, content)]
+    model = HttpModel(endpoint="http://model.invalid/v1", max_retries=3)
+    with pytest.raises(InvalidModelOutput, match="content, not text"):
+        model.sample_text("hi")
+    assert len(fake_http.posts) == 1
+    assert fake_http.sleeps == []
 
 
 def test_http_model_does_not_retry_client_errors(fake_http):

@@ -8,7 +8,7 @@ from gabm.agent import GenerativeAgent
 from gabm.errors import ConfigError
 from gabm.game_master import GameMaster
 from gabm.kernel import GameClock
-from gabm.model import ScriptedModel, ScriptRule
+from gabm.model import _CHOICE_REPAIR, ScriptedModel, ScriptRule
 from gabm.phone import (
     AppActionDescriptor,
     AppContext,
@@ -444,6 +444,33 @@ def test_phone_scene_notes_reach_the_turn_record(rules, note):
     notes = result.trace[0].notes
     start = notes.index("scene start: phone: Alice")
     assert note in notes[start:notes.index("scene end: phone: Alice")]
+
+
+def test_scene_trigger_repairs_an_unusable_detect_answer_as_it_is_applied():
+    from gabm.phone import SceneTrigger
+
+    model = ScriptedModel(
+        rules=[
+            ScriptRule(contains=_CHOICE_REPAIR, response="yes"),
+            ScriptRule(contains="digital device", response="perhaps"),
+            ScriptRule(contains="What event results", response="Alice opened her phone."),
+            ScriptRule(contains="finished using the phone?", response="yes"),
+        ],
+        default_response="taps at the screen",
+    )
+    universe = universe_with_phone("Alice")
+    gm = GameMaster(
+        model=model,
+        players=[GenerativeAgent("Alice", model)],
+        clock=GameClock(T0),
+        components=[SceneTrigger(universe)],
+    )
+    result = gm.run_episode(max_steps=1)
+    assert result.reason == "max-steps"
+    detects = [c for c in result.trace[0].model_calls if c.caller == "phone:detect"]
+    assert [c.response for c in detects] == ["perhaps", "yes"]
+    assert detects[1].prompt == detects[0].prompt + "\n" + _CHOICE_REPAIR
+    assert "[scene start: phone: Alice]" in memory_texts(gm.memory)
 
 
 def test_scene_trigger_skips_actor_without_phone():
