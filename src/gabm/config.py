@@ -22,6 +22,13 @@ options) run once the fields they read are checked.  ``build`` passes each
 constructor only the fields the config sets, so every field ``build``
 reads is checked first and each default lives in one place, the
 constructor's signature.  Adding a kind is one entry.
+
+A trace holds the config, so every string in a valid config, value or key,
+must be writable as UTF-8: a lone surrogate, which a JSON "\\ud800" escape
+decodes to, is a MalformedField at its path.  It is checked where each
+field's type is: by ``_Type`` for text and string lists, by ``_Map`` for
+free keys, and by the script and agent-name rules; every other string must
+match a name one of those checked, or a fixed value.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -59,6 +67,7 @@ from .kernel import (
     GameClock,
     canonical_json,
     parse_time,
+    writable,
 )
 from .model import EchoModel, GenerativeModel, HttpModel, ScriptedModel
 from .phone import CalendarApp, PhoneUniverse, SceneTrigger
@@ -71,17 +80,26 @@ CLOCK_MODES = {"round": ClockMode.ADVANCE_PER_ROUND, "player": ClockMode.ADVANCE
 
 @dataclass
 class ScenarioConfig:
-    """A parsed and validated scenario, hash-stable for trace headers."""
+    """A parsed and validated scenario, hash-stable for trace headers.
+
+    ``raw`` is not changed once validated: its canonical JSON text and the
+    text's hash are computed on first use and kept.
+    """
 
     raw: dict
     base_dir: Path
     path: Path | None = None
 
+    @cached_property
+    def _encoded(self) -> tuple[str, str]:
+        text = canonical_json(self.raw)
+        return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
+
     def canonical(self) -> str:
-        return canonical_json(self.raw)
+        return self._encoded[0]
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
+        return self._encoded[1]
 
     @property
     def seed(self) -> int:
@@ -108,6 +126,21 @@ def _is_string_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+_NOT_UTF8 = "holds a lone surrogate (such as a JSON \\ud800 escape), which UTF-8 cannot write"
+
+
+def _check_writable(v: "_Validator", path: str, value: str | list) -> None:
+    """A string, or each string of a list, must be writable into a trace."""
+    if isinstance(value, str):
+        # ``isascii`` first: it is the common case, and the cheapest test.
+        if not value.isascii() and not writable(value):
+            v.malformed(path, _NOT_UTF8)
+    # One check for a whole list, such as initial memories.
+    elif not writable("".join(value)):
+        for i, item in enumerate(value):
+            _check_writable(v, f"{path}[{i}]", item)
+
+
 def _is_quantity(value) -> bool:
     try:
         as_quantity(value)
@@ -128,6 +161,9 @@ class _Type(NamedTuple):
         if not self.accepts(value):
             message = required and ((value is None and self.missing) or self.required_message)
             v.malformed(path, message or self.must)
+        elif isinstance(value, list) or (isinstance(value, str) and not value.isascii()):
+            # A list accepted here holds strings; ASCII holds no surrogate.
+            _check_writable(v, path, value)
 
 
 class _Map(NamedTuple):
@@ -143,6 +179,8 @@ class _Map(NamedTuple):
         for key, item in value.items():
             if self.by_agent and key not in v.agent_names:
                 v.unresolved(f"{path}.{key}", f"no agent named {key!r}")
+            elif not key.isascii() and not writable(key):
+                v.malformed(f"{path}.{key}", "key " + _NOT_UTF8)
             self.values.check(v, f"{path}.{key}", item, False)
 
 
@@ -320,6 +358,8 @@ def _check_script(v: "_Validator", path: str, script, required: bool) -> None:
         return
     if not isinstance(script, str):
         v.malformed(path, "must be a path string")
+    elif not writable(script):
+        v.malformed(path, _NOT_UTF8)
     elif v.check_files and not (v.base_dir / script).is_file():
         v.unresolved(path, f"script file not found: {script}")
 
@@ -355,6 +395,7 @@ def _check_agent_name(v: "_Validator", path: str, name, required: bool) -> None:
     """A name no earlier agent has; ``_check_agent`` has checked that it is text."""
     if name in v.agent_names:
         v.malformed(path, f"duplicate agent name {name!r}")
+    _check_writable(v, path, name)
     v.agent_names.add(name)
 
 

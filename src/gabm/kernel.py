@@ -344,6 +344,21 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
+# A surrogate code point, which UTF-8 cannot encode; JSON's "\ud800" escape
+# decodes to one.  A valid escaped pair decodes to one other code point.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def writable(text: str) -> bool:
+    """Whether ``text`` can be written as UTF-8, so into a trace."""
+    return text.isascii() or _SURROGATE.search(text) is None
+
+
+def replace_surrogates(text: str) -> str:
+    """``text`` with each surrogate code point replaced by U+FFFD."""
+    return text if text.isascii() else _SURROGATE.sub("\ufffd", text)
+
+
 def parse_choice(raw: str, options: tuple[str, ...] | list[str]) -> tuple[int, str]:
     """Match free text against a fixed option list.
 

@@ -16,23 +16,26 @@ recent insertion.
 Retrieval is incremental, exact and pruned.  The bank is append-only and a
 component asks the same query every step, so a bank keeps, for each of its
 RELEVANCE_CACHE_QUERIES most recently used queries, the query's embedding
-and its cosine against every record seen so far; beside them it keeps a
-table of exp(-_DECAY * age) by age.  The records fall into blocks of
-BLOCK_RECORDS by insertion index, and each cached query keeps the greatest
-cosine of every block, extended with the list it summarizes.  At call time
-a block's best score is bounded by the score rule applied to its greatest
-cosine and the recency of its newest record.  Rounded addition is
-monotone, so no score in a block exceeds its bound.  Blocks are scored in
-descending order of bound, and the scan stops once k records are held and
-the next bound is below the k-th score; a bound equal to it is still
-scored, because ties prefer the newer record.  Every score is bit-equal to
-the rule above and the result is the full scan's.  Over a bank of n
-records, a query not in the cache costs one embedding and n cosines, each
-over the query's nonzero coordinates only; a cached query costs one cosine
-per record added since its last call, O(n / BLOCK_RECORDS) work for the
-bounds, and the scoring of each block it visits.  A query by an agent's
-name over its own memories, where recency decides most of the order,
-visits the newest few.
+and its cosines, block by block.  The records fall into blocks of
+BLOCK_RECORDS by insertion index; a block's cosines are computed the first
+time a retrieval scores it, and extended with the records it has gained
+since.  Each cached query keeps a cosine ceiling per block: the greatest
+cosine of a block whose cosines are all known, else COSINE_CEILING, which
+no cosine between two embeddings of the Embedder contract exceeds.  At call
+time a block's best score is bounded by the score rule applied to its
+ceiling and the recency of its newest record, read from one table of
+exp(-_DECAY * age) by age that every bank in the process shares.  Rounded
+addition is monotone, so no score in a block exceeds its bound.  Blocks are
+scored in descending order of bound, and the scan stops once k records are
+held and the next bound is below the k-th score; a bound equal to it is
+still scored, because ties prefer the newer record.  Every score is
+bit-equal to the rule above and the result is the full scan's.  Over a bank
+of n records, a query not in the cache costs one embedding and the cosines
+of the blocks it visits, each over the query's nonzero coordinates only; a
+cached query costs the cosines of the records added since its last call to
+the blocks it visits, O(n / BLOCK_RECORDS) work for the bounds, and the
+scoring of each block it visits.  A query by an agent's name over its own
+memories, where recency decides most of the order, visits the newest few.
 
 The default embedder is a hashing bag-of-words (signed feature hashing,
 Weinberger et al. 2009): each lower-case ``\\w+`` token adds +1 or -1 to one
@@ -73,9 +76,10 @@ HALF_LIFE = 100.0
 IMPORTANCE = 1.0
 _DECAY = math.log(2.0) / HALF_LIFE
 
-# Queries per bank whose relevance vectors stay cached.  A component's
-# query is fixed (its query text or the agent's name), so a bank sees few
-# distinct queries; each cached one holds a float per record.
+# Queries per bank whose cosines stay cached.  A component's query is fixed
+# (its query text or the agent's name), so a bank sees few distinct
+# queries; each cached one holds a float per record of the blocks its
+# retrievals have scored, and a ceiling per block.
 RELEVANCE_CACHE_QUERIES = 8
 
 # Records per retrieval block.  A block whose score bound is below the k-th
@@ -83,6 +87,21 @@ RELEVANCE_CACHE_QUERIES = 8
 # sort per call and more records scored per visited block.  A bank of at
 # most one block is scored whole, as without blocks.
 BLOCK_RECORDS = 256
+
+# No cosine computed between two embeddings of norm at most
+# 1 + NORM_TOLERANCE exceeds this, rounding included.  By Cauchy-Schwarz the
+# exact dot product of d coordinates is at most (1 + NORM_TOLERANCE)^2, and
+# the rounded products summed in floating point (left to right, or with the
+# compensated sum of Python 3.12+) differ from it by at most
+# gamma_d * sum |a_i * b_i| <= gamma_d * (1 + NORM_TOLERANCE)^2, where
+# gamma_d = d * 2^-53 / (1 - d * 2^-53) (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., section 3.1).  For any d below 2^32,
+# gamma_d < 2^-21 + 2^-41, so every cosine is below
+# (1 + 2^-29)^2 * (1 + 2^-21 + 2^-41) < 1 + 2^-20, as 1e-9 < 2^-29.  The
+# sparse sum in _cosines is bit-equal to the full one.  The ceiling is
+# within a millionth of the greatest cosine of unit vectors, so it prunes as
+# well as 1.0 would.
+COSINE_CEILING = 1.0 + 2.0**-20
 
 # Distinct texts whose embeddings stay memoized, shared by every
 # HashEmbedder in the process.  Measured on the benchmark workloads (seed 1),
@@ -176,15 +195,21 @@ def _cosines(query: tuple[float, ...], embeddings: list[tuple[float, ...]]) -> I
     return map(cosine, repeat(pick(query)), map(pick, embeddings))
 
 
-def _extend_block_maxima(values: list[float], highs: list[float], start: int, block: int) -> None:
-    """Make ``highs`` the greatest of each ``block`` values, given that it
-    already is for ``values[:start]``."""
-    for b in range(start // block, -(-len(values) // block)):
-        chunk = values[max(start, b * block) : (b + 1) * block]
-        if b < len(highs):
-            highs[b] = max(highs[b], *chunk)
-        else:
-            highs.append(max(chunk))
+# exp(-_DECAY * age) by age, for every bank in the process: it depends on
+# the age alone.  It grows geometrically and is rebound, never changed in
+# place, so a thread that races another to grow it computes equal values
+# and either table serves.
+_recency: tuple[float, ...] = ()
+
+
+def _recency_table(n: int) -> tuple[float, ...]:
+    """The shared recency table, grown to cover every age below ``n``."""
+    global _recency
+    table = _recency
+    if len(table) < n:
+        table += tuple(math.exp(-_DECAY * age) for age in range(len(table), max(n, 2 * len(table))))
+        _recency = table
+    return table
 
 
 def _scores(relevance: Iterable[float], recency: Iterable[float]) -> list[float]:
@@ -193,11 +218,28 @@ def _scores(relevance: Iterable[float], recency: Iterable[float]) -> list[float]
     return list(map(operator.add, map(operator.add, relevance, recency), repeat(IMPORTANCE)))
 
 
-def _score_block(relevance: list[float], recency: list[float], start: int, stop: int) -> list[float]:
-    """The scores of records start..stop-1 of a bank of ``len(relevance)``
-    records; record i has age ``len(relevance) - 1 - i``."""
-    n = len(relevance)
-    return _scores(relevance[start:stop], reversed(recency[n - stop : n - start]))
+def _score_block(cosines: list[float], recency: tuple[float, ...], start: int, n: int) -> list[float]:
+    """The scores of records start.. of a bank of ``n`` records, one per
+    cosine in ``cosines``; record i has age ``n - 1 - i``."""
+    stop = start + len(cosines)
+    return _scores(cosines, reversed(recency[n - stop : n - start]))
+
+
+class _CachedQuery:
+    """One query's retrieval state in a bank (see module docstring)."""
+
+    __slots__ = ("embedding", "cosines", "highs", "ceilings", "seen")
+
+    def __init__(self, embedding: tuple[float, ...]):
+        self.embedding = embedding
+        # Per block: the cosines of its first records, and the greatest of
+        # them, so a block that gains records needs only their maximum.
+        self.cosines: list[list[float]] = []
+        self.highs: list[float] = []
+        # Per block: its high once every record's cosine is known, else
+        # COSINE_CEILING; no cosine of the block is above it.
+        self.ceilings: list[float] = []
+        self.seen = 0  # the bank's size when the ceilings were last extended
 
 
 @dataclass(frozen=True)
@@ -214,12 +256,9 @@ class MemoryBank:
     def __init__(self, embedder: Embedder | None = None):
         self.embedder = embedder or HashEmbedder()
         self._records: list[MemoryRecord] = []
-        # Retrieval state, extended lazily to cover every record (see module
-        # docstring): query -> (query embedding, cosine per record, greatest
-        # cosine per block), least recently used first; exp(-_DECAY * age)
-        # by age.
-        self._relevance: OrderedDict[str, tuple[tuple[float, ...], list[float], list[float]]] = OrderedDict()
-        self._recency: list[float] = []
+        # Each recently used query's retrieval state (see module docstring),
+        # least recently used first.
+        self._queries: OrderedDict[str, _CachedQuery] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -243,30 +282,35 @@ class MemoryBank:
         records = self._records
         if k <= 0 or not records:
             return []
-        cached = self._relevance.get(query)
+        cached = self._queries.get(query)
         if cached is None:
-            cached = (self.embedder.embed(query), [], [])
-        self._relevance[query] = cached
-        self._relevance.move_to_end(query)
-        if len(self._relevance) > RELEVANCE_CACHE_QUERIES:
-            self._relevance.popitem(last=False)
-        query_embedding, relevance, relevance_highs = cached
+            cached = _CachedQuery(self.embedder.embed(query))
+        self._queries[query] = cached
+        self._queries.move_to_end(query)
+        if len(self._queries) > RELEVANCE_CACHE_QUERIES:
+            self._queries.popitem(last=False)
+        cosines, highs, ceilings = cached.cosines, cached.highs, cached.ceilings
         n = len(records)
         block = BLOCK_RECORDS
-        start = len(relevance)
-        if start < n:
-            relevance.extend(_cosines(query_embedding, [r.embedding for r in records[start:n]]))
-            _extend_block_maxima(relevance, relevance_highs, start, block)
-        recency = self._recency
-        recency.extend(math.exp(-_DECAY * age) for age in range(len(recency), n))
+        if cached.seen < n:
+            # Records from ``seen`` on have no cosines yet: the blocks that
+            # hold them are bounded by the ceiling until they are scored.
+            first = cached.seen // block
+            del ceilings[first:]
+            ceilings.extend(repeat(COSINE_CEILING, -(-n // block) - first))
+            while len(cosines) < len(ceilings):
+                cosines.append([])
+                highs.append(-math.inf)
+            cached.seen = n
+        recency = _recency_table(n)
         # Block b holds records b*block .. min(b*block + block, n) - 1,
         # visited best bound first; a lone block needs no bound.  The
         # recency table does not rise with age, so a block's newest record,
         # at age max(n - b*block - block, 0), has its greatest.
-        blocks = range(len(relevance_highs))
+        blocks = range(len(ceilings))
         if len(blocks) > 1:
             ages = map(max, range(n - block, -block, -block), repeat(0))
-            bounds = _scores(relevance_highs, map(recency.__getitem__, ages))
+            bounds = _scores(ceilings, map(recency.__getitem__, ages))
             blocks = sorted(blocks, key=bounds.__getitem__, reverse=True)
         # (score, index) of the best records scored so far, best first: the
         # order of the full scan, whose ties prefer the newer record.
@@ -275,7 +319,13 @@ class MemoryBank:
             if len(top) >= k and bounds[b] < top[k - 1][0]:
                 break
             start = b * block
-            scores = _score_block(relevance, recency, start, min(start + block, n))
+            known = cosines[b]
+            if len(known) < min(block, n - start):
+                new = records[start + len(known) : start + block]
+                fresh = list(_cosines(cached.embedding, [r.embedding for r in new]))
+                known += fresh
+                ceilings[b] = highs[b] = max(highs[b], *fresh)
+            scores = _score_block(known, recency, start, n)
             # Only a score at least the block's k-th best can make the top k.
             floor = sorted(scores)[-min(k, len(scores))]
             top += compress(zip(scores, count(start)), map(operator.ge, scores, repeat(floor)))

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
 from .errors import BackendUnavailable, ConfigError, InvalidModelOutput, NoMatchingOption
-from .kernel import ModelCall, parse_choice
+from .kernel import ModelCall, parse_choice, replace_surrogates, writable
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -105,8 +105,10 @@ class GenerativeModel:
             )
 
     def sample_text(self, prompt: str, *, max_chars: int | None = None, caller: str = "") -> str:
+        """The backend's answer to ``prompt``, recorded.  A surrogate code
+        point in the answer, which no trace could hold, becomes U+FFFD."""
         start = time.perf_counter()
-        response = self._complete(prompt, max_chars)
+        response = replace_surrogates(self._complete(prompt, max_chars))
         elapsed = time.perf_counter() - start
         # Unlocked: a racing update loses one sample, which the gate in
         # ask_all tolerates.
@@ -246,6 +248,8 @@ class ScriptRule:
         texts = [self.response, self.contains, self.pattern, *(self.contains_all or ())]
         if not all(isinstance(text, str) for text in texts if text is not None):
             raise ValueError("rule response and matchers must be strings")
+        if not writable(self.response):
+            raise ValueError(f"rule response {self.response!r} holds a lone surrogate; UTF-8 cannot write it")
         if self.max_uses is not None and type(self.max_uses) is not int:
             raise ValueError("rule max_uses must be an integer")
         if self.pattern is not None:
@@ -316,6 +320,8 @@ class ScriptedModel(GenerativeModel):
         default = data.get("default", "pass")
         if not isinstance(default, str):
             raise ValueError("the default response must be a string")
+        if not writable(default):
+            raise ValueError(f"the default response {default!r} holds a lone surrogate; UTF-8 cannot write it")
         return cls(
             rules=[ScriptRule.from_dict(r) for r in data.get("rules", [])],
             default_response=default,

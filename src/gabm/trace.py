@@ -5,6 +5,12 @@ resolved config, its hash, the engine version, and the effective seed and
 step budget; every following line is one trace record.  All lines are
 canonical JSON (sorted keys, compact separators), which is what makes
 byte-for-byte comparison meaningful.
+
+A config can run to megabytes of initial memories, so a run encodes it
+once: the header line splices the config's canonical text, the same text
+its hash is taken over, after ``{"config":``.  Keys sort, "config" sorts
+first, and a nested object encodes the same alone as inside its parent, so
+the spliced line is byte-equal to ``canonical_json(header.to_dict())``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ class TraceHeader:
     engine_version: str
     seed: int
     max_steps: int
+    # canonical_json(config), when the header is made from a ScenarioConfig
+    # that has already encoded it.
+    config_text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -40,7 +49,10 @@ class TraceHeader:
         }
 
     def to_json_line(self) -> str:
-        return canonical_json(self.to_dict())
+        rest = self.to_dict()
+        config = rest.pop("config")
+        text = self.config_text if self.config_text is not None else canonical_json(config)
+        return "".join(('{"config":', text, ",", canonical_json(rest)[1:]))
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceHeader":
@@ -54,13 +66,15 @@ class TraceHeader:
 
 
 def make_header(built: config_mod.BuiltScenario) -> TraceHeader:
-    return TraceHeader(
+    header = TraceHeader(
         config=built.config.raw,
         config_hash=built.config.config_hash(),
         engine_version=config_mod.ENGINE_VERSION,
         seed=built.seed,
         max_steps=built.max_steps,
     )
+    header.config_text = built.config.canonical()
+    return header
 
 
 class TraceWriter:
@@ -69,7 +83,9 @@ class TraceWriter:
     def __init__(self, out: TextIO, header: TraceHeader):
         self.out = out
         self.count = 0
-        self.out.write(header.to_json_line() + "\n")
+        # Two writes, not one: the line can be megabytes long.
+        self.out.write(header.to_json_line())
+        self.out.write("\n")
         self.out.flush()
 
     def write_record(self, record: TraceRecord) -> None:

@@ -101,6 +101,8 @@ BAD_SCRIPTS = {
     "text max_uses": json.dumps({"rules": [{"contains": "x", "response": "z", "max_uses": "3"}]}),
     "number default": json.dumps({"rules": [], "default": 5}),
     "null default": json.dumps({"rules": [], "default": None}),
+    "lone surrogate response": json.dumps({"rules": [{"contains": "x", "response": "ok \ud800"}]}),
+    "lone surrogate default": json.dumps({"rules": [], "default": "pass \udfff"}),
 }
 
 
@@ -138,6 +140,24 @@ def test_validate_config_ok(tmp_path, capsys):
     config_path = write_scenario(tmp_path)
     assert main(["validate-config", "--config", str(config_path)]) == 0
     assert capsys.readouterr().out.strip() == "ok: seed=5 max_steps=2 agents=[Alice, Bob]"
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_a_config_string_utf8_cannot_write_is_reported_not_run(tmp_path, capsys, command):
+    # A JSON "\ud800" escape in an initial memory: validate-config used to
+    # print ok, and run failed with a traceback, leaving an empty trace.
+    config_path = write_scenario(tmp_path)
+    raw = json.loads(json.dumps(CONFIG))
+    raw["agents"][1]["initial_memories"] = ["Bob keeps bees.", "\ud800 odd"]
+    config_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert "\\ud800 odd" in config_path.read_text(encoding="utf-8")
+    out = tmp_path / "trace.jsonl"
+    flags = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--config", str(config_path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert "MalformedField at agents[1].initial_memories[1]: holds a lone surrogate" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_validate_config_lists_every_issue(tmp_path, capsys):

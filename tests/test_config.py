@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import gabm.config
 
 from gabm.agent import ConstantComponent, ModelQueryComponent, ObservationBuffer
 from gabm.cli import main
@@ -22,7 +25,7 @@ from gabm.config import (
 from gabm.errors import ConfigValidationError
 from gabm.game_master import ObservationDelivery, PhraseTerminator
 from gabm.grounding import InventoryComponent, LocationComponent
-from gabm.kernel import ClockMode, OutputKind
+from gabm.kernel import ClockMode, OutputKind, canonical_json
 from gabm.model import EchoModel, ScriptedModel, ScriptRule
 from gabm.phone import PhoneUniverse, SceneTrigger
 from gabm.trace import run_built_scenario
@@ -602,3 +605,65 @@ def test_a_replaced_or_unknown_field_is_rejected_or_runs_to_an_ending(data):
     built = build(config_from_dict(raw), model=EchoModel(), max_steps_override=2)
     outcome = run_built_scenario(built)
     assert outcome.result.reason in {"max-steps", "component-terminated", "error"}
+
+
+NOT_UTF8 = "holds a lone surrogate (such as a JSON \\ud800 escape), which UTF-8 cannot write"
+
+
+def test_a_string_utf8_cannot_write_is_malformed_at_its_path(tmp_path):
+    # JSON's "\ud800" escape decodes to a lone surrogate, which no trace
+    # could hold; the run used to fail on its first write.  A valid escaped
+    # pair decodes to one code point and is fine.
+    raw = valid_raw()
+    raw["agents"][0]["initial_memories"].append("\ud800 odd")
+    raw["agents"][0]["initial_memories"].append("a smile 😀")
+    raw["agents"][0]["components"][0]["text"] = "sell the \udfff lamp"
+    raw["gm"]["components"][0]["endowments"]["Alice"] = {"lamp\udc80": 1}
+    text = json.dumps(raw)
+    assert "\\ud800" in text and "\\ud83d\\ude00" in text
+    with pytest.raises(ConfigValidationError) as caught:
+        load_config(write_config(tmp_path, json.loads(text)))
+    assert [(i.kind, i.path, i.message) for i in caught.value.issues] == [
+        ("MalformedField", "agents[0].initial_memories[1]", NOT_UTF8),
+        ("MalformedField", "agents[0].components[0].text", NOT_UTF8),
+        ("MalformedField", "gm.components[0].endowments.Alice.lamp\udc80", "key " + NOT_UTF8),
+    ]
+
+
+def test_the_canonical_text_is_encoded_once_and_hashed_once(monkeypatch):
+    config = config_from_dict(valid_raw())
+    encoded = []
+    monkeypatch.setattr(gabm.config, "canonical_json", lambda obj: encoded.append(obj) or canonical_json(obj))
+    assert config.config_hash() == hashlib.sha256(config.canonical().encode("utf-8")).hexdigest()
+    assert config.canonical() == canonical_json(valid_raw())
+    assert encoded == [config.raw]
+
+
+SHIPPED = sorted(
+    path for path in (Path(gabm.config.__file__).parent / "scenarios").glob("*.json")
+    if not path.name.endswith("_script.json")
+)
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[path.stem for path in SHIPPED])
+def test_a_lone_surrogate_in_any_string_or_key_of_a_shipped_config_is_rejected(path):
+    # The validator checks writability where it checks each field's type,
+    # so every string a config the validator accepts holds, value or key,
+    # must pass through one of those checks.
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    assert validate_config(raw, path.parent, check_files=False) == []
+    changes = 0
+    for position, value in _positions(raw):
+        changed = copy.deepcopy(raw)
+        parent, last = _at(changed, position[:-1]), position[-1]
+        if isinstance(value, str):
+            parent[last] = value + "\ud800"
+            changes += 1
+            assert validate_config(changed, path.parent, check_files=False), position
+        if isinstance(parent, dict):
+            changed = copy.deepcopy(raw)
+            parent = _at(changed, position[:-1])
+            parent[last + "\udc80"] = parent.pop(last)
+            changes += 1
+            assert validate_config(changed, path.parent, check_files=False), (position, "key")
+    assert changes > 20

@@ -93,9 +93,10 @@ def test_retrieval_scores_match_hand_computed_table():
         bank.add(text, T0)
     retrieved = bank.retrieve_associative("query", k=3)
     assert [r.text for r in retrieved] == ["rec0", "rec2", "rec1"]
-    # The scores the retrieval compared, from the bank's own tables.
-    relevance = bank._relevance["query"][1]
-    got = memory._score_block(relevance, bank._recency, 0, 3)
+    # The scores the retrieval compared, from the bank's cosines and the
+    # process's recency table.
+    (cosines,) = bank._queries["query"].cosines
+    got = memory._score_block(cosines, memory._recency, 0, 3)
     assert got == pytest.approx([2.9862327044933592, 1.9930924954370359, 2.6], abs=1e-12)
 
 
@@ -154,23 +155,15 @@ def oracle_score(query_embedding, record: MemoryRecord, latest: int) -> float:
 
 
 def brute_force_rank(bank: MemoryBank, query: str, k: int) -> list[int]:
-    """Independent oracle: full scan, explicit selection, documented ties."""
+    """Independent oracle: full scan, then the documented order, best score
+    first and equal scores newest first."""
     records = bank.snapshot()
     if not records or k <= 0:
         return []
     query_embedding = bank.embedder.embed(query)
     latest = records[-1].index
-    scored = [(oracle_score(query_embedding, record, latest), record) for record in records]
-    chosen: list[int] = []
-    remaining = list(scored)
-    while remaining and len(chosen) < k:
-        best = remaining[0]
-        for candidate in remaining[1:]:
-            if candidate[0] > best[0] or (candidate[0] == best[0] and candidate[1].index > best[1].index):
-                best = candidate
-        chosen.append(best[1].index)
-        remaining.remove(best)
-    return chosen
+    scored = [(oracle_score(query_embedding, record, latest), record.index) for record in records]
+    return [index for _, index in sorted(scored, reverse=True)[:k]]
 
 
 def test_ranking_agrees_with_brute_force_oracle():
@@ -363,7 +356,9 @@ def test_cached_retrieval_matches_full_scan_oracle(operations):
 
 
 WORDS = ["ada", "bruno", "cyra", "mill", "ferry", "lantern", "sold", "found", "the", "at", "met"]
-PRUNED_QUERIES = WORDS[:4] + ["ada mill", "", "query 0"]
+# More queries than a bank caches, so evicted queries come back.
+PRUNED_QUERIES = WORDS[:5] + ["ada mill", "", "query 0", "the mill", "met the ferry"]
+assert len(PRUNED_QUERIES) > RELEVANCE_CACHE_QUERIES
 PRUNED_TEXTS = st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join)
 PRUNED_OPERATIONS = st.lists(
     st.tuples(st.just("add"), PRUNED_TEXTS)
@@ -372,15 +367,28 @@ PRUNED_OPERATIONS = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(block=st.integers(1, 4), dimension=st.integers(1, 8), operations=PRUNED_OPERATIONS)
-def test_block_pruned_retrieval_matches_full_scan_oracle(block, dimension, operations):
-    # Blocks of 1-4 records, so a bank spans many blocks and most calls
-    # prune some; few coordinates, so many records share a cosine and
-    # recency alone separates them.
+class StretchedEmbedder:
+    """HashEmbedder vectors scaled to norm 1 + NORM_TOLERANCE, the most the
+    Embedder contract allows, so cosines can exceed 1."""
+
+    def __init__(self, dimension: int):
+        self.inner = HashEmbedder(dimension=dimension)
+        self.dimension = dimension
+
+    def embed(self, text: str) -> tuple[float, ...]:
+        return tuple(x * (1.0 + memory.NORM_TOLERANCE) for x in self.inner.embed(text))
+
+
+def check_pruned_retrieval(block, dimension, stretched, preload, operations):
+    """Every retrieval, with blocks of ``block`` records over a bank of
+    ``preload`` records plus ``operations``, equals the full-scan oracle."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(memory, "BLOCK_RECORDS", block)
-        bank = MemoryBank(embedder=HashEmbedder(dimension=dimension))
+        embedder = StretchedEmbedder(dimension) if stretched else HashEmbedder(dimension=dimension)
+        bank = MemoryBank(embedder=embedder)
+        rng = random.Random(preload)
+        for _ in range(preload):
+            bank.add(" ".join(rng.choices(WORDS, k=rng.randrange(5))), T0)
         for op, *args in operations:
             if op == "add":
                 bank.add(args[0], T0)
@@ -390,9 +398,77 @@ def test_block_pruned_retrieval_matches_full_scan_oracle(block, dimension, opera
                 assert got == brute_force_rank(bank, query, k)
         # Small k, so blocks are pruned, and k past the bank's size.
         for query in PRUNED_QUERIES:
-            for k in (1, 3, len(bank) + 1):
+            for k in (1, 3, 25, len(bank) + 1):
                 got = [r.index for r in bank.retrieve_associative(query, k)]
                 assert got == brute_force_rank(bank, query, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=st.integers(1, 4), dimension=st.integers(1, 8), stretched=st.booleans(), operations=PRUNED_OPERATIONS)
+def test_block_pruned_retrieval_matches_full_scan_oracle(block, dimension, stretched, operations):
+    # Blocks of 1-4 records, so a bank spans many blocks and most calls
+    # prune some; few coordinates, so many records share a cosine and
+    # recency alone separates them.  Blocks a call prunes get no cosines,
+    # and blocks that gain records are bounded by the ceiling again until
+    # scored; the results must not show it.
+    check_pruned_retrieval(block, dimension, stretched, 0, operations)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dimension=st.integers(1, 8),
+    stretched=st.booleans(),
+    preload=st.integers(257, 700),
+    operations=PRUNED_OPERATIONS,
+)
+def test_blocks_of_the_default_size_match_full_scan_oracle(dimension, stretched, preload, operations):
+    check_pruned_retrieval(memory.BLOCK_RECORDS, dimension, stretched, preload, operations)
+
+
+def test_the_cosine_ceiling_bounds_cosines_above_one():
+    # At norm 1 + NORM_TOLERANCE the older record's cosine is
+    # (1 + NORM_TOLERANCE)^2 > 1, and it wins by less than that excess: a
+    # ceiling of 1.0 would prune its unscored block and return the newer.
+    stretch = 1.0 + memory.NORM_TOLERANCE
+    recency = math.exp(-math.log(2.0) / HALF_LIFE)
+    near = (recency + memory.NORM_TOLERANCE / 2) / stretch
+    embedder = AxisEmbedder(
+        {
+            "query": (stretch, 0.0),
+            "old": (stretch, 0.0),
+            "new": (near, math.sqrt(1.0 - near * near)),
+        },
+        dimension=2,
+    )
+    bank = MemoryBank(embedder=embedder)
+    bank.add("old", T0)
+    bank.add("new", T0)
+    old_score = (stretch * stretch + recency) + IMPORTANCE
+    new_score = (stretch * near + 1.0) + IMPORTANCE
+    assert (1.0 + recency) + IMPORTANCE < new_score < old_score
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(memory, "BLOCK_RECORDS", 1)
+        assert [r.text for r in bank.retrieve_associative("query", 1)] == ["old"]
+    assert brute_force_rank(bank, "query", 1) == [0]
+
+
+def test_one_recency_table_serves_every_bank():
+    # exp(-decay * age) depends on the age alone: every bank reads one
+    # process table, grown geometrically by rebinding, never in place.
+    banks = [MemoryBank() for _ in range(3)]
+    for size, bank in zip((5, 40, 300), banks):
+        for i in range(size):
+            bank.add(f"memory {i}", T0)
+    before = memory._recency
+    for bank in banks:
+        bank.retrieve_associative("memory", 3)
+    table = memory._recency
+    assert len(table) >= 300
+    assert table[: len(before)] == before
+    assert list(table) == [math.exp(-memory._DECAY * age) for age in range(len(table))]
+    grown = memory._recency_table(len(table) + 1)
+    assert grown is memory._recency and len(grown) >= 2 * len(table)
+    assert memory._recency_table(len(table)) is grown
 
 
 @settings(max_examples=200, deadline=None)
@@ -428,11 +504,55 @@ def test_a_repeated_name_query_scores_under_a_tenth_of_a_large_bank(monkeypatch)
     scored = []
     score_block = memory._score_block
 
-    def counting(relevance, recency, start, stop):
-        scored.append(stop - start)
-        return score_block(relevance, recency, start, stop)
+    def counting(cosines, recency, start, n):
+        scored.append(len(cosines))
+        return score_block(cosines, recency, start, n)
 
     monkeypatch.setattr(memory, "_score_block", counting)
     got = [r.index for r in bank.retrieve_associative("Cyra", 25)]
     assert 0 < sum(scored) < len(bank) / 10
     assert got == brute_force_rank(bank, "Cyra", 25)
+
+
+RECALL_PLACES = ["mill", "harbour", "chapel", "orchard", "forge", "market", "library", "ferry"]
+RECALL_VERBS = ["mended", "lost", "found", "sold", "painted", "borrowed", "buried", "counted"]
+RECALL_THINGS = [
+    "a lantern", "the blue kettle", "three letters", "a fishing net", "the old map",
+    "a copper ring", "the ledger", "a bolt of linen", "the bell rope", "a crate of pears",
+]
+
+
+def test_a_name_query_computes_cosines_only_for_the_blocks_it_scores(monkeypatch):
+    # A bank shaped like the recall benchmark's: 10k memories naming their
+    # agent, 40 blocks.  The newest 16 records and the 256 before them hold
+    # the top 25, and every older block's bound, the cosine ceiling plus its
+    # recency, is below the 25th score, so no older cosine is computed.
+    # How many blocks a first query fills depends on the bank: where fewer
+    # records score high, the 25th score is lower and more ceiling bounds
+    # reach it (with "Hiro" in place of "Ines" here, three blocks); for a
+    # name whose coordinate a word of every record cancels, every block is
+    # filled once, as a full scan would.
+    rng = random.Random(1)
+    bank = MemoryBank()
+    for day in range(10_000):
+        bank.add(
+            f"Ines {rng.choice(RECALL_VERBS)} {rng.choice(RECALL_THINGS)} at the {rng.choice(RECALL_PLACES)} on day {day}",
+            T0,
+        )
+    filled = []
+    cosines = memory._cosines
+
+    def counting(query, embeddings):
+        filled.append(len(embeddings))
+        return cosines(query, embeddings)
+
+    monkeypatch.setattr(memory, "_cosines", counting)
+    got = [r.index for r in bank.retrieve_associative("Ines", 25)]
+    assert got == brute_force_rank(bank, "Ines", 25)
+    assert len(filled) <= 2 and sum(filled) <= 2 * memory.BLOCK_RECORDS
+    for turn in range(7):
+        bank.add(f"Ines walked to the {RECALL_PLACES[turn]} and asked around.", T0)
+    filled.clear()
+    got = [r.index for r in bank.retrieve_associative("Ines", 25)]
+    assert got == brute_force_rank(bank, "Ines", 25)
+    assert filled == [7]

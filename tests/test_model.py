@@ -391,3 +391,56 @@ def test_http_model_does_not_retry_client_errors(fake_http):
         model.sample_text("hi")
     assert len(fake_http.posts) == 1
     assert fake_http.sleeps == []
+
+
+class SurrogateTail(GenerativeModel):
+    """Answers every prompt with a text that ends in a lone surrogate."""
+
+    backend_id = "stub"
+
+    def _complete(self, prompt: str, max_chars: int | None) -> str:
+        return "pass \ud800"
+
+
+def test_an_answer_with_a_lone_surrogate_is_recorded_with_the_replacement_character(calls):
+    # No trace can hold a lone surrogate; recording it used to fail the
+    # run on its next trace write.
+    assert SurrogateTail().sample_text("hi", caller="t") == "pass \ufffd"
+    assert calls == [ModelCall("t", "hi", "pass \ufffd", "stub")]
+
+
+def test_http_model_replaces_an_escaped_lone_surrogate_from_a_local_endpoint(monkeypatch, calls):
+    # A real HTTP round trip on the loopback interface: the endpoint's JSON
+    # escapes a lone surrogate, which the reply's JSON decoding produces.
+    from http.server import BaseHTTPRequestHandler, HTTPServer
+
+    body = b'{"choices": [{"message": {"content": "fine \\ud800 thanks"}}]}'
+
+    class Endpoint(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    for var in ("HTTP_PROXY", "http_proxy", "ALL_PROXY", "all_proxy"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = HTTPServer(("127.0.0.1", 0), Endpoint)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        model = HttpModel(endpoint=f"http://127.0.0.1:{server.server_port}/v1", timeout=10, max_retries=1)
+        answer = model.sample_text("hi", caller="t")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert answer == "fine \ufffd thanks"
+    assert calls == [ModelCall("t", "hi", "fine \ufffd thanks", "http")]

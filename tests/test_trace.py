@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import io
 import json
 from datetime import datetime
 from pathlib import Path
 
 import pytest
 
+from gabm import config as config_mod
+from gabm import trace as trace_mod
 from gabm.config import build, config_from_dict, load_config
 from gabm.errors import SimulationError
 from gabm.kernel import canonical_json
+from gabm.model import EchoModel, ScriptedModel
 from gabm.trace import (
+    TraceHeader,
+    TraceWriter,
     extract_pairs,
     filter_records,
     make_header,
@@ -252,3 +258,68 @@ def test_run_without_sink_still_counts_records(tmp_path):
     assert outcome.records_written == 6
     assert len(seen) == 6
     assert built.gm.on_record is None  # detached afterwards
+
+
+SCENARIOS = Path(config_mod.__file__).parent / "scenarios"
+
+
+def shipped_and_non_ascii_configs(tmp_path: Path) -> list:
+    configs = [load_config(path) for path in sorted(SCENARIOS.glob("*.json")) if not path.name.endswith("_script.json")]
+    raw = json.loads(json.dumps(CONFIG))
+    raw["agents"][0]["initial_memories"] = ["Zoë paid 5 € for the naïve café's crème brûlée ☕", "😀 — “quoted”"]
+    configs.append(config_from_dict(raw, base_dir=tmp_path))
+    return configs
+
+
+def test_the_written_header_line_is_the_canonical_json_of_the_header(tmp_path):
+    # The writer splices the config's canonical text into the header line;
+    # the line must be the one canonical_json gives for the whole header.
+    (tmp_path / "script.json").write_text(json.dumps(SCRIPT), encoding="utf-8")
+    configs = shipped_and_non_ascii_configs(tmp_path)
+    assert len(configs) >= 6
+    for config in configs:
+        built = build(config, model=EchoModel(), max_steps_override=1)
+        buffer = io.StringIO()
+        header = make_header(built)
+        TraceWriter(buffer, header)
+        line = buffer.getvalue()
+        assert line == canonical_json(header.to_dict()) + "\n"
+        assert line == header.to_json_line() + "\n"
+        assert TraceHeader.from_dict(json.loads(line)).to_json_line() + "\n" == line
+
+
+def test_a_run_and_a_replay_each_encode_the_config_once(tmp_path, monkeypatch):
+    encoded = []
+    real = config_mod.canonical_json
+
+    def counting(obj):
+        if isinstance(obj, dict) and "agents" in obj:
+            encoded.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(config_mod, "canonical_json", counting)
+    monkeypatch.setattr(trace_mod, "canonical_json", counting)
+    out = run_to_file(tmp_path)
+    assert len(encoded) == 1
+    encoded.clear()
+    assert replay(out).ok
+    assert len(encoded) == 1
+
+
+class SurrogateScript(ScriptedModel):
+    """The test script's answers, each with a lone surrogate appended."""
+
+    def _complete(self, prompt: str, max_chars: int | None) -> str:
+        return super()._complete(prompt, max_chars) + " \ud800"
+
+
+def test_a_run_whose_model_answers_a_lone_surrogate_goes_on_and_replays(tmp_path):
+    config = load_config(write_scenario(tmp_path))
+    model = SurrogateScript.from_dict(SCRIPT)
+    out = tmp_path / "trace.jsonl"
+    with open(out, "w", encoding="utf-8") as handle:
+        outcome = run_built_scenario(build(config, model=model), out=handle)
+    assert outcome.result.reason == "max-steps"
+    records = read_trace(out, strict=True).records
+    assert records[0].event == "They chatted about beans. \ufffd"
+    assert replay(out).ok
