@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import config as config_mod
@@ -68,7 +69,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigValidationError as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
-    # Open the trace before building, so an unwritable path costs no model calls.
+    # Open the trace before building, so an unwritable path costs no model
+    # calls; a build that fails removes it again, leaving no headless trace.
     try:
         handle = open(args.out, "w", encoding="utf-8") if args.out else None
     except OSError as exc:
@@ -84,8 +86,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         except SimulationError as exc:
             print(f"cannot build scenario: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        outcome = trace_mod.run_built_scenario(built, out=handle)
+            built = None
+        else:
+            outcome = trace_mod.run_built_scenario(built, out=handle)
+    if built is None:
+        # Only a regular file: --out may name a device such as /dev/null.
+        if args.out and os.path.isfile(args.out):
+            os.remove(args.out)
+        return EXIT_VALIDATION
     print(trace_mod.summarize(outcome))
     if args.out:
         print(f"trace: {args.out} ({outcome.records_written} records)")

@@ -30,6 +30,8 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
 from .errors import BackendUnavailable, ConfigError, InvalidModelOutput, NoMatchingOption
@@ -230,8 +232,9 @@ def render_choice_prompt(prompt: str, options: list[str] | tuple[str, ...]) -> s
 class ScriptRule:
     """One response rule: a matcher, the reply, and a consumption budget.
 
-    Exactly one of ``contains``, ``contains_all``, ``pattern`` must be set.
-    ``max_uses`` of None means the rule never exhausts.
+    Exactly one of ``contains``, ``contains_all``, ``pattern`` must be set;
+    ``contains_all`` is a non-empty list or tuple of strings, kept as a
+    tuple.  ``max_uses`` of None means the rule never exhausts.
     """
 
     response: str
@@ -245,6 +248,10 @@ class ScriptRule:
         matchers = [m for m in (self.contains, self.contains_all, self.pattern) if m is not None]
         if len(matchers) != 1:
             raise ValueError("rule needs exactly one of contains / contains_all / pattern")
+        if self.contains_all is not None:
+            if not isinstance(self.contains_all, (list, tuple)) or not self.contains_all:
+                raise ValueError("rule contains_all must be a non-empty list of strings")
+            self.contains_all = tuple(self.contains_all)
         texts = [self.response, self.contains, self.pattern, *(self.contains_all or ())]
         if not all(isinstance(text, str) for text in texts if text is not None):
             raise ValueError("rule response and matchers must be strings")
@@ -252,7 +259,14 @@ class ScriptRule:
             raise ValueError(f"rule response {self.response!r} holds a lone surrogate; UTF-8 cannot write it")
         if self.max_uses is not None and type(self.max_uses) is not int:
             raise ValueError("rule max_uses must be an integer")
-        if self.pattern is not None:
+        # Every prompt this rule matches contains its needle; "" for a
+        # pattern, which names no text it must contain.
+        if self.contains is not None:
+            self._needle = self.contains
+        elif self.contains_all is not None:
+            self._needle = max(self.contains_all, key=len)
+        else:
+            self._needle = ""
             self._compiled = re.compile(self.pattern, re.DOTALL)
 
     def matches(self, prompt: str) -> bool:
@@ -261,7 +275,7 @@ class ScriptRule:
         if self.contains is not None:
             return self.contains in prompt
         if self.contains_all is not None:
-            return all(piece in prompt for piece in self.contains_all)
+            return all(map(prompt.__contains__, self.contains_all))
         return self._compiled.search(prompt) is not None
 
     def to_dict(self) -> dict:
@@ -278,14 +292,16 @@ class ScriptRule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScriptRule":
-        contains_all = data.get("contains_all")
         return cls(
             response=data["response"],
             contains=data.get("contains"),
-            contains_all=tuple(contains_all) if contains_all is not None else None,
+            contains_all=data.get("contains_all"),
             pattern=data.get("pattern"),
             max_uses=data.get("max_uses"),
         )
+
+
+_needle_of = attrgetter("_needle")
 
 
 class ScriptedModel(GenerativeModel):
@@ -295,6 +311,12 @@ class ScriptedModel(GenerativeModel):
     one use; with no hit the default response answers.  Apart from the
     per-rule counters the backend is stateless, so identical prompt
     sequences always produce identical response sequences.
+
+    A rule is tried only when its required needle is in the prompt: its
+    ``contains`` text, the longest piece of its ``contains_all``, or "" for
+    a ``pattern``.  No prompt a rule matches lacks its needle, so the
+    answer and the uses consumed are those of trying every rule in order.
+    ``rules`` is a plain list and may be changed between calls.
     """
 
     backend_id = "scripted"
@@ -309,7 +331,9 @@ class ScriptedModel(GenerativeModel):
     def _complete(self, prompt: str, max_chars: int | None) -> str:
         with self._lock:
             self.call_count += 1
-            for rule in self.rules:
+            rules = self.rules
+            # The needle tests run in C and stop at the first rule that matches.
+            for rule in compress(rules, map(prompt.__contains__, map(_needle_of, rules))):
                 if rule.matches(prompt):
                     rule.uses += 1
                     return rule.response

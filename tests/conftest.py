@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from gabm.kernel import ModelCall
 from gabm.memory import MemoryBank
 from gabm.model import close_calls, open_calls
+
+# A longer run of the oracle tests: pytest --hypothesis-profile=thorough.
+settings.register_profile("thorough", max_examples=1000, deadline=None)
+
+
+def oracle_settings(max_examples: int) -> settings:
+    """Settings of an oracle test: ``max_examples`` examples, or the loaded
+    profile's count where that is larger, and no deadline."""
+    return settings(max_examples=max(max_examples, settings.default.max_examples), deadline=None)
 
 
 @pytest.fixture

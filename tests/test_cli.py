@@ -99,6 +99,9 @@ BAD_SCRIPTS = {
     "bad pattern": json.dumps({"rules": [{"pattern": "[", "response": "z"}]}),
     "number response": json.dumps({"rules": [{"contains": "x", "response": 5}]}),
     "text max_uses": json.dumps({"rules": [{"contains": "x", "response": "z", "max_uses": "3"}]}),
+    # A string once became one-letter pieces; an empty list matched every prompt.
+    "text contains_all": json.dumps({"rules": [{"contains_all": "zq", "response": "hit"}]}),
+    "empty contains_all": json.dumps({"rules": [{"contains_all": [], "response": "hit"}]}),
     "number default": json.dumps({"rules": [], "default": 5}),
     "null default": json.dumps({"rules": [], "default": None}),
     "lone surrogate response": json.dumps({"rules": [{"contains": "x", "response": "ok \ud800"}]}),
@@ -126,6 +129,19 @@ def test_run_reports_a_malformed_script_file_in_one_line(tmp_path, capsys, case,
     else:
         assert err.startswith(f"cannot build scenario: script file {script}: ")
         assert err.count("\n") == 1
+
+
+def test_a_failed_build_leaves_no_trace_file(tmp_path, capsys):
+    config_path = write_scenario(tmp_path)
+    script = tmp_path / "no_response.json"
+    script.write_text(json.dumps({"rules": [{"contains": "anything"}]}), encoding="utf-8")
+    out = tmp_path / "trace.jsonl"
+    args = ["run", "--config", str(config_path), "--script", str(script), "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot build scenario: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_run_exits_two_on_aborted_episode(tmp_path, capsys):

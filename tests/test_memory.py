@@ -25,6 +25,8 @@ from gabm.memory import (
     cosine,
 )
 
+from conftest import oracle_settings
+
 T0 = datetime(2024, 5, 1, 9, 0)
 
 
@@ -342,7 +344,7 @@ BANK_OPERATIONS = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
+@oracle_settings(150)
 @given(operations=BANK_OPERATIONS)
 def test_cached_retrieval_matches_full_scan_oracle(operations):
     bank = MemoryBank(embedder=HashEmbedder(dimension=4))
@@ -403,7 +405,7 @@ def check_pruned_retrieval(block, dimension, stretched, preload, operations):
                 assert got == brute_force_rank(bank, query, k)
 
 
-@settings(max_examples=200, deadline=None)
+@oracle_settings(200)
 @given(block=st.integers(1, 4), dimension=st.integers(1, 8), stretched=st.booleans(), operations=PRUNED_OPERATIONS)
 def test_block_pruned_retrieval_matches_full_scan_oracle(block, dimension, stretched, operations):
     # Blocks of 1-4 records, so a bank spans many blocks and most calls
@@ -414,7 +416,7 @@ def test_block_pruned_retrieval_matches_full_scan_oracle(block, dimension, stret
     check_pruned_retrieval(block, dimension, stretched, 0, operations)
 
 
-@settings(max_examples=30, deadline=None)
+@oracle_settings(30)
 @given(
     dimension=st.integers(1, 8),
     stretched=st.booleans(),

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import sys
 import threading
 import time
 import types
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gabm.errors import BackendUnavailable, InvalidModelOutput, NoMatchingOption
 from gabm.kernel import ModelCall
@@ -26,6 +29,8 @@ from gabm.model import (
     open_calls,
     render_choice_prompt,
 )
+
+from conftest import oracle_settings
 
 
 def test_first_matching_rule_wins_and_consumes():
@@ -87,6 +92,14 @@ def test_rule_needs_exactly_one_matcher():
         ScriptRule(response="x", contains="a", pattern="b")
 
 
+@pytest.mark.parametrize("pieces", ["zq", []], ids=["text", "empty"])
+def test_contains_all_must_be_a_non_empty_list_of_strings(pieces):
+    # "zq" once became the pieces ("z", "q") and answered "the quiz"; an
+    # empty list matched every prompt.
+    with pytest.raises(ValueError):
+        ScriptRule(response="hit", contains_all=pieces)
+
+
 def test_script_round_trips_through_json(tmp_path):
     script = {
         "default": "dflt",
@@ -107,6 +120,118 @@ def test_script_round_trips_through_json(tmp_path):
     assert [rule.to_dict() for rule in model.rules] == script["rules"]
     assert model.default_response == "dflt"
     assert model.sample_text("a") == "1"
+
+
+# Short needles over a two-letter alphabet, so they overlap and nest ("a"
+# in "ab" in "bab"), including "", which every prompt contains.
+NEEDLES = st.text(alphabet="ab", max_size=3)
+PATTERNS = ("a", "b+a", "^a", "b$", "ab|ba", "a.*b", "\\n", "^$")
+RULE_SPECS = st.tuples(
+    st.one_of(
+        st.tuples(st.just("contains"), NEEDLES),
+        st.tuples(st.just("contains_all"), st.lists(NEEDLES, min_size=1, max_size=3).map(tuple)),
+        st.tuples(st.just("pattern"), st.sampled_from(PATTERNS)),
+    ),
+    st.none() | st.integers(1, 3),
+)
+PROMPTS = st.lists(st.text(alphabet="ab\n", max_size=6), max_size=10)
+
+
+def linear_scan(rules: list, uses: list[int], prompt: str) -> str:
+    """The scripted model's answer, found by trying every rule in order."""
+    for index, (response, (kind, matcher), max_uses) in enumerate(rules):
+        if max_uses is not None and uses[index] >= max_uses:
+            continue
+        if kind == "contains":
+            hit = matcher in prompt
+        elif kind == "contains_all":
+            hit = all(piece in prompt for piece in matcher)
+        else:
+            hit = re.search(matcher, prompt, re.DOTALL) is not None
+        if hit:
+            uses[index] += 1
+            return response
+    return "default"
+
+
+def script_rule(spec: tuple) -> ScriptRule:
+    response, (kind, matcher), max_uses = spec
+    return ScriptRule(response=response, max_uses=max_uses, **{kind: matcher})
+
+
+@oracle_settings(300)
+@given(
+    specs=st.lists(RULE_SPECS, max_size=12),
+    front=st.lists(RULE_SPECS, max_size=3),
+    back=st.lists(RULE_SPECS, max_size=3),
+    before=PROMPTS,
+    after=PROMPTS,
+)
+def test_needle_filter_matches_linear_scan_oracle(specs, front, back, before, after):
+    # Each rule answers with its own name, so an answer shows which rule won.
+    def named(specs, first):
+        return [(f"rule {first + i}", *spec) for i, spec in enumerate(specs)]
+
+    specs, front, back = named(specs, 0), named(front, 100), named(back, 200)
+    model = ScriptedModel([script_rule(spec) for spec in specs], default_response="default")
+
+    def check(prompts, oracle, uses):
+        for prompt in prompts:
+            assert model.sample_text(prompt) == linear_scan(oracle, uses, prompt)
+            assert [rule.uses for rule in model.rules] == uses
+
+    uses = [0] * len(specs)
+    check(before, specs, uses)
+    # Rules added in place, before and after the others, are tried too.
+    model.rules[:0] = [script_rule(spec) for spec in front]
+    for spec in back:
+        model.rules.append(script_rule(spec))
+    check(after, front + specs + back, [0] * len(front) + uses + [0] * len(back))
+
+
+def test_a_call_tries_only_the_rules_its_prompt_holds_the_needle_of(monkeypatch):
+    # Shaped like the crowd benchmark's script: per name an act, an event
+    # and an observer rule, then a few shared questions; 100 rules.
+    names = [f"Name{i:02d}" for i in range(32)]
+    rules = []
+    for name in names:
+        rules += [
+            ScriptRule(contains=f"What would {name} do next", response=f"{name} chats."),
+            ScriptRule(contains_all=("What event results", f"Attempted action by {name}:"), response=f"{name} chatted."),
+            ScriptRule(contains_all=("Who observes this event", f"Event: {name} "), response=f"{name}: saw it"),
+        ]
+    rules += [
+        ScriptRule(contains_all=("Does this event involve", "smartphone"), response="yes"),
+        ScriptRule(contains="Does this event involve", response="no"),
+        ScriptRule(contains="parameter 'title'", response="catch-up"),
+        ScriptRule(contains="What is the state of the world", response="Crowded."),
+    ]
+    assert len(rules) == 100
+    tried = []
+    matches = ScriptRule.matches
+    monkeypatch.setattr(ScriptRule, "matches", lambda rule, prompt: tried.append(rule) or matches(rule, prompt))
+    model = ScriptedModel(rules)
+    counts = {}
+    for name in names:
+        for kind, prompt in (
+            ("act", f"{name} is in the square.\nWhat would {name} do next?"),
+            ("event", f"What event results from this?\nAttempted action by {name}: {name} chats."),
+            ("observers", f"Who observes this event, and what do they see?\nEvent: {name} chatted."),
+            ("phone", f"Does this event involve a phone?\nEvent: {name} chatted."),
+            ("state", f"{name} chatted.\nWhat is the state of the world?"),
+        ):
+            tried.clear()
+            assert model.sample_text(prompt) != "pass"
+            counts.setdefault(kind, []).append(len(tried))
+    # Each act or event prompt holds one rule's needle; both phone rules
+    # hold "Does this event involve".  Every observer rule's needle is the
+    # shared question, its longest piece, so an observer prompt tries the
+    # observer rules up to the actor's: the one kind that tries more.
+    assert counts["act"] == counts["event"] == counts["state"] == [1] * len(names)
+    assert counts["phone"] == [2] * len(names)
+    assert counts["observers"] == list(range(1, len(names) + 1))
+    # That is 4.3 matches calls a call on average, where trying every rule
+    # in order made 68.7.
 
 
 def test_sample_choice_matches_directly():
