@@ -11,7 +11,7 @@ Resolution of one acting turn follows a fixed sequence:
 3. The outcome call, which alone reads the veto, gives the event.
 4. One batch: the game master's "who observes what" call and the
    post-event ask of each component that has one.  The observer lines are
-   parsed and the event is memorized.
+   parsed and the event goes into the turn record.
 5. Per component, its ``answer_after_event`` if it asked, then
    ``update_after_event``.  This is when grounded variables change and
    observations fan out.
@@ -23,7 +23,7 @@ only the calls leave the game master's thread.  Either way each call is
 recorded where the one-at-a-time sequence makes it (a component's call
 just before its answer hook), so a trace does not depend on the model's
 speed.  If a call in a batch fails, everything before it in that sequence
-still happens (calls recorded, answers applied, the event memorized) and
+still happens (calls recorded, answers applied, the event recorded) and
 nothing after it does.  The one difference from asking one call at a time
 is on the pre-event side: there every ``update_before_event`` has already
 run, and the states snapshot is in the record, when a component's call
@@ -33,6 +33,10 @@ Components keep no reference to their game master: every hook that acts
 on it gets it as its first argument, and nothing is bound at construction.
 Players keep no clock: the game master passes its clock's time to ``act``,
 and a nested scene passes the time of its own clock.
+
+The game master keeps no memory of its own: no prompt of it reads one.
+What happened lives in the trace, and each player's memory keeps what
+that player did and observed.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from .kernel import (
     Observation,
     TraceRecord,
 )
-from .memory import MemoryBank
 from .model import GenerativeModel, ask_all, close_calls, open_calls
 
 DEFAULT_GM_PREAMBLE = (
@@ -203,7 +206,6 @@ class GameMaster:
         self.clock = clock
         self.components = list(components or [])
         self.action_spec = action_spec or ActionSpec(DEFAULT_CALL_TO_ACTION)
-        self.memory = MemoryBank()
         self.preamble = preamble
         self.rng = rng or random.Random(0)
         self.notification_hub = None  # a phone universe's hub, when there is one
@@ -328,7 +330,6 @@ class GameMaster:
             + [ask for ask in after if ask is not None],
         )
         self._parse_observers(next(answers))
-        self.memory.add(event.text, event.timestamp)
         if self._current_record is not None:
             self._current_record.event = event.text
         for component, ask in zip(self.components, after):
@@ -411,24 +412,18 @@ class GameMaster:
         return EpisodeResult(trace=list(self.trace), reason=reason, grounded=grounded, error=error_text)
 
 
-def spawn_nested_game(parent_gm: GameMaster, scene, scene_minutes: int, label: str = "scene") -> list[str]:
-    """Run a nested scene and merge its memories back into the parent.
+def spawn_nested_game(
+    parent_gm: GameMaster, play: Callable[[], None], scene_minutes: int, label: str = "scene"
+) -> None:
+    """Run a nested scene between scene markers in the open record.
 
-    The scene is any object whose ``run()`` plays it out and returns its
-    memories.  The caller builds it, with its players resolved through
-    ``parent_gm.player`` and its own clock.  Control returns last-in
-    first-out.  Every memory the scene produces is appended to the parent
-    game master's memory between scene markers, and the parent clock is
-    charged exactly the configured scene duration.
+    ``play`` plays the scene out; the caller builds it, with its players
+    resolved through ``parent_gm.player`` and its own clock.  A scene may
+    spawn scenes of its own, and control returns last-in first-out.  The
+    ``scene start:`` and ``scene end:`` notes bracket whatever the scene
+    notes, and the parent clock is then charged exactly ``scene_minutes``.
     """
-    moment = parent_gm.clock.current_time
-    parent_gm.memory.add(f"[scene start: {label}]", moment)
     parent_gm.audit_note(f"scene start: {label}")
-    memories = scene.run()
-    for text in memories:
-        parent_gm.memory.add(text, moment)
-    parent_gm.memory.add(f"[scene end: {label}]", moment)
+    play()
     parent_gm.audit_note(f"scene end: {label}")
     parent_gm.clock.advance_by(scene_minutes)
-    return memories
-

@@ -224,7 +224,6 @@ class InventoryComponent(GMComponent):
                 f"Amendment: transfer of {trade.qty} {trade.item} from {trade.seller} "
                 f"to {trade.buyer} for {trade.price} {MONEY_ITEM} succeeded."
             )
-            gm.memory.add(amendment, gm.clock.current_time)
             gm.audit_note(f"{self.name}: {amendment}")
             return TransferResult(ok=True, reason="transfer succeeded")
         gm.emit_observation(actor, f"Your action was invalid: {reason}.")

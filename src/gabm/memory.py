@@ -251,7 +251,7 @@ class MemoryRecord:
 
 
 class MemoryBank:
-    """Append-only store of MemoryRecords for one agent or game master."""
+    """Append-only store of MemoryRecords for one agent."""
 
     def __init__(self, embedder: Embedder | None = None):
         self.embedder = embedder or HashEmbedder()
@@ -269,9 +269,6 @@ class MemoryBank:
         record = MemoryRecord(text=text, timestamp=timestamp, embedding=embedding, index=len(self._records))
         self._records.append(record)
         return record.index
-
-    def snapshot(self) -> list[MemoryRecord]:
-        return list(self._records)
 
     def retrieve_associative(self, query: str, k: int) -> list[MemoryRecord]:
         """Top-k records by combined relevance, recency, and importance.

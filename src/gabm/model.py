@@ -325,12 +325,10 @@ class ScriptedModel(GenerativeModel):
         super().__init__()
         self.rules = list(rules or [])
         self.default_response = default_response
-        self.call_count = 0
         self._lock = threading.Lock()
 
     def _complete(self, prompt: str, max_chars: int | None) -> str:
         with self._lock:
-            self.call_count += 1
             rules = self.rules
             # The needle tests run in C and stop at the first rule that matches.
             for rule in compress(rules, map(prompt.__contains__, map(_needle_of, rules))):

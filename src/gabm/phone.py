@@ -7,6 +7,11 @@ invocation returns result text for the owner and may queue notifications,
 which land as observations at the recipient's next pre-act phase, exactly
 once.  A phone is its owner's list of apps.  Apps are singletons shared by
 every phone that installs them, so app state survives scene boundaries.
+
+A phone scene is a nested game with one player, the phone's owner, on a
+clock of its own.  Nothing of it is merged back into the game master:
+scene markers and notes bracket it in the parent's trace record, and the
+owner's own memory keeps what they did and saw on the phone.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Callable
 
-from .agent import GenerativeAgent
 from .errors import ConfigError, NoMatchingOption
 from .game_master import GameMaster, GMComponent, spawn_nested_game
 from .kernel import (
@@ -26,6 +30,7 @@ from .kernel import (
     GameClock,
     Observation,
     format_time,
+    parse_time,
 )
 from .model import GenerativeModel, sample_repaired
 
@@ -199,7 +204,7 @@ def parse_param_value(raw: str, kind: str, now: datetime):
     if kind == "datetime":
         iso = _ISO_RE.search(raw)
         if iso is not None:
-            return datetime.strptime(iso.group(0), "%Y-%m-%dT%H:%M")
+            return parse_time(iso.group(0))
         relative = _RELATIVE_RE.search(raw)
         if relative is not None:
             word, hh, mm = relative.groups()
@@ -330,101 +335,58 @@ def detect_phone_event(
     return answer == "yes"
 
 
-class PhoneScene:
-    """Single-owner nested game: act on the phone until done or capped.
+def run_phone_scene(
+    parent_gm: GameMaster,
+    universe: PhoneUniverse,
+    owner_name: str,
+    trigger: str = "",
+) -> None:
+    """Play one owner's nested phone game, on its own clock, until done or capped.
 
-    ``note`` receives the scene's audit notes, e.g. the parent game
-    master's ``audit_note``.
+    Each step asks whether the owner has finished, then has the owner act
+    on the phone and grounds the act through ``translate_action``.  The
+    owner observes each result; a step that fits no app ends the scene.
+    The scene's notes go to the parent's open record.
     """
+    owner = parent_gm.player(owner_name)
+    if owner_name not in universe.phones:
+        raise ConfigError(f"{owner_name!r} has no phone")
+    clock = GameClock(parent_gm.clock.current_time, step_minutes=universe.child_step_minutes)
+    model = parent_gm.model
 
-    def __init__(
-        self,
-        owner: GenerativeAgent,
-        universe: PhoneUniverse,
-        clock: GameClock,
-        model: GenerativeModel,
-        note: Callable[[str], None] | None = None,
-        trigger: str = "",
-    ):
-        if owner.name not in universe.phones:
-            raise ConfigError(f"{owner.name!r} has no phone")
-        self.owner = owner
-        self.universe = universe
-        self.clock = clock
-        self.model = model
-        self.note = note
-        self.trigger = trigger
+    def note(text: str) -> None:
+        parent_gm.audit_note(f"phone scene: {text}")
 
-    def _note(self, text: str) -> None:
-        if self.note is not None:
-            self.note(f"phone scene: {text}")
+    def tell_owner(text: str) -> None:
+        owner.observe(Observation(recipient=owner.name, text=text, timestamp=clock.current_time))
 
-    def run(self) -> list[str]:
-        owner = self.owner
-        memories = [f"{owner.name} started using the phone."]
-        log: list[str] = []
-        if self.trigger:
-            log.append(f"Trigger: {self.trigger}")
-        capped = True
-        for _ in range(self.universe.max_actions):
+    def play() -> None:
+        log = [f"Trigger: {trigger}"] if trigger else []
+        for _ in range(universe.max_actions):
             so_far = "\n".join(log) if log else "(nothing yet)"
-            _, done = self.model.sample_choice(
+            _, done = model.sample_choice(
                 f"{owner.name} is using the phone. Activity so far:\n{so_far}\n"
                 f"Has {owner.name} finished using the phone?",
                 ("yes", "no"),
                 caller="phone:scene:done",
             )
             if done == "yes":
-                memories.append(f"{owner.name} finished using the phone.")
-                capped = False
-                break
+                return
             spec = ActionSpec("What does {name} do on the phone right now? It is {time}.")
-            action = owner.act(spec, self.clock.current_time)
+            action = owner.act(spec, clock.current_time)
             log.append(f"{owner.name}: {action.text}")
             result = translate_action(
-                self.universe,
-                owner.name,
-                action.text,
-                self.model,
-                self.clock.current_time,
-                note=self._note,
+                universe, owner.name, action.text, model, clock.current_time, note=note
             )
             if result is None:
-                text = "The phone has no suitable app for that."
-                memories.append(text)
-                owner.observe(
-                    Observation(recipient=owner.name, text=text, timestamp=self.clock.current_time)
-                )
-                capped = False
-                break
+                tell_owner("The phone has no suitable app for that.")
+                return
             log.append(f"Phone: {result}")
-            memories.append(f"Phone: {result}")
-            owner.observe(
-                Observation(recipient=owner.name, text=result, timestamp=self.clock.current_time)
-            )
-            self.clock.advance()
-        if capped:
-            memories.append("The phone scene reached its step cap.")
-            self._note("step cap reached")
-        return memories
+            tell_owner(result)
+            clock.advance()
+        note("step cap reached")
 
-
-def run_phone_scene(
-    parent_gm: GameMaster,
-    universe: PhoneUniverse,
-    owner_name: str,
-    trigger: str = "",
-) -> list[str]:
-    """Spawn the nested phone game for one owner and merge it back."""
-    scene = PhoneScene(
-        owner=parent_gm.player(owner_name),
-        universe=universe,
-        clock=GameClock(parent_gm.clock.current_time, step_minutes=universe.child_step_minutes),
-        model=parent_gm.model,
-        note=parent_gm.audit_note,
-        trigger=trigger,
-    )
-    return spawn_nested_game(parent_gm, scene, universe.scene_minutes, label=f"phone: {owner_name}")
+    spawn_nested_game(parent_gm, play, universe.scene_minutes, label=f"phone: {owner_name}")
 
 
 class SceneTrigger(GMComponent):

@@ -24,7 +24,7 @@ from . import config as config_mod
 from .errors import ConfigValidationError, SimulationError
 from .game_master import EpisodeResult
 from .grounding import administer_questionnaire
-from .kernel import ModelCall, TraceRecord, canonical_json
+from .kernel import ModelCall, TraceRecord, canonical_json, format_time
 from .model import ReplayModel
 
 
@@ -224,7 +224,7 @@ def render_report(records: Iterable[TraceRecord]) -> str:
     """Human-oriented rendering of (state, action, event, observation) flow."""
     blocks = []
     for record in records:
-        lines = [f"[{record.turn}] step {record.step} {record.kind} {record.actor} @ {record.timestamp.strftime('%Y-%m-%dT%H:%M')}"]
+        lines = [f"[{record.turn}] step {record.step} {record.kind} {record.actor} @ {format_time(record.timestamp)}"]
         for name, state in record.agent_states.items():
             flat = state.replace("\n", " / ")
             lines.append(f"  state {name}: {flat}")

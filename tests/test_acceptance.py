@@ -154,7 +154,7 @@ def test_criterion_3_memory_matches_full_scan_oracle():
         query = " ".join(rng.choices(words, k=2))
         k = rng.randint(1, 20)
 
-        records = bank.snapshot()
+        records = bank.retrieve_recent(len(bank))
         latest = records[-1].index
         query_embedding = bank.embedder.embed(query)
 
@@ -240,18 +240,6 @@ def test_criterion_4_transfers_conserve_and_reject_safely():
 # --- 5. nested scenes -------------------------------------------------------------
 
 
-class ErrandScene:
-    """Depth-2 scene: runs a real phone scene inside itself."""
-
-    def __init__(self, gm: GameMaster, universe: PhoneUniverse):
-        self.gm = gm
-        self.universe = universe
-
-    def run(self) -> list[str]:
-        run_phone_scene(self.gm, self.universe, "Alice", trigger="checking the phone")
-        return ["Alice finished her errand."]
-
-
 def test_criterion_5_nested_scenes_round_trip():
     model = ScriptedModel(rules=[ScriptRule(contains="finished using the phone", response="yes")])
     alice = fresh_agent("Alice")
@@ -269,21 +257,28 @@ def test_criterion_5_nested_scenes_round_trip():
     universe.give_phone("Alice", ["calendar"])
     gm.notification_hub = universe.hub
 
+    def errand() -> None:
+        """Depth-2 scene: runs a real phone scene inside itself."""
+        run_phone_scene(gm, universe, "Alice", trigger="checking the phone")
+        gm.audit_note("Alice finished her errand.")
+
     step_before = gm.clock.step_index
-    spawn_nested_game(gm, ErrandScene(gm, universe), scene_minutes=25, label="errand")
-    assert memory_texts(gm.memory) == [
-        "[scene start: errand]",
-        "[scene start: phone: Alice]",
-        "Alice started using the phone.",
-        "Alice finished using the phone.",
-        "[scene end: phone: Alice]",
+    record = gm.begin_record("turn", 0, "Alice")
+    spawn_nested_game(gm, errand, scene_minutes=25, label="errand")
+    gm.finish_record(record)
+    assert record.notes == [
+        "scene start: errand",
+        "scene start: phone: Alice",
+        "scene end: phone: Alice",
         "Alice finished her errand.",
-        "[scene end: errand]",
+        "scene end: errand",
     ]
+    assert [c.caller for c in record.model_calls] == ["phone:scene:done"]
+    assert "Trigger: checking the phone" in record.model_calls[0].prompt
     # 30 minutes for the inner phone scene plus 25 for the errand itself.
     assert gm.clock.current_time == parse_time("2024-05-01T09:55")
     assert gm.clock.step_index == step_before
-    print("\nPASS nested scenes: LIFO markers, child memories merged, clock charged exactly")
+    print("\nPASS nested scenes: LIFO markers, inner scene's calls recorded, clock charged exactly")
 
 
 # --- 6. calendar end to end --------------------------------------------------------

@@ -507,7 +507,8 @@ def test_oldest_profile_builds_and_runs(tmp_path, start, age):
     _profile(age, start)(raw)
     assert validate_config(raw, tmp_path) == []
     built = build(config_from_dict(raw, tmp_path), model=EchoModel(), max_steps_override=1)
-    first = built.players[0].memory.snapshot()[0]
+    bank = built.players[0].memory
+    first = bank.retrieve_recent(len(bank))[0]
     assert first.timestamp.year == int(start[:4]) - age
     assert run_built_scenario(built).result.reason == "max-steps"
 

@@ -195,14 +195,17 @@ def test_record_carries_states_prompts_action_event_and_calls():
     ]
 
 
-def test_event_statements_append_to_gm_memory():
+def test_event_statements_go_into_the_turn_records():
     model = ScriptedModel(
         rules=[ScriptRule(contains="What event results", response="Alice tripped over the cat.")],
         default_response="walks",
     )
     gm = make_gm(players=[GenerativeAgent("Alice", model)], model=model)
-    gm.run_episode(max_steps=2)
-    assert memory_texts(gm.memory) == ["Alice tripped over the cat.", "Alice tripped over the cat."]
+    result = gm.run_episode(max_steps=2)
+    assert [record.event for record in result.trace] == [
+        "Alice tripped over the cat.",
+        "Alice tripped over the cat.",
+    ]
 
 
 def test_partial_states_reach_the_player_before_acting():
@@ -406,25 +409,27 @@ def test_grounded_snapshot_in_result():
 # ---- nested scenes ----------------------------------------------------------
 
 
-class CannedScene:
-    def __init__(self, memories: list[str]):
-        self.memories = memories
-
-    def run(self):
-        return list(self.memories)
+def open_scene_record(gm: GameMaster):
+    """A turn record for a scene to note into, as a phone scene has."""
+    return gm.begin_record("turn", 0, "Alice")
 
 
-def test_spawn_nested_game_brackets_memories_and_charges_time():
+def test_spawn_nested_game_brackets_notes_and_charges_time():
     gm = make_gm()
-    memories = spawn_nested_game(
-        gm, CannedScene(["they argued", "they made up"]), scene_minutes=45, label="tea break"
-    )
-    assert memories == ["they argued", "they made up"]
-    assert memory_texts(gm.memory) == [
-        "[scene start: tea break]",
+    record = open_scene_record(gm)
+
+    def play():
+        assert gm.clock.current_time == T0  # charged only once the scene ends
+        gm.audit_note("they argued")
+        gm.audit_note("they made up")
+
+    assert spawn_nested_game(gm, play, scene_minutes=45, label="tea break") is None
+    gm.finish_record(record)
+    assert record.notes == [
+        "scene start: tea break",
         "they argued",
         "they made up",
-        "[scene end: tea break]",
+        "scene end: tea break",
     ]
     assert gm.clock.current_time == T0 + timedelta(minutes=45)
     assert gm.clock.step_index == 0  # scene time is not a step
@@ -434,28 +439,29 @@ def test_spawn_nested_game_rejects_non_players():
     # The caller resolves a scene's players through gm.player, so a scene
     # for a non-player fails before any marker is written or time charged.
     gm = make_gm()
+    record = open_scene_record(gm)
     with pytest.raises(ConfigError):
-        spawn_nested_game(gm, CannedScene([f"{gm.player('Ghost').name} waved"]), scene_minutes=5)
-    assert memory_texts(gm.memory) == []
+        spawn_nested_game(gm, gm.player("Ghost").update_components, scene_minutes=5)
+    assert record.notes == []
     assert gm.clock.current_time == T0
 
 
 def test_nested_scenes_unwind_last_in_first_out():
     gm = make_gm()
+    record = open_scene_record(gm)
 
-    class OuterScene:
-        def run(self):
-            spawn_nested_game(gm, CannedScene(["inner happening"]), scene_minutes=10, label="inner")
-            return ["outer happening"]
+    def outer():
+        spawn_nested_game(gm, lambda: gm.audit_note("inner happening"), scene_minutes=10, label="inner")
+        gm.audit_note("outer happening")
 
-    spawn_nested_game(gm, OuterScene(), scene_minutes=30, label="outer")
-    assert memory_texts(gm.memory) == [
-        "[scene start: outer]",
-        "[scene start: inner]",
+    spawn_nested_game(gm, outer, scene_minutes=30, label="outer")
+    assert record.notes == [
+        "scene start: outer",
+        "scene start: inner",
         "inner happening",
-        "[scene end: inner]",
+        "scene end: inner",
         "outer happening",
-        "[scene end: outer]",
+        "scene end: outer",
     ]
     assert gm.clock.current_time == T0 + timedelta(minutes=40)
 
@@ -766,7 +772,7 @@ def test_engine_state_stays_on_the_calling_thread(monkeypatch):
     gm.notification_hub = universe.hub
     result = gm.run_episode(max_steps=1)
     assert result.reason == "max-steps"
-    assert "Added meeting 'lunch' with Bob" in " ".join(memory_texts(gm.memory))
+    assert "Added meeting 'lunch' with Bob" in " ".join(memory_texts(alice.memory))
     assert len(model.threads) > 1  # the batches did run on pool threads
     assert {name for name, _ in touched} == {attr for _, attr in ENGINE_STATE}
     assert {thread for _, thread in touched} == {threading.current_thread().name}

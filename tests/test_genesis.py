@@ -78,7 +78,7 @@ def test_backstory_prompt_carries_profile_verbatim(calls):
     assert calls[0].caller == "genesis:Ada:backstory"
 
 
-def test_backstory_retries_once_then_fails():
+def test_backstory_retries_once_then_fails(calls):
     # Empty first answer, non-empty second: the retry saves the run.
     model = ScriptedModel(
         rules=[ScriptRule(contains="biography", response="   ", max_uses=1)],
@@ -86,12 +86,13 @@ def test_backstory_retries_once_then_fails():
     )
     profile = AgentProfile(name="Ada", age=34)
     assert generate_backstory(profile, model) == "A patient person."
-    assert model.call_count == 2
+    assert len(calls) == 2
+    calls.clear()
     # Empty twice: give up.
     hopeless = ScriptedModel(default_response="")
     with pytest.raises(InvalidModelOutput):
         generate_backstory(profile, hopeless)
-    assert hopeless.call_count == 2
+    assert len(calls) == 2
 
 
 def test_formative_memories_one_call_per_age(calls):
@@ -143,7 +144,7 @@ def test_seed_memory_backdates():
     )
     count = seed_memory(bank, memory_set, START)
     assert count == 3
-    records = bank.snapshot()
+    records = bank.retrieve_recent(len(bank))
     assert [r.text for r in records] == ["Ada's whole life.", "I got lost.", "I left home."]
     assert records[0].timestamp == datetime(1994, 5, 1, 9, 0)  # birth year
     assert records[1].timestamp == datetime(2000, 5, 1, 9, 0)  # age 6, 24 years back

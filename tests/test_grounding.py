@@ -173,11 +173,10 @@ def test_affordable_trade_settles_atomically_through_a_turn():
     assert inventory.inventory.get("Alice", "coin") == Decimal("7.00")
     assert inventory.inventory.get("Bob", "beans") == Decimal("3.00")
     assert inventory.inventory.get("Bob", "coin") == Decimal("3.00")
-    amendments = [t for t in memory_texts(gm.memory) if t.startswith("Amendment")]
+    amendments = [note for note in result.trace[0].notes if "Amendment" in note]
     assert amendments == [
-        "Amendment: transfer of 2.00 beans from Bob to Alice for 3.00 coin succeeded."
+        "inventory: Amendment: transfer of 2.00 beans from Bob to Alice for 3.00 coin succeeded."
     ]
-    assert any("Amendment" in note for note in result.trace[0].notes)
 
 
 def test_unaffordable_attempt_is_vetoed_and_narrated_as_failure():
@@ -276,7 +275,7 @@ def test_questionnaire_leaves_clock_and_state_alone():
     administer_questionnaire(questionnaire, gm, "Alice")
     assert gm.clock.current_time == T0
     assert gm.clock.step_index == 0
-    assert memory_texts(gm.memory) == []  # no events were resolved
+    assert [r.event for r in gm.trace] == ["", ""]  # no events were resolved
 
 
 def test_questionnaire_no_response_fallback():

@@ -73,7 +73,7 @@ def test_insertion_indices_strictly_increase():
     bank = MemoryBank()
     ids = [bank.add(f"memory {i}", T0 + timedelta(minutes=i)) for i in range(5)]
     assert ids == [0, 1, 2, 3, 4]
-    assert [r.index for r in bank.snapshot()] == ids
+    assert [r.index for r in bank.retrieve_recent(len(bank))] == ids
 
 
 def test_retrieval_scores_match_hand_computed_table():
@@ -159,7 +159,7 @@ def oracle_score(query_embedding, record: MemoryRecord, latest: int) -> float:
 def brute_force_rank(bank: MemoryBank, query: str, k: int) -> list[int]:
     """Independent oracle: full scan, then the documented order, best score
     first and equal scores newest first."""
-    records = bank.snapshot()
+    records = bank.retrieve_recent(len(bank))
     if not records or k <= 0:
         return []
     query_embedding = bank.embedder.embed(query)
@@ -329,7 +329,7 @@ def test_fanned_out_text_is_digested_once(monkeypatch):
         bank.add(text, T0)
     assert token_loops == [text.lower()]
     assert memory._hash_embed.cache_info().hits == 23
-    vectors = [bank.snapshot()[0].embedding for bank in banks]
+    vectors = [bank.retrieve_recent(len(bank))[0].embedding for bank in banks]
     assert vectors == [reference_hash_embed(16, 0, text)] * 24
     assert all(vector is vectors[0] for vector in vectors)
 

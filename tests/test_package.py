@@ -28,10 +28,12 @@ def test_every_exported_name_exists_once():
 
 
 def test_every_public_definition_is_used_outside_tests():
-    # A public class or function that only tests reach looks like a feature
-    # and gives none.  A use is a name, an attribute or a string equal to it
-    # (the benchmark tracer wraps entry points by name) anywhere in the
-    # package or the benchmark, except the package's re-exports.
+    # A public class, function or method that only tests reach looks like a
+    # feature and gives none.  A use is a name, an attribute or a string
+    # equal to it (the benchmark tracer wraps entry points by name) anywhere
+    # in the package or the benchmark, except the package's re-exports.  An
+    # app's ``do_<action>`` handler is used when ``<action>`` is one of the
+    # app's declared actions: ``PhoneApp.invoke`` dispatches to it by name.
     used: Counter[str] = Counter()
     for path in [*SRC.glob("*.py"), *(ROOT / "bench").glob("*.py")]:
         if path == SRC / "__init__.py":
@@ -43,14 +45,28 @@ def test_every_public_definition_is_used_outside_tests():
                 used[node.attr] += 1
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used[node.value] += 1
-    unused = [
-        f"{path.stem}.{node.name}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-        and not node.name.startswith("_")
-        and not used[node.name]
-    ]
+
+    def dispatched(module, cls: ast.ClassDef, method: str) -> bool:
+        actions = getattr(getattr(module, cls.name), "actions", ())
+        return any(method == f"do_{action.name}" for action in actions)
+
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"gabm.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.ClassDef, ast.FunctionDef)) or node.name.startswith("_"):
+                continue
+            if not used[node.name]:
+                unused.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [
+                    f"{path.stem}.{node.name}.{method.name}"
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    and not method.name.startswith("_")
+                    and not used[method.name]
+                    and not dispatched(module, node, method.name)
+                ]
     assert unused == []
 
 

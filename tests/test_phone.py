@@ -15,7 +15,6 @@ from gabm.phone import (
     CalendarApp,
     NotificationHub,
     ParamDescriptor,
-    PhoneScene,
     PhoneUniverse,
     deliver_notifications,
     detect_phone_event,
@@ -200,16 +199,16 @@ def test_translate_action_happy_path(calls):
     assert universe.hub.pop_for("Bob") == ["New meeting 'lunch' with Alice at 2024-05-02T12:30."]
 
 
-def test_translate_action_no_matching_app():
+def test_translate_action_no_matching_app(calls):
     universe = universe_with_phone()
     notes: list[str] = []
     model = ScriptedModel(default_response="order a pizza")
     assert translate_action(universe, "Alice", "fly a kite", model, now=T0, note=notes.append) is None
     assert notes == ["no suitable app"]
-    assert model.call_count == 4  # one choice + three repairs
+    assert len(calls) == 4  # one choice + three repairs
 
 
-def test_translate_action_param_retry_recovers():
+def test_translate_action_param_retry_recovers(calls):
     universe = universe_with_phone()
     model = ScriptedModel(
         rules=[
@@ -218,10 +217,13 @@ def test_translate_action_param_retry_recovers():
             ScriptRule(contains="parameter 'title'", response="standup"),
         ]
     )
-    calls_before = model.call_count
     result = translate_action(universe, "Alice", "cancel the standup", model, now=T0)
     # The title parsed on its second ask and reached the app.
-    assert model.call_count - calls_before == 3
+    assert [c.caller for c in calls] == [
+        "phone:translate:choose",
+        "phone:translate:param:title",
+        "phone:translate:param:title",
+    ]
     assert result == "No meeting titled 'standup' found."
 
 
@@ -257,23 +259,26 @@ def test_detect_phone_event_paths():
     assert notes == ["phone detection answer unusable; assuming no"]
 
 
-def scene_fixture(model: ScriptedModel):
-    universe = universe_with_phone("Alice")
+def run_scene(model: ScriptedModel, universe: PhoneUniverse | None = None, trigger: str = ""):
+    """Run Alice's phone scene inside an open turn record; returns the
+    universe, Alice, the game master and the finished record."""
+    universe = universe or universe_with_phone("Alice")
     alice = GenerativeAgent("Alice", model)
-    clock = GameClock(T0, step_minutes=1)
-    scene = PhoneScene(owner=alice, universe=universe, clock=clock, model=model)
-    return universe, alice, clock, scene
+    gm = GameMaster(model=model, players=[alice], clock=GameClock(T0, step_minutes=60))
+    record = gm.begin_record("turn", 0, "Alice")
+    try:
+        assert run_phone_scene(gm, universe, "Alice", trigger=trigger) is None
+    finally:
+        gm.finish_record(record)
+    return universe, alice, gm, record
 
 
 def test_phone_scene_done_immediately_means_zero_invocations():
     model = ScriptedModel(rules=[ScriptRule(contains="finished using the phone?", response="yes")])
-    universe, alice, clock, scene = scene_fixture(model)
-    memories = scene.run()
-    assert memories == [
-        "Alice started using the phone.",
-        "Alice finished using the phone.",
-    ]
-    assert clock.current_time == T0  # no action, no child ticks
+    universe, alice, _, record = run_scene(model)
+    assert [c.caller for c in record.model_calls] == ["phone:scene:done"]
+    assert record.notes == ["scene start: phone: Alice", "scene end: phone: Alice"]
+    assert memory_texts(alice.memory) == []
     app = universe.apps["calendar"]
     assert app.meetings == []
 
@@ -287,14 +292,15 @@ def test_phone_scene_single_action_then_done():
             ScriptRule(contains="Which app action", response="calendar.check_calendar"),
         ]
     )
-    universe, alice, clock, scene = scene_fixture(model)
-    memories = scene.run()
-    assert memories == [
-        "Alice started using the phone.",
-        "Phone: The calendar is empty.",
-        "Alice finished using the phone.",
+    _, alice, _, record = run_scene(model)
+    assert [c.caller for c in record.model_calls] == [
+        "phone:scene:done",
+        "agent:Alice:act",
+        "phone:translate:choose",
+        "phone:scene:done",
     ]
-    assert clock.current_time == datetime(2024, 5, 1, 9, 1)
+    assert record.model_calls[0].prompt.startswith("Alice is using the phone. Activity so far:\n(nothing yet)\n")
+    assert "Alice: check my calendar\nPhone: The calendar is empty.\n" in record.model_calls[-1].prompt
     assert "The calendar is empty." in memory_texts(alice.memory)
     assert "check my calendar" in memory_texts(alice.memory)
 
@@ -307,10 +313,14 @@ def test_phone_scene_untranslatable_action_ends_scene():
         ],
         default_response="nonsense",
     )
-    _, alice, _, scene = scene_fixture(model)
-    memories = scene.run()
-    assert memories[-1] == "The phone has no suitable app for that."
-    assert "The phone has no suitable app for that." in memory_texts(alice.memory)
+    _, alice, _, record = run_scene(model)
+    assert record.notes == [
+        "scene start: phone: Alice",
+        "phone scene: no suitable app",
+        "scene end: phone: Alice",
+    ]
+    assert memory_texts(alice.memory)[-1] == "The phone has no suitable app for that."
+    assert [c.caller for c in record.model_calls].count("phone:scene:done") == 1
 
 
 def test_phone_scene_hits_step_cap():
@@ -321,24 +331,24 @@ def test_phone_scene_hits_step_cap():
             ScriptRule(contains="Which app action", response="calendar.check_calendar"),
         ]
     )
-    universe, alice, clock, scene = scene_fixture(model)
+    universe = universe_with_phone("Alice")
     universe.max_actions = 3
-    memories = scene.run()
-    assert memories[-1] == "The phone scene reached its step cap."
-    assert memories.count("Phone: The calendar is empty.") == 3
-    assert clock.current_time == datetime(2024, 5, 1, 9, 3)
+    _, alice, _, record = run_scene(model, universe)
+    assert record.notes[-2:] == ["phone scene: step cap reached", "scene end: phone: Alice"]
+    results = [r for r in alice.memory.retrieve_recent(len(alice.memory)) if r.text == "The calendar is empty."]
+    # The scene's own clock ticks one minute after each invocation.
+    assert [r.timestamp for r in results] == [datetime(2024, 5, 1, 9, minute) for minute in range(3)]
 
 
 def test_phone_scene_requires_a_phone():
-    universe = PhoneUniverse()
     model = ScriptedModel()
-    with pytest.raises(ConfigError):
-        PhoneScene(
-            owner=GenerativeAgent("Alice", model),
-            universe=universe,
-            clock=GameClock(T0),
-            model=model,
-        )
+    gm = GameMaster(model=model, players=[GenerativeAgent("Alice", model)], clock=GameClock(T0))
+    record = gm.begin_record("turn", 0, "Alice")
+    with pytest.raises(ConfigError, match="has no phone"):
+        run_phone_scene(gm, PhoneUniverse(), "Alice")
+    # The scene was refused before any marker was written or time charged.
+    assert record.notes == [] and record.model_calls == []
+    assert gm.clock.current_time == T0
 
 
 def test_run_phone_scene_brackets_and_charges_parent_clock():
@@ -353,15 +363,11 @@ def test_run_phone_scene_brackets_and_charges_parent_clock():
     )
     universe = PhoneUniverse(apps=[CalendarApp()], scene_minutes=20)
     universe.give_phone("Alice", ["calendar"])
-    alice = GenerativeAgent("Alice", model)
-    gm = GameMaster(model=model, players=[alice], clock=GameClock(T0, step_minutes=60))
-    gm.notification_hub = universe.hub
-    memories = run_phone_scene(gm, universe, "Alice", trigger="Alice pulled out her phone.")
-    assert memories[0] == "Alice started using the phone."
-    texts = memory_texts(gm.memory)
-    assert texts[0] == "[scene start: phone: Alice]"
-    assert texts[-1] == "[scene end: phone: Alice]"
-    assert "Phone: The calendar is empty." in texts
+    _, alice, gm, record = run_scene(model, universe, trigger="Alice pulled out her phone.")
+    assert record.notes[0] == "scene start: phone: Alice"
+    assert record.notes[-1] == "scene end: phone: Alice"
+    assert "Activity so far:\nTrigger: Alice pulled out her phone.\n" in record.model_calls[0].prompt
+    assert "The calendar is empty." in memory_texts(alice.memory)
     assert gm.clock.current_time == datetime(2024, 5, 1, 9, 20)
     assert gm.clock.step_index == 0
 
@@ -393,11 +399,12 @@ def test_scene_trigger_fires_only_for_phone_events_by_phone_owners():
         components=[SceneTrigger(universe)],
     )
     gm.notification_hub = universe.hub
-    gm.run_episode(max_steps=1)
-    texts = memory_texts(gm.memory)
-    assert "[scene start: phone: Alice]" in texts
-    assert "Alice started using the phone." in texts
-    assert not any("phone: Bob" in t for t in texts)
+    result = gm.run_episode(max_steps=1)
+    by_actor = {record.actor: record for record in result.trace}
+    assert by_actor["Alice"].notes == ["scene start: phone: Alice", "scene end: phone: Alice"]
+    assert "phone:scene:done" in [c.caller for c in by_actor["Alice"].model_calls]
+    assert by_actor["Bob"].notes == []
+    assert "phone:scene:done" not in [c.caller for c in by_actor["Bob"].model_calls]
 
 
 CAPPED_SCENE = [
@@ -470,7 +477,7 @@ def test_scene_trigger_repairs_an_unusable_detect_answer_as_it_is_applied():
     detects = [c for c in result.trace[0].model_calls if c.caller == "phone:detect"]
     assert [c.response for c in detects] == ["perhaps", "yes"]
     assert detects[1].prompt == detects[0].prompt + "\n" + _CHOICE_REPAIR
-    assert "[scene start: phone: Alice]" in memory_texts(gm.memory)
+    assert "scene start: phone: Alice" in result.trace[0].notes
 
 
 def test_scene_trigger_skips_actor_without_phone():
@@ -493,8 +500,9 @@ def test_scene_trigger_skips_actor_without_phone():
     )
     gm.notification_hub = universe.hub
     result = gm.run_episode(max_steps=1)
-    assert any("has no phone; scene skipped" in n for n in result.trace[0].notes)
-    assert memory_texts(gm.memory) == ["Bob fiddled with his phone."]
+    assert result.trace[0].event == "Bob fiddled with his phone."
+    assert result.trace[0].notes == ["Bob has no phone; scene skipped"]
+    assert "phone:scene:done" not in [c.caller for c in result.trace[0].model_calls]
 
 
 def test_app_state_is_shared_across_scenes_and_phones():
