@@ -121,6 +121,33 @@ class Embedder(Protocol):
     def embed(self, text: str) -> tuple[float, ...]: ...
 
 
+# Sums of squares whose coordinate tables stay memoized.  A text of t
+# tokens has a sum of squares of at most t * t, so short texts share a few
+# tables.
+NORM_TABLES = 256
+
+
+class _Coordinates(dict):
+    """``count / sqrt(squares)`` by int ``count``, for one int sum of squares,
+    each computed on first use.  Vectors of equal sum of squares share the
+    float objects, so a bank of 10k vectors holds few distinct floats."""
+
+    __slots__ = ("norm",)
+
+    def __init__(self, squares: int):
+        super().__init__()
+        self.norm = math.sqrt(squares)
+
+    def __missing__(self, count: int) -> float:
+        value = self[count] = count / self.norm
+        return value
+
+
+@lru_cache(maxsize=NORM_TABLES)
+def _coordinates(squares: int) -> _Coordinates:
+    return _Coordinates(squares)
+
+
 @lru_cache(maxsize=EMBED_CACHE_TEXTS)
 def _hash_embed(dimension: int, seed: int, text: str) -> tuple[float, ...]:
     """The HashEmbedder vector of ``text``, computed once per distinct
@@ -134,8 +161,7 @@ def _hash_embed(dimension: int, seed: int, text: str) -> tuple[float, ...]:
     squares = sum(count * count for count in counts)
     if not squares:
         return (1.0,) + (0.0,) * (dimension - 1)
-    norm = math.sqrt(squares)
-    embedding = tuple(count / norm for count in counts)
+    embedding = tuple(map(_coordinates(squares).__getitem__, counts))
     _check_unit_norm(embedding)
     return embedding
 
@@ -242,7 +268,7 @@ class _CachedQuery:
         self.seen = 0  # the bank's size when the ceilings were last extended
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryRecord:
     text: str
     timestamp: datetime

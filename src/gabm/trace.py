@@ -11,6 +11,13 @@ once: the header line splices the config's canonical text, the same text
 its hash is taken over, after ``{"config":``.  Keys sort, "config" sorts
 first, and a nested object encodes the same alone as inside its parent, so
 the spliced line is byte-equal to ``canonical_json(header.to_dict())``.
+
+``read_trace`` builds every record and is what ``audit`` reads.  Replay
+needs less: it reads the header, the record lines and each line's model
+calls, feeds the calls back, and compares lines.  Only when that is not OK
+does it read the trace with ``read_trace(path, strict=True)``, so its
+errors and their precedence are those of a replay that builds every record
+first.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import config as config_mod
 from .errors import ConfigValidationError, SimulationError
@@ -103,32 +110,38 @@ class ReadTrace:
     lines: list[str] = field(default_factory=list)
 
 
+def _trace_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a trace file that is not blank;
+    line 1, if not blank, is the header."""
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if line.strip():
+                yield line_no, line
+
+
 def read_trace(path: str | Path, strict: bool = False) -> ReadTrace:
     """Read a trace file; corrupt lines are reported, not fatal, unless strict."""
     header: TraceHeader | None = None
     records: list[TraceRecord] = []
     errors: list[tuple[int, str]] = []
     lines: list[str] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line_no == 1:
-                try:
-                    header = TraceHeader.from_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    if strict:
-                        raise SimulationError(f"bad trace header: {exc}") from exc
-                    errors.append((line_no, f"bad header: {exc}"))
-                continue
+    for line_no, line in _trace_lines(path):
+        if line_no == 1:
             try:
-                records.append(TraceRecord.from_json_line(line))
-                lines.append(line)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                header = TraceHeader.from_dict(json.loads(line))
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 if strict:
-                    raise SimulationError(f"bad trace record on line {line_no}: {exc}") from exc
-                errors.append((line_no, str(exc)))
+                    raise SimulationError(f"bad trace header: {exc}") from exc
+                errors.append((line_no, f"bad header: {exc}"))
+            continue
+        try:
+            records.append(TraceRecord.from_json_line(line))
+            lines.append(line)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            if strict:
+                raise SimulationError(f"bad trace record on line {line_no}: {exc}") from exc
+            errors.append((line_no, str(exc)))
     return ReadTrace(header=header, records=records, errors=errors, lines=lines)
 
 
@@ -267,14 +280,26 @@ class ReplayReport:
     detail: str = ""
 
 
-def replay(path: str | Path) -> ReplayReport:
-    """Re-run a recorded scenario feeding back its model calls.
+def _read_for_replay(path: str | Path) -> tuple[TraceHeader | None, list[str], list[ModelCall]]:
+    """The header, the record lines and their model calls, without
+    building the records."""
+    header: TraceHeader | None = None
+    lines: list[str] = []
+    calls: list[ModelCall] = []
+    for line_no, line in _trace_lines(path):
+        if line_no == 1:
+            header = TraceHeader.from_dict(json.loads(line))
+            continue
+        calls.extend(map(ModelCall.from_dict, json.loads(line)["model_calls"]))
+        lines.append(line)
+    return header, lines, calls
 
-    The verdict is OK only when the regenerated trace matches the recorded
-    one byte for byte; the first differing record is reported otherwise.
-    """
-    recorded = read_trace(path, strict=True)
-    header = recorded.header
+
+def _rerun(
+    path: str | Path, header: TraceHeader | None, calls: list[ModelCall]
+) -> ReplayReport | list[str]:
+    """The record lines a run of ``header``'s scenario regenerates from
+    ``calls``, or the report of why it cannot run."""
     if header is None:
         return ReplayReport(ok=False, records_checked=0, detail="trace has no header")
     # Another engine version may embed, retrieve or record differently, so
@@ -307,16 +332,39 @@ def replay(path: str | Path) -> ReplayReport:
         return ReplayReport(
             ok=False, records_checked=0, detail="config hash mismatch in header"
         )
-    calls: list[ModelCall] = []
-    for record in recorded.records:
-        calls.extend(record.model_calls)
     model = ReplayModel(calls)
     built = config_mod.build(
         cfg, model=model, seed_override=header.seed, max_steps_override=header.max_steps
     )
     sink_records: list[TraceRecord] = []
     run_built_scenario(built, out=None, on_record=sink_records.append)
-    regenerated = [record.to_json_line() for record in sink_records]
+    return [record.to_json_line() for record in sink_records]
+
+
+def replay(path: str | Path) -> ReplayReport:
+    """Re-run a recorded scenario feeding back its model calls.
+
+    The verdict is OK only when the regenerated trace matches the recorded
+    one byte for byte; the first differing record is reported otherwise.
+
+    Replay reads only the header, the record lines and their model calls.
+    A recorded line equal to its regenerated line is the canonical encoding
+    of a record the engine made, which ``read_trace`` reads back, so the OK
+    verdict needs no other check.  Any other outcome re-reads the trace with
+    ``read_trace(path, strict=True)`` first, so a malformed line is reported
+    ahead of anything else, as when every record is built before the run.
+    """
+    try:
+        header, lines, calls = _read_for_replay(path)
+        regenerated = _rerun(path, header, calls)
+    except Exception:
+        read_trace(path, strict=True)
+        raise
+    if regenerated == lines:
+        return ReplayReport(ok=True, records_checked=len(lines))
+    recorded = read_trace(path, strict=True)
+    if isinstance(regenerated, ReplayReport):
+        return regenerated
     for i, (old, new) in enumerate(zip(recorded.lines, regenerated)):
         if old != new:
             return ReplayReport(
@@ -325,16 +373,14 @@ def replay(path: str | Path) -> ReplayReport:
                 divergence_step=recorded.records[i].step,
                 detail=f"record {i} differs",
             )
-    if len(recorded.lines) != len(regenerated):
-        shorter = min(len(recorded.lines), len(regenerated))
-        step = recorded.records[shorter - 1].step if recorded.records[:shorter] else 0
-        return ReplayReport(
-            ok=False,
-            records_checked=shorter,
-            divergence_step=step,
-            detail=(
-                f"length mismatch: recorded {len(recorded.lines)} records, "
-                f"regenerated {len(regenerated)}"
-            ),
-        )
-    return ReplayReport(ok=True, records_checked=len(regenerated))
+    shorter = min(len(recorded.lines), len(regenerated))
+    step = recorded.records[shorter - 1].step if recorded.records[:shorter] else 0
+    return ReplayReport(
+        ok=False,
+        records_checked=shorter,
+        divergence_step=step,
+        detail=(
+            f"length mismatch: recorded {len(recorded.lines)} records, "
+            f"regenerated {len(regenerated)}"
+        ),
+    )

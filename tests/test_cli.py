@@ -297,6 +297,19 @@ def test_audit_missing_trace(tmp_path, capsys):
     assert "cannot read trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, prefix", [("audit", "cannot read trace: "), ("replay", "cannot replay: ")]
+)
+def test_a_trace_that_is_not_utf8_is_refused_in_one_line(tmp_path, capsys, command, prefix):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b"\xff\xfe x\n")
+    assert main([command, "--trace", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert captured.err == f"{prefix}{reason}\n"
+
+
 def test_replay_ok(tmp_path, capsys):
     _, out = run_trace(tmp_path)
     capsys.readouterr()

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
-from datetime import datetime, timedelta
+import json
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gabm import kernel
 from gabm.errors import EpisodeAbort, NoMatchingOption, NotANumber
 from gabm.kernel import (
     ActionSpec,
     AgentAction,
+    TIME_CACHE_ENTRIES,
     ClockMode,
     EventStatement,
     GameClock,
@@ -19,6 +22,8 @@ from gabm.kernel import (
     OutputKind,
     TIME_FORMAT,
     TraceRecord,
+    canonical_json,
+    floor_to_minute,
     format_time,
     parse_choice,
     parse_float_token,
@@ -254,3 +259,48 @@ def test_parse_time_accepts_exactly_what_strptime_accepts(text):
             parse_time(text)
     else:
         assert parse_time(text) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(moment=st.datetimes())
+def test_format_time_reads_back_and_agrees_with_strftime(moment):
+    # Every text format_time writes parses back to its minute, so a trace
+    # record the engine writes is one read_trace can read.
+    text = format_time(moment)
+    assert parse_time(text) == floor_to_minute(moment)
+    if moment.year >= 1000:
+        assert text == moment.strftime(TIME_FORMAT)
+
+
+def test_equal_aware_datetimes_in_two_zones_format_their_own_wall_times():
+    utc = datetime(2024, 5, 1, 9, 30, tzinfo=timezone.utc)
+    paris = utc.astimezone(timezone(timedelta(hours=2)))
+    assert utc == paris and hash(utc) == hash(paris)
+    assert format_time(utc) == "2024-05-01T09:30"
+    assert format_time(paris) == "2024-05-01T11:30"
+    assert format_time(utc) == "2024-05-01T09:30"
+    assert format_time(utc.replace(tzinfo=None)) == "2024-05-01T09:30"
+
+
+def test_time_memos_stay_within_their_bound():
+    start = datetime(2024, 5, 1)
+    for minute in range(TIME_CACHE_ENTRIES + 50):
+        moment = start + timedelta(minutes=minute)
+        assert parse_time(format_time(moment)) == moment
+    for memo in (kernel._format_naive, parse_time):
+        assert memo.cache_info().currsize == memo.cache_info().maxsize == TIME_CACHE_ENTRIES
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES)
+def test_canonical_json_is_sorted_compact_raw_utf8_json(value):
+    expected = json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    assert canonical_json(value) == expected

@@ -185,16 +185,21 @@ def test_cosine_of_unit_vectors():
     assert cosine((1.0, 0.0), (1.0, 0.0)) == 1.0
 
 
-def reference_hash_embed(dimension: int, seed: int, text: str) -> tuple[float, ...]:
-    """The token spec, one step at a time: each lower-case \\w+ token adds
-    +1 or -1 to one coordinate, from its crc32 started at the seed; the
-    counts are divided by the root of their integer sum of squares."""
+def reference_counts(dimension: int, seed: int, text: str) -> list[int]:
     tokens = re.findall(r"\w+", text.lower())
     counts = [0] * dimension
     for token in tokens:
         crc = zlib.crc32(token.encode("utf-8"), seed)
         sign = -1 if crc >= 2**31 else 1
         counts[crc % dimension] += sign
+    return counts
+
+
+def reference_hash_embed(dimension: int, seed: int, text: str) -> tuple[float, ...]:
+    """The token spec, one step at a time: each lower-case \\w+ token adds
+    +1 or -1 to one coordinate, from its crc32 started at the seed; the
+    counts are divided by the root of their integer sum of squares."""
+    counts = reference_counts(dimension, seed, text)
     squares = sum(count**2 for count in counts)
     if squares == 0:
         return tuple(1.0 if i == 0 else 0.0 for i in range(dimension))
@@ -284,6 +289,29 @@ def test_memoized_vectors_match_reference_through_repeats_and_eviction(texts, re
     misses = memory._hash_embed.cache_info().misses
     assert [embedder.embed(text) for text in order] == expected
     assert memory._hash_embed.cache_info().misses - misses == len(set(order))
+
+
+def test_vectors_of_equal_sum_of_squares_share_their_floats():
+    memory._hash_embed.cache_clear()
+    memory._coordinates.cache_clear()
+    embedder = HashEmbedder()
+    shared: dict[tuple[int, int], float] = {}
+    seen: dict[int, set[int]] = {}
+    # Short texts, then a token repeated 1..NORM_TABLES + 20 times: more
+    # sums of squares than the tables the memo keeps.
+    texts = [f"the ledger of day {i} at the mill" for i in range(300)]
+    texts += ["bell " * n for n in range(1, memory.NORM_TABLES + 21)]
+    for text in texts:
+        counts = reference_counts(16, 0, text)
+        squares = sum(count * count for count in counts)
+        vector = embedder.embed(text)
+        assert vector == reference_hash_embed(16, 0, text)
+        for count, x in zip(counts, vector):
+            assert shared.setdefault((squares, count), x) is x
+        # A table holds only the counts of the vectors made from it.
+        seen.setdefault(squares, set()).update(counts)
+        assert set(memory._coordinates(squares)) <= seen[squares]
+    assert memory._coordinates.cache_info().currsize == memory.NORM_TABLES
 
 
 def test_threads_embedding_the_same_texts_get_equal_vectors():

@@ -323,3 +323,178 @@ def test_a_run_whose_model_answers_a_lone_surrogate_goes_on_and_replays(tmp_path
     records = read_trace(out, strict=True).records
     assert records[0].event == "They chatted about beans. \ufffd"
     assert replay(out).ok
+
+
+def test_a_run_before_the_year_1000_writes_four_digit_years_and_replays(tmp_path):
+    # Some C libraries write year 999 as "999", which no timestamp parser
+    # here reads back; every year is zero-padded instead.
+    raw = json.loads(json.dumps(CONFIG))
+    raw["clock"]["start"] = "0999-12-31T23:00"
+    (tmp_path / "script.json").write_text(json.dumps(SCRIPT), encoding="utf-8")
+    out = tmp_path / "trace.jsonl"
+    with open(out, "w", encoding="utf-8") as handle:
+        run_built_scenario(build(config_from_dict(raw, base_dir=tmp_path)), out=handle)
+    records = read_trace(out, strict=True).records
+    assert json.loads(out.read_text(encoding="utf-8").splitlines()[1])["time"] == "0999-12-31T23:00"
+    assert records[-1].timestamp == datetime(1000, 1, 1, 0, 0)
+    assert replay(out) == trace_mod.ReplayReport(ok=True, records_checked=6)
+
+
+# ---- replay equivalence ------------------------------------------------------
+#
+# Replay reads only the header, the record lines and their model calls, and
+# re-reads the trace strictly for any outcome but OK.  Each case below edits
+# the lines of the magic_beans fixture trace (a header and 6 records, steps
+# 0 0 0 1 1 1) in place; the expected outcome is the report or exception of
+# the replay that built every record before it ran, pinned from it.
+
+MAGIC_BEANS = SCENARIOS / "magic_beans.json"
+
+
+def _record(index: int, change):
+    """Apply ``change`` to the parsed line ``index`` (0 is the header)."""
+
+    def edit(lines: list[str]) -> None:
+        record = json.loads(lines[index])
+        change(record)
+        lines[index] = canonical_json(record)
+
+    return edit
+
+
+def _set(key, value):
+    return lambda record: record.update({key: value})
+
+
+def _both(*edits):
+    return lambda lines: [edit(lines) for edit in edits]
+
+
+def _response(index: int, value):
+    return _record(index, lambda r: r["model_calls"][0].update(response=value))
+
+
+def _wrong(line: int, field: str, value, kind: str = "str") -> str:
+    return f"SimulationError: bad trace record on line {line}: {field} must be {kind}, got {value!r}"
+
+
+STALE_HASH = _record(0, lambda h: h["config"].update(seed=999))
+OLD_ENGINE = _record(0, _set("engine_version", "0.1.0"))
+BAD_SEED = _record(0, _set("seed", -1))
+DIFFERS = (False, 1, 0, "record 1 differs")
+
+REPLAY_CASES = {
+    "unchanged": (lambda lines: None, (True, 6, None, "")),
+    "retype step": (_record(1, _set("step", "x")), _wrong(2, "step", "x", "int")),
+    "retype turn": (_record(1, _set("turn", True)), _wrong(2, "turn", True, "int")),
+    "retype event": (_record(1, _set("event", 7)), _wrong(2, "event", 7)),
+    "retype response": (_response(1, 5), _wrong(2, "response", 5)),
+    "retype prompts": (
+        _record(1, _set("prompts", [1])),
+        "SimulationError: bad trace record on line 2: prompts must be a list of strings, got [1]",
+    ),
+    "retype notes": (
+        _record(1, _set("notes", "n")),
+        "SimulationError: bad trace record on line 2: notes must be a list of strings, got 'n'",
+    ),
+    "retype observation": (
+        _record(1, lambda r: r["observations"][0].update(text=7)),
+        _wrong(2, "observation text", 7),
+    ),
+    "retype action": (_record(1, lambda r: r["action"].update(text=7)), _wrong(2, "action text", 7)),
+    "retype state": (
+        _record(1, lambda r: r["agent_states"].update(Alice=7)),
+        "SimulationError: bad trace record on line 2: agent_states must map names to strings, got "
+        "{'Alice': 7, 'goal': 'Bob sells magic beans from his stall.', 'recent observations': ''}",
+    ),
+    "retype a later record": (_response(4, 5), _wrong(5, "response", 5)),
+    "truncated line": (
+        lambda ls: ls.__setitem__(3, ls[3][: len(ls[3]) // 2]),
+        "SimulationError: bad trace record on line 4: "
+        "Unterminated string starting at: line 1 column 1873 (char 1872)",
+    ),
+    "truncated last line": (
+        lambda ls: ls.__setitem__(6, ls[6][:-1]),
+        "SimulationError: bad trace record on line 7: "
+        "Expecting ',' delimiter: line 1 column 3666 (char 3665)",
+    ),
+    "header not JSON": (
+        lambda ls: ls.__setitem__(0, "garbage"),
+        "SimulationError: bad trace header: Expecting value: line 1 column 1 (char 0)",
+    ),
+    "blank line inserted": (lambda ls: ls.insert(3, ""), (True, 6, None, "")),
+    "blank line before the header": (
+        lambda ls: ls.insert(0, ""),
+        "SimulationError: bad trace record on line 2: 'kind'",
+    ),
+    "trailing space": (lambda ls: ls.__setitem__(2, ls[2] + " "), DIFFERS),
+    "CRLF line endings": (
+        lambda ls: ls.__setitem__(slice(None), [line + "\r" for line in ls]),
+        (True, 6, None, ""),
+    ),
+    "unknown field": (_record(2, _set("extra", 1)), DIFFERS),
+    "records swapped": (lambda ls: ls.__setitem__(slice(2, 4), [ls[3], ls[2]]), DIFFERS),
+    "record dropped": (lambda ls: ls.pop(4), (False, 3, 1, "record 3 differs")),
+    "record duplicated": (lambda ls: ls.insert(2, ls[2]), (False, 2, 0, "record 2 differs")),
+    "last record duplicated": (
+        lambda ls: ls.append(ls[6]),
+        (False, 6, 1, "length mismatch: recorded 7 records, regenerated 6"),
+    ),
+    "every record dropped": (
+        lambda ls: ls.__delitem__(slice(1, None)),
+        (False, 0, 0, "length mismatch: recorded 0 records, regenerated 1"),
+    ),
+    "event edited": (
+        _record(3, _set("event", "Somebody rewrote history.")),
+        (False, 2, 0, "record 2 differs"),
+    ),
+    "response edited": (_response(2, "Carol leaves."), DIFFERS),
+    "engine_version": (
+        OLD_ENGINE,
+        (False, 0, None, "header engine_version must be '0.2.0', got '0.1.0'"),
+    ),
+    "config hash": (STALE_HASH, (False, 0, None, "config hash mismatch in header")),
+    "header seed": (
+        BAD_SEED,
+        (False, 0, None, "header seed must be an integer in [0, 2^64), got -1"),
+    ),
+}
+# A retyped model call fails the model-call read itself; a retyped step is
+# found only by the strict read, after the header check or the run.
+for retype, edit, error in (
+    ("response", _response(4, 5), _wrong(5, "response", 5)),
+    ("step", _record(4, _set("step", "x")), _wrong(5, "step", "x", "int")),
+):
+    for problem, other in (
+        ("engine_version", OLD_ENGINE),
+        ("config hash", STALE_HASH),
+        ("header seed", BAD_SEED),
+        ("event edited", _record(2, _set("event", "Somebody rewrote history."))),
+    ):
+        REPLAY_CASES[f"retype {retype} and {problem}"] = (_both(edit, other), error)
+
+
+@pytest.fixture(scope="module")
+def magic_beans_lines() -> list[str]:
+    out = io.StringIO()
+    run_built_scenario(build(load_config(MAGIC_BEANS)), out=out)
+    return out.getvalue().splitlines()
+
+
+def replay_outcome(path: Path):
+    """A replay's report fields, or its exception's type and text."""
+    try:
+        report = replay(path)
+    except Exception as exc:  # the exception is the outcome under test
+        return f"{type(exc).__name__}: {exc}"
+    return (report.ok, report.records_checked, report.divergence_step, report.detail)
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES)
+def test_replay_gives_the_outcome_of_a_full_read(tmp_path, magic_beans_lines, case):
+    edit, expected = REPLAY_CASES[case]
+    lines = list(magic_beans_lines)
+    edit(lines)
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    assert replay_outcome(path) == expected
