@@ -179,7 +179,6 @@ class GenerativeAgent:
             if component.name in seen:
                 raise ValueError(f"duplicate component name {component.name!r}")
             seen.add(component.name)
-        self.last_prompt = ""
         self._update_passes = 0
 
     def preamble_text(self) -> str:
@@ -245,7 +244,6 @@ class GenerativeAgent:
     def act(self, spec: ActionSpec, now: datetime) -> AgentAction:
         """Sample one action at time ``now``; the action is memorized at that time."""
         prompt = self.context_of_action(spec, now)
-        self.last_prompt = prompt
         caller = f"agent:{self.name}:act"
         if spec.output_kind is OutputKind.CHOICE:
             _, text = self.model.sample_choice(

@@ -127,7 +127,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
     try:
         read = trace_mod.read_trace(args.trace)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     for line_no, message in read.errors:
@@ -154,7 +154,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         report = trace_mod.replay(args.trace)
-    except (SimulationError, OSError, UnicodeDecodeError) as exc:
+    except (SimulationError, OSError) as exc:
         print(f"cannot replay: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if report.ok:

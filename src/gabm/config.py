@@ -72,7 +72,7 @@ from .kernel import (
 from .model import EchoModel, GenerativeModel, HttpModel, ScriptedModel
 from .phone import CalendarApp, PhoneUniverse, SceneTrigger
 
-ENGINE_VERSION = "0.2.0"
+ENGINE_VERSION = "0.3.0"
 
 MODEL_KINDS = {"scripted": ScriptedModel, "echo": EchoModel, "http": HttpModel}
 CLOCK_MODES = {"round": ClockMode.ADVANCE_PER_ROUND, "player": ClockMode.ADVANCE_PER_PLAYER}

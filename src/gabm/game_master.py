@@ -375,7 +375,6 @@ class GameMaster:
             self.pre_act_observe(player)
             record.agent_states = player.component_states()
             action = player.act(self.action_spec, self.clock.current_time)
-            record.prompts.append(player.last_prompt)
             record.action = action
             self.update_from_player(action)
             player.update_components()

@@ -290,7 +290,6 @@ def administer_questionnaire(
             except (InvalidModelOutput, NoMatchingOption):
                 answer = "no-response"
                 record.notes.append(f"{questionnaire.name}: no usable answer")
-            record.prompts.append(player.last_prompt)
             record.agent_states = player.component_states()
         finally:
             gm.finish_record(record)

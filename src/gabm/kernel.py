@@ -260,20 +260,40 @@ class Observation:
         if not self.text:
             raise ValueError("observation text must be non-empty")
 
-    def to_dict(self) -> dict:
-        return {
-            "recipient": self.recipient,
-            "text": self.text,
-            "time": format_time(self.timestamp),
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Observation":
-        return cls(
-            recipient=_typed(data["recipient"], str, "observation recipient"),
-            text=_typed(data["text"], str, "observation text"),
-            timestamp=parse_time(data["time"]),
+def _observation_groups(observations: list[Observation]) -> list[dict]:
+    """``observations`` as runs of equal text and time, each written once
+    with the recipients of the run in delivery order.
+
+    Two times are one when they are equal in the same zone: equal aware
+    datetimes in two zones have different wall times, so different texts.
+    """
+    groups: list[dict] = []
+    recipients: list[str] = []
+    text = moment = None
+    for observation in observations:
+        when = observation.timestamp
+        if observation.text != text or when != moment or when.tzinfo is not moment.tzinfo:
+            text, moment = observation.text, when
+            recipients = []
+            groups.append({"recipients": recipients, "text": text, "time": format_time(when)})
+        recipients.append(observation.recipient)
+    return groups
+
+
+def _observations(groups) -> list[Observation]:
+    """The observations that ``_observation_groups`` wrote as ``groups``, in order."""
+    observations = []
+    for group in groups:
+        recipients = group["recipients"]
+        if not recipients or not isinstance(recipients, list):
+            raise ValueError(f"observation recipients must be a non-empty list, got {recipients!r}")
+        text = _typed(group["text"], str, "observation text")
+        moment = parse_time(group["time"])
+        observations.extend(
+            Observation(_typed(r, str, "observation recipient"), text, moment) for r in recipients
         )
+    return observations
 
 
 @dataclass(frozen=True)
@@ -310,6 +330,13 @@ class TraceRecord:
     ``kind`` is "turn" for ordinary acting turns and "questionnaire" for
     off-clock survey answers.  ``notes`` carries audit annotations (scene
     markers, extraction warnings) that are not observations or events.
+    The act prompt is the prompt of the record's ``agent:<actor>:act`` call.
+
+    On a trace line each run of observations with equal text and time is
+    one group, ``{"recipients": [...], "text": ..., "time": ...}``: a crowd
+    event that reaches 24 agents is written once, not 24 times.  Decoding
+    expands the groups in order, so ``observations`` reads back element for
+    element as the game master emitted it.
     """
 
     kind: str
@@ -319,7 +346,6 @@ class TraceRecord:
     actor: str
     agent_states: dict[str, str] = field(default_factory=dict)
     gm_states: dict[str, str] = field(default_factory=dict)
-    prompts: list[str] = field(default_factory=list)
     action: AgentAction | None = None
     event: str = ""
     observations: list[Observation] = field(default_factory=list)
@@ -335,10 +361,9 @@ class TraceRecord:
             "actor": self.actor,
             "agent_states": dict(self.agent_states),
             "gm_states": dict(self.gm_states),
-            "prompts": list(self.prompts),
             "action": self.action.to_dict() if self.action else None,
             "event": self.event,
-            "observations": [o.to_dict() for o in self.observations],
+            "observations": _observation_groups(self.observations),
             "model_calls": [c.to_dict() for c in self.model_calls],
             "notes": list(self.notes),
         }
@@ -353,20 +378,15 @@ class TraceRecord:
             actor=_typed(data["actor"], str, "actor"),
             agent_states=_text_map(data["agent_states"], "agent_states"),
             gm_states=_text_map(data["gm_states"], "gm_states"),
-            prompts=_texts(data["prompts"], "prompts"),
             action=AgentAction.from_dict(data["action"]) if data.get("action") else None,
             event=_typed(data.get("event", ""), str, "event"),
-            observations=[Observation.from_dict(o) for o in data["observations"]],
+            observations=_observations(data["observations"]),
             model_calls=[ModelCall.from_dict(c) for c in data["model_calls"]],
             notes=_texts(data.get("notes", []), "notes"),
         )
 
     def to_json_line(self) -> str:
         return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "TraceRecord":
-        return cls.from_dict(json.loads(line))
 
 
 # One encoder for every call: ``encode`` keeps no state between calls.

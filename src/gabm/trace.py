@@ -4,7 +4,10 @@ A trace is line-delimited JSON.  The first line is a header carrying the
 resolved config, its hash, the engine version, and the effective seed and
 step budget; every following line is one trace record.  All lines are
 canonical JSON (sorted keys, compact separators), which is what makes
-byte-for-byte comparison meaningful.
+byte-for-byte comparison meaningful.  A record line writes each run of
+observations shared by several recipients once, and its act prompt only
+in its model calls (see ``TraceRecord``).  Each line is decoded on its own,
+so a line that is not UTF-8 is one corrupt line, like one that is not JSON.
 
 A config can run to megabytes of initial memories, so a run encodes it
 once: the header line splices the config's canonical text, the same text
@@ -31,7 +34,7 @@ from . import config as config_mod
 from .errors import ConfigValidationError, SimulationError
 from .game_master import EpisodeResult
 from .grounding import administer_questionnaire
-from .kernel import ModelCall, TraceRecord, canonical_json, format_time
+from .kernel import ModelCall, TraceRecord, canonical_json, format_time, writable
 from .model import ReplayModel
 
 
@@ -112,16 +115,32 @@ class ReadTrace:
 
 def _trace_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, line) for each line of a trace file that is not blank;
-    line 1, if not blank, is the header."""
-    with open(path, encoding="utf-8") as handle:
+    line 1, if not blank, is the header.
+
+    Each byte that is not UTF-8 is read as a lone surrogate (the
+    "surrogateescape" handler), so one bad line hides no other line;
+    ``_load`` turns such a line back into its decoding error.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if line.strip():
                 yield line_no, line
 
 
+def _load(line: str):
+    """The JSON value of a line from ``_trace_lines``; UnicodeDecodeError if
+    the line's bytes were not UTF-8."""
+    if not writable(line):
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    return json.loads(line)
+
+
 def read_trace(path: str | Path, strict: bool = False) -> ReadTrace:
-    """Read a trace file; corrupt lines are reported, not fatal, unless strict."""
+    """Read a trace file; corrupt lines are reported, not fatal, unless strict.
+
+    A line that is not UTF-8 is a corrupt line, as is one that is not JSON.
+    """
     header: TraceHeader | None = None
     records: list[TraceRecord] = []
     errors: list[tuple[int, str]] = []
@@ -129,14 +148,14 @@ def read_trace(path: str | Path, strict: bool = False) -> ReadTrace:
     for line_no, line in _trace_lines(path):
         if line_no == 1:
             try:
-                header = TraceHeader.from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                header = TraceHeader.from_dict(_load(line))
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
                 if strict:
                     raise SimulationError(f"bad trace header: {exc}") from exc
                 errors.append((line_no, f"bad header: {exc}"))
             continue
         try:
-            records.append(TraceRecord.from_json_line(line))
+            records.append(TraceRecord.from_dict(_load(line)))
             lines.append(line)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             if strict:
@@ -218,11 +237,12 @@ def filter_records(
         if step_range is not None and not (step_range[0] <= record.step <= step_range[1]):
             continue
         if search is not None:
+            act = f"agent:{record.actor}:act"
             haystack = "\n".join(
                 [
                     record.event,
                     record.action.text if record.action else "",
-                    *record.prompts,
+                    *[c.prompt for c in record.model_calls if c.caller == act],
                     *[o.text for o in record.observations],
                     *record.notes,
                 ]
@@ -288,9 +308,9 @@ def _read_for_replay(path: str | Path) -> tuple[TraceHeader | None, list[str], l
     calls: list[ModelCall] = []
     for line_no, line in _trace_lines(path):
         if line_no == 1:
-            header = TraceHeader.from_dict(json.loads(line))
+            header = TraceHeader.from_dict(_load(line))
             continue
-        calls.extend(map(ModelCall.from_dict, json.loads(line)["model_calls"]))
+        calls.extend(map(ModelCall.from_dict, _load(line)["model_calls"]))
         lines.append(line)
     return header, lines, calls
 
@@ -347,12 +367,13 @@ def replay(path: str | Path) -> ReplayReport:
     The verdict is OK only when the regenerated trace matches the recorded
     one byte for byte; the first differing record is reported otherwise.
 
-    Replay reads only the header, the record lines and their model calls.
-    A recorded line equal to its regenerated line is the canonical encoding
-    of a record the engine made, which ``read_trace`` reads back, so the OK
-    verdict needs no other check.  Any other outcome re-reads the trace with
-    ``read_trace(path, strict=True)`` first, so a malformed line is reported
-    ahead of anything else, as when every record is built before the run.
+    Replay reads only the header, the record lines and their model calls;
+    a line that is not UTF-8 stops that read.  A recorded line equal to its
+    regenerated line is the canonical encoding of a record the engine made,
+    which ``read_trace`` reads back, so the OK verdict needs no other check.
+    Any other outcome re-reads the trace with ``read_trace(path,
+    strict=True)`` first, so a malformed line is reported ahead of anything
+    else, as when every record is built before the run.
     """
     try:
         header, lines, calls = _read_for_replay(path)

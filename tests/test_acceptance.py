@@ -306,7 +306,7 @@ def test_criterion_6_calendar_end_to_end():
 # --- 7. agent sampling contract -----------------------------------------------------
 
 
-def test_criterion_7_sampling_contract():
+def test_criterion_7_sampling_contract(calls):
     spec = ActionSpec("What would {name} do next? It is {time}.")
     moment = parse_time("2024-05-01T09:00")
 
@@ -323,14 +323,15 @@ def test_criterion_7_sampling_contract():
     )
     forward.act(spec, moment)
     backward.act(spec, moment)
-    assert "goal: win\nmood: calm\nplan: sail" in forward.last_prompt
-    assert "plan: sail\ngoal: win\nmood: calm" in backward.last_prompt
-    assert sorted(forward.last_prompt.splitlines()) == sorted(backward.last_prompt.splitlines())
+    forward_prompt, backward_prompt = [call.prompt for call in calls]
+    assert "goal: win\nmood: calm\nplan: sail" in forward_prompt
+    assert "plan: sail\ngoal: win\nmood: calm" in backward_prompt
+    assert sorted(forward_prompt.splitlines()) == sorted(backward_prompt.splitlines())
 
     # No components: the prompt is exactly preamble plus call to action.
     bare = fresh_agent("Ada")
     bare.act(spec, moment)
-    assert bare.last_prompt == (
+    assert calls[-1].prompt == (
         "Instructions: this is a social simulation. Answer as Ada would.\n"
         "What would Ada do next? It is 2024-05-01T09:00."
     )

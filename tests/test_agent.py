@@ -305,10 +305,12 @@ def test_unknown_component_lookup_raises():
         agent.component("nope")
 
 
-def test_last_prompt_survives_act():
+def test_last_prompt_survives_act(calls):
     agent = make_agent([])
     agent.act(FREE_SPEC, T0)
-    assert agent.last_prompt.endswith("What would Ada do next? It is 2024-05-01T09:00.")
+    [act] = calls
+    assert act.caller == "agent:Ada:act"
+    assert act.prompt.endswith("What would Ada do next? It is 2024-05-01T09:00.")
 
 
 QUESTION_RULES = {

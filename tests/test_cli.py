@@ -251,7 +251,11 @@ def test_audit_skips_a_record_with_wrong_json_types_as_corrupt(tmp_path, capsys,
         pytest.param(lambda r: r.update(step="x"), "step must be int, got 'x'", id="step"),
         pytest.param(lambda r: r.update(turn=True), "turn must be int, got True", id="turn"),
         pytest.param(lambda r: r.update(event=7), "event must be str, got 7", id="event"),
-        pytest.param(lambda r: r.update(prompts=[1]), "prompts must be a list of strings, got [1]", id="prompts"),
+        pytest.param(
+            lambda r: r["observations"][0].update(recipients=[1]),
+            "observation recipient must be str, got 1",
+            id="recipients",
+        ),
         pytest.param(lambda r: r.update(notes="n"), "notes must be a list of strings, got 'n'", id="notes"),
     ],
 )
@@ -297,17 +301,43 @@ def test_audit_missing_trace(tmp_path, capsys):
     assert "cannot read trace" in capsys.readouterr().err
 
 
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
 @pytest.mark.parametrize(
-    "command, prefix", [("audit", "cannot read trace: "), ("replay", "cannot replay: ")]
+    "command, code, out, err",
+    [
+        pytest.param(
+            "audit",
+            0,
+            "\n0 record(s) shown, 1 corrupt line(s) skipped\n",
+            f"line 1: corrupt record (bad header: {NOT_UTF8})\n",
+            id="audit",
+        ),
+        pytest.param("replay", 1, "", f"cannot replay: bad trace header: {NOT_UTF8}\n", id="replay"),
+    ],
 )
-def test_a_trace_that_is_not_utf8_is_refused_in_one_line(tmp_path, capsys, command, prefix):
+def test_a_header_that_is_not_utf8_is_a_bad_header(tmp_path, capsys, command, code, out, err):
     path = tmp_path / "trace.jsonl"
     path.write_bytes(b"\xff\xfe x\n")
-    assert main([command, "--trace", str(path)]) == 1
+    assert main([command, "--trace", str(path)]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_a_line_that_is_not_utf8_hides_no_other_record(tmp_path, capsys):
+    out = tmp_path / "magic_beans.jsonl"
+    config = Path(gabm.__file__).parent / "scenarios" / "magic_beans.json"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    with open(out, "ab") as handle:
+        handle.write(b'{"event":"caf\xc3\n')
+    capsys.readouterr()
+    assert main(["audit", "--trace", str(out)]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
-    assert captured.err == f"{prefix}{reason}\n"
+    assert captured.out.endswith("6 record(s) shown, 1 corrupt line(s) skipped\n")
+    assert captured.err.startswith("line 8: corrupt record ('utf-8' codec can't decode byte 0xc3")
+    assert main(["replay", "--trace", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot replay: bad trace record on line 8: ") and err.count("\n") == 1
 
 
 def test_replay_ok(tmp_path, capsys):
@@ -386,7 +416,7 @@ def test_replay_rejects_a_trace_from_another_engine_version(tmp_path, capsys, ve
     capsys.readouterr()
     assert main(["replay", "--trace", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"replay failed: header engine_version must be '0.2.0', got {version!r}\n"
+        f"replay failed: header engine_version must be '0.3.0', got {version!r}\n"
     )
 
 

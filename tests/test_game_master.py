@@ -184,8 +184,8 @@ def test_record_carries_states_prompts_action_event_and_calls():
     record = result.trace[0]
     assert record.gm_states == {"weather": "raining"}
     assert record.action is not None and record.action.text == "opened an umbrella"
-    assert record.prompts == [player.last_prompt]
     assert record.event == "opened an umbrella"
+    assert record.model_calls[0].prompt == player.context_of_action(gm.action_spec, record.timestamp)
     callers = [c.caller for c in record.model_calls]
     assert callers == [
         "agent:Alice:act",

@@ -184,7 +184,6 @@ def _sample_record() -> TraceRecord:
         actor="Ana",
         agent_states={"goal": "find café ☕", "plan": "wait"},
         gm_states={"inventory": "Ana has 1.50 coin."},
-        prompts=["Instructions: …\ngoal: find café ☕\nchoose"],
         action=action,
         event="Ana left the café.",
         observations=[Observation("Bo", "Ana left.", datetime(2024, 5, 1, 8, 0))],
@@ -196,7 +195,7 @@ def _sample_record() -> TraceRecord:
 def test_trace_record_round_trip_is_byte_exact():
     record = _sample_record()
     line = record.to_json_line()
-    again = TraceRecord.from_json_line(line)
+    again = TraceRecord.from_dict(json.loads(line))
     assert again.to_json_line() == line
     assert again == record
 
@@ -206,12 +205,98 @@ def test_trace_record_round_trips_empty_fields():
         kind="turn", step=0, turn=0, timestamp=datetime(2024, 1, 1, 0, 0), actor="A"
     )
     line = record.to_json_line()
-    assert TraceRecord.from_json_line(line).to_json_line() == line
+    assert TraceRecord.from_dict(json.loads(line)).to_json_line() == line
+
+
+T1 = datetime(2024, 5, 1, 8, 0)
+T2 = datetime(2024, 5, 1, 8, 15)
+# Observation lists, each as (recipient, text, time), and the groups that
+# encode them: a run of equal text and time is written once.
+OBSERVATION_GROUPS = {
+    "none": ([], []),
+    "one event to three": (
+        [("A", "rain", T1), ("B", "rain", T1), ("C", "rain", T1), ("A", "sun", T1)],
+        [(["A", "B", "C"], "rain", T1), (["A"], "sun", T1)],
+    ),
+    "interleaved deliveries": (
+        [("A", "x", T1), ("B", "x", T2), ("A", "x", T2), ("B", "x", T1)],
+        [(["A"], "x", T1), (["B", "A"], "x", T2), (["B"], "x", T1)],
+    ),
+    "equal text at two times": (
+        [("A", "bell", T1), ("B", "bell", T1), ("A", "bell", T2)],
+        [(["A", "B"], "bell", T1), (["A"], "bell", T2)],
+    ),
+    "one recipient twice": (
+        [("A", "knock", T1), ("A", "knock", T1)],
+        [(["A", "A"], "knock", T1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OBSERVATION_GROUPS)
+def test_observation_groups_round_trip_in_delivery_order(case):
+    observed, groups = OBSERVATION_GROUPS[case]
+    record = TraceRecord(
+        kind="turn",
+        step=0,
+        turn=0,
+        timestamp=T1,
+        actor="A",
+        observations=[Observation(*fields) for fields in observed],
+    )
+    data = json.loads(record.to_json_line())
+    assert data["observations"] == [
+        {"recipients": recipients, "text": text, "time": format_time(moment)}
+        for recipients, text, moment in groups
+    ]
+    assert TraceRecord.from_dict(data) == record
+
+
+def test_observations_at_one_instant_in_two_zones_are_two_groups():
+    utc = datetime(2024, 5, 1, 9, 30, tzinfo=timezone.utc)
+    paris = utc.astimezone(timezone(timedelta(hours=2)))
+    record = TraceRecord(
+        kind="turn",
+        step=0,
+        turn=0,
+        timestamp=utc,
+        actor="A",
+        observations=[Observation("A", "bell", utc), Observation("B", "bell", paris)],
+    )
+    groups = record.to_dict()["observations"]
+    assert [(g["recipients"], g["time"]) for g in groups] == [
+        (["A"], "2024-05-01T09:30"),
+        (["B"], "2024-05-01T11:30"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "recipients, message",
+    [
+        ([], "observation recipients must be a non-empty list, got []"),
+        ("Bo", "observation recipients must be a non-empty list, got 'Bo'"),
+        ({"Bo": 1}, "observation recipients must be a non-empty list, got {'Bo': 1}"),
+        (["Bo", 7], "observation recipient must be str, got 7"),
+        (["Bo", None], "observation recipient must be str, got None"),
+    ],
+)
+def test_an_observation_group_needs_a_non_empty_list_of_recipient_names(recipients, message):
+    data = _sample_record().to_dict()
+    data["observations"][0]["recipients"] = recipients
+    with pytest.raises(ValueError) as raised:
+        TraceRecord.from_dict(data)
+    assert str(raised.value) == message
+
+
+def test_a_record_has_no_copy_of_its_act_prompt():
+    data = _sample_record().to_dict()
+    assert "prompts" not in data
+    assert [call["prompt"] for call in data["model_calls"]] == ["choose…"]
 
 
 def test_trace_record_line_has_sorted_keys():
     line = _sample_record().to_json_line()
-    keys = list(TraceRecord.from_json_line(line).to_dict())
+    keys = list(TraceRecord.from_dict(json.loads(line)).to_dict())
     assert line.index('"action"') < line.index('"actor"') < line.index('"agent_states"')
     assert "kind" in keys
 

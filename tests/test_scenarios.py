@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gabm
+from gabm.cli import main
 from gabm.config import build, build_model, load_config
 from gabm.model import GenerativeModel, ScriptedModel, ScriptRule
 from gabm.trace import read_trace, replay, run_built_scenario
@@ -23,18 +24,21 @@ SKETCHES = ["riverbend_election.json", "cyberball.json"]
 # sha256 of each scripted fixture's trace: the shipped fixtures must replay
 # byte for byte from one release to the next.  A deliberate change to the
 # trace format or to what a fixture's run writes bumps
-# config.ENGINE_VERSION and updates these pins in the same change.
+# config.ENGINE_VERSION and updates these pins in the same change, and
+# those of tests/test_workload_traces.py.  Engine 0.3.0 writes each run of
+# observations with equal text and time once, and no `prompts` field.
 FIXTURE_TRACE_SHA256 = {
-    "calendar.json": "861c728b476b837522beb68c4925fbb7b4e3f5c3e2e3619d3bda4c33a53ce780",
-    "magic_beans.json": "e9dba825495b59f4197a17b91f80f30d6771c5103e65ee3cc5f86571d887fa20",
-    "three_questions.json": "8de915cbf392c229e553b40859f7b2639975f4c6248b83e528914d1f634dce3a",
+    "calendar.json": "a99d03a8a14e1b7c5f8c4e65667cbba4c3a68b9c8e0163de40ac494a8a0c01a6",
+    "magic_beans.json": "ce9db3cb3985fca9449919612ac5ba864591e7ce89cb09735a2317454a79acc5",
+    "three_questions.json": "7a3cbe4a11aecff8aa8ea3f9fda9b81fc125da374e0fbdce178ad934d7752b42",
 }
 # sha256 of each trace's record lines, every line after the header.  Engine
 # 0.2.0 changed the embedder; calendar and magic_beans never retrieve
-# associatively, so their records are the ones engine 0.1.0 wrote.
+# associatively, so that change left their records as engine 0.1.0 wrote
+# them.  Engine 0.3.0 changed how every record is encoded.
 FIXTURE_RECORDS_SHA256 = {
-    "calendar.json": "042cf2746668cd065bb98ceb4f1634fc4b53db3428330cf8bf592e18cc6b2509",
-    "magic_beans.json": "ebba52323c0176ed77e0377db56aaa3791712494679e1cc67b1fed43d0d3dee7",
+    "calendar.json": "c2c31d4a5d9afea53fe1cced706490f289ff32ecf0ac1fe0c9acb3708999d344",
+    "magic_beans.json": "142e1abf4efb9753f4b20b7432bc6cef6c162831b042fd4a282fd86da1d41c03",
 }
 
 
@@ -120,6 +124,34 @@ def test_fixtures_that_never_retrieve_keep_their_records_across_the_embedder_cha
     run_built_scenario(build(load_config(SCENARIOS / name)), out=out)
     records = out.getvalue().split("\n", 1)[1]
     assert hashlib.sha256(records.encode("utf-8")).hexdigest() == FIXTURE_RECORDS_SHA256[name]
+
+
+# What `gabm audit` printed for each fixture at engine 0.2.0, which wrote
+# every observation once per recipient and each act prompt twice: the whole
+# report (render_report), the report of each agent, and the
+# --extract-pairs file (extract_pairs).  How records are encoded must not
+# change what an audit shows.
+AUDIT_VIEWS = Path(__file__).parent / "audit_views"
+
+
+@pytest.mark.parametrize("name", SCRIPTED)
+def test_fixture_audit_views_are_those_engine_0_2_0_printed(tmp_path, capsys, name):
+    config = load_config(SCENARIOS / name)
+    trace = tmp_path / "trace.jsonl"
+    with open(trace, "w", encoding="utf-8") as handle:
+        run_built_scenario(build(config), out=handle)
+    stem = Path(name).stem
+    views = {f"{stem}.txt": []}
+    views.update({f"{stem}.{a['name']}.txt": ["--agent", a["name"]] for a in config.raw["agents"]})
+    shown = {}
+    for view, flags in views.items():
+        assert main(["audit", "--trace", str(trace), *flags]) == 0
+        shown[view] = capsys.readouterr().out
+    pairs = tmp_path / "pairs.jsonl"
+    assert main(["audit", "--trace", str(trace), "--extract-pairs", str(pairs)]) == 0
+    shown[f"{stem}.pairs.jsonl"] = pairs.read_text(encoding="utf-8")
+    expected = {path.name: path.read_text(encoding="utf-8") for path in AUDIT_VIEWS.glob(f"{stem}.*")}
+    assert shown == expected
 
 
 class SlowReorderingModel(GenerativeModel):
@@ -219,7 +251,9 @@ def test_cyberball_behind_a_scripted_stand_in_ends_and_replays(tmp_path):
         "Ben": ["disagree", "agree", "7"],
         "Caleb": ["strongly agree", "strongly disagree", "2"],
     }
-    ben_belonging = next(r for r in questionnaires if r.actor == "Ben" and "belonged" in r.prompts[0])
+    ben_belonging = next(
+        r for r in questionnaires if r.actor == "Ben" and "belonged" in r.model_calls[0].prompt
+    )
     assert [c.response for c in ben_belonging.model_calls] == ["it depends", "agree"]
     report = replay(out)
     assert report.ok, report.detail

@@ -142,6 +142,24 @@ def test_corrupt_lines_reported_with_numbers(tmp_path):
         read_trace(out, strict=True)
 
 
+def test_a_line_that_is_not_utf8_is_one_corrupt_line(tmp_path):
+    out = run_to_file(tmp_path)
+    lines = out.read_bytes().split(b"\n")
+    # The bad byte lands in the event and in the recorded answer that
+    # replay feeds back, so the regenerated line repeats it.
+    lines[3] = lines[3].replace(b"They chatted", b"They chatt\xffed")
+    out.write_bytes(b"\n".join(lines))
+    read = read_trace(out)
+    assert len(read.records) == 5
+    reason = "'utf-8' codec can't decode byte 0xff in position"
+    [(line_no, message)] = read.errors
+    assert line_no == 4 and message.startswith(reason)
+    with pytest.raises(SimulationError, match=f"^bad trace record on line 4: {reason}"):
+        read_trace(out, strict=True)
+    with pytest.raises(SimulationError, match=f"^bad trace record on line 4: {reason}"):
+        replay(out)
+
+
 def test_bad_header_reported(tmp_path):
     out = tmp_path / "trace.jsonl"
     out.write_text("not json\n", encoding="utf-8")
@@ -162,6 +180,17 @@ def test_filter_records_by_agent_step_and_text(tmp_path):
     assert len(hits) == 2
     assert all(r.actor == "Bob" and r.kind == "turn" for r in hits)
     assert filter_records(records, agent="Alice", search="sells a bean") == []
+
+
+def test_search_reads_the_act_prompt_and_no_other_call(tmp_path):
+    records = read_trace(run_to_file(tmp_path)).records
+    hits = filter_records(records, search="What would Alice do next")
+    assert [(r.kind, r.step) for r in hits] == [("turn", 0), ("turn", 1)]
+    assert filter_records(records, search="How was the market") == [
+        r for r in records if r.kind == "questionnaire"
+    ]
+    # The game master's questions are model calls too, but not act calls.
+    assert filter_records(records, search="What is the state of the world") == []
 
 
 def test_extract_pairs_shape(tmp_path):
@@ -389,9 +418,10 @@ REPLAY_CASES = {
     "retype turn": (_record(1, _set("turn", True)), _wrong(2, "turn", True, "int")),
     "retype event": (_record(1, _set("event", 7)), _wrong(2, "event", 7)),
     "retype response": (_response(1, 5), _wrong(2, "response", 5)),
-    "retype prompts": (
-        _record(1, _set("prompts", [1])),
-        "SimulationError: bad trace record on line 2: prompts must be a list of strings, got [1]",
+    "retype recipients": (
+        _record(1, lambda r: r["observations"][0].update(recipients="Alice")),
+        "SimulationError: bad trace record on line 2: "
+        "observation recipients must be a non-empty list, got 'Alice'",
     ),
     "retype notes": (
         _record(1, _set("notes", "n")),
@@ -416,7 +446,7 @@ REPLAY_CASES = {
     "truncated last line": (
         lambda ls: ls.__setitem__(6, ls[6][:-1]),
         "SimulationError: bad trace record on line 7: "
-        "Expecting ',' delimiter: line 1 column 3666 (char 3665)",
+        "Expecting ',' delimiter: line 1 column 3443 (char 3442)",
     ),
     "header not JSON": (
         lambda ls: ls.__setitem__(0, "garbage"),
@@ -451,7 +481,7 @@ REPLAY_CASES = {
     "response edited": (_response(2, "Carol leaves."), DIFFERS),
     "engine_version": (
         OLD_ENGINE,
-        (False, 0, None, "header engine_version must be '0.2.0', got '0.1.0'"),
+        (False, 0, None, "header engine_version must be '0.3.0', got '0.1.0'"),
     ),
     "config hash": (STALE_HASH, (False, 0, None, "config hash mismatch in header")),
     "header seed": (
