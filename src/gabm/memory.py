@@ -41,12 +41,20 @@ The default embedder is a hashing bag-of-words (signed feature hashing,
 Weinberger et al. 2009): each lower-case ``\\w+`` token adds +1 or -1 to one
 coordinate, picked by its crc32, so texts that share words get related
 vectors and the relevance term means something.  Embedding is memoized per
-process: ``HashEmbedder`` computes each distinct text's vector once and
-every bank, query and replay in the process shares it while it stays among
-the EMBED_CACHE_TEXTS most recently embedded texts.  An observation
+process at two levels, both shared by every bank, query and replay.  A
+token's coordinate and sign come from one table per (dimension, seed),
+which runs a token's crc32 the first time it sees the token and is cleared
+when it holds TOKEN_TABLE_TOKENS tokens.  A text's vector is computed once
+while it stays among the EMBED_CACHE_TEXTS most recently embedded texts.  An observation
 delivered to 24 agents is tokenized once, not 24 times; a stream of
-all-distinct texts, such as a large initial memory list, misses every time
-and pays one pass over its tokens per text.
+all-distinct texts, such as a large initial memory list, misses the text
+memo every time and pays its tokenizing and one table lookup per token.
+
+A bank keeps its texts, timestamps and embeddings in three parallel lists;
+adding a memory makes no record object.  A MemoryRecord is made the first
+time a retrieval returns its index, and kept, so a bank of 10k memories
+that retrievals visit at the newest end holds few records, and a record
+returned twice is the same object.
 
 A bank is not locked: the engine adds to it and retrieves from it on the
 thread that runs the episode only, and only model calls go to other
@@ -64,7 +72,7 @@ from functools import lru_cache
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import compress, count, repeat
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Iterator, Protocol, Sequence
 
 NORM_TOLERANCE = 1e-9
 
@@ -108,9 +116,18 @@ COSINE_CEILING = 1.0 + 2.0**-20
 # distinct texts embedded per episode: crowd 159 (135 of its 6720 run-time
 # calls), market 151 (31 of 190 at run time), recall 19 of 284 at run time;
 # recall's 40k distinct initial memories stream through and miss, each miss
-# one pass of the token loop.  An entry holds a vector that records made
-# from the same text share.
+# a tokenizing and one token-table lookup per token.  An entry holds a
+# vector that every bank holding the same text shares.
 EMBED_CACHE_TEXTS = 1024
+
+# Distinct tokens a token table holds before it is cleared and refilled.
+# Recall's 40k initial memories (seed 1) hold 10,047 distinct tokens, 10,000
+# of them the day numbers 0-9999, so its whole vocabulary fits with room to
+# spare; an entry is a token string and its (coordinate, sign) pair.
+TOKEN_TABLE_TOKENS = 16384
+
+# (dimension, seed) pairs whose token tables stay; a scenario embeds with one.
+TOKEN_TABLES = 4
 
 
 class Embedder(Protocol):
@@ -148,17 +165,44 @@ def _coordinates(squares: int) -> _Coordinates:
     return _Coordinates(squares)
 
 
+class _TokenTable(dict):
+    """``(coordinate, sign)`` by token for one (dimension, seed), each from
+    the token's crc32 on first use: coordinate ``crc % dimension``, sign -1
+    when bit 31 of the crc is set, else +1.  A table of TOKEN_TABLE_TOKENS
+    tokens is cleared before the next is added; a thread that looks up a
+    token a clear has dropped computes the same pair again."""
+
+    __slots__ = ("dimension", "seed")
+
+    def __init__(self, dimension: int, seed: int):
+        super().__init__()
+        self.dimension = dimension
+        self.seed = seed
+
+    def __missing__(self, token: str) -> tuple[int, int]:
+        crc = zlib.crc32(token.encode(), self.seed)
+        if len(self) >= TOKEN_TABLE_TOKENS:
+            self.clear()
+        pair = self[token] = (crc % self.dimension, -1 if crc & 0x80000000 else 1)
+        return pair
+
+
+@lru_cache(maxsize=TOKEN_TABLES)
+def _token_table(dimension: int, seed: int) -> _TokenTable:
+    return _TokenTable(dimension, seed)
+
+
 @lru_cache(maxsize=EMBED_CACHE_TEXTS)
 def _hash_embed(dimension: int, seed: int, text: str) -> tuple[float, ...]:
     """The HashEmbedder vector of ``text``, computed once per distinct
     (dimension, seed, text) while it stays in the memo."""
     counts = [0] * dimension
-    for token in _TOKEN_RE.findall(text.lower()):
-        bucket = zlib.crc32(token.encode(), seed)
-        counts[bucket % dimension] += -1 if bucket & 0x80000000 else 1
+    tokens = _TOKEN_RE.findall(text.lower())
+    for coordinate, sign in map(_token_table(dimension, seed).__getitem__, tokens):
+        counts[coordinate] += sign
     # An int sum of squares is exact, so the norm is one correctly rounded
     # sqrt and the vector is the same on every Python version.
-    squares = sum(count * count for count in counts)
+    squares = sum(map(operator.mul, counts, counts))
     if not squares:
         return (1.0,) + (0.0,) * (dimension - 1)
     embedding = tuple(map(_coordinates(squares).__getitem__, counts))
@@ -177,7 +221,9 @@ class HashEmbedder:
     whose tokens cancel, maps to e_0.  Case and punctuation do not change
     the vector; texts that share words get related vectors.  Each distinct
     text is embedded once per process while it stays in the shared memo
-    (EMBED_CACHE_TEXTS entries); a repeat returns the memoized tuple.
+    (EMBED_CACHE_TEXTS entries); a repeat returns the memoized tuple.  Each
+    distinct token's crc32 runs once while the shared token table of the
+    dimension and seed holds it (TOKEN_TABLE_TOKENS entries).
     """
 
     def __init__(self, dimension: int = 16, seed: int = 0):
@@ -191,7 +237,7 @@ class HashEmbedder:
 
 
 def _check_unit_norm(embedding: tuple[float, ...]) -> None:
-    norm = math.sqrt(sum(x * x for x in embedding))
+    norm = math.sqrt(sum(map(operator.mul, embedding, embedding)))
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise ValueError(f"embedding norm {norm!r} is not 1 within {NORM_TOLERANCE}")
 
@@ -277,24 +323,50 @@ class MemoryRecord:
 
 
 class MemoryBank:
-    """Append-only store of MemoryRecords for one agent."""
+    """Append-only memory of one agent.
+
+    The bank keeps the texts, timestamps and embeddings of its memories in
+    three parallel lists by insertion index, and adds to them without
+    making a MemoryRecord.  The first retrieval that returns an index makes
+    its record and keeps it in a fourth list, which holds None for every
+    index not yet returned, and every later retrieval returns that same
+    object.
+    """
 
     def __init__(self, embedder: Embedder | None = None):
         self.embedder = embedder or HashEmbedder()
-        self._records: list[MemoryRecord] = []
+        self._texts: list[str] = []
+        self._timestamps: list[datetime] = []
+        self._embeddings: list[tuple[float, ...]] = []
+        # The record of each index once a retrieval has returned it, else None.
+        self._records: list[MemoryRecord | None] = []
         # Each recently used query's retrieval state (see module docstring),
         # least recently used first.
         self._queries: OrderedDict[str, _CachedQuery] = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._texts)
 
     def add(self, text: str, timestamp: datetime) -> int:
-        """Append one record and return its id (== insertion index)."""
+        """Append one memory and return its id (== insertion index)."""
         embedding = self.embedder.embed(text)
-        record = MemoryRecord(text=text, timestamp=timestamp, embedding=embedding, index=len(self._records))
-        self._records.append(record)
-        return record.index
+        index = len(self._texts)
+        self._texts.append(text)
+        self._timestamps.append(timestamp)
+        self._embeddings.append(embedding)
+        self._records.append(None)
+        return index
+
+    def _fill(self, returned: list[MemoryRecord | None], indices: Sequence[int]) -> None:
+        """Replace each None in ``returned``, the kept records at ``indices``,
+        with a record made and kept for its index."""
+        records = self._records
+        # A record is always true, so the Nones are found by a scan in C.
+        for position in compress(range(len(returned)), map(operator.not_, returned)):
+            index = indices[position]
+            returned[position] = records[index] = MemoryRecord(
+                self._texts[index], self._timestamps[index], self._embeddings[index], index
+            )
 
     def retrieve_associative(self, query: str, k: int) -> list[MemoryRecord]:
         """Top-k records by combined relevance, recency, and importance.
@@ -302,8 +374,8 @@ class MemoryBank:
         Equal to ranking every record by the module docstring's score and
         breaking ties toward the more recent insertion.
         """
-        records = self._records
-        if k <= 0 or not records:
+        embeddings = self._embeddings
+        if k <= 0 or not embeddings:
             return []
         cached = self._queries.get(query)
         if cached is None:
@@ -313,7 +385,7 @@ class MemoryBank:
         if len(self._queries) > RELEVANCE_CACHE_QUERIES:
             self._queries.popitem(last=False)
         cosines, highs, ceilings = cached.cosines, cached.highs, cached.ceilings
-        n = len(records)
+        n = len(embeddings)
         block = BLOCK_RECORDS
         if cached.seen < n:
             # Records from ``seen`` on have no cosines yet: the blocks that
@@ -344,8 +416,8 @@ class MemoryBank:
             start = b * block
             known = cosines[b]
             if len(known) < min(block, n - start):
-                new = records[start + len(known) : start + block]
-                fresh = list(_cosines(cached.embedding, [r.embedding for r in new]))
+                new = embeddings[start + len(known) : start + block]
+                fresh = list(_cosines(cached.embedding, new))
                 known += fresh
                 ceilings[b] = highs[b] = max(highs[b], *fresh)
             scores = _score_block(known, recency, start, n)
@@ -354,11 +426,20 @@ class MemoryBank:
             top += compress(zip(scores, count(start)), map(operator.ge, scores, repeat(floor)))
             top.sort(reverse=True)
             del top[k:]
-        return [records[i] for _, i in top]
+        records = self._records
+        returned = [records[i] for _, i in top]
+        if not all(returned):
+            self._fill(returned, [i for _, i in top])
+        return returned
 
     def retrieve_recent(self, k: int) -> list[MemoryRecord]:
         """The k newest records, oldest of them first."""
         if k <= 0:
             return []
-        return self._records[-k:]
+        n = len(self._texts)
+        start = max(n - k, 0)
+        returned = self._records[start:]
+        if not all(returned):
+            self._fill(returned, range(start, n))
+        return returned
 

@@ -17,10 +17,11 @@ the spliced line is byte-equal to ``canonical_json(header.to_dict())``.
 
 ``read_trace`` builds every record and is what ``audit`` reads.  Replay
 needs less: it reads the header, the record lines and each line's model
-calls, feeds the calls back, and compares lines.  Only when that is not OK
-does it read the trace with ``read_trace(path, strict=True)``, so its
-errors and their precedence are those of a replay that builds every record
-first.
+calls, feeds the calls back, and compares lines.  A header that names
+another engine version is reported as such, whatever its records hold.
+Otherwise, only when that is not OK does it read the trace with
+``read_trace(path, strict=True)``, so its errors and their precedence are
+those of a replay that builds every record first.
 """
 
 from __future__ import annotations
@@ -302,13 +303,16 @@ class ReplayReport:
 
 def _read_for_replay(path: str | Path) -> tuple[TraceHeader | None, list[str], list[ModelCall]]:
     """The header, the record lines and their model calls, without
-    building the records."""
+    building the records.  After a header that names another engine
+    version nothing more is read: its records may be in another format."""
     header: TraceHeader | None = None
     lines: list[str] = []
     calls: list[ModelCall] = []
     for line_no, line in _trace_lines(path):
         if line_no == 1:
             header = TraceHeader.from_dict(_load(line))
+            if header.engine_version != config_mod.ENGINE_VERSION:
+                break
             continue
         calls.extend(map(ModelCall.from_dict, _load(line)["model_calls"]))
         lines.append(line)
@@ -371,9 +375,13 @@ def replay(path: str | Path) -> ReplayReport:
     a line that is not UTF-8 stops that read.  A recorded line equal to its
     regenerated line is the canonical encoding of a record the engine made,
     which ``read_trace`` reads back, so the OK verdict needs no other check.
-    Any other outcome re-reads the trace with ``read_trace(path,
-    strict=True)`` first, so a malformed line is reported ahead of anything
-    else, as when every record is built before the run.
+    A header that names another engine version is reported without
+    reading any record, because the records of another version may be in
+    another format: a 0.2.0 record has no observation groups, and a strict
+    read would report that instead of the version.  Any other outcome
+    re-reads the trace with ``read_trace(path, strict=True)`` first, so a
+    malformed line is reported ahead of anything else, as when every record
+    is built before the run.
     """
     try:
         header, lines, calls = _read_for_replay(path)
@@ -383,6 +391,8 @@ def replay(path: str | Path) -> ReplayReport:
         raise
     if regenerated == lines:
         return ReplayReport(ok=True, records_checked=len(lines))
+    if header is not None and header.engine_version != config_mod.ENGINE_VERSION:
+        return regenerated
     recorded = read_trace(path, strict=True)
     if isinstance(regenerated, ReplayReport):
         return regenerated

@@ -420,6 +420,36 @@ def test_replay_rejects_a_trace_from_another_engine_version(tmp_path, capsys, ve
     )
 
 
+def test_replay_names_the_engine_version_of_an_old_format_trace(tmp_path, capsys):
+    # A magic_beans trace as engine 0.2.0 wrote it: one observation entry
+    # per recipient, with no recipients groups.  Read strictly, its first
+    # record with observations is malformed; the header names the cause.
+    out = tmp_path / "magic_beans.jsonl"
+    config = Path(gabm.__file__).parent / "scenarios" / "magic_beans.json"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        record = json.loads(line)
+        record["observations"] = [
+            {"recipient": recipient, "text": group["text"], "time": group["time"]}
+            for group in record["observations"]
+            for recipient in group["recipients"]
+        ]
+        lines[i] = canonical_json(record)
+    assert json.loads(lines[1])["observations"]
+    header = json.loads(lines[0])
+    for version, code, err in (
+        ("0.3.0", 1, "cannot replay: bad trace record on line 2: 'recipients'\n"),
+        ("0.2.0", 1, "replay failed: header engine_version must be '0.3.0', got '0.2.0'\n"),
+    ):
+        header["engine_version"] = version
+        lines[0] = canonical_json(header)
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(out)]) == code
+        assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize(
     "field, value, must",
     [

@@ -340,6 +340,94 @@ def test_threads_embedding_the_same_texts_get_equal_vectors():
     assert all(vectors == expected for vectors in results)
 
 
+def test_a_full_token_table_is_cleared_and_its_vectors_stay_exact(monkeypatch):
+    # More distinct tokens than a table of 8 holds, in texts that repeat
+    # tokens across the clears.
+    monkeypatch.setattr(memory, "TOKEN_TABLE_TOKENS", 8)
+    memory._token_table.cache_clear()
+    memory._hash_embed.cache_clear()
+    embedder = HashEmbedder(dimension=16, seed=2)
+    table = memory._token_table(16, 2)
+    texts = [f"w{i} w{i + 1} w{2 * i} shared w{i} day {i % 5}" for i in range(60)]
+    for text in texts:
+        assert embedder.embed(text) == reference_hash_embed(16, 2, text)
+        assert 0 < len(table) <= 8
+    tokens = {token for text in texts for token in re.findall(r"\w+", text)}
+    assert len(tokens) > 8 * 5
+
+
+def test_threads_embedding_through_a_small_token_table_get_reference_vectors(monkeypatch):
+    # Four threads share the token table and the text memo; the table is
+    # bound small, so clears race with lookups, and each thread embeds
+    # texts the others embed too and texts of its own.
+    monkeypatch.setattr(memory, "TOKEN_TABLE_TOKENS", 16)
+    memory._token_table.cache_clear()
+    memory._hash_embed.cache_clear()
+    shared = [f"shared {i} bell {i * 7} mill" for i in range(200)]
+    start = threading.Barrier(4)
+    results: dict[int, list[tuple[str, tuple[float, ...]]]] = {}
+
+    def embedder_thread(n: int):
+        embedder = HashEmbedder()
+        own = [f"thread {n} text {i} lantern {i * 3}" for i in range(200)]
+        start.wait()
+        results[n] = [(text, embedder.embed(text)) for pair in zip(shared, own) for text in pair]
+
+    threads = [threading.Thread(target=embedder_thread, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(results) == [0, 1, 2, 3]
+    for vectors in results.values():
+        assert len(vectors) == 400
+        assert all(vector == reference_hash_embed(16, 0, text) for text, vector in vectors)
+
+
+def test_a_bank_makes_each_record_when_a_retrieval_first_returns_it(monkeypatch):
+    made = []
+
+    def counting(*args):
+        made.append(args[3])
+        return MemoryRecord(*args)
+
+    monkeypatch.setattr(memory, "MemoryRecord", counting)
+    rng = random.Random(3)
+    bank = MemoryBank()
+    kept: list[MemoryRecord] = []
+    for i in range(700):
+        text = " ".join(rng.choices(WORDS, k=rng.randrange(1, 5)))
+        moment = T0 + timedelta(minutes=i)
+        index = bank.add(text, moment)
+        kept.append(MemoryRecord(text, moment, HashEmbedder().embed(text), index))
+    assert made == []
+
+    def fields(records):
+        return [(r.text, r.timestamp, r.embedding, r.index) for r in records]
+
+    recent = bank.retrieve_recent(30)
+    assert fields(recent) == fields(kept[-30:])
+    assert made == list(range(670, 700))
+    found = {query: bank.retrieve_associative(query, 25) for query in ("ada", "the mill", "")}
+    returned = {r.index for records in [recent, *found.values()] for r in records}
+    assert sorted(made) == sorted(returned)
+    # A repeated retrieval returns the records it returned before.
+    assert all(a is b for a, b in zip(bank.retrieve_recent(30), recent))
+    for query, records in found.items():
+        again = bank.retrieve_associative(query, 25)
+        assert len(again) == 25 and all(a is b for a, b in zip(again, records))
+    assert sorted(made) == sorted(returned)
+    for query, records in found.items():
+        assert fields(records) == fields(kept[i] for i in brute_force_rank(bank, query, 25))
+    assert fields(bank.retrieve_recent(len(bank))) == fields(kept)
+    assert sorted(made) == list(range(700))
+
+
 def test_fanned_out_text_is_digested_once(monkeypatch):
     # One observation reaching 24 agents' banks runs the token loop once;
     # every record shares the one vector.
