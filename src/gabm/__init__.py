@@ -52,7 +52,7 @@ from .kernel import (
     OutputKind,
     TraceRecord,
 )
-from .memory import HashEmbedder, MemoryBank, MemoryRecord
+from .memory import HashEmbedder, MemoryBank
 from .model import EchoModel, GenerativeModel, HttpModel, ScriptedModel, ScriptRule
 from .phone import (
     CalendarApp,
@@ -96,7 +96,6 @@ __all__ = [
     "InventoryState",
     "LocationComponent",
     "MemoryBank",
-    "MemoryRecord",
     "ModelQueryComponent",
     "NoMatchingOption",
     "NotANumber",

@@ -39,13 +39,13 @@ class AgentComponent:
     the text to ask the agent's model or None, then ``commit(agent,
     answer)`` with the answer (None when nothing was asked), the only place
     the state changes.  A component holds no reference to its agent.
-    ``cadence`` is "step" (every update pass), an integer N (every Nth
-    pass), or "manual" (never run by the agent's own scheduler).
+    ``cadence`` is "step" (every update pass) or an integer N >= 1 (every
+    Nth pass).
     """
 
     def __init__(self, name: str, cadence: int | str = "step"):
-        if isinstance(cadence, int) and cadence < 1:
-            raise ValueError("cadence interval must be >= 1")
+        if cadence != "step" and (type(cadence) is not int or cadence < 1):
+            raise ValueError(f'cadence must be "step" or an integer >= 1, got {cadence!r}')
         self.name = name
         self.cadence = cadence
         self._state = ""
@@ -54,11 +54,7 @@ class AgentComponent:
         return self._state
 
     def due(self, pass_index: int) -> bool:
-        if self.cadence == "step":
-            return True
-        if self.cadence == "manual":
-            return False
-        return pass_index % int(self.cadence) == 0
+        return self.cadence == "step" or pass_index % self.cadence == 0
 
     def prompt(self, agent: "GenerativeAgent") -> str | None:
         return None
@@ -71,11 +67,15 @@ class AgentComponent:
 
 
 class ConstantComponent(AgentComponent):
-    """Fixed text, e.g. a goal or role description from the scenario."""
+    """Fixed text, e.g. a goal or role description from the scenario; never
+    due for an update."""
 
     def __init__(self, name: str, text: str):
-        super().__init__(name, cadence="manual")
+        super().__init__(name)
         self._state = text
+
+    def due(self, pass_index: int) -> bool:
+        return False
 
 
 class ObservationBuffer(AgentComponent):
@@ -128,10 +128,10 @@ class ModelQueryComponent(AgentComponent):
     def _retrieved(self, agent: "GenerativeAgent") -> list[str]:
         bank = agent.memory
         if self.retrieval == "recent":
-            return [r.text for r in bank.retrieve_recent(self.k)]
+            return [bank.texts[i] for i in bank.retrieve_recent(self.k)]
         if self.retrieval == "associative":
             query = self.query_text or agent.name
-            return [r.text for r in bank.retrieve_associative(query, self.k)]
+            return [bank.texts[i] for i in bank.retrieve_associative(query, self.k)]
         return []
 
     def prompt(self, agent: "GenerativeAgent") -> str:

@@ -130,6 +130,14 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    # Another engine version may write its records in another format, which
+    # reads here as corrupt lines.
+    if read.header is not None and read.header.engine_version != config_mod.ENGINE_VERSION:
+        print(
+            f"trace header engine_version {read.header.engine_version!r} is not "
+            f"this engine's {config_mod.ENGINE_VERSION!r}",
+            file=sys.stderr,
+        )
     for line_no, message in read.errors:
         print(f"line {line_no}: corrupt record ({message})", file=sys.stderr)
     records = trace_mod.filter_records(

@@ -308,8 +308,8 @@ AGENT_COMPONENTS = {
         query_text=_STRING,
         reads=_READS,
         cadence=_Type(
-            lambda v: v in ("step", "manual") or (_is_int(v) and v >= 1),
-            'must be "step", "manual" or a positive integer',
+            lambda v: v == "step" or (_is_int(v) and v >= 1),
+            'must be "step" or a positive integer',
         ),
         initial_state=_STRING,
     ),

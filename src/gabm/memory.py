@@ -1,7 +1,7 @@
 """Append-only associative memory with scored retrieval.
 
-Each record carries text, a timestamp, a unit-norm embedding and its
-insertion index.  Retrieval ranks records by one fixed rule,
+Each memory has a text, a timestamp, a unit-norm embedding and its
+insertion index.  Retrieval ranks memories by one fixed rule,
 
     score = cosine(query, record) + exp(-_DECAY * age) + IMPORTANCE
 
@@ -50,11 +50,10 @@ delivered to 24 agents is tokenized once, not 24 times; a stream of
 all-distinct texts, such as a large initial memory list, misses the text
 memo every time and pays its tokenizing and one table lookup per token.
 
-A bank keeps its texts, timestamps and embeddings in three parallel lists;
-adding a memory makes no record object.  A MemoryRecord is made the first
-time a retrieval returns its index, and kept, so a bank of 10k memories
-that retrievals visit at the newest end holds few records, and a record
-returned twice is the same object.
+A bank keeps its texts, timestamps and embeddings in three parallel lists,
+its public read-only columns, indexed by the id ``add`` returns.  Both
+retrievals return such ids, and a caller reads the columns at them; there
+are no record objects.
 
 A bank is not locked: the engine adds to it and retrieves from it on the
 thread that runs the episode only, and only model calls go to other
@@ -69,10 +68,9 @@ import re
 import zlib
 from collections import OrderedDict
 from functools import lru_cache
-from dataclasses import dataclass
 from datetime import datetime
 from itertools import compress, count, repeat
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol
 
 NORM_TOLERANCE = 1e-9
 
@@ -314,67 +312,44 @@ class _CachedQuery:
         self.seen = 0  # the bank's size when the ceilings were last extended
 
 
-@dataclass(frozen=True, slots=True)
-class MemoryRecord:
-    text: str
-    timestamp: datetime
-    embedding: tuple[float, ...]
-    index: int
-
-
 class MemoryBank:
     """Append-only memory of one agent.
 
     The bank keeps the texts, timestamps and embeddings of its memories in
-    three parallel lists by insertion index, and adds to them without
-    making a MemoryRecord.  The first retrieval that returns an index makes
-    its record and keeps it in a fourth list, which holds None for every
-    index not yet returned, and every later retrieval returns that same
-    object.
+    three parallel lists, ``texts``, ``timestamps`` and ``embeddings``, each
+    indexed by the id ``add`` returns.  Read them, never change them.  Both
+    retrievals return ids into these columns.
     """
 
     def __init__(self, embedder: Embedder | None = None):
         self.embedder = embedder or HashEmbedder()
-        self._texts: list[str] = []
-        self._timestamps: list[datetime] = []
-        self._embeddings: list[tuple[float, ...]] = []
-        # The record of each index once a retrieval has returned it, else None.
-        self._records: list[MemoryRecord | None] = []
+        self.texts: list[str] = []
+        self.timestamps: list[datetime] = []
+        self.embeddings: list[tuple[float, ...]] = []
         # Each recently used query's retrieval state (see module docstring),
         # least recently used first.
         self._queries: OrderedDict[str, _CachedQuery] = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._texts)
+        return len(self.texts)
 
     def add(self, text: str, timestamp: datetime) -> int:
         """Append one memory and return its id (== insertion index)."""
         embedding = self.embedder.embed(text)
-        index = len(self._texts)
-        self._texts.append(text)
-        self._timestamps.append(timestamp)
-        self._embeddings.append(embedding)
-        self._records.append(None)
+        index = len(self.texts)
+        self.texts.append(text)
+        self.timestamps.append(timestamp)
+        self.embeddings.append(embedding)
         return index
 
-    def _fill(self, returned: list[MemoryRecord | None], indices: Sequence[int]) -> None:
-        """Replace each None in ``returned``, the kept records at ``indices``,
-        with a record made and kept for its index."""
-        records = self._records
-        # A record is always true, so the Nones are found by a scan in C.
-        for position in compress(range(len(returned)), map(operator.not_, returned)):
-            index = indices[position]
-            returned[position] = records[index] = MemoryRecord(
-                self._texts[index], self._timestamps[index], self._embeddings[index], index
-            )
+    def retrieve_associative(self, query: str, k: int) -> list[int]:
+        """The ids of the top-k memories by combined relevance, recency, and
+        importance, best first.
 
-    def retrieve_associative(self, query: str, k: int) -> list[MemoryRecord]:
-        """Top-k records by combined relevance, recency, and importance.
-
-        Equal to ranking every record by the module docstring's score and
+        Equal to ranking every memory by the module docstring's score and
         breaking ties toward the more recent insertion.
         """
-        embeddings = self._embeddings
+        embeddings = self.embeddings
         if k <= 0 or not embeddings:
             return []
         cached = self._queries.get(query)
@@ -426,20 +401,9 @@ class MemoryBank:
             top += compress(zip(scores, count(start)), map(operator.ge, scores, repeat(floor)))
             top.sort(reverse=True)
             del top[k:]
-        records = self._records
-        returned = [records[i] for _, i in top]
-        if not all(returned):
-            self._fill(returned, [i for _, i in top])
-        return returned
+        return [i for _, i in top]
 
-    def retrieve_recent(self, k: int) -> list[MemoryRecord]:
-        """The k newest records, oldest of them first."""
-        if k <= 0:
-            return []
-        n = len(self._texts)
-        start = max(n - k, 0)
-        returned = self._records[start:]
-        if not all(returned):
-            self._fill(returned, range(start, n))
-        return returned
-
+    def retrieve_recent(self, k: int) -> range:
+        """The ids of the k newest memories, oldest of them first."""
+        n = len(self.texts)
+        return range(max(n - max(k, 0), 0), n)

@@ -301,42 +301,23 @@ class ReplayReport:
     detail: str = ""
 
 
-def _read_for_replay(path: str | Path) -> tuple[TraceHeader | None, list[str], list[ModelCall]]:
-    """The header, the record lines and their model calls, without
-    building the records.  After a header that names another engine
-    version nothing more is read: its records may be in another format."""
+def _read_for_replay(path: str | Path) -> tuple[TraceHeader | None, list[str]]:
+    """The header and the record lines, building no record."""
     header: TraceHeader | None = None
     lines: list[str] = []
-    calls: list[ModelCall] = []
     for line_no, line in _trace_lines(path):
         if line_no == 1:
             header = TraceHeader.from_dict(_load(line))
-            if header.engine_version != config_mod.ENGINE_VERSION:
-                break
-            continue
-        calls.extend(map(ModelCall.from_dict, _load(line)["model_calls"]))
-        lines.append(line)
-    return header, lines, calls
+        else:
+            lines.append(line)
+    return header, lines
 
 
-def _rerun(
-    path: str | Path, header: TraceHeader | None, calls: list[ModelCall]
-) -> ReplayReport | list[str]:
-    """The record lines a run of ``header``'s scenario regenerates from
-    ``calls``, or the report of why it cannot run."""
+def _rerun(path: str | Path, header: TraceHeader | None, lines: list[str]) -> ReplayReport | list[str]:
+    """The record lines a run of ``header``'s scenario regenerates from the
+    model calls of ``lines``, or the report of why it cannot run."""
     if header is None:
         return ReplayReport(ok=False, records_checked=0, detail="trace has no header")
-    # Another engine version may embed, retrieve or record differently, so
-    # its traces are not expected to replay byte for byte.
-    if header.engine_version != config_mod.ENGINE_VERSION:
-        return ReplayReport(
-            ok=False,
-            records_checked=0,
-            detail=(
-                f"header engine_version must be {config_mod.ENGINE_VERSION!r}, "
-                f"got {header.engine_version!r}"
-            ),
-        )
     # The header's overrides take the config's own field types, as ``gabm run``'s do.
     for name, ftype in (("seed", config_mod.SEED), ("max_steps", config_mod.MAX_STEPS)):
         value = getattr(header, name)
@@ -356,6 +337,7 @@ def _rerun(
         return ReplayReport(
             ok=False, records_checked=0, detail="config hash mismatch in header"
         )
+    calls = [ModelCall.from_dict(call) for line in lines for call in _load(line)["model_calls"]]
     model = ReplayModel(calls)
     built = config_mod.build(
         cfg, model=model, seed_override=header.seed, max_steps_override=header.max_steps
@@ -384,15 +366,24 @@ def replay(path: str | Path) -> ReplayReport:
     is built before the run.
     """
     try:
-        header, lines, calls = _read_for_replay(path)
-        regenerated = _rerun(path, header, calls)
+        header, lines = _read_for_replay(path)
+        # Another engine version may embed, retrieve or record differently,
+        # so its traces are not expected to replay byte for byte.
+        if header is not None and header.engine_version != config_mod.ENGINE_VERSION:
+            return ReplayReport(
+                ok=False,
+                records_checked=0,
+                detail=(
+                    f"header engine_version must be {config_mod.ENGINE_VERSION!r}, "
+                    f"got {header.engine_version!r}"
+                ),
+            )
+        regenerated = _rerun(path, header, lines)
     except Exception:
         read_trace(path, strict=True)
         raise
     if regenerated == lines:
         return ReplayReport(ok=True, records_checked=len(lines))
-    if header is not None and header.engine_version != config_mod.ENGINE_VERSION:
-        return regenerated
     recorded = read_trace(path, strict=True)
     if isinstance(regenerated, ReplayReport):
         return regenerated

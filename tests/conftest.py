@@ -30,4 +30,4 @@ def calls():
 
 def memory_texts(bank: MemoryBank) -> list[str]:
     """Every text in the bank, oldest first."""
-    return [record.text for record in bank.retrieve_recent(len(bank))]
+    return list(bank.texts)

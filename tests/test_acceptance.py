@@ -154,24 +154,22 @@ def test_criterion_3_memory_matches_full_scan_oracle():
         query = " ".join(rng.choices(words, k=2))
         k = rng.randint(1, 20)
 
-        records = bank.retrieve_recent(len(bank))
-        latest = records[-1].index
+        latest = len(bank) - 1
         query_embedding = bank.embedder.embed(query)
 
-        def oracle_score(record):
-            relevance = oracle_cosine(query_embedding, record.embedding)
-            recency = math.exp(-decay * (latest - record.index))
+        def oracle_score(index):
+            relevance = oracle_cosine(query_embedding, bank.embeddings[index])
+            recency = math.exp(-decay * (latest - index))
             return relevance + recency + 1.0
 
-        remaining = list(records)
+        remaining = list(range(len(bank)))
         expected = []
         while remaining:
-            best = max(remaining, key=lambda r: (oracle_score(r), r.index))
+            best = max(remaining, key=lambda i: (oracle_score(i), i))
             expected.append(best)
             remaining.remove(best)
 
-        got = bank.retrieve_associative(query, k)
-        assert [r.index for r in got] == [r.index for r in expected[:k]]
+        assert bank.retrieve_associative(query, k) == expected[:k]
         checked += 1
     print(f"\nPASS memory oracle: {checked} random banks, ordering exact")
 

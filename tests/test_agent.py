@@ -116,15 +116,20 @@ def test_update_order_does_not_change_what_peers_read():
 def test_cadence_interval_and_manual():
     every = Counter("every")
     third = Counter("third", cadence=3)
-    manual = Counter("manual", cadence="manual")
-    agent = make_agent([every, third, manual])
+    constant = ConstantComponent("goal", "win")
+    agent = make_agent([every, third, constant])
     for _ in range(6):
         agent.update_components()
     assert every.runs == 6
     assert third.runs == 2  # pass indices 0 and 3
-    assert manual.runs == 0
-    with pytest.raises(ValueError):
-        Counter("bad", cadence=0)
+    assert not any(constant.due(i) for i in range(6))
+    assert constant.state() == "win"
+    # A component that never updates is a constant: "manual" is no cadence.
+    for bad in (0, -1, True, 2.0, "manual", "hourly", None):
+        with pytest.raises(ValueError, match="cadence"):
+            Counter("bad", cadence=bad)
+        with pytest.raises(ValueError, match="cadence"):
+            ModelQueryComponent("bad", "Why?", cadence=bad)
 
 
 def test_component_failure_aborts_and_names_component(calls):

@@ -420,23 +420,31 @@ def test_replay_rejects_a_trace_from_another_engine_version(tmp_path, capsys, ve
     )
 
 
-def test_replay_names_the_engine_version_of_an_old_format_trace(tmp_path, capsys):
-    # A magic_beans trace as engine 0.2.0 wrote it: one observation entry
-    # per recipient, with no recipients groups.  Read strictly, its first
-    # record with observations is malformed; the header names the cause.
+def magic_beans_trace(tmp_path, flat: bool) -> tuple[Path, list[str]]:
+    """A magic_beans trace and its lines; with ``flat``, each record's
+    observations are rewritten as engine 0.2.0 wrote them, one entry per
+    recipient with no recipients groups."""
     out = tmp_path / "magic_beans.jsonl"
     config = Path(gabm.__file__).parent / "scenarios" / "magic_beans.json"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     for i, line in enumerate(lines[1:], start=1):
         record = json.loads(line)
-        record["observations"] = [
-            {"recipient": recipient, "text": group["text"], "time": group["time"]}
-            for group in record["observations"]
-            for recipient in group["recipients"]
-        ]
+        if flat:
+            record["observations"] = [
+                {"recipient": recipient, "text": group["text"], "time": group["time"]}
+                for group in record["observations"]
+                for recipient in group["recipients"]
+            ]
         lines[i] = canonical_json(record)
     assert json.loads(lines[1])["observations"]
+    return out, lines
+
+
+def test_replay_names_the_engine_version_of_an_old_format_trace(tmp_path, capsys):
+    # Read strictly, the first record with observations of a 0.2.0-format
+    # trace is malformed; the header names the cause.
+    out, lines = magic_beans_trace(tmp_path, flat=True)
     header = json.loads(lines[0])
     for version, code, err in (
         ("0.3.0", 1, "cannot replay: bad trace record on line 2: 'recipients'\n"),
@@ -448,6 +456,29 @@ def test_replay_names_the_engine_version_of_an_old_format_trace(tmp_path, capsys
         capsys.readouterr()
         assert main(["replay", "--trace", str(out)]) == code
         assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("flat, shown", [(False, 6), (True, 0)], ids=["current-format", "0.2.0-format"])
+def test_audit_names_another_engine_version_before_its_report(tmp_path, capsys, flat, shown):
+    out, lines = magic_beans_trace(tmp_path, flat)
+    header = json.loads(lines[0])
+    header["engine_version"] = "0.2.0"
+    lines[0] = canonical_json(header)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["audit", "--trace", str(out)]) == 0
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert err[0] == "trace header engine_version '0.2.0' is not this engine's '0.3.0'"
+    assert len(err) == 1 + 6 - shown
+    assert all(line.endswith("corrupt record ('recipients')") for line in err[1:])
+    assert captured.out.endswith(f"{shown} record(s) shown, {6 - shown} corrupt line(s) skipped\n")
+    # A trace of this engine's version gets no such line.
+    header["engine_version"] = "0.3.0"
+    lines[0] = canonical_json(header)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["audit", "--trace", str(out)]) == 0
+    assert "engine_version" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -413,6 +413,7 @@ REJECTED_EDITS = [
     ("unknown component field", _agent_component(0, 1, maxitems=3), "agents[0].components[1].maxitems"),
     ("cadence 0", _agent_component(0, 2, cadence=0), "agents[0].components[2].cadence"),
     ("cadence word", _agent_component(0, 2, cadence="hourly"), "agents[0].components[2].cadence"),
+    ("cadence manual", _agent_component(0, 2, cadence="manual"), "agents[0].components[2].cadence"),
     ("model_query k", _agent_component(0, 2, k="x"), "agents[0].components[2].k"),
     ("three_questions k", _agent_component(1, 0, k="x"), "agents[1].components[0].k"),
     (
@@ -508,8 +509,7 @@ def test_oldest_profile_builds_and_runs(tmp_path, start, age):
     assert validate_config(raw, tmp_path) == []
     built = build(config_from_dict(raw, tmp_path), model=EchoModel(), max_steps_override=1)
     bank = built.players[0].memory
-    first = bank.retrieve_recent(len(bank))[0]
-    assert first.timestamp.year == int(start[:4]) - age
+    assert bank.timestamps[0].year == int(start[:4]) - age
     assert run_built_scenario(built).result.reason == "max-steps"
 
 

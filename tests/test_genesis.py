@@ -144,13 +144,14 @@ def test_seed_memory_backdates():
     )
     count = seed_memory(bank, memory_set, START)
     assert count == 3
-    records = bank.retrieve_recent(len(bank))
-    assert [r.text for r in records] == ["Ada's whole life.", "I got lost.", "I left home."]
-    assert records[0].timestamp == datetime(1994, 5, 1, 9, 0)  # birth year
-    assert records[1].timestamp == datetime(2000, 5, 1, 9, 0)  # age 6, 24 years back
-    assert records[2].timestamp == datetime(2012, 5, 1, 9, 0)  # age 18, 12 years back
-    # Seeded records predate anything the episode will add.
-    assert all(r.timestamp < START for r in records)
+    assert memory_texts(bank) == ["Ada's whole life.", "I got lost.", "I left home."]
+    assert bank.timestamps == [
+        datetime(1994, 5, 1, 9, 0),  # birth year
+        datetime(2000, 5, 1, 9, 0),  # age 6, 24 years back
+        datetime(2012, 5, 1, 9, 0),  # age 18, 12 years back
+    ]
+    # Seeded memories predate anything the episode will add.
+    assert all(moment < START for moment in bank.timestamps)
 
 
 def test_generate_and_seed_composes():

@@ -21,7 +21,6 @@ from gabm.memory import (
     RELEVANCE_CACHE_QUERIES,
     HashEmbedder,
     MemoryBank,
-    MemoryRecord,
     cosine,
 )
 
@@ -54,7 +53,7 @@ def test_hash_embedder_is_deterministic_and_unit_norm():
 
 
 def test_hash_vectors_are_checked_unit_norm(monkeypatch):
-    # The norm is checked once, where the memo makes the vector; a record
+    # The norm is checked once, where the memo makes the vector; a bank
     # takes its embedding as given.
     make = memory._hash_embed.__wrapped__
     for text in ("", "the pub is snowed in", "Alice met Bob at the mill. " * 7):
@@ -66,14 +65,15 @@ def test_hash_vectors_are_checked_unit_norm(monkeypatch):
     monkeypatch.setattr(memory, "_check_unit_norm", checked.append)
     vector = make(16, 0, "the pub is snowed in")
     assert checked == [vector]
-    MemoryRecord("x", T0, (0.5, 0.5), 0)
+    bank = MemoryBank(embedder=AxisEmbedder({"x": (0.5, 0.5)}, dimension=2))
+    assert bank.embeddings[bank.add("x", T0)] == (0.5, 0.5)
 
 
 def test_insertion_indices_strictly_increase():
     bank = MemoryBank()
     ids = [bank.add(f"memory {i}", T0 + timedelta(minutes=i)) for i in range(5)]
     assert ids == [0, 1, 2, 3, 4]
-    assert [r.index for r in bank.retrieve_recent(len(bank))] == ids
+    assert list(bank.retrieve_recent(len(bank))) == ids
 
 
 def test_retrieval_scores_match_hand_computed_table():
@@ -94,7 +94,7 @@ def test_retrieval_scores_match_hand_computed_table():
     for text in ("rec0", "rec1", "rec2"):
         bank.add(text, T0)
     retrieved = bank.retrieve_associative("query", k=3)
-    assert [r.text for r in retrieved] == ["rec0", "rec2", "rec1"]
+    assert [bank.texts[i] for i in retrieved] == ["rec0", "rec2", "rec1"]
     # The scores the retrieval compared, from the bank's cosines and the
     # process's recency table.
     (cosines,) = bank._queries["query"].cosines
@@ -112,7 +112,7 @@ def test_equal_scores_prefer_recent_insertion():
     bank.add("old", T0)
     bank.add("new", T0)
     assert (1.0 - recency) + recency == 0.0 + 1.0
-    assert [r.text for r in bank.retrieve_associative("query", k=2)] == ["new", "old"]
+    assert [bank.texts[i] for i in bank.retrieve_associative("query", k=2)] == ["new", "old"]
 
 
 def test_scores_tied_only_by_the_importance_term_prefer_the_newer_record():
@@ -128,15 +128,15 @@ def test_scores_tied_only_by_the_importance_term_prefer_the_newer_record():
     bank.add("new", T0)
     assert (ahead - recency) + recency == ahead > 0.0 + 1.0
     assert ahead + IMPORTANCE == 1.0 + IMPORTANCE
-    assert [r.text for r in bank.retrieve_associative("query", k=2)] == ["new", "old"]
-    assert [r.text for r in bank.retrieve_associative("query", k=1)] == ["new"]
+    assert [bank.texts[i] for i in bank.retrieve_associative("query", k=2)] == ["new", "old"]
+    assert [bank.texts[i] for i in bank.retrieve_associative("query", k=1)] == ["new"]
 
 
 def test_k_covers_edge_sizes():
     bank = MemoryBank()
     assert bank.retrieve_associative("anything", k=3) == []
     bank.add("only one", T0)
-    assert [r.text for r in bank.retrieve_associative("q", k=10)] == ["only one"]
+    assert [bank.texts[i] for i in bank.retrieve_associative("q", k=10)] == ["only one"]
     assert bank.retrieve_associative("q", k=0) == []
 
 
@@ -144,27 +144,29 @@ def test_retrieve_recent_is_oldest_first_window():
     bank = MemoryBank()
     for i in range(5):
         bank.add(f"m{i}", T0 + timedelta(minutes=i))
-    assert [r.text for r in bank.retrieve_recent(3)] == ["m2", "m3", "m4"]
-    assert [r.text for r in bank.retrieve_recent(99)] == [f"m{i}" for i in range(5)]
-    assert bank.retrieve_recent(0) == []
+    assert [bank.texts[i] for i in bank.retrieve_recent(3)] == ["m2", "m3", "m4"]
+    assert [bank.texts[i] for i in bank.retrieve_recent(99)] == [f"m{i}" for i in range(5)]
+    assert list(bank.retrieve_recent(0)) == []
 
 
-def oracle_score(query_embedding, record: MemoryRecord, latest: int) -> float:
-    """The scoring rule in plain arithmetic, one record at a time."""
-    relevance = sum(a * b for a, b in zip(query_embedding, record.embedding))
-    recency = math.exp(-(math.log(2.0) / HALF_LIFE) * (latest - record.index))
+def oracle_score(query_embedding, embedding, age: int) -> float:
+    """The scoring rule in plain arithmetic, one memory at a time."""
+    relevance = sum(a * b for a, b in zip(query_embedding, embedding))
+    recency = math.exp(-(math.log(2.0) / HALF_LIFE) * age)
     return relevance + recency + IMPORTANCE
 
 
 def brute_force_rank(bank: MemoryBank, query: str, k: int) -> list[int]:
     """Independent oracle: full scan, then the documented order, best score
     first and equal scores newest first."""
-    records = bank.retrieve_recent(len(bank))
-    if not records or k <= 0:
+    if not len(bank) or k <= 0:
         return []
     query_embedding = bank.embedder.embed(query)
-    latest = records[-1].index
-    scored = [(oracle_score(query_embedding, record, latest), record.index) for record in records]
+    latest = len(bank) - 1
+    scored = [
+        (oracle_score(query_embedding, embedding, latest - index), index)
+        for index, embedding in enumerate(bank.embeddings)
+    ]
     return [index for _, index in sorted(scored, reverse=True)[:k]]
 
 
@@ -176,7 +178,7 @@ def test_ranking_agrees_with_brute_force_oracle():
             bank.add(f"memory {rng.randrange(20)}", T0 + timedelta(minutes=i))
         k = rng.randrange(1, len(bank) + 5)
         query = f"query {rng.randrange(10)}"
-        got = [r.index for r in bank.retrieve_associative(query, k)]
+        got = bank.retrieve_associative(query, k)
         assert got == brute_force_rank(bank, query, k)
 
 
@@ -259,7 +261,7 @@ def test_a_query_by_name_ranks_the_records_that_mention_it_first():
     for text in texts:
         bank.add(text, T0)
     mentions = {i for i, text in enumerate(texts) if "ada" in text.lower()}
-    ranked = [r.index for r in bank.retrieve_associative("Ada", len(texts))]
+    ranked = bank.retrieve_associative("Ada", len(texts))
     assert set(ranked[: len(mentions)]) == mentions
 
 
@@ -389,43 +391,24 @@ def test_threads_embedding_through_a_small_token_table_get_reference_vectors(mon
         assert all(vector == reference_hash_embed(16, 0, text) for text, vector in vectors)
 
 
-def test_a_bank_makes_each_record_when_a_retrieval_first_returns_it(monkeypatch):
-    made = []
-
-    def counting(*args):
-        made.append(args[3])
-        return MemoryRecord(*args)
-
-    monkeypatch.setattr(memory, "MemoryRecord", counting)
+def test_an_id_reads_back_what_was_added_and_retrievals_return_ids():
     rng = random.Random(3)
     bank = MemoryBank()
-    kept: list[MemoryRecord] = []
+    added = []
     for i in range(700):
         text = " ".join(rng.choices(WORDS, k=rng.randrange(1, 5)))
         moment = T0 + timedelta(minutes=i)
-        index = bank.add(text, moment)
-        kept.append(MemoryRecord(text, moment, HashEmbedder().embed(text), index))
-    assert made == []
-
-    def fields(records):
-        return [(r.text, r.timestamp, r.embedding, r.index) for r in records]
-
-    recent = bank.retrieve_recent(30)
-    assert fields(recent) == fields(kept[-30:])
-    assert made == list(range(670, 700))
-    found = {query: bank.retrieve_associative(query, 25) for query in ("ada", "the mill", "")}
-    returned = {r.index for records in [recent, *found.values()] for r in records}
-    assert sorted(made) == sorted(returned)
-    # A repeated retrieval returns the records it returned before.
-    assert all(a is b for a, b in zip(bank.retrieve_recent(30), recent))
-    for query, records in found.items():
-        again = bank.retrieve_associative(query, 25)
-        assert len(again) == 25 and all(a is b for a, b in zip(again, records))
-    assert sorted(made) == sorted(returned)
-    for query, records in found.items():
-        assert fields(records) == fields(kept[i] for i in brute_force_rank(bank, query, 25))
-    assert fields(bank.retrieve_recent(len(bank))) == fields(kept)
-    assert sorted(made) == list(range(700))
+        assert bank.add(text, moment) == i
+        added.append((text, moment, HashEmbedder().embed(text)))
+    assert list(zip(bank.texts, bank.timestamps, bank.embeddings)) == added
+    for k in (-1, 0):
+        assert list(bank.retrieve_recent(k)) == []
+        assert bank.retrieve_associative("ada", k) == []
+    assert list(bank.retrieve_recent(30)) == list(range(670, 700))
+    assert list(bank.retrieve_recent(len(bank) + 5)) == list(range(700))
+    for query in ("ada", "the mill", ""):
+        assert bank.retrieve_associative(query, 25) == brute_force_rank(bank, query, 25)
+        assert sorted(bank.retrieve_associative(query, len(bank) + 5)) == list(range(700))
 
 
 def test_fanned_out_text_is_digested_once(monkeypatch):
@@ -445,7 +428,7 @@ def test_fanned_out_text_is_digested_once(monkeypatch):
         bank.add(text, T0)
     assert token_loops == [text.lower()]
     assert memory._hash_embed.cache_info().hits == 23
-    vectors = [bank.retrieve_recent(len(bank))[0].embedding for bank in banks]
+    vectors = [bank.embeddings[0] for bank in banks]
     assert vectors == [reference_hash_embed(16, 0, text)] * 24
     assert all(vector is vectors[0] for vector in vectors)
 
@@ -469,7 +452,7 @@ def test_cached_retrieval_matches_full_scan_oracle(operations):
             bank.add(args[0], T0)
         else:
             query, k = args
-            got = [r.index for r in bank.retrieve_associative(query, k)]
+            got = bank.retrieve_associative(query, k)
             assert got == brute_force_rank(bank, query, k)
 
 
@@ -512,12 +495,12 @@ def check_pruned_retrieval(block, dimension, stretched, preload, operations):
                 bank.add(args[0], T0)
             else:
                 query, k = args
-                got = [r.index for r in bank.retrieve_associative(query, k)]
+                got = bank.retrieve_associative(query, k)
                 assert got == brute_force_rank(bank, query, k)
         # Small k, so blocks are pruned, and k past the bank's size.
         for query in PRUNED_QUERIES:
             for k in (1, 3, 25, len(bank) + 1):
-                got = [r.index for r in bank.retrieve_associative(query, k)]
+                got = bank.retrieve_associative(query, k)
                 assert got == brute_force_rank(bank, query, k)
 
 
@@ -566,7 +549,7 @@ def test_the_cosine_ceiling_bounds_cosines_above_one():
     assert (1.0 + recency) + IMPORTANCE < new_score < old_score
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(memory, "BLOCK_RECORDS", 1)
-        assert [r.text for r in bank.retrieve_associative("query", 1)] == ["old"]
+        assert [bank.texts[i] for i in bank.retrieve_associative("query", 1)] == ["old"]
     assert brute_force_rank(bank, "query", 1) == [0]
 
 
@@ -627,7 +610,7 @@ def test_a_repeated_name_query_scores_under_a_tenth_of_a_large_bank(monkeypatch)
         return score_block(cosines, recency, start, n)
 
     monkeypatch.setattr(memory, "_score_block", counting)
-    got = [r.index for r in bank.retrieve_associative("Cyra", 25)]
+    got = bank.retrieve_associative("Cyra", 25)
     assert 0 < sum(scored) < len(bank) / 10
     assert got == brute_force_rank(bank, "Cyra", 25)
 
@@ -665,12 +648,12 @@ def test_a_name_query_computes_cosines_only_for_the_blocks_it_scores(monkeypatch
         return cosines(query, embeddings)
 
     monkeypatch.setattr(memory, "_cosines", counting)
-    got = [r.index for r in bank.retrieve_associative("Ines", 25)]
+    got = bank.retrieve_associative("Ines", 25)
     assert got == brute_force_rank(bank, "Ines", 25)
     assert len(filled) <= 2 and sum(filled) <= 2 * memory.BLOCK_RECORDS
     for turn in range(7):
         bank.add(f"Ines walked to the {RECALL_PLACES[turn]} and asked around.", T0)
     filled.clear()
-    got = [r.index for r in bank.retrieve_associative("Ines", 25)]
+    got = bank.retrieve_associative("Ines", 25)
     assert got == brute_force_rank(bank, "Ines", 25)
     assert filled == [7]
