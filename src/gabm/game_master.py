@@ -88,8 +88,8 @@ class GMComponent:
     know.  ``update_before_event`` sees the attempted action and may
     ``gm.veto`` it; ``update_after_event`` sees the resolved event and is
     the place to emit observations and mutate grounded variables.  The game
-    master passes itself as the first argument of ``update`` and of every
-    event hook and query; a component holds no reference to it.
+    master passes itself as the first argument of every event hook and
+    query; a component holds no reference to it.
 
     A component that asks the model about the action or the event returns
     a ``(prompt, caller)`` ask from ``query_before_event`` or
@@ -114,9 +114,6 @@ class GMComponent:
 
     def partial_state(self, player: str) -> str:
         return ""
-
-    def update(self, gm: GameMaster) -> None:
-        pass
 
     def update_before_event(self, gm: GameMaster, cause: AgentAction) -> None:
         pass
@@ -257,13 +254,12 @@ class GameMaster:
     # ---- the resolution sequence -------------------------------------------
 
     def pre_act_observe(self, player: GenerativeAgent) -> None:
-        """Update each component and deliver its view to the player."""
+        """Deliver each component's view to the player."""
         if self.notification_hub is not None:
             from .phone import deliver_notifications
 
             deliver_notifications(self.notification_hub, self, player.name)
         for component in self.components:
-            component.update(self)
             partial = component.partial_state(player.name)
             if partial:
                 self.emit_observation(player.name, partial)

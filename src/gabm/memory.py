@@ -1,6 +1,6 @@
 """Append-only associative memory with scored retrieval.
 
-Each memory has a text, a timestamp, a unit-norm embedding and its
+Each memory has a text, a timestamp, an embedding of int counts and its
 insertion index.  Retrieval ranks memories by one fixed rule,
 
     score = cosine(query, record) + exp(-_DECAY * age) + IMPORTANCE
@@ -21,7 +21,7 @@ BLOCK_RECORDS by insertion index; a block's cosines are computed the first
 time a retrieval scores it, and extended with the records it has gained
 since.  Each cached query keeps a cosine ceiling per block: the greatest
 cosine of a block whose cosines are all known, else COSINE_CEILING, which
-no cosine between two embeddings of the Embedder contract exceeds.  At call
+no cosine exceeds, rounding included.  At call
 time a block's best score is bounded by the score rule applied to its
 ceiling and the recency of its newest record, read from one table of
 exp(-_DECAY * age) by age that every bank in the process shares.  Rounded
@@ -40,15 +40,19 @@ memories, where recency decides most of the order, visits the newest few.
 The default embedder is a hashing bag-of-words (signed feature hashing,
 Weinberger et al. 2009): each lower-case ``\\w+`` token adds +1 or -1 to one
 coordinate, picked by its crc32, so texts that share words get related
-vectors and the relevance term means something.  Embedding is memoized per
-process at two levels, both shared by every bank, query and replay.  A
-token's coordinate and sign come from one table per (dimension, seed),
-which runs a token's crc32 the first time it sees the token and is cleared
-when it holds TOKEN_TABLE_TOKENS tokens.  A text's vector is computed once
-while it stays among the EMBED_CACHE_TEXTS most recently embedded texts.  An observation
-delivered to 24 agents is tokenized once, not 24 times; a stream of
-all-distinct texts, such as a large initial memory list, misses the text
-memo every time and pays its tokenizing and one table lookup per token.
+vectors and the relevance term means something.  An embedding is that tuple
+of int counts.  A bank keeps each record's int sum of squares beside it,
+and a cosine is the exact int dot product over one correctly rounded sqrt
+and one division, ``dot / sqrt(nq * nr)``, the same on every Python
+version.  Embedding is memoized per process at two levels, both shared by
+every bank, query and replay.  A token's coordinate and sign come from one
+table per (dimension, seed), which runs a token's crc32 the first time it
+sees the token and is cleared when it holds TOKEN_TABLE_TOKENS tokens.  A
+text's vector is computed once while it stays among the EMBED_CACHE_TEXTS
+most recently embedded texts.  An observation delivered to 24 agents is
+tokenized once, not 24 times; a stream of all-distinct texts, such as a
+large initial memory list, misses the text memo every time and pays its
+tokenizing and one table lookup per token.
 
 A bank keeps its texts, timestamps and embeddings in three parallel lists,
 its public read-only columns, indexed by the id ``add`` returns.  Both
@@ -70,9 +74,7 @@ from collections import OrderedDict
 from functools import lru_cache
 from datetime import datetime
 from itertools import compress, count, repeat
-from typing import Iterable, Iterator, Protocol
-
-NORM_TOLERANCE = 1e-9
+from typing import Iterable, Iterator
 
 _TOKEN_RE = re.compile(r"\w+")
 
@@ -94,20 +96,10 @@ RELEVANCE_CACHE_QUERIES = 8
 # most one block is scored whole, as without blocks.
 BLOCK_RECORDS = 256
 
-# No cosine computed between two embeddings of norm at most
-# 1 + NORM_TOLERANCE exceeds this, rounding included.  By Cauchy-Schwarz the
-# exact dot product of d coordinates is at most (1 + NORM_TOLERANCE)^2, and
-# the rounded products summed in floating point (left to right, or with the
-# compensated sum of Python 3.12+) differ from it by at most
-# gamma_d * sum |a_i * b_i| <= gamma_d * (1 + NORM_TOLERANCE)^2, where
-# gamma_d = d * 2^-53 / (1 - d * 2^-53) (Higham, Accuracy and Stability of
-# Numerical Algorithms, 2nd ed., section 3.1).  For any d below 2^32,
-# gamma_d < 2^-21 + 2^-41, so every cosine is below
-# (1 + 2^-29)^2 * (1 + 2^-21 + 2^-41) < 1 + 2^-20, as 1e-9 < 2^-29.  The
-# sparse sum in _cosines is bit-equal to the full one.  The ceiling is
-# within a millionth of the greatest cosine of unit vectors, so it prunes as
-# well as 1.0 would.
-COSINE_CEILING = 1.0 + 2.0**-20
+# dot**2 <= nq * nr in ints; the int-to-float conversions, the sqrt and the
+# division each round by at most 2**-53, so no cosine exceeds 1 + 2**-52 (and
+# none exceeds 1.0 while nq * nr < 2**53, where the conversions are exact).
+COSINE_CEILING = 1.0 + 2.0**-52
 
 # Distinct texts whose embeddings stay memoized, shared by every
 # HashEmbedder in the process.  Measured on the benchmark workloads (seed 1),
@@ -115,7 +107,8 @@ COSINE_CEILING = 1.0 + 2.0**-20
 # calls), market 151 (31 of 190 at run time), recall 19 of 284 at run time;
 # recall's 40k distinct initial memories stream through and miss, each miss
 # a tokenizing and one token-table lookup per token.  An entry holds a
-# vector that every bank holding the same text shares.
+# vector that every bank holding the same text shares.  The memo of sums of
+# squares holds as many distinct vectors.
 EMBED_CACHE_TEXTS = 1024
 
 # Distinct tokens a token table holds before it is cleared and refilled.
@@ -126,41 +119,6 @@ TOKEN_TABLE_TOKENS = 16384
 
 # (dimension, seed) pairs whose token tables stay; a scenario embeds with one.
 TOKEN_TABLES = 4
-
-
-class Embedder(Protocol):
-    """Maps text to a fixed-dimension unit-norm vector, deterministically."""
-
-    dimension: int
-
-    def embed(self, text: str) -> tuple[float, ...]: ...
-
-
-# Sums of squares whose coordinate tables stay memoized.  A text of t
-# tokens has a sum of squares of at most t * t, so short texts share a few
-# tables.
-NORM_TABLES = 256
-
-
-class _Coordinates(dict):
-    """``count / sqrt(squares)`` by int ``count``, for one int sum of squares,
-    each computed on first use.  Vectors of equal sum of squares share the
-    float objects, so a bank of 10k vectors holds few distinct floats."""
-
-    __slots__ = ("norm",)
-
-    def __init__(self, squares: int):
-        super().__init__()
-        self.norm = math.sqrt(squares)
-
-    def __missing__(self, count: int) -> float:
-        value = self[count] = count / self.norm
-        return value
-
-
-@lru_cache(maxsize=NORM_TABLES)
-def _coordinates(squares: int) -> _Coordinates:
-    return _Coordinates(squares)
 
 
 class _TokenTable(dict):
@@ -191,21 +149,16 @@ def _token_table(dimension: int, seed: int) -> _TokenTable:
 
 
 @lru_cache(maxsize=EMBED_CACHE_TEXTS)
-def _hash_embed(dimension: int, seed: int, text: str) -> tuple[float, ...]:
-    """The HashEmbedder vector of ``text``, computed once per distinct
+def _hash_embed(dimension: int, seed: int, text: str) -> tuple[int, ...]:
+    """The HashEmbedder counts of ``text``, computed once per distinct
     (dimension, seed, text) while it stays in the memo."""
     counts = [0] * dimension
     tokens = _TOKEN_RE.findall(text.lower())
     for coordinate, sign in map(_token_table(dimension, seed).__getitem__, tokens):
         counts[coordinate] += sign
-    # An int sum of squares is exact, so the norm is one correctly rounded
-    # sqrt and the vector is the same on every Python version.
-    squares = sum(map(operator.mul, counts, counts))
-    if not squares:
-        return (1.0,) + (0.0,) * (dimension - 1)
-    embedding = tuple(map(_coordinates(squares).__getitem__, counts))
-    _check_unit_norm(embedding)
-    return embedding
+    if not any(counts):
+        counts[0] = 1
+    return tuple(counts)
 
 
 class HashEmbedder:
@@ -213,10 +166,9 @@ class HashEmbedder:
 
     Each lower-case ``\\w+`` token of the text hashes, by ``zlib.crc32``
     started at the seed, to coordinate ``crc % dimension``, and adds +1
-    there, or -1 when bit 31 of the crc is set.  The int counts are divided
-    by the square root of their int sum of squares, which is exact, so a
-    vector is the same on every Python version.  A text with no tokens, or
-    whose tokens cancel, maps to e_0.  Case and punctuation do not change
+    there, or -1 when bit 31 of the crc is set; the vector is the tuple of
+    those int counts.  A text with no tokens, or whose tokens cancel, maps
+    to e_0, ``(1, 0, ..., 0)``.  Case and punctuation do not change
     the vector; texts that share words get related vectors.  Each distinct
     text is embedded once per process while it stays in the shared memo
     (EMBED_CACHE_TEXTS entries); a repeat returns the memoized tuple.  Each
@@ -230,39 +182,35 @@ class HashEmbedder:
         self.dimension = dimension
         self.seed = seed
 
-    def embed(self, text: str) -> tuple[float, ...]:
+    def embed(self, text: str) -> tuple[int, ...]:
         return _hash_embed(self.dimension, self.seed, text)
 
 
-def _check_unit_norm(embedding: tuple[float, ...]) -> None:
-    norm = math.sqrt(sum(map(operator.mul, embedding, embedding)))
-    if abs(norm - 1.0) > NORM_TOLERANCE:
-        raise ValueError(f"embedding norm {norm!r} is not 1 within {NORM_TOLERANCE}")
-
-
-def cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    # Both vectors are unit-norm, so the dot product is the cosine.
+def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def _cosines(query: tuple[float, ...], embeddings: list[tuple[float, ...]]) -> Iterator[float]:
-    """``cosine(query, e)`` for each of ``embeddings``, bit-equal, summed
-    over the query's nonzero coordinates only.
+@lru_cache(maxsize=EMBED_CACHE_TEXTS)
+def _sum_of_squares(embedding: tuple[int, ...]) -> int:
+    """``embedding``'s int sum of squares, computed once per distinct vector
+    while it stays in the memo: an observation added to 24 banks, or a
+    memory list built again, pays for it once."""
+    return _dot(embedding, embedding)
 
-    ``sum`` starts from +0.0, its running total is never -0.0, and adding
-    ±0.0 to a total that is not -0.0 leaves it (and, on 3.12+, the
-    compensation term) unchanged; so dropping the terms where the query is
-    0.0 changes no bit, and a single remaining term sums to ``0.0 + q*e``.
-    """
+
+def _cosines(query: tuple[int, ...], embeddings: list[tuple[int, ...]], squares: list[int]) -> Iterator[float]:
+    """``dot / sqrt(nq * nr)`` for each of ``embeddings``, whose sums of
+    squares ``nr`` are ``squares``; the int dot product runs over the
+    query's nonzero coordinates only."""
     nonzero = [i for i, q in enumerate(query) if q]
     if len(nonzero) == 1:
         (j,) = nonzero
-        products = map(operator.mul, repeat(query[j]), map(operator.itemgetter(j), embeddings))
-        return map(operator.add, repeat(0.0), products)
-    if not nonzero or len(nonzero) == len(query):
-        return map(cosine, repeat(query), embeddings)
-    pick = operator.itemgetter(*nonzero)
-    return map(cosine, repeat(pick(query)), map(pick, embeddings))
+        dots = map(operator.mul, repeat(query[j]), map(operator.itemgetter(j), embeddings))
+    else:
+        pick = operator.itemgetter(*nonzero)
+        dots = map(_dot, repeat(pick(query)), map(pick, embeddings))
+    norms = map(math.sqrt, map(operator.mul, repeat(_sum_of_squares(query)), squares))
+    return map(operator.truediv, dots, norms)
 
 
 # exp(-_DECAY * age) by age, for every bank in the process: it depends on
@@ -300,7 +248,7 @@ class _CachedQuery:
 
     __slots__ = ("embedding", "cosines", "highs", "ceilings", "seen")
 
-    def __init__(self, embedding: tuple[float, ...]):
+    def __init__(self, embedding: tuple[int, ...]):
         self.embedding = embedding
         # Per block: the cosines of its first records, and the greatest of
         # them, so a block that gains records needs only their maximum.
@@ -318,14 +266,16 @@ class MemoryBank:
     The bank keeps the texts, timestamps and embeddings of its memories in
     three parallel lists, ``texts``, ``timestamps`` and ``embeddings``, each
     indexed by the id ``add`` returns.  Read them, never change them.  Both
-    retrievals return ids into these columns.
+    retrievals return ids into these columns.  Any ``embedder`` whose
+    ``embed(text)`` returns a tuple of int counts, not all 0, serves.
     """
 
-    def __init__(self, embedder: Embedder | None = None):
+    def __init__(self, embedder: HashEmbedder | None = None):
         self.embedder = embedder or HashEmbedder()
         self.texts: list[str] = []
         self.timestamps: list[datetime] = []
-        self.embeddings: list[tuple[float, ...]] = []
+        self.embeddings: list[tuple[int, ...]] = []
+        self._squares: list[int] = []  # each embedding's int sum of squares
         # Each recently used query's retrieval state (see module docstring),
         # least recently used first.
         self._queries: OrderedDict[str, _CachedQuery] = OrderedDict()
@@ -340,6 +290,7 @@ class MemoryBank:
         self.texts.append(text)
         self.timestamps.append(timestamp)
         self.embeddings.append(embedding)
+        self._squares.append(_sum_of_squares(embedding))
         return index
 
     def retrieve_associative(self, query: str, k: int) -> list[int]:
@@ -391,8 +342,8 @@ class MemoryBank:
             start = b * block
             known = cosines[b]
             if len(known) < min(block, n - start):
-                new = embeddings[start + len(known) : start + block]
-                fresh = list(_cosines(cached.embedding, new))
+                new = slice(start + len(known), start + block)
+                fresh = list(_cosines(cached.embedding, embeddings[new], self._squares[new]))
                 known += fresh
                 ceilings[b] = highs[b] = max(highs[b], *fresh)
             scores = _score_block(known, recency, start, n)

@@ -74,9 +74,6 @@ class ProbeComponent(GMComponent):
         super().__init__("probe")
         self.log: list[str] = []
 
-    def update(self, gm) -> None:
-        self.log.append("update")
-
     def partial_state(self, player: str) -> str:
         self.log.append("partial_state")
         return ""
@@ -96,7 +93,7 @@ class ProbeComponent(GMComponent):
         return False
 
 
-TURN_PATTERN = ["update", "partial_state", "before", "state", "after", "terminate"]
+TURN_PATTERN = ["partial_state", "before", "state", "after", "terminate"]
 
 
 def test_criterion_2_gm_call_order_over_randomized_turns():
@@ -128,13 +125,10 @@ def test_criterion_2_gm_call_order_over_randomized_turns():
 # --- 3. associative memory oracle ------------------------------------------------
 
 
-def oracle_cosine(a: tuple[float, ...], b: tuple[float, ...]) -> float:
+def oracle_cosine(a: tuple[int, ...], b: tuple[int, ...]) -> float:
+    # Int counts: the exact int dot product over one sqrt and one division.
     dot = sum(x * y for x, y in zip(a, b))
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(x * x for x in b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return dot / (na * nb)
+    return dot / math.sqrt(sum(x * x for x in a) * sum(y * y for y in b))
 
 
 def test_criterion_3_memory_matches_full_scan_oracle():

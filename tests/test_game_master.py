@@ -54,9 +54,6 @@ class LoggingComponent(GMComponent):
         super().__init__(name)
         self.log = log
 
-    def update(self, gm):
-        self.log.append(f"{self.name}.update")
-
     def partial_state(self, player):
         self.log.append(f"{self.name}.partial_state({player})")
         return ""
@@ -98,9 +95,7 @@ def test_turn_sequence_follows_the_contract():
     gm = make_gm(players=[player], components=[first, second], model=model)
     gm.run_episode(max_steps=1)
     assert log == [
-        "first.update",
         "first.partial_state(Alice)",
-        "second.update",
         "second.partial_state(Alice)",
         "call:act",
         "first.before",

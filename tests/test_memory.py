@@ -21,7 +21,6 @@ from gabm.memory import (
     RELEVANCE_CACHE_QUERIES,
     HashEmbedder,
     MemoryBank,
-    cosine,
 )
 
 from conftest import oracle_settings
@@ -30,16 +29,23 @@ T0 = datetime(2024, 5, 1, 9, 0)
 
 
 class AxisEmbedder:
-    """Maps listed texts to fixed unit vectors; everything else to e0."""
+    """Maps listed texts to fixed int count tuples; everything else to e0."""
 
-    def __init__(self, mapping: dict[str, tuple[float, ...]], dimension: int = 4):
+    def __init__(self, mapping: dict[str, tuple[int, ...]], dimension: int = 4):
         self.mapping = mapping
         self.dimension = dimension
 
     def embed(self, text: str):
         if text in self.mapping:
             return self.mapping[text]
-        return tuple([1.0] + [0.0] * (self.dimension - 1))
+        return (1,) + (0,) * (self.dimension - 1)
+
+
+def relevance(query: tuple[int, ...], record: tuple[int, ...]) -> float:
+    """The cosine of two int count vectors: the exact int dot product over
+    one correctly rounded sqrt and one division."""
+    dot = sum(a * b for a, b in zip(query, record))
+    return dot / math.sqrt(sum(a * a for a in query) * sum(b * b for b in record))
 
 
 def test_hash_embedder_is_deterministic_and_unit_norm():
@@ -49,24 +55,9 @@ def test_hash_embedder_is_deterministic_and_unit_norm():
     c = embedder.embed("something else")
     assert a == b
     assert a != c
-    assert abs(math.sqrt(sum(x * x for x in a)) - 1.0) < 1e-9
-
-
-def test_hash_vectors_are_checked_unit_norm(monkeypatch):
-    # The norm is checked once, where the memo makes the vector; a bank
-    # takes its embedding as given.
-    make = memory._hash_embed.__wrapped__
-    for text in ("", "the pub is snowed in", "Alice met Bob at the mill. " * 7):
-        vector = make(16, 0, text)
-        assert abs(math.sqrt(sum(x * x for x in vector)) - 1.0) <= memory.NORM_TOLERANCE
-    with pytest.raises(ValueError, match="norm"):
-        memory._check_unit_norm((0.5, 0.5))
-    checked = []
-    monkeypatch.setattr(memory, "_check_unit_norm", checked.append)
-    vector = make(16, 0, "the pub is snowed in")
-    assert checked == [vector]
-    bank = MemoryBank(embedder=AxisEmbedder({"x": (0.5, 0.5)}, dimension=2))
-    assert bank.embeddings[bank.add("x", T0)] == (0.5, 0.5)
+    assert all(type(x) is int for x in a + c)
+    # Scoring divides by the norm: a vector's cosine with itself is 1.0.
+    assert list(memory._cosines(a, [a], [sum(x * x for x in a)])) == [1.0]
 
 
 def test_insertion_indices_strictly_increase():
@@ -82,12 +73,13 @@ def test_retrieval_scores_match_hand_computed_table():
     #   rec0: cos=1.0, age 2 -> 2.9862327044933592
     #   rec1: cos=0.0, age 1 -> 1.9930924954370359
     #   rec2: cos=0.6, age 0 -> 2.6
+    # (3, 4) against (1, 0) is 3 / sqrt(25), exactly 0.6.
     embedder = AxisEmbedder(
         {
-            "query": (1.0, 0.0, 0.0, 0.0),
-            "rec0": (1.0, 0.0, 0.0, 0.0),
-            "rec1": (0.0, 1.0, 0.0, 0.0),
-            "rec2": (0.6, 0.8, 0.0, 0.0),
+            "query": (1, 0, 0, 0),
+            "rec0": (1, 0, 0, 0),
+            "rec1": (0, 1, 0, 0),
+            "rec2": (3, 4, 0, 0),
         }
     )
     bank = MemoryBank(embedder=embedder)
@@ -102,16 +94,45 @@ def test_retrieval_scores_match_hand_computed_table():
     assert got == pytest.approx([2.9862327044933592, 1.9930924954370359, 2.6], abs=1e-12)
 
 
+def squares_summing_to(total: int) -> list[int]:
+    """Ints whose squares sum to ``total``, each the largest that fits."""
+    parts = []
+    while total:
+        parts.append(math.isqrt(total))
+        total -= parts[-1] ** 2
+    return parts
+
+
+def tie_bank(holds) -> MemoryBank:
+    """A bank of "old" then "new" under the query e0, where "new" is
+    orthogonal to it and "old" is the first record, in a fixed search
+    order, whose cosine satisfies ``holds``.  The search tries
+    ``(x, *squares_summing_to(s))`` for x = 1, 2, ..., whose cosine is
+    x / sqrt(x*x + s), at the three s nearest the one that puts it at
+    1 - recency of age 1."""
+    target = 1.0 - math.exp(-math.log(2.0) / HALF_LIFE)
+    for x in range(1, 100_000):
+        nearest = round(x * x * (1.0 / target**2 - 1.0))
+        for s in (nearest - 1, nearest, nearest + 1):
+            old = (x, *squares_summing_to(s))
+            if holds(relevance((1,), old)):
+                zeros = (0,) * (len(old) - 2)
+                embedder = AxisEmbedder({"query": (1, 0) + zeros, "old": old, "new": (0, 1) + zeros})
+                bank = MemoryBank(embedder=embedder)
+                bank.add("old", T0)
+                bank.add("new", T0)
+                return bank
+    raise AssertionError("no record found")
+
+
 def test_equal_scores_prefer_recent_insertion():
-    # The older record's cosine makes up exactly what its recency lost:
-    # 1 - recency is exact, as recency lies in [0.5, 1], so both sums are
-    # 1.0 before the importance term and 2.0 after it.
+    # The older record's cosine makes up what its recency lost: both sums
+    # round to 1.0 before the importance term and to 2.0 after it.
     recency = math.exp(-math.log(2.0) / HALF_LIFE)
-    embedder = AxisEmbedder({"query": (1.0, 0.0), "old": (1.0 - recency, 0.0), "new": (0.0, 1.0)}, dimension=2)
-    bank = MemoryBank(embedder=embedder)
-    bank.add("old", T0)
-    bank.add("new", T0)
-    assert (1.0 - recency) + recency == 0.0 + 1.0
+    bank = tie_bank(lambda cos: cos + recency == 0.0 + 1.0)
+    old = relevance(bank.embedder.embed("query"), bank.embeddings[0])
+    assert relevance(bank.embedder.embed("query"), bank.embeddings[1]) == 0.0
+    assert old + recency == 0.0 + 1.0
     assert [bank.texts[i] for i in bank.retrieve_associative("query", k=2)] == ["new", "old"]
 
 
@@ -122,11 +143,10 @@ def test_scores_tied_only_by_the_importance_term_prefer_the_newer_record():
     # older one would rank first.
     recency = math.exp(-math.log(2.0) / HALF_LIFE)
     ahead = math.nextafter(1.0, 2.0)
-    embedder = AxisEmbedder({"query": (1.0, 0.0), "old": (ahead - recency, 0.0), "new": (0.0, 1.0)}, dimension=2)
-    bank = MemoryBank(embedder=embedder)
-    bank.add("old", T0)
-    bank.add("new", T0)
-    assert (ahead - recency) + recency == ahead > 0.0 + 1.0
+    bank = tie_bank(lambda cos: cos + recency == ahead)
+    old = relevance(bank.embedder.embed("query"), bank.embeddings[0])
+    assert relevance(bank.embedder.embed("query"), bank.embeddings[1]) == 0.0
+    assert old + recency == ahead > 0.0 + 1.0
     assert ahead + IMPORTANCE == 1.0 + IMPORTANCE
     assert [bank.texts[i] for i in bank.retrieve_associative("query", k=2)] == ["new", "old"]
     assert [bank.texts[i] for i in bank.retrieve_associative("query", k=1)] == ["new"]
@@ -151,9 +171,8 @@ def test_retrieve_recent_is_oldest_first_window():
 
 def oracle_score(query_embedding, embedding, age: int) -> float:
     """The scoring rule in plain arithmetic, one memory at a time."""
-    relevance = sum(a * b for a, b in zip(query_embedding, embedding))
     recency = math.exp(-(math.log(2.0) / HALF_LIFE) * age)
-    return relevance + recency + IMPORTANCE
+    return relevance(query_embedding, embedding) + recency + IMPORTANCE
 
 
 def brute_force_rank(bank: MemoryBank, query: str, k: int) -> list[int]:
@@ -183,8 +202,7 @@ def test_ranking_agrees_with_brute_force_oracle():
 
 
 def test_cosine_of_unit_vectors():
-    assert cosine((1.0, 0.0), (0.0, 1.0)) == 0.0
-    assert cosine((1.0, 0.0), (1.0, 0.0)) == 1.0
+    assert list(memory._cosines((1, 0), [(0, 1), (1, 0), (-1, 0)], [1, 1, 1])) == [0.0, 1.0, -1.0]
 
 
 def reference_counts(dimension: int, seed: int, text: str) -> list[int]:
@@ -197,31 +215,26 @@ def reference_counts(dimension: int, seed: int, text: str) -> list[int]:
     return counts
 
 
-def reference_hash_embed(dimension: int, seed: int, text: str) -> tuple[float, ...]:
+def reference_hash_embed(dimension: int, seed: int, text: str) -> tuple[int, ...]:
     """The token spec, one step at a time: each lower-case \\w+ token adds
-    +1 or -1 to one coordinate, from its crc32 started at the seed; the
-    counts are divided by the root of their integer sum of squares."""
+    +1 or -1 to one coordinate, from its crc32 started at the seed; a text
+    whose counts are all 0 maps to the first axis."""
     counts = reference_counts(dimension, seed, text)
-    squares = sum(count**2 for count in counts)
-    if squares == 0:
-        return tuple(1.0 if i == 0 else 0.0 for i in range(dimension))
-    return tuple(count / math.sqrt(squares) for count in counts)
+    if all(count == 0 for count in counts):
+        return tuple(1 if i == 0 else 0 for i in range(dimension))
+    return tuple(counts)
 
 
 def test_hash_embedder_golden_vectors():
-    # Frozen from the token-hashing embedder.  Every coordinate is an int
-    # count over the root of an int sum, so the vectors are the same on
-    # every Python version.  At seed 0, "met" and "the" land in the same
+    # Frozen from the token-hashing embedder: int counts, the same on every
+    # Python version.  At seed 0, "met" and "the" land in the same
     # coordinate with opposite signs and cancel; the snowman is no token.
-    assert HashEmbedder(dimension=4, seed=3).embed("the pub is snowed in") == (
-        0.8944271909999159, 0.0, 0.0, 0.4472135954999579,
-    )
+    assert HashEmbedder(dimension=4, seed=3).embed("the pub is snowed in") == (2, 0, 0, 1)
     assert HashEmbedder().embed("Alice met Bob at the mill.") == (
-        -0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0,
+        -1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0,
     )
-    half = 1 / math.sqrt(2)
     assert HashEmbedder().embed("\u00dcn\u00efc\u00f6d\u00e9 \u2603 text") == (
-        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, half, 0.0, 0.0, 0.0, half, 0.0, 0.0, 0.0, 0.0,
+        0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0,
     )
 
 
@@ -236,8 +249,8 @@ def test_case_and_punctuation_do_not_change_the_vector():
 # At seed 0, "met" and "the" add opposite signs to one coordinate.
 @pytest.mark.parametrize("text", ["", "!!", " ... \u2603 ", "met the"])
 def test_a_text_without_tokens_or_whose_tokens_cancel_embeds_to_the_first_axis(text):
-    assert HashEmbedder().embed(text) == (1.0,) + (0.0,) * 15
-    assert HashEmbedder(dimension=1).embed(text) == (1.0,)
+    assert HashEmbedder().embed(text) == (1,) + (0,) * 15
+    assert HashEmbedder(dimension=1).embed(text) == (1,)
 
 
 def test_a_query_by_name_ranks_the_records_that_mention_it_first():
@@ -293,34 +306,11 @@ def test_memoized_vectors_match_reference_through_repeats_and_eviction(texts, re
     assert memory._hash_embed.cache_info().misses - misses == len(set(order))
 
 
-def test_vectors_of_equal_sum_of_squares_share_their_floats():
-    memory._hash_embed.cache_clear()
-    memory._coordinates.cache_clear()
-    embedder = HashEmbedder()
-    shared: dict[tuple[int, int], float] = {}
-    seen: dict[int, set[int]] = {}
-    # Short texts, then a token repeated 1..NORM_TABLES + 20 times: more
-    # sums of squares than the tables the memo keeps.
-    texts = [f"the ledger of day {i} at the mill" for i in range(300)]
-    texts += ["bell " * n for n in range(1, memory.NORM_TABLES + 21)]
-    for text in texts:
-        counts = reference_counts(16, 0, text)
-        squares = sum(count * count for count in counts)
-        vector = embedder.embed(text)
-        assert vector == reference_hash_embed(16, 0, text)
-        for count, x in zip(counts, vector):
-            assert shared.setdefault((squares, count), x) is x
-        # A table holds only the counts of the vectors made from it.
-        seen.setdefault(squares, set()).update(counts)
-        assert set(memory._coordinates(squares)) <= seen[squares]
-    assert memory._coordinates.cache_info().currsize == memory.NORM_TABLES
-
-
 def test_threads_embedding_the_same_texts_get_equal_vectors():
     texts = [f"shared text {i}" for i in range(300)]
     memory._hash_embed.cache_clear()
     start = threading.Barrier(8)
-    results: list[list[tuple[float, ...]]] = []
+    results: list[list[tuple[int, ...]]] = []
 
     def embedder_thread():
         embedder = HashEmbedder()
@@ -367,7 +357,7 @@ def test_threads_embedding_through_a_small_token_table_get_reference_vectors(mon
     memory._hash_embed.cache_clear()
     shared = [f"shared {i} bell {i * 7} mill" for i in range(200)]
     start = threading.Barrier(4)
-    results: dict[int, list[tuple[str, tuple[float, ...]]]] = {}
+    results: dict[int, list[tuple[str, tuple[int, ...]]]] = {}
 
     def embedder_thread(n: int):
         embedder = HashEmbedder()
@@ -468,25 +458,12 @@ PRUNED_OPERATIONS = st.lists(
 )
 
 
-class StretchedEmbedder:
-    """HashEmbedder vectors scaled to norm 1 + NORM_TOLERANCE, the most the
-    Embedder contract allows, so cosines can exceed 1."""
-
-    def __init__(self, dimension: int):
-        self.inner = HashEmbedder(dimension=dimension)
-        self.dimension = dimension
-
-    def embed(self, text: str) -> tuple[float, ...]:
-        return tuple(x * (1.0 + memory.NORM_TOLERANCE) for x in self.inner.embed(text))
-
-
-def check_pruned_retrieval(block, dimension, stretched, preload, operations):
+def check_pruned_retrieval(block, dimension, preload, operations):
     """Every retrieval, with blocks of ``block`` records over a bank of
     ``preload`` records plus ``operations``, equals the full-scan oracle."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(memory, "BLOCK_RECORDS", block)
-        embedder = StretchedEmbedder(dimension) if stretched else HashEmbedder(dimension=dimension)
-        bank = MemoryBank(embedder=embedder)
+        bank = MemoryBank(embedder=HashEmbedder(dimension=dimension))
         rng = random.Random(preload)
         for _ in range(preload):
             bank.add(" ".join(rng.choices(WORDS, k=rng.randrange(5))), T0)
@@ -505,52 +482,24 @@ def check_pruned_retrieval(block, dimension, stretched, preload, operations):
 
 
 @oracle_settings(200)
-@given(block=st.integers(1, 4), dimension=st.integers(1, 8), stretched=st.booleans(), operations=PRUNED_OPERATIONS)
-def test_block_pruned_retrieval_matches_full_scan_oracle(block, dimension, stretched, operations):
+@given(block=st.integers(1, 4), dimension=st.integers(1, 8), operations=PRUNED_OPERATIONS)
+def test_block_pruned_retrieval_matches_full_scan_oracle(block, dimension, operations):
     # Blocks of 1-4 records, so a bank spans many blocks and most calls
     # prune some; few coordinates, so many records share a cosine and
     # recency alone separates them.  Blocks a call prunes get no cosines,
     # and blocks that gain records are bounded by the ceiling again until
     # scored; the results must not show it.
-    check_pruned_retrieval(block, dimension, stretched, 0, operations)
+    check_pruned_retrieval(block, dimension, 0, operations)
 
 
 @oracle_settings(30)
 @given(
     dimension=st.integers(1, 8),
-    stretched=st.booleans(),
     preload=st.integers(257, 700),
     operations=PRUNED_OPERATIONS,
 )
-def test_blocks_of_the_default_size_match_full_scan_oracle(dimension, stretched, preload, operations):
-    check_pruned_retrieval(memory.BLOCK_RECORDS, dimension, stretched, preload, operations)
-
-
-def test_the_cosine_ceiling_bounds_cosines_above_one():
-    # At norm 1 + NORM_TOLERANCE the older record's cosine is
-    # (1 + NORM_TOLERANCE)^2 > 1, and it wins by less than that excess: a
-    # ceiling of 1.0 would prune its unscored block and return the newer.
-    stretch = 1.0 + memory.NORM_TOLERANCE
-    recency = math.exp(-math.log(2.0) / HALF_LIFE)
-    near = (recency + memory.NORM_TOLERANCE / 2) / stretch
-    embedder = AxisEmbedder(
-        {
-            "query": (stretch, 0.0),
-            "old": (stretch, 0.0),
-            "new": (near, math.sqrt(1.0 - near * near)),
-        },
-        dimension=2,
-    )
-    bank = MemoryBank(embedder=embedder)
-    bank.add("old", T0)
-    bank.add("new", T0)
-    old_score = (stretch * stretch + recency) + IMPORTANCE
-    new_score = (stretch * near + 1.0) + IMPORTANCE
-    assert (1.0 + recency) + IMPORTANCE < new_score < old_score
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(memory, "BLOCK_RECORDS", 1)
-        assert [bank.texts[i] for i in bank.retrieve_associative("query", 1)] == ["old"]
-    assert brute_force_rank(bank, "query", 1) == [0]
+def test_blocks_of_the_default_size_match_full_scan_oracle(dimension, preload, operations):
+    check_pruned_retrieval(memory.BLOCK_RECORDS, dimension, preload, operations)
 
 
 def test_one_recency_table_serves_every_bank():
@@ -572,21 +521,35 @@ def test_one_recency_table_serves_every_bank():
     assert memory._recency_table(len(table)) is grown
 
 
+# Int count vectors: small counts, or counts large enough that nq * nr
+# passes 2**53 and the int-to-float conversions round.
+COUNTS = st.integers(-3, 3) | st.integers(-10_000, 10_000)
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    dimension=st.integers(1, 24),
-    seed=st.integers(0, 3),
-    query=st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join) | st.sampled_from(["", "!!", "met the"]),
-    texts=st.lists(st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join) | st.text(max_size=12), max_size=8),
-)
-def test_sparse_cosines_equal_the_full_dot_bit_for_bit(dimension, seed, query, texts):
-    # Covers queries with one nonzero coordinate (one word, or a text that
-    # embeds to e_0), several, and all of them.
-    embedder = HashEmbedder(dimension=dimension, seed=seed)
-    query_embedding = embedder.embed(query)
-    embeddings = [embedder.embed(text) for text in texts]
-    got = [x.hex() for x in memory._cosines(query_embedding, embeddings)]
-    assert got == [cosine(query_embedding, e).hex() for e in embeddings]
+@given(data=st.data(), dimension=st.integers(1, 24), one_coordinate=st.booleans())
+def test_bank_cosines_are_the_exact_int_formula(data, dimension, one_coordinate):
+    # Covers queries with one nonzero coordinate and with several, and
+    # records that are exact multiples of the query.
+    vectors = st.lists(COUNTS, min_size=dimension, max_size=dimension).filter(any).map(tuple)
+    if one_coordinate:
+        j = data.draw(st.integers(0, dimension - 1))
+        count = data.draw(COUNTS.filter(bool))
+        query = tuple(count if i == j else 0 for i in range(dimension))
+    else:
+        query = data.draw(vectors)
+    records = data.draw(st.lists(vectors, max_size=8))
+    multiples = data.draw(st.lists(st.integers(-1_000, 1_000).filter(bool), max_size=4))
+    records += [tuple(m * x for x in query) for m in multiples]
+    embedder = AxisEmbedder({"query": query, **{f"record {i}": r for i, r in enumerate(records)}})
+    bank = MemoryBank(embedder=embedder)
+    for i in range(len(records)):
+        bank.add(f"record {i}", T0)
+    bank.retrieve_associative("query", len(records))
+    got = [c for block in bank._queries["query"].cosines for c in block] if records else []
+    assert [c.hex() for c in got] == [relevance(query, r).hex() for r in records]
+    assert all(c <= memory.COSINE_CEILING for c in got)
+    assert got[len(records) - len(multiples) :] == [1.0 if m > 0 else -1.0 for m in multiples]
 
 
 def test_a_repeated_name_query_scores_under_a_tenth_of_a_large_bank(monkeypatch):
@@ -643,9 +606,9 @@ def test_a_name_query_computes_cosines_only_for_the_blocks_it_scores(monkeypatch
     filled = []
     cosines = memory._cosines
 
-    def counting(query, embeddings):
+    def counting(query, embeddings, squares):
         filled.append(len(embeddings))
-        return cosines(query, embeddings)
+        return cosines(query, embeddings, squares)
 
     monkeypatch.setattr(memory, "_cosines", counting)
     got = bank.retrieve_associative("Ines", 25)
