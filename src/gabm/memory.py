@@ -28,7 +28,9 @@ exp(-_DECAY * age) by age that every bank in the process shares.  Rounded
 addition is monotone, so no score in a block exceeds its bound.  Blocks are
 scored in descending order of bound, and the scan stops once k records are
 held and the next bound is below the k-th score; a bound equal to it is
-still scored, because ties prefer the newer record.  Every score is
+still scored, because ties prefer the newer record.  A block whose cosines
+a retrieval fills is bounded again by its greatest cosine, now known, and
+is not scored if that bound is below the k-th score.  Every score is
 bit-equal to the rule above and the result is the full scan's.  Over a bank
 of n records, a query not in the cache costs one embedding and the cosines
 of the blocks it visits, each over the query's nonzero coordinates only; a
@@ -39,20 +41,25 @@ memories, where recency decides most of the order, visits the newest few.
 
 The default embedder is a hashing bag-of-words (signed feature hashing,
 Weinberger et al. 2009): each lower-case ``\\w+`` token adds +1 or -1 to one
-coordinate, picked by its crc32, so texts that share words get related
-vectors and the relevance term means something.  An embedding is that tuple
-of int counts.  A bank keeps each record's int sum of squares beside it,
-and a cosine is the exact int dot product over one correctly rounded sqrt
-and one division, ``dot / sqrt(nq * nr)``, the same on every Python
-version.  Embedding is memoized per process at two levels, both shared by
-every bank, query and replay.  A token's coordinate and sign come from one
-table per (dimension, seed), which runs a token's crc32 the first time it
+coordinate, picked by the crc32 of its UTF-8 bytes, so texts that share
+words get related vectors and the relevance term means something.  An
+embedding is that tuple of int counts.  An ASCII text is tokenized in one
+C pass with no regex: its bytes are translated, each word character to its
+lower case and every other byte to a space, and split.  Any other text is
+lowered and split by the regex, and each token encoded.  A bank keeps each
+record's int sum of squares beside it, and a cosine is the exact int dot
+product over one correctly rounded sqrt and one division,
+``dot / sqrt(nq * nr)``, the same on every Python version.  Embedding is
+memoized per process at two levels, both shared by every bank, query and
+replay.  A token's coordinate and sign come from one table per (dimension,
+seed), keyed by the token's bytes, which runs its crc32 the first time it
 sees the token and is cleared when it holds TOKEN_TABLE_TOKENS tokens.  A
 text's vector is computed once while it stays among the EMBED_CACHE_TEXTS
 most recently embedded texts.  An observation delivered to 24 agents is
 tokenized once, not 24 times; a stream of all-distinct texts, such as a
 large initial memory list, misses the text memo every time and pays its
-tokenizing and one table lookup per token.
+tokenizing and one table lookup per token: about 1.9 us a text of recall's
+initial memories on a 2-core x86 VM.
 
 A bank keeps its texts, timestamps and embeddings in three parallel lists,
 its public read-only columns, indexed by the id ``add`` returns.  Both
@@ -77,6 +84,13 @@ from itertools import compress, count, repeat
 from typing import Iterable, Iterator
 
 _TOKEN_RE = re.compile(r"\w+")
+
+# bytes.translate table for an ASCII text: each ASCII character ``\w``
+# matches maps to its lower case and every other byte to a space, so the
+# split of the translated bytes is the text's lower-case ``\w+`` tokens.
+_ASCII_WORDS = bytes(
+    ord(chr(c).lower()) if c < 128 and _TOKEN_RE.fullmatch(chr(c)) else 0x20 for c in range(256)
+)
 
 # The score's recency half-life, in insertions, and the importance every
 # record carries.
@@ -106,15 +120,16 @@ COSINE_CEILING = 1.0 + 2.0**-52
 # distinct texts embedded per episode: crowd 159 (135 of its 6720 run-time
 # calls), market 151 (31 of 190 at run time), recall 19 of 284 at run time;
 # recall's 40k distinct initial memories stream through and miss, each miss
-# a tokenizing and one token-table lookup per token.  An entry holds a
-# vector that every bank holding the same text shares.  The memo of sums of
-# squares holds as many distinct vectors.
+# a tokenizing (one bytes translate and split for an ASCII text) and one
+# token-table lookup per token.  An entry holds a vector that every bank
+# holding the same text shares.  The memo of sums of squares holds as many
+# distinct vectors.
 EMBED_CACHE_TEXTS = 1024
 
 # Distinct tokens a token table holds before it is cleared and refilled.
 # Recall's 40k initial memories (seed 1) hold 10,047 distinct tokens, 10,000
 # of them the day numbers 0-9999, so its whole vocabulary fits with room to
-# spare; an entry is a token string and its (coordinate, sign) pair.
+# spare; an entry is a token's UTF-8 bytes and its (coordinate, sign) pair.
 TOKEN_TABLE_TOKENS = 16384
 
 # (dimension, seed) pairs whose token tables stay; a scenario embeds with one.
@@ -122,11 +137,12 @@ TOKEN_TABLES = 4
 
 
 class _TokenTable(dict):
-    """``(coordinate, sign)`` by token for one (dimension, seed), each from
-    the token's crc32 on first use: coordinate ``crc % dimension``, sign -1
-    when bit 31 of the crc is set, else +1.  A table of TOKEN_TABLE_TOKENS
-    tokens is cleared before the next is added; a thread that looks up a
-    token a clear has dropped computes the same pair again."""
+    """``(coordinate, sign)`` by token, as its UTF-8 bytes, for one
+    (dimension, seed), each from the crc32 of those bytes on first use:
+    coordinate ``crc % dimension``, sign -1 when bit 31 of the crc is set,
+    else +1.  A table of TOKEN_TABLE_TOKENS tokens is cleared before the
+    next is added; a thread that looks up a token a clear has dropped
+    computes the same pair again."""
 
     __slots__ = ("dimension", "seed")
 
@@ -135,8 +151,8 @@ class _TokenTable(dict):
         self.dimension = dimension
         self.seed = seed
 
-    def __missing__(self, token: str) -> tuple[int, int]:
-        crc = zlib.crc32(token.encode(), self.seed)
+    def __missing__(self, token: bytes) -> tuple[int, int]:
+        crc = zlib.crc32(token, self.seed)
         if len(self) >= TOKEN_TABLE_TOKENS:
             self.clear()
         pair = self[token] = (crc % self.dimension, -1 if crc & 0x80000000 else 1)
@@ -148,13 +164,21 @@ def _token_table(dimension: int, seed: int) -> _TokenTable:
     return _TokenTable(dimension, seed)
 
 
+def _tokens(text: str) -> list[bytes]:
+    """The lower-case ``\\w+`` tokens of ``text``, each as its UTF-8 bytes:
+    one bytes translate and split over an ASCII text, the regex over any
+    other."""
+    if text.isascii():
+        return text.encode().translate(_ASCII_WORDS).split()
+    return [token.encode() for token in _TOKEN_RE.findall(text.lower())]
+
+
 @lru_cache(maxsize=EMBED_CACHE_TEXTS)
 def _hash_embed(dimension: int, seed: int, text: str) -> tuple[int, ...]:
     """The HashEmbedder counts of ``text``, computed once per distinct
     (dimension, seed, text) while it stays in the memo."""
     counts = [0] * dimension
-    tokens = _TOKEN_RE.findall(text.lower())
-    for coordinate, sign in map(_token_table(dimension, seed).__getitem__, tokens):
+    for coordinate, sign in map(_token_table(dimension, seed).__getitem__, _tokens(text)):
         counts[coordinate] += sign
     if not any(counts):
         counts[0] = 1
@@ -164,12 +188,14 @@ def _hash_embed(dimension: int, seed: int, text: str) -> tuple[int, ...]:
 class HashEmbedder:
     """Deterministic bag-of-words embedder for tests and scripted runs.
 
-    Each lower-case ``\\w+`` token of the text hashes, by ``zlib.crc32``
-    started at the seed, to coordinate ``crc % dimension``, and adds +1
-    there, or -1 when bit 31 of the crc is set; the vector is the tuple of
-    those int counts.  A text with no tokens, or whose tokens cancel, maps
-    to e_0, ``(1, 0, ..., 0)``.  Case and punctuation do not change
-    the vector; texts that share words get related vectors.  Each distinct
+    Each lower-case ``\\w+`` token of the text hashes, by ``zlib.crc32`` of
+    its UTF-8 bytes started at the seed, to coordinate ``crc % dimension``,
+    and adds +1 there, or -1 when bit 31 of the crc is set; the vector is
+    the tuple of those int counts.  An ASCII text is tokenized by one bytes
+    translate and split, any other by the regex (see ``_tokens``).  A text
+    with no tokens, or whose tokens cancel, maps to e_0,
+    ``(1, 0, ..., 0)``.  Case and punctuation do not change the vector;
+    texts that share words get related vectors.  Each distinct
     text is embedded once per process while it stays in the shared memo
     (EMBED_CACHE_TEXTS entries); a repeat returns the memoized tuple.  Each
     distinct token's crc32 runs once while the shared token table of the
@@ -346,6 +372,12 @@ class MemoryBank:
                 fresh = list(_cosines(cached.embedding, embeddings[new], self._squares[new]))
                 known += fresh
                 ceilings[b] = highs[b] = max(highs[b], *fresh)
+                # Bounded again by its greatest cosine, now known: a block
+                # whose bound is below the k-th score cannot enter the top k
+                # (one equal to it can, as ties prefer the newer record).
+                bound = highs[b] + recency[max(n - start - block, 0)] + IMPORTANCE
+                if len(top) >= k and bound < top[k - 1][0]:
+                    continue
             scores = _score_block(known, recency, start, n)
             # Only a score at least the block's k-th best can make the top k.
             floor = sorted(scores)[-min(k, len(scores))]

@@ -7,7 +7,6 @@ import sys
 import threading
 import zlib
 from datetime import datetime, timedelta
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +235,28 @@ def test_hash_embedder_golden_vectors():
     assert HashEmbedder().embed("\u00dcn\u00efc\u00f6d\u00e9 \u2603 text") == (
         0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0,
     )
+    # Capitals, digits and "_" are word characters; the apostrophe and the
+    # unit separator split words.
+    text = "Ada's 3rd_Cart\x1fBELL 42"
+    assert memory._tokens(text) == [b"ada", b"s", b"3rd_cart", b"bell", b"42"]
+    assert HashEmbedder().embed(text) == (
+        0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0,
+    )
+
+
+# Every ASCII code point, and a few other characters, so that texts take
+# both tokenizer paths: "\u212a" (Kelvin sign) lowers to an ASCII "k",
+# "\u0130" lowers to two code points, "\u0663" is a digit.
+ASCII = st.characters(max_codepoint=127)
+NON_ASCII = st.sampled_from(
+    ["\u00e9", "\u00dc", "\u00df", "\u0130", "\u212a", "\u017f", "\u0663", "\u2603", "\u00a0"]
+)
+
+
+@oracle_settings(300)
+@given(text=st.text(ASCII, max_size=40) | st.text(ASCII | NON_ASCII, max_size=40))
+def test_tokens_match_the_findall_oracle(text):
+    assert memory._tokens(text) == [token.encode() for token in re.findall(r"\w+", text.lower())]
 
 
 def test_case_and_punctuation_do_not_change_the_vector():
@@ -402,21 +423,17 @@ def test_an_id_reads_back_what_was_added_and_retrievals_return_ids():
 
 
 def test_fanned_out_text_is_digested_once(monkeypatch):
-    # One observation reaching 24 agents' banks runs the token loop once;
-    # every record shares the one vector.
+    # One observation reaching 24 agents' banks is tokenized once; every
+    # record shares the one vector.
     text = "Ada noticed the bell ring in the square."
     memory._hash_embed.cache_clear()
-    token_loops = []
-    token_re = memory._TOKEN_RE
-    monkeypatch.setattr(
-        memory,
-        "_TOKEN_RE",
-        SimpleNamespace(findall=lambda t: token_loops.append(t) or token_re.findall(t)),
-    )
+    tokenized = []
+    tokens = memory._tokens
+    monkeypatch.setattr(memory, "_tokens", lambda t: tokenized.append(t) or tokens(t))
     banks = [MemoryBank() for _ in range(24)]
     for bank in banks:
         bank.add(text, T0)
-    assert token_loops == [text.lower()]
+    assert tokenized == [text]
     assert memory._hash_embed.cache_info().hits == 23
     vectors = [bank.embeddings[0] for bank in banks]
     assert vectors == [reference_hash_embed(16, 0, text)] * 24
@@ -620,3 +637,42 @@ def test_a_name_query_computes_cosines_only_for_the_blocks_it_scores(monkeypatch
     got = bank.retrieve_associative("Ines", 25)
     assert got == brute_force_rank(bank, "Ines", 25)
     assert filled == [7]
+
+
+def test_a_filled_block_that_cannot_reach_the_top_k_is_not_scored(monkeypatch):
+    # Few records name the agent, so the 25th score falls below 2, under the
+    # ceiling bound of every block without cosines, and the first query by
+    # the name fills all ten blocks.  Filled, a block is bounded by its
+    # greatest cosine, and a block that holds no record near the top 25 is
+    # not scored.
+    rng = random.Random(1)
+    bank = MemoryBank()
+    for day in range(10 * memory.BLOCK_RECORDS):
+        who = "Ines" if rng.random() < 0.02 else "Someone"
+        bank.add(
+            f"{who} {rng.choice(RECALL_VERBS)} {rng.choice(RECALL_THINGS)} at the {rng.choice(RECALL_PLACES)} on day {day}",
+            T0,
+        )
+    query = bank.embedder.embed("Ines")
+    scores = [oracle_score(query, embedding, len(bank) - 1 - i) for i, embedding in enumerate(bank.embeddings)]
+    assert sorted(scores)[-25] < 2.0
+    filled, scored = [], []
+    cosines, score_block = memory._cosines, memory._score_block
+
+    def counting_cosines(query, embeddings, squares):
+        filled.append(len(embeddings))
+        return cosines(query, embeddings, squares)
+
+    def counting_scores(cosines, recency, start, n):
+        scored.append(start)
+        return score_block(cosines, recency, start, n)
+
+    monkeypatch.setattr(memory, "_cosines", counting_cosines)
+    monkeypatch.setattr(memory, "_score_block", counting_scores)
+    assert bank.retrieve_associative("Ines", 25) == brute_force_rank(bank, "Ines", 25)
+    assert len(filled) == 10
+    assert 0 < len(scored) < len(filled)
+    # Later calls bound the filled blocks by their greatest cosines.
+    for day in range(3):
+        bank.add(f"Someone walked to the mill on day {day}", T0)
+        assert bank.retrieve_associative("Ines", 25) == brute_force_rank(bank, "Ines", 25)
