@@ -28,7 +28,6 @@ from .game_master import (
     EpisodeResult,
     GameMaster,
     GMComponent,
-    ObservationDelivery,
     PhraseTerminator,
     spawn_nested_game,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "NotificationHub",
     "Observation",
     "ObservationBuffer",
-    "ObservationDelivery",
     "OutputKind",
     "PhoneUniverse",
     "PhraseTerminator",

@@ -3,8 +3,8 @@
 An agent's behavior is sampled in two steps.  Acting concatenates the
 instruction preamble, every component's current state in a fixed order, and
 the rendered call to action, then samples the model once (plus retries for
-numeric answers).  Component updates run separately: every due component
-first builds the prompt of its model call, if it has one, from memory and
+numeric answers).  Component updates run separately: every component first
+builds the prompt of its model call, if it has one, from memory and
 its peers' pre-update states; once the calls are answered, each commits
 its answer, in declaration order.  Nothing changes until every prompt is
 built, so the calls of one pass are independent and can go out together.
@@ -39,22 +39,14 @@ class AgentComponent:
     the text to ask the agent's model or None, then ``commit(agent,
     answer)`` with the answer (None when nothing was asked), the only place
     the state changes.  A component holds no reference to its agent.
-    ``cadence`` is "step" (every update pass) or an integer N >= 1 (every
-    Nth pass).
     """
 
-    def __init__(self, name: str, cadence: int | str = "step"):
-        if cadence != "step" and (type(cadence) is not int or cadence < 1):
-            raise ValueError(f'cadence must be "step" or an integer >= 1, got {cadence!r}')
+    def __init__(self, name: str):
         self.name = name
-        self.cadence = cadence
         self._state = ""
 
     def state(self) -> str:
         return self._state
-
-    def due(self, pass_index: int) -> bool:
-        return self.cadence == "step" or pass_index % self.cadence == 0
 
     def prompt(self, agent: "GenerativeAgent") -> str | None:
         return None
@@ -67,15 +59,12 @@ class AgentComponent:
 
 
 class ConstantComponent(AgentComponent):
-    """Fixed text, e.g. a goal or role description from the scenario; never
-    due for an update."""
+    """Fixed text, e.g. a goal or role description from the scenario; an
+    update pass asks nothing and changes nothing."""
 
     def __init__(self, name: str, text: str):
         super().__init__(name)
         self._state = text
-
-    def due(self, pass_index: int) -> bool:
-        return False
 
 
 class ObservationBuffer(AgentComponent):
@@ -112,12 +101,11 @@ class ModelQueryComponent(AgentComponent):
         k: int = 25,
         query_text: str | None = None,
         reads: tuple[str, ...] = (),
-        cadence: int | str = "step",
         initial_state: str = "",
     ):
         if retrieval not in RETRIEVAL_MODES:
             raise ValueError(f"unknown retrieval mode {retrieval!r}")
-        super().__init__(name, cadence)
+        super().__init__(name)
         self.question = question
         self.retrieval = retrieval
         self.k = k
@@ -179,7 +167,6 @@ class GenerativeAgent:
             if component.name in seen:
                 raise ValueError(f"duplicate component name {component.name!r}")
             seen.add(component.name)
-        self._update_passes = 0
 
     def preamble_text(self) -> str:
         return DEFAULT_PREAMBLE.replace("{name}", self.name)
@@ -201,31 +188,28 @@ class GenerativeAgent:
             component.observe(observation)
 
     def update_components(self) -> None:
-        """Run one update pass over all due components.
+        """Run one update pass over all components.
 
-        Every due prompt is built before any answer commits, so each reads
+        Every prompt is built before any answer commits, so each reads
         its peers' pre-pass states: ``ask_all`` issues the prompts together
         when the model is slow enough for that to pay, and records their
         calls in declaration order either way.  Answers then commit in
         declaration order.  A failure aborts the episode naming the
         failing component; later components' calls are not recorded.
         """
-        pass_index = self._update_passes
-        self._update_passes += 1
-        due = [c for c in self.components if c.due(pass_index)]
         prompts: list[str | None] = []
         try:
-            for component in due:
+            for component in self.components:
                 prompts.append(component.prompt(self))
             answers = ask_all(
                 self.model,
                 [
                     (prompt, f"component:{self.name}/{c.name}:update")
-                    for c, prompt in zip(due, prompts)
+                    for c, prompt in zip(self.components, prompts)
                     if prompt is not None
                 ],
             )
-            for component, prompt in zip(due, prompts):
+            for component, prompt in zip(self.components, prompts):
                 component.commit(self, None if prompt is None else next(answers))
         except Exception as exc:
             # ``component`` is the one whose prompt, call or commit failed.

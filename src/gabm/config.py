@@ -53,12 +53,7 @@ from .agent import (
     three_questions_components,
 )
 from .errors import ConfigError, ConfigIssue, ConfigValidationError
-from .game_master import (
-    GameMaster,
-    GMComponent,
-    ObservationDelivery,
-    PhraseTerminator,
-)
+from .game_master import GameMaster, PhraseTerminator
 from .genesis import MAX_AGE, AgentProfile, generate_and_seed
 from .grounding import InventoryComponent, LocationComponent, Questionnaire, as_quantity
 from .kernel import (
@@ -72,7 +67,7 @@ from .kernel import (
 from .model import EchoModel, GenerativeModel, HttpModel, ScriptedModel
 from .phone import CalendarApp, PhoneUniverse, SceneTrigger
 
-ENGINE_VERSION = "0.3.0"
+ENGINE_VERSION = "0.4.0"
 
 MODEL_KINDS = {"scripted": ScriptedModel, "echo": EchoModel, "http": HttpModel}
 CLOCK_MODES = {"round": ClockMode.ADVANCE_PER_ROUND, "player": ClockMode.ADVANCE_PER_PLAYER}
@@ -307,10 +302,6 @@ AGENT_COMPONENTS = {
         k=_COUNT,
         query_text=_STRING,
         reads=_READS,
-        cadence=_Type(
-            lambda v: v == "step" or (_is_int(v) and v >= 1),
-            'must be "step" or a positive integer',
-        ),
         initial_state=_STRING,
     ),
     "three_questions": Kind(
@@ -329,7 +320,6 @@ GM_COMPONENTS = {
     "locations": Kind(LocationComponent, locations=_Map(_TEXT, by_agent=True), name=_TEXT),
     "scene_trigger": Kind(SceneTrigger, universe=True, name=_TEXT),
     "phrase_terminator": Kind(PhraseTerminator, phrase=_TEXT, name=_TEXT),
-    "observation_delivery": Kind(ObservationDelivery, name=_TEXT),
 }
 APPS = {"calendar": Kind(CalendarApp, name=_TEXT)}
 _PROFILE = Kind(
@@ -676,11 +666,9 @@ def build(
         for owner, app_names in phones_cfg.items():
             universe.give_phone(owner, app_names)
 
-    gm_components: list[GMComponent] = []
-    for kind, comp in gm_kinds:
-        gm_components.append(kind.build(comp, **({"universe": universe} if kind.universe else {})))
-    if not any(isinstance(c, ObservationDelivery) for c in gm_components):
-        gm_components.append(ObservationDelivery())
+    gm_components = [
+        kind.build(comp, **({"universe": universe} if kind.universe else {})) for kind, comp in gm_kinds
+    ]
 
     action_spec = raw.get("action_spec")
     gm = GameMaster(

@@ -13,8 +13,9 @@ Resolution of one acting turn follows a fixed sequence:
    post-event ask of each component that has one.  The observer lines are
    parsed and the event goes into the turn record.
 5. Per component, its ``answer_after_event`` if it asked, then
-   ``update_after_event``.  This is when grounded variables change and
-   observations fan out.
+   ``update_after_event``.  This is when grounded variables change.  After
+   every component's post-event hooks, the game master delivers the parsed
+   observer lines and then, if the action was vetoed, tells the actor why.
 
 Episode termination is polled after every acting turn.  Every prompt of a
 batch is built before any of its answers is applied, so ``ask_all`` can
@@ -137,25 +138,6 @@ class GMComponent:
         return False
 
 
-class ObservationDelivery(GMComponent):
-    """Fans out the observations the game master judged to have happened.
-
-    Drains the observer list parsed from the resolution chain of thought,
-    and notifies the actor when their action was vetoed.  Scenario builders
-    append this component last so grounded components have already reacted.
-    """
-
-    def __init__(self, name: str = "observation delivery"):
-        super().__init__(name)
-
-    def update_after_event(self, gm: GameMaster, event: EventStatement) -> None:
-        for recipient, text in gm.drain_pending_observations():
-            gm.emit_observation(recipient, text)
-        veto = gm.veto_reason
-        if veto is not None:
-            gm.emit_observation(event.cause.actor, f"Your action was invalid: {veto}.")
-
-
 class PhraseTerminator(GMComponent):
     """Ends the episode once an event contains the configured phrase."""
 
@@ -211,7 +193,6 @@ class GameMaster:
         self._player_index = {p.name: p for p in self.players}
         self._turn_counter = 0
         self._veto_reason: str | None = None
-        self._pending_observations: list[tuple[str, str]] = []
         self._current_record: TraceRecord | None = None
         self._record_calls = None  # the token of the open record's call list
 
@@ -226,18 +207,6 @@ class GameMaster:
     def veto(self, reason: str) -> None:
         """Mark the current attempted action as violating grounded state."""
         self._veto_reason = reason
-
-    @property
-    def veto_reason(self) -> str | None:
-        return self._veto_reason
-
-    def queue_event_observation(self, recipient: str, text: str) -> None:
-        self._pending_observations.append((recipient, text))
-
-    def drain_pending_observations(self) -> list[tuple[str, str]]:
-        drained = self._pending_observations
-        self._pending_observations = []
-        return drained
 
     def emit_observation(self, player: str, text: str) -> None:
         """Deliver text to one player and log it to the current turn record."""
@@ -272,7 +241,9 @@ class GameMaster:
         parts.append(f"Attempted action by {action.actor}: {action.text}\n")
         return "".join(parts)
 
-    def _parse_observers(self, raw: str) -> None:
+    def _parse_observers(self, raw: str) -> list[tuple[str, str]]:
+        """The (player, text) pairs of the observer lines, in order."""
+        observed = []
         for line in raw.splitlines():
             line = line.strip().lstrip("-").strip()
             if not line or line.casefold() == "none":
@@ -283,16 +254,16 @@ class GameMaster:
             if not sep or not text:
                 continue
             if name in self._player_index:
-                self.queue_event_observation(name, text)
+                observed.append((name, text))
             else:
                 self.audit_note(f"observer line ignored (unknown player): {line}")
+        return observed
 
     def update_from_player(self, action: AgentAction) -> EventStatement:
         """Resolve one attempted action into an event statement."""
         if action.actor not in self._player_index:
             raise ConfigError(f"action from unregistered player {action.actor!r}")
         self._veto_reason = None
-        self._pending_observations = []
         for component in self.components:
             component.update_before_event(self, action)
         gm_states = {c.name: c.state() for c in self.components}
@@ -325,13 +296,17 @@ class GameMaster:
             [(f"{context}Event: {outcome}\n{OBSERVERS_QUESTION}", "gm:resolve:observers")]
             + [ask for ask in after if ask is not None],
         )
-        self._parse_observers(next(answers))
+        observed = self._parse_observers(next(answers))
         if self._current_record is not None:
             self._current_record.event = event.text
         for component, ask in zip(self.components, after):
             if ask is not None:
                 component.answer_after_event(self, event, next(answers))
             component.update_after_event(self, event)
+        for name, text in observed:
+            self.emit_observation(name, text)
+        if self._veto_reason is not None:
+            self.emit_observation(action.actor, f"Your action was invalid: {self._veto_reason}.")
         return event
 
     # ---- the episode loop ----------------------------------------------------

@@ -67,8 +67,8 @@ def test_component_order_is_part_of_the_prompt():
 
 
 class Counter(AgentComponent):
-    def __init__(self, name, cadence="step"):
-        super().__init__(name, cadence)
+    def __init__(self, name):
+        super().__init__(name)
         self.runs = 0
 
     def commit(self, agent, answer):
@@ -111,25 +111,6 @@ def test_update_order_does_not_change_what_peers_read():
         agent.update_components()
         agent.update_components()
         assert reader.state() == "saw [run 1]"
-
-
-def test_cadence_interval_and_manual():
-    every = Counter("every")
-    third = Counter("third", cadence=3)
-    constant = ConstantComponent("goal", "win")
-    agent = make_agent([every, third, constant])
-    for _ in range(6):
-        agent.update_components()
-    assert every.runs == 6
-    assert third.runs == 2  # pass indices 0 and 3
-    assert not any(constant.due(i) for i in range(6))
-    assert constant.state() == "win"
-    # A component that never updates is a constant: "manual" is no cadence.
-    for bad in (0, -1, True, 2.0, "manual", "hourly", None):
-        with pytest.raises(ValueError, match="cadence"):
-            Counter("bad", cadence=bad)
-        with pytest.raises(ValueError, match="cadence"):
-            ModelQueryComponent("bad", "Why?", cadence=bad)
 
 
 def test_component_failure_aborts_and_names_component(calls):

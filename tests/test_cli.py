@@ -17,6 +17,8 @@ from gabm.trace import replay, run_built_scenario
 from test_game_master import POST_EXTRACT, PRE_EXTRACT, BatchModel
 from test_trace import CONFIG, SCRIPT, write_scenario
 
+ENGINE = gabm.config.ENGINE_VERSION
+
 
 def run_trace(tmp_path: Path) -> tuple[Path, Path]:
     config_path = write_scenario(tmp_path)
@@ -416,7 +418,7 @@ def test_replay_rejects_a_trace_from_another_engine_version(tmp_path, capsys, ve
     capsys.readouterr()
     assert main(["replay", "--trace", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"replay failed: header engine_version must be '0.3.0', got {version!r}\n"
+        f"replay failed: header engine_version must be {ENGINE!r}, got {version!r}\n"
     )
 
 
@@ -447,8 +449,8 @@ def test_replay_names_the_engine_version_of_an_old_format_trace(tmp_path, capsys
     out, lines = magic_beans_trace(tmp_path, flat=True)
     header = json.loads(lines[0])
     for version, code, err in (
-        ("0.3.0", 1, "cannot replay: bad trace record on line 2: 'recipients'\n"),
-        ("0.2.0", 1, "replay failed: header engine_version must be '0.3.0', got '0.2.0'\n"),
+        (ENGINE, 1, "cannot replay: bad trace record on line 2: 'recipients'\n"),
+        ("0.2.0", 1, f"replay failed: header engine_version must be {ENGINE!r}, got '0.2.0'\n"),
     ):
         header["engine_version"] = version
         lines[0] = canonical_json(header)
@@ -469,12 +471,12 @@ def test_audit_names_another_engine_version_before_its_report(tmp_path, capsys, 
     assert main(["audit", "--trace", str(out)]) == 0
     captured = capsys.readouterr()
     err = captured.err.splitlines()
-    assert err[0] == "trace header engine_version '0.2.0' is not this engine's '0.3.0'"
+    assert err[0] == f"trace header engine_version '0.2.0' is not this engine's {ENGINE!r}"
     assert len(err) == 1 + 6 - shown
     assert all(line.endswith("corrupt record ('recipients')") for line in err[1:])
     assert captured.out.endswith(f"{shown} record(s) shown, {6 - shown} corrupt line(s) skipped\n")
     # A trace of this engine's version gets no such line.
-    header["engine_version"] = "0.3.0"
+    header["engine_version"] = ENGINE
     lines[0] = canonical_json(header)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["audit", "--trace", str(out)]) == 0

@@ -23,7 +23,7 @@ from gabm.config import (
     validate_config,
 )
 from gabm.errors import ConfigValidationError
-from gabm.game_master import ObservationDelivery, PhraseTerminator
+from gabm.game_master import PhraseTerminator
 from gabm.grounding import InventoryComponent, LocationComponent
 from gabm.kernel import ClockMode, OutputKind, canonical_json
 from gabm.model import EchoModel, ScriptedModel, ScriptRule
@@ -242,22 +242,9 @@ def test_build_wires_everything(tmp_path):
         InventoryComponent,
         LocationComponent,
         PhraseTerminator,
-        ObservationDelivery,  # auto-appended last
     ]
     inventory = built.gm.components[0]
     assert inventory.inventory.get("Bob", "coin") == 5
-
-
-def test_build_respects_declared_observation_delivery(tmp_path):
-    raw = valid_raw()
-    raw["gm"]["components"] = [
-        {"type": "observation_delivery", "name": "custom delivery"},
-        {"type": "phrase_terminator", "phrase": "done"},
-    ]
-    built = build(config_from_dict(raw, tmp_path))
-    deliveries = [c for c in built.gm.components if isinstance(c, ObservationDelivery)]
-    assert len(deliveries) == 1
-    assert deliveries[0].name == "custom delivery"
 
 
 def test_build_scene_trigger_and_universe(tmp_path):
@@ -411,9 +398,7 @@ REJECTED_EDITS = [
     ("max_items", _agent_component(0, 1, max_items="x"), "agents[0].components[1].max_items"),
     ("window too large", _agent_component(0, 1, max_items=2**63), "agents[0].components[1].max_items"),
     ("unknown component field", _agent_component(0, 1, maxitems=3), "agents[0].components[1].maxitems"),
-    ("cadence 0", _agent_component(0, 2, cadence=0), "agents[0].components[2].cadence"),
-    ("cadence word", _agent_component(0, 2, cadence="hourly"), "agents[0].components[2].cadence"),
-    ("cadence manual", _agent_component(0, 2, cadence="manual"), "agents[0].components[2].cadence"),
+    ("cadence", _agent_component(0, 2, cadence=3), "agents[0].components[2].cadence"),
     ("model_query k", _agent_component(0, 2, k="x"), "agents[0].components[2].k"),
     ("three_questions k", _agent_component(1, 0, k="x"), "agents[1].components[0].k"),
     (
@@ -426,6 +411,7 @@ REJECTED_EDITS = [
     ("nan quantity", _endowment("Bob", coin="nan"), "gm.components[0].endowments.Bob.coin"),
     ("inventory items string", _gm_component(0, items="coin"), "gm.components[0].items"),
     ("unknown gm component field", _gm_component(1, where="x"), "gm.components[1].where"),
+    ("observation_delivery kind", _gm_component(0, type="observation_delivery"), "gm.components[0].type"),
     ("gm preamble", lambda raw: raw["gm"].update(preamble=5), "gm.preamble"),
     ("unknown app field", _top(apps=[{"kind": "calendar", "size": 3}]), "apps[0].size"),
     ("scene child_step_minutes", _top(scene={"child_step_minutes": "x"}), "scene.child_step_minutes"),
@@ -523,7 +509,6 @@ MINIMAL_OBJECTS = {
     "locations": {"type": "locations"},
     "scene_trigger": {"type": "scene_trigger"},
     "phrase_terminator": {"type": "phrase_terminator", "phrase": "the market closed"},
-    "observation_delivery": {"type": "observation_delivery"},
     "calendar": {"kind": "calendar"},
 }
 

@@ -13,7 +13,6 @@ from gabm.errors import BackendUnavailable, ConfigError
 from gabm.game_master import (
     GameMaster,
     GMComponent,
-    ObservationDelivery,
     PhraseTerminator,
     spawn_nested_game,
     OBSERVERS_QUESTION,
@@ -229,13 +228,36 @@ def test_observer_lines_fan_out_through_observation_delivery():
     )
     alice = GenerativeAgent("Alice", model)
     bob = GenerativeAgent("Bob", model)
-    gm = make_gm(players=[alice, bob], components=[ObservationDelivery()], model=model)
-    record = gm.begin_record("turn", 0, "Alice")
-    gm.update_from_player(alice.act(gm.action_spec, gm.clock.current_time))
-    gm.finish_record(record)
+
+    def turn(gm, step):
+        record = gm.begin_record("turn", step, "Alice")
+        gm.update_from_player(alice.act(gm.action_spec, gm.clock.current_time))
+        gm.finish_record(record)
+        return record
+
+    # With no component at all, the game master delivers the lines itself.
+    record = turn(make_gm(players=[alice, bob], components=[], model=model), 0)
     assert memory_texts(bob.memory) == ["Alice waved at him"]
-    assert record.observations[0].recipient == "Bob"
+    assert [(o.recipient, o.text) for o in record.observations] == [("Bob", "Alice waved at him")]
     assert record.notes == ["observer line ignored (unknown player): Zed: sees nothing"]
+    assert record.gm_states == {}
+
+    class NoWaving(GMComponent):
+        def update_before_event(self, gm, cause):
+            gm.veto("waving is not allowed")
+
+        def update_after_event(self, gm, event):
+            gm.emit_observation("Alice", "The guard frowns.")
+
+    # A vetoed actor is told why last: after every component's post-event
+    # hooks and the observer lines.
+    record = turn(make_gm(players=[alice, bob], components=[NoWaving("rules")], model=model), 1)
+    assert [(o.recipient, o.text) for o in record.observations] == [
+        ("Alice", "The guard frowns."),
+        ("Bob", "Alice waved at him"),
+        ("Alice", "Your action was invalid: waving is not allowed."),
+    ]
+    assert memory_texts(alice.memory)[-1] == "Your action was invalid: waving is not allowed."
 
 
 def test_veto_rewords_outcome_and_notifies_actor():
@@ -261,14 +283,12 @@ def test_veto_rewords_outcome_and_notifies_actor():
         default_response="steal the gem",
     )
     alice = GenerativeAgent("Alice", model)
-    gm = make_gm(players=[alice], components=[NoStealing("rules"), ObservationDelivery()], model=model)
+    gm = make_gm(players=[alice], components=[NoStealing("rules")], model=model)
     result = gm.run_episode(max_steps=1)
     outcome_prompts = [p for p in prompts_seen if "The attempted action is invalid" in p]
     assert outcome_prompts and "theft is impossible here" in outcome_prompts[0]
     assert result.trace[0].event == "Alice reached for the gem but it would not budge."
     assert "Your action was invalid: theft is impossible here." in memory_texts(alice.memory)
-    # The veto is per-action: nothing sticks to the game master afterwards.
-    assert gm.veto_reason is None or gm.veto_reason == "theft is impossible here"
 
 
 def test_a_pre_event_effect_veto_wins_over_an_update_before_event_veto():
@@ -289,12 +309,12 @@ def test_a_pre_event_effect_veto_wins_over_an_update_before_event_veto():
     # update_before_event, so its reason is the one that stands.
     gm = make_gm(
         players=[alice],
-        components=[NoShouting("voice"), NoStealing("rules"), ObservationDelivery()],
+        components=[NoShouting("voice"), NoStealing("rules")],
         model=model,
     )
     gm.run_episode(max_steps=1)
-    assert gm.veto_reason == "shouting is not allowed"
-    assert "Your action was invalid: shouting is not allowed." in memory_texts(alice.memory)
+    notices = [t for t in memory_texts(alice.memory) if t.startswith("Your action was invalid")]
+    assert notices == ["Your action was invalid: shouting is not allowed."]
 
 
 def test_veto_state_resets_between_actions():
@@ -308,7 +328,7 @@ def test_veto_state_resets_between_actions():
         default_response="hums a tune",
     )
     alice = GenerativeAgent("Alice", model)
-    gm = make_gm(players=[alice], components=[NoStealing("rules"), ObservationDelivery()], model=model)
+    gm = make_gm(players=[alice], components=[NoStealing("rules")], model=model)
     gm.run_episode(max_steps=2)
     invalid = [t for t in memory_texts(alice.memory) if t.startswith("Your action was invalid")]
     assert len(invalid) == 1
@@ -536,7 +556,7 @@ def run_batch_turn(model):
     inventory = InventoryComponent({"Alice": {"coin": 5}, "Bob": {"beans": 2}})
     gm = make_gm(
         players=[GenerativeAgent("Alice", model)],
-        components=[SceneTrigger(universe), inventory, ObservationDelivery()],
+        components=[SceneTrigger(universe), inventory],
         model=model,
     )
     gm.notification_hub = universe.hub
@@ -606,7 +626,7 @@ def test_components_without_queries_stay_out_of_the_batches(monkeypatch):
     model.sample_text("warm up")
     gm = make_gm(
         players=[GenerativeAgent("Alice", model)],
-        components=[ObservationDelivery(), PhraseTerminator("never said")],
+        components=[PhraseTerminator("never said")],
         model=model,
     )
     result = gm.run_episode(max_steps=1)
@@ -682,7 +702,7 @@ def test_a_call_from_a_model_the_game_master_does_not_hold_lands_in_the_turn_rec
     own = OwnModelComponent()
     gm = make_gm(
         players=[GenerativeAgent("Alice", model)],
-        components=[own, ObservationDelivery()],
+        components=[own],
         model=model,
     )
     result = gm.run_episode(max_steps=1)
@@ -761,7 +781,7 @@ def test_engine_state_stays_on_the_calling_thread(monkeypatch):
     alice = GenerativeAgent("Alice", model, components=three_questions_components())
     gm = make_gm(
         players=[alice],
-        components=[SceneTrigger(universe), inventory, ObservationDelivery()],
+        components=[SceneTrigger(universe), inventory],
         model=model,
     )
     gm.notification_hub = universe.hub

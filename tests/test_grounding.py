@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gabm.agent import GenerativeAgent
 from gabm.errors import ConfigError
-from gabm.game_master import GameMaster, ObservationDelivery
+from gabm.game_master import GameMaster
 from gabm.grounding import (
     InventoryComponent,
     InventoryState,
@@ -148,7 +148,7 @@ def trade_gm(endowments, rules, default="waits", items=None, actors=None):
         model=model,
         players=players,
         clock=GameClock(T0, step_minutes=60),
-        components=[inventory, ObservationDelivery()],
+        components=[inventory],
     )
     return gm, inventory, model
 

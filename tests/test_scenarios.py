@@ -27,18 +27,21 @@ SKETCHES = ["riverbend_election.json", "cyberball.json"]
 # config.ENGINE_VERSION and updates these pins in the same change, and
 # those of tests/test_workload_traces.py.  Engine 0.3.0 writes each run of
 # observations with equal text and time once, and no `prompts` field.
+# Engine 0.4.0 drops the empty `observation delivery` entry of `gm_states`
+# and its line in every game-master prompt.
 FIXTURE_TRACE_SHA256 = {
-    "calendar.json": "a99d03a8a14e1b7c5f8c4e65667cbba4c3a68b9c8e0163de40ac494a8a0c01a6",
-    "magic_beans.json": "ce9db3cb3985fca9449919612ac5ba864591e7ce89cb09735a2317454a79acc5",
-    "three_questions.json": "7a3cbe4a11aecff8aa8ea3f9fda9b81fc125da374e0fbdce178ad934d7752b42",
+    "calendar.json": "1699a594f17b778dbeade5762bec9e9e5ff60dd4da4a8235520cd6e09ef14035",
+    "magic_beans.json": "2ea854faf1387221c6aec9195b2152bbab0618159da1f8e15ef8de35bfd2eb5c",
+    "three_questions.json": "2e86196e95b4ae25ef0d713471cb961f6a70effe79062fa7e07ed255e7d8b9b9",
 }
 # sha256 of each trace's record lines, every line after the header.  Engine
 # 0.2.0 changed the embedder; calendar and magic_beans never retrieve
 # associatively, so that change left their records as engine 0.1.0 wrote
-# them.  Engine 0.3.0 changed how every record is encoded.
+# them.  Engine 0.3.0 changed how every record is encoded, and engine 0.4.0
+# what every record holds.
 FIXTURE_RECORDS_SHA256 = {
-    "calendar.json": "c2c31d4a5d9afea53fe1cced706490f289ff32ecf0ac1fe0c9acb3708999d344",
-    "magic_beans.json": "142e1abf4efb9753f4b20b7432bc6cef6c162831b042fd4a282fd86da1d41c03",
+    "calendar.json": "7f53aa3cfdad63d45dcff6821493a842b90fc0cd65f8a477284662fa68946cb5",
+    "magic_beans.json": "68582161a2fec687a077d9c1c5de9267190c40b661606ff477eb216708c61432",
 }
 
 

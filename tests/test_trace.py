@@ -441,12 +441,12 @@ REPLAY_CASES = {
     "truncated line": (
         lambda ls: ls.__setitem__(3, ls[3][: len(ls[3]) // 2]),
         "SimulationError: bad trace record on line 4: "
-        "Unterminated string starting at: line 1 column 1873 (char 1872)",
+        "Unterminated string starting at: line 1 column 1823 (char 1822)",
     ),
     "truncated last line": (
         lambda ls: ls.__setitem__(6, ls[6][:-1]),
         "SimulationError: bad trace record on line 7: "
-        "Expecting ',' delimiter: line 1 column 3443 (char 3442)",
+        "Expecting ',' delimiter: line 1 column 3345 (char 3344)",
     ),
     "header not JSON": (
         lambda ls: ls.__setitem__(0, "garbage"),
@@ -481,7 +481,7 @@ REPLAY_CASES = {
     "response edited": (_response(2, "Carol leaves."), DIFFERS),
     "engine_version": (
         OLD_ENGINE,
-        (False, 0, None, "header engine_version must be '0.3.0', got '0.1.0'"),
+        (False, 0, None, f"header engine_version must be {config_mod.ENGINE_VERSION!r}, got '0.1.0'"),
     ),
     "config hash": (STALE_HASH, (False, 0, None, "config hash mismatch in header")),
     "header seed": (

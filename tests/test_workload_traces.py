@@ -32,17 +32,17 @@ _SPEC = importlib.util.spec_from_file_location(
 workloads = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(workloads)
 
-# sha256 of the trace of each (workload, seed) at engine 0.3.0.
+# sha256 of the trace of each (workload, seed) at engine 0.4.0.
 WORKLOAD_TRACE_SHA256 = {
-    ("recall", 1): "9010cb698e94b850e6a77706c7560e278cffc616473f317937be27642479a03d",
-    ("recall", 3): "ca063fd7f009e6b2aa4cf817a337b548e622fce308c051a0d355c51a95111be0",
-    ("recall", 9): "fbb002c1a9d9495938db558f629b6afab991e8cadea78e3c9baa0c9b8b4a1e92",
-    ("market", 1): "623970d6a878d8b85e81b6414881cec180851002fed92f9756af12fd592e651f",
-    ("market", 3): "c42ec5d4066d483bf8ff1e86fefcd5df579478076ace38a91f66d8b22c37de61",
-    ("market", 9): "151b1a121f8bf3049d6cfd91827ab6821b0bab542a5a5b00a83ecc044877d4af",
-    ("crowd", 1): "93c350afcc5a55c752ade25f9da0cb94c899e210a56b053951d5e891bec8e205",
-    ("crowd", 3): "ee988764b275c0d53e7666f1c5e1a008fd0122cf5b8f04b9fbba40e4b75b895b",
-    ("crowd", 9): "aee0ffa0328866ee86d420e11954c704d8c9c94f7f7625bba16159b7666b0d0a",
+    ("recall", 1): "bf6cfa6522efc7ebc963cc282efbee73558751d62e02730d326b022d4ccf26f3",
+    ("recall", 3): "6c3aba2daaa6af123115be79546ca367cb152d491b9c36fa2adde6df78cbb992",
+    ("recall", 9): "2c8803b6f8152bb0806a96eb98724afc5d6f7aa9dc6d2f88a72631d984e27a17",
+    ("market", 1): "eea63708549108c5f0891888767dae01e61fca7b6b4892c7a86987adaab2a8d3",
+    ("market", 3): "b0e6270e000ce24c99959d996a82b91dd8ae945da54c9a71b6dd1c9c192e2c58",
+    ("market", 9): "a07f39d229d81f26225c9c1e3f2e492b80647528718cd74d39e81f14c9772ae2",
+    ("crowd", 1): "f289ab928e32c90604243d1892b57aee63ffdee07c08207012eb13ed0a6f7db1",
+    ("crowd", 3): "13bcb4abf798658185368afbbbfa155e33b9cf24157f092400613d8f0fb15db4",
+    ("crowd", 9): "af1acb231a1b5fd7894ca1d10f3872a32471788bf549a29abb0fa2e112f69c67",
 }
 
 
