@@ -29,6 +29,8 @@ from .game_master import (
     GameMaster,
     GMComponent,
     PhraseTerminator,
+    Questionnaire,
+    administer_questionnaire,
     spawn_nested_game,
 )
 from .genesis import AgentProfile, default_age_ladder, generate_backstory, generate_formative_memories
@@ -36,8 +38,6 @@ from .grounding import (
     InventoryComponent,
     InventoryState,
     LocationComponent,
-    Questionnaire,
-    administer_questionnaire,
     apply_transfer,
     parse_trade_from_event,
 )

@@ -37,7 +37,7 @@ import hashlib
 import inspect
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
 from pathlib import Path
@@ -53,9 +53,9 @@ from .agent import (
     three_questions_components,
 )
 from .errors import ConfigError, ConfigIssue, ConfigValidationError
-from .game_master import GameMaster, PhraseTerminator
+from .game_master import GameMaster, PhraseTerminator, Questionnaire
 from .genesis import MAX_AGE, AgentProfile, generate_and_seed
-from .grounding import InventoryComponent, LocationComponent, Questionnaire, as_quantity
+from .grounding import InventoryComponent, LocationComponent, as_quantity
 from .kernel import (
     ActionSpec,
     ClockMode,
@@ -595,10 +595,7 @@ class BuiltScenario:
 
     config: ScenarioConfig
     gm: GameMaster
-    model: GenerativeModel
-    players: list[GenerativeAgent]
     universe: PhoneUniverse | None = None
-    questionnaires: list[Questionnaire] = field(default_factory=list)
     seed: int = 0
     max_steps: int = 1
 
@@ -678,23 +675,19 @@ def build(
         components=gm_components,
         action_spec=ActionSpec.from_dict(action_spec) if action_spec is not None else None,
         rng=random.Random(seed),
+        questionnaires=[
+            Questionnaire(battery["name"], [ActionSpec.from_dict(q) for q in battery["questions"]])
+            for battery in raw.get("questionnaires", [])
+        ],
         **_given(gm_cfg, ["preamble"]),
     )
     if universe is not None:
         gm.notification_hub = universe.hub
 
-    questionnaires = [
-        Questionnaire(battery["name"], [ActionSpec.from_dict(q) for q in battery["questions"]])
-        for battery in raw.get("questionnaires", [])
-    ]
-
     return BuiltScenario(
         config=config,
         gm=gm,
-        model=model,
-        players=players,
         universe=universe,
-        questionnaires=questionnaires,
         seed=seed,
         max_steps=max_steps,
     )

@@ -17,6 +17,12 @@ Resolution of one acting turn follows a fixed sequence:
    every component's post-event hooks, the game master delivers the parsed
    observer lines and then, if the action was vetoed, tells the actor why.
 
+An episode is rounds of acting turns, and it ends with the questionnaires:
+each is given to every player in turn, off the game clock, whether a
+component ended the rounds or the step budget did.  A ``SimulationError``
+raised in either phase ends the episode as ``error``, and nothing after it
+runs.
+
 Episode termination is polled after every acting turn.  Every prompt of a
 batch is built before any of its answers is applied, so ``ask_all`` can
 issue the calls together when the model is slow enough for that to pay;
@@ -47,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .agent import GenerativeAgent
-from .errors import ConfigError, InvalidModelOutput, SimulationError
+from .errors import ConfigError, InvalidModelOutput, NoMatchingOption, SimulationError
 from .kernel import (
     ActionSpec,
     AgentAction,
@@ -164,6 +170,16 @@ class EpisodeResult:
     error: str = ""
 
 
+class Questionnaire:
+    """An ordered battery of questions, administered off the game clock."""
+
+    def __init__(self, name: str, questions: list[ActionSpec]):
+        if not questions:
+            raise ValueError("a questionnaire needs at least one question")
+        self.name = name
+        self.questions = list(questions)
+
+
 class GameMaster:
     """Owns the clock, the players, grounded components, and the event log."""
 
@@ -176,6 +192,7 @@ class GameMaster:
         action_spec: ActionSpec | None = None,
         preamble: str = DEFAULT_GM_PREAMBLE,
         rng: random.Random | None = None,
+        questionnaires: list[Questionnaire] | None = None,
     ):
         names = [p.name for p in players]
         if len(set(names)) != len(names):
@@ -187,6 +204,7 @@ class GameMaster:
         self.action_spec = action_spec or ActionSpec(DEFAULT_CALL_TO_ACTION)
         self.preamble = preamble
         self.rng = rng or random.Random(0)
+        self.questionnaires = list(questionnaires or [])
         self.notification_hub = None  # a phone universe's hub, when there is one
         self.trace: list[TraceRecord] = []
         self.on_record: Callable[[TraceRecord], None] | None = None
@@ -358,7 +376,8 @@ class GameMaster:
         return any(flags)
 
     def run_episode(self, max_steps: int) -> EpisodeResult:
-        """Run up to max_steps rounds, one freshly shuffled initiative each."""
+        """Run up to max_steps rounds, one freshly shuffled initiative each,
+        then every questionnaire for every player in order."""
         reason = "max-steps"
         error_text = ""
         try:
@@ -375,11 +394,42 @@ class GameMaster:
                     break
                 if self.clock.mode is ClockMode.ADVANCE_PER_ROUND:
                     self.clock.advance()
+            for questionnaire in self.questionnaires:
+                for player in self.players:
+                    administer_questionnaire(questionnaire, self, player.name)
         except SimulationError as exc:
             reason = "error"
             error_text = str(exc)
         grounded = {c.name: c.state() for c in self.components}
         return EpisodeResult(trace=list(self.trace), reason=reason, grounded=grounded, error=error_text)
+
+
+def administer_questionnaire(
+    questionnaire: Questionnaire, gm: GameMaster, player_name: str
+) -> list[str]:
+    """Ask one player every question; the clock and grounded state hold still.
+
+    Each question becomes one trace record tagged "questionnaire".  A model
+    that keeps answering garbage yields the literal answer "no-response".
+    Returns the answers in question order.
+    """
+    player: GenerativeAgent = gm.player(player_name)
+    answers: list[str] = []
+    for spec in questionnaire.questions:
+        record = gm.begin_record("questionnaire", gm.clock.step_index, player_name)
+        try:
+            try:
+                action = player.act(spec, gm.clock.current_time)
+                answer = action.text
+                record.action = action
+            except (InvalidModelOutput, NoMatchingOption):
+                answer = "no-response"
+                record.notes.append(f"{questionnaire.name}: no usable answer")
+            record.agent_states = player.component_states()
+        finally:
+            gm.finish_record(record)
+        answers.append(answer)
+    return answers
 
 
 def spawn_nested_game(

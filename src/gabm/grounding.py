@@ -1,4 +1,4 @@
-"""Grounded variables: inventories, locations, and questionnaires.
+"""Grounded variables: inventories and locations.
 
 These components keep authoritative numeric and positional state next to
 the narrative.  The inventory treats money as the item "coin" with
@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
-from .agent import GenerativeAgent
-from .errors import ConfigError, InvalidModelOutput, NoMatchingOption
-from .kernel import ActionSpec, AgentAction, EventStatement
+from .errors import ConfigError
+from .kernel import AgentAction, EventStatement
 from .game_master import GameMaster, GMComponent
 
 MONEY_ITEM = "coin"
@@ -257,41 +256,3 @@ class LocationComponent(GMComponent):
         if player not in self.locations:
             return ""
         return f"You are at the {self.locations[player]}."
-
-
-class Questionnaire:
-    """An ordered battery of questions, administered off the game clock."""
-
-    def __init__(self, name: str, questions: list[ActionSpec]):
-        if not questions:
-            raise ValueError("a questionnaire needs at least one question")
-        self.name = name
-        self.questions = list(questions)
-
-
-def administer_questionnaire(
-    questionnaire: Questionnaire, gm: GameMaster, player_name: str
-) -> list[str]:
-    """Ask one player every question; the clock and grounded state hold still.
-
-    Each question becomes one trace record tagged "questionnaire".  A model
-    that keeps answering garbage yields the literal answer "no-response".
-    Returns the answers in question order.
-    """
-    player: GenerativeAgent = gm.player(player_name)
-    answers: list[str] = []
-    for spec in questionnaire.questions:
-        record = gm.begin_record("questionnaire", gm.clock.step_index, player_name)
-        try:
-            try:
-                action = player.act(spec, gm.clock.current_time)
-                answer = action.text
-                record.action = action
-            except (InvalidModelOutput, NoMatchingOption):
-                answer = "no-response"
-                record.notes.append(f"{questionnaire.name}: no usable answer")
-            record.agent_states = player.component_states()
-        finally:
-            gm.finish_record(record)
-        answers.append(answer)
-    return answers

@@ -34,7 +34,6 @@ from typing import Callable, Iterable, Iterator, TextIO
 from . import config as config_mod
 from .errors import ConfigValidationError, SimulationError
 from .game_master import EpisodeResult
-from .grounding import administer_questionnaire
 from .kernel import ModelCall, TraceRecord, canonical_json, format_time, writable
 from .model import ReplayModel
 
@@ -93,7 +92,6 @@ class TraceWriter:
 
     def __init__(self, out: TextIO, header: TraceHeader):
         self.out = out
-        self.count = 0
         # Two writes, not one: the line can be megabytes long.
         self.out.write(header.to_json_line())
         self.out.write("\n")
@@ -102,7 +100,6 @@ class TraceWriter:
     def write_record(self, record: TraceRecord) -> None:
         self.out.write(record.to_json_line() + "\n")
         self.out.flush()
-        self.count += 1
 
 
 @dataclass
@@ -111,7 +108,6 @@ class ReadTrace:
     records: list[TraceRecord]
     # (line number, message) for every line that would not parse
     errors: list[tuple[int, str]] = field(default_factory=list)
-    lines: list[str] = field(default_factory=list)
 
 
 def _trace_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -145,7 +141,6 @@ def read_trace(path: str | Path, strict: bool = False) -> ReadTrace:
     header: TraceHeader | None = None
     records: list[TraceRecord] = []
     errors: list[tuple[int, str]] = []
-    lines: list[str] = []
     for line_no, line in _trace_lines(path):
         if line_no == 1:
             try:
@@ -157,18 +152,16 @@ def read_trace(path: str | Path, strict: bool = False) -> ReadTrace:
             continue
         try:
             records.append(TraceRecord.from_dict(_load(line)))
-            lines.append(line)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             if strict:
                 raise SimulationError(f"bad trace record on line {line_no}: {exc}") from exc
             errors.append((line_no, str(exc)))
-    return ReadTrace(header=header, records=records, errors=errors, lines=lines)
+    return ReadTrace(header=header, records=records, errors=errors)
 
 
 @dataclass
 class RunOutcome:
     result: EpisodeResult
-    header: TraceHeader
     records_written: int
 
 
@@ -177,9 +170,8 @@ def run_built_scenario(
     out: TextIO | None = None,
     on_record: Callable[[TraceRecord], None] | None = None,
 ) -> RunOutcome:
-    """Run one episode (plus any end-of-run questionnaires), streaming records."""
-    header = make_header(built)
-    writer = TraceWriter(out, header) if out is not None else None
+    """Run one episode, streaming its records."""
+    writer = TraceWriter(out, make_header(built)) if out is not None else None
 
     def sink(record: TraceRecord) -> None:
         if writer is not None:
@@ -190,23 +182,9 @@ def run_built_scenario(
     built.gm.on_record = sink
     try:
         result = built.gm.run_episode(built.max_steps)
-        if result.reason != "error":
-            for questionnaire in built.questionnaires:
-                for player in built.players:
-                    administer_questionnaire(questionnaire, built.gm, player.name)
-            result = EpisodeResult(
-                trace=list(built.gm.trace),
-                reason=result.reason,
-                grounded=result.grounded,
-                error=result.error,
-            )
     finally:
         built.gm.on_record = None
-    return RunOutcome(
-        result=result,
-        header=header,
-        records_written=writer.count if writer else len(built.gm.trace),
-    )
+    return RunOutcome(result=result, records_written=len(result.trace))
 
 
 def summarize(outcome: RunOutcome) -> str:
@@ -384,10 +362,12 @@ def replay(path: str | Path) -> ReplayReport:
         raise
     if regenerated == lines:
         return ReplayReport(ok=True, records_checked=len(lines))
+    # A strict read returns only when every record line parsed, so its
+    # records are those of ``lines``, one for one.
     recorded = read_trace(path, strict=True)
     if isinstance(regenerated, ReplayReport):
         return regenerated
-    for i, (old, new) in enumerate(zip(recorded.lines, regenerated)):
+    for i, (old, new) in enumerate(zip(lines, regenerated)):
         if old != new:
             return ReplayReport(
                 ok=False,
@@ -395,14 +375,14 @@ def replay(path: str | Path) -> ReplayReport:
                 divergence_step=recorded.records[i].step,
                 detail=f"record {i} differs",
             )
-    shorter = min(len(recorded.lines), len(regenerated))
+    shorter = min(len(lines), len(regenerated))
     step = recorded.records[shorter - 1].step if recorded.records[:shorter] else 0
     return ReplayReport(
         ok=False,
         records_checked=shorter,
         divergence_step=step,
         detail=(
-            f"length mismatch: recorded {len(recorded.lines)} records, "
+            f"length mismatch: recorded {len(lines)} records, "
             f"regenerated {len(regenerated)}"
         ),
     )

@@ -15,7 +15,7 @@ from gabm.phone import DETECT_PHONE_QUESTION
 from gabm.trace import replay, run_built_scenario
 
 from test_game_master import POST_EXTRACT, PRE_EXTRACT, BatchModel
-from test_trace import CONFIG, SCRIPT, write_scenario
+from test_trace import CONFIG, SCRIPT, QuestionnaireOutage, write_scenario
 
 ENGINE = gabm.config.ENGINE_VERSION
 
@@ -152,6 +152,16 @@ def test_run_exits_two_on_aborted_episode(tmp_path, capsys):
     config_path.write_text(json.dumps(CONFIG), encoding="utf-8")
     assert main(["run", "--config", str(config_path)]) == 2
     assert "episode aborted:" in capsys.readouterr().err
+
+
+def test_run_exits_two_when_the_backend_fails_in_a_questionnaire(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gabm.config, "build_model", lambda config, script_override=None: QuestionnaireOutage())
+    out = tmp_path / "trace.jsonl"
+    assert main(["run", "--config", str(write_scenario(tmp_path)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "episode aborted: endpoint went away\n"
+    assert f"trace: {out} (5 records)" in captured.out
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 6  # the header and 5 records
 
 
 def test_validate_config_ok(tmp_path, capsys):

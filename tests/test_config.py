@@ -221,20 +221,20 @@ def test_build_wires_everything(tmp_path):
     config = config_from_dict(raw, tmp_path)
     built = build(config)
     assert built.seed == 7 and built.max_steps == 2
-    assert isinstance(built.model, ScriptedModel)
-    assert [p.name for p in built.players] == ["Alice", "Bob"]
+    assert isinstance(built.gm.model, ScriptedModel)
+    assert [p.name for p in built.gm.players] == ["Alice", "Bob"]
     assert built.gm.clock.current_time.isoformat(timespec="minutes") == "2024-05-01T09:00"
     assert built.gm.clock.mode is ClockMode.ADVANCE_PER_ROUND
     assert built.gm.clock.step_minutes == 30
 
-    alice = built.players[0]
+    alice = built.gm.players[0]
     assert [type(c) for c in alice.components] == [
         ConstantComponent,
         ObservationBuffer,
         ModelQueryComponent,
     ]
     assert memory_texts(alice.memory) == ["Alice likes mornings."]
-    bob = built.players[1]
+    bob = built.gm.players[1]
     assert [c.name for c in bob.components] == ["situation", "identity", "disposition"]
 
     component_types = [type(c) for c in built.gm.components]
@@ -272,7 +272,7 @@ def test_build_model_kinds_and_script(tmp_path):
     raw = valid_raw()
     raw["model"] = {"kind": "echo"}
     built = build(config_from_dict(raw, tmp_path))
-    assert isinstance(built.model, EchoModel)
+    assert isinstance(built.gm.model, EchoModel)
 
     script = tmp_path / "script.json"
     script.write_text(
@@ -283,14 +283,14 @@ def test_build_model_kinds_and_script(tmp_path):
     raw["script"] = "script.json"
     config = load_config(write_config(tmp_path, raw))
     built = build(config)
-    assert isinstance(built.model, ScriptedModel)
-    assert built.model.default_response == "hm"
-    assert len(built.model.rules) == 1
+    assert isinstance(built.gm.model, ScriptedModel)
+    assert built.gm.model.default_response == "hm"
+    assert len(built.gm.model.rules) == 1
 
     other = tmp_path / "other.json"
     other.write_text(json.dumps({"default": "override"}), encoding="utf-8")
     built = build(config, script_override=other)
-    assert built.model.default_response == "override"
+    assert built.gm.model.default_response == "override"
 
 
 def test_build_profile_seeds_memory(tmp_path):
@@ -303,7 +303,7 @@ def test_build_profile_seeds_memory(tmp_path):
         ]
     )
     built = build(config_from_dict(raw, tmp_path), model=model)
-    alice = built.players[0]
+    alice = built.gm.players[0]
     texts = memory_texts(alice.memory)
     assert texts[0] == "Alice, 30, wry."
     assert texts.count("I raced the tide.") == 4  # ladder for 30: [6, 12, 18, 25]
@@ -337,8 +337,8 @@ def test_questionnaires_built_with_flag(tmp_path):
         },
     ]
     built = build(config_from_dict(raw, tmp_path))
-    assert [q.name for q in built.questionnaires] == ["exit poll", "midway"]
-    spec = built.questionnaires[1].questions[0]
+    assert [q.name for q in built.gm.questionnaires] == ["exit poll", "midway"]
+    spec = built.gm.questionnaires[1].questions[0]
     assert spec.output_kind is OutputKind.CHOICE
     assert spec.options == ("good", "bad")
 
@@ -494,7 +494,7 @@ def test_oldest_profile_builds_and_runs(tmp_path, start, age):
     _profile(age, start)(raw)
     assert validate_config(raw, tmp_path) == []
     built = build(config_from_dict(raw, tmp_path), model=EchoModel(), max_steps_override=1)
-    bank = built.players[0].memory
+    bank = built.gm.players[0].memory
     assert bank.timestamps[0].year == int(start[:4]) - age
     assert run_built_scenario(built).result.reason == "max-steps"
 

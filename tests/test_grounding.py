@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from gabm.agent import GenerativeAgent
 from gabm.errors import ConfigError
-from gabm.game_master import GameMaster
+from gabm.game_master import GameMaster, Questionnaire, administer_questionnaire
 from gabm.grounding import (
     InventoryComponent,
     InventoryState,
     LocationComponent,
-    Questionnaire,
     Trade,
-    administer_questionnaire,
     apply_transfer,
     parse_trade_from_event,
     as_quantity,

@@ -34,15 +34,6 @@ FIXTURE_TRACE_SHA256 = {
     "magic_beans.json": "2ea854faf1387221c6aec9195b2152bbab0618159da1f8e15ef8de35bfd2eb5c",
     "three_questions.json": "2e86196e95b4ae25ef0d713471cb961f6a70effe79062fa7e07ed255e7d8b9b9",
 }
-# sha256 of each trace's record lines, every line after the header.  Engine
-# 0.2.0 changed the embedder; calendar and magic_beans never retrieve
-# associatively, so that change left their records as engine 0.1.0 wrote
-# them.  Engine 0.3.0 changed how every record is encoded, and engine 0.4.0
-# what every record holds.
-FIXTURE_RECORDS_SHA256 = {
-    "calendar.json": "7f53aa3cfdad63d45dcff6821493a842b90fc0cd65f8a477284662fa68946cb5",
-    "magic_beans.json": "68582161a2fec687a077d9c1c5de9267190c40b661606ff477eb216708c61432",
-}
 
 
 @pytest.mark.parametrize("name", SCRIPTED + SKETCHES)
@@ -119,14 +110,6 @@ def test_scripted_fixture_traces_are_pinned(name):
     out = io.StringIO()
     run_built_scenario(build(load_config(SCENARIOS / name)), out=out)
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == FIXTURE_TRACE_SHA256[name]
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURE_RECORDS_SHA256))
-def test_fixtures_that_never_retrieve_keep_their_records_across_the_embedder_change(name):
-    out = io.StringIO()
-    run_built_scenario(build(load_config(SCENARIOS / name)), out=out)
-    records = out.getvalue().split("\n", 1)[1]
-    assert hashlib.sha256(records.encode("utf-8")).hexdigest() == FIXTURE_RECORDS_SHA256[name]
 
 
 # What `gabm audit` printed for each fixture at engine 0.2.0, which wrote
