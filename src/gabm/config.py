@@ -643,8 +643,7 @@ def build(
         if profile_cfg is not None:
             profile = _PROFILE.build(profile_cfg, name=agent.name)
             generate_and_seed(profile, model, bank, clock.current_time)
-        for text in agent_cfg.get("initial_memories", []):
-            bank.add(text, clock.current_time)
+        bank.add_all(agent_cfg.get("initial_memories", []), clock.current_time)
         players.append(agent)
 
     gm_cfg = raw.get("gm", {})

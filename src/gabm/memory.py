@@ -51,20 +51,26 @@ record's int sum of squares beside it, and a cosine is the exact int dot
 product over one correctly rounded sqrt and one division,
 ``dot / sqrt(nq * nr)``, the same on every Python version.  Embedding is
 memoized per process at two levels, both shared by every bank, query and
-replay.  A token's coordinate and sign come from one table per (dimension,
-seed), keyed by the token's bytes, which runs its crc32 the first time it
-sees the token and is cleared when it holds TOKEN_TABLE_TOKENS tokens.  A
-text's vector is computed once while it stays among the EMBED_CACHE_TEXTS
-most recently embedded texts.  An observation delivered to 24 agents is
-tokenized once, not 24 times; a stream of all-distinct texts, such as a
-large initial memory list, misses the text memo every time and pays its
-tokenizing and one table lookup per token: about 1.9 us a text of recall's
-initial memories on a 2-core x86 VM.
+replay, one memo of each per (dimension, seed).  A token's coordinate and
+sign come from a token table, keyed by the token's bytes, which runs its
+crc32 the first time it sees the token and is cleared when it holds
+TOKEN_TABLE_TOKENS tokens.  A text's counts and their sum of squares come
+from a text memo, a dict keyed by the text, which computes them the first
+time it sees the text and is cleared when it holds EMBED_CACHE_TEXTS
+texts; a repeat is one dict lookup.  An observation delivered to 24 agents
+is tokenized once, not 24 times.  ``add_all`` adds a list of texts at one
+time: a list the memo can hold goes through it, text by text, and a longer
+one, such as recall's 10k initial memories per bank, is embedded in one
+loop that bypasses it, since storing the list would only clear the memo
+and drop the texts a rebuild or a run would hit.  Either way a text the
+memo does not hold pays its tokenizing, one token-table lookup per token,
+its counting and its sum of squares: about 2.8 us a text of recall's initial
+memories on a 2-core x86 VM.
 
 A bank keeps its texts, timestamps and embeddings in three parallel lists,
-its public read-only columns, indexed by the id ``add`` returns.  Both
-retrievals return such ids, and a caller reads the columns at them; there
-are no record objects.
+its public read-only columns, indexed by the id ``add`` or ``add_all``
+returns.  Both retrievals return such ids, and a caller reads the columns
+at them; there are no record objects.
 
 A bank is not locked: the engine adds to it and retrieves from it on the
 thread that runs the episode only, and only model calls go to other
@@ -115,15 +121,15 @@ BLOCK_RECORDS = 256
 # none exceeds 1.0 while nq * nr < 2**53, where the conversions are exact).
 COSINE_CEILING = 1.0 + 2.0**-52
 
-# Distinct texts whose embeddings stay memoized, shared by every
-# HashEmbedder in the process.  Measured on the benchmark workloads (seed 1),
-# distinct texts embedded per episode: crowd 159 (135 of its 6720 run-time
-# calls), market 151 (31 of 190 at run time), recall 19 of 284 at run time;
-# recall's 40k distinct initial memories stream through and miss, each miss
-# a tokenizing (one bytes translate and split for an ASCII text) and one
-# token-table lookup per token.  An entry holds a vector that every bank
-# holding the same text shares.  The memo of sums of squares holds as many
-# distinct vectors.
+# Texts a text memo holds before it is cleared and refilled, shared by
+# every HashEmbedder and bank of its (dimension, seed) in the process.
+# Measured on the benchmark workloads (seed 1), distinct texts embedded per
+# episode: crowd 159 (135 of its 6720 run-time calls), market 151 (31 of
+# 190 at run time), recall 19 of 284 at run time.  So every text of crowd
+# and market, built again, hits the memo.  Recall's 40k distinct initial
+# memories, 10k a bank, are longer lists than the memo holds, so
+# ``add_all`` embeds them without it.  An entry holds a text's counts,
+# which every bank holding the text shares, and their int sum of squares.
 EMBED_CACHE_TEXTS = 1024
 
 # Distinct tokens a token table holds before it is cleared and refilled.
@@ -132,7 +138,8 @@ EMBED_CACHE_TEXTS = 1024
 # spare; an entry is a token's UTF-8 bytes and its (coordinate, sign) pair.
 TOKEN_TABLE_TOKENS = 16384
 
-# (dimension, seed) pairs whose token tables stay; a scenario embeds with one.
+# (dimension, seed) pairs whose text memos and token tables stay; a scenario
+# embeds with one.
 TOKEN_TABLES = 4
 
 
@@ -159,11 +166,6 @@ class _TokenTable(dict):
         return pair
 
 
-@lru_cache(maxsize=TOKEN_TABLES)
-def _token_table(dimension: int, seed: int) -> _TokenTable:
-    return _TokenTable(dimension, seed)
-
-
 def _tokens(text: str) -> list[bytes]:
     """The lower-case ``\\w+`` tokens of ``text``, each as its UTF-8 bytes:
     one bytes translate and split over an ASCII text, the regex over any
@@ -173,16 +175,43 @@ def _tokens(text: str) -> list[bytes]:
     return [token.encode() for token in _TOKEN_RE.findall(text.lower())]
 
 
-@lru_cache(maxsize=EMBED_CACHE_TEXTS)
-def _hash_embed(dimension: int, seed: int, text: str) -> tuple[int, ...]:
-    """The HashEmbedder counts of ``text``, computed once per distinct
-    (dimension, seed, text) while it stays in the memo."""
-    counts = [0] * dimension
-    for coordinate, sign in map(_token_table(dimension, seed).__getitem__, _tokens(text)):
-        counts[coordinate] += sign
-    if not any(counts):
-        counts[0] = 1
-    return tuple(counts)
+class _Embeddings(dict):
+    """``(counts, sum of squares)`` by text for one (dimension, seed),
+    each from ``count`` on first use.  The memo holds at most
+    EMBED_CACHE_TEXTS texts: a full memo is cleared before the next is
+    added, and a thread that looks up a text a clear has dropped counts it
+    again, to equal values.  ``tokens`` is the token table of the same
+    (dimension, seed)."""
+
+    __slots__ = ("dimension", "tokens")
+
+    def __init__(self, dimension: int, seed: int):
+        super().__init__()
+        self.dimension = dimension
+        self.tokens = _TokenTable(dimension, seed)
+
+    def count(self, text: str) -> tuple[tuple[int, ...], int]:
+        """The HashEmbedder counts of ``text`` and their int sum of squares,
+        computed without the memo."""
+        counts = [0] * self.dimension
+        for coordinate, sign in map(self.tokens.__getitem__, _tokens(text)):
+            counts[coordinate] += sign
+        if not any(counts):
+            counts[0] = 1
+        embedding = tuple(counts)
+        return embedding, _dot(embedding, embedding)
+
+    def __missing__(self, text: str) -> tuple[tuple[int, ...], int]:
+        entry = self.count(text)
+        if len(self) >= EMBED_CACHE_TEXTS:
+            self.clear()
+        self[text] = entry
+        return entry
+
+
+@lru_cache(maxsize=TOKEN_TABLES)
+def _embeddings(dimension: int, seed: int) -> _Embeddings:
+    return _Embeddings(dimension, seed)
 
 
 class HashEmbedder:
@@ -195,11 +224,11 @@ class HashEmbedder:
     translate and split, any other by the regex (see ``_tokens``).  A text
     with no tokens, or whose tokens cancel, maps to e_0,
     ``(1, 0, ..., 0)``.  Case and punctuation do not change the vector;
-    texts that share words get related vectors.  Each distinct
-    text is embedded once per process while it stays in the shared memo
-    (EMBED_CACHE_TEXTS entries); a repeat returns the memoized tuple.  Each
-    distinct token's crc32 runs once while the shared token table of the
-    dimension and seed holds it (TOKEN_TABLE_TOKENS entries).
+    texts that share words get related vectors.  Each distinct text is
+    embedded once per process while the shared text memo of the dimension
+    and seed holds it (at most EMBED_CACHE_TEXTS texts); a repeat returns
+    the memoized tuple.  Each distinct token's crc32 runs once while the
+    shared token table holds it (at most TOKEN_TABLE_TOKENS tokens).
     """
 
     def __init__(self, dimension: int = 16, seed: int = 0):
@@ -207,21 +236,14 @@ class HashEmbedder:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
         self.seed = seed
+        self._memo = _embeddings(dimension, seed)
 
     def embed(self, text: str) -> tuple[int, ...]:
-        return _hash_embed(self.dimension, self.seed, text)
+        return self._memo[text][0]
 
 
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(map(operator.mul, a, b))
-
-
-@lru_cache(maxsize=EMBED_CACHE_TEXTS)
-def _sum_of_squares(embedding: tuple[int, ...]) -> int:
-    """``embedding``'s int sum of squares, computed once per distinct vector
-    while it stays in the memo: an observation added to 24 banks, or a
-    memory list built again, pays for it once."""
-    return _dot(embedding, embedding)
 
 
 def _cosines(query: tuple[int, ...], embeddings: list[tuple[int, ...]], squares: list[int]) -> Iterator[float]:
@@ -235,7 +257,7 @@ def _cosines(query: tuple[int, ...], embeddings: list[tuple[int, ...]], squares:
     else:
         pick = operator.itemgetter(*nonzero)
         dots = map(_dot, repeat(pick(query)), map(pick, embeddings))
-    norms = map(math.sqrt, map(operator.mul, repeat(_sum_of_squares(query)), squares))
+    norms = map(math.sqrt, map(operator.mul, repeat(_dot(query, query)), squares))
     return map(operator.truediv, dots, norms)
 
 
@@ -291,13 +313,17 @@ class MemoryBank:
 
     The bank keeps the texts, timestamps and embeddings of its memories in
     three parallel lists, ``texts``, ``timestamps`` and ``embeddings``, each
-    indexed by the id ``add`` returns.  Read them, never change them.  Both
-    retrievals return ids into these columns.  Any ``embedder`` whose
-    ``embed(text)`` returns a tuple of int counts, not all 0, serves.
+    indexed by the id ``add`` or ``add_all`` returns.  Read them, never
+    change them.  Both retrievals return ids into these columns.  Any
+    ``embedder`` whose ``embed(text)`` returns a tuple of int counts, not
+    all 0, serves.
     """
 
     def __init__(self, embedder: HashEmbedder | None = None):
         self.embedder = embedder or HashEmbedder()
+        # The shared memo of (counts, sum of squares) behind a HashEmbedder;
+        # any other embedder is asked for each text, and its squares summed.
+        self._memo = self.embedder._memo if type(self.embedder) is HashEmbedder else None
         self.texts: list[str] = []
         self.timestamps: list[datetime] = []
         self.embeddings: list[tuple[int, ...]] = []
@@ -311,13 +337,36 @@ class MemoryBank:
 
     def add(self, text: str, timestamp: datetime) -> int:
         """Append one memory and return its id (== insertion index)."""
-        embedding = self.embedder.embed(text)
+        if self._memo is None:
+            embedding = self.embedder.embed(text)
+            square = _dot(embedding, embedding)
+        else:
+            embedding, square = self._memo[text]
         index = len(self.texts)
         self.texts.append(text)
         self.timestamps.append(timestamp)
         self.embeddings.append(embedding)
-        self._squares.append(_sum_of_squares(embedding))
+        self._squares.append(square)
         return index
+
+    def add_all(self, texts: list[str], timestamp: datetime) -> range:
+        """Append each of ``texts`` in order, all at ``timestamp``, and
+        return their ids: what a loop of ``add`` would append and return.
+
+        A list longer than the shared memo holds is embedded outside it,
+        since storing it would only clear the memo over and over."""
+        start = len(self.texts)
+        memo = self._memo
+        if memo is None or len(texts) <= EMBED_CACHE_TEXTS:
+            for text in texts:
+                self.add(text, timestamp)
+        else:
+            embedded = list(map(memo.count, texts))
+            self.texts += texts
+            self.timestamps += repeat(timestamp, len(texts))
+            self.embeddings += map(operator.itemgetter(0), embedded)
+            self._squares += map(operator.itemgetter(1), embedded)
+        return range(start, len(self.texts))
 
     def retrieve_associative(self, query: str, k: int) -> list[int]:
         """The ids of the top-k memories by combined relevance, recency, and

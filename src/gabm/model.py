@@ -453,8 +453,10 @@ class ReplayModel(GenerativeModel):
     """Feeds back a recorded call sequence, in recorded order.
 
     Each call answers with the next recorded response and backend id,
-    whatever its prompt or caller; a call past the end answers "" with the
-    last recorded backend id.  Replay measures no call time, so ``ask_all``
+    whatever its prompt or caller.  A call past the end raises
+    BackendUnavailable and records nothing, as a failed backend call does,
+    so a run that ended ``error`` on a raised call replays to the same
+    records and ending.  Replay measures no call time, so ``ask_all``
     makes every batch's calls one at a time, in ask order, which is the
     order the trace holds them in.
     """
@@ -464,12 +466,10 @@ class ReplayModel(GenerativeModel):
     def __init__(self, calls: list[ModelCall]):
         super().__init__()
         self._calls = iter(calls)
-        self._overflow_backend = calls[-1].backend if calls else self.backend_id
 
     def sample_text(self, prompt: str, *, max_chars: int | None = None, caller: str = "") -> str:
         recorded = next(self._calls, None)
         if recorded is None:
-            self._record(caller, prompt, "", self._overflow_backend)
-            return ""
+            raise BackendUnavailable("replay ran out of recorded model calls")
         self._record(caller, prompt, recorded.response, recorded.backend)
         return recorded.response

@@ -164,6 +164,15 @@ def test_run_exits_two_when_the_backend_fails_in_a_questionnaire(tmp_path, capsy
     assert len(out.read_text(encoding="utf-8").splitlines()) == 6  # the header and 5 records
 
 
+def test_a_run_the_backend_failed_exits_two_and_then_replays(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gabm.config, "build_model", lambda config, script_override=None: QuestionnaireOutage())
+    out = tmp_path / "trace.jsonl"
+    assert main(["run", "--config", str(write_scenario(tmp_path)), "--out", str(out)]) == 2
+    capsys.readouterr()
+    assert main(["replay", "--trace", str(out)]) == 0
+    assert "replay OK (5 records byte-identical)" in capsys.readouterr().out
+
+
 def test_validate_config_ok(tmp_path, capsys):
     config_path = write_scenario(tmp_path)
     assert main(["validate-config", "--config", str(config_path)]) == 0

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import zlib
+from contextlib import contextmanager
 from datetime import datetime, timedelta
 
 import pytest
@@ -307,6 +308,16 @@ def test_hash_embedder_matches_reference(text, dimension, seed):
     )
 
 
+@contextmanager
+def tokenized_texts():
+    """The texts tokenized while the block runs, in order."""
+    tokenized: list[str] = []
+    tokens = memory._tokens
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(memory, "_tokens", lambda text: tokenized.append(text) or tokens(text))
+        yield tokenized
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     texts=st.lists(st.text(max_size=20), min_size=1, max_size=12),
@@ -316,27 +327,55 @@ def test_hash_embedder_matches_reference(text, dimension, seed):
 def test_memoized_vectors_match_reference_through_repeats_and_eviction(texts, repeats, dimension_seed):
     dimension, seed = dimension_seed
     embedder = HashEmbedder(dimension=dimension, seed=seed)
+    memory._embeddings(dimension, seed).clear()
     order = texts + [texts[i % len(texts)] for i in repeats]
     expected = [reference_hash_embed(dimension, seed, text) for text in order]
-    assert [embedder.embed(text) for text in order] == expected
-    # More distinct texts than the memo holds push every text above out.
+    # Each distinct text is tokenized once; a repeat is a memo hit.
+    with tokenized_texts() as tokenized:
+        assert [embedder.embed(text) for text in order] == expected
+    assert sorted(tokenized) == sorted(set(order))
+    # More distinct texts than the memo holds clear it (each filler is
+    # longer than any text above), so every text above is tokenized once
+    # more, to the same vector.
     for i in range(EMBED_CACHE_TEXTS + 1):
-        embedder.embed(f"filler {i}")
-    misses = memory._hash_embed.cache_info().misses
-    assert [embedder.embed(text) for text in order] == expected
-    assert memory._hash_embed.cache_info().misses - misses == len(set(order))
+        embedder.embed(f"filler text number {i:06d}")
+    with tokenized_texts() as tokenized:
+        assert [embedder.embed(text) for text in order] == expected
+    assert sorted(tokenized) == sorted(set(order))
 
 
-def test_threads_embedding_the_same_texts_get_equal_vectors():
+def test_a_full_memo_is_cleared_and_its_vectors_stay_exact(monkeypatch):
+    monkeypatch.setattr(memory, "EMBED_CACHE_TEXTS", 4)
+    memo = memory._embeddings(16, 0)
+    memo.clear()
+    bank = MemoryBank()
+    texts = [f"the bell rang {i % 7} times at the mill" for i in range(30)]
+    for i, text in enumerate(texts):
+        assert bank.add(text, T0) == i
+        assert 0 < len(memo) <= 4
+    assert bank.embeddings == [reference_hash_embed(16, 0, text) for text in texts]
+    assert bank._squares == [sum(x * x for x in vector) for vector in bank.embeddings]
+
+
+def test_threads_embedding_the_same_texts_get_equal_vectors(monkeypatch):
+    # Eight threads share one memo, bound small so that clears race with
+    # lookups; each embeds the texts, then adds them to a bank of its own,
+    # one by one and as one list.
+    monkeypatch.setattr(memory, "EMBED_CACHE_TEXTS", 32)
     texts = [f"shared text {i}" for i in range(300)]
-    memory._hash_embed.cache_clear()
+    memory._embeddings(16, 0).clear()
     start = threading.Barrier(8)
-    results: list[list[tuple[int, ...]]] = []
+    results: list[tuple[list[tuple[int, ...]], MemoryBank]] = []
 
     def embedder_thread():
         embedder = HashEmbedder()
         start.wait()
-        results.append([embedder.embed(text) for text in texts])
+        vectors = [embedder.embed(text) for text in texts]
+        bank = MemoryBank(embedder)
+        for text in texts:
+            bank.add(text, T0)
+        bank.add_all(texts, T0)
+        results.append((vectors, bank))
 
     threads = [threading.Thread(target=embedder_thread) for _ in range(8)]
     interval = sys.getswitchinterval()
@@ -350,17 +389,21 @@ def test_threads_embedding_the_same_texts_get_equal_vectors():
         sys.setswitchinterval(interval)
     assert len(results) == 8
     expected = [reference_hash_embed(16, 0, text) for text in texts]
-    assert all(vectors == expected for vectors in results)
+    for vectors, bank in results:
+        assert vectors == expected
+        assert bank.embeddings == expected * 2
+        assert bank._squares == [sum(x * x for x in vector) for vector in bank.embeddings]
 
 
 def test_a_full_token_table_is_cleared_and_its_vectors_stay_exact(monkeypatch):
     # More distinct tokens than a table of 8 holds, in texts that repeat
     # tokens across the clears.
     monkeypatch.setattr(memory, "TOKEN_TABLE_TOKENS", 8)
-    memory._token_table.cache_clear()
-    memory._hash_embed.cache_clear()
+    embeddings = memory._embeddings(16, 2)
+    embeddings.clear()
+    embeddings.tokens.clear()
     embedder = HashEmbedder(dimension=16, seed=2)
-    table = memory._token_table(16, 2)
+    table = embeddings.tokens
     texts = [f"w{i} w{i + 1} w{2 * i} shared w{i} day {i % 5}" for i in range(60)]
     for text in texts:
         assert embedder.embed(text) == reference_hash_embed(16, 2, text)
@@ -374,8 +417,9 @@ def test_threads_embedding_through_a_small_token_table_get_reference_vectors(mon
     # bound small, so clears race with lookups, and each thread embeds
     # texts the others embed too and texts of its own.
     monkeypatch.setattr(memory, "TOKEN_TABLE_TOKENS", 16)
-    memory._token_table.cache_clear()
-    memory._hash_embed.cache_clear()
+    embeddings = memory._embeddings(16, 0)
+    embeddings.clear()
+    embeddings.tokens.clear()
     shared = [f"shared {i} bell {i * 7} mill" for i in range(200)]
     start = threading.Barrier(4)
     results: dict[int, list[tuple[str, tuple[int, ...]]]] = {}
@@ -422,22 +466,75 @@ def test_an_id_reads_back_what_was_added_and_retrievals_return_ids():
         assert sorted(bank.retrieve_associative(query, len(bank) + 5)) == list(range(700))
 
 
-def test_fanned_out_text_is_digested_once(monkeypatch):
+def test_fanned_out_text_is_digested_once():
     # One observation reaching 24 agents' banks is tokenized once; every
     # record shares the one vector.
     text = "Ada noticed the bell ring in the square."
-    memory._hash_embed.cache_clear()
-    tokenized = []
-    tokens = memory._tokens
-    monkeypatch.setattr(memory, "_tokens", lambda t: tokenized.append(t) or tokens(t))
+    memo = memory._embeddings(16, 0)
+    memo.clear()
     banks = [MemoryBank() for _ in range(24)]
-    for bank in banks:
-        bank.add(text, T0)
+    with tokenized_texts() as tokenized:
+        for bank in banks:
+            bank.add(text, T0)
     assert tokenized == [text]
-    assert memory._hash_embed.cache_info().hits == 23
+    assert list(memo) == [text]
     vectors = [bank.embeddings[0] for bank in banks]
     assert vectors == [reference_hash_embed(16, 0, text)] * 24
     assert all(vector is vectors[0] for vector in vectors)
+
+
+def test_a_list_longer_than_the_memo_leaves_its_entries_in_place(monkeypatch):
+    monkeypatch.setattr(memory, "EMBED_CACHE_TEXTS", 8)
+    memo = memory._embeddings(16, 0)
+    memo.clear()
+    kept = ["the mill", "the ferry is late"]
+    for text in kept:
+        HashEmbedder().embed(text)
+    before = dict(memo)
+    bank = MemoryBank()
+    texts = [f"memory {i} of a long list" for i in range(9)] + kept
+    assert bank.add_all(texts, T0) == range(11)
+    assert list(memo) == kept
+    assert all(memo[text] is before[text] for text in kept)
+    assert bank.embeddings == [reference_hash_embed(16, 0, text) for text in texts]
+    # A list the memo can hold goes through it.
+    assert bank.add_all(texts[:3], T0) == range(11, 14)
+    assert list(memo) == kept + texts[:3]
+
+
+# Texts for add_all: both tokenizer paths, NUL characters, and texts with
+# no tokens or whose tokens cancel (at seed 0, "met" and "the").
+ADD_ALL_TEXTS = (
+    st.text(ASCII, max_size=30)
+    | st.text(ASCII | NON_ASCII | st.just("\x00"), max_size=30)
+    | st.sampled_from(["", "!!", " ... \u2603 ", "met the", "Ada\x00met\x00Bob", "\x00"])
+)
+
+
+@oracle_settings(200)
+@given(
+    pool=st.lists(ADD_ALL_TEXTS, min_size=1, max_size=8),
+    lists=st.lists(st.lists(st.integers(0, 7), max_size=12), min_size=1, max_size=4),
+    memo_texts=st.integers(1, 6),
+    dimension_seed=st.sampled_from([(16, 0), (4, 3)]),
+)
+def test_add_all_matches_an_add_loop_oracle(pool, lists, memo_texts, dimension_seed):
+    # Lists drawn from a small pool repeat texts; a memo of at most 6 texts
+    # puts lists on both sides of its length.
+    dimension, seed = dimension_seed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(memory, "EMBED_CACHE_TEXTS", memo_texts)
+        bank = MemoryBank(HashEmbedder(dimension, seed))
+        loop = MemoryBank(HashEmbedder(dimension, seed))
+        for minutes, picks in enumerate(lists):
+            texts = [pool[i % len(pool)] for i in picks]
+            moment = T0 + timedelta(minutes=minutes)
+            assert list(bank.add_all(texts, moment)) == [loop.add(text, moment) for text in texts]
+    assert bank.texts == loop.texts
+    assert bank.timestamps == loop.timestamps
+    expected = [reference_hash_embed(dimension, seed, text) for text in loop.texts]
+    assert bank.embeddings == loop.embeddings == expected
+    assert bank._squares == loop._squares == [sum(x * x for x in vector) for vector in expected]
 
 
 # More queries than a bank caches, so some retrievals follow an eviction.

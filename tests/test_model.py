@@ -318,8 +318,11 @@ def test_replay_model_feeds_recorded_sequence(calls):
     model = ReplayModel(recorded)
     assert model.sample_text("anything") == "r1"
     assert model.sample_text("anything else") == "r2"
-    assert model.sample_text("overflow") == ""
-    assert [c.backend for c in calls] == ["scripted", "http", "http"]
+    # Past the last recorded call the backend is gone, as it was when the
+    # recorded run failed there, and nothing is recorded.
+    with pytest.raises(BackendUnavailable, match="ran out of recorded model calls"):
+        model.sample_text("overflow")
+    assert [c.backend for c in calls] == ["scripted", "http"]
 
 
 def test_replay_model_answers_in_recorded_order_and_never_runs_a_batch_together(calls):
@@ -327,6 +330,7 @@ def test_replay_model_answers_in_recorded_order_and_never_runs_a_batch_together(
         ModelCall("a", "p1", "r1", "scripted"),
         ModelCall("b", "p2", "r2", "http"),
         ModelCall("a", "p3", "r3", "scripted"),
+        ModelCall("d", "p4", "r4", "scripted"),
     ]
     model = ReplayModel(recorded)
     # The caller does not steer which recorded call answers.
@@ -335,13 +339,15 @@ def test_replay_model_answers_in_recorded_order_and_never_runs_a_batch_together(
     assert model.sample_text("x", caller="c") == "r3"
     assert [c.backend for c in calls] == ["scripted", "http", "scripted"]
     # Replay measures no call time, so a batch makes one call at a time, in
-    # ask order, as each answer is next: the order the trace recorded.
+    # ask order, as each answer is next: the order the trace recorded.  The
+    # ask past the last recorded call raises at its turn.
     assert model.call_seconds is None
     answers = ask_all(model, [("y", "d"), ("z", "e")])
-    assert next(answers) == ""
+    assert next(answers) == "r4"
     assert [c.caller for c in calls] == ["b", "a", "c", "d"]
-    assert next(answers) == ""
-    assert [c.caller for c in calls] == ["b", "a", "c", "d", "e"]
+    with pytest.raises(BackendUnavailable):
+        next(answers)
+    assert [c.caller for c in calls] == ["b", "a", "c", "d"]
 
 
 class SleepyModel(GenerativeModel):

@@ -267,6 +267,25 @@ def test_a_questionnaire_the_backend_fails_ends_the_run_in_error(tmp_path):
     assert outcome.records_written == 5
 
 
+def test_a_trace_that_ended_on_a_raised_call_replays(tmp_path):
+    # The failed call is recorded nowhere; replay runs out of recorded
+    # calls at the same ask, and its backend fails there too.
+    built = build(load_config(write_scenario(tmp_path)), model=QuestionnaireOutage())
+    out = tmp_path / "trace.jsonl"
+    with open(out, "w", encoding="utf-8") as handle:
+        assert run_built_scenario(built, out=handle).result.reason == "error"
+    report = replay(out)
+    assert report.ok, report.detail
+    assert report.records_checked == 5
+    # Without its last record, the recorded calls run out one record
+    # early, and the regenerated run holds one record more.
+    lines = out.read_text(encoding="utf-8").splitlines()
+    out.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+    report = replay(out)
+    assert not report.ok
+    assert report.detail == "length mismatch: recorded 4 records, regenerated 5"
+
+
 def test_replay_verifies_byte_equality(tmp_path):
     out = run_to_file(tmp_path)
     report = replay(out)
