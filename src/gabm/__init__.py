@@ -33,7 +33,7 @@ from .game_master import (
     administer_questionnaire,
     spawn_nested_game,
 )
-from .genesis import AgentProfile, default_age_ladder, generate_backstory, generate_formative_memories
+from .genesis import AgentProfile, default_age_ladder, generate_lives
 from .grounding import (
     InventoryComponent,
     InventoryState,
@@ -116,8 +116,7 @@ __all__ = [
     "default_age_ladder",
     "deliver_notifications",
     "detect_phone_event",
-    "generate_backstory",
-    "generate_formative_memories",
+    "generate_lives",
     "load_config",
     "parse_trade_from_event",
     "read_trace",

@@ -54,7 +54,7 @@ from .agent import (
 )
 from .errors import ConfigError, ConfigIssue, ConfigValidationError
 from .game_master import GameMaster, PhraseTerminator, Questionnaire
-from .genesis import MAX_AGE, AgentProfile, generate_and_seed
+from .genesis import MAX_AGE, AgentProfile, generate_lives
 from .grounding import InventoryComponent, LocationComponent, as_quantity
 from .kernel import (
     ActionSpec,
@@ -213,7 +213,8 @@ class _List(NamedTuple):
 class _Kinds(NamedTuple):
     """A list of registry-kind objects, each checked against the kind its ``key`` names.
 
-    The names they declare collect in ``v.declared``, for an agent's reads.
+    The names they declare collect in ``v.declared``, for an agent's reads;
+    a name an earlier object of the list declared is a duplicate.
     """
 
     key: str
@@ -223,10 +224,17 @@ class _Kinds(NamedTuple):
         if not isinstance(value, list):
             v.malformed(path, "must be a list")
             return
+        seen: set[str] = set()
         for i, obj in enumerate(value):
             kind = v._check_kind(f"{path}[{i}]", obj, self.key, self.kinds)
-            if kind is not None:
-                v.declared.extend(kind.declares(obj))
+            if kind is None:
+                continue
+            names = kind.declares(obj)
+            for name in filter(_is_text, names):  # any other name is already reported
+                if name in seen:
+                    v.malformed(f"{path}[{i}]", f"duplicate component name {name!r}")
+                seen.add(name)
+            v.declared.extend(names)
 
 
 class _Rule(NamedTuple):
@@ -637,14 +645,19 @@ def build(
         for comp in agent_cfg.get("components", []):
             made = AGENT_COMPONENTS[comp["type"]].build(comp)
             components.extend(made if isinstance(made, list) else [made])
-        agent = GenerativeAgent(name=agent_cfg["name"], model=model, components=components)
-        bank = agent.memory
-        profile_cfg = agent_cfg.get("profile")
-        if profile_cfg is not None:
-            profile = _PROFILE.build(profile_cfg, name=agent.name)
-            generate_and_seed(profile, model, bank, clock.current_time)
-        bank.add_all(agent_cfg.get("initial_memories", []), clock.current_time)
-        players.append(agent)
+        players.append(GenerativeAgent(name=agent_cfg["name"], model=model, components=components))
+    # Genesis records go into each bank before its initial memories.
+    generate_lives(
+        [
+            (_PROFILE.build(agent_cfg["profile"], name=agent.name), agent.memory)
+            for agent_cfg, agent in zip(raw["agents"], players)
+            if agent_cfg.get("profile") is not None
+        ],
+        model,
+        clock.current_time,
+    )
+    for agent_cfg, agent in zip(raw["agents"], players):
+        agent.memory.add_all(agent_cfg.get("initial_memories", []), clock.current_time)
 
     gm_cfg = raw.get("gm", {})
     gm_kinds = [(GM_COMPONENTS[comp["type"]], comp) for comp in gm_cfg.get("components", [])]

@@ -9,7 +9,8 @@ which keeps seeded records strictly older than anything the episode adds.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from datetime import datetime
 
 from .errors import InvalidModelOutput
@@ -69,57 +70,6 @@ def default_age_ladder(age: int) -> list[int]:
     return [rung for rung in rungs if rung < age]
 
 
-@dataclass(frozen=True)
-class FormativeMemory:
-    age: int
-    text: str
-
-
-@dataclass
-class FormativeMemorySet:
-    profile: AgentProfile
-    backstory: str
-    memories: list[FormativeMemory] = field(default_factory=list)
-
-
-def generate_backstory(profile: AgentProfile, model: GenerativeModel) -> str:
-    """One model call; an empty answer earns exactly one retry, then fails."""
-    prompt = (
-        BACKSTORY_PROMPT.replace("{name}", profile.name)
-        .replace("{age}", str(profile.age))
-        .replace("{traits}", profile.traits_text())
-        .replace("{context}", profile.context or "(none given)")
-    )
-    for attempt in range(2):
-        raw = model.sample_text(prompt, caller=f"genesis:{profile.name}:backstory").strip()
-        if raw:
-            return raw
-    raise InvalidModelOutput(f"backstory for {profile.name} came back empty twice")
-
-
-def generate_formative_memories(
-    profile: AgentProfile,
-    backstory: str,
-    model: GenerativeModel,
-) -> FormativeMemorySet:
-    """One model call per rung of ``default_age_ladder``; an empty answer is
-    skipped with a warning."""
-    result = FormativeMemorySet(profile=profile, backstory=backstory)
-    for age in default_age_ladder(profile.age):
-        prompt = (
-            FORMATIVE_PROMPT.replace("{name}", profile.name)
-            .replace("{backstory}", backstory)
-            .replace("{age}", str(age))
-            .replace("{traits}", profile.traits_text())
-        )
-        raw = model.sample_text(prompt, caller=f"genesis:{profile.name}:age-{age}").strip()
-        if not raw:
-            log.warning("no formative memory for %s at age %d; skipped", profile.name, age)
-            continue
-        result.memories.append(FormativeMemory(age=age, text=raw))
-    return result
-
-
 def backdate(episode_start: datetime, years_before: int) -> datetime:
     """Shift a moment back a whole number of years, clamping leap days."""
     target_year = episode_start.year - years_before
@@ -129,36 +79,43 @@ def backdate(episode_start: datetime, years_before: int) -> datetime:
         return episode_start.replace(year=target_year, day=28)
 
 
-def seed_memory(
-    bank: MemoryBank,
-    memory_set: FormativeMemorySet,
-    episode_start: datetime,
-) -> int:
-    """Write backstory and formative memories into a bank, back-dated.
-
-    The backstory lands at the birth year; each formative memory lands
-    (profile age - memory age) years before episode start.  Returns the
-    number of records written.
-    """
-    profile = memory_set.profile
-    count = 0
-    bank.add(memory_set.backstory, backdate(episode_start, profile.age))
-    count += 1
-    for memory in sorted(memory_set.memories, key=lambda m: m.age):
-        moment = backdate(episode_start, profile.age - memory.age)
-        bank.add(memory.text, moment)
-        count += 1
-    return count
-
-
-def generate_and_seed(
-    profile: AgentProfile,
+def generate_lives(
+    profiled: Iterable[tuple[AgentProfile, MemoryBank]],
     model: GenerativeModel,
-    bank: MemoryBank,
     episode_start: datetime,
-) -> FormativeMemorySet:
-    """Backstory, formative memories, and seeding in one sweep."""
-    backstory = generate_backstory(profile, model)
-    memory_set = generate_formative_memories(profile, backstory, model)
-    seed_memory(bank, memory_set, episode_start)
-    return memory_set
+) -> None:
+    """Seed each bank with its profile's backstory and formative memories.
+
+    Profiles go one at a time, in the order given.  The backstory is one
+    call; an empty answer earns exactly one retry, then fails.  It lands at
+    the birth year.  Then one call per rung of ``default_age_ladder``, in
+    ladder order: each answer lands (profile age - rung) years before
+    episode start, and an empty one is skipped with a warning.
+    """
+    for profile, bank in profiled:
+        traits = profile.traits_text()
+        prompt = (
+            BACKSTORY_PROMPT.replace("{name}", profile.name)
+            .replace("{age}", str(profile.age))
+            .replace("{traits}", traits)
+            .replace("{context}", profile.context or "(none given)")
+        )
+        for _ in range(2):
+            backstory = model.sample_text(prompt, caller=f"genesis:{profile.name}:backstory").strip()
+            if backstory:
+                break
+        else:
+            raise InvalidModelOutput(f"backstory for {profile.name} came back empty twice")
+        bank.add(backstory, backdate(episode_start, profile.age))
+        for age in default_age_ladder(profile.age):
+            prompt = (
+                FORMATIVE_PROMPT.replace("{name}", profile.name)
+                .replace("{backstory}", backstory)
+                .replace("{age}", str(age))
+                .replace("{traits}", traits)
+            )
+            raw = model.sample_text(prompt, caller=f"genesis:{profile.name}:age-{age}").strip()
+            if not raw:
+                log.warning("no formative memory for %s at age %d; skipped", profile.name, age)
+                continue
+            bank.add(raw, backdate(episode_start, profile.age - age))

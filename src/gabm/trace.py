@@ -320,9 +320,8 @@ def _rerun(path: str | Path, header: TraceHeader | None, lines: list[str]) -> Re
     built = config_mod.build(
         cfg, model=model, seed_override=header.seed, max_steps_override=header.max_steps
     )
-    sink_records: list[TraceRecord] = []
-    run_built_scenario(built, out=None, on_record=sink_records.append)
-    return [record.to_json_line() for record in sink_records]
+    outcome = run_built_scenario(built)
+    return [record.to_json_line() for record in outcome.result.trace]
 
 
 def replay(path: str | Path) -> ReplayReport:

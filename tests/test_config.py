@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,33 @@ def test_phone_and_app_references_validate(tmp_path):
     assert any("duplicate app name" in i.message for i in issues)
 
 
+def test_a_duplicate_component_name_is_rejected_before_a_run(tmp_path, capsys):
+    # It used to validate, then end `gabm run` with a raw ValueError from
+    # GenerativeAgent and an empty trace file.
+    raw = valid_raw()
+    raw["agents"][0]["components"].append({"type": "constant", "name": "goal", "text": "keep it"})
+    issues = validate_config(raw, tmp_path)
+    assert [i.message for i in issues] == ["duplicate component name 'goal'"]
+    out = tmp_path / "trace.jsonl"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
+    assert "agents[0].components[3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_duplicate_gm_component_names_are_rejected(tmp_path):
+    # Two locations components used to run, with the game master's states
+    # keyed by the one name: the first player's location was lost.
+    raw = valid_raw()
+    raw["gm"]["components"][1] = {"type": "locations", "locations": {"Alice": "mill"}}
+    raw["gm"]["components"].insert(2, {"type": "locations", "locations": {"Bob": "pub"}})
+    issues = validate_config(raw, tmp_path)
+    assert [(i.kind, i.path, i.message) for i in issues] == [
+        ("MalformedField", "gm.components[2]", "duplicate component name 'locations'")
+    ]
+    raw["gm"]["components"][2]["name"] = "bob's whereabouts"
+    assert validate_config(raw, tmp_path) == []
+
+
 def test_questionnaire_validation(tmp_path):
     raw = valid_raw()
     raw["questionnaires"] = [
@@ -310,6 +338,45 @@ def test_build_profile_seeds_memory(tmp_path):
     assert texts[-1] == "Alice likes mornings."  # initial memories land after seeding
 
 
+def test_build_seeds_two_profiles_in_config_order(tmp_path, calls):
+    raw = valid_raw()
+    raw["agents"][0]["profile"] = {"age": 13}
+    raw["agents"][1]["profile"] = {"age": 7}
+    raw["agents"][1]["initial_memories"] = ["Bob owes Alice a coin."]
+    model = ScriptedModel(
+        rules=[
+            ScriptRule(contains="Name: Alice", response="Alice's life."),
+            ScriptRule(contains="Name: Bob", response="Bob's life."),
+            ScriptRule(contains="Biography of Alice", response="Alice remembers."),
+            ScriptRule(contains="Biography of Bob", response="Bob remembers."),
+        ]
+    )
+    built = build(config_from_dict(raw, tmp_path), model=model)
+    assert [c.caller for c in calls] == [
+        "genesis:Alice:backstory",
+        "genesis:Alice:age-6",
+        "genesis:Alice:age-12",
+        "genesis:Bob:backstory",
+        "genesis:Bob:age-6",
+    ]
+    alice, bob = (player.memory for player in built.gm.players)
+    assert memory_texts(alice) == [
+        "Alice's life.",
+        "Alice remembers.",
+        "Alice remembers.",
+        "Alice likes mornings.",
+    ]
+    assert memory_texts(bob) == ["Bob's life.", "Bob remembers.", "Bob owes Alice a coin."]
+    start = datetime(2024, 5, 1, 9, 0)
+    assert alice.timestamps == [
+        datetime(2011, 5, 1, 9, 0),  # birth year
+        datetime(2017, 5, 1, 9, 0),  # age 6
+        datetime(2023, 5, 1, 9, 0),  # age 12
+        start,
+    ]
+    assert bob.timestamps == [datetime(2017, 5, 1, 9, 0), datetime(2023, 5, 1, 9, 0), start]
+
+
 def test_overrides_take_effect(tmp_path):
     config = config_from_dict(valid_raw(), tmp_path)
     built = build(config, seed_override=99, max_steps_override=5)
@@ -374,6 +441,14 @@ def _gm_component(i: int, **fields):
     return lambda raw: raw["gm"]["components"][i].update(fields)
 
 
+def _added_agent_component(i: int, **comp):
+    return lambda raw: raw["agents"][i]["components"].append(comp)
+
+
+def _added_gm_component(**comp):
+    return lambda raw: raw["gm"]["components"].append(comp)
+
+
 def _endowment(player: str, **holdings):
     return lambda raw: raw["gm"]["components"][0]["endowments"][player].update(holdings)
 
@@ -411,6 +486,27 @@ REJECTED_EDITS = [
     ("nan quantity", _endowment("Bob", coin="nan"), "gm.components[0].endowments.Bob.coin"),
     ("inventory items string", _gm_component(0, items="coin"), "gm.components[0].items"),
     ("unknown gm component field", _gm_component(1, where="x"), "gm.components[1].where"),
+    # Two components of one list may not declare the same name.
+    (
+        "duplicate component name",
+        _added_agent_component(0, type="constant", name="goal", text="x"),
+        "agents[0].components[3]",
+    ),
+    (
+        "component named as a three_questions one",
+        _added_agent_component(1, type="model_query", name="identity", question="Who?"),
+        "agents[1].components[1]",
+    ),
+    (
+        "duplicate gm component name",
+        _added_gm_component(type="locations", locations={"Bob": "pub"}),
+        "gm.components[3]",
+    ),
+    (
+        "two unnamed phrase terminators",
+        _added_gm_component(type="phrase_terminator", phrase="the lamp sold"),
+        "gm.components[3]",
+    ),
     ("observation_delivery kind", _gm_component(0, type="observation_delivery"), "gm.components[0].type"),
     ("gm preamble", lambda raw: raw["gm"].update(preamble=5), "gm.preamble"),
     ("unknown app field", _top(apps=[{"kind": "calendar", "size": 3}]), "apps[0].size"),

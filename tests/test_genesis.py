@@ -6,18 +6,7 @@ from datetime import datetime
 import pytest
 
 from gabm.errors import InvalidModelOutput
-from gabm.genesis import (
-    MAX_AGE,
-    AgentProfile,
-    FormativeMemory,
-    FormativeMemorySet,
-    backdate,
-    default_age_ladder,
-    generate_and_seed,
-    generate_backstory,
-    generate_formative_memories,
-    seed_memory,
-)
+from gabm.genesis import MAX_AGE, AgentProfile, backdate, default_age_ladder, generate_lives
 from gabm.memory import MemoryBank
 from gabm.model import ScriptedModel, ScriptRule
 
@@ -63,13 +52,19 @@ def test_profile_validation_and_traits_text():
     assert AgentProfile(name="Ada", age=30).traits_text() == "(none given)"
 
 
+def _seeded(profile: AgentProfile, model: ScriptedModel) -> MemoryBank:
+    bank = MemoryBank()
+    generate_lives([(profile, bank)], model, START)
+    return bank
+
+
 def test_backstory_prompt_carries_profile_verbatim(calls):
     model = ScriptedModel(default_response="Ada grew up near the docks.")
     profile = AgentProfile(
         name="Ada", age=34, traits=("stubborn", "secretly sentimental"), context="runs a ferry"
     )
-    backstory = generate_backstory(profile, model)
-    assert backstory == "Ada grew up near the docks."
+    bank = _seeded(profile, model)
+    assert memory_texts(bank)[0] == "Ada grew up near the docks."
     prompt = calls[0].prompt
     assert "Name: Ada" in prompt
     assert "Age: 34" in prompt
@@ -84,32 +79,42 @@ def test_backstory_retries_once_then_fails(calls):
         rules=[ScriptRule(contains="biography", response="   ", max_uses=1)],
         default_response="A patient person.",
     )
-    profile = AgentProfile(name="Ada", age=34)
-    assert generate_backstory(profile, model) == "A patient person."
+    profile = AgentProfile(name="Ada", age=5)  # no rung below 6: the backstory alone
+    assert memory_texts(_seeded(profile, model)) == ["A patient person."]
     assert len(calls) == 2
     calls.clear()
-    # Empty twice: give up.
+    # Empty twice: give up, before any rung is asked.
     hopeless = ScriptedModel(default_response="")
     with pytest.raises(InvalidModelOutput):
-        generate_backstory(profile, hopeless)
+        _seeded(AgentProfile(name="Ada", age=34), hopeless)
     assert len(calls) == 2
 
 
 def test_formative_memories_one_call_per_age(calls):
     model = ScriptedModel(
         rules=[
+            ScriptRule(contains="Write a short biography", response="Ada's story."),
             ScriptRule(contains="at age 6", response="I fell out of a tree."),
             ScriptRule(contains="at age 12", response="I won the spelling bee."),
             ScriptRule(contains="at age 18", response="I left home at dawn."),
         ]
     )
     profile = AgentProfile(name="Ada", age=20, traits=("brave",))
-    memory_set = generate_formative_memories(profile, "Ada's story.", model)
-    assert [m.age for m in memory_set.memories] == [6, 12, 18]
-    assert memory_set.memories[0].text == "I fell out of a tree."
+    bank = _seeded(profile, model)
+    assert memory_texts(bank) == [
+        "Ada's story.",
+        "I fell out of a tree.",
+        "I won the spelling bee.",
+        "I left home at dawn.",
+    ]
     callers = [c.caller for c in calls]
-    assert callers == ["genesis:Ada:age-6", "genesis:Ada:age-12", "genesis:Ada:age-18"]
-    prompt = calls[0].prompt
+    assert callers == [
+        "genesis:Ada:backstory",
+        "genesis:Ada:age-6",
+        "genesis:Ada:age-12",
+        "genesis:Ada:age-18",
+    ]
+    prompt = calls[1].prompt
     assert "Biography of Ada:\nAda's story.\n" in prompt
     assert "the traits: brave" in prompt
 
@@ -120,10 +125,15 @@ def test_empty_formative_answer_is_skipped_with_warning(caplog):
         default_response="I remember it well.",
     )
     profile = AgentProfile(name="Ada", age=20)
-    with caplog.at_level(logging.WARNING):
-        memory_set = generate_formative_memories(profile, "story", model)
-    assert [m.age for m in memory_set.memories] == [6, 18]
-    assert "age 12" in caplog.text
+    with caplog.at_level(logging.WARNING, logger="gabm.genesis"):
+        bank = _seeded(profile, model)
+    # The backstory at the birth year, then the rungs at 6 and 18.
+    assert bank.timestamps == [
+        datetime(2004, 5, 1, 9, 0),
+        datetime(2010, 5, 1, 9, 0),
+        datetime(2022, 5, 1, 9, 0),
+    ]
+    assert caplog.messages == ["no formative memory for Ada at age 12; skipped"]
 
 
 def test_backdate_plain_and_leap_day():
@@ -134,37 +144,29 @@ def test_backdate_plain_and_leap_day():
     assert backdate(leap, 4) == datetime(2020, 2, 29, 8, 0)
 
 
-def test_seed_memory_backdates():
-    bank = MemoryBank()
-    profile = AgentProfile(name="Ada", age=30)
-    memory_set = FormativeMemorySet(
-        profile=profile,
-        backstory="Ada's whole life.",
-        memories=[FormativeMemory(18, "I left home."), FormativeMemory(6, "I got lost.")],
-    )
-    count = seed_memory(bank, memory_set, START)
-    assert count == 3
-    assert memory_texts(bank) == ["Ada's whole life.", "I got lost.", "I left home."]
-    assert bank.timestamps == [
-        datetime(1994, 5, 1, 9, 0),  # birth year
-        datetime(2000, 5, 1, 9, 0),  # age 6, 24 years back
-        datetime(2012, 5, 1, 9, 0),  # age 18, 12 years back
-    ]
-    # Seeded memories predate anything the episode will add.
-    assert all(moment < START for moment in bank.timestamps)
-
-
-def test_generate_and_seed_composes():
+def test_generate_lives_seeds_each_bank_back_dated():
     model = ScriptedModel(
         rules=[
-            ScriptRule(contains="Write a short biography", response="Ada, 20, sails."),
+            ScriptRule(contains="Name: Ada", response="Ada, 20, sails."),
+            ScriptRule(contains="Name: Ben", response="Ben, 13, rows."),
             ScriptRule(contains="formative memory", response="I learned to swim."),
         ]
     )
-    bank = MemoryBank()
-    profile = AgentProfile(name="Ada", age=20)
-    memory_set = generate_and_seed(profile, model, bank, START)
-    assert memory_set.backstory == "Ada, 20, sails."
-    assert len(memory_set.memories) == 3  # ladder for age 20: [6, 12, 18]
-    assert len(bank) == 4
-    assert memory_texts(bank) == ["Ada, 20, sails."] + ["I learned to swim."] * 3
+    ada, ben = MemoryBank(), MemoryBank()
+    profiles = [AgentProfile(name="Ada", age=20), AgentProfile(name="Ben", age=13)]
+    generate_lives(list(zip(profiles, [ada, ben])), model, START)
+    assert memory_texts(ada) == ["Ada, 20, sails."] + ["I learned to swim."] * 3  # rungs 6, 12, 18
+    assert ada.timestamps == [
+        datetime(2004, 5, 1, 9, 0),  # birth year
+        datetime(2010, 5, 1, 9, 0),  # age 6, 14 years back
+        datetime(2016, 5, 1, 9, 0),  # age 12, 8 years back
+        datetime(2022, 5, 1, 9, 0),  # age 18, 2 years back
+    ]
+    assert memory_texts(ben) == ["Ben, 13, rows."] + ["I learned to swim."] * 2  # rungs 6, 12
+    assert ben.timestamps == [
+        datetime(2011, 5, 1, 9, 0),
+        datetime(2017, 5, 1, 9, 0),
+        datetime(2023, 5, 1, 9, 0),
+    ]
+    # Seeded memories predate anything the episode will add.
+    assert all(moment < START for moment in ada.timestamps + ben.timestamps)
