@@ -398,6 +398,59 @@ def canonical_json(obj) -> str:
     return _CANONICAL.encode(obj)
 
 
+# The characters canonical_json escapes: U+0000-U+001F, '"' and '\'.  It
+# writes every other code point as itself.
+_ESCAPED = (*map(chr, range(0x20)), '"', "\\")
+
+
+def canonical_config_json(obj) -> str:
+    """``canonical_json(obj)`` for a JSON value that holds long string lists.
+
+    A config's ``initial_memories`` can run to tens of thousands of texts,
+    and the C encoder escapes them one at a time, which takes 10 ms for
+    the 2.2 MB text of four 10k-memory banks.  This walks dicts (keys sorted)
+    and lists in Python and joins every part once, at the end.  A list of
+    strings is joined whole and searched once for each character JSON
+    escapes; when none occurs it is written as ``'["' + '","'.join(texts)
+    + '"]'``, which is what the C encoder writes for it, and otherwise that
+    list alone goes to ``canonical_json``.  Every other leaf, and any dict
+    with a key that is not a ``str``, goes to ``canonical_json``.  On small
+    values the walk costs more than the C encoder (a 24-agent config of
+    short texts: 0.25 against 0.08 ms), so trace records keep that one.
+    """
+    parts: list[str] = []
+    _encode_into(obj, parts)
+    return "".join(parts)
+
+
+def _encode_into(obj, parts: list[str]) -> None:
+    if type(obj) is dict and all(type(key) is str for key in obj):
+        parts.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if i:
+                parts.append(",")
+            parts += (canonical_json(key), ":")
+            _encode_into(obj[key], parts)
+        parts.append("}")
+    elif type(obj) is list and obj:
+        try:
+            joined = "".join(obj)
+        except TypeError:  # an item that is not a str
+            parts.append("[")
+            for i, item in enumerate(obj):
+                if i:
+                    parts.append(",")
+                _encode_into(item, parts)
+            parts.append("]")
+            return
+        if any(char in joined for char in _ESCAPED):
+            parts.append(canonical_json(obj))
+        else:
+            parts += ('["', '","'.join(obj), '"]')
+    else:
+        parts.append(canonical_json(obj))
+
+
 # A surrogate code point, which UTF-8 cannot encode; JSON's "\ud800" escape
 # decodes to one.  A valid escaped pair decodes to one other code point.
 _SURROGATE = re.compile("[\ud800-\udfff]")

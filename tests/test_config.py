@@ -715,10 +715,14 @@ def test_a_string_utf8_cannot_write_is_malformed_at_its_path(tmp_path):
 def test_the_canonical_text_is_encoded_once_and_hashed_once(monkeypatch):
     config = config_from_dict(valid_raw())
     encoded = []
-    monkeypatch.setattr(gabm.config, "canonical_json", lambda obj: encoded.append(obj) or canonical_json(obj))
+    real = gabm.config.canonical_config_json
+    monkeypatch.setattr(gabm.config, "canonical_config_json", lambda obj: encoded.append(obj) or real(obj))
     assert config.config_hash() == hashlib.sha256(config.canonical().encode("utf-8")).hexdigest()
     assert config.canonical() == canonical_json(valid_raw())
     assert encoded == [config.raw]
+    # Another config object of the same raw value encodes it again.
+    assert config_from_dict(valid_raw()).canonical() == config.canonical()
+    assert len(encoded) == 2
 
 
 SHIPPED = sorted(

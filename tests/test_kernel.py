@@ -22,6 +22,7 @@ from gabm.kernel import (
     OutputKind,
     TIME_FORMAT,
     TraceRecord,
+    canonical_config_json,
     canonical_json,
     floor_to_minute,
     format_time,
@@ -29,6 +30,8 @@ from gabm.kernel import (
     parse_float_token,
     parse_time,
 )
+
+from conftest import oracle_settings
 
 
 def test_clock_advance_matches_datetime_arithmetic():
@@ -389,3 +392,51 @@ JSON_VALUES = st.recursive(
 def test_canonical_json_is_sorted_compact_raw_utf8_json(value):
     expected = json.dumps(value, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
     assert canonical_json(value) == expected
+
+
+# canonical_json escapes U+0000-U+001F, '"' and '\\'; U+007F, U+2028 and
+# the letters are written as they are.
+ESCAPED = [*map(chr, range(0x20)), '"', "\\"]
+UNESCAPED = ["a", "Z", " ", ",", ":", "[", "}", "\x7f", "\u2028", "\u00e9", "\u00df", "\u0416", "\u4e2d", "\U0001d538"]
+PLAIN_TEXTS = st.text(st.sampled_from(UNESCAPED), max_size=6)
+TEXTS = PLAIN_TEXTS | st.text(st.sampled_from(ESCAPED + UNESCAPED), max_size=6)
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | TEXTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(PLAIN_TEXTS, max_size=6)
+    | st.lists(TEXTS, max_size=6)
+    | st.lists(st.lists(PLAIN_TEXTS | TEXTS, max_size=4), max_size=3)
+    | st.lists(TEXTS | st.integers() | st.none(), max_size=4)
+    | st.dictionaries(TEXTS, inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=30,
+)
+
+
+@oracle_settings(300)
+@given(value=CONFIG_VALUES)
+def test_the_config_encoder_matches_canonical_json_oracle(value):
+    assert canonical_config_json(value) == canonical_json(value)
+
+
+def test_canonical_json_escapes_exactly_the_characters_the_config_encoder_looks_for():
+    assert sorted(kernel._ESCAPED) == sorted(ESCAPED) and len(set(ESCAPED)) == 34
+    for char in ESCAPED:
+        assert canonical_json(char) != f'"{char}"'
+    # Every other code point, lone surrogates included, is written as itself.
+    escaped = set(ESCAPED)
+    others = "".join(chr(c) for c in range(0x110000) if chr(c) not in escaped)
+    assert canonical_json(others) == f'"{others}"'
+
+
+def test_the_config_encoder_joins_an_escape_free_string_list_whole(monkeypatch):
+    encoded = []
+    real = kernel.canonical_json
+    monkeypatch.setattr(kernel, "canonical_json", lambda obj: encoded.append(obj) or real(obj))
+    plain = [f"memory {i}: caf\u00e9 \u2028 \x7f" for i in range(1000)]
+    quoted = ["one", 'she said "hi"', "three"]
+    value = {"agents": [{"initial_memories": plain}, {"initial_memories": quoted}], "seed": 1}
+    assert canonical_config_json(value) == real(value)
+    # The keys and the seed one at a time, the list with a quote whole, and
+    # the escape-free list never.
+    assert encoded == ["agents", "initial_memories", "initial_memories", quoted, "seed", 1]

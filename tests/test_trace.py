@@ -364,19 +364,25 @@ def test_the_written_header_line_is_the_canonical_json_of_the_header(tmp_path):
         assert line == canonical_json(header.to_dict()) + "\n"
         assert line == header.to_json_line() + "\n"
         assert TraceHeader.from_dict(json.loads(line)).to_json_line() + "\n" == line
+        # A header read back has no config text, so the writer encodes it.
+        again = io.StringIO()
+        TraceWriter(again, TraceHeader.from_dict(json.loads(line)))
+        assert again.getvalue() == line
 
 
 def test_a_run_and_a_replay_each_encode_the_config_once(tmp_path, monkeypatch):
     encoded = []
-    real = config_mod.canonical_json
+    real_walk, real_c = config_mod.canonical_config_json, trace_mod.canonical_json
 
-    def counting(obj):
-        if isinstance(obj, dict) and "agents" in obj:
-            encoded.append(obj)
-        return real(obj)
+    def counting(real):
+        def encode(obj):
+            if isinstance(obj, dict) and "agents" in obj:
+                encoded.append(obj)
+            return real(obj)
+        return encode
 
-    monkeypatch.setattr(config_mod, "canonical_json", counting)
-    monkeypatch.setattr(trace_mod, "canonical_json", counting)
+    monkeypatch.setattr(config_mod, "canonical_config_json", counting(real_walk))
+    monkeypatch.setattr(trace_mod, "canonical_json", counting(real_c))
     out = run_to_file(tmp_path)
     assert len(encoded) == 1
     encoded.clear()
