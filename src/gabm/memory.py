@@ -60,12 +60,17 @@ time it sees the text and is cleared when it holds EMBED_CACHE_TEXTS
 texts; a repeat is one dict lookup.  An observation delivered to 24 agents
 is tokenized once, not 24 times.  ``add_all`` adds a list of texts at one
 time: a list the memo can hold goes through it, text by text, and a longer
-one, such as recall's 10k initial memories per bank, is embedded in one
-loop that bypasses it, since storing the list would only clear the memo
-and drop the texts a rebuild or a run would hit.  Either way a text the
-memo does not hold pays its tokenizing, one token-table lookup per token,
-its counting and its sum of squares: about 2.8 us a text of recall's initial
-memories on a 2-core x86 VM.
+one, such as recall's 10k initial memories per bank, is counted whole
+without it, since storing the list would only clear the memo and drop the
+texts a rebuild or a run would hit.  One routine, ``count_all``, counts
+every text: it takes a list of texts and writes their embeddings and sums
+of squares as two columns, which a long ``add_all`` extends the bank's
+columns with, and a memo miss is a list of one text.  A text the memo does
+not hold pays its tokenizing, one token-table lookup per token, its
+counting and its sum of squares: about 2.5 us a text of recall's initial
+memories, on a host where the benchmark's reference routine
+(``bench/host.py``) takes 0.5 ms, and about 0.5 us more for a lone text,
+which pays the routine's set-up alone.
 
 A bank keeps its texts, timestamps and embeddings in three parallel lists,
 its public read-only columns, indexed by the id ``add`` or ``add_all``
@@ -128,8 +133,10 @@ COSINE_CEILING = 1.0 + 2.0**-52
 # 190 at run time), recall 19 of 284 at run time.  So every text of crowd
 # and market, built again, hits the memo.  Recall's 40k distinct initial
 # memories, 10k a bank, are longer lists than the memo holds, so
-# ``add_all`` embeds them without it.  An entry holds a text's counts,
-# which every bank holding the text shares, and their int sum of squares.
+# ``add_all`` counts them without it, in one ``count_all`` call a bank, at
+# about 2.5 us a text in reference-host units.  An entry holds a text's
+# counts, which every bank holding the text shares, and their int sum of
+# squares.
 EMBED_CACHE_TEXTS = 1024
 
 # Distinct tokens a token table holds before it is cleared and refilled.
@@ -177,11 +184,12 @@ def _tokens(text: str) -> list[bytes]:
 
 class _Embeddings(dict):
     """``(counts, sum of squares)`` by text for one (dimension, seed),
-    each from ``count`` on first use.  The memo holds at most
+    each from ``count_all`` on first use.  The memo holds at most
     EMBED_CACHE_TEXTS texts: a full memo is cleared before the next is
     added, and a thread that looks up a text a clear has dropped counts it
     again, to equal values.  ``tokens`` is the token table of the same
-    (dimension, seed)."""
+    (dimension, seed).  A text costs about 2.5 us to count (see the
+    module docstring)."""
 
     __slots__ = ("dimension", "tokens")
 
@@ -190,22 +198,32 @@ class _Embeddings(dict):
         self.dimension = dimension
         self.tokens = _TokenTable(dimension, seed)
 
-    def count(self, text: str) -> tuple[tuple[int, ...], int]:
-        """The HashEmbedder counts of ``text`` and their int sum of squares,
-        computed without the memo."""
-        counts = [0] * self.dimension
-        for coordinate, sign in map(self.tokens.__getitem__, _tokens(text)):
-            counts[coordinate] += sign
-        if not any(counts):
-            counts[0] = 1
-        embedding = tuple(counts)
-        return embedding, _dot(embedding, embedding)
+    def count_all(self, texts: Iterable[str]) -> tuple[list[tuple[int, ...]], list[int]]:
+        """The HashEmbedder counts of each of ``texts`` and their int sums
+        of squares, as two columns in the order of ``texts``, computed
+        without the memo: the one counting routine.  A sum of squares is 0
+        exactly when every count is, and such a text counts as e_0."""
+        lookup = self.tokens.__getitem__
+        zeros = [0] * self.dimension
+        embeddings: list[tuple[int, ...]] = []
+        squares: list[int] = []
+        add_embedding, add_square, mul = embeddings.append, squares.append, operator.mul
+        for tokens in map(_tokens, texts):
+            counts = zeros.copy()
+            for coordinate, sign in map(lookup, tokens):
+                counts[coordinate] += sign
+            square = sum(map(mul, counts, counts))
+            if not square:
+                counts[0] = square = 1
+            add_embedding(tuple(counts))
+            add_square(square)
+        return embeddings, squares
 
     def __missing__(self, text: str) -> tuple[tuple[int, ...], int]:
-        entry = self.count(text)
+        (embedding,), (square,) = self.count_all((text,))
         if len(self) >= EMBED_CACHE_TEXTS:
             self.clear()
-        self[text] = entry
+        entry = self[text] = (embedding, square)
         return entry
 
 
@@ -361,11 +379,13 @@ class MemoryBank:
             for text in texts:
                 self.add(text, timestamp)
         else:
-            embedded = list(map(memo.count, texts))
+            # Every text is counted before any column grows, so a text
+            # that fails leaves the bank as it was.
+            embeddings, squares = memo.count_all(texts)
             self.texts += texts
             self.timestamps += repeat(timestamp, len(texts))
-            self.embeddings += map(operator.itemgetter(0), embedded)
-            self._squares += map(operator.itemgetter(1), embedded)
+            self.embeddings += embeddings
+            self._squares += squares
         return range(start, len(self.texts))
 
     def retrieve_associative(self, query: str, k: int) -> list[int]:

@@ -537,6 +537,85 @@ def test_add_all_matches_an_add_loop_oracle(pool, lists, memo_texts, dimension_s
     assert bank._squares == loop._squares == [sum(x * x for x in vector) for vector in expected]
 
 
+@oracle_settings(200)
+@given(
+    texts=st.lists(ADD_ALL_TEXTS, max_size=12),
+    table_tokens=st.integers(1, 8),
+    dimension_seed=st.sampled_from([(16, 0), (4, 3), (1, 0)]),
+)
+def test_count_all_matches_the_reference_counting_oracle(texts, table_tokens, dimension_seed):
+    # A token table of at most 8 tokens clears in the middle of a list.
+    dimension, seed = dimension_seed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(memory, "TOKEN_TABLE_TOKENS", table_tokens)
+        memo = memory._embeddings(dimension, seed)
+        memo.tokens.clear()
+        embeddings, squares = memo.count_all(texts)
+        expected = [reference_hash_embed(dimension, seed, text) for text in texts]
+        assert embeddings == expected
+        assert squares == [sum(x * x for x in vector) for vector in expected]
+        assert len(memo.tokens) <= table_tokens
+        # A one-text call is what the memo holds for the text.
+        for text, embedding, square in zip(texts, embeddings, squares):
+            assert memo.count_all([text]) == ([embedding], [square])
+            memo.pop(text, None)
+            assert memo[text] == (embedding, square)
+
+
+def test_a_failed_bulk_seed_leaves_the_bank_unchanged(monkeypatch):
+    # A list longer than the memo is counted whole before any column grows,
+    # so an item that is not a str leaves every column as it was.
+    monkeypatch.setattr(memory, "EMBED_CACHE_TEXTS", 4)
+    bank = MemoryBank()
+    bank.add_all([f"memory {i} at the mill" for i in range(6)], T0)
+    columns = (bank.texts, bank.timestamps, bank.embeddings, bank._squares)
+    before = [list(column) for column in columns]
+    texts = [f"a later memory {i} at the ferry" for i in range(8)] + [42]
+    with pytest.raises(AttributeError):
+        bank.add_all(texts, T0 + timedelta(hours=1))
+    assert [list(column) for column in columns] == before
+    assert bank.add_all(texts[:-1], T0) == range(6, 14)
+
+
+def test_threads_seeding_long_lists_through_a_small_token_table_get_reference_vectors(monkeypatch):
+    # Four threads each seed a bank of their own with a list longer than the
+    # memo, through one token table bound small, so that clears race with
+    # lookups; the lists share half their texts.
+    monkeypatch.setattr(memory, "EMBED_CACHE_TEXTS", 16)
+    monkeypatch.setattr(memory, "TOKEN_TABLE_TOKENS", 16)
+    embeddings = memory._embeddings(16, 0)
+    embeddings.clear()
+    embeddings.tokens.clear()
+    shared = [f"shared {i} kettle {i * 5} ferry" for i in range(200)]
+    start = threading.Barrier(4)
+    results: dict[int, tuple[list[str], MemoryBank]] = {}
+
+    def seeder_thread(n: int):
+        own = [f"thread {n} seeds {i} ledger {i * 3}" for i in range(200)]
+        texts = [text for pair in zip(shared, own) for text in pair]
+        bank = MemoryBank()
+        start.wait()
+        bank.add_all(texts, T0)
+        results[n] = (texts, bank)
+
+    threads = [threading.Thread(target=seeder_thread, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(results) == [0, 1, 2, 3]
+    for texts, bank in results.values():
+        assert bank.texts == texts
+        expected = [reference_hash_embed(16, 0, text) for text in texts]
+        assert bank.embeddings == expected
+        assert bank._squares == [sum(x * x for x in vector) for vector in expected]
+
+
 # More queries than a bank caches, so some retrievals follow an eviction.
 CACHE_QUERIES = [f"query {i}" for i in range(RELEVANCE_CACHE_QUERIES + 3)]
 CACHE_TEXTS = ["snow at the mill", "the ferry is late", "beans for a cow"]
