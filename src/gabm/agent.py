@@ -8,6 +8,10 @@ builds the prompt of its model call, if it has one, from memory and
 its peers' pre-update states; once the calls are answered, each commits
 its answer, in declaration order.  Nothing changes until every prompt is
 built, so the calls of one pass are independent and can go out together.
+``update_components`` builds the prompts and issues the calls, then
+returns the pass's completion, which takes the answers and commits them:
+against a slow model the caller can do other work, such as the next
+player's act call, while the calls are out.
 
 Components keep no reference to their agent: the agent passes itself to
 each hook, and nothing is bound at construction.  An agent keeps no clock
@@ -20,11 +24,12 @@ from __future__ import annotations
 from collections import deque
 from datetime import datetime
 from decimal import Decimal
+from typing import Callable
 
 from .errors import EpisodeAbort, InvalidModelOutput, NotANumber
 from .kernel import ActionSpec, AgentAction, Observation, OutputKind, format_time, parse_float_token
 from .memory import MemoryBank
-from .model import GenerativeModel, ask_all, render_choice_prompt, sample_repaired
+from .model import GenerativeModel, PooledAsks, overlaps, render_choice_prompt, sample_repaired
 
 DEFAULT_PREAMBLE = "Instructions: this is a social simulation. Answer as {name} would."
 FLOAT_SUFFIX = "Answer with a single number."
@@ -187,35 +192,51 @@ class GenerativeAgent:
         for component in self.components:
             component.observe(observation)
 
-    def update_components(self) -> None:
-        """Run one update pass over all components.
+    def update_components(self) -> Callable[[], None]:
+        """Start one update pass over all components; return its completion.
 
-        Every prompt is built before any answer commits, so each reads
-        its peers' pre-pass states: ``ask_all`` issues the prompts together
-        when the model is slow enough for that to pay, and records their
-        calls in declaration order either way.  Answers then commit in
-        declaration order.  A failure aborts the episode naming the
-        failing component; later components' calls are not recorded.
+        Every prompt is built here, before any answer commits, so each
+        reads its peers' pre-pass states.  With a model that ``overlaps``
+        the calls go out together on the pool and stay out until the
+        completion is called; otherwise they are made here, one at a time
+        in declaration order, recorded in the call list open now.  The
+        completion takes the answers, recording the pool's calls in
+        declaration order into the call list open where it runs, and
+        commits them in declaration order; the caller runs it before the
+        agent observes or acts again.  A failure aborts the episode naming
+        the failing component; later components' calls are not recorded.
         """
+        model = self.model
         prompts: list[str | None] = []
         try:
             for component in self.components:
                 prompts.append(component.prompt(self))
-            answers = ask_all(
-                self.model,
-                [
-                    (prompt, f"component:{self.name}/{c.name}:update")
-                    for c, prompt in zip(self.components, prompts)
-                    if prompt is not None
-                ],
-            )
-            for component, prompt in zip(self.components, prompts):
-                component.commit(self, None if prompt is None else next(answers))
+            asking = [(c, p) for c, p in zip(self.components, prompts) if p is not None]
+            if asking and overlaps(model):
+                answers = PooledAsks(model, [(p, self._update_caller(c)) for c, p in asking]).answers()
+            else:
+                made = []
+                for component, prompt in asking:
+                    made.append(model.sample_text(prompt, caller=self._update_caller(component)))
+                answers = iter(made)
         except Exception as exc:
-            # ``component`` is the one whose prompt, call or commit failed.
-            raise EpisodeAbort(
-                f"component {self.name}/{component.name} failed during update: {exc}"
-            ) from exc
+            # ``component`` is the one whose prompt or call failed.
+            raise self._update_failure(component, exc) from exc
+
+        def complete() -> None:
+            for component, prompt in zip(self.components, prompts):
+                try:
+                    component.commit(self, None if prompt is None else next(answers))
+                except Exception as exc:
+                    raise self._update_failure(component, exc) from exc
+
+        return complete
+
+    def _update_caller(self, component: AgentComponent) -> str:
+        return f"component:{self.name}/{component.name}:update"
+
+    def _update_failure(self, component: AgentComponent, exc: Exception) -> EpisodeAbort:
+        return EpisodeAbort(f"component {self.name}/{component.name} failed during update: {exc}")
 
     def context_of_action(self, spec: ActionSpec, now: datetime) -> str:
         """Render the full acting prompt for one spec at time ``now``."""

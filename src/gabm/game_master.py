@@ -17,6 +17,16 @@ Resolution of one acting turn follows a fixed sequence:
    every component's post-event hooks, the game master delivers the parsed
    observer lines and then, if the action was vetoed, tells the actor why.
 
+After the resolution the actor starts its update pass, whose answers
+nothing reads before the actor's own next turn.  So the turn's record is
+closed but held unwritten, and the pass completes (its calls join the
+record, its answers commit) at the first of: just before the next turn's
+resolution, the start of the actor's own next turn, or the end of the
+rounds; then the record is written.  Against a slow model the pass's calls
+are out while the next player acts.  The trace is the one a pass that
+completes within its own turn gives: a pass that fails leaves its record
+written up to the failing call and the next turn's record unwritten.
+
 An episode is rounds of acting turns, and it ends with the questionnaires:
 each is given to every player in turn, off the game clock, whether a
 component ended the rounds or the step budget did.  A ``SimulationError``
@@ -213,6 +223,9 @@ class GameMaster:
         self._veto_reason: str | None = None
         self._current_record: TraceRecord | None = None
         self._record_calls = None  # the token of the open record's call list
+        # The last turn's closed, unwritten record and its actor's update
+        # pass completion, held until the pass completes.
+        self._held_turn: tuple[TraceRecord, Callable[[], None]] | None = None
 
     def player(self, name: str) -> GenerativeAgent:
         try:
@@ -344,12 +357,33 @@ class GameMaster:
         return record
 
     def finish_record(self, record: TraceRecord) -> None:
+        """Close the open record and write it."""
+        self._close_record()
+        self._write_record(record)
+
+    def _close_record(self) -> None:
         close_calls(self._record_calls)
         self._record_calls = None
         self._current_record = None
+
+    def _write_record(self, record: TraceRecord) -> None:
         self.trace.append(record)
         if self.on_record is not None:
             self.on_record(record)
+
+    def _complete_update_pass(self) -> None:
+        """Complete the held update pass into its turn record, then write
+        the record, which is written even if the pass fails."""
+        if self._held_turn is None:
+            return
+        record, complete = self._held_turn
+        self._held_turn = None
+        token = open_calls(record.model_calls)
+        try:
+            complete()
+        finally:
+            close_calls(token)
+            self._write_record(record)
 
     def _acting_turn(self, player: GenerativeAgent, step: int) -> bool:
         """Run one player's full turn; True if a component ended the episode.
@@ -358,17 +392,40 @@ class GameMaster:
         committed at the end of its previous turn: ``update_components``
         runs after the action is resolved, so what this turn's briefing
         told the player reaches its act prompt one turn late.
+
+        Nothing reads the answers of that update pass before the player's
+        next turn, so the turn ends with its record closed but unwritten,
+        holding the pass's completion.  The pass completes, and the record
+        is written, at the first of: just before the next turn's resolution,
+        the first thing that can deliver the player an observation; the
+        start of the player's own next turn; the end of the rounds.  Until
+        then a slow model answers the pass while the next player acts.  If
+        the pass fails, its record is written with the calls made before
+        the failure and the next turn's record never is, as when the pass
+        ran to its end before the next turn began.
         """
+        if self._held_turn is not None and self._held_turn[0].actor == player.name:
+            self._complete_update_pass()
         record = self.begin_record("turn", step, player.name)
+        previous_written = False
         try:
-            self.pre_act_observe(player)
-            record.agent_states = player.component_states()
-            action = player.act(self.action_spec, self.clock.current_time)
-            record.action = action
+            try:
+                self.pre_act_observe(player)
+                record.agent_states = player.component_states()
+                action = player.act(self.action_spec, self.clock.current_time)
+                record.action = action
+            finally:
+                self._complete_update_pass()
+                previous_written = True
             self.update_from_player(action)
-            player.update_components()
-        finally:
-            self.finish_record(record)
+            complete = player.update_components()
+        except BaseException:
+            self._close_record()
+            if previous_written:
+                self._write_record(record)
+            raise
+        self._close_record()
+        self._held_turn = (record, complete)
         if self.clock.mode is ClockMode.ADVANCE_PER_PLAYER:
             self.clock.advance()
         # Poll every component exactly once, even after a hit.
@@ -381,19 +438,22 @@ class GameMaster:
         reason = "max-steps"
         error_text = ""
         try:
-            for step in range(max_steps):
-                order = list(self.players)
-                self.rng.shuffle(order)
-                terminated = False
-                for player in order:
-                    if self._acting_turn(player, step):
-                        terminated = True
+            try:
+                for step in range(max_steps):
+                    order = list(self.players)
+                    self.rng.shuffle(order)
+                    terminated = False
+                    for player in order:
+                        if self._acting_turn(player, step):
+                            terminated = True
+                            break
+                    if terminated:
+                        reason = "component-terminated"
                         break
-                if terminated:
-                    reason = "component-terminated"
-                    break
-                if self.clock.mode is ClockMode.ADVANCE_PER_ROUND:
-                    self.clock.advance()
+                    if self.clock.mode is ClockMode.ADVANCE_PER_ROUND:
+                        self.clock.advance()
+            finally:
+                self._complete_update_pass()
             for questionnaire in self.questionnaires:
                 for player in self.players:
                     administer_questionnaire(questionnaire, self, player.name)

@@ -13,10 +13,13 @@ chat-completions endpoint and is never touched by the default test suite.
 
 ``ask_all`` answers a batch of independent asks, each a prompt the caller
 has already built, and yields the answers in ask order.  When the model is
-slow enough for that to pay it issues them together on a thread pool whose
-jobs make the model call and nothing else; building prompts and applying
-answers stay on the calling thread.  Each call is recorded as its answer is
-yielded, so a trace does not depend on which call came back first.
+slow enough for that to pay (``overlaps``) it issues them together on a
+thread pool whose jobs make the model call and nothing else; building
+prompts and applying answers stay on the calling thread.  ``PooledAsks``
+is that pool path on its own: it issues asks now and yields their answers
+when the caller asks for them, so the caller can do other work while the
+calls are out.  Each call is recorded as its answer is yielded, so a trace
+does not depend on which call came back first.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ CHARS_PER_TOKEN = 4
 REPAIR_BUDGET = 3
 _CHOICE_REPAIR = "Answer with exactly one of the options, verbatim."
 
-# ask_all issues asks in parallel only for a model whose measured wall time
-# per call is at least this: below it the hand-offs between threads cost
-# more than the overlap saves.
+# Asks go out in parallel only to a model whose measured wall time per call
+# is at least this: below it the hand-offs between threads cost more than
+# the overlap saves.
 PARALLEL_MIN_CALL_S = 0.001
 # Weight of the newest call in the moving average of call wall time.
 CALL_TIME_WEIGHT = 0.1
@@ -59,7 +62,7 @@ CALL_TIME_WEIGHT = 0.1
 POOL_MAX_WORKERS = 16
 
 # The call list open in this context: a trace record's model calls, or the
-# call of the pool job running here, held until ask_all hands it on.
+# call of the pool job running here, held until PooledAsks hands it on.
 _call_slot: contextvars.ContextVar[list | None] = contextvars.ContextVar(
     "gabm_call_slot", default=None
 )
@@ -112,8 +115,8 @@ class GenerativeModel:
         start = time.perf_counter()
         response = replace_surrogates(self._complete(prompt, max_chars))
         elapsed = time.perf_counter() - start
-        # Unlocked: a racing update loses one sample, which the gate in
-        # ask_all tolerates.
+        # Unlocked: a racing update loses one sample, which the gate,
+        # ``overlaps``, tolerates.
         average = self.call_seconds
         self.call_seconds = (
             elapsed if average is None else average + CALL_TIME_WEIGHT * (elapsed - average)
@@ -164,6 +167,13 @@ def sample_repaired(
     return parse(raw)
 
 
+def overlaps(model: GenerativeModel) -> bool:
+    """Whether calls to ``model`` are worth issuing together: its measured
+    wall time per call is at least ``PARALLEL_MIN_CALL_S``."""
+    average = model.call_seconds
+    return average is not None and average >= PARALLEL_MIN_CALL_S
+
+
 def _shared_pool() -> ThreadPoolExecutor:
     # Imported here so a run that never goes parallel does not load it.
     from concurrent.futures import ThreadPoolExecutor
@@ -184,6 +194,39 @@ def _sample_holding(calls: list, model: GenerativeModel, prompt: str, caller: st
         close_calls(token)
 
 
+class PooledAsks:
+    """``(prompt, caller)`` asks issued at once, one shared-pool job each.
+
+    A job makes its one model call and nothing else, and holds the call it
+    records until ``answers`` hands it on.
+    """
+
+    def __init__(self, model: GenerativeModel, asks: Sequence[tuple[str, str]]):
+        pool = _shared_pool()
+        self._held: list[list] = [[] for _ in asks]
+        self._jobs = [pool.submit(_sample_holding, calls, model, *ask) for calls, ask in zip(self._held, asks)]
+
+    def wait(self) -> None:
+        """Return once every job has finished, failed or not."""
+        from concurrent.futures import wait
+
+        wait(self._jobs)
+
+    def answers(self) -> Iterator[str]:
+        """Wait for every job, then yield the responses in ask order.
+
+        Each recorded call joins the call list open where its response is
+        yielded.  A failed ask raises at its turn, and the calls of later
+        asks are never recorded.
+        """
+        self.wait()
+        for calls, job in zip(self._held, self._jobs):
+            open_list = _call_slot.get()
+            if open_list is not None:
+                open_list.extend(calls)
+            yield job.result()
+
+
 def ask_all(model: GenerativeModel, asks: Sequence[tuple[str, str]]) -> Iterator[str]:
     """Answer each ``(prompt, caller)`` ask; yield the responses in ask order.
 
@@ -191,35 +234,25 @@ def ask_all(model: GenerativeModel, asks: Sequence[tuple[str, str]]) -> Iterator
     recorded call joins the call list open where it is yielded, so the
     caller decides where in its own sequence each call appears.  A failing
     ask raises at its turn, and the calls of later asks are never recorded.
-    With more than one ask and a model whose measured call time is at
-    least ``PARALLEL_MIN_CALL_S``, every ask is issued together: the first
-    on the calling thread, the rest as jobs on a shared thread pool that
-    make that one call and nothing else, and all of them finish before the
-    first response is yielded.  Otherwise each ask is made on the calling
-    thread when its response is next.  Either way the calls recorded are
-    the ones asking one at a time records.
+    With more than one ask and a model that ``overlaps``, every ask is
+    issued together: the first on the calling thread, the rest as
+    ``PooledAsks``, and all of them finish before the first response is
+    yielded.  Otherwise each ask is made on the calling thread when its
+    response is next.  Either way the calls recorded are the ones asking
+    one at a time records.
     """
-    average = model.call_seconds
-    if len(asks) < 2 or average is None or average < PARALLEL_MIN_CALL_S:
+    if len(asks) < 2 or not overlaps(model):
         for prompt, caller in asks:
             yield model.sample_text(prompt, caller=caller)
         return
-    from concurrent.futures import wait
-
     (prompt, caller), *rest = asks
-    held: list[list] = [[] for _ in rest]
-    pool = _shared_pool()
-    jobs = [pool.submit(_sample_holding, calls, model, *ask) for calls, ask in zip(held, rest)]
+    pooled = PooledAsks(model, rest)
     try:
         first = model.sample_text(prompt, caller=caller)
     finally:
-        wait(jobs)
+        pooled.wait()
     yield first
-    for calls, job in zip(held, jobs):
-        open_list = _call_slot.get()
-        if open_list is not None:
-            open_list.extend(calls)
-        yield job.result()
+    yield from pooled.answers()
 
 
 def render_choice_prompt(prompt: str, options: list[str] | tuple[str, ...]) -> str:

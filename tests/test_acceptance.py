@@ -333,7 +333,7 @@ def test_criterion_7_sampling_contract(calls):
     texts = [f"observation number {i}" for i in range(25)]
     for text in texts:
         watcher.observe(Observation(recipient="Ada", text=text, timestamp=moment))
-    watcher.update_components()
+    watcher.update_components()()
     state = watcher.component("recent observations").state()
     assert state == "\n".join(texts[5:])
     assert len(state.splitlines()) == 20

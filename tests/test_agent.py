@@ -95,10 +95,11 @@ def test_update_pass_reads_pre_update_peer_states():
     counter = Counter("counter")
     reader = PeerReader("reader", "counter")
     agent = make_agent([counter, reader], model=EchoModel())
-    agent.update_components()
+    # update_components returns the pass's completion, which commits it.
+    agent.update_components()()
     assert counter.state() == "run 1"
     assert reader.state() == "saw []"
-    agent.update_components()
+    agent.update_components()()
     assert reader.state() == "saw [run 1]"
 
 
@@ -108,8 +109,8 @@ def test_update_order_does_not_change_what_peers_read():
         reader = PeerReader("reader", "counter")
         parts = [counter, reader]
         agent = make_agent([parts[i] for i in order], model=EchoModel())
-        agent.update_components()
-        agent.update_components()
+        agent.update_components()()
+        agent.update_components()()
         assert reader.state() == "saw [run 1]"
 
 
@@ -130,7 +131,7 @@ def test_observation_buffer_keeps_window_verbatim_newest_last():
     agent = make_agent([buffer])
     for i in range(5):
         agent.observe(Observation("Ada", f"saw bird #{i}", T0))
-    agent.update_components()
+    agent.update_components()()
     assert buffer.state() == "saw bird #2\nsaw bird #3\nsaw bird #4"
 
 
@@ -139,7 +140,7 @@ def test_observation_buffer_default_window_is_twenty():
     agent = make_agent([buffer])
     for i in range(25):
         agent.observe(Observation("Ada", f"event {i}", T0))
-    agent.update_components()
+    agent.update_components()()
     lines = buffer.state().splitlines()
     assert len(lines) == 20
     assert lines[0] == "event 5"
@@ -219,7 +220,7 @@ def test_model_query_component_prompt_shape(calls):
     agent.memory.add("old news", T0)
     agent.memory.add("fresh news", T0)
     agent.memory.add("breaking news", T0)
-    agent.update_components()
+    agent.update_components()()
     assert component.state() == "a quiet morning"
     call = calls[0]
     assert call.caller == "component:Ada/summary:update"
@@ -238,7 +239,7 @@ def test_model_query_reads_render_peer_sections(calls):
         name="verdict", question="So?", retrieval="none", reads=("goal",)
     )
     agent = make_agent([ConstantComponent("goal", "win"), component], model=model)
-    agent.update_components()
+    agent.update_components()()
     assert "goal: win\n" in calls[0].prompt
     assert "Memories of" not in calls[0].prompt
 
@@ -259,8 +260,8 @@ def test_three_questions_wiring_and_prompts(calls):
     components = three_questions_components()
     agent = make_agent(components, model=model)
     agent.memory.add("Ada set up her stall.", T0)
-    agent.update_components()  # first pass: disposition reads blank peers
-    agent.update_components()
+    agent.update_components()()  # first pass: disposition reads blank peers
+    agent.update_components()()
     states = agent.component_states()
     assert states == {
         "situation": "a market day",
@@ -353,7 +354,7 @@ def test_update_pass_issues_three_questions_together_above_the_gate(calls):
     # Run one after another, the first question would wait out the timeout.
     barrier = threading.Barrier(3, timeout=5)
     agent = slow_agent(SlowQuestionModel(barrier=barrier), calls)
-    agent.update_components()
+    agent.update_components()()
     assert not barrier.broken
     assert agent.component_states() == {
         "situation": "a market day",
@@ -367,7 +368,7 @@ def test_update_pass_records_calls_in_declaration_order(calls):
     # Each question answers only once the next one has: reverse order.
     model = SlowQuestionModel(after={"situation": "identity", "identity": "disposition"})
     agent = slow_agent(model, calls)
-    agent.update_components()
+    agent.update_components()()
     assert [q for q, _ in model.finished[1:]] == ["disposition", "identity", "situation"]
     assert [c.caller for c in calls] == UPDATE_CALLERS
 
@@ -384,7 +385,7 @@ def test_parallel_component_failure_names_it_and_drops_later_calls(calls):
     model = SlowQuestionModel(after={"situation": "identity"})
     agent = slow_agent(model, calls, [situation, Broken("weather"), identity])
     with pytest.raises(EpisodeAbort, match=r"Ada/weather failed during update: kaput"):
-        agent.update_components()
+        agent.update_components()()
     # identity's call did run, but the serial pass would have stopped before it.
     assert model.done["identity"].is_set()
     assert [c.caller for c in calls] == [UPDATE_CALLERS[0], "component:Ada/weather:update"]
@@ -402,6 +403,6 @@ def test_update_pass_starts_no_thread_for_a_fast_model(monkeypatch):
     agent = make_agent(three_questions_components(), model=model)
     model.sample_text("warm up")
     assert model.call_seconds < PARALLEL_MIN_CALL_S
-    agent.update_components()
-    agent.update_components()
+    agent.update_components()()
+    agent.update_components()()
     assert {thread for _, thread in model.finished} == {threading.current_thread().name}

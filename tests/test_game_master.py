@@ -8,7 +8,8 @@ from datetime import datetime, timedelta
 import pytest
 
 import gabm.model
-from gabm.agent import AgentComponent, GenerativeAgent, three_questions_components
+from gabm.agent import IDENTITY_QUESTION, AgentComponent, GenerativeAgent, three_questions_components
+from gabm.config import build, config_from_dict
 from gabm.errors import BackendUnavailable, ConfigError
 from gabm.game_master import (
     GameMaster,
@@ -23,6 +24,7 @@ from gabm.kernel import ActionSpec, ClockMode, GameClock, OutputKind
 from gabm.model import ScriptedModel, ScriptRule
 from gabm.memory import MemoryBank
 from gabm.phone import DETECT_PHONE_QUESTION, CalendarApp, NotificationHub, PhoneUniverse, SceneTrigger
+from gabm.trace import replay, run_built_scenario
 
 from conftest import memory_texts
 
@@ -521,15 +523,16 @@ BATCH_TURN_NOTES = [
 
 
 class BatchModel(ScriptedModel):
-    """The batch script behind a model that takes ``delay_ms`` per call.
+    """A script, by default the batch script, behind a model that takes
+    ``delay_ms`` per call.
 
     A prompt containing a key of ``meet`` waits on that barrier instead of
     sleeping, and one containing ``fail_on`` raises BackendUnavailable.
     Completions are logged by thread name.
     """
 
-    def __init__(self, delay_ms=0.0, meet=None, fail_on=None):
-        rules = [ScriptRule.from_dict(rule.to_dict()) for rule in BATCH_RULES]
+    def __init__(self, delay_ms=0.0, meet=None, fail_on=None, rules=BATCH_RULES):
+        rules = [ScriptRule.from_dict(rule.to_dict()) for rule in rules]
         super().__init__(rules=rules, default_response="pass")
         self.delay_ms = delay_ms
         self.meet = meet or {}
@@ -791,3 +794,150 @@ def test_engine_state_stays_on_the_calling_thread(monkeypatch):
     assert len(model.threads) > 1  # the batches did run on pool threads
     assert {name for name, _ in touched} == {attr for _, attr in ENGINE_STATE}
     assert {thread for _, thread in touched} == {threading.current_thread().name}
+
+
+# ---- update passes held over the next act -------------------------------------
+
+ALICE_IDENTITY = IDENTITY_QUESTION.replace("{name}", "Alice")
+BOB_ACTS = "What would Bob do next"
+PASS_STATES = {"situation": "a quiet square", "identity": "a friendly neighbour", "disposition": "says hello"}
+OVERLAP_RULES = [
+    ScriptRule(contains="What would Alice do next", response="waves at Bob"),
+    ScriptRule(contains=BOB_ACTS, response="nods at Alice"),
+    ScriptRule(contains="What kind of situation", response=PASS_STATES["situation"]),
+    ScriptRule(contains="What kind of person is", response=PASS_STATES["identity"]),
+    ScriptRule(contains="What does a person such as", response=PASS_STATES["disposition"]),
+    ScriptRule(contains_all=("What event results", "by Alice:"), response="Alice waved and rang the bell."),
+    ScriptRule(contains="What event results", response="Bob nodded."),
+    ScriptRule(contains=OBSERVERS_QUESTION, response="Alice: Bob nods\nBob: Alice waves"),
+]
+
+
+def update_callers(name):
+    return [f"component:{name}/{component}:update" for component in PASS_STATES]
+
+
+def test_an_update_pass_overlaps_the_next_players_act():
+    # Alice acts first.  Held until Bob's resolution, her update pass is out
+    # while Bob acts; run one after the other, her identity call would wait
+    # out the timeout.
+    barrier = threading.Barrier(2, timeout=5)
+    model = BatchModel(delay_ms=2, meet={ALICE_IDENTITY: barrier, BOB_ACTS: barrier}, rules=OVERLAP_RULES)
+    model.sample_text("warm up")
+    players = [GenerativeAgent(name, model, components=three_questions_components()) for name in ("Alice", "Bob")]
+    gm = make_gm(players=players, model=model)
+    result = gm.run_episode(max_steps=1)
+    assert result.reason == "max-steps"
+    assert not barrier.broken
+    alice, bob = result.trace
+    assert [c.caller for c in alice.model_calls][-3:] == update_callers("Alice")
+    assert bob.model_calls[0].caller == "agent:Bob:act"
+    assert alice.model_calls[-2].prompt.endswith(f"Question: {ALICE_IDENTITY}\nAnswer:")
+
+
+# With seed 7 the rounds go Alice, Bob and then Bob, Alice: Bob acts twice
+# in a row across the step boundary.
+OVERLAP_CONFIG = {
+    "seed": 7,
+    "max_steps": 2,
+    "clock": {"start": "2024-05-01T09:00", "step_minutes": 30, "mode": "round"},
+    "model": {"kind": "echo"},
+    "agents": [
+        {
+            "name": "Alice",
+            "components": [{"type": "three_questions"}, {"type": "observations"}],
+            "initial_memories": ["Alice keeps the bell at the square."],
+        },
+        {
+            "name": "Bob",
+            "components": [{"type": "three_questions"}, {"type": "observations"}],
+            "initial_memories": ["Bob sells pears at the square."],
+        },
+    ],
+    "gm": {"components": [{"type": "locations", "locations": {"Alice": "square", "Bob": "square"}}]},
+}
+
+
+def run_overlap_episode(tmp_path, delay_ms, fail_on=None, **changes):
+    """Run OVERLAP_CONFIG with ``changes`` at ``delay_ms`` per call; check
+    that the trace replays, and return the result and the model."""
+    model = BatchModel(delay_ms=delay_ms, fail_on=fail_on, rules=OVERLAP_RULES)
+    model.sample_text("warm up")
+    built = build(config_from_dict({**OVERLAP_CONFIG, **changes}, base_dir=tmp_path), model=model)
+    out = tmp_path / f"{delay_ms}ms.jsonl"
+    with open(out, "w", encoding="utf-8") as handle:
+        result = run_built_scenario(built, out=handle).result
+    report = replay(out)
+    assert report.ok, report.detail
+    return result, model
+
+
+def overlap_runs(tmp_path, fail_on=None, **changes):
+    """The episode at 0 ms and at 2 ms per call, which must agree; the 0 ms result."""
+    (serial, _), (overlapped, model) = [
+        run_overlap_episode(tmp_path, delay, fail_on, **changes) for delay in (0, 2)
+    ]
+    assert len(model.threads) > 1  # the slow run did use the pool
+    assert [r.to_json_line() for r in overlapped.trace] == [r.to_json_line() for r in serial.trace]
+    assert (overlapped.reason, overlapped.error) == (serial.reason, serial.error)
+    assert overlapped.grounded == serial.grounded
+    return serial
+
+
+def test_an_overlapped_run_records_what_the_serial_run_records(tmp_path):
+    result = overlap_runs(tmp_path)
+    assert result.reason == "max-steps"
+    assert [(r.step, r.actor) for r in result.trace] == [(0, "Alice"), (0, "Bob"), (1, "Bob"), (1, "Alice")]
+    for record in result.trace:
+        assert [c.caller for c in record.model_calls][-3:] == update_callers(record.actor)
+
+
+def test_the_same_actor_twice_acts_on_its_committed_pass(tmp_path):
+    # Bob's first pass completes before his second turn's briefing, so that
+    # turn's act prompt shows the pass's answers, and the window his first
+    # pass committed holds only what he saw before it.
+    result = overlap_runs(tmp_path)
+    _, first, second, _ = result.trace
+    assert first.actor == second.actor == "Bob"
+    assert {name: first.agent_states[name] for name in PASS_STATES} == dict.fromkeys(PASS_STATES, "")
+    assert {name: second.agent_states[name] for name in PASS_STATES} == PASS_STATES
+    assert second.agent_states["recent observations"] == "\n".join(
+        o.text for record in result.trace[:2] for o in record.observations if o.recipient == "Bob"
+    )
+
+
+def test_a_failing_update_call_of_the_first_actor_leaves_no_next_record(tmp_path):
+    result = overlap_runs(tmp_path, fail_on=ALICE_IDENTITY)
+    assert result.reason == "error"
+    assert "Alice/identity failed during update" in result.error
+    (alice,) = result.trace
+    assert [c.caller for c in alice.model_calls][-1] == "component:Alice/situation:update"
+
+
+def test_a_failing_act_of_the_next_actor_follows_the_whole_previous_record(tmp_path):
+    result = overlap_runs(tmp_path, fail_on=BOB_ACTS)
+    assert result.reason == "error"
+    assert BOB_ACTS in result.error
+    alice, bob = result.trace
+    assert [c.caller for c in alice.model_calls][-3:] == update_callers("Alice")
+    assert (bob.actor, bob.action, bob.model_calls) == ("Bob", None, [])
+
+
+def test_a_phrase_terminator_ending_the_rounds_mid_round_keeps_the_held_record(tmp_path):
+    gm = {"components": [*OVERLAP_CONFIG["gm"]["components"], {"type": "phrase_terminator", "phrase": "rang the bell"}]}
+    result = overlap_runs(tmp_path, gm=gm)
+    assert result.reason == "component-terminated"
+    (alice,) = result.trace
+    assert [c.caller for c in alice.model_calls][-3:] == update_callers("Alice")
+
+
+def test_a_questionnaire_comes_after_the_last_turns_whole_record(tmp_path):
+    questionnaires = [{"name": "debrief", "questions": [{"call_to_action": "How was the day, {name}?"}]}]
+    result = overlap_runs(tmp_path, questionnaires=questionnaires)
+    assert result.reason == "max-steps"
+    assert [(r.kind, r.actor) for r in result.trace[3:]] == [
+        ("turn", "Alice"),
+        ("questionnaire", "Alice"),
+        ("questionnaire", "Bob"),
+    ]
+    assert [c.caller for c in result.trace[3].model_calls][-3:] == update_callers("Alice")
