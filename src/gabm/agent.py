@@ -3,15 +3,17 @@
 An agent's behavior is sampled in two steps.  Acting concatenates the
 instruction preamble, every component's current state in a fixed order, and
 the rendered call to action, then samples the model once (plus retries for
-numeric answers).  Component updates run separately: every component first
-builds the prompt of its model call, if it has one, from memory and
-its peers' pre-update states; once the calls are answered, each commits
-its answer, in declaration order.  Nothing changes until every prompt is
-built, so the calls of one pass are independent and can go out together.
+numeric answers).  That first call may have been asked ahead of the act;
+``act`` takes its answer only if it asked the prompt built at the act.
+Component updates run separately: every component first builds the prompt
+of its model call, if it has one, from memory and its peers' pre-update
+states; once the calls are answered, each commits its answer, in
+declaration order.  Nothing changes until every prompt is built, so the
+calls of one pass are independent and can go out together.
 ``update_components`` builds the prompts and issues the calls, then
 returns the pass's completion, which takes the answers and commits them:
 against a slow model the caller can do other work, such as the next
-player's act call, while the calls are out.
+player's resolution, while the calls are out.
 
 Components keep no reference to their agent: the agent passes itself to
 each hook, and nothing is bound at construction.  An agent keeps no clock
@@ -29,7 +31,7 @@ from typing import Callable
 from .errors import EpisodeAbort, InvalidModelOutput, NotANumber
 from .kernel import ActionSpec, AgentAction, Observation, OutputKind, format_time, parse_float_token
 from .memory import MemoryBank
-from .model import GenerativeModel, PooledAsks, overlaps, render_choice_prompt, sample_repaired
+from .model import AskedAhead, GenerativeModel, PooledAsks, overlaps, render_choice_prompt, sample_repaired
 
 DEFAULT_PREAMBLE = "Instructions: this is a social simulation. Answer as {name} would."
 FLOAT_SUFFIX = "Answer with a single number."
@@ -43,7 +45,9 @@ class AgentComponent:
     ``state()`` is side-effect free.  An update pass calls ``prompt(agent)``,
     the text to ask the agent's model or None, then ``commit(agent,
     answer)`` with the answer (None when nothing was asked), the only place
-    the state changes.  A component holds no reference to its agent.
+    the state changes.  The agent may observe between the two, while the
+    pass's calls are out; what it observes then belongs to the next pass.
+    A component holds no reference to its agent.
     """
 
     def __init__(self, name: str):
@@ -79,13 +83,20 @@ class ObservationBuffer(AgentComponent):
         super().__init__(name)
         self._window: deque[str] = deque(maxlen=max_items)
         self._pending: list[str] = []
+        self._taken = 0  # how many pending observations the pass commits
 
     def observe(self, observation: Observation) -> None:
         self._pending.append(observation.text)
 
+    def prompt(self, agent: "GenerativeAgent") -> None:
+        # A pass commits what was pending when its prompts were built; what
+        # arrives while its calls are out waits for the next pass.
+        self._taken = len(self._pending)
+        return None
+
     def commit(self, agent: "GenerativeAgent", answer: str | None) -> None:
-        self._window.extend(self._pending)
-        self._pending.clear()
+        self._window.extend(self._pending[: self._taken])
+        del self._pending[: self._taken]
         self._state = "\n".join(self._window)
 
 
@@ -246,28 +257,43 @@ class GenerativeAgent:
         sections = "".join([f"{c.name}: {c.state()}\n" for c in self.components])
         return self.preamble_text() + "\n" + sections + call
 
-    def act(self, spec: ActionSpec, now: datetime) -> AgentAction:
-        """Sample one action at time ``now``; the action is memorized at that time."""
+    def act_ask(self, spec: ActionSpec, now: datetime) -> tuple[str, str]:
+        """The ``(prompt, caller)`` of ``act``'s first call for one spec at
+        time ``now``; a repair re-ask appends to that prompt."""
         prompt = self.context_of_action(spec, now)
-        caller = f"agent:{self.name}:act"
         if spec.output_kind is OutputKind.CHOICE:
-            _, text = self.model.sample_choice(
-                render_choice_prompt(prompt, spec.options), spec.options, caller=caller
-            )
+            prompt = render_choice_prompt(prompt, spec.options)
+        return prompt, f"agent:{self.name}:act"
+
+    def act(self, spec: ActionSpec, now: datetime, ahead: AskedAhead | None = None) -> AgentAction:
+        """Sample one action at time ``now``; the action is memorized at that time.
+
+        ``ahead`` is a first call asked before the act.  Its answer stands
+        in for the first call's, recorded where that call would be, only if
+        it asked the prompt built now; otherwise it is dropped and the
+        first call is made here.  A choice or a number that needs repair
+        is re-asked here either way.
+        """
+        prompt, caller = self.act_ask(spec, now)
+        first = None if ahead is None else ahead.answer((prompt, caller))
+        if spec.output_kind is OutputKind.CHOICE:
+            _, text = self.model.sample_choice(prompt, spec.options, caller=caller, first=first)
         elif spec.output_kind is OutputKind.FLOAT:
-            text = str(self._sample_float(prompt, caller))
+            text = str(self._sample_float(prompt, caller, first))
         else:
-            text = self.model.sample_text(prompt, caller=caller).strip()
+            if first is None:
+                first = self.model.sample_text(prompt, caller=caller)
+            text = first.strip()
             if not text:
                 raise InvalidModelOutput(f"{self.name} produced an empty action")
         action = AgentAction(actor=self.name, text=text, spec=spec, timestamp=now)
         self.memory.add(text, now)
         return action
 
-    def _sample_float(self, prompt: str, caller: str) -> Decimal:
+    def _sample_float(self, prompt: str, caller: str, first: str | None) -> Decimal:
         try:
             return sample_repaired(
-                self.model, prompt, parse_float_token, NotANumber, _FLOAT_REPAIR, caller=caller
+                self.model, prompt, parse_float_token, NotANumber, _FLOAT_REPAIR, caller=caller, first=first
             )
         except NotANumber as exc:
             raise InvalidModelOutput(f"{self.name} gave no numeric answer: {exc}") from None

@@ -20,11 +20,21 @@ Resolution of one acting turn follows a fixed sequence:
 After the resolution the actor starts its update pass, whose answers
 nothing reads before the actor's own next turn.  So the turn's record is
 closed but held unwritten, and the pass completes (its calls join the
-record, its answers commit) at the first of: just before the next turn's
-resolution, the start of the actor's own next turn, or the end of the
-rounds; then the record is written.  Against a slow model the pass's calls
-are out while the next player acts.  The trace is the one a pass that
-completes within its own turn gives: a pass that fails leaves its record
+record, its answers commit) at the first of: once the next turn's
+pre-event batch is answered, just before its outcome call; the start of
+the actor's own next turn; or the end of the rounds; then the record is
+written.  Right after that completion, if the next player's model is slow
+enough to overlap calls, its act call is asked ahead.  That prompt is
+fixed by then: the player committed its states at the end of its own last
+turn, and the clock moves only between turns, to a time known now.  The
+act takes the answer if the prompt it builds is the same; otherwise, or if
+the rounds end first, the call is dropped unrecorded.  Nothing is asked
+ahead for the actor itself, whose pass has not run, or in a game with
+phones, whose scenes charge the clock mid-turn.  So against a slow model
+a market turn waits on three rounds: the trade check with the state call
+(the previous pass still out), the outcome with the next act call, and the
+observers call with the settlement extraction.  The trace is the one
+asking one call at a time gives: a pass that fails leaves its record
 written up to the failing call and the next turn's record unwritten.
 
 An episode is rounds of acting turns, and it ends with the questionnaires:
@@ -60,7 +70,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from datetime import timedelta
+from typing import Callable, Iterator
 
 from .agent import GenerativeAgent
 from .errors import ConfigError, InvalidModelOutput, NoMatchingOption, SimulationError
@@ -74,7 +85,7 @@ from .kernel import (
     Observation,
     TraceRecord,
 )
-from .model import GenerativeModel, ask_all, close_calls, open_calls
+from .model import AskedAhead, GenerativeModel, ask_all, close_calls, open_calls, overlaps
 
 DEFAULT_GM_PREAMBLE = (
     "Instructions: you are the game master of a social simulation. "
@@ -226,6 +237,8 @@ class GameMaster:
         # The last turn's closed, unwritten record and its actor's update
         # pass completion, held until the pass completes.
         self._held_turn: tuple[TraceRecord, Callable[[], None]] | None = None
+        # The next player's act call, asked while the last turn resolved.
+        self._asked_ahead: AskedAhead | None = None
 
     def player(self, name: str) -> GenerativeAgent:
         try:
@@ -290,8 +303,14 @@ class GameMaster:
                 self.audit_note(f"observer line ignored (unknown player): {line}")
         return observed
 
-    def update_from_player(self, action: AgentAction) -> EventStatement:
-        """Resolve one attempted action into an event statement."""
+    def update_from_player(
+        self, action: AgentAction, before_outcome: Callable[[], None] | None = None
+    ) -> EventStatement:
+        """Resolve one attempted action into an event statement.
+
+        ``before_outcome``, if given, runs once the pre-event answers are
+        applied, just before the outcome call.
+        """
         if action.actor not in self._player_index:
             raise ConfigError(f"action from unregistered player {action.actor!r}")
         self._veto_reason = None
@@ -310,6 +329,8 @@ class GameMaster:
         for component, _ in before:
             component.answer_before_event(self, action, next(answers))
         relevant = next(answers).strip()
+        if before_outcome is not None:
+            before_outcome()
         if self._veto_reason is not None:
             outcome_question = VETOED_OUTCOME_QUESTION.replace("{reason}", self._veto_reason)
         else:
@@ -385,10 +406,13 @@ class GameMaster:
             close_calls(token)
             self._write_record(record)
 
-    def _acting_turn(self, player: GenerativeAgent, step: int) -> bool:
+    def _acting_turn(
+        self, player: GenerativeAgent, step: int, upcoming: tuple[int, GenerativeAgent] | None
+    ) -> bool:
         """Run one player's full turn; True if a component ended the episode.
 
-        The act prompt is built from the component states the player
+        ``upcoming`` is the step and player of the next turn, if there is
+        one.  The act prompt is built from the component states the player
         committed at the end of its previous turn: ``update_components``
         runs after the action is resolved, so what this turn's briefing
         told the player reaches its act prompt one turn late.
@@ -396,28 +420,47 @@ class GameMaster:
         Nothing reads the answers of that update pass before the player's
         next turn, so the turn ends with its record closed but unwritten,
         holding the pass's completion.  The pass completes, and the record
-        is written, at the first of: just before the next turn's resolution,
-        the first thing that can deliver the player an observation; the
-        start of the player's own next turn; the end of the rounds.  Until
-        then a slow model answers the pass while the next player acts.  If
-        the pass fails, its record is written with the calls made before
-        the failure and the next turn's record never is, as when the pass
-        ran to its end before the next turn began.
+        is written, at the first of: once the next turn's pre-event batch
+        is answered, just before its outcome call; the start of the
+        player's own next turn; the end of the rounds.  Until then a slow
+        model answers the pass while the next player acts and the game
+        master checks its action.  An observation the player gets in the
+        meantime waits for its next pass: a pass commits only what was
+        observed before its prompts were built.  If the pass fails, its
+        record is written with the calls made before the failure and the
+        next turn's record never is, as when the pass ran to its end before
+        the next turn began.
+
+        Right after that completion the upcoming player's act call is asked
+        ahead (``_ask_ahead``), so against a slow model it is out with this
+        turn's outcome call.
         """
         if self._held_turn is not None and self._held_turn[0].actor == player.name:
             self._complete_update_pass()
         record = self.begin_record("turn", step, player.name)
-        previous_written = False
+        # False while a held pass has not completed, and once it failed.
+        previous_written = self._held_turn is None
+
+        def before_outcome() -> None:
+            nonlocal previous_written
+            self._complete_update_pass()
+            previous_written = True
+            self._ask_ahead(player, step, upcoming)
+
         try:
             try:
                 self.pre_act_observe(player)
                 record.agent_states = player.component_states()
-                action = player.act(self.action_spec, self.clock.current_time)
+                action = player.act(self.action_spec, self.clock.current_time, self._asked_ahead)
+                self._asked_ahead = None
                 record.action = action
+                self.update_from_player(action, before_outcome)
             finally:
-                self._complete_update_pass()
-                previous_written = True
-            self.update_from_player(action)
+                # A turn that failed before its outcome call still completes
+                # the held pass, and a failure of the pass wins.
+                if self._held_turn is not None:
+                    self._complete_update_pass()
+                    previous_written = True
             complete = player.update_components()
         except BaseException:
             self._close_record()
@@ -432,6 +475,43 @@ class GameMaster:
         flags = [component.terminate_episode() for component in self.components]
         return any(flags)
 
+    def _ask_ahead(
+        self, actor: GenerativeAgent, step: int, upcoming: tuple[int, GenerativeAgent] | None
+    ) -> None:
+        """Ask the upcoming player's act call now, if its model ``overlaps``.
+
+        That prompt is already fixed: the player committed its states at
+        the end of its own last turn, and the clock shows the time it will
+        show then, one step on in ``player`` mode or across a step in
+        ``round`` mode.  Nothing is asked for the actor itself, whose pass
+        has not run, nor in a game with phones, whose scenes charge the
+        clock mid-turn.  The player's act takes the answer only if its own
+        prompt is the same; otherwise, and if the rounds end first, the
+        call is dropped unrecorded.
+        """
+        if upcoming is None or self.notification_hub is not None:
+            return
+        next_step, player = upcoming
+        if player is actor or not overlaps(player.model):
+            return
+        moves = self.clock.mode is ClockMode.ADVANCE_PER_PLAYER or next_step != step
+        try:
+            then = self.clock.current_time + timedelta(minutes=self.clock.step_minutes if moves else 0)
+            ask = player.act_ask(self.action_spec, then)
+        except Exception:
+            # A clock past its last minute, or a state that cannot render:
+            # the player's own turn, if it comes, meets the failure there.
+            return
+        self._asked_ahead = AskedAhead(player.model, ask)
+
+    def _initiative(self, max_steps: int) -> Iterator[tuple[int, GenerativeAgent]]:
+        """The step and player of each turn: each step, one fresh shuffle."""
+        for step in range(max_steps):
+            order = list(self.players)
+            self.rng.shuffle(order)
+            for player in order:
+                yield step, player
+
     def run_episode(self, max_steps: int) -> EpisodeResult:
         """Run up to max_steps rounds, one freshly shuffled initiative each,
         then every questionnaire for every player in order."""
@@ -439,20 +519,22 @@ class GameMaster:
         error_text = ""
         try:
             try:
-                for step in range(max_steps):
-                    order = list(self.players)
-                    self.rng.shuffle(order)
-                    terminated = False
-                    for player in order:
-                        if self._acting_turn(player, step):
-                            terminated = True
-                            break
-                    if terminated:
+                turns = self._initiative(max_steps)
+                upcoming = next(turns, None)
+                while upcoming is not None:
+                    step, player = upcoming
+                    # At a step's last turn, this draws the next step's order.
+                    upcoming = next(turns, None)
+                    if self._acting_turn(player, step, upcoming):
                         reason = "component-terminated"
                         break
-                    if self.clock.mode is ClockMode.ADVANCE_PER_ROUND:
+                    step_ends = upcoming is None or upcoming[0] != step
+                    if step_ends and self.clock.mode is ClockMode.ADVANCE_PER_ROUND:
                         self.clock.advance()
             finally:
+                if self._asked_ahead is not None:
+                    self._asked_ahead.drop()
+                    self._asked_ahead = None
                 self._complete_update_pass()
             for questionnaire in self.questionnaires:
                 for player in self.players:

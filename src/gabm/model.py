@@ -18,8 +18,10 @@ thread pool whose jobs make the model call and nothing else; building
 prompts and applying answers stay on the calling thread.  ``PooledAsks``
 is that pool path on its own: it issues asks now and yields their answers
 when the caller asks for them, so the caller can do other work while the
-calls are out.  Each call is recorded as its answer is yielded, so a trace
-does not depend on which call came back first.
+calls are out.  ``AskedAhead`` is one such ask made before the caller
+knows it will need it, taken only if the ask then made is the same.  Each
+call is recorded as its answer is yielded, so a trace does not depend on
+which call came back first.
 """
 
 from __future__ import annotations
@@ -225,6 +227,30 @@ class PooledAsks:
             if open_list is not None:
                 open_list.extend(calls)
             yield job.result()
+
+
+class AskedAhead:
+    """One ``(prompt, caller)`` ask issued as a shared-pool job before it is
+    known that the ask will be made.
+
+    ``answer`` takes it when the ask comes; ``drop`` waits for the job and
+    discards its call unrecorded.
+    """
+
+    def __init__(self, model: GenerativeModel, ask: tuple[str, str]):
+        self._ask = ask
+        self._asks = PooledAsks(model, [ask])
+
+    def answer(self, ask: tuple[str, str]) -> str | None:
+        """The answer to ``ask`` if it is the ask issued, its call joining
+        the call list open here; otherwise None, with the job dropped."""
+        if ask != self._ask:
+            self.drop()
+            return None
+        return next(self._asks.answers())
+
+    def drop(self) -> None:
+        self._asks.wait()
 
 
 def ask_all(model: GenerativeModel, asks: Sequence[tuple[str, str]]) -> Iterator[str]:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import threading
 import time
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -19,7 +19,7 @@ from gabm.agent import (
 )
 from gabm.errors import EpisodeAbort, InvalidModelOutput
 from gabm.kernel import ActionSpec, Observation, OutputKind
-from gabm.model import PARALLEL_MIN_CALL_S, EchoModel, ScriptedModel, ScriptRule
+from gabm.model import PARALLEL_MIN_CALL_S, AskedAhead, EchoModel, ScriptedModel, ScriptRule
 
 from conftest import memory_texts
 
@@ -206,6 +206,47 @@ def test_float_act_retries_then_raises(calls):
     agent = make_agent([], model=model)
     assert agent.act(spec, T0).text == "7"
     assert len(calls) == 2
+
+
+CHOICE_SPEC = ActionSpec("Which way does {name} go?", OutputKind.CHOICE, ("go north", "go south"))
+FLOAT_SPEC = ActionSpec("How many apples does {name} buy?", OutputKind.FLOAT)
+
+
+@pytest.mark.parametrize(
+    "spec, rule, text, made",
+    [
+        (FREE_SPEC, ScriptRule(contains="What would Ada", response=" walks to the pier "), "walks to the pier", 1),
+        (CHOICE_SPEC, ScriptRule(contains="verbatim", response="go south"), "go south", 2),
+        (FLOAT_SPEC, ScriptRule(contains="nothing else", response="3"), "3", 2),
+    ],
+    ids=["free-text", "choice-repaired", "float-repaired"],
+)
+def test_acting_on_a_first_call_asked_ahead_records_what_asking_at_the_act_does(calls, spec, rule, text, made):
+    # The first answer of a choice or a float does not parse; its repair is
+    # asked at the act either way.
+    def act(asked_ahead):
+        model = ScriptedModel(rules=[ScriptRule.from_dict(rule.to_dict())], default_response="sideways")
+        agent = make_agent([ConstantComponent("goal", "get home")], model=model)
+        ahead = AskedAhead(model, agent.act_ask(spec, T0)) if asked_ahead else None
+        action = agent.act(spec, T0, ahead)
+        return action, memory_texts(agent.memory)
+
+    one_at_a_time = act(False), list(calls)
+    calls.clear()
+    assert (act(True), calls) == one_at_a_time
+    (action, memories), made_calls = one_at_a_time
+    assert (action.text, memories, len(made_calls)) == (text, [text], made)
+    assert made_calls[0].prompt == make_agent([ConstantComponent("goal", "get home")]).act_ask(spec, T0)[0]
+
+
+def test_a_first_call_asked_for_another_prompt_is_dropped(calls):
+    model = ScriptedModel(rules=[ScriptRule(contains="What would Ada", response="walks to the pier")])
+    agent = make_agent([], model=model)
+    ahead = AskedAhead(model, agent.act_ask(FREE_SPEC, T0 + timedelta(hours=1)))
+    action = agent.act(FREE_SPEC, T0, ahead)
+    assert action.text == "walks to the pier"
+    assert [(c.prompt, c.caller) for c in calls] == [agent.act_ask(FREE_SPEC, T0)]
+    assert model.rules[0].uses == 2  # the dropped call was made, and not recorded
 
 
 def test_model_query_component_prompt_shape(calls):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import threading
 import time
 from datetime import datetime, timedelta
@@ -528,7 +529,8 @@ class BatchModel(ScriptedModel):
 
     A prompt containing a key of ``meet`` waits on that barrier instead of
     sleeping, and one containing ``fail_on`` raises BackendUnavailable.
-    Completions are logged by thread name.
+    Each call is logged with the name of the thread that made it, once it
+    has returned or failed.
     """
 
     def __init__(self, delay_ms=0.0, meet=None, fail_on=None, rules=BATCH_RULES):
@@ -537,17 +539,23 @@ class BatchModel(ScriptedModel):
         self.delay_ms = delay_ms
         self.meet = meet or {}
         self.fail_on = fail_on
-        self.threads: set[str] = set()
+        self.made: list[tuple[str, str]] = []  # (prompt, thread name)
+
+    @property
+    def threads(self) -> set[str]:
+        return {thread for _, thread in self.made}
 
     def _complete(self, prompt, max_chars):
+        made = (prompt, threading.current_thread().name)
         if self.fail_on is not None and self.fail_on in prompt:
+            self.made.append(made)
             raise BackendUnavailable(f"backend lost while asking {self.fail_on!r}")
         barrier = next((b for marker, b in self.meet.items() if marker in prompt), None)
         if barrier is not None:
             barrier.wait()
         elif self.delay_ms:
             time.sleep(self.delay_ms / 1000)
-        self.threads.add(threading.current_thread().name)
+        self.made.append(made)
         return super()._complete(prompt, max_chars)
 
 
@@ -818,9 +826,9 @@ def update_callers(name):
 
 
 def test_an_update_pass_overlaps_the_next_players_act():
-    # Alice acts first.  Held until Bob's resolution, her update pass is out
-    # while Bob acts; run one after the other, her identity call would wait
-    # out the timeout.
+    # Alice acts first.  Held into Bob's turn, her update pass is out while
+    # Bob's act call is; run one after the other, her identity call would
+    # wait out the timeout.
     barrier = threading.Barrier(2, timeout=5)
     model = BatchModel(delay_ms=2, meet={ALICE_IDENTITY: barrier, BOB_ACTS: barrier}, rules=OVERLAP_RULES)
     model.sample_text("warm up")
@@ -858,34 +866,49 @@ OVERLAP_CONFIG = {
 }
 
 
-def run_overlap_episode(tmp_path, delay_ms, fail_on=None, **changes):
-    """Run OVERLAP_CONFIG with ``changes`` at ``delay_ms`` per call; check
-    that the trace replays, and return the result and the model."""
+def run_overlap_episode(tmp_path, delay_ms, fail_on=None, add=(), **changes):
+    """Run OVERLAP_CONFIG with ``changes``, and a game-master component of
+    each class in ``add``, at ``delay_ms`` per call; check that the trace
+    replays, unless a component was added that its config cannot name, and
+    return the result and the model."""
     model = BatchModel(delay_ms=delay_ms, fail_on=fail_on, rules=OVERLAP_RULES)
     model.sample_text("warm up")
     built = build(config_from_dict({**OVERLAP_CONFIG, **changes}, base_dir=tmp_path), model=model)
+    built.gm.components.extend(component() for component in add)
     out = tmp_path / f"{delay_ms}ms.jsonl"
     with open(out, "w", encoding="utf-8") as handle:
         result = run_built_scenario(built, out=handle).result
-    report = replay(out)
-    assert report.ok, report.detail
+    if not add:
+        report = replay(out)
+        assert report.ok, report.detail
     return result, model
 
 
-def overlap_runs(tmp_path, fail_on=None, **changes):
-    """The episode at 0 ms and at 2 ms per call, which must agree; the 0 ms result."""
+def overlap_runs(tmp_path, fail_on=None, add=(), **changes):
+    """The episode at 0 ms and at 2 ms per call, which must agree; the 0 ms
+    result and the 2 ms model."""
     (serial, _), (overlapped, model) = [
-        run_overlap_episode(tmp_path, delay, fail_on, **changes) for delay in (0, 2)
+        run_overlap_episode(tmp_path, delay, fail_on, add, **changes) for delay in (0, 2)
     ]
     assert len(model.threads) > 1  # the slow run did use the pool
     assert [r.to_json_line() for r in overlapped.trace] == [r.to_json_line() for r in serial.trace]
     assert (overlapped.reason, overlapped.error) == (serial.reason, serial.error)
     assert overlapped.grounded == serial.grounded
-    return serial
+    return serial, model
+
+
+ACTS = re.compile(r"What would (\w+) do next")
+
+
+def acts_made(model):
+    """(actor, asked ahead) of each act call the model made, in order: an
+    act call asked ahead runs on a pool thread."""
+    here = threading.current_thread().name
+    return [(m[1], thread != here) for prompt, thread in model.made if (m := ACTS.search(prompt))]
 
 
 def test_an_overlapped_run_records_what_the_serial_run_records(tmp_path):
-    result = overlap_runs(tmp_path)
+    result, _ = overlap_runs(tmp_path)
     assert result.reason == "max-steps"
     assert [(r.step, r.actor) for r in result.trace] == [(0, "Alice"), (0, "Bob"), (1, "Bob"), (1, "Alice")]
     for record in result.trace:
@@ -896,7 +919,7 @@ def test_the_same_actor_twice_acts_on_its_committed_pass(tmp_path):
     # Bob's first pass completes before his second turn's briefing, so that
     # turn's act prompt shows the pass's answers, and the window his first
     # pass committed holds only what he saw before it.
-    result = overlap_runs(tmp_path)
+    result, _ = overlap_runs(tmp_path)
     _, first, second, _ = result.trace
     assert first.actor == second.actor == "Bob"
     assert {name: first.agent_states[name] for name in PASS_STATES} == dict.fromkeys(PASS_STATES, "")
@@ -906,34 +929,121 @@ def test_the_same_actor_twice_acts_on_its_committed_pass(tmp_path):
     )
 
 
+def test_the_same_actor_across_a_step_boundary_is_not_asked_ahead(tmp_path):
+    # Bob's second act reads the pass of his first turn, which has not run
+    # when that turn resolves, so he is asked in his own turn.  Alice's
+    # second act is asked ahead during it.
+    _, model = overlap_runs(tmp_path)
+    assert acts_made(model) == [("Alice", False), ("Bob", True), ("Bob", False), ("Alice", True)]
+
+
+CHOICE_SPEC = {
+    "call_to_action": "What would {name} do next? It is {time}.",
+    "output_kind": "choice",
+    "options": ["waves at Bob", "nods at Alice"],
+}
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"clock": {**OVERLAP_CONFIG["clock"], "mode": "player"}},
+        {"action_spec": CHOICE_SPEC},
+        {"seed": 0},
+    ],
+    ids=["player-clock", "choice-spec", "round-step-boundary"],
+)
+def test_every_act_asked_ahead_is_the_act_made(tmp_path, changes):
+    # The prompt asked ahead is the one built at the act, so every act call
+    # but the first and Bob's repeat is made once, ahead, and recorded: in
+    # player mode at the time the clock shows one step on, as a rendered
+    # choice prompt, and with seed 0 (Alice, Bob twice) across a step.
+    result, model = overlap_runs(tmp_path, **changes)
+    assert result.reason == "max-steps"
+    actors = [r.actor for r in result.trace]
+    assert acts_made(model) == [(actor, i > 0 and actor != actors[i - 1]) for i, actor in enumerate(actors)]
+    assert [r.action.timestamp for r in result.trace] == [r.timestamp for r in result.trace]
+    if "clock" in changes:
+        assert [r.timestamp for r in result.trace] == [T0 + timedelta(minutes=30 * i) for i in range(4)]
+    if "action_spec" in changes:
+        assert {r.action.text for r in result.trace} == set(CHOICE_SPEC["options"])
+    if "seed" in changes:
+        assert actors == ["Alice", "Bob", "Alice", "Bob"]
+
+
 def test_a_failing_update_call_of_the_first_actor_leaves_no_next_record(tmp_path):
-    result = overlap_runs(tmp_path, fail_on=ALICE_IDENTITY)
+    # Alice's identity call fails while Bob's act call, asked ahead, is
+    # out.  Bob's act is taken, but his record is never written.
+    result, model = overlap_runs(tmp_path, fail_on=ALICE_IDENTITY)
     assert result.reason == "error"
     assert "Alice/identity failed during update" in result.error
     (alice,) = result.trace
     assert [c.caller for c in alice.model_calls][-1] == "component:Alice/situation:update"
+    assert acts_made(model) == [("Alice", False), ("Bob", True)]
 
 
 def test_a_failing_act_of_the_next_actor_follows_the_whole_previous_record(tmp_path):
-    result = overlap_runs(tmp_path, fail_on=BOB_ACTS)
+    result, model = overlap_runs(tmp_path, fail_on=BOB_ACTS)
     assert result.reason == "error"
     assert BOB_ACTS in result.error
     alice, bob = result.trace
     assert [c.caller for c in alice.model_calls][-3:] == update_callers("Alice")
     assert (bob.actor, bob.action, bob.model_calls) == ("Bob", None, [])
+    assert acts_made(model) == [("Alice", False), ("Bob", True)]
 
 
 def test_a_phrase_terminator_ending_the_rounds_mid_round_keeps_the_held_record(tmp_path):
     gm = {"components": [*OVERLAP_CONFIG["gm"]["components"], {"type": "phrase_terminator", "phrase": "rang the bell"}]}
-    result = overlap_runs(tmp_path, gm=gm)
+    result, model = overlap_runs(tmp_path, gm=gm)
     assert result.reason == "component-terminated"
     (alice,) = result.trace
     assert [c.caller for c in alice.model_calls][-3:] == update_callers("Alice")
+    # Bob's act was asked ahead, answered before the episode returned, and
+    # dropped unrecorded.
+    assert acts_made(model) == [("Alice", False), ("Bob", True)]
+
+
+class SlowBobModel(BatchModel):
+    """Bob's act call takes 50 ms; every other call 2 ms."""
+
+    def _complete(self, prompt, max_chars):
+        if BOB_ACTS in prompt:
+            time.sleep(0.05)
+        return super()._complete(prompt, max_chars)
+
+
+def test_an_act_asked_ahead_is_waited_for_when_the_rounds_end():
+    model = SlowBobModel(delay_ms=2, rules=OVERLAP_RULES)
+    model.sample_text("warm up")
+    players = [GenerativeAgent(name, model) for name in ("Alice", "Bob")]
+    gm = make_gm(players=players, model=model, components=[PhraseTerminator("rang the bell")])
+    result = gm.run_episode(max_steps=1)
+    assert result.reason == "component-terminated"
+    assert acts_made(model) == [("Alice", False), ("Bob", True)]
+    assert [r.actor for r in result.trace] == ["Alice"]
+
+
+def test_no_act_is_asked_ahead_past_the_clocks_last_minute():
+    # In player mode Alice's turn moves the clock past its last minute, so
+    # Bob has no time to act at: his act is not asked, and the episode ends
+    # as the serial one does.
+    lines = []
+    for delay_ms in (0, 2):
+        model = BatchModel(delay_ms=delay_ms, rules=OVERLAP_RULES)
+        model.sample_text("warm up")
+        clock = GameClock(datetime(9999, 12, 31, 23, 0), step_minutes=60, mode=ClockMode.ADVANCE_PER_PLAYER)
+        players = [GenerativeAgent(name, model) for name in ("Alice", "Bob")]
+        result = make_gm(players=players, model=model, clock=clock).run_episode(max_steps=1)
+        assert result.reason == "error"
+        assert "cannot move 60 minutes past 9999-12-31T23:00" in result.error
+        assert acts_made(model) == [("Alice", False)]
+        lines.append([r.to_json_line() for r in result.trace])
+    assert lines[0] == lines[1]
 
 
 def test_a_questionnaire_comes_after_the_last_turns_whole_record(tmp_path):
     questionnaires = [{"name": "debrief", "questions": [{"call_to_action": "How was the day, {name}?"}]}]
-    result = overlap_runs(tmp_path, questionnaires=questionnaires)
+    result, _ = overlap_runs(tmp_path, questionnaires=questionnaires)
     assert result.reason == "max-steps"
     assert [(r.kind, r.actor) for r in result.trace[3:]] == [
         ("turn", "Alice"),
@@ -941,3 +1051,67 @@ def test_a_questionnaire_comes_after_the_last_turns_whole_record(tmp_path):
         ("questionnaire", "Bob"),
     ]
     assert [c.caller for c in result.trace[3].model_calls][-3:] == update_callers("Alice")
+
+
+ALICE_OUTCOME = "by Alice: waves at Bob\nRelevant state:"
+
+
+def test_the_next_players_act_is_out_with_the_outcome_call():
+    # Bob's act call is asked once Alice's pre-event batch is answered.
+    # Asked after her turn, it would leave her outcome call to wait out the
+    # timeout.
+    barrier = threading.Barrier(2, timeout=5)
+    model = BatchModel(delay_ms=2, meet={ALICE_OUTCOME: barrier, BOB_ACTS: barrier}, rules=OVERLAP_RULES)
+    model.sample_text("warm up")
+    players = [GenerativeAgent(name, model, components=three_questions_components()) for name in ("Alice", "Bob")]
+    gm = make_gm(players=players, model=model)
+    result = gm.run_episode(max_steps=1)
+    assert result.reason == "max-steps"
+    assert not barrier.broken
+    alice, bob = result.trace
+    assert [c.caller for c in alice.model_calls] == [
+        "agent:Alice:act",
+        "gm:resolve:state",
+        "gm:resolve:outcome",
+        "gm:resolve:observers",
+        *update_callers("Alice"),
+    ]
+    assert bob.model_calls[0].caller == "agent:Bob:act"
+    assert acts_made(model) == [("Alice", False), ("Bob", True)]
+
+
+class Whisperer(GMComponent):
+    """Tells every other player that an action is being checked, from its
+    pre-event update and from its pre-event answer."""
+
+    def __init__(self):
+        super().__init__("whisperer")
+
+    def _tell_others(self, gm, cause, text):
+        for player in gm.players:
+            if player.name != cause.actor:
+                gm.emit_observation(player.name, text)
+
+    def update_before_event(self, gm, cause):
+        self._tell_others(gm, cause, f"{cause.actor} is about to act.")
+
+    def query_before_event(self, gm, cause):
+        return f"Is this allowed: {cause.text}?", "component:whisperer:check"
+
+    def answer_before_event(self, gm, cause, answer):
+        self._tell_others(gm, cause, f"{cause.actor}'s action was checked: {answer}.")
+
+
+def test_a_pass_commits_only_the_observations_it_was_built_over(tmp_path):
+    # Alice's first pass completes during Bob's turn, after the whisperer
+    # told her about his action.  Her window keeps those lines for her next
+    # pass, as when her pass completed before Bob's resolution began.
+    result, _ = overlap_runs(tmp_path, add=(Whisperer,))
+    alice, bob, _, alice_again = result.trace
+    assert [o.text for o in bob.observations if o.recipient == "Alice"][:2] == [
+        "Bob is about to act.",
+        "Bob's action was checked: pass.",
+    ]
+    assert alice_again.agent_states["recent observations"] == "\n".join(
+        o.text for o in alice.observations if o.recipient == "Alice"
+    )
