@@ -31,7 +31,7 @@ from typing import Callable
 from .errors import EpisodeAbort, InvalidModelOutput, NotANumber
 from .kernel import ActionSpec, AgentAction, Observation, OutputKind, format_time, parse_float_token
 from .memory import MemoryBank
-from .model import AskedAhead, GenerativeModel, PooledAsks, overlaps, render_choice_prompt, sample_repaired
+from .model import GenerativeModel, PooledAsks, overlaps, render_choice_prompt, sample_repaired
 
 DEFAULT_PREAMBLE = "Instructions: this is a social simulation. Answer as {name} would."
 FLOAT_SUFFIX = "Answer with a single number."
@@ -265,17 +265,22 @@ class GenerativeAgent:
             prompt = render_choice_prompt(prompt, spec.options)
         return prompt, f"agent:{self.name}:act"
 
-    def act(self, spec: ActionSpec, now: datetime, ahead: AskedAhead | None = None) -> AgentAction:
+    def act(self, spec: ActionSpec, now: datetime, ahead: PooledAsks | None = None) -> AgentAction:
         """Sample one action at time ``now``; the action is memorized at that time.
 
         ``ahead`` is a first call asked before the act.  Its answer stands
         in for the first call's, recorded where that call would be, only if
-        it asked the prompt built now; otherwise it is dropped and the
-        first call is made here.  A choice or a number that needs repair
-        is re-asked here either way.
+        it asked just the ask built now; otherwise its job is waited for
+        and dropped, and the first call is made here.  A choice or a number
+        that needs repair is re-asked here either way.
         """
         prompt, caller = self.act_ask(spec, now)
-        first = None if ahead is None else ahead.answer((prompt, caller))
+        first = None
+        if ahead is not None:
+            if ahead.asks == [(prompt, caller)]:
+                first = next(ahead.answers())
+            else:
+                ahead.wait()
         if spec.output_kind is OutputKind.CHOICE:
             _, text = self.model.sample_choice(prompt, spec.options, caller=caller, first=first)
         elif spec.output_kind is OutputKind.FLOAT:

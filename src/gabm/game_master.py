@@ -85,7 +85,7 @@ from .kernel import (
     Observation,
     TraceRecord,
 )
-from .model import AskedAhead, GenerativeModel, ask_all, close_calls, open_calls, overlaps
+from .model import GenerativeModel, PooledAsks, ask_all, close_calls, open_calls, overlaps
 
 DEFAULT_GM_PREAMBLE = (
     "Instructions: you are the game master of a social simulation. "
@@ -131,7 +131,8 @@ class GMComponent:
     answer just before the same component's ``update_after_event``.  A
     pre-event answer may veto.  When more than one component vetoes, the
     last veto in that order stands: one made in ``answer_before_event``
-    wins over one made in ``update_before_event``.
+    wins over one made in ``update_before_event``.  From the outcome call
+    on, ``gm.veto_reason`` is the veto that stands, or None.
     """
 
     def __init__(self, name: str):
@@ -238,7 +239,7 @@ class GameMaster:
         # pass completion, held until the pass completes.
         self._held_turn: tuple[TraceRecord, Callable[[], None]] | None = None
         # The next player's act call, asked while the last turn resolved.
-        self._asked_ahead: AskedAhead | None = None
+        self._asked_ahead: PooledAsks | None = None
 
     def player(self, name: str) -> GenerativeAgent:
         try:
@@ -251,6 +252,11 @@ class GameMaster:
     def veto(self, reason: str) -> None:
         """Mark the current attempted action as violating grounded state."""
         self._veto_reason = reason
+
+    @property
+    def veto_reason(self) -> str | None:
+        """The reason the action being resolved was vetoed, or None."""
+        return self._veto_reason
 
     def emit_observation(self, player: str, text: str) -> None:
         """Deliver text to one player and log it to the current turn record."""
@@ -502,7 +508,7 @@ class GameMaster:
             # A clock past its last minute, or a state that cannot render:
             # the player's own turn, if it comes, meets the failure there.
             return
-        self._asked_ahead = AskedAhead(player.model, ask)
+        self._asked_ahead = PooledAsks(player.model, [ask])
 
     def _initiative(self, max_steps: int) -> Iterator[tuple[int, GenerativeAgent]]:
         """The step and player of each turn: each step, one fresh shuffle."""
@@ -533,7 +539,7 @@ class GameMaster:
                         self.clock.advance()
             finally:
                 if self._asked_ahead is not None:
-                    self._asked_ahead.drop()
+                    self._asked_ahead.wait()
                     self._asked_ahead = None
                 self._complete_update_pass()
             for questionnaire in self.questionnaires:

@@ -167,7 +167,6 @@ class InventoryComponent(GMComponent):
     ):
         super().__init__(name)
         self.inventory = InventoryState(endowments or {}, items)
-        self._vetoed = False
 
     def state(self) -> str:
         lines = []
@@ -191,9 +190,6 @@ class InventoryComponent(GMComponent):
             return f"insufficient {MONEY_ITEM}"
         return None
 
-    def update_before_event(self, gm: GameMaster, cause: AgentAction) -> None:
-        self._vetoed = False
-
     def query_before_event(self, gm: GameMaster, cause: AgentAction) -> tuple[str, str]:
         return _trade_ask(cause.text)
 
@@ -202,7 +198,6 @@ class InventoryComponent(GMComponent):
             reason = self._affordability(trade)
             if reason is not None:
                 gm.veto(reason)
-                self._vetoed = True
                 return
 
     def _parse_noting_warnings(self, gm: GameMaster, answer: str) -> list[Trade]:
@@ -230,8 +225,9 @@ class InventoryComponent(GMComponent):
         return TransferResult(ok=False, reason=reason)
 
     def query_after_event(self, gm: GameMaster, event: EventStatement) -> tuple[str, str] | None:
-        if self._vetoed:
-            # The failed attempt was already narrated; nothing settles.
+        if gm.veto_reason is not None:
+            # The event narrates a failed attempt, whichever component
+            # vetoed it; nothing settles.
             return None
         return _trade_ask(event.text)
 

@@ -18,10 +18,12 @@ thread pool whose jobs make the model call and nothing else; building
 prompts and applying answers stay on the calling thread.  ``PooledAsks``
 is that pool path on its own: it issues asks now and yields their answers
 when the caller asks for them, so the caller can do other work while the
-calls are out.  ``AskedAhead`` is one such ask made before the caller
-knows it will need it, taken only if the ask then made is the same.  Each
-call is recorded as its answer is yielded, so a trace does not depend on
-which call came back first.
+calls are out, or can drop asks it turned out not to need.  A pool job
+runs in a fresh, empty context, so it records nothing; its call is
+recorded, on the caller's thread, as its answer is yielded.  So there is
+one recording rule, whatever thread made a call: a call is recorded on the
+calling thread, as it is made there or as its pooled answer is taken, and a
+trace does not depend on which call came back first.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ CALL_TIME_WEIGHT = 0.1
 # Upper bound on pool threads; they start only as batches need them.
 POOL_MAX_WORKERS = 16
 
-# The call list open in this context: a trace record's model calls, or the
-# call of the pool job running here, held until PooledAsks hands it on.
+# The call list open in this context: a trace record's model calls.  A pool
+# job's context is empty, so none is open there.
 _call_slot: contextvars.ContextVar[list | None] = contextvars.ContextVar(
     "gabm_call_slot", default=None
 )
@@ -187,26 +189,22 @@ def _shared_pool() -> ThreadPoolExecutor:
         return _pool
 
 
-def _sample_holding(calls: list, model: GenerativeModel, prompt: str, caller: str) -> str:
-    # A pool job: one model call, recorded into ``calls`` until handed over.
-    token = open_calls(calls)
-    try:
-        return model.sample_text(prompt, caller=caller)
-    finally:
-        close_calls(token)
-
-
 class PooledAsks:
     """``(prompt, caller)`` asks issued at once, one shared-pool job each.
 
-    A job makes its one model call and nothing else, and holds the call it
-    records until ``answers`` hands it on.
+    A job is the bare model call, made in a fresh, empty context, so it
+    records nothing whichever context a Python build hands a new thread.
+    ``answers`` records each call as it yields the response.
     """
 
     def __init__(self, model: GenerativeModel, asks: Sequence[tuple[str, str]]):
         pool = _shared_pool()
-        self._held: list[list] = [[] for _ in asks]
-        self._jobs = [pool.submit(_sample_holding, calls, model, *ask) for calls, ask in zip(self._held, asks)]
+        self._model = model
+        self.asks = list(asks)
+        self._jobs = [
+            pool.submit(contextvars.Context().run, model.sample_text, prompt, caller=caller)
+            for prompt, caller in self.asks
+        ]
 
     def wait(self) -> None:
         """Return once every job has finished, failed or not."""
@@ -217,40 +215,16 @@ class PooledAsks:
     def answers(self) -> Iterator[str]:
         """Wait for every job, then yield the responses in ask order.
 
-        Each recorded call joins the call list open where its response is
-        yielded.  A failed ask raises at its turn, and the calls of later
-        asks are never recorded.
+        Each call is recorded, under the model's ``backend_id``, into the
+        call list open where its response is yielded.
+        A failed ask raises at its turn, and the calls of later asks are
+        never recorded.
         """
         self.wait()
-        for calls, job in zip(self._held, self._jobs):
-            open_list = _call_slot.get()
-            if open_list is not None:
-                open_list.extend(calls)
-            yield job.result()
-
-
-class AskedAhead:
-    """One ``(prompt, caller)`` ask issued as a shared-pool job before it is
-    known that the ask will be made.
-
-    ``answer`` takes it when the ask comes; ``drop`` waits for the job and
-    discards its call unrecorded.
-    """
-
-    def __init__(self, model: GenerativeModel, ask: tuple[str, str]):
-        self._ask = ask
-        self._asks = PooledAsks(model, [ask])
-
-    def answer(self, ask: tuple[str, str]) -> str | None:
-        """The answer to ``ask`` if it is the ask issued, its call joining
-        the call list open here; otherwise None, with the job dropped."""
-        if ask != self._ask:
-            self.drop()
-            return None
-        return next(self._asks.answers())
-
-    def drop(self) -> None:
-        self._asks.wait()
+        for (prompt, caller), job in zip(self.asks, self._jobs):
+            response = job.result()
+            self._model._record(caller, prompt, response)
+            yield response
 
 
 def ask_all(model: GenerativeModel, asks: Sequence[tuple[str, str]]) -> Iterator[str]:
@@ -271,6 +245,10 @@ def ask_all(model: GenerativeModel, asks: Sequence[tuple[str, str]]) -> Iterator
         for prompt, caller in asks:
             yield model.sample_text(prompt, caller=caller)
         return
+    # The first ask runs here, not on the pool: sending every ask of a batch
+    # to the pool raised the market benchmark's serial rounds per turn from
+    # 2.85-2.96 to 3.04-3.12 (``bench/run.py --workload market``, seeds
+    # 41-44, 8 s runs, 2-core Intel Xeon VM).
     (prompt, caller), *rest = asks
     pooled = PooledAsks(model, rest)
     try:

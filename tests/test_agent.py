@@ -19,7 +19,7 @@ from gabm.agent import (
 )
 from gabm.errors import EpisodeAbort, InvalidModelOutput
 from gabm.kernel import ActionSpec, Observation, OutputKind
-from gabm.model import PARALLEL_MIN_CALL_S, AskedAhead, EchoModel, ScriptedModel, ScriptRule
+from gabm.model import PARALLEL_MIN_CALL_S, EchoModel, PooledAsks, ScriptedModel, ScriptRule
 
 from conftest import memory_texts
 
@@ -227,7 +227,7 @@ def test_acting_on_a_first_call_asked_ahead_records_what_asking_at_the_act_does(
     def act(asked_ahead):
         model = ScriptedModel(rules=[ScriptRule.from_dict(rule.to_dict())], default_response="sideways")
         agent = make_agent([ConstantComponent("goal", "get home")], model=model)
-        ahead = AskedAhead(model, agent.act_ask(spec, T0)) if asked_ahead else None
+        ahead = PooledAsks(model, [agent.act_ask(spec, T0)]) if asked_ahead else None
         action = agent.act(spec, T0, ahead)
         return action, memory_texts(agent.memory)
 
@@ -242,7 +242,7 @@ def test_acting_on_a_first_call_asked_ahead_records_what_asking_at_the_act_does(
 def test_a_first_call_asked_for_another_prompt_is_dropped(calls):
     model = ScriptedModel(rules=[ScriptRule(contains="What would Ada", response="walks to the pier")])
     agent = make_agent([], model=model)
-    ahead = AskedAhead(model, agent.act_ask(FREE_SPEC, T0 + timedelta(hours=1)))
+    ahead = PooledAsks(model, [agent.act_ask(FREE_SPEC, T0 + timedelta(hours=1))])
     action = agent.act(FREE_SPEC, T0, ahead)
     assert action.text == "walks to the pier"
     assert [(c.prompt, c.caller) for c in calls] == [agent.act_ask(FREE_SPEC, T0)]

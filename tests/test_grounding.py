@@ -204,6 +204,37 @@ def test_unaffordable_attempt_is_vetoed_and_narrated_as_failure():
     assert "Your action was invalid: insufficient beans." in memory_texts(bob.memory)
 
 
+@pytest.mark.parametrize("purse_first", [False, True], ids=["ledger-first", "purse-first"])
+def test_an_action_another_inventory_vetoes_settles_in_none(purse_first):
+    # The purse cannot pay for the trade that the ledger could cover.  The
+    # event narrates a failed attempt, so neither inventory settles it.
+    ledger = InventoryComponent({"Alice": {"coin": 5}, "Bob": {"beans": 2}}, name="ledger")
+    purse = InventoryComponent({"Alice": {"coin": 0}, "Bob": {"beans": 2}}, name="purse")
+    model = ScriptedModel(
+        rules=[
+            ScriptRule(contains="What would", response="buys beans from Bob"),
+            ScriptRule(contains="extract any completed trade", response="TRADE Alice Bob beans 2 3"),
+            ScriptRule(
+                contains="The attempted action is invalid",
+                response="Alice reached for the beans but could not pay.",
+            ),
+        ],
+        default_response="waits",
+    )
+    gm = GameMaster(
+        model=model,
+        players=[GenerativeAgent("Alice", model)],
+        clock=GameClock(T0, step_minutes=60),
+        components=[purse, ledger] if purse_first else [ledger, purse],
+    )
+    [record] = gm.run_episode(max_steps=1).trace
+    assert record.event == "Alice reached for the beans but could not pay."
+    assert not any("Amendment" in note for note in record.notes)
+    assert ledger.state() == "Alice has 0.00 beans, 5.00 coin.\nBob has 2.00 beans, 0.00 coin."
+    assert purse.state() == "Alice has 0.00 beans, 0.00 coin.\nBob has 2.00 beans, 0.00 coin."
+    assert "Your action was invalid: insufficient coin." in memory_texts(gm.player("Alice").memory)
+
+
 def test_settle_refuses_when_post_event_balance_is_short():
     # No veto path here: settle() itself must refuse and leave both legs alone.
     gm, inventory, _ = trade_gm(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 import types
+from typing import Callable
 
 import pytest
 from hypothesis import given
@@ -21,6 +23,7 @@ from gabm.model import (
     EchoModel,
     GenerativeModel,
     HttpModel,
+    PooledAsks,
     ReplayModel,
     ScriptRule,
     ScriptedModel,
@@ -279,19 +282,37 @@ def test_sample_choice_does_not_retry_a_failing_model_call():
     assert Down.attempts == 1
 
 
-def test_calls_are_recorded_into_the_open_list_only():
+def asked_when_taken(model: GenerativeModel, prompt: str, caller: str) -> Callable[[], str]:
+    """The returned function makes the ask and takes its answer."""
+    return functools.partial(model.sample_text, prompt, caller=caller)
+
+
+def asked_on_the_pool(model: GenerativeModel, prompt: str, caller: str) -> Callable[[], str]:
+    """Issue the ask now; the returned function takes its answer."""
+    answers = PooledAsks(model, [(prompt, caller)]).answers()
+    return functools.partial(next, answers)
+
+
+@pytest.mark.parametrize("ask", [asked_when_taken, asked_on_the_pool], ids=["serial", "pooled"])
+def test_calls_are_recorded_into_the_open_list_only(ask):
+    # Each call is recorded where its answer is taken: a pooled call is not
+    # recorded where it was issued, and one taken with no list open is
+    # recorded nowhere.
     model = ScriptedModel(rules=[ScriptRule(contains="q", response="a")])
-    model.sample_text("q0", caller="zero")  # no list open: recorded nowhere
+    ask(model, "q0", "zero")()  # no list open: recorded nowhere
     outer: list[ModelCall] = []
     inner: list[ModelCall] = []
     outer_token = open_calls(outer)
-    model.sample_text("q1", caller="one")
+    ask(model, "q1", "one")()
+    two = ask(EchoModel(), "q2", "two")
     inner_token = open_calls(inner)
-    EchoModel().sample_text("q2", caller="two")
+    two()
+    three = ask(model, "q3", "three")
     close_calls(inner_token)
-    model.sample_text("q3", caller="three")
+    three()
+    four = ask(model, "q4", "four")
     close_calls(outer_token)
-    model.sample_text("q4", caller="four")
+    four()
     assert [c.caller for c in outer] == ["one", "three"]
     assert [c.response for c in outer] == ["a", "a"]
     assert [c.caller for c in inner] == ["two"]
@@ -527,16 +548,20 @@ def test_http_model_does_not_retry_client_errors(fake_http):
 class SurrogateTail(GenerativeModel):
     """Answers every prompt with a text that ends in a lone surrogate."""
 
-    backend_id = "stub"
+    @property
+    def backend_id(self) -> str:
+        return "stub"
 
     def _complete(self, prompt: str, max_chars: int | None) -> str:
         return "pass \ud800"
 
 
-def test_an_answer_with_a_lone_surrogate_is_recorded_with_the_replacement_character(calls):
+@pytest.mark.parametrize("ask", [asked_when_taken, asked_on_the_pool], ids=["serial", "pooled"])
+def test_an_answer_with_a_lone_surrogate_is_recorded_with_the_replacement_character(ask, calls):
     # No trace can hold a lone surrogate; recording it used to fail the
-    # run on its next trace write.
-    assert SurrogateTail().sample_text("hi", caller="t") == "pass \ufffd"
+    # run on its next trace write.  A pooled call is recorded as the same
+    # call a serial one is.
+    assert ask(SurrogateTail(), "hi", "t")() == "pass \ufffd"
     assert calls == [ModelCall("t", "hi", "pass \ufffd", "stub")]
 
 
