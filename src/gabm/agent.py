@@ -156,6 +156,15 @@ class ModelQueryComponent(AgentComponent):
         self._state = answer.strip()
 
 
+def reject_duplicate_names(components) -> None:
+    """Raise ValueError naming the first component whose name repeats."""
+    seen = set()
+    for component in components:
+        if component.name in seen:
+            raise ValueError(f"duplicate component name {component.name!r}")
+        seen.add(component.name)
+
+
 class GenerativeAgent:
     """A named agent: memory bank, ordered components, and a model handle.
 
@@ -178,11 +187,7 @@ class GenerativeAgent:
         self.model = model
         self.memory = memory if memory is not None else MemoryBank()
         self.components = list(components or [])
-        seen = set()
-        for component in self.components:
-            if component.name in seen:
-                raise ValueError(f"duplicate component name {component.name!r}")
-            seen.add(component.name)
+        reject_duplicate_names(self.components)
 
     def preamble_text(self) -> str:
         return DEFAULT_PREAMBLE.replace("{name}", self.name)

@@ -2,20 +2,19 @@
 
 Resolution of one acting turn follows a fixed sequence:
 
-1. ``update_before_event``: components react to the attempted action (and
-   may veto it), then render their states (``state()``), which make up
-   the resolution context.
+1. Components render their states (``state()``), which make up the
+   resolution context.
 2. One batch: the pre-event ask of each component that has one, and the
-   game master's "relevant state" call.  Then each asking component's
-   ``answer_before_event``, which may veto the action too.
+   game master's "relevant state" call.  Then each component's
+   ``answer_before_event``, which may veto the action.
 3. The outcome call, which alone reads the veto, gives the event.
 4. One batch: the game master's "who observes what" call and the
    post-event ask of each component that has one.  The observer lines are
    parsed and the event goes into the turn record.
-5. Per component, its ``answer_after_event`` if it asked, then
-   ``update_after_event``.  This is when grounded variables change.  After
-   every component's post-event hooks, the game master delivers the parsed
-   observer lines and then, if the action was vetoed, tells the actor why.
+5. Each component's ``answer_after_event``.  This is when grounded
+   variables change, and when a component may end the episode.  After
+   every component's answer, the game master delivers the parsed observer
+   lines and then, if the action was vetoed, tells the actor why.
 
 After the resolution the actor starts its update pass, whose answers
 nothing reads before the actor's own next turn.  So the turn's record is
@@ -43,18 +42,16 @@ component ended the rounds or the step budget did.  A ``SimulationError``
 raised in either phase ends the episode as ``error``, and nothing after it
 runs.
 
-Episode termination is polled after every acting turn.  Every prompt of a
-batch is built before any of its answers is applied, so ``ask_all`` can
-issue the calls together when the model is slow enough for that to pay;
-only the calls leave the game master's thread.  Either way each call is
-recorded where the one-at-a-time sequence makes it (a component's call
-just before its answer hook), so a trace does not depend on the model's
-speed.  If a call in a batch fails, everything before it in that sequence
-still happens (calls recorded, answers applied, the event recorded) and
-nothing after it does.  The one difference from asking one call at a time
-is on the pre-event side: there every ``update_before_event`` has already
-run, and the states snapshot is in the record, when a component's call
-fails.
+A component ends the episode with ``gm.end_episode()``; the rounds stop
+once that turn is over.  Every prompt of a batch is built before any of
+its answers is applied, so ``ask_all`` can issue the calls together when
+the model is slow enough for that to pay; only the calls leave the game
+master's thread.  Either way each call is recorded where the
+one-at-a-time sequence makes it (a component's call just before its
+answer hook), so a trace does not depend on the model's speed.  If a call
+in a batch fails, everything before it in that sequence still happens
+(calls recorded, answers applied, the event recorded) and nothing after
+it does.
 
 Components keep no reference to their game master: every hook that acts
 on it gets it as its first argument, and nothing is bound at construction.
@@ -73,7 +70,7 @@ from dataclasses import dataclass, field
 from datetime import timedelta
 from typing import Callable, Iterator
 
-from .agent import GenerativeAgent
+from .agent import GenerativeAgent, reject_duplicate_names
 from .errors import ConfigError, InvalidModelOutput, NoMatchingOption, SimulationError
 from .kernel import (
     ActionSpec,
@@ -113,26 +110,22 @@ class GMComponent:
 
     ``state()`` renders the full picture for the game master's own
     reasoning; ``partial_state(player)`` renders only what that player may
-    know.  ``update_before_event`` sees the attempted action and may
-    ``gm.veto`` it; ``update_after_event`` sees the resolved event and is
-    the place to emit observations and mutate grounded variables.  The game
-    master passes itself as the first argument of every event hook and
-    query; a component holds no reference to it.
+    know.  On each side of the event a component is asked for a query and
+    then given the answer: ``query_before_event`` and ``query_after_event``
+    return a ``(prompt, caller)`` ask, or None to ask nothing, and the ask
+    joins the game master's batch.  Once the batch is answered, every
+    component's ``answer_before_event`` or ``answer_after_event`` runs, in
+    declaration order, with ``gm.model``'s answer (None when it asked
+    nothing).  The pre-event answer sees the attempted action and may
+    ``gm.veto`` it; the last veto in declaration order stands, and from the
+    outcome call on ``gm.veto_reason`` is that veto, or None.  The
+    post-event answer sees the resolved event and is the place to emit
+    observations, mutate grounded variables and ``gm.end_episode()``.
 
-    A component that asks the model about the action or the event returns
-    a ``(prompt, caller)`` ask from ``query_before_event`` or
-    ``query_after_event`` (None asks nothing).  The ask joins the game
-    master's batch, and ``gm.model``'s answer goes to the matching
-    ``answer_before_event`` or ``answer_after_event``, which parses it and
-    applies its effect.  Every hook runs on the game master's thread.  All
-    of a batch's queries run before any of its answers is applied, in
-    declaration order: pre-event answers after every
-    ``update_before_event`` and before the outcome call, each post-event
-    answer just before the same component's ``update_after_event``.  A
-    pre-event answer may veto.  When more than one component vetoes, the
-    last veto in that order stands: one made in ``answer_before_event``
-    wins over one made in ``update_before_event``.  From the outcome call
-    on, ``gm.veto_reason`` is the veto that stands, or None.
+    The game master passes itself as the first argument of every query and
+    answer hook, and runs them all on its own thread; a component holds no
+    reference to it.  All of a batch's queries run before any of its
+    answers is applied.
     """
 
     def __init__(self, name: str):
@@ -144,26 +137,17 @@ class GMComponent:
     def partial_state(self, player: str) -> str:
         return ""
 
-    def update_before_event(self, gm: GameMaster, cause: AgentAction) -> None:
-        pass
-
     def query_before_event(self, gm: GameMaster, cause: AgentAction) -> tuple[str, str] | None:
         return None
 
-    def answer_before_event(self, gm: GameMaster, cause: AgentAction, answer: str) -> None:
+    def answer_before_event(self, gm: GameMaster, cause: AgentAction, answer: str | None) -> None:
         pass
 
     def query_after_event(self, gm: GameMaster, event: EventStatement) -> tuple[str, str] | None:
         return None
 
-    def answer_after_event(self, gm: GameMaster, event: EventStatement, answer: str) -> None:
+    def answer_after_event(self, gm: GameMaster, event: EventStatement, answer: str | None) -> None:
         pass
-
-    def update_after_event(self, gm: GameMaster, event: EventStatement) -> None:
-        pass
-
-    def terminate_episode(self) -> bool:
-        return False
 
 
 class PhraseTerminator(GMComponent):
@@ -172,14 +156,10 @@ class PhraseTerminator(GMComponent):
     def __init__(self, phrase: str, name: str = "episode end watcher"):
         super().__init__(name)
         self.phrase = phrase
-        self._triggered = False
 
-    def update_after_event(self, gm: GameMaster, event: EventStatement) -> None:
+    def answer_after_event(self, gm: GameMaster, event: EventStatement, answer: str | None) -> None:
         if self.phrase.casefold() in event.text.casefold():
-            self._triggered = True
-
-    def terminate_episode(self) -> bool:
-        return self._triggered
+            gm.end_episode()
 
 
 @dataclass
@@ -223,6 +203,7 @@ class GameMaster:
         self.players = list(players)
         self.clock = clock
         self.components = list(components or [])
+        reject_duplicate_names(self.components)
         self.action_spec = action_spec or ActionSpec(DEFAULT_CALL_TO_ACTION)
         self.preamble = preamble
         self.rng = rng or random.Random(0)
@@ -233,6 +214,7 @@ class GameMaster:
         self._player_index = {p.name: p for p in self.players}
         self._turn_counter = 0
         self._veto_reason: str | None = None
+        self._episode_ended = False
         self._current_record: TraceRecord | None = None
         self._record_calls = None  # the token of the open record's call list
         # The last turn's closed, unwritten record and its actor's update
@@ -252,6 +234,10 @@ class GameMaster:
     def veto(self, reason: str) -> None:
         """Mark the current attempted action as violating grounded state."""
         self._veto_reason = reason
+
+    def end_episode(self) -> None:
+        """End the episode once the current turn is over."""
+        self._episode_ended = True
 
     @property
     def veto_reason(self) -> str | None:
@@ -320,20 +306,17 @@ class GameMaster:
         if action.actor not in self._player_index:
             raise ConfigError(f"action from unregistered player {action.actor!r}")
         self._veto_reason = None
-        for component in self.components:
-            component.update_before_event(self, action)
         gm_states = {c.name: c.state() for c in self.components}
         if self._current_record is not None:
             self._current_record.gm_states = dict(gm_states)
         context = self._gm_context(action, gm_states)
-        before = [
-            (c, ask) for c in self.components if (ask := c.query_before_event(self, action)) is not None
-        ]
+        before = [c.query_before_event(self, action) for c in self.components]
         answers = ask_all(
-            self.model, [ask for _, ask in before] + [(context + STATE_QUESTION, "gm:resolve:state")]
+            self.model,
+            [ask for ask in before if ask is not None] + [(context + STATE_QUESTION, "gm:resolve:state")],
         )
-        for component, _ in before:
-            component.answer_before_event(self, action, next(answers))
+        for component, ask in zip(self.components, before):
+            component.answer_before_event(self, action, None if ask is None else next(answers))
         relevant = next(answers).strip()
         if before_outcome is not None:
             before_outcome()
@@ -358,9 +341,7 @@ class GameMaster:
         if self._current_record is not None:
             self._current_record.event = event.text
         for component, ask in zip(self.components, after):
-            if ask is not None:
-                component.answer_after_event(self, event, next(answers))
-            component.update_after_event(self, event)
+            component.answer_after_event(self, event, None if ask is None else next(answers))
         for name, text in observed:
             self.emit_observation(name, text)
         if self._veto_reason is not None:
@@ -477,9 +458,7 @@ class GameMaster:
         self._held_turn = (record, complete)
         if self.clock.mode is ClockMode.ADVANCE_PER_PLAYER:
             self.clock.advance()
-        # Poll every component exactly once, even after a hit.
-        flags = [component.terminate_episode() for component in self.components]
-        return any(flags)
+        return self._episode_ended
 
     def _ask_ahead(
         self, actor: GenerativeAgent, step: int, upcoming: tuple[int, GenerativeAgent] | None

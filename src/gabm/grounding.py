@@ -231,7 +231,10 @@ class InventoryComponent(GMComponent):
             return None
         return _trade_ask(event.text)
 
-    def answer_after_event(self, gm: GameMaster, event: EventStatement, answer: str) -> None:
+    def answer_after_event(self, gm: GameMaster, event: EventStatement, answer: str | None) -> None:
+        if answer is None:
+            # Vetoed: nothing was asked, and nothing settles.
+            return
         for trade in self._parse_noting_warnings(gm, answer):
             self.settle(gm, event.cause.actor, trade)
 

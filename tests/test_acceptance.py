@@ -78,22 +78,18 @@ class ProbeComponent(GMComponent):
         self.log.append("partial_state")
         return ""
 
-    def update_before_event(self, gm, cause) -> None:
-        self.log.append("before")
-
     def state(self) -> str:
         self.log.append("state")
         return ""
 
-    def update_after_event(self, gm, event) -> None:
+    def answer_before_event(self, gm, cause, answer) -> None:
+        self.log.append("before")
+
+    def answer_after_event(self, gm, event, answer) -> None:
         self.log.append("after")
 
-    def terminate_episode(self) -> bool:
-        self.log.append("terminate")
-        return False
 
-
-TURN_PATTERN = ["partial_state", "before", "state", "after", "terminate"]
+TURN_PATTERN = ["partial_state", "state", "before", "after"]
 
 
 def test_criterion_2_gm_call_order_over_randomized_turns():

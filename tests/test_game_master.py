@@ -64,15 +64,11 @@ class LoggingComponent(GMComponent):
         self.log.append(f"{self.name}.state")
         return "steady"
 
-    def update_before_event(self, gm, cause):
-        self.log.append(f"{self.name}.before")
+    def answer_before_event(self, gm, cause, answer):
+        self.log.append(f"{self.name}.before({answer})")
 
-    def update_after_event(self, gm, event):
-        self.log.append(f"{self.name}.after")
-
-    def terminate_episode(self):
-        self.log.append(f"{self.name}.terminate")
-        return False
+    def answer_after_event(self, gm, event, answer):
+        self.log.append(f"{self.name}.after({answer})")
 
 
 def make_gm(players=None, components=None, model=None, clock=None, **kwargs) -> GameMaster:
@@ -100,17 +96,16 @@ def test_turn_sequence_follows_the_contract():
         "first.partial_state(Alice)",
         "second.partial_state(Alice)",
         "call:act",
-        "first.before",
-        "second.before",
         "first.state",
         "second.state",
+        # Components that asked nothing are still answered, with None.
+        "first.before(None)",
+        "second.before(None)",
         "call:state",
         "call:outcome",
         "call:observers",
-        "first.after",
-        "second.after",
-        "first.terminate",
-        "second.terminate",
+        "first.after(None)",
+        "second.after(None)",
         # end-of-episode grounded snapshot
         "first.state",
         "second.state",
@@ -246,14 +241,14 @@ def test_observer_lines_fan_out_through_observation_delivery():
     assert record.gm_states == {}
 
     class NoWaving(GMComponent):
-        def update_before_event(self, gm, cause):
+        def answer_before_event(self, gm, cause, answer):
             gm.veto("waving is not allowed")
 
-        def update_after_event(self, gm, event):
+        def answer_after_event(self, gm, event, answer):
             gm.emit_observation("Alice", "The guard frowns.")
 
     # A vetoed actor is told why last: after every component's post-event
-    # hooks and the observer lines.
+    # answer and the observer lines.
     record = turn(make_gm(players=[alice, bob], components=[NoWaving("rules")], model=model), 1)
     assert [(o.recipient, o.text) for o in record.observations] == [
         ("Alice", "The guard frowns."),
@@ -265,7 +260,7 @@ def test_observer_lines_fan_out_through_observation_delivery():
 
 def test_veto_rewords_outcome_and_notifies_actor():
     class NoStealing(GMComponent):
-        def update_before_event(self, gm, cause):
+        def answer_before_event(self, gm, cause, answer):
             if "steal" in cause.text:
                 gm.veto("theft is impossible here")
 
@@ -294,9 +289,10 @@ def test_veto_rewords_outcome_and_notifies_actor():
     assert "Your action was invalid: theft is impossible here." in memory_texts(alice.memory)
 
 
-def test_a_pre_event_effect_veto_wins_over_an_update_before_event_veto():
+def test_the_last_veto_in_declaration_order_stands():
     class NoStealing(GMComponent):
-        def update_before_event(self, gm, cause):
+        def answer_before_event(self, gm, cause, answer):
+            assert answer is None
             gm.veto("theft is impossible here")
 
     class NoShouting(GMComponent):
@@ -304,25 +300,28 @@ def test_a_pre_event_effect_veto_wins_over_an_update_before_event_veto():
             return f"Is this shouting? {cause.text}", "component:voice:check"
 
         def answer_before_event(self, gm, cause, answer):
+            assert answer == "steal the gem"
             gm.veto("shouting is not allowed")
 
     model = ScriptedModel(default_response="steal the gem")
-    alice = GenerativeAgent("Alice", model)
-    # Declared first, the answer hook's veto still comes after every
-    # update_before_event, so its reason is the one that stands.
-    gm = make_gm(
-        players=[alice],
-        components=[NoShouting("voice"), NoStealing("rules")],
-        model=model,
-    )
-    gm.run_episode(max_steps=1)
-    notices = [t for t in memory_texts(alice.memory) if t.startswith("Your action was invalid")]
-    assert notices == ["Your action was invalid: shouting is not allowed."]
+    for components, reason in [
+        ([NoShouting("voice"), NoStealing("rules")], "theft is impossible here"),
+        ([NoStealing("rules"), NoShouting("voice")], "shouting is not allowed"),
+    ]:
+        alice = GenerativeAgent("Alice", model)
+        gm = make_gm(players=[alice], components=components, model=model)
+        result = gm.run_episode(max_steps=1)
+        assert [c.caller for c in result.trace[0].model_calls][1:3] == [
+            "component:voice:check",
+            "gm:resolve:state",
+        ]
+        notices = [t for t in memory_texts(alice.memory) if t.startswith("Your action was invalid")]
+        assert notices == [f"Your action was invalid: {reason}."]
 
 
 def test_veto_state_resets_between_actions():
     class NoStealing(GMComponent):
-        def update_before_event(self, gm, cause):
+        def answer_before_event(self, gm, cause, answer):
             if "steal" in cause.text:
                 gm.veto("not allowed")
 
@@ -357,6 +356,15 @@ def test_duplicate_player_names_rejected():
         make_gm(players=[GenerativeAgent("Alice", model), GenerativeAgent("Alice", model)])
 
 
+def test_duplicate_component_names_rejected():
+    # Two components of one name would share one line of the state prompt,
+    # of the record's gm_states and of the grounded snapshot.
+    first = InventoryComponent({"Alice": {"coin": 5}})
+    second = InventoryComponent({"Bob": {"coin": 7}})
+    with pytest.raises(ValueError, match="duplicate component name 'inventory'"):
+        make_gm(components=[first, second])
+
+
 def test_phrase_terminator_stops_mid_round():
     model = ScriptedModel(
         rules=[ScriptRule(contains="What event results", response="The fire alarm rang.")],
@@ -369,26 +377,29 @@ def test_phrase_terminator_stops_mid_round():
     assert len(result.trace) == 1
 
 
-def test_every_terminator_is_polled_each_turn():
-    polled: list[str] = []
+def test_two_components_ending_one_turn_end_the_episode_after_its_record():
+    ended: list[str] = []
 
-    class PollCounter(GMComponent):
-        def __init__(self, name, answer):
-            super().__init__(name)
-            self.answer = answer
+    class Ender(GMComponent):
+        def answer_after_event(self, gm, event, answer):
+            ended.append(self.name)
+            gm.end_episode()
 
-        def terminate_episode(self):
-            polled.append(self.name)
-            return self.answer
-
-    gm = make_gm(
-        players=[GenerativeAgent("Alice", ScriptedModel())],
-        components=[PollCounter("eager", True), PollCounter("lazy", False)],
-        model=ScriptedModel(),
-    )
+    model = ScriptedModel(default_response="works")
+    players = [GenerativeAgent(n, model, components=three_questions_components()) for n in ("Alice", "Bob")]
+    gm = make_gm(players=players, components=[Ender("first"), Ender("second")], model=model)
     result = gm.run_episode(max_steps=3)
     assert result.reason == "component-terminated"
-    assert polled == ["eager", "lazy"]
+    assert ended == ["first", "second"]
+    (record,) = result.trace
+    # The actor's held update pass completed into the written record.
+    assert [c.caller for c in record.model_calls] == [
+        f"agent:{record.actor}:act",
+        "gm:resolve:state",
+        "gm:resolve:outcome",
+        "gm:resolve:observers",
+        *update_callers(record.actor),
+    ]
 
 
 def test_component_crash_surfaces_as_error_result_with_partial_trace():
@@ -412,7 +423,7 @@ def test_grounded_snapshot_in_result():
             super().__init__("tally")
             self.count = 0
 
-        def update_after_event(self, gm, event):
+        def answer_after_event(self, gm, event, answer):
             self.count += 1
 
         def state(self):
@@ -1081,25 +1092,19 @@ def test_the_next_players_act_is_out_with_the_outcome_call():
 
 
 class Whisperer(GMComponent):
-    """Tells every other player that an action is being checked, from its
-    pre-event update and from its pre-event answer."""
+    """Tells every other player that an action was checked, from its
+    pre-event answer."""
 
     def __init__(self):
         super().__init__("whisperer")
-
-    def _tell_others(self, gm, cause, text):
-        for player in gm.players:
-            if player.name != cause.actor:
-                gm.emit_observation(player.name, text)
-
-    def update_before_event(self, gm, cause):
-        self._tell_others(gm, cause, f"{cause.actor} is about to act.")
 
     def query_before_event(self, gm, cause):
         return f"Is this allowed: {cause.text}?", "component:whisperer:check"
 
     def answer_before_event(self, gm, cause, answer):
-        self._tell_others(gm, cause, f"{cause.actor}'s action was checked: {answer}.")
+        for player in gm.players:
+            if player.name != cause.actor:
+                gm.emit_observation(player.name, f"{cause.actor}'s action was checked: {answer}.")
 
 
 def test_a_pass_commits_only_the_observations_it_was_built_over(tmp_path):
@@ -1108,8 +1113,7 @@ def test_a_pass_commits_only_the_observations_it_was_built_over(tmp_path):
     # pass, as when her pass completed before Bob's resolution began.
     result, _ = overlap_runs(tmp_path, add=(Whisperer,))
     alice, bob, _, alice_again = result.trace
-    assert [o.text for o in bob.observations if o.recipient == "Alice"][:2] == [
-        "Bob is about to act.",
+    assert [o.text for o in bob.observations if o.recipient == "Alice"][:1] == [
         "Bob's action was checked: pass.",
     ]
     assert alice_again.agent_states["recent observations"] == "\n".join(

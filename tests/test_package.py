@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import inspect
+import textwrap
 from collections import Counter
 from datetime import datetime
 from pathlib import Path
@@ -9,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import gabm
-from gabm.agent import GenerativeAgent
+from gabm.agent import AgentComponent, GenerativeAgent
 from gabm.errors import InvalidModelOutput, NoMatchingOption
+from gabm.game_master import GMComponent
 from gabm.kernel import ActionSpec, OutputKind
 from gabm.model import ScriptedModel, ScriptRule
 from gabm.phone import CalendarApp, PhoneUniverse, translate_action
@@ -67,6 +70,55 @@ def test_every_public_definition_is_used_outside_tests():
                     and not used[method.name]
                     and not dispatched(module, node, method.name)
                 ]
+    assert unused == []
+
+
+def _does_nothing(method) -> bool:
+    """True if the method's body, past its docstring, is empty, ``pass``, or
+    returns None, "" or False."""
+    body = ast.parse(textwrap.dedent(inspect.getsource(method))).body[0].body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if not body:
+        return True
+    if len(body) != 1:
+        return False
+    (statement,) = body
+    if isinstance(statement, ast.Pass):
+        return True
+    if not isinstance(statement, ast.Return):
+        return False
+    value = statement.value
+    return value is None or (
+        isinstance(value, ast.Constant) and (value.value is None or value.value == "" or value.value is False)
+    )
+
+
+def test_every_hook_that_does_nothing_has_an_override_in_the_package():
+    # A component hook whose base body does nothing, and that no component
+    # of the package overrides, is called every turn and gives nothing.
+    for path in SRC.glob("*.py"):
+        importlib.import_module(f"gabm.{path.stem}")
+
+    def package_subclasses(cls):
+        for sub in cls.__subclasses__():
+            if sub.__module__.startswith("gabm."):
+                yield sub
+            yield from package_subclasses(sub)
+
+    unused = []
+    for base in (GMComponent, AgentComponent):
+        hooks = [
+            name
+            for name, method in vars(base).items()
+            if inspect.isfunction(method) and not name.startswith("_") and _does_nothing(method)
+        ]
+        assert hooks, base.__name__
+        unused += [
+            f"{base.__name__}.{name}"
+            for name in hooks
+            if not any(name in vars(sub) for sub in package_subclasses(base))
+        ]
     assert unused == []
 
 
