@@ -7,9 +7,10 @@ each trace record's list for the span of that record, so a record holds the
 complete prompt/response log of its turn, whichever backend answered.  A
 call made with no list open is recorded nowhere.
 
-ScriptedModel is the deterministic test backend: an ordered rule list with
-per-rule consumption budgets and a default response.  HttpModel adapts any
-chat-completions endpoint and is never touched by the default test suite.
+ScriptedModel is the deterministic test backend: an ordered rule list and a
+default response, whose answer depends on the prompt alone.  HttpModel
+adapts any chat-completions endpoint and is never touched by the default
+test suite.
 
 ``ask_all`` answers a batch of independent asks, each a prompt the caller
 has already built, and yields the answers in ask order.  When the model is
@@ -36,7 +37,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
@@ -267,19 +268,17 @@ def render_choice_prompt(prompt: str, options: list[str] | tuple[str, ...]) -> s
 
 @dataclass
 class ScriptRule:
-    """One response rule: a matcher, the reply, and a consumption budget.
+    """One response rule: a matcher and the reply.
 
     Exactly one of ``contains``, ``contains_all``, ``pattern`` must be set;
     ``contains_all`` is a non-empty list or tuple of strings, kept as a
-    tuple.  ``max_uses`` of None means the rule never exhausts.
+    tuple.
     """
 
     response: str
     contains: str | None = None
     contains_all: tuple[str, ...] | None = None
     pattern: str | None = None
-    max_uses: int | None = None
-    uses: int = field(default=0, compare=False)
 
     def __post_init__(self):
         matchers = [m for m in (self.contains, self.contains_all, self.pattern) if m is not None]
@@ -294,8 +293,6 @@ class ScriptRule:
             raise ValueError("rule response and matchers must be strings")
         if not writable(self.response):
             raise ValueError(f"rule response {self.response!r} holds a lone surrogate; UTF-8 cannot write it")
-        if self.max_uses is not None and type(self.max_uses) is not int:
-            raise ValueError("rule max_uses must be an integer")
         # Every prompt this rule matches contains its needle; "" for a
         # pattern, which names no text it must contain.
         if self.contains is not None:
@@ -307,8 +304,6 @@ class ScriptRule:
             self._compiled = re.compile(self.pattern, re.DOTALL)
 
     def matches(self, prompt: str) -> bool:
-        if self.max_uses is not None and self.uses >= self.max_uses:
-            return False
         if self.contains is not None:
             return self.contains in prompt
         if self.contains_all is not None:
@@ -323,18 +318,17 @@ class ScriptRule:
             data["contains_all"] = list(self.contains_all)
         if self.pattern is not None:
             data["pattern"] = self.pattern
-        if self.max_uses is not None:
-            data["max_uses"] = self.max_uses
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScriptRule":
+        if unknown := data.keys() - {"response", "contains", "contains_all", "pattern"}:
+            raise ValueError(f"a rule has an unknown key {min(unknown)!r}")
         return cls(
             response=data["response"],
             contains=data.get("contains"),
             contains_all=data.get("contains_all"),
             pattern=data.get("pattern"),
-            max_uses=data.get("max_uses"),
         )
 
 
@@ -344,16 +338,16 @@ _needle_of = attrgetter("_needle")
 class ScriptedModel(GenerativeModel):
     """Deterministic backend driven by an ordered rule list.
 
-    The first live rule whose matcher hits the prompt answers and consumes
-    one use; with no hit the default response answers.  Apart from the
-    per-rule counters the backend is stateless, so identical prompt
-    sequences always produce identical response sequences.
+    The first rule whose matcher hits the prompt answers; with no hit the
+    default response answers.  A call only reads the rules, so an answer
+    depends on the prompt alone, not on which calls came before it or on
+    which thread, and pool threads share the model without a lock.
 
     A rule is tried only when its required needle is in the prompt: its
     ``contains`` text, the longest piece of its ``contains_all``, or "" for
     a ``pattern``.  No prompt a rule matches lacks its needle, so the
-    answer and the uses consumed are those of trying every rule in order.
-    ``rules`` is a plain list and may be changed between calls.
+    answer is that of trying every rule in order.  ``rules`` is a plain
+    list and may be changed between calls.
     """
 
     backend_id = "scripted"
@@ -362,20 +356,19 @@ class ScriptedModel(GenerativeModel):
         super().__init__()
         self.rules = list(rules or [])
         self.default_response = default_response
-        self._lock = threading.Lock()
 
     def _complete(self, prompt: str, max_chars: int | None) -> str:
-        with self._lock:
-            rules = self.rules
-            # The needle tests run in C and stop at the first rule that matches.
-            for rule in compress(rules, map(prompt.__contains__, map(_needle_of, rules))):
-                if rule.matches(prompt):
-                    rule.uses += 1
-                    return rule.response
-            return self.default_response
+        rules = self.rules
+        # The needle tests run in C and stop at the first rule that matches.
+        for rule in compress(rules, map(prompt.__contains__, map(_needle_of, rules))):
+            if rule.matches(prompt):
+                return rule.response
+        return self.default_response
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScriptedModel":
+        if unknown := data.keys() - {"rules", "default"}:
+            raise ValueError(f"the script has an unknown key {min(unknown)!r}")
         default = data.get("default", "pass")
         if not isinstance(default, str):
             raise ValueError("the default response must be a string")

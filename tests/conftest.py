@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from gabm.kernel import ModelCall
 from gabm.memory import MemoryBank
-from gabm.model import close_calls, open_calls
+from gabm.model import GenerativeModel, close_calls, open_calls
 
 # A longer run of the oracle tests: pytest --hypothesis-profile=thorough.
 settings.register_profile("thorough", max_examples=1000, deadline=None)
@@ -26,6 +26,20 @@ def calls():
     token = open_calls(recorded)
     yield recorded
     close_calls(token)
+
+
+class SequenceModel(GenerativeModel):
+    """Answers each call with the next of ``answers``, whatever its prompt:
+    for a retry of the very prompt that got the first answer."""
+
+    backend_id = "sequence"
+
+    def __init__(self, answers: list[str]):
+        super().__init__()
+        self.answers = list(answers)
+
+    def _complete(self, prompt: str, max_chars: int | None) -> str:
+        return self.answers.pop(0)
 
 
 def memory_texts(bank: MemoryBank) -> list[str]:

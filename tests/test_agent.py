@@ -200,8 +200,10 @@ def test_float_act_retries_then_raises(calls):
     calls.clear()
     # One retry that recovers stops the escalation.
     model = ScriptedModel(
-        rules=[ScriptRule(contains="Pick a number", response="hmm", max_uses=1)],
-        default_response="7",
+        rules=[
+            ScriptRule(contains_all=("Pick a number", "nothing else"), response="7"),
+            ScriptRule(contains="Pick a number", response="hmm"),
+        ]
     )
     agent = make_agent([], model=model)
     assert agent.act(spec, T0).text == "7"
@@ -225,7 +227,7 @@ def test_acting_on_a_first_call_asked_ahead_records_what_asking_at_the_act_does(
     # The first answer of a choice or a float does not parse; its repair is
     # asked at the act either way.
     def act(asked_ahead):
-        model = ScriptedModel(rules=[ScriptRule.from_dict(rule.to_dict())], default_response="sideways")
+        model = ScriptedModel(rules=[rule], default_response="sideways")
         agent = make_agent([ConstantComponent("goal", "get home")], model=model)
         ahead = PooledAsks(model, [agent.act_ask(spec, T0)]) if asked_ahead else None
         action = agent.act(spec, T0, ahead)
@@ -239,14 +241,29 @@ def test_acting_on_a_first_call_asked_ahead_records_what_asking_at_the_act_does(
     assert made_calls[0].prompt == make_agent([ConstantComponent("goal", "get home")]).act_ask(spec, T0)[0]
 
 
+class CountingModel(ScriptedModel):
+    """A scripted model that keeps the prompt of every call it makes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.made: list[str] = []
+
+    def _complete(self, prompt, max_chars):
+        self.made.append(prompt)
+        return super()._complete(prompt, max_chars)
+
+
 def test_a_first_call_asked_for_another_prompt_is_dropped(calls):
-    model = ScriptedModel(rules=[ScriptRule(contains="What would Ada", response="walks to the pier")])
+    model = CountingModel(rules=[ScriptRule(contains="What would Ada", response="walks to the pier")])
     agent = make_agent([], model=model)
-    ahead = PooledAsks(model, [agent.act_ask(FREE_SPEC, T0 + timedelta(hours=1))])
+    later = agent.act_ask(FREE_SPEC, T0 + timedelta(hours=1))
+    ahead = PooledAsks(model, [later])
     action = agent.act(FREE_SPEC, T0, ahead)
     assert action.text == "walks to the pier"
-    assert [(c.prompt, c.caller) for c in calls] == [agent.act_ask(FREE_SPEC, T0)]
-    assert model.rules[0].uses == 2  # the dropped call was made, and not recorded
+    now = agent.act_ask(FREE_SPEC, T0)
+    assert [(c.prompt, c.caller) for c in calls] == [now]
+    # The dropped call was made, and not recorded.
+    assert sorted(model.made) == sorted([later[0], now[0]])
 
 
 def test_model_query_component_prompt_shape(calls):

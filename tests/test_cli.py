@@ -100,7 +100,10 @@ BAD_SCRIPTS = {
     "contains and pattern": json.dumps({"rules": [{"contains": "x", "pattern": "y", "response": "z"}]}),
     "bad pattern": json.dumps({"rules": [{"pattern": "[", "response": "z"}]}),
     "number response": json.dumps({"rules": [{"contains": "x", "response": 5}]}),
-    "text max_uses": json.dumps({"rules": [{"contains": "x", "response": "z", "max_uses": "3"}]}),
+    # Unknown keys were once ignored: "rule" gave a script of no rules.
+    "unknown rule key": json.dumps({"rules": [{"contains": "x", "response": "z", "max_use": 1}]}),
+    "unknown top-level key": json.dumps({"rule": [{"contains": "x", "response": "z"}]}),
+    "retired max_uses": json.dumps({"rules": [{"contains": "x", "response": "z", "max_uses": 1}]}),
     # A string once became one-letter pieces; an empty list matched every prompt.
     "text contains_all": json.dumps({"rules": [{"contains_all": "zq", "response": "hit"}]}),
     "empty contains_all": json.dumps({"rules": [{"contains_all": [], "response": "hit"}]}),

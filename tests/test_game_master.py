@@ -326,7 +326,7 @@ def test_veto_state_resets_between_actions():
                 gm.veto("not allowed")
 
     model = ScriptedModel(
-        rules=[ScriptRule(contains="What would", response="steal everything", max_uses=1)],
+        rules=[ScriptRule(contains="What would Alice do next? It is 2024-05-01T09:00", response="steal everything")],
         default_response="hums a tune",
     )
     alice = GenerativeAgent("Alice", model)
@@ -545,7 +545,6 @@ class BatchModel(ScriptedModel):
     """
 
     def __init__(self, delay_ms=0.0, meet=None, fail_on=None, rules=BATCH_RULES):
-        rules = [ScriptRule.from_dict(rule.to_dict()) for rule in rules]
         super().__init__(rules=rules, default_response="pass")
         self.delay_ms = delay_ms
         self.meet = meet or {}
@@ -763,7 +762,8 @@ def test_an_episode_ending_in_error_inside_a_batch_leaves_no_call_list_open(dela
 # The phone scene of the turn below books a meeting with Bob, which pushes
 # a notification to him.
 MEETING_RULES = [
-    ScriptRule(contains="finished using the phone", response="no", max_uses=1),
+    ScriptRule(contains_all=("finished using the phone", "Added meeting"), response="yes"),
+    ScriptRule(contains="finished using the phone", response="no"),
     ScriptRule(contains="What does Alice do on the phone", response="Add a meeting with Bob tomorrow at 10:00."),
     ScriptRule(contains="Which app action", response="calendar.add_meeting"),
     ScriptRule(contains="parameter 'title'", response="lunch"),

@@ -10,7 +10,7 @@ from gabm.genesis import MAX_AGE, AgentProfile, backdate, default_age_ladder, ge
 from gabm.memory import MemoryBank
 from gabm.model import ScriptedModel, ScriptRule
 
-from conftest import memory_texts
+from conftest import SequenceModel, memory_texts
 
 START = datetime(2024, 5, 1, 9, 0)
 
@@ -75,13 +75,11 @@ def test_backstory_prompt_carries_profile_verbatim(calls):
 
 def test_backstory_retries_once_then_fails(calls):
     # Empty first answer, non-empty second: the retry saves the run.
-    model = ScriptedModel(
-        rules=[ScriptRule(contains="biography", response="   ", max_uses=1)],
-        default_response="A patient person.",
-    )
+    model = SequenceModel(["   ", "A patient person."])
     profile = AgentProfile(name="Ada", age=5)  # no rung below 6: the backstory alone
     assert memory_texts(_seeded(profile, model)) == ["A patient person."]
     assert len(calls) == 2
+    assert "biography" in calls[0].prompt and calls[1].prompt == calls[0].prompt
     calls.clear()
     # Empty twice: give up, before any rung is asked.
     hopeless = ScriptedModel(default_response="")

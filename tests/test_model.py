@@ -30,50 +30,40 @@ from gabm.model import (
     ask_all,
     close_calls,
     open_calls,
+    overlaps,
     render_choice_prompt,
 )
 
 from conftest import oracle_settings
 
 
-def test_first_matching_rule_wins_and_consumes(calls):
+def test_first_matching_rule_wins(calls):
     model = ScriptedModel(
         rules=[
-            ScriptRule(contains="greet", response="hello", max_uses=1),
+            ScriptRule(contains="greet", response="hello"),
             ScriptRule(contains="greet", response="hi again"),
+            ScriptRule(contains="wave", response="hi again"),
         ],
         default_response="pass",
     )
     assert model.sample_text("please greet") == "hello"
-    assert model.sample_text("please greet") == "hi again"
-    assert model.sample_text("please greet") == "hi again"
+    assert model.sample_text("please greet") == "hello"
+    assert model.sample_text("please wave") == "hi again"
     assert model.sample_text("unrelated") == "pass"
     assert len(calls) == 4
-
-
-def test_three_rule_consumption_table():
-    # Hand-walked table: rule A fires once, rule B twice, then C unlimited.
-    model = ScriptedModel(
-        rules=[
-            ScriptRule(contains="ping", response="A", max_uses=1),
-            ScriptRule(contains="ping", response="B", max_uses=2),
-            ScriptRule(contains="ping", response="C"),
-        ]
-    )
-    answers = [model.sample_text("ping") for _ in range(5)]
-    assert answers == ["A", "B", "B", "C", "C"]
 
 
 def test_identical_prompts_same_rules_same_answers():
     def fresh():
         return ScriptedModel(
-            rules=[ScriptRule(contains="x", response="one", max_uses=1)],
+            rules=[ScriptRule(contains="x", response="one")],
             default_response="two",
         )
 
     prompts = ["x", "x", "y"]
     model_a, model_b = fresh(), fresh()
-    assert [model_a.sample_text(p) for p in prompts] == [model_b.sample_text(p) for p in prompts]
+    assert [model_a.sample_text(p) for p in prompts] == ["one", "one", "two"]
+    assert [model_b.sample_text(p) for p in reversed(prompts)] == ["two", "one", "one"]
 
 
 def test_pattern_and_contains_all_matchers():
@@ -107,7 +97,7 @@ def test_script_round_trips_through_json(tmp_path):
     script = {
         "default": "dflt",
         "rules": [
-            {"contains": "a", "response": "1", "max_uses": 2},
+            {"contains": "a", "response": "1"},
             {"pattern": "b+", "response": "2"},
             {"contains_all": ["c", "d"], "response": "3"},
         ],
@@ -116,7 +106,7 @@ def test_script_round_trips_through_json(tmp_path):
     path.write_text(json.dumps(script), encoding="utf-8")
     model = ScriptedModel.from_file(str(path))
     assert model.rules == [
-        ScriptRule(contains="a", response="1", max_uses=2),
+        ScriptRule(contains="a", response="1"),
         ScriptRule(pattern="b+", response="2"),
         ScriptRule(contains_all=("c", "d"), response="3"),
     ]
@@ -125,26 +115,37 @@ def test_script_round_trips_through_json(tmp_path):
     assert model.sample_text("a") == "1"
 
 
+@pytest.mark.parametrize(
+    "script, key",
+    [
+        ({"rules": [{"contains": "a", "response": "1", "max_uses": 1}]}, "max_uses"),
+        ({"rules": [{"contains": "a", "response": "1", "max_use": 1}]}, "max_use"),
+        ({"rule": [{"contains": "a", "response": "1"}]}, "rule"),
+    ],
+    ids=["retired rule key", "misspelt rule key", "misspelt top-level key"],
+)
+def test_a_script_with_an_unknown_key_is_rejected_naming_it(script, key):
+    # Unknown keys used to be ignored: "rule" gave a script of no rules, so
+    # every prompt got the default answer.
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        ScriptedModel.from_dict(script)
+
+
 # Short needles over a two-letter alphabet, so they overlap and nest ("a"
 # in "ab" in "bab"), including "", which every prompt contains.
 NEEDLES = st.text(alphabet="ab", max_size=3)
 PATTERNS = ("a", "b+a", "^a", "b$", "ab|ba", "a.*b", "\\n", "^$")
-RULE_SPECS = st.tuples(
-    st.one_of(
-        st.tuples(st.just("contains"), NEEDLES),
-        st.tuples(st.just("contains_all"), st.lists(NEEDLES, min_size=1, max_size=3).map(tuple)),
-        st.tuples(st.just("pattern"), st.sampled_from(PATTERNS)),
-    ),
-    st.none() | st.integers(1, 3),
+RULE_SPECS = st.one_of(
+    st.tuples(st.just("contains"), NEEDLES),
+    st.tuples(st.just("contains_all"), st.lists(NEEDLES, min_size=1, max_size=3).map(tuple)),
+    st.tuples(st.just("pattern"), st.sampled_from(PATTERNS)),
 )
 PROMPTS = st.lists(st.text(alphabet="ab\n", max_size=6), max_size=10)
 
 
-def linear_scan(rules: list, uses: list[int], prompt: str) -> str:
+def linear_scan(rules: list, prompt: str) -> str:
     """The scripted model's answer, found by trying every rule in order."""
-    for index, (response, (kind, matcher), max_uses) in enumerate(rules):
-        if max_uses is not None and uses[index] >= max_uses:
-            continue
+    for response, kind, matcher in rules:
         if kind == "contains":
             hit = matcher in prompt
         elif kind == "contains_all":
@@ -152,14 +153,22 @@ def linear_scan(rules: list, uses: list[int], prompt: str) -> str:
         else:
             hit = re.search(matcher, prompt, re.DOTALL) is not None
         if hit:
-            uses[index] += 1
             return response
     return "default"
 
 
 def script_rule(spec: tuple) -> ScriptRule:
-    response, (kind, matcher), max_uses = spec
-    return ScriptRule(response=response, max_uses=max_uses, **{kind: matcher})
+    response, kind, matcher = spec
+    return ScriptRule(response=response, **{kind: matcher})
+
+
+class SlowScriptedModel(ScriptedModel):
+    """A scripted model that takes at least 1 ms a call, so that ``ask_all``
+    sends its batches to the pool."""
+
+    def _complete(self, prompt, max_chars):
+        time.sleep(PARALLEL_MIN_CALL_S)
+        return super()._complete(prompt, max_chars)
 
 
 @oracle_settings(300)
@@ -178,18 +187,23 @@ def test_needle_filter_matches_linear_scan_oracle(specs, front, back, before, af
     specs, front, back = named(specs, 0), named(front, 100), named(back, 200)
     model = ScriptedModel([script_rule(spec) for spec in specs], default_response="default")
 
-    def check(prompts, oracle, uses):
-        for prompt in prompts:
-            assert model.sample_text(prompt) == linear_scan(oracle, uses, prompt)
-            assert [rule.uses for rule in model.rules] == uses
+    def check(prompts, oracle):
+        expected = [linear_scan(oracle, prompt) for prompt in prompts]
+        assert [model.sample_text(prompt) for prompt in prompts] == expected
+        # An answer depends on the prompt alone: not on the order of asking,
+        # nor on which pool thread asks.
+        assert [model.sample_text(prompt) for prompt in reversed(prompts)] == expected[::-1]
+        slow = SlowScriptedModel(model.rules, default_response="default")
+        slow.sample_text("warm up")
+        assert overlaps(slow)
+        assert list(ask_all(slow, [(prompt, "oracle") for prompt in prompts])) == expected
 
-    uses = [0] * len(specs)
-    check(before, specs, uses)
+    check(before, specs)
     # Rules added in place, before and after the others, are tried too.
     model.rules[:0] = [script_rule(spec) for spec in front]
     for spec in back:
         model.rules.append(script_rule(spec))
-    check(after, front + specs + back, [0] * len(front) + uses + [0] * len(back))
+    check(after, front + specs + back)
 
 
 def test_a_call_tries_only_the_rules_its_prompt_holds_the_needle_of(monkeypatch):
@@ -246,21 +260,27 @@ def test_sample_choice_matches_directly():
 def test_sample_choice_retries_then_succeeds(calls):
     model = ScriptedModel(
         rules=[
-            ScriptRule(contains="pick", response="garbage", max_uses=1),
-            ScriptRule(contains="pick", response="still garbage", max_uses=1),
-            ScriptRule(contains="pick", response="yes"),
+            ScriptRule(contains=_CHOICE_REPAIR + "\n" + _CHOICE_REPAIR, response="yes"),
+            ScriptRule(contains_all=("pick", "verbatim"), response="still garbage"),
+            ScriptRule(contains="pick", response="garbage"),
         ]
     )
     index, text = model.sample_choice("pick one", ("yes", "no"))
     assert (index, text) == (0, "yes")
     # Two failures plus the success, every attempt logged.
-    assert len(calls) == 3
+    assert [c.response for c in calls] == ["garbage", "still garbage", "yes"]
     assert "exactly one of the options" in calls[1].prompt
 
 
 def test_sample_choice_exhausts_retry_budget(calls):
     answers = ["first", "second", "third", "fourth"]
-    model = ScriptedModel(rules=[ScriptRule(contains="pick", response=a, max_uses=1) for a in answers])
+    # Each repair adds a line, so the rule for the most repairs comes first.
+    model = ScriptedModel(
+        rules=[
+            ScriptRule(contains="pick" + ("\n" + _CHOICE_REPAIR) * repairs, response=answer)
+            for repairs, answer in reversed(list(enumerate(answers)))
+        ]
+    )
     with pytest.raises(NoMatchingOption, match="'fourth'"):
         model.sample_choice("pick", ("yes", "no"))
     # One initial attempt plus three repairs, each added to the prompt so

@@ -213,17 +213,18 @@ def test_translate_action_param_retry_recovers(calls):
     model = ScriptedModel(
         rules=[
             ScriptRule(contains="Which app action", response="calendar.remove_meeting"),
-            ScriptRule(contains="parameter 'title'", response="   ", max_uses=1),
-            ScriptRule(contains="parameter 'title'", response="standup"),
+            ScriptRule(contains_all=("parameter 'title'", "Answer with just the text value."), response="standup"),
+            ScriptRule(contains="parameter 'title'", response="   "),
         ]
     )
     result = translate_action(universe, "Alice", "cancel the standup", model, now=T0)
-    # The title parsed on its second ask and reached the app.
+    # The title parsed on its repair ask and reached the app.
     assert [c.caller for c in calls] == [
         "phone:translate:choose",
         "phone:translate:param:title",
         "phone:translate:param:title",
     ]
+    assert calls[2].prompt == calls[1].prompt + "\nAnswer with just the text value."
     assert result == "No meeting titled 'standup' found."
 
 
@@ -286,8 +287,8 @@ def test_phone_scene_done_immediately_means_zero_invocations():
 def test_phone_scene_single_action_then_done():
     model = ScriptedModel(
         rules=[
-            ScriptRule(contains="finished using the phone?", response="no", max_uses=1),
-            ScriptRule(contains="finished using the phone?", response="yes"),
+            ScriptRule(contains_all=("finished using the phone?", "The calendar is empty."), response="yes"),
+            ScriptRule(contains="finished using the phone?", response="no"),
             ScriptRule(contains="do on the phone right now", response="check my calendar"),
             ScriptRule(contains="Which app action", response="calendar.check_calendar"),
         ]
@@ -355,8 +356,8 @@ def test_phone_scene_requires_a_phone():
 def test_run_phone_scene_brackets_and_charges_parent_clock():
     model = ScriptedModel(
         rules=[
-            ScriptRule(contains="finished using the phone?", response="no", max_uses=1),
-            ScriptRule(contains="finished using the phone?", response="yes"),
+            ScriptRule(contains_all=("finished using the phone?", "The calendar is empty."), response="yes"),
+            ScriptRule(contains="finished using the phone?", response="no"),
             ScriptRule(contains="do on the phone right now", response="look at the calendar"),
             ScriptRule(contains="Which app action", response="calendar.check_calendar"),
         ],

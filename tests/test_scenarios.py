@@ -219,7 +219,8 @@ def cyberball_stand_in() -> ScriptedModel:
         ScriptRule(contains="Who observes this event", response="Ava: the throw\nBen: the throw\nCaleb: the throw"),
         ScriptRule(contains="Caleb felt ignored", response="strongly agree"),
         ScriptRule(contains="felt ignored", response="disagree"),
-        ScriptRule(contains="Ben felt like they belonged", response="it depends", max_uses=1),
+        ScriptRule(contains_all=("Ben felt like they belonged", "verbatim"), response="agree"),
+        ScriptRule(contains="Ben felt like they belonged", response="it depends"),
         ScriptRule(contains="Caleb felt like they belonged", response="strongly disagree"),
         ScriptRule(contains="felt like they belonged", response="agree"),
         ScriptRule(contains="control did Caleb", response="maybe 2"),
