@@ -256,10 +256,6 @@ _STRING = _Type(lambda v: isinstance(v, str), "must be a string", "required stri
 _STRINGS = _Type(_is_string_list, "must be a list of strings")
 _COUNT = _Type(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
 _POSITIVE = _Type(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
-# Every questionnaire runs once the episode ends, so its flag may only say so.
-_AT_END = _Type(
-    lambda v: v is True, "questionnaires run only at the end of the episode; must be true or absent"
-)
 SEED = _Type(
     lambda v: _is_int(v) and 0 <= v < 2**64, "must be an integer in [0, 2^64)", missing="required"
 )
@@ -270,16 +266,14 @@ class Kind:
     """One registry entry: a constructor, and each config field it takes with its type.
 
     A kind with a ``name`` field declares that name, defaulting as ``make``
-    does; any other kind declares ``declares``.  ``universe`` marks a
-    constructor that takes the phone universe.
+    does; any other kind declares ``declares``.
     """
 
-    def __init__(self, make: Callable, *, declares=(), universe: bool = False, **fields):
+    def __init__(self, make: Callable, *, declares=(), **fields):
         params = inspect.signature(make).parameters
         self.make = make
         self.fields = fields
         self.required = frozenset(f for f in fields if params[f].default is inspect.Parameter.empty)
-        self.universe = universe
         self._declares = list(declares)
         if "name" in fields:
             default = params["name"].default
@@ -330,7 +324,7 @@ GM_COMPONENTS = {
         name=_TEXT,
     ),
     "locations": Kind(LocationComponent, locations=_Map(_TEXT, by_agent=True), name=_TEXT),
-    "scene_trigger": Kind(SceneTrigger, universe=True, name=_TEXT),
+    "scene_trigger": Kind(SceneTrigger, name=_TEXT),
     "phrase_terminator": Kind(PhraseTerminator, phrase=_TEXT, name=_TEXT),
 }
 APPS = {"calendar": Kind(CalendarApp, name=_TEXT)}
@@ -497,7 +491,6 @@ _CONFIG = _Object(
             _Object(
                 {
                     "name": _TEXT,
-                    "administer_at_end": _AT_END,
                     "questions": _List(_ACTION_SPEC, "required non-empty list", non_empty=True),
                 },
                 frozenset({"name", "questions"}),
@@ -607,7 +600,6 @@ class BuiltScenario:
 
     config: ScenarioConfig
     gm: GameMaster
-    universe: PhoneUniverse | None = None
     seed: int = 0
     max_steps: int = 1
 
@@ -664,12 +656,12 @@ def build(
         agent.memory.add_all(agent_cfg.get("initial_memories", []), clock.current_time)
 
     gm_cfg = raw.get("gm", {})
-    gm_kinds = [(GM_COMPONENTS[comp["type"]], comp) for comp in gm_cfg.get("components", [])]
+    # A game has phones when its config sets apps, phones or a scene.
     universe: PhoneUniverse | None = None
     apps_cfg = raw.get("apps", [])
     phones_cfg = raw.get("phones", {})
     scene_cfg = raw.get("scene") or {}
-    if apps_cfg or phones_cfg or scene_cfg or any(kind.universe for kind, _ in gm_kinds):
+    if apps_cfg or phones_cfg or scene_cfg:
         scene = _given(scene_cfg, _SCENE.fields)
         if "minutes" in scene:
             scene["scene_minutes"] = scene.pop("minutes")
@@ -679,31 +671,19 @@ def build(
         for owner, app_names in phones_cfg.items():
             universe.give_phone(owner, app_names)
 
-    gm_components = [
-        kind.build(comp, **({"universe": universe} if kind.universe else {})) for kind, comp in gm_kinds
-    ]
-
     action_spec = raw.get("action_spec")
     gm = GameMaster(
         model=model,
         players=players,
         clock=clock,
-        components=gm_components,
+        components=[GM_COMPONENTS[comp["type"]].build(comp) for comp in gm_cfg.get("components", [])],
         action_spec=ActionSpec.from_dict(action_spec) if action_spec is not None else None,
         rng=random.Random(seed),
         questionnaires=[
             Questionnaire(battery["name"], [ActionSpec.from_dict(q) for q in battery["questions"]])
             for battery in raw.get("questionnaires", [])
         ],
+        phones=universe,
         **_given(gm_cfg, ["preamble"]),
     )
-    if universe is not None:
-        gm.notification_hub = universe.hub
-
-    return BuiltScenario(
-        config=config,
-        gm=gm,
-        universe=universe,
-        seed=seed,
-        max_steps=max_steps,
-    )
+    return BuiltScenario(config=config, gm=gm, seed=seed, max_steps=max_steps)

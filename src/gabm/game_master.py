@@ -68,7 +68,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from datetime import timedelta
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .agent import GenerativeAgent, reject_duplicate_names
 from .errors import ConfigError, InvalidModelOutput, NoMatchingOption, SimulationError
@@ -83,6 +83,9 @@ from .kernel import (
     TraceRecord,
 )
 from .model import GenerativeModel, PooledAsks, ask_all, close_calls, open_calls, overlaps
+
+if TYPE_CHECKING:
+    from .phone import PhoneUniverse
 
 DEFAULT_GM_PREAMBLE = (
     "Instructions: you are the game master of a social simulation. "
@@ -183,7 +186,8 @@ class Questionnaire:
 
 
 class GameMaster:
-    """Owns the clock, the players, grounded components, and the event log."""
+    """Owns the clock, the players, grounded components, the event log and,
+    in a game with phones, the game's one phone universe, ``phones``."""
 
     def __init__(
         self,
@@ -195,6 +199,7 @@ class GameMaster:
         preamble: str = DEFAULT_GM_PREAMBLE,
         rng: random.Random | None = None,
         questionnaires: list[Questionnaire] | None = None,
+        phones: PhoneUniverse | None = None,
     ):
         names = [p.name for p in players]
         if len(set(names)) != len(names):
@@ -208,7 +213,7 @@ class GameMaster:
         self.preamble = preamble
         self.rng = rng or random.Random(0)
         self.questionnaires = list(questionnaires or [])
-        self.notification_hub = None  # a phone universe's hub, when there is one
+        self.phones = phones
         self.trace: list[TraceRecord] = []
         self.on_record: Callable[[TraceRecord], None] | None = None
         self._player_index = {p.name: p for p in self.players}
@@ -259,11 +264,11 @@ class GameMaster:
     # ---- the resolution sequence -------------------------------------------
 
     def pre_act_observe(self, player: GenerativeAgent) -> None:
-        """Deliver each component's view to the player."""
-        if self.notification_hub is not None:
+        """Deliver the player's phone notifications, then each component's view."""
+        if self.phones is not None:
             from .phone import deliver_notifications
 
-            deliver_notifications(self.notification_hub, self, player.name)
+            deliver_notifications(self, player.name)
         for component in self.components:
             partial = component.partial_state(player.name)
             if partial:
@@ -474,7 +479,7 @@ class GameMaster:
         prompt is the same; otherwise, and if the rounds end first, the
         call is dropped unrecorded.
         """
-        if upcoming is None or self.notification_hub is not None:
+        if upcoming is None or self.phones is not None:
             return
         next_step, player = upcoming
         if player is actor or not overlaps(player.model):

@@ -374,10 +374,13 @@ class ScriptedModel(GenerativeModel):
             raise ValueError("the default response must be a string")
         if not writable(default):
             raise ValueError(f"the default response {default!r} holds a lone surrogate; UTF-8 cannot write it")
-        return cls(
-            rules=[ScriptRule.from_dict(r) for r in data.get("rules", [])],
-            default_response=default,
-        )
+        rules = data.get("rules", [])
+        if not isinstance(rules, list):
+            raise ValueError("rules must be a list")
+        for i, rule in enumerate(rules):
+            if not isinstance(rule, dict):
+                raise ValueError(f"rule {i} must be an object")
+        return cls(rules=[ScriptRule.from_dict(r) for r in rules], default_response=default)
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedModel":

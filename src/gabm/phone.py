@@ -7,6 +7,9 @@ invocation returns result text for the owner and may queue notifications,
 which land as observations at the recipient's next pre-act phase, exactly
 once.  A phone is its owner's list of apps.  Apps are singletons shared by
 every phone that installs them, so app state survives scene boundaries.
+A game with phones has one ``PhoneUniverse``, owned by its game master as
+``gm.phones``; the scene trigger, ``run_phone_scene`` and
+``deliver_notifications`` read it there.
 
 A phone scene is a nested game with one player, the phone's owner, on a
 clock of its own.  Nothing of it is merged back into the game master:
@@ -73,9 +76,10 @@ class NotificationHub:
         return mine
 
 
-def deliver_notifications(hub: NotificationHub, gm: GameMaster, player: str) -> int:
-    """Hand every queued notification for one player over as observations."""
-    texts = hub.pop_for(player)
+def deliver_notifications(gm: GameMaster, player: str) -> int:
+    """Hand every notification queued for one player in ``gm.phones`` over
+    as observations; returns how many."""
+    texts = gm.phones.hub.pop_for(player)
     for text in texts:
         gm.emit_observation(player, text)
     return len(texts)
@@ -335,21 +339,18 @@ def detect_phone_event(
     return answer == "yes"
 
 
-def run_phone_scene(
-    parent_gm: GameMaster,
-    universe: PhoneUniverse,
-    owner_name: str,
-    trigger: str = "",
-) -> None:
+def run_phone_scene(parent_gm: GameMaster, owner_name: str, trigger: str = "") -> None:
     """Play one owner's nested phone game, on its own clock, until done or capped.
 
-    Each step asks whether the owner has finished, then has the owner act
-    on the phone and grounds the act through ``translate_action``.  The
-    owner observes each result; a step that fits no app ends the scene.
-    The scene's notes go to the parent's open record.
+    The phone is the owner's in ``parent_gm.phones``.  Each step asks
+    whether the owner has finished, then has the owner act on the phone
+    and grounds the act through ``translate_action``.  The owner observes
+    each result; a step that fits no app ends the scene.  The scene's notes
+    go to the parent's open record.
     """
     owner = parent_gm.player(owner_name)
-    if owner_name not in universe.phones:
+    universe = parent_gm.phones
+    if universe is None or owner_name not in universe.phones:
         raise ConfigError(f"{owner_name!r} has no phone")
     clock = GameClock(parent_gm.clock.current_time, step_minutes=universe.child_step_minutes)
     model = parent_gm.model
@@ -393,12 +394,13 @@ class SceneTrigger(GMComponent):
     """Watches every resolved event and spins up phone scenes when one fits.
 
     Whether the event involves a phone is its post-event ask; its answer
-    hook makes any repair re-asks, the notes and the scene.
+    hook makes any repair re-asks, the notes and the scene, played on the
+    actor's phone in ``gm.phones``.  An actor without one, as every actor
+    in a game without phones is, gets only a note.
     """
 
-    def __init__(self, universe: PhoneUniverse, name: str = "phone scene trigger"):
+    def __init__(self, name: str = "phone scene trigger"):
         super().__init__(name)
-        self.universe = universe
 
     def query_after_event(self, gm: GameMaster, event: EventStatement) -> tuple[str, str]:
         return _detect_ask(event.text)
@@ -407,7 +409,7 @@ class SceneTrigger(GMComponent):
         if not detect_phone_event(event.text, gm.model, note=gm.audit_note, first=answer):
             return
         actor = event.cause.actor
-        if actor not in self.universe.phones:
+        if gm.phones is None or actor not in gm.phones.phones:
             gm.audit_note(f"{actor} has no phone; scene skipped")
             return
-        run_phone_scene(gm, self.universe, actor, trigger=event.text)
+        run_phone_scene(gm, actor, trigger=event.text)

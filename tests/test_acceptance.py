@@ -233,21 +233,21 @@ def test_criterion_5_nested_scenes_round_trip():
     alice = fresh_agent("Alice")
     bob = fresh_agent("Bob")
     alice.model = model
+    universe = PhoneUniverse(scene_minutes=30, max_actions=3, child_step_minutes=1)
+    universe.register_app(CalendarApp())
+    universe.give_phone("Alice", ["calendar"])
     gm = GameMaster(
         model=model,
         players=[alice, bob],
         clock=GameClock(current_time=parse_time("2024-05-01T09:00")),
         components=[],
         rng=random.Random(1),
+        phones=universe,
     )
-    universe = PhoneUniverse(scene_minutes=30, max_actions=3, child_step_minutes=1)
-    universe.register_app(CalendarApp())
-    universe.give_phone("Alice", ["calendar"])
-    gm.notification_hub = universe.hub
 
     def errand() -> None:
         """Depth-2 scene: runs a real phone scene inside itself."""
-        run_phone_scene(gm, universe, "Alice", trigger="checking the phone")
+        run_phone_scene(gm, "Alice", trigger="checking the phone")
         gm.audit_note("Alice finished her errand.")
 
     step_before = gm.clock.step_index
@@ -277,7 +277,7 @@ def test_criterion_6_calendar_end_to_end():
     built = build(load_config(SCENARIOS / "calendar.json"))
     outcome = run_built_scenario(built)
     elapsed = time.monotonic() - started
-    meetings = built.universe.apps["calendar"].meetings
+    meetings = built.gm.phones.apps["calendar"].meetings
     assert len(meetings) == 1
     assert set(meetings[0].participants) == {"Alice", "Bob"}
     notifications = [

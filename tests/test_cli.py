@@ -111,6 +111,18 @@ BAD_SCRIPTS = {
     "null default": json.dumps({"rules": [], "default": None}),
     "lone surrogate response": json.dumps({"rules": [{"contains": "x", "response": "ok \ud800"}]}),
     "lone surrogate default": json.dumps({"rules": [], "default": "pass \udfff"}),
+    # These once failed on an attribute of the wrong type ("'str' object has no attribute 'keys'").
+    "text rule": json.dumps({"rules": ["x"]}),
+    "text rules": json.dumps({"rules": "abc"}),
+    "null rule": json.dumps({"rules": [{"contains": "x", "response": "z"}, None]}),
+    "number rules": json.dumps({"rules": 5}),
+}
+# The end of the one-line error, for the cases that must say what is wrong.
+BAD_SCRIPT_MESSAGES = {
+    "text rule": "rule 0 must be an object",
+    "text rules": "rules must be a list",
+    "null rule": "rule 1 must be an object",
+    "number rules": "rules must be a list",
 }
 
 
@@ -134,6 +146,8 @@ def test_run_reports_a_malformed_script_file_in_one_line(tmp_path, capsys, case,
     else:
         assert err.startswith(f"cannot build scenario: script file {script}: ")
         assert err.count("\n") == 1
+        if case in BAD_SCRIPT_MESSAGES:
+            assert err == f"cannot build scenario: script file {script}: {BAD_SCRIPT_MESSAGES[case]}\n"
 
 
 def test_a_failed_build_leaves_no_trace_file(tmp_path, capsys):

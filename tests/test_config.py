@@ -282,18 +282,16 @@ def test_build_scene_trigger_and_universe(tmp_path):
     raw["scene"] = {"minutes": 10, "max_actions": 2}
     raw["gm"]["components"].append({"type": "scene_trigger"})
     built = build(config_from_dict(raw, tmp_path))
-    assert built.universe is not None
-    assert built.universe.scene_minutes == 10
-    assert built.universe.max_actions == 2
-    assert "Alice" in built.universe.phones
-    assert built.gm.notification_hub is built.universe.hub
+    assert built.gm.phones is not None
+    assert built.gm.phones.scene_minutes == 10
+    assert built.gm.phones.max_actions == 2
+    assert "Alice" in built.gm.phones.phones
     assert any(isinstance(c, SceneTrigger) for c in built.gm.components)
 
 
 def test_build_without_phone_config_has_no_universe(tmp_path):
     built = build(config_from_dict(valid_raw(), tmp_path))
-    assert built.universe is None
-    assert built.gm.notification_hub is None
+    assert built.gm.phones is None
 
 
 def test_build_model_kinds_and_script(tmp_path):
@@ -389,7 +387,6 @@ def test_questionnaires_built_with_flag(tmp_path):
     raw["questionnaires"] = [
         {
             "name": "exit poll",
-            "administer_at_end": True,
             "questions": [{"call_to_action": "Verdict, {name}?"}],
         },
         {
@@ -412,16 +409,15 @@ def test_questionnaires_built_with_flag(tmp_path):
 
 def test_a_questionnaire_flagged_false_is_rejected(tmp_path):
     # Questionnaires run only after the episode; one flagged false used to be
-    # built and then never run.
+    # built and then never run.  The flag is gone: any value of it is unknown.
     raw = valid_raw()
     raw["questionnaires"] = [
         {"name": "midway", "administer_at_end": False, "questions": [{"call_to_action": "Mood?"}]}
     ]
     issues = validate_config(raw, tmp_path)
-    assert [(i.kind, i.path) for i in issues] == [
-        ("MalformedField", "questionnaires[0].administer_at_end")
+    assert [(i.kind, i.path, i.message) for i in issues] == [
+        ("MalformedField", "questionnaires[0].administer_at_end", "unknown field")
     ]
-    assert "only at the end" in issues[0].message
 
 
 def test_config_round_trips_through_canonical_json(tmp_path):
@@ -641,7 +637,7 @@ def test_null_scene_builds_a_universe_with_default_scene_settings(tmp_path):
     raw["apps"] = [{"kind": "calendar"}]
     raw["scene"] = None
     built = build(config_from_dict(raw, tmp_path))
-    assert built.universe.scene_minutes == PhoneUniverse().scene_minutes
+    assert built.gm.phones.scene_minutes == PhoneUniverse().scene_minutes
 
 
 def _positions(node, path=()):

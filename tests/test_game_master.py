@@ -577,10 +577,10 @@ def run_batch_turn(model):
     inventory = InventoryComponent({"Alice": {"coin": 5}, "Bob": {"beans": 2}})
     gm = make_gm(
         players=[GenerativeAgent("Alice", model)],
-        components=[SceneTrigger(universe), inventory],
+        components=[SceneTrigger(), inventory],
         model=model,
+        phones=universe,
     )
-    gm.notification_hub = universe.hub
     result = gm.run_episode(max_steps=1)
     (record,) = result.trace
     return result, record
@@ -803,10 +803,10 @@ def test_engine_state_stays_on_the_calling_thread(monkeypatch):
     alice = GenerativeAgent("Alice", model, components=three_questions_components())
     gm = make_gm(
         players=[alice],
-        components=[SceneTrigger(universe), inventory],
+        components=[SceneTrigger(), inventory],
         model=model,
+        phones=universe,
     )
-    gm.notification_hub = universe.hub
     result = gm.run_episode(max_steps=1)
     assert result.reason == "max-steps"
     assert "Added meeting 'lunch' with Bob" in " ".join(memory_texts(alice.memory))

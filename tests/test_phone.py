@@ -126,13 +126,12 @@ def test_hub_delivers_each_notification_exactly_once():
 def test_deliver_notifications_lands_as_observations():
     model = ScriptedModel()
     bob = GenerativeAgent("Bob", model)
-    gm = GameMaster(model=model, players=[bob], clock=GameClock(T0))
-    hub = NotificationHub()
-    hub.push("Bob", "your package arrived")
-    count = deliver_notifications(hub, gm, "Bob")
+    gm = GameMaster(model=model, players=[bob], clock=GameClock(T0), phones=PhoneUniverse())
+    gm.phones.hub.push("Bob", "your package arrived")
+    count = deliver_notifications(gm, "Bob")
     assert count == 1
     assert memory_texts(bob.memory) == ["your package arrived"]
-    assert deliver_notifications(hub, gm, "Bob") == 0
+    assert deliver_notifications(gm, "Bob") == 0
 
 
 def test_notifications_arrive_at_next_pre_act_only_for_recipient():
@@ -140,8 +139,7 @@ def test_notifications_arrive_at_next_pre_act_only_for_recipient():
     alice = GenerativeAgent("Alice", model)
     bob = GenerativeAgent("Bob", model)
     universe = PhoneUniverse()
-    gm = GameMaster(model=model, players=[alice, bob], clock=GameClock(T0))
-    gm.notification_hub = universe.hub
+    gm = GameMaster(model=model, players=[alice, bob], clock=GameClock(T0), phones=universe)
     universe.hub.push("Bob", "ping")
     gm.pre_act_observe(alice)
     assert memory_texts(alice.memory) == []
@@ -265,10 +263,10 @@ def run_scene(model: ScriptedModel, universe: PhoneUniverse | None = None, trigg
     universe, Alice, the game master and the finished record."""
     universe = universe or universe_with_phone("Alice")
     alice = GenerativeAgent("Alice", model)
-    gm = GameMaster(model=model, players=[alice], clock=GameClock(T0, step_minutes=60))
+    gm = GameMaster(model=model, players=[alice], clock=GameClock(T0, step_minutes=60), phones=universe)
     record = gm.begin_record("turn", 0, "Alice")
     try:
-        assert run_phone_scene(gm, universe, "Alice", trigger=trigger) is None
+        assert run_phone_scene(gm, "Alice", trigger=trigger) is None
     finally:
         gm.finish_record(record)
     return universe, alice, gm, record
@@ -343,14 +341,17 @@ def test_phone_scene_hits_step_cap():
 
 
 def test_phone_scene_requires_a_phone():
-    model = ScriptedModel()
-    gm = GameMaster(model=model, players=[GenerativeAgent("Alice", model)], clock=GameClock(T0))
-    record = gm.begin_record("turn", 0, "Alice")
-    with pytest.raises(ConfigError, match="has no phone"):
-        run_phone_scene(gm, PhoneUniverse(), "Alice")
-    # The scene was refused before any marker was written or time charged.
-    assert record.notes == [] and record.model_calls == []
-    assert gm.clock.current_time == T0
+    # Alice has no phone in a game with phones, nor in one without.
+    for phones in (PhoneUniverse(), None):
+        model = ScriptedModel()
+        alice = GenerativeAgent("Alice", model)
+        gm = GameMaster(model=model, players=[alice], clock=GameClock(T0), phones=phones)
+        record = gm.begin_record("turn", 0, "Alice")
+        with pytest.raises(ConfigError, match="has no phone"):
+            run_phone_scene(gm, "Alice")
+        # The scene was refused before any marker was written or time charged.
+        assert record.notes == [] and record.model_calls == []
+        assert gm.clock.current_time == T0
 
 
 def test_run_phone_scene_brackets_and_charges_parent_clock():
@@ -398,9 +399,9 @@ def test_scene_trigger_fires_only_for_phone_events_by_phone_owners():
         model=model,
         players=[alice, bob],
         clock=GameClock(T0, step_minutes=60),
-        components=[SceneTrigger(universe)],
+        components=[SceneTrigger()],
+        phones=universe,
     )
-    gm.notification_hub = universe.hub
     result = gm.run_episode(max_steps=1)
     by_actor = {record.actor: record for record in result.trace}
     assert by_actor["Alice"].notes == ["scene start: phone: Alice", "scene end: phone: Alice"]
@@ -445,9 +446,9 @@ def test_phone_scene_notes_reach_the_turn_record(rules, note):
         model=model,
         players=[GenerativeAgent("Alice", model)],
         clock=GameClock(T0),
-        components=[SceneTrigger(universe)],
+        components=[SceneTrigger()],
+        phones=universe,
     )
-    gm.notification_hub = universe.hub
     result = gm.run_episode(max_steps=1)
     assert result.reason == "max-steps"
     notes = result.trace[0].notes
@@ -467,12 +468,12 @@ def test_scene_trigger_repairs_an_unusable_detect_answer_as_it_is_applied():
         ],
         default_response="taps at the screen",
     )
-    universe = universe_with_phone("Alice")
     gm = GameMaster(
         model=model,
         players=[GenerativeAgent("Alice", model)],
         clock=GameClock(T0),
-        components=[SceneTrigger(universe)],
+        components=[SceneTrigger()],
+        phones=universe_with_phone("Alice"),
     )
     result = gm.run_episode(max_steps=1)
     assert result.reason == "max-steps"
@@ -492,19 +493,19 @@ def test_scene_trigger_skips_actor_without_phone():
     )
     from gabm.phone import SceneTrigger
 
-    universe = PhoneUniverse(apps=[CalendarApp()])
-    bob = GenerativeAgent("Bob", model)
-    gm = GameMaster(
-        model=model,
-        players=[bob],
-        clock=GameClock(T0),
-        components=[SceneTrigger(universe)],
-    )
-    gm.notification_hub = universe.hub
-    result = gm.run_episode(max_steps=1)
-    assert result.trace[0].event == "Bob fiddled with his phone."
-    assert result.trace[0].notes == ["Bob has no phone; scene skipped"]
-    assert "phone:scene:done" not in [c.caller for c in result.trace[0].model_calls]
+    # Bob has no phone in a game with phones, nor in one without.
+    for phones in (PhoneUniverse(apps=[CalendarApp()]), None):
+        gm = GameMaster(
+            model=model,
+            players=[GenerativeAgent("Bob", model)],
+            clock=GameClock(T0),
+            components=[SceneTrigger()],
+            phones=phones,
+        )
+        result = gm.run_episode(max_steps=1)
+        assert result.trace[0].event == "Bob fiddled with his phone."
+        assert result.trace[0].notes == ["Bob has no phone; scene skipped"]
+        assert "phone:scene:done" not in [c.caller for c in result.trace[0].model_calls]
 
 
 def test_app_state_is_shared_across_scenes_and_phones():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
 import io
@@ -11,7 +12,7 @@ import pytest
 
 import gabm
 from gabm.cli import main
-from gabm.config import build, build_model, load_config
+from gabm.config import build, build_model, config_from_dict, load_config
 from gabm.model import GenerativeModel, ScriptedModel, ScriptRule
 from gabm.trace import read_trace, replay, run_built_scenario
 
@@ -51,7 +52,7 @@ def test_calendar_meeting_and_notification():
     built = build(load_config(SCENARIOS / "calendar.json"))
     outcome = run_built_scenario(built)
     assert outcome.result.reason == "max-steps"
-    meetings = built.universe.apps["calendar"].meetings
+    meetings = built.gm.phones.apps["calendar"].meetings
     assert len(meetings) == 1
     assert meetings[0].title == "garden sync"
     assert set(meetings[0].participants) == {"Alice", "Bob"}
@@ -197,6 +198,38 @@ def test_fixtures_behind_a_slow_reordering_model_keep_their_pinned_traces(tmp_pa
             < max(finished_at[c.prompt] for c in before.model_calls if c.caller.startswith("component:"))
             for before, after in zip(records, records[1:])
         )
+
+
+def test_a_scene_trigger_without_phones_keeps_its_trace_and_ask_ahead_behind_a_slow_model(tmp_path):
+    # A scene_trigger is no phone setting: three_questions with one added has
+    # no phones, so its trigger can only note, and nothing charges the clock
+    # mid-turn, so the next player's act call is still asked ahead.
+    raw = copy.deepcopy(load_config(SCENARIOS / "three_questions.json").raw)
+    raw["gm"].setdefault("components", []).append({"type": "scene_trigger"})
+    config = config_from_dict(raw, SCENARIOS)
+    built = build(config)
+    assert built.gm.phones is None
+    serial = io.StringIO()
+    run_built_scenario(built, out=serial)
+    model = SlowReorderingModel(build_model(config))
+    out = tmp_path / "trace.jsonl"
+    with open(out, "w", encoding="utf-8") as handle:
+        run_built_scenario(build(config, model=model), out=handle)
+    assert out.read_bytes() == serial.getvalue().encode("utf-8")
+    report = replay(out)
+    assert report.ok, report.detail
+    # Some act call finished before the previous record's observers call.
+    records = read_trace(out).records
+    assert all(any(c.caller == "phone:detect" for c in r.model_calls) for r in records)
+    finished_at = {prompt: i for i, prompt in enumerate(model.finished)}
+
+    def finished(record, caller):
+        return next(finished_at[c.prompt] for c in record.model_calls if c.caller.endswith(caller))
+
+    assert any(
+        finished(after, ":act") < finished(before, "gm:resolve:observers")
+        for before, after in zip(records, records[1:])
+    )
 
 
 def cyberball_stand_in() -> ScriptedModel:

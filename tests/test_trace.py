@@ -60,7 +60,6 @@ CONFIG = {
     "questionnaires": [
         {
             "name": "debrief",
-            "administer_at_end": True,
             "questions": [{"call_to_action": "How was the market, {name}?"}],
         }
     ],
@@ -94,18 +93,8 @@ def test_run_writes_header_then_records(tmp_path):
     # 2 rounds x 2 players, then the end-of-run questionnaire per player.
     assert [r.kind for r in read.records] == ["turn"] * 4 + ["questionnaire"] * 2
     assert {r.actor for r in read.records[4:]} == {"Alice", "Bob"}
+    assert [r.action.text for r in read.records[4:]] == ["fine, thanks"] * 2
     assert all(r.event == "They chatted about beans." for r in read.records[:4])
-
-
-def test_a_questionnaire_without_the_flag_runs_at_the_end(tmp_path):
-    # An absent administer_at_end used to build a questionnaire that never ran.
-    (tmp_path / "script.json").write_text(json.dumps(SCRIPT), encoding="utf-8")
-    raw = json.loads(json.dumps(CONFIG))
-    del raw["questionnaires"][0]["administer_at_end"]
-    outcome = run_built_scenario(build(config_from_dict(raw, tmp_path)))
-    records = outcome.result.trace
-    assert [r.kind for r in records] == ["turn"] * 4 + ["questionnaire"] * 2
-    assert [r.action.text for r in records[4:]] == ["fine, thanks"] * 2
 
 
 def test_trace_lines_are_canonical_json(tmp_path):
