@@ -55,9 +55,7 @@ from .memory import HashEmbedder, MemoryBank
 from .model import EchoModel, GenerativeModel, HttpModel, ScriptedModel, ScriptRule
 from .phone import (
     CalendarApp,
-    NotificationHub,
     PhoneUniverse,
-    detect_phone_event,
     deliver_notifications,
     render_app_catalog,
     run_phone_scene,
@@ -98,7 +96,6 @@ __all__ = [
     "ModelQueryComponent",
     "NoMatchingOption",
     "NotANumber",
-    "NotificationHub",
     "Observation",
     "ObservationBuffer",
     "OutputKind",
@@ -115,7 +112,6 @@ __all__ = [
     "build",
     "default_age_ladder",
     "deliver_notifications",
-    "detect_phone_event",
     "generate_lives",
     "load_config",
     "parse_trade_from_event",

@@ -451,9 +451,7 @@ def _check_phones(v: "_Validator", path: str, phones, required: bool) -> None:
                 v.unresolved(f"{path}.{owner}", f"no app named {app!r}")
 
 
-_SCENE = _Object(
-    {"minutes": _COUNT, "max_actions": _POSITIVE, "child_step_minutes": _COUNT}, nullable=True
-)
+_SCENE = Kind(PhoneUniverse, minutes=_COUNT, max_actions=_POSITIVE, child_step_minutes=_COUNT)
 _CONFIG = _Object(
     {
         "seed": SEED,
@@ -486,7 +484,7 @@ _CONFIG = _Object(
         "gm": _Object({"preamble": _TEXT, "components": _Kinds("type", GM_COMPONENTS)}),
         "apps": _List(_Rule(_check_app)),
         "phones": _Rule(_check_phones),
-        "scene": _SCENE,
+        "scene": _Object(_SCENE.fields, nullable=True),
         "questionnaires": _List(
             _Object(
                 {
@@ -657,19 +655,15 @@ def build(
 
     gm_cfg = raw.get("gm", {})
     # A game has phones when its config sets apps, phones or a scene.
+    # Each app is built once; the phones that install it share the object.
     universe: PhoneUniverse | None = None
     apps_cfg = raw.get("apps", [])
     phones_cfg = raw.get("phones", {})
     scene_cfg = raw.get("scene") or {}
     if apps_cfg or phones_cfg or scene_cfg:
-        scene = _given(scene_cfg, _SCENE.fields)
-        if "minutes" in scene:
-            scene["scene_minutes"] = scene.pop("minutes")
-        universe = PhoneUniverse(**scene)
-        for app_cfg in apps_cfg:
-            universe.register_app(APPS[app_cfg["kind"]].build(app_cfg))
-        for owner, app_names in phones_cfg.items():
-            universe.give_phone(owner, app_names)
+        apps = {app.name: app for app in (APPS[cfg["kind"]].build(cfg) for cfg in apps_cfg)}
+        phones = {owner: [apps[name] for name in names] for owner, names in phones_cfg.items()}
+        universe = _SCENE.build(scene_cfg, phones=phones)
 
     action_spec = raw.get("action_spec")
     gm = GameMaster(

@@ -18,10 +18,12 @@ from .game_master import GameMaster, GMComponent
 
 MONEY_ITEM = "coin"
 CENT = Decimal("0.01")
+# Far below Decimal's 28 significant digits, so sums of balances are exact.
+MAX_QUANTITY = Decimal(10) ** 15
 
 
 def as_quantity(value) -> Decimal:
-    """Normalize any numeric-ish input to a non-negative 2-decimal amount."""
+    """Normalize any numeric-ish input to a 2-decimal amount in [0, MAX_QUANTITY)."""
     try:
         amount = Decimal(str(value)).quantize(CENT)
     except InvalidOperation as exc:
@@ -30,6 +32,8 @@ def as_quantity(value) -> Decimal:
         raise ConfigError(f"not a quantity: {value!r}")
     if amount < 0:
         raise ConfigError(f"quantities cannot be negative: {value!r}")
+    if amount >= MAX_QUANTITY:
+        raise ConfigError(f"quantities must be below {MAX_QUANTITY}: {value!r}")
     return amount
 
 
@@ -133,7 +137,7 @@ def parse_trade_from_event(inventory: InventoryState, raw: str) -> tuple[list[Tr
             qty = as_quantity(qty_text)
             price = as_quantity(price_text)
         except ConfigError:
-            warnings.append(f"non-numeric quantity in trade line: {line!r}")
+            warnings.append(f"unusable quantity in trade line: {line!r}")
             continue
         if buyer not in inventory.balances or seller not in inventory.balances:
             warnings.append(f"unknown trader in line: {line!r}")

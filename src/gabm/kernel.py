@@ -143,8 +143,8 @@ class ActionSpec:
 
     ``call_to_action`` may contain the placeholders ``{name}`` and ``{time}``;
     they are substituted verbatim at render time and no other brace handling
-    is applied.  CHOICE specs carry at least two distinct options; the other
-    kinds carry none.
+    is applied.  CHOICE specs carry at least two options, none blank and no
+    two alike once stripped and casefolded; the other kinds carry none.
     """
 
     call_to_action: str
@@ -155,8 +155,12 @@ class ActionSpec:
         if self.output_kind is OutputKind.CHOICE:
             if len(self.options) < 2:
                 raise ValueError("a choice needs at least two options")
-            if len(set(self.options)) != len(self.options):
-                raise ValueError("choice options must be distinct")
+            # ``parse_choice`` matches on the stripped, casefolded option.
+            keys = [option.strip().casefold() for option in self.options]
+            if not all(keys):
+                raise ValueError("choice options must not be blank")
+            if len(set(keys)) != len(keys):
+                raise ValueError("choice options must be distinct, ignoring case and surrounding spaces")
         elif self.options:
             raise ValueError(f"{self.output_kind.value} takes no options")
 

@@ -5,11 +5,13 @@ first one choice call picks an "app.action" from the installed catalog,
 then one model call per parameter supplies a typed value.  The
 invocation returns result text for the owner and may queue notifications,
 which land as observations at the recipient's next pre-act phase, exactly
-once.  A phone is its owner's list of apps.  Apps are singletons shared by
-every phone that installs them, so app state survives scene boundaries.
-A game with phones has one ``PhoneUniverse``, owned by its game master as
-``gm.phones``; the scene trigger, ``run_phone_scene`` and
-``deliver_notifications`` read it there.
+once.  A game with phones has one ``PhoneUniverse``, owned by its game
+master as ``gm.phones``: each owner's phone, a list of apps; the texts
+pending for each recipient; and the scene settings.  An app installed on
+two phones is one object, so its state is shared and survives scene
+boundaries.  ``SceneTrigger`` asks after each event whether it involves a
+phone and plays the actor's scene; ``run_phone_scene`` and
+``deliver_notifications`` read the universe on the game master.
 
 A phone scene is a nested game with one player, the phone's owner, on a
 clock of its own.  Nothing of it is merged back into the game master:
@@ -61,51 +63,29 @@ class AppActionDescriptor:
     params: tuple[ParamDescriptor, ...] = ()
 
 
-class NotificationHub:
-    """Queued texts awaiting each recipient's next pre-act phase."""
-
-    def __init__(self):
-        self._queue: list[tuple[str, str]] = []
-
-    def push(self, recipient: str, text: str) -> None:
-        self._queue.append((recipient, text))
-
-    def pop_for(self, recipient: str) -> list[str]:
-        mine = [text for who, text in self._queue if who == recipient]
-        self._queue = [(who, text) for who, text in self._queue if who != recipient]
-        return mine
-
-
 def deliver_notifications(gm: GameMaster, player: str) -> int:
     """Hand every notification queued for one player in ``gm.phones`` over
     as observations; returns how many."""
-    texts = gm.phones.hub.pop_for(player)
+    texts = gm.phones.pending.pop(player, [])
     for text in texts:
         gm.emit_observation(player, text)
     return len(texts)
 
 
-@dataclass
-class AppContext:
-    """What an app handler may touch while executing one invocation."""
-
-    owner: str
-    hub: NotificationHub
-
-
 class PhoneApp:
     """Base class: ``name``, ``description`` and ``actions`` describe the app
-    once; each declared action is handled by a ``do_<action>`` method."""
+    once; each declared action is handled by a method
+    ``do_<action>(owner, universe, **params)``."""
 
     name = ""
     description = ""
     actions: tuple[AppActionDescriptor, ...] = ()
 
-    def invoke(self, action: str, ctx: AppContext, args: dict) -> str:
+    def invoke(self, action: str, owner: str, universe: PhoneUniverse, args: dict) -> str:
         handler = getattr(self, f"do_{action}", None)
         if handler is None:
             raise ConfigError(f"app {self.name!r} has no action {action!r}")
-        return handler(ctx, **args)
+        return handler(owner, universe, **args)
 
 
 @dataclass(frozen=True)
@@ -152,18 +132,17 @@ class CalendarApp(PhoneApp):
         self.name = name
         self.meetings: list[Meeting] = []
 
-    def do_add_meeting(self, ctx: AppContext, title: str, participant: str, when: datetime) -> str:
-        meeting = Meeting(when=when, participants=tuple(sorted({ctx.owner, participant})), title=title)
+    def do_add_meeting(
+        self, owner: str, universe: PhoneUniverse, title: str, participant: str, when: datetime
+    ) -> str:
+        meeting = Meeting(when=when, participants=tuple(sorted({owner, participant})), title=title)
         self.meetings.append(meeting)
         when_text = format_time(meeting.when)
-        if participant != ctx.owner:
-            ctx.hub.push(
-                participant,
-                f"New meeting '{title}' with {ctx.owner} at {when_text}.",
-            )
+        if participant != owner:
+            universe.notify(participant, f"New meeting '{title}' with {owner} at {when_text}.")
         return f"Added meeting '{title}' with {participant} at {when_text}."
 
-    def do_check_calendar(self, ctx: AppContext) -> str:
+    def do_check_calendar(self, owner: str, universe: PhoneUniverse) -> str:
         if not self.meetings:
             return "The calendar is empty."
         lines = [
@@ -172,7 +151,7 @@ class CalendarApp(PhoneApp):
         ]
         return "Meetings: " + "; ".join(lines)
 
-    def do_remove_meeting(self, ctx: AppContext, title: str) -> str:
+    def do_remove_meeting(self, owner: str, universe: PhoneUniverse, title: str) -> str:
         kept = [m for m in self.meetings if m.title != title]
         removed = len(self.meetings) - len(kept)
         self.meetings = kept
@@ -205,60 +184,46 @@ def parse_param_value(raw: str, kind: str, now: datetime):
         if not raw:
             raise ValueError("empty text value")
         return raw
-    if kind == "datetime":
-        iso = _ISO_RE.search(raw)
-        if iso is not None:
-            return parse_time(iso.group(0))
-        relative = _RELATIVE_RE.search(raw)
-        if relative is not None:
-            word, hh, mm = relative.groups()
-            hour, minute = int(hh), int(mm)
-            if hour > 23 or minute > 59:
-                raise ValueError(f"impossible time of day in {raw!r}")
-            day = now.date()
-            if word.lower() == "tomorrow":
-                day = day + timedelta(days=1)
-            return datetime(day.year, day.month, day.day, hour, minute)
-        raise ValueError(f"no datetime in {raw!r}")
-    raise ValueError(f"unknown parameter kind {kind!r}")
+    # The one other kind is "datetime": ParamDescriptor admits no third.
+    iso = _ISO_RE.search(raw)
+    if iso is not None:
+        return parse_time(iso.group(0))
+    relative = _RELATIVE_RE.search(raw)
+    if relative is not None:
+        word, hh, mm = relative.groups()
+        hour, minute = int(hh), int(mm)
+        if hour > 23 or minute > 59:
+            raise ValueError(f"impossible time of day in {raw!r}")
+        day = now.date()
+        if word.lower() == "tomorrow":
+            day = day + timedelta(days=1)
+        return datetime(day.year, day.month, day.day, hour, minute)
+    raise ValueError(f"no datetime in {raw!r}")
 
 
 class PhoneUniverse:
-    """Registry of apps and phones, plus the shared notification hub.
+    """A phone game's phones, their pending notifications and its scene settings.
 
-    ``phones`` maps each owner to the apps on their phone, in install order.
+    ``phones`` maps each owner to the apps on their phone, in install order;
+    an app on two phones is one object.  ``pending`` maps each recipient to
+    the texts queued for their next pre-act phase, in push order.
     """
 
     def __init__(
         self,
-        apps: list[PhoneApp] | None = None,
-        scene_minutes: int = 30,
+        phones: dict[str, list[PhoneApp]] | None = None,
+        minutes: int = 30,
         max_actions: int = 5,
         child_step_minutes: int = 1,
     ):
-        self.apps: dict[str, PhoneApp] = {}
-        for app in apps or []:
-            self.register_app(app)
-        self.phones: dict[str, list[PhoneApp]] = {}
-        self.hub = NotificationHub()
-        self.scene_minutes = scene_minutes
+        self.phones = phones or {}
+        self.pending: dict[str, list[str]] = {}
+        self.minutes = minutes
         self.max_actions = max_actions
         self.child_step_minutes = child_step_minutes
 
-    def register_app(self, app: PhoneApp) -> None:
-        if app.name in self.apps:
-            raise ConfigError(f"duplicate app name {app.name!r}")
-        self.apps[app.name] = app
-
-    def give_phone(self, owner: str, app_names: list[str]) -> None:
-        if owner in self.phones:
-            raise ConfigError(f"{owner!r} already has a phone")
-        apps = []
-        for name in app_names:
-            if name not in self.apps:
-                raise ConfigError(f"unknown app {name!r}")
-            apps.append(self.apps[name])
-        self.phones[owner] = apps
+    def notify(self, recipient: str, text: str) -> None:
+        self.pending.setdefault(recipient, []).append(text)
 
 
 def translate_action(
@@ -310,33 +275,12 @@ def translate_action(
         except ValueError:
             log(f"parameter {param.name!r} never parsed; invocation skipped")
             return None
-    return app.invoke(action.name, AppContext(owner=owner, hub=universe.hub), args)
+    return app.invoke(action.name, owner, universe, args)
 
 
 DETECT_PHONE_QUESTION = (
     "Does this event involve someone using a phone, an app, or another digital device?"
 )
-
-
-def _detect_ask(event_text: str) -> tuple[str, str]:
-    return f"Event: {event_text}\n{DETECT_PHONE_QUESTION}", "phone:detect"
-
-
-def detect_phone_event(
-    event_text: str, model: GenerativeModel, note: Callable[[str], None] | None = None, first: str | None = None
-) -> bool:
-    """One yes/no model call, unless ``first`` is its answer, already asked;
-    repair re-asks go to ``model``.  Anything unusable counts as no."""
-    if not event_text.strip():
-        return False
-    prompt, caller = _detect_ask(event_text)
-    try:
-        _, answer = model.sample_choice(prompt, ("yes", "no"), caller=caller, first=first)
-    except NoMatchingOption:
-        if note is not None:
-            note("phone detection answer unusable; assuming no")
-        return False
-    return answer == "yes"
 
 
 def run_phone_scene(parent_gm: GameMaster, owner_name: str, trigger: str = "") -> None:
@@ -387,26 +331,33 @@ def run_phone_scene(parent_gm: GameMaster, owner_name: str, trigger: str = "") -
             clock.advance()
         note("step cap reached")
 
-    spawn_nested_game(parent_gm, play, universe.scene_minutes, label=f"phone: {owner_name}")
+    spawn_nested_game(parent_gm, play, universe.minutes, label=f"phone: {owner_name}")
 
 
 class SceneTrigger(GMComponent):
     """Watches every resolved event and spins up phone scenes when one fits.
 
-    Whether the event involves a phone is its post-event ask; its answer
-    hook makes any repair re-asks, the notes and the scene, played on the
-    actor's phone in ``gm.phones``.  An actor without one, as every actor
-    in a game without phones is, gets only a note.
+    Whether the event involves a phone is its post-event yes/no ask; its
+    answer hook makes any repair re-asks, the notes and the scene, played on
+    the actor's phone in ``gm.phones``.  An answer that stays unusable
+    counts as no.  An actor without a phone, as every actor in a game
+    without phones is, gets only a note.
     """
 
     def __init__(self, name: str = "phone scene trigger"):
         super().__init__(name)
 
     def query_after_event(self, gm: GameMaster, event: EventStatement) -> tuple[str, str]:
-        return _detect_ask(event.text)
+        return f"Event: {event.text}\n{DETECT_PHONE_QUESTION}", "phone:detect"
 
     def answer_after_event(self, gm: GameMaster, event: EventStatement, answer: str) -> None:
-        if not detect_phone_event(event.text, gm.model, note=gm.audit_note, first=answer):
+        prompt, caller = self.query_after_event(gm, event)
+        try:
+            _, answer = gm.model.sample_choice(prompt, ("yes", "no"), caller=caller, first=answer)
+        except NoMatchingOption:
+            gm.audit_note("phone detection answer unusable; assuming no")
+            return
+        if answer != "yes":
             return
         actor = event.cause.actor
         if gm.phones is None or actor not in gm.phones.phones:

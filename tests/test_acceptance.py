@@ -233,9 +233,7 @@ def test_criterion_5_nested_scenes_round_trip():
     alice = fresh_agent("Alice")
     bob = fresh_agent("Bob")
     alice.model = model
-    universe = PhoneUniverse(scene_minutes=30, max_actions=3, child_step_minutes=1)
-    universe.register_app(CalendarApp())
-    universe.give_phone("Alice", ["calendar"])
+    universe = PhoneUniverse(phones={"Alice": [CalendarApp()]}, minutes=30, max_actions=3, child_step_minutes=1)
     gm = GameMaster(
         model=model,
         players=[alice, bob],
@@ -277,7 +275,7 @@ def test_criterion_6_calendar_end_to_end():
     built = build(load_config(SCENARIOS / "calendar.json"))
     outcome = run_built_scenario(built)
     elapsed = time.monotonic() - started
-    meetings = built.gm.phones.apps["calendar"].meetings
+    meetings = built.gm.phones.phones["Alice"][0].meetings
     assert len(meetings) == 1
     assert set(meetings[0].participants) == {"Alice", "Bob"}
     notifications = [

@@ -283,7 +283,7 @@ def test_build_scene_trigger_and_universe(tmp_path):
     raw["gm"]["components"].append({"type": "scene_trigger"})
     built = build(config_from_dict(raw, tmp_path))
     assert built.gm.phones is not None
-    assert built.gm.phones.scene_minutes == 10
+    assert built.gm.phones.minutes == 10
     assert built.gm.phones.max_actions == 2
     assert "Alice" in built.gm.phones.phones
     assert any(isinstance(c, SceneTrigger) for c in built.gm.components)
@@ -480,6 +480,12 @@ REJECTED_EDITS = [
     ("inventory quantity", _endowment("Alice", lamp="abc"), "gm.components[0].endowments.Alice.lamp"),
     ("negative quantity", _endowment("Bob", coin=-2), "gm.components[0].endowments.Bob.coin"),
     ("nan quantity", _endowment("Bob", coin="nan"), "gm.components[0].endowments.Bob.coin"),
+    # Two such endowments used to sum past Decimal's precision and lose cents.
+    (
+        "oversized quantity",
+        _endowment("Alice", coin="99900000000000000000000000.01"),
+        "gm.components[0].endowments.Alice.coin",
+    ),
     ("inventory items string", _gm_component(0, items="coin"), "gm.components[0].items"),
     ("unknown gm component field", _gm_component(1, where="x"), "gm.components[1].where"),
     # Two components of one list may not declare the same name.
@@ -543,6 +549,27 @@ REJECTED_EDITS = [
         "unknown question field",
         _top(questionnaires=[{"name": "exit", "questions": [{"call_to_action": "Why?", "kind": "free"}]}]),
         "questionnaires[0].questions[0].kind",
+    ),
+    # A blank option used to pass validation, then end `gabm run` with a raw ValueError.
+    (
+        "blank choice option",
+        _top(action_spec={"call_to_action": "Go, {name}.", "output_kind": "choice", "options": ["", "wave"]}),
+        "action_spec.options",
+    ),
+    (
+        "blank question option",
+        _top(
+            questionnaires=[
+                {
+                    "name": "exit",
+                    "questions": [
+                        {"call_to_action": "Why?"},
+                        {"call_to_action": "Which?", "output_kind": "choice", "options": ["yes", " "]},
+                    ],
+                }
+            ]
+        ),
+        "questionnaires[0].questions[1].options",
     ),
 ]
 
@@ -632,12 +659,21 @@ def test_minimal_config_of_each_kind_runs_to_max_steps(tmp_path, kind):
     assert outcome.records_written == 2
 
 
+def test_an_app_on_two_phones_is_built_once(tmp_path):
+    raw = valid_raw()
+    raw["apps"] = [{"kind": "calendar"}]
+    raw["phones"] = {"Alice": ["calendar"], "Bob": ["calendar"]}
+    built = build(config_from_dict(raw, tmp_path))
+    phones = built.gm.phones.phones
+    assert phones["Alice"][0] is phones["Bob"][0]
+
+
 def test_null_scene_builds_a_universe_with_default_scene_settings(tmp_path):
     raw = valid_raw()
     raw["apps"] = [{"kind": "calendar"}]
     raw["scene"] = None
     built = build(config_from_dict(raw, tmp_path))
-    assert built.gm.phones.scene_minutes == PhoneUniverse().scene_minutes
+    assert built.gm.phones.minutes == PhoneUniverse().minutes
 
 
 def _positions(node, path=()):

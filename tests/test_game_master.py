@@ -24,7 +24,7 @@ from gabm.grounding import InventoryComponent
 from gabm.kernel import ActionSpec, ClockMode, GameClock, OutputKind
 from gabm.model import ScriptedModel, ScriptRule
 from gabm.memory import MemoryBank
-from gabm.phone import DETECT_PHONE_QUESTION, CalendarApp, NotificationHub, PhoneUniverse, SceneTrigger
+from gabm.phone import DETECT_PHONE_QUESTION, CalendarApp, PhoneUniverse, SceneTrigger
 from gabm.trace import replay, run_built_scenario
 
 from conftest import memory_texts
@@ -572,8 +572,7 @@ class BatchModel(ScriptedModel):
 def run_batch_turn(model):
     """One turn by Alice, who buys beans on her phone; returns its record."""
     model.sample_text("warm up")
-    universe = PhoneUniverse(apps=[CalendarApp()])
-    universe.give_phone("Alice", ["calendar"])
+    universe = PhoneUniverse(phones={"Alice": [CalendarApp()]})
     inventory = InventoryComponent({"Alice": {"coin": 5}, "Bob": {"beans": 2}})
     gm = make_gm(
         players=[GenerativeAgent("Alice", model)],
@@ -777,7 +776,7 @@ ENGINE_STATE = [
     (GameMaster, "emit_observation"),
     (GameMaster, "audit_note"),
     (GameMaster, "veto"),
-    (NotificationHub, "push"),
+    (PhoneUniverse, "notify"),
 ]
 
 
@@ -796,8 +795,7 @@ def test_engine_state_stays_on_the_calling_thread(monkeypatch):
     model = BatchModel(delay_ms=2)
     model.rules[:0] = MEETING_RULES
     model.sample_text("warm up")
-    universe = PhoneUniverse(apps=[CalendarApp()])
-    universe.give_phone("Alice", ["calendar"])
+    universe = PhoneUniverse(phones={"Alice": [CalendarApp()]})
     # Alice cannot pay for the beans, so the trade check vetoes.
     inventory = InventoryComponent({"Alice": {"coin": 1}, "Bob": {"beans": 2}})
     alice = GenerativeAgent("Alice", model, components=three_questions_components())

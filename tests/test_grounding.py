@@ -11,6 +11,8 @@ from gabm.agent import GenerativeAgent
 from gabm.errors import ConfigError
 from gabm.game_master import GameMaster, Questionnaire, administer_questionnaire
 from gabm.grounding import (
+    CENT,
+    MAX_QUANTITY,
     InventoryComponent,
     InventoryState,
     LocationComponent,
@@ -46,6 +48,10 @@ def test_quantities_are_two_decimal_fixed_point():
         as_quantity("-1")
     with pytest.raises(ConfigError):
         as_quantity("eleven")
+    assert as_quantity(MAX_QUANTITY - CENT) == Decimal("999999999999999.99")
+    for oversized in (MAX_QUANTITY, "99900000000000000000000000.01"):
+        with pytest.raises(ConfigError):
+            as_quantity(oversized)
 
 
 def test_inventory_universe_and_zero_fill():
@@ -118,15 +124,17 @@ def test_trade_line_grammar():
         "TRADE Bob Alice beans 2\n"
         "TRADE Zed Alice beans 1 1\n"
         "TRADE Bob Alice unicorn 1 1\n"
-        "TRADE Bob Alice beans 0 1"
+        "TRADE Bob Alice beans 0 1\n"
+        "TRADE Bob Alice beans 1 99900000000000000000000000.01"
     )
     trades, warnings = parse_trade_from_event(inventory, answer)
     assert trades == [
         Trade(buyer="Bob", seller="Alice", item="beans", qty=Decimal("2.00"), price=Decimal("1.50"))
     ]
-    assert len(warnings) == 5
+    assert len(warnings) == 6
     kinds = "\n".join(warnings)
-    assert "non-numeric quantity" in kinds
+    assert "unusable quantity in trade line: 'trade bob alice beans two 1'" in kinds
+    assert "unusable quantity in trade line: 'TRADE Bob Alice beans 1 99900000000000000000000000.01'" in kinds
     assert "unparseable trade line" in kinds
     assert "unknown trader" in kinds
     assert "unknown item" in kinds
@@ -252,6 +260,25 @@ def test_settle_refuses_when_post_event_balance_is_short():
     assert inventory.inventory.get("Alice", "coin") == Decimal("2.00")
     assert record.observations[0].text == "Your action was invalid: insufficient coin."
     assert any("trade refused" in note for note in record.notes)
+
+
+def test_settlement_at_the_largest_quantities_conserves_coin_exactly():
+    # Both purses at the bound: their sum must not round to Decimal's 28 digits.
+    top = MAX_QUANTITY - CENT
+    both = Decimal("1999999999999999.98")
+    gm, inventory, _ = trade_gm(
+        endowments={"Alice": {"coin": top, "beans": 1}, "Bob": {"coin": top}},
+        rules=[],
+    )
+    assert inventory.inventory.total("coin") == both
+    record = gm.begin_record("turn", 0, "Bob")
+    trade = Trade(buyer="Bob", seller="Alice", item="beans", qty=Decimal("1"), price=top)
+    outcome = inventory.settle(gm, "Bob", trade)
+    gm.finish_record(record)
+    assert outcome.ok
+    assert inventory.inventory.get("Alice", "coin") == both
+    assert inventory.inventory.get("Bob", "coin") == Decimal("0.00")
+    assert inventory.inventory.total("coin") == both
 
 
 def test_inventory_states_render_holdings():

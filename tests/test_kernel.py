@@ -91,6 +91,13 @@ def test_action_spec_choice_needs_two_distinct_options():
         ActionSpec("pick", OutputKind.CHOICE, options=("only",))
     with pytest.raises(ValueError):
         ActionSpec("pick", OutputKind.CHOICE, options=("dup", "dup"))
+    # parse_choice matches stripped and casefolded, so the second could never be chosen.
+    with pytest.raises(ValueError, match="distinct"):
+        ActionSpec("pick", OutputKind.CHOICE, options=("Yes", " yes"))
+    with pytest.raises(ValueError, match="blank"):
+        ActionSpec("pick", OutputKind.CHOICE, options=("", "wave"))
+    with pytest.raises(ValueError, match="blank"):
+        ActionSpec("pick", OutputKind.CHOICE, options=("  ", "wave"))
     spec = ActionSpec("pick", OutputKind.CHOICE, options=("yes", "no"))
     assert spec.options == ("yes", "no")
 

@@ -154,8 +154,7 @@ def test_bench_repair_pattern_matches_every_re_ask(calls):
     agent = GenerativeAgent("Ada", model)
     with pytest.raises(InvalidModelOutput):
         agent.act(ActionSpec("Pick a number, {name}.", OutputKind.FLOAT), T0)
-    universe = PhoneUniverse(apps=[CalendarApp()])
-    universe.give_phone("Ada", ["calendar"])
+    universe = PhoneUniverse(phones={"Ada": [CalendarApp()]})
     assert translate_action(universe, "Ada", "plan lunch", model, now=T0) is None
     asks: dict[str, list[str]] = {}
     for call in calls:

@@ -11,13 +11,11 @@ from gabm.kernel import GameClock
 from gabm.model import _CHOICE_REPAIR, ScriptedModel, ScriptRule
 from gabm.phone import (
     AppActionDescriptor,
-    AppContext,
     CalendarApp,
-    NotificationHub,
     ParamDescriptor,
     PhoneUniverse,
+    SceneTrigger,
     deliver_notifications,
-    detect_phone_event,
     parse_param_value,
     render_app_catalog,
     run_phone_scene,
@@ -75,59 +73,55 @@ def test_parse_param_value_rejects_unusable(raw, kind):
         parse_param_value(raw, kind, now=T0)
 
 
-def test_parse_param_value_unknown_kind():
-    with pytest.raises(ValueError):
-        parse_param_value("x", "blob", now=T0)
-
-
 def test_calendar_add_check_remove_and_notification():
     app = CalendarApp()
-    hub = NotificationHub()
-    ctx = AppContext(owner="Alice", hub=hub)
-    reply = app.do_add_meeting(ctx, title="sync", participant="Bob", when=datetime(2024, 5, 2, 10, 0))
+    universe = PhoneUniverse()
+    reply = app.do_add_meeting("Alice", universe, title="sync", participant="Bob", when=datetime(2024, 5, 2, 10, 0))
     assert reply == "Added meeting 'sync' with Bob at 2024-05-02T10:00."
-    assert hub.pop_for("Alice") == []
-    assert hub.pop_for("Bob") == ["New meeting 'sync' with Alice at 2024-05-02T10:00."]
-    assert hub.pop_for("Bob") == []
-    assert app.do_check_calendar(ctx) == "Meetings: 2024-05-02T10:00: 'sync' with Alice, Bob"
-    assert app.do_remove_meeting(ctx, title="sync") == "Removed 1 meeting(s) titled 'sync'."
-    assert app.do_check_calendar(ctx) == "The calendar is empty."
-    assert app.do_remove_meeting(ctx, title="sync") == "No meeting titled 'sync' found."
+    assert universe.pending == {"Bob": ["New meeting 'sync' with Alice at 2024-05-02T10:00."]}
+    assert app.do_check_calendar("Alice", universe) == "Meetings: 2024-05-02T10:00: 'sync' with Alice, Bob"
+    assert app.do_remove_meeting("Alice", universe, title="sync") == "Removed 1 meeting(s) titled 'sync'."
+    assert app.do_check_calendar("Alice", universe) == "The calendar is empty."
+    assert app.do_remove_meeting("Alice", universe, title="sync") == "No meeting titled 'sync' found."
 
 
 def test_self_meeting_queues_no_notification():
     app = CalendarApp()
-    hub = NotificationHub()
-    ctx = AppContext(owner="Alice", hub=hub)
-    app.do_add_meeting(ctx, title="me time", participant="Alice", when=T0)
-    assert hub.pop_for("Alice") == []
+    universe = PhoneUniverse()
+    app.do_add_meeting("Alice", universe, title="me time", participant="Alice", when=T0)
+    assert universe.pending == {}
     assert app.meetings[0].participants == ("Alice",)
 
 
 def test_invoke_dispatches_by_name_and_rejects_unknown():
     app = CalendarApp()
-    ctx = AppContext(owner="Alice", hub=NotificationHub())
-    assert app.invoke("check_calendar", ctx, {}) == "The calendar is empty."
+    assert app.invoke("check_calendar", "Alice", PhoneUniverse(), {}) == "The calendar is empty."
     with pytest.raises(ConfigError):
-        app.invoke("explode", ctx, {})
+        app.invoke("explode", "Alice", PhoneUniverse(), {})
 
 
-def test_hub_delivers_each_notification_exactly_once():
-    hub = NotificationHub()
-    hub.push("Bob", "first")
-    hub.push("Alice", "hers")
-    hub.push("Bob", "second")
-    assert hub.pop_for("Bob") == ["first", "second"]
-    assert hub.pop_for("Bob") == []
-    assert hub.pop_for("Alice") == ["hers"]
-    assert hub.pop_for("Alice") == []
+def test_notify_delivers_each_notification_exactly_once_in_push_order():
+    model = ScriptedModel()
+    alice = GenerativeAgent("Alice", model)
+    bob = GenerativeAgent("Bob", model)
+    gm = GameMaster(model=model, players=[alice, bob], clock=GameClock(T0), phones=PhoneUniverse())
+    gm.phones.notify("Bob", "first")
+    gm.phones.notify("Alice", "hers")
+    gm.phones.notify("Bob", "second")
+    assert deliver_notifications(gm, "Bob") == 2
+    assert deliver_notifications(gm, "Bob") == 0
+    assert deliver_notifications(gm, "Alice") == 1
+    assert deliver_notifications(gm, "Alice") == 0
+    assert memory_texts(bob.memory) == ["first", "second"]
+    assert memory_texts(alice.memory) == ["hers"]
+    assert gm.phones.pending == {}
 
 
 def test_deliver_notifications_lands_as_observations():
     model = ScriptedModel()
     bob = GenerativeAgent("Bob", model)
     gm = GameMaster(model=model, players=[bob], clock=GameClock(T0), phones=PhoneUniverse())
-    gm.phones.hub.push("Bob", "your package arrived")
+    gm.phones.notify("Bob", "your package arrived")
     count = deliver_notifications(gm, "Bob")
     assert count == 1
     assert memory_texts(bob.memory) == ["your package arrived"]
@@ -140,7 +134,7 @@ def test_notifications_arrive_at_next_pre_act_only_for_recipient():
     bob = GenerativeAgent("Bob", model)
     universe = PhoneUniverse()
     gm = GameMaster(model=model, players=[alice, bob], clock=GameClock(T0), phones=universe)
-    universe.hub.push("Bob", "ping")
+    universe.notify("Bob", "ping")
     gm.pre_act_observe(alice)
     assert memory_texts(alice.memory) == []
     assert memory_texts(bob.memory) == []
@@ -150,21 +144,8 @@ def test_notifications_arrive_at_next_pre_act_only_for_recipient():
     assert memory_texts(bob.memory) == ["ping"]  # delivered exactly once
 
 
-def universe_with_phone(owner="Alice") -> PhoneUniverse:
-    universe = PhoneUniverse(apps=[CalendarApp()])
-    universe.give_phone(owner, ["calendar"])
-    return universe
-
-
-def test_universe_registration_rules():
-    universe = universe_with_phone()
-    with pytest.raises(ConfigError):
-        universe.register_app(CalendarApp())
-    with pytest.raises(ConfigError):
-        universe.give_phone("Alice", ["calendar"])
-    with pytest.raises(ConfigError):
-        universe.give_phone("Bob", ["spreadsheet"])
-    assert "Nobody" not in universe.phones
+def universe_with_phone(owner="Alice", **scene) -> PhoneUniverse:
+    return PhoneUniverse(phones={owner: [CalendarApp()]}, **scene)
 
 
 def test_translate_action_happy_path(calls):
@@ -179,7 +160,7 @@ def test_translate_action_happy_path(calls):
     )
     result = translate_action(universe, "Alice", "set up lunch with Bob", model, now=T0)
     assert result == "Added meeting 'lunch' with Bob at 2024-05-02T12:30."
-    (meeting,) = universe.apps["calendar"].meetings
+    (meeting,) = universe.phones["Alice"][0].meetings
     assert (meeting.title, meeting.participants, meeting.when) == (
         "lunch",
         ("Alice", "Bob"),
@@ -194,7 +175,7 @@ def test_translate_action_happy_path(calls):
     choose_prompt = calls[0].prompt
     assert "Alice wants to: set up lunch with Bob" in choose_prompt
     assert "Apps installed on Alice's phone:" in choose_prompt
-    assert universe.hub.pop_for("Bob") == ["New meeting 'lunch' with Alice at 2024-05-02T12:30."]
+    assert universe.pending == {"Bob": ["New meeting 'lunch' with Alice at 2024-05-02T12:30."]}
 
 
 def test_translate_action_no_matching_app(calls):
@@ -241,21 +222,10 @@ def test_translate_action_param_exhaustion_skips():
 
 
 def test_translate_action_empty_phone():
-    universe = PhoneUniverse()
-    universe.give_phone("Alice", [])
+    universe = PhoneUniverse(phones={"Alice": []})
     notes: list[str] = []
     assert translate_action(universe, "Alice", "anything", ScriptedModel(), now=T0, note=notes.append) is None
     assert notes == ["no suitable app (phone has no apps)"]
-
-
-def test_detect_phone_event_paths():
-    assert detect_phone_event("", ScriptedModel()) is False
-    yes_model = ScriptedModel(rules=[ScriptRule(contains="digital device", response="yes")])
-    assert detect_phone_event("Alice checked her phone.", yes_model) is True
-    notes: list[str] = []
-    garbage = ScriptedModel(default_response="banana")
-    assert detect_phone_event("something", garbage, note=notes.append) is False
-    assert notes == ["phone detection answer unusable; assuming no"]
 
 
 def run_scene(model: ScriptedModel, universe: PhoneUniverse | None = None, trigger: str = ""):
@@ -278,8 +248,7 @@ def test_phone_scene_done_immediately_means_zero_invocations():
     assert [c.caller for c in record.model_calls] == ["phone:scene:done"]
     assert record.notes == ["scene start: phone: Alice", "scene end: phone: Alice"]
     assert memory_texts(alice.memory) == []
-    app = universe.apps["calendar"]
-    assert app.meetings == []
+    assert universe.phones["Alice"][0].meetings == []
 
 
 def test_phone_scene_single_action_then_done():
@@ -364,8 +333,7 @@ def test_run_phone_scene_brackets_and_charges_parent_clock():
         ],
         default_response="waits",
     )
-    universe = PhoneUniverse(apps=[CalendarApp()], scene_minutes=20)
-    universe.give_phone("Alice", ["calendar"])
+    universe = universe_with_phone("Alice", minutes=20)
     _, alice, gm, record = run_scene(model, universe, trigger="Alice pulled out her phone.")
     assert record.notes[0] == "scene start: phone: Alice"
     assert record.notes[-1] == "scene end: phone: Alice"
@@ -389,10 +357,7 @@ def test_scene_trigger_fires_only_for_phone_events_by_phone_owners():
         ],
         default_response="pass",
     )
-    from gabm.phone import SceneTrigger
-
-    universe = PhoneUniverse(apps=[CalendarApp()], scene_minutes=15)
-    universe.give_phone("Alice", ["calendar"])
+    universe = universe_with_phone("Alice", minutes=15)
     alice = GenerativeAgent("Alice", model)
     bob = GenerativeAgent("Bob", model)
     gm = GameMaster(
@@ -429,8 +394,6 @@ UNPARSED_WHEN = [
     ids=["step-cap", "unparsed-parameter"],
 )
 def test_phone_scene_notes_reach_the_turn_record(rules, note):
-    from gabm.phone import SceneTrigger
-
     model = ScriptedModel(
         rules=[
             ScriptRule(contains="digital device", response="yes"),
@@ -440,8 +403,7 @@ def test_phone_scene_notes_reach_the_turn_record(rules, note):
         ],
         default_response="whenever works",  # never a datetime
     )
-    universe = PhoneUniverse(apps=[CalendarApp()], max_actions=2)
-    universe.give_phone("Alice", ["calendar"])
+    universe = universe_with_phone("Alice", max_actions=2)
     gm = GameMaster(
         model=model,
         players=[GenerativeAgent("Alice", model)],
@@ -457,8 +419,6 @@ def test_phone_scene_notes_reach_the_turn_record(rules, note):
 
 
 def test_scene_trigger_repairs_an_unusable_detect_answer_as_it_is_applied():
-    from gabm.phone import SceneTrigger
-
     model = ScriptedModel(
         rules=[
             ScriptRule(contains=_CHOICE_REPAIR, response="yes"),
@@ -491,10 +451,8 @@ def test_scene_trigger_skips_actor_without_phone():
         ],
         default_response="taps at the screen",
     )
-    from gabm.phone import SceneTrigger
-
     # Bob has no phone in a game with phones, nor in one without.
-    for phones in (PhoneUniverse(apps=[CalendarApp()]), None):
+    for phones in (universe_with_phone("Alice"), None):
         gm = GameMaster(
             model=model,
             players=[GenerativeAgent("Bob", model)],
@@ -510,11 +468,42 @@ def test_scene_trigger_skips_actor_without_phone():
 
 def test_app_state_is_shared_across_scenes_and_phones():
     app = CalendarApp()
-    universe = PhoneUniverse(apps=[app])
-    universe.give_phone("Alice", ["calendar"])
-    universe.give_phone("Bob", ["calendar"])
-    ctx = AppContext(owner="Alice", hub=universe.hub)
-    app.do_add_meeting(ctx, title="sync", participant="Bob", when=T0)
-    assert universe.phones["Bob"][0] is app
-    bob_ctx = AppContext(owner="Bob", hub=universe.hub)
-    assert "sync" in app.do_check_calendar(bob_ctx)
+    universe = PhoneUniverse(phones={"Alice": [app], "Bob": [app]})
+    app.invoke("add_meeting", "Alice", universe, {"title": "sync", "participant": "Bob", "when": T0})
+    assert "sync" in universe.phones["Bob"][0].invoke("check_calendar", "Bob", universe, {})
+    assert universe.pending == {"Bob": ["New meeting 'sync' with Alice at 2024-05-01T09:00."]}
+
+
+def scene_trigger_turn(detect_answer: str):
+    """One turn by Alice with her phone, whose event is her opening it;
+    the phone-detection ask is answered ``detect_answer``."""
+    model = ScriptedModel(
+        rules=[
+            ScriptRule(contains="digital device", response=detect_answer),
+            ScriptRule(contains="What event results", response="Alice opened her phone."),
+            ScriptRule(contains="finished using the phone?", response="yes"),
+        ],
+        default_response="taps at the screen",
+    )
+    gm = GameMaster(
+        model=model,
+        players=[GenerativeAgent("Alice", model)],
+        clock=GameClock(T0),
+        components=[SceneTrigger()],
+        phones=universe_with_phone("Alice"),
+    )
+    (record,) = gm.run_episode(max_steps=1).trace
+    return record
+
+
+def test_scene_trigger_detection_paths():
+    played = scene_trigger_turn("yes")
+    assert played.notes == ["scene start: phone: Alice", "scene end: phone: Alice"]
+    assert [c.prompt for c in played.model_calls if c.caller == "phone:detect"] == [
+        "Event: Alice opened her phone.\n"
+        "Does this event involve someone using a phone, an app, or another digital device?"
+    ]
+    assert scene_trigger_turn("no").notes == []
+    garbage = scene_trigger_turn("banana")
+    assert garbage.notes == ["phone detection answer unusable; assuming no"]
+    assert "phone:scene:done" not in [c.caller for c in garbage.model_calls]

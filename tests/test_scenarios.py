@@ -52,7 +52,7 @@ def test_calendar_meeting_and_notification():
     built = build(load_config(SCENARIOS / "calendar.json"))
     outcome = run_built_scenario(built)
     assert outcome.result.reason == "max-steps"
-    meetings = built.gm.phones.apps["calendar"].meetings
+    meetings = built.gm.phones.phones["Alice"][0].meetings
     assert len(meetings) == 1
     assert meetings[0].title == "garden sync"
     assert set(meetings[0].participants) == {"Alice", "Bob"}
