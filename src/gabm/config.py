@@ -9,26 +9,31 @@ MalformedField (a value has the wrong shape) with the offending path.
 Every config object has a field table, a dict of field name -> type, and
 one checker, ``_Validator._check_fields``, checks each object against its
 table; a key the table lacks is rejected, in every object.  Agent
-components, game-master components and apps are described once, in the
-registry tables ``AGENT_COMPONENTS``, ``GM_COMPONENTS`` and ``APPS``.  Each
-maps a kind string to a ``Kind``: the kind's constructor, its config fields
-with their types, and the names it declares; a field is required exactly
-when its parameter has no default.  The other objects (the top level,
-``clock``, ``model``, ``gm``, ``scene``, an agent, a profile, a
-questionnaire battery and an action spec) have their tables in
-``_CONFIG``; the rules across fields (the script file, ``reads``, age
-against ``clock.start``, agent, app and phone names, an action spec's
-options) run once the fields they read are checked.  ``build`` passes each
-constructor only the fields the config sets, so every field ``build``
-reads is checked first and each default lives in one place, the
-constructor's signature.  Adding a kind is one entry.
+components, game-master components and apps are registry-kind objects,
+described once in the tables ``AGENT_COMPONENTS``, ``GM_COMPONENTS`` and
+``APPS``.  Each maps a kind string to a ``Kind``: the kind's constructor,
+its config fields with their types, and the names it declares; a field is
+required exactly when its parameter has no default.  A list of them, a
+``_Kinds``, keeps the names its objects declare, rejects a name declared
+twice, and resolves its objects' ``reads`` against those names.  The other
+objects (the top level, ``clock``, ``model``, ``gm``, ``scene``, an agent,
+a profile, a questionnaire battery and an action spec) have their tables in
+``_CONFIG``; the rules across fields (the script file, age against
+``clock.start``, an action spec's options) run once the fields they read
+are checked.  A map keyed by agent, such as ``phones``, names only agents
+of the ``agents`` list, and a phone only apps the ``apps`` list declares;
+both lists are checked before them.
+``build`` passes each constructor only the fields the config sets, so
+every field ``build`` reads is checked first and each default lives in one
+place, the constructor's signature.  Adding a kind is one entry.
 
 A trace holds the config, so every string in a valid config, value or key,
 must be writable as UTF-8: a lone surrogate, which a JSON "\\ud800" escape
 decodes to, is a MalformedField at its path.  It is checked where each
-field's type is: by ``_Type`` for text and string lists, by ``_Map`` for
-free keys, and by the script and agent-name rules; every other string must
-match a name one of those checked, or a fixed value.
+field's type is: by ``_Type`` for text and string lists, an agent's name
+among them, by ``_Map`` for free keys, and by the script rule; every other
+string must match a name one of those checked, be a fixed value, or parse
+as a quantity, which no lone surrogate does.
 """
 
 from __future__ import annotations
@@ -140,12 +145,11 @@ def _check_writable(v: "_Validator", path: str, value: str | list) -> None:
             _check_writable(v, f"{path}[{i}]", item)
 
 
-def _is_quantity(value) -> bool:
+def _check_quantity(v: "_Validator", path: str, value, required: bool) -> None:
     try:
         as_quantity(value)
-    except ConfigError:
-        return False
-    return True
+    except ConfigError as exc:
+        v.malformed(path, str(exc))
 
 
 class _Type(NamedTuple):
@@ -217,28 +221,37 @@ class _List(NamedTuple):
 class _Kinds(NamedTuple):
     """A list of registry-kind objects, each checked against the kind its ``key`` names.
 
-    The names they declare collect in ``v.declared``, for an agent's reads;
-    a name an earlier object of the list declared is a duplicate.
+    The names they declare are kept in ``v.declared[path]``; a name an
+    earlier object of the list declared is a duplicate.  The ``reads`` its
+    objects collect are then resolved against those names.
     """
 
     key: str
     kinds: dict
+    noun: str = "component"
 
     def check(self, v: "_Validator", path: str, value, required: bool) -> None:
         if not isinstance(value, list):
             v.malformed(path, "must be a list")
             return
-        seen: set[str] = set()
+        v.reads = []
+        declared = v.declared[path] = []
         for i, obj in enumerate(value):
             kind = v._check_kind(f"{path}[{i}]", obj, self.key, self.kinds)
             if kind is None:
                 continue
             names = kind.declares(obj)
             for name in filter(_is_text, names):  # any other name is already reported
-                if name in seen:
-                    v.malformed(f"{path}[{i}]", f"duplicate component name {name!r}")
-                seen.add(name)
-            v.declared.extend(names)
+                if name in declared:
+                    v.malformed(f"{path}[{i}]", f"duplicate {self.noun} name {name!r}")
+            declared.extend(names)
+        for reads_path, reads in v.reads:
+            if not isinstance(reads, list):
+                v.malformed(reads_path, "must be a list")
+                continue
+            for read in reads:
+                if read not in declared:
+                    v.unresolved(reads_path, f"no {self.noun} named {read!r} in {path}")
 
 
 class _Rule(NamedTuple):
@@ -247,7 +260,7 @@ class _Rule(NamedTuple):
     check: Callable  # called as the other types' ``check`` methods are
 
 
-# Peer component names, resolved once all of the agent's components are declared.
+# Peer component names, resolved once every component of the list is declared.
 _READS = _Rule(lambda v, path, value, required: v.reads.append((path, value)))
 
 
@@ -319,7 +332,7 @@ AGENT_COMPONENTS = {
 GM_COMPONENTS = {
     "inventory": Kind(
         InventoryComponent,
-        endowments=_Map(_Map(_Type(_is_quantity, "must be a quantity")), by_agent=True),
+        endowments=_Map(_Map(_Rule(_check_quantity)), by_agent=True),
         items=_STRINGS,
         name=_TEXT,
     ),
@@ -388,11 +401,12 @@ def _check_age(v: "_Validator", path: str, profile: dict) -> None:
 
 
 def _check_agent_name(v: "_Validator", path: str, name, required: bool) -> None:
-    """A name no earlier agent has; ``_check_agent`` has checked that it is text."""
-    if name in v.agent_names:
-        v.malformed(path, f"duplicate agent name {name!r}")
-    _check_writable(v, path, name)
-    v.agent_names.add(name)
+    """A non-empty string no earlier agent has."""
+    _TEXT.check(v, path, name, required)
+    if _is_text(name):
+        if name in v.agent_names:
+            v.malformed(path, f"duplicate agent name {name!r}")
+        v.agent_names.add(name)
 
 
 _AGENT_FIELDS = {
@@ -403,52 +417,14 @@ _AGENT_FIELDS = {
 }
 
 
-def _check_agent(v: "_Validator", path: str, agent, required: bool) -> None:
-    """An agent's fields, then the reads of its components against the names they declare."""
-    name = agent.get("name") if isinstance(agent, dict) else None
-    if isinstance(agent, dict) and not _is_text(name):
-        _TEXT.check(v, f"{path}.name", name, True)  # and nothing else of a nameless agent
+def _check_installed(v: "_Validator", path: str, apps, required: bool) -> None:
+    """A phone's apps, each one the ``apps`` list declares."""
+    if not _is_string_list(apps):
+        v.malformed(path, "must be a list of app names")
         return
-    if not v._check_fields(path, agent, _AGENT_FIELDS):
-        return
-    for reads_path, reads in v.reads:
-        if not isinstance(reads, list):
-            v.malformed(reads_path, "must be a list")
-            continue
-        for read in reads:
-            if read not in v.declared:
-                v.unresolved(reads_path, f"agent {name!r} declares no component {read!r}")
-    v.reads, v.declared = [], []
-
-
-def _check_app(v: "_Validator", path: str, app, required: bool) -> None:
-    kind = v._check_kind(path, app, "kind", APPS)
-    if not isinstance(app, dict):
-        return
-    # An app of unknown kind is still named, by default after its kind.
-    name = kind.declares(app)[0] if kind else app.get("name", app.get("kind"))
-    if not _is_text(name):
-        if kind is None:
-            v.malformed(f"{path}.name", "must be a non-empty string")
-        return
-    if name in v.app_names:
-        v.malformed(f"{path}.name", f"duplicate app name {name!r}")
-    v.app_names.add(name)
-
-
-def _check_phones(v: "_Validator", path: str, phones, required: bool) -> None:
-    if not isinstance(phones, dict):
-        v.malformed(path, "must be an object of owner -> app names")
-        return
-    for owner, apps in phones.items():
-        if owner not in v.agent_names:
-            v.unresolved(f"{path}.{owner}", f"no agent named {owner!r}")
-        if not _is_string_list(apps):
-            v.malformed(f"{path}.{owner}", "must be a list of app names")
-            continue
-        for app in apps:
-            if app not in v.app_names:
-                v.unresolved(f"{path}.{owner}", f"no app named {app!r}")
+    for app in apps:
+        if app not in v.declared.get("apps", ()):
+            v.unresolved(path, f"no app named {app!r}")
 
 
 _SCENE = Kind(PhoneUniverse, minutes=_COUNT, max_actions=_POSITIVE, child_step_minutes=_COUNT)
@@ -480,10 +456,12 @@ _CONFIG = _Object(
         ),
         "script": _Rule(_check_script),
         "action_spec": _ACTION_SPEC._replace(nullable=True),
-        "agents": _List(_Rule(_check_agent), "required non-empty list", non_empty=True),
+        "agents": _List(
+            _Object(_AGENT_FIELDS, frozenset({"name"})), "required non-empty list", non_empty=True
+        ),
         "gm": _Object({"preamble": _TEXT, "components": _Kinds("type", GM_COMPONENTS)}),
-        "apps": _List(_Rule(_check_app)),
-        "phones": _Rule(_check_phones),
+        "apps": _Kinds("kind", APPS, "app"),
+        "phones": _Map(_Rule(_check_installed), by_agent=True),
         "scene": _Object(_SCENE.fields, nullable=True),
         "questionnaires": _List(
             _Object(
@@ -507,10 +485,10 @@ class _Validator:
         self.check_files = check_files
         self.issues: list[ConfigIssue] = []
         self.agent_names: set[str] = set()
-        self.app_names: set[str] = set()
-        # The reads fields and the declared component names of the agent being checked.
+        # The names each registry list declares, by the list's path, and the
+        # reads fields of the list being checked.
+        self.declared: dict[str, list] = {}
         self.reads: list[tuple[str, object]] = []
-        self.declared: list = []
         self.start: datetime | None = None  # clock.start, once it parses
 
     def malformed(self, path: str, message: str) -> None:
@@ -546,7 +524,7 @@ class _Validator:
         return True
 
     def _check_kind(self, path: str, obj, key: str, kinds: dict[str, Kind]) -> Kind | None:
-        """Check a component or app object against its registry entry."""
+        """Check a registry-kind object against its entry."""
         if not isinstance(obj, dict):
             self.malformed(path, "must be an object")
             return None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 
 class SimulationError(Exception):
     """Base class for every error raised by this package."""
@@ -32,28 +34,15 @@ class ConfigError(SimulationError):
     or a file the scenario names is missing or malformed."""
 
 
-class ConfigIssue:
+class ConfigIssue(NamedTuple):
     """One validation problem, locating the offending config field."""
 
-    __slots__ = ("kind", "path", "message")
-
-    def __init__(self, kind: str, path: str, message: str):
-        self.kind = kind
-        self.path = path
-        self.message = message
+    kind: str
+    path: str
+    message: str
 
     def __str__(self) -> str:
         return f"{self.kind} at {self.path}: {self.message}"
-
-    def __repr__(self) -> str:
-        return f"ConfigIssue({self.kind!r}, {self.path!r}, {self.message!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ConfigIssue)
-            and (self.kind, self.path, self.message)
-            == (other.kind, other.path, other.message)
-        )
 
 
 class ConfigValidationError(SimulationError):

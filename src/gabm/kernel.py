@@ -497,5 +497,5 @@ def parse_float_token(raw: str) -> Decimal:
         raise NotANumber(f"no number found in {raw!r}")
     try:
         return Decimal(match.group(0))
-    except InvalidOperation as exc:  # pragma: no cover - regex precludes this
+    except InvalidOperation as exc:
         raise NotANumber(f"unparseable number token {match.group(0)!r}") from exc

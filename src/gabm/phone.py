@@ -196,7 +196,10 @@ def parse_param_value(raw: str, kind: str, now: datetime):
             raise ValueError(f"impossible time of day in {raw!r}")
         day = now.date()
         if word.lower() == "tomorrow":
-            day = day + timedelta(days=1)
+            try:
+                day = day + timedelta(days=1)
+            except OverflowError as exc:
+                raise ValueError(f"no day after {day.isoformat()}") from exc
         return datetime(day.year, day.month, day.day, hour, minute)
     raise ValueError(f"no datetime in {raw!r}")
 

@@ -196,7 +196,27 @@ def test_phone_and_app_references_validate(tmp_path):
     raw["phones"] = {"Alice": ["calendar"]}
     raw["apps"] = [{"kind": "calendar"}, {"kind": "calendar"}]
     issues = validate_config(raw, tmp_path)
-    assert any("duplicate app name" in i.message for i in issues)
+    assert [(i.kind, i.path, i.message) for i in issues] == [
+        ("MalformedField", "apps[1]", "duplicate app name 'calendar'")
+    ]
+    # An app of unknown kind declares no name, so a phone listing it names no app.
+    raw["apps"] = [{"kind": "maps"}]
+    raw["phones"] = {"Alice": ["maps"]}
+    issues = validate_config(raw, tmp_path)
+    assert [(i.kind, i.path, i.message) for i in issues] == [
+        ("MalformedField", "apps[0].kind", "must be one of ['calendar']"),
+        ("UnresolvedReference", "phones.Alice", "no app named 'maps'"),
+    ]
+
+
+def test_a_nameless_agent_has_its_other_fields_checked(tmp_path):
+    raw = valid_raw()
+    raw["agents"].append({"initial_memories": "Carol sold pears."})
+    issues = validate_config(raw, tmp_path)
+    assert [(i.kind, i.path, i.message) for i in issues] == [
+        ("MalformedField", "agents[2].name", "required non-empty string"),
+        ("MalformedField", "agents[2].initial_memories", "must be a list of strings"),
+    ]
 
 
 def test_a_duplicate_component_name_is_rejected_before_a_run(tmp_path, capsys):
@@ -477,14 +497,26 @@ REJECTED_EDITS = [
         lambda raw: raw["agents"][0].update(profile={"age": 30, "context": 5}),
         "agents[0].profile.context",
     ),
-    ("inventory quantity", _endowment("Alice", lamp="abc"), "gm.components[0].endowments.Alice.lamp"),
-    ("negative quantity", _endowment("Bob", coin=-2), "gm.components[0].endowments.Bob.coin"),
+    # A quantity issue carries the rule it broke, from as_quantity.
+    (
+        "inventory quantity",
+        _endowment("Alice", lamp="abc"),
+        "gm.components[0].endowments.Alice.lamp",
+        "not a quantity: 'abc'",
+    ),
+    (
+        "negative quantity",
+        _endowment("Bob", coin=-2),
+        "gm.components[0].endowments.Bob.coin",
+        "quantities cannot be negative: -2",
+    ),
     ("nan quantity", _endowment("Bob", coin="nan"), "gm.components[0].endowments.Bob.coin"),
     # Two such endowments used to sum past Decimal's precision and lose cents.
     (
         "oversized quantity",
         _endowment("Alice", coin="99900000000000000000000000.01"),
         "gm.components[0].endowments.Alice.coin",
+        "quantities must be below 1000000000000000: '99900000000000000000000000.01'",
     ),
     ("inventory items string", _gm_component(0, items="coin"), "gm.components[0].items"),
     ("unknown gm component field", _gm_component(1, where="x"), "gm.components[1].where"),
@@ -575,13 +607,18 @@ REJECTED_EDITS = [
 
 
 @pytest.mark.parametrize(
-    "edit,path", [pytest.param(edit, path, id=name) for name, edit, path in REJECTED_EDITS]
+    "edit,path,message",
+    [
+        pytest.param(edit, path, message[0] if message else None, id=name)
+        for name, edit, path, *message in REJECTED_EDITS
+    ],
 )
-def test_malformed_field_is_rejected_at_its_path(tmp_path, capsys, edit, path):
+def test_malformed_field_is_rejected_at_its_path(tmp_path, capsys, edit, path, message):
     raw = valid_raw()
     edit(raw)
     issues = validate_config(raw, tmp_path)
     assert [(i.kind, i.path) for i in issues] == [("MalformedField", path)]
+    assert message is None or issues[0].message == message
     assert main(["validate-config", "--config", str(write_config(tmp_path, raw))]) == 1
     assert path in capsys.readouterr().err
 

@@ -59,18 +59,23 @@ def test_parse_param_value_table(raw, kind, expected):
 
 
 @pytest.mark.parametrize(
-    "raw,kind",
+    "raw,kind,now",
     [
-        ("", "text"),
-        ("   ", "text"),
-        ("sometime soon", "datetime"),
-        ("today at 25:00", "datetime"),
-        ("tomorrow at 12:61", "datetime"),
+        pytest.param(raw, kind, now, id=f"{raw}-{kind}")
+        for raw, kind, now in [
+            ("", "text", T0),
+            ("   ", "text", T0),
+            ("sometime soon", "datetime", T0),
+            ("today at 25:00", "datetime", T0),
+            ("tomorrow at 12:61", "datetime", T0),
+            # No day follows date.max; this used to raise a raw OverflowError.
+            ("tomorrow at 10:00", "datetime", datetime(9999, 12, 31, 9, 0)),
+        ]
     ],
 )
-def test_parse_param_value_rejects_unusable(raw, kind):
+def test_parse_param_value_rejects_unusable(raw, kind, now):
     with pytest.raises(ValueError):
-        parse_param_value(raw, kind, now=T0)
+        parse_param_value(raw, kind, now=now)
 
 
 def test_calendar_add_check_remove_and_notification():

@@ -65,6 +65,22 @@ def test_calendar_meeting_and_notification():
     assert notified == ["New meeting 'garden sync' with Alice at 2024-03-15T10:00."]
 
 
+def test_calendar_on_the_last_day_skips_the_meeting_for_tomorrow_and_replays(tmp_path):
+    # The scripted "tomorrow at 10:00" names no day after 9999-12-31: the
+    # config validated, then the run died with a raw OverflowError.
+    raw = copy.deepcopy(load_config(SCENARIOS / "calendar.json").raw)
+    raw["clock"]["start"] = "9999-12-31T09:00"
+    built = build(config_from_dict(raw, SCENARIOS))
+    out = tmp_path / "trace.jsonl"
+    with open(out, "w", encoding="utf-8") as handle:
+        outcome = run_built_scenario(built, out=handle)
+    assert (outcome.result.reason, outcome.records_written) == ("max-steps", 2)
+    assert built.gm.phones.phones["Alice"][0].meetings == []
+    assert "parameter 'when' never parsed; invocation skipped" in out.read_text(encoding="utf-8")
+    report = replay(out)
+    assert report.ok, report.detail
+
+
 def test_magic_beans_ledger_matches_hand_computation():
     built = build(load_config(SCENARIOS / "magic_beans.json"))
     outcome = run_built_scenario(built)
