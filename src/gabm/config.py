@@ -246,8 +246,8 @@ class _Kinds(NamedTuple):
                     v.malformed(f"{path}[{i}]", f"duplicate {self.noun} name {name!r}")
             declared.extend(names)
         for reads_path, reads in v.reads:
-            if not isinstance(reads, list):
-                v.malformed(reads_path, "must be a list")
+            if not _STRINGS.accepts(reads):
+                v.malformed(reads_path, _STRINGS.must)
                 continue
             for read in reads:
                 if read not in declared:

@@ -59,8 +59,8 @@ Players keep no clock: the game master passes its clock's time to ``act``,
 and a nested scene passes the time of its own clock.
 
 The game master keeps no memory of its own: no prompt of it reads one.
-What happened lives in the trace, and each player's memory keeps what
-that player did and observed.
+What happened lives in the trace, which ``on_record`` writes and nothing
+keeps, and each player's memory keeps what that player did and observed.
 """
 
 from __future__ import annotations
@@ -167,9 +167,8 @@ class PhraseTerminator(GMComponent):
 
 @dataclass
 class EpisodeResult:
-    """What an episode run leaves behind."""
+    """What an episode run leaves behind; its records went to ``on_record``."""
 
-    trace: list[TraceRecord]
     reason: str  # "component-terminated" | "max-steps" | "error"
     grounded: dict[str, str] = field(default_factory=dict)
     error: str = ""
@@ -214,7 +213,6 @@ class GameMaster:
         self.rng = rng or random.Random(0)
         self.questionnaires = list(questionnaires or [])
         self.phones = phones
-        self.trace: list[TraceRecord] = []
         self.on_record: Callable[[TraceRecord], None] | None = None
         self._player_index = {p.name: p for p in self.players}
         self._turn_counter = 0
@@ -380,7 +378,6 @@ class GameMaster:
         self._current_record = None
 
     def _write_record(self, record: TraceRecord) -> None:
-        self.trace.append(record)
         if self.on_record is not None:
             self.on_record(record)
 
@@ -533,7 +530,7 @@ class GameMaster:
             reason = "error"
             error_text = str(exc)
         grounded = {c.name: c.state() for c in self.components}
-        return EpisodeResult(trace=list(self.trace), reason=reason, grounded=grounded, error=error_text)
+        return EpisodeResult(reason=reason, grounded=grounded, error=error_text)
 
 
 def administer_questionnaire(

@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import BackendUnavailable, ConfigError, InvalidModelOutput, NoMatchingOption
 from .kernel import ModelCall, parse_choice, replace_surrogates, writable
@@ -483,7 +483,7 @@ class HttpModel(GenerativeModel):
 
 
 class ReplayModel(GenerativeModel):
-    """Feeds back a recorded call sequence, in recorded order.
+    """Feeds back a recorded call sequence, in order, each call taken as it is made.
 
     Each call answers with the next recorded response and backend id,
     whatever its prompt or caller.  A call past the end raises
@@ -496,7 +496,7 @@ class ReplayModel(GenerativeModel):
 
     backend_id = "replay"
 
-    def __init__(self, calls: list[ModelCall]):
+    def __init__(self, calls: Iterable[ModelCall]):
         super().__init__()
         self._calls = iter(calls)
 

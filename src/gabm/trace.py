@@ -22,18 +22,21 @@ same alone as inside its parent, so the line is byte-equal to
 14-16.5 ms to 6-8.5 ms; what is left of it is the sha256 (about 1.6 ms),
 the write (about 0.6 ms) and the turn itself.
 
-``read_trace`` builds every record and is what ``audit`` reads.  Replay
-needs less: it reads the header, the record lines and each line's model
-calls, feeds the calls back, and compares lines.  A header that names
-another engine version is reported as such, whatever its records hold.
-Otherwise, only when that is not OK does it read the trace with
-``read_trace(path, strict=True)``, so its errors and their precedence are
-those of a replay that builds every record first.
+A run keeps no record; each goes to its ``on_record`` sink.  ``audit``
+reads ``read_trace``, which builds every record.  Replay reads the file
+once, lazily, feeding each line's model calls back and comparing each
+record with its line as it is written, up to the first difference.  A
+header that names another engine version is reported as such, whatever
+its records hold.  Otherwise, only when that is not OK does it read the
+trace with ``read_trace(path, strict=True)``, so its errors and their
+precedence are those of a replay that builds every record first.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
+from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
@@ -185,10 +188,13 @@ def run_built_scenario(
     out: TextIO | None = None,
     on_record: Callable[[TraceRecord], None] | None = None,
 ) -> RunOutcome:
-    """Run one episode, streaming its records."""
+    """Run one episode, streaming its records; only their count is kept."""
     writer = TraceWriter(out, make_header(built)) if out is not None else None
+    written = 0
 
     def sink(record: TraceRecord) -> None:
+        nonlocal written
+        written += 1
         if writer is not None:
             writer.write_record(record)
         if on_record is not None:
@@ -199,13 +205,13 @@ def run_built_scenario(
         result = built.gm.run_episode(built.max_steps)
     finally:
         built.gm.on_record = None
-    return RunOutcome(result=result, records_written=len(result.trace))
+    return RunOutcome(result=result, records_written=written)
 
 
 def summarize(outcome: RunOutcome) -> str:
     result = outcome.result
     lines = [
-        f"records: {len(result.trace)}",
+        f"records: {outcome.records_written}",
         f"termination: {result.reason}" + (f" ({result.error})" if result.error else ""),
     ]
     for name, state in result.grounded.items():
@@ -294,21 +300,13 @@ class ReplayReport:
     detail: str = ""
 
 
-def _read_for_replay(path: str | Path) -> tuple[TraceHeader | None, list[str]]:
-    """The header and the record lines, building no record."""
-    header: TraceHeader | None = None
-    lines: list[str] = []
-    for line_no, line in _trace_lines(path):
-        if line_no == 1:
-            header = TraceHeader.from_dict(_load(line))
-        else:
-            lines.append(line)
-    return header, lines
+class _Diverged(Exception):
+    """Stops a replay's run at its first record that differs from its line."""
 
 
-def _rerun(path: str | Path, header: TraceHeader | None, lines: list[str]) -> ReplayReport | list[str]:
-    """The record lines a run of ``header``'s scenario regenerates from the
-    model calls of ``lines``, or the report of why it cannot run."""
+def _rerun(path: str | Path, header: TraceHeader | None, lines: Iterator[str]) -> ReplayReport:
+    """Re-run ``header``'s scenario on the model calls of the record
+    ``lines``, checking each record against its line as it is written."""
     if header is None:
         return ReplayReport(ok=False, records_checked=0, detail="trace has no header")
     # The header's overrides take the config's own field types, as ``gabm run``'s do.
@@ -327,16 +325,43 @@ def _rerun(path: str | Path, header: TraceHeader | None, lines: list[str]) -> Re
     except ConfigValidationError as exc:
         return ReplayReport(ok=False, records_checked=0, detail=f"embedded config invalid: {exc}")
     if cfg.config_hash() != header.config_hash:
-        return ReplayReport(
-            ok=False, records_checked=0, detail="config hash mismatch in header"
-        )
-    calls = [ModelCall.from_dict(call) for line in lines for call in _load(line)["model_calls"]]
-    model = ReplayModel(calls)
+        return ReplayReport(ok=False, records_checked=0, detail="config hash mismatch in header")
+    held: deque[str] = deque()  # lines the model has read that no record has taken
+
+    def calls() -> Iterator[ModelCall]:
+        for line in lines:
+            held.append(line)
+            yield from map(ModelCall.from_dict, _load(line)["model_calls"])
+
+    checked, last, diverged = 0, "", False  # ``last``: the last line a record took
+
+    def compare(record: TraceRecord) -> None:
+        nonlocal checked, last, diverged
+        if diverged:
+            return  # written while _Diverged unwinds
+        # A record whose calls the model has not reached yet has none.
+        line = held.popleft() if held else next(lines, None)
+        if line is None:
+            return  # past the recorded lines, the run ends at its next call
+        last, diverged = line, line != record.to_json_line()
+        if diverged:
+            raise _Diverged
+        checked += 1
+
     built = config_mod.build(
-        cfg, model=model, seed_override=header.seed, max_steps_override=header.max_steps
+        cfg, model=ReplayModel(calls()), seed_override=header.seed, max_steps_override=header.max_steps
     )
-    outcome = run_built_scenario(built)
-    return [record.to_json_line() for record in outcome.result.trace]
+    with suppress(_Diverged):
+        regenerated = run_built_scenario(built, on_record=compare).records_written
+    if diverged:
+        detail = f"record {checked} differs"
+    else:
+        recorded = checked + len(held) + sum(1 for _ in lines)
+        if recorded == regenerated:
+            return ReplayReport(ok=True, records_checked=checked)
+        detail = f"length mismatch: recorded {recorded} records, regenerated {regenerated}"
+    step = _load(last)["step"] if last else 0
+    return ReplayReport(ok=False, records_checked=checked, divergence_step=step, detail=detail)
 
 
 def replay(path: str | Path) -> ReplayReport:
@@ -345,10 +370,14 @@ def replay(path: str | Path) -> ReplayReport:
     The verdict is OK only when the regenerated trace matches the recorded
     one byte for byte; the first differing record is reported otherwise.
 
-    Replay reads only the header, the record lines and their model calls;
-    a line that is not UTF-8 stops that read.  A recorded line equal to its
-    regenerated line is the canonical encoding of a record the engine made,
-    which ``read_trace`` reads back, so the OK verdict needs no other check.
+    Replay reads the trace once, lazily, and builds no record; a line that
+    is not UTF-8 stops that read.  Each record is compared with its line as
+    it is written, and the run stops at the first difference, so only the
+    lines the model has read ahead are held: about two, as a turn's record
+    is written after the next turn's first calls.  A recorded line equal
+    to its regenerated line is the canonical encoding of a record the
+    engine made, which ``read_trace`` reads back, so the OK verdict needs
+    no other check.
     A header that names another engine version is reported without
     reading any record, because the records of another version may be in
     another format: a 0.2.0 record has no observation groups, and a strict
@@ -358,45 +387,19 @@ def replay(path: str | Path) -> ReplayReport:
     is built before the run.
     """
     try:
-        header, lines = _read_for_replay(path)
-        # Another engine version may embed, retrieve or record differently,
-        # so its traces are not expected to replay byte for byte.
-        if header is not None and header.engine_version != config_mod.ENGINE_VERSION:
-            return ReplayReport(
-                ok=False,
-                records_checked=0,
-                detail=(
-                    f"header engine_version must be {config_mod.ENGINE_VERSION!r}, "
-                    f"got {header.engine_version!r}"
-                ),
-            )
-        regenerated = _rerun(path, header, lines)
+        with closing(_trace_lines(path)) as numbered:
+            line_no, line = next(numbered, (0, ""))
+            header = TraceHeader.from_dict(_load(line)) if line_no == 1 else None
+            # Another engine version may embed, retrieve or record differently,
+            # so its traces are not expected to replay byte for byte.
+            if header is not None and header.engine_version != config_mod.ENGINE_VERSION:
+                must = f"header engine_version must be {config_mod.ENGINE_VERSION!r}"
+                return ReplayReport(ok=False, records_checked=0, detail=f"{must}, got {header.engine_version!r}")
+            # Without a header, no record line is read.
+            report = _rerun(path, header, (text for _, text in numbered))
     except Exception:
         read_trace(path, strict=True)
         raise
-    if regenerated == lines:
-        return ReplayReport(ok=True, records_checked=len(lines))
-    # A strict read returns only when every record line parsed, so its
-    # records are those of ``lines``, one for one.
-    recorded = read_trace(path, strict=True)
-    if isinstance(regenerated, ReplayReport):
-        return regenerated
-    for i, (old, new) in enumerate(zip(lines, regenerated)):
-        if old != new:
-            return ReplayReport(
-                ok=False,
-                records_checked=i,
-                divergence_step=recorded.records[i].step,
-                detail=f"record {i} differs",
-            )
-    shorter = min(len(lines), len(regenerated))
-    step = recorded.records[shorter - 1].step if recorded.records[:shorter] else 0
-    return ReplayReport(
-        ok=False,
-        records_checked=shorter,
-        divergence_step=step,
-        detail=(
-            f"length mismatch: recorded {len(lines)} records, "
-            f"regenerated {len(regenerated)}"
-        ),
-    )
+    if not report.ok:
+        read_trace(path, strict=True)  # a malformed line is reported first
+    return report

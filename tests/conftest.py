@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from gabm.kernel import ModelCall
+from gabm.game_master import GameMaster
+from gabm.kernel import ModelCall, TraceRecord
 from gabm.memory import MemoryBank
 from gabm.model import GenerativeModel, close_calls, open_calls
 
@@ -45,3 +46,11 @@ class SequenceModel(GenerativeModel):
 def memory_texts(bank: MemoryBank) -> list[str]:
     """Every text in the bank, oldest first."""
     return list(bank.texts)
+
+
+def collect_records(gm: GameMaster) -> list[TraceRecord]:
+    """A list that gets each record ``gm`` writes from now on, through its
+    ``on_record`` sink: the game master keeps none of them."""
+    records: list[TraceRecord] = []
+    gm.on_record = records.append
+    return records

@@ -28,7 +28,7 @@ from gabm.model import ScriptedModel, ScriptRule
 from gabm.phone import CalendarApp, PhoneUniverse, run_phone_scene
 from gabm.trace import replay, run_built_scenario
 
-from conftest import memory_texts
+from conftest import collect_records, memory_texts
 
 SCENARIOS = Path(gabm.__file__).parent / "scenarios"
 SCRIPTED_FIXTURES = ["calendar.json", "magic_beans.json", "three_questions.json"]
@@ -108,9 +108,10 @@ def test_criterion_2_gm_call_order_over_randomized_turns():
             components=[probe],
             rng=random.Random(rng.randint(0, 10**6)),
         )
-        result = gm.run_episode(rounds)
+        records = collect_records(gm)
+        gm.run_episode(rounds)
         turns = n_players * rounds
-        assert len(result.trace) == turns
+        assert len(records) == turns
         # The one extra state call is the end-of-episode grounded snapshot.
         assert probe.log == TURN_PATTERN * turns + ["state"]
         total_turns += turns
@@ -273,14 +274,15 @@ def test_criterion_5_nested_scenes_round_trip():
 def test_criterion_6_calendar_end_to_end():
     started = time.monotonic()
     built = build(load_config(SCENARIOS / "calendar.json"))
-    outcome = run_built_scenario(built)
+    records = []
+    run_built_scenario(built, on_record=records.append)
     elapsed = time.monotonic() - started
     meetings = built.gm.phones.phones["Alice"][0].meetings
     assert len(meetings) == 1
     assert set(meetings[0].participants) == {"Alice", "Bob"}
     notifications = [
         obs.text
-        for record in outcome.result.trace
+        for record in records
         for obs in record.observations
         if obs.recipient == "Bob" and obs.text.startswith("New meeting")
     ]
@@ -347,9 +349,10 @@ def test_criterion_8_initiative_positions_are_uniformish():
         components=[],
         rng=random.Random(31337),
     )
-    result = gm.run_episode(1000)
+    records = collect_records(gm)
+    gm.run_episode(1000)
     rounds: dict[int, list[str]] = {}
-    for record in result.trace:
+    for record in records:
         rounds.setdefault(record.step, []).append(record.actor)
     assert len(rounds) == 1000
     counts = {name: [0, 0, 0, 0] for name in names}
@@ -372,8 +375,9 @@ def test_criterion_8_initiative_positions_are_uniformish():
 )
 def test_criterion_9_live_backend_smoke():
     built = build(load_config(SCENARIOS / "riverbend_election.json"), max_steps_override=3)
-    outcome = run_built_scenario(built)
+    records = []
+    outcome = run_built_scenario(built, on_record=records.append)
     assert outcome.result.reason != "error", outcome.result.error
-    steps = {record.step for record in outcome.result.trace if record.kind == "turn"}
+    steps = {record.step for record in records if record.kind == "turn"}
     assert len(steps) >= 3
-    print(f"\nPASS live smoke: {len(outcome.result.trace)} records over {len(steps)} steps")
+    print(f"\nPASS live smoke: {len(records)} records over {len(steps)} steps")

@@ -116,6 +116,16 @@ def test_all_problems_reported_at_once(tmp_path):
     assert len(issues) == 7
 
 
+@pytest.mark.parametrize("reads", [[5], ["goal", None], "goal"], ids=["number", "null", "string"])
+def test_reads_that_is_not_a_list_of_strings_is_malformed(tmp_path, reads):
+    raw = valid_raw()
+    raw["agents"][0]["components"][2]["reads"] = reads
+    issues = validate_config(raw, tmp_path)
+    assert [(i.kind, i.path, i.message) for i in issues] == [
+        ("MalformedField", "agents[0].components[2].reads", "must be a list of strings")
+    ]
+
+
 def test_load_config_raises_with_every_issue(tmp_path):
     raw = valid_raw()
     raw["seed"] = "nope"

@@ -27,7 +27,7 @@ from gabm.memory import MemoryBank
 from gabm.phone import DETECT_PHONE_QUESTION, CalendarApp, PhoneUniverse, SceneTrigger
 from gabm.trace import replay, run_built_scenario
 
-from conftest import memory_texts
+from conftest import collect_records, memory_texts
 
 T0 = datetime(2024, 5, 1, 9, 0)
 
@@ -114,13 +114,14 @@ def test_turn_sequence_follows_the_contract():
 
 def test_round_clock_mode_counts_rounds_not_turns():
     gm = make_gm(clock=GameClock(T0, step_minutes=60, mode=ClockMode.ADVANCE_PER_ROUND))
-    result = gm.run_episode(max_steps=3)
-    assert len(result.trace) == 6
+    records = collect_records(gm)
+    gm.run_episode(max_steps=3)
+    assert len(records) == 6
     assert gm.clock.step_index == 3
     assert gm.clock.current_time == T0 + timedelta(hours=3)
     # Both turns of a round carry the same timestamp.
     by_step: dict[int, set[datetime]] = {}
-    for record in result.trace:
+    for record in records:
         by_step.setdefault(record.step, set()).add(record.timestamp)
     assert all(len(stamps) == 1 for stamps in by_step.values())
     assert by_step[1] == {T0 + timedelta(hours=1)}
@@ -128,17 +129,19 @@ def test_round_clock_mode_counts_rounds_not_turns():
 
 def test_player_clock_mode_advances_every_turn():
     gm = make_gm(clock=GameClock(T0, step_minutes=60, mode=ClockMode.ADVANCE_PER_PLAYER))
-    result = gm.run_episode(max_steps=2)
+    records = collect_records(gm)
+    gm.run_episode(max_steps=2)
     assert gm.clock.step_index == 4
-    assert [r.timestamp for r in result.trace] == [T0 + timedelta(hours=i) for i in range(4)]
+    assert [r.timestamp for r in records] == [T0 + timedelta(hours=i) for i in range(4)]
 
 
 def test_turn_indices_are_global_and_monotonic():
     gm = make_gm()
-    result = gm.run_episode(max_steps=3)
-    assert [r.turn for r in result.trace] == list(range(6))
-    assert [r.step for r in result.trace] == [0, 0, 1, 1, 2, 2]
-    assert all(r.kind == "turn" for r in result.trace)
+    records = collect_records(gm)
+    gm.run_episode(max_steps=3)
+    assert [r.turn for r in records] == list(range(6))
+    assert [r.step for r in records] == [0, 0, 1, 1, 2, 2]
+    assert all(r.kind == "turn" for r in records)
 
 
 def test_initiative_reshuffles_per_round_and_is_seed_deterministic():
@@ -146,8 +149,9 @@ def test_initiative_reshuffles_per_round_and_is_seed_deterministic():
         model = ScriptedModel(default_response="waits")
         players = [GenerativeAgent(n, model) for n in ("Alice", "Bob", "Caro", "Dan")]
         gm = make_gm(players=players, model=model, rng=random.Random(seed))
-        result = gm.run_episode(max_steps=6)
-        return [r.actor for r in result.trace]
+        records = collect_records(gm)
+        gm.run_episode(max_steps=6)
+        return [r.actor for r in records]
 
     assert actor_sequence(11) == actor_sequence(11)
     assert actor_sequence(11) != actor_sequence(12)
@@ -172,8 +176,9 @@ def test_record_carries_states_prompts_action_event_and_calls():
     model = ScriptedModel(default_response="opened an umbrella")
     player = GenerativeAgent("Alice", model)
     gm = make_gm(players=[player], components=[Weather("weather")], model=model)
-    result = gm.run_episode(max_steps=1)
-    record = result.trace[0]
+    records = collect_records(gm)
+    gm.run_episode(max_steps=1)
+    record = records[0]
     assert record.gm_states == {"weather": "raining"}
     assert record.action is not None and record.action.text == "opened an umbrella"
     assert record.event == "opened an umbrella"
@@ -193,8 +198,9 @@ def test_event_statements_go_into_the_turn_records():
         default_response="walks",
     )
     gm = make_gm(players=[GenerativeAgent("Alice", model)], model=model)
-    result = gm.run_episode(max_steps=2)
-    assert [record.event for record in result.trace] == [
+    records = collect_records(gm)
+    gm.run_episode(max_steps=2)
+    assert [record.event for record in records] == [
         "Alice tripped over the cat.",
         "Alice tripped over the cat.",
     ]
@@ -208,9 +214,10 @@ def test_partial_states_reach_the_player_before_acting():
     model = ScriptedModel(default_response="listens")
     player = GenerativeAgent("Alice", model)
     gm = make_gm(players=[player], components=[Whisper("whisper")], model=model)
-    result = gm.run_episode(max_steps=1)
+    records = collect_records(gm)
+    gm.run_episode(max_steps=1)
     assert memory_texts(player.memory)[0] == "psst, Alice"
-    observation = result.trace[0].observations[0]
+    observation = records[0].observations[0]
     assert (observation.recipient, observation.text) == ("Alice", "psst, Alice")
 
 
@@ -282,10 +289,11 @@ def test_veto_rewords_outcome_and_notifies_actor():
     )
     alice = GenerativeAgent("Alice", model)
     gm = make_gm(players=[alice], components=[NoStealing("rules")], model=model)
-    result = gm.run_episode(max_steps=1)
+    records = collect_records(gm)
+    gm.run_episode(max_steps=1)
     outcome_prompts = [p for p in prompts_seen if "The attempted action is invalid" in p]
     assert outcome_prompts and "theft is impossible here" in outcome_prompts[0]
-    assert result.trace[0].event == "Alice reached for the gem but it would not budge."
+    assert records[0].event == "Alice reached for the gem but it would not budge."
     assert "Your action was invalid: theft is impossible here." in memory_texts(alice.memory)
 
 
@@ -310,8 +318,9 @@ def test_the_last_veto_in_declaration_order_stands():
     ]:
         alice = GenerativeAgent("Alice", model)
         gm = make_gm(players=[alice], components=components, model=model)
-        result = gm.run_episode(max_steps=1)
-        assert [c.caller for c in result.trace[0].model_calls][1:3] == [
+        records = collect_records(gm)
+        gm.run_episode(max_steps=1)
+        assert [c.caller for c in records[0].model_calls][1:3] == [
             "component:voice:check",
             "gm:resolve:state",
         ]
@@ -372,9 +381,10 @@ def test_phrase_terminator_stops_mid_round():
     )
     players = [GenerativeAgent(n, model) for n in ("Alice", "Bob")]
     gm = make_gm(players=players, components=[PhraseTerminator("FIRE ALARM")], model=model)
+    records = collect_records(gm)
     result = gm.run_episode(max_steps=5)
     assert result.reason == "component-terminated"
-    assert len(result.trace) == 1
+    assert len(records) == 1
 
 
 def test_two_components_ending_one_turn_end_the_episode_after_its_record():
@@ -388,10 +398,11 @@ def test_two_components_ending_one_turn_end_the_episode_after_its_record():
     model = ScriptedModel(default_response="works")
     players = [GenerativeAgent(n, model, components=three_questions_components()) for n in ("Alice", "Bob")]
     gm = make_gm(players=players, components=[Ender("first"), Ender("second")], model=model)
+    records = collect_records(gm)
     result = gm.run_episode(max_steps=3)
     assert result.reason == "component-terminated"
     assert ended == ["first", "second"]
-    (record,) = result.trace
+    (record,) = records
     # The actor's held update pass completed into the written record.
     assert [c.caller for c in record.model_calls] == [
         f"agent:{record.actor}:act",
@@ -410,11 +421,12 @@ def test_component_crash_surfaces_as_error_result_with_partial_trace():
     model = ScriptedModel(default_response="works")
     alice = GenerativeAgent("Alice", model, components=[Flaky("flaky")])
     gm = make_gm(players=[alice], model=model)
+    records = collect_records(gm)
     result = gm.run_episode(max_steps=3)
     assert result.reason == "error"
     assert "Alice/flaky" in result.error
-    assert len(result.trace) == 1  # the failing turn was still recorded
-    assert result.trace[0].event == "works"
+    assert len(records) == 1  # the failing turn was still recorded
+    assert records[0].event == "works"
 
 
 def test_grounded_snapshot_in_result():
@@ -580,8 +592,9 @@ def run_batch_turn(model):
         model=model,
         phones=universe,
     )
+    records = collect_records(gm)
     result = gm.run_episode(max_steps=1)
-    (record,) = result.trace
+    (record,) = records
     return result, record
 
 
@@ -725,10 +738,11 @@ def test_a_call_from_a_model_the_game_master_does_not_hold_lands_in_the_turn_rec
         components=[own],
         model=model,
     )
+    records = collect_records(gm)
     result = gm.run_episode(max_steps=1)
     assert result.reason == "max-steps"
     assert barrier is None or not barrier.broken
-    (record,) = result.trace
+    (record,) = records
     assert [c.caller for c in record.model_calls] == [
         "agent:Alice:act",
         "component:own:judge",
@@ -755,7 +769,7 @@ def test_an_episode_ending_in_error_inside_a_batch_leaves_no_call_list_open(dela
     kept = list(record.model_calls)
     model.sample_text("after the episode", caller="later")
     assert record.model_calls == kept
-    assert all(c.caller != "later" for r in result.trace for c in r.model_calls)
+    assert all(c.caller != "later" for c in record.model_calls)
 
 
 # The phone scene of the turn below books a meeting with Bob, which pushes
@@ -843,10 +857,11 @@ def test_an_update_pass_overlaps_the_next_players_act():
     model.sample_text("warm up")
     players = [GenerativeAgent(name, model, components=three_questions_components()) for name in ("Alice", "Bob")]
     gm = make_gm(players=players, model=model)
+    records = collect_records(gm)
     result = gm.run_episode(max_steps=1)
     assert result.reason == "max-steps"
     assert not barrier.broken
-    alice, bob = result.trace
+    alice, bob = records
     assert [c.caller for c in alice.model_calls][-3:] == update_callers("Alice")
     assert bob.model_calls[0].caller == "agent:Bob:act"
     assert alice.model_calls[-2].prompt.endswith(f"Question: {ALICE_IDENTITY}\nAnswer:")
@@ -879,31 +894,32 @@ def run_overlap_episode(tmp_path, delay_ms, fail_on=None, add=(), **changes):
     """Run OVERLAP_CONFIG with ``changes``, and a game-master component of
     each class in ``add``, at ``delay_ms`` per call; check that the trace
     replays, unless a component was added that its config cannot name, and
-    return the result and the model."""
+    return the result, its records and the model."""
     model = BatchModel(delay_ms=delay_ms, fail_on=fail_on, rules=OVERLAP_RULES)
     model.sample_text("warm up")
     built = build(config_from_dict({**OVERLAP_CONFIG, **changes}, base_dir=tmp_path), model=model)
     built.gm.components.extend(component() for component in add)
     out = tmp_path / f"{delay_ms}ms.jsonl"
+    records = []
     with open(out, "w", encoding="utf-8") as handle:
-        result = run_built_scenario(built, out=handle).result
+        result = run_built_scenario(built, out=handle, on_record=records.append).result
     if not add:
         report = replay(out)
         assert report.ok, report.detail
-    return result, model
+    return result, records, model
 
 
 def overlap_runs(tmp_path, fail_on=None, add=(), **changes):
     """The episode at 0 ms and at 2 ms per call, which must agree; the 0 ms
-    result and the 2 ms model."""
-    (serial, _), (overlapped, model) = [
+    result, its records and the 2 ms model."""
+    (serial, records, _), (overlapped, overlapped_records, model) = [
         run_overlap_episode(tmp_path, delay, fail_on, add, **changes) for delay in (0, 2)
     ]
     assert len(model.threads) > 1  # the slow run did use the pool
-    assert [r.to_json_line() for r in overlapped.trace] == [r.to_json_line() for r in serial.trace]
+    assert [r.to_json_line() for r in overlapped_records] == [r.to_json_line() for r in records]
     assert (overlapped.reason, overlapped.error) == (serial.reason, serial.error)
     assert overlapped.grounded == serial.grounded
-    return serial, model
+    return serial, records, model
 
 
 ACTS = re.compile(r"What would (\w+) do next")
@@ -917,10 +933,10 @@ def acts_made(model):
 
 
 def test_an_overlapped_run_records_what_the_serial_run_records(tmp_path):
-    result, _ = overlap_runs(tmp_path)
+    result, records, _ = overlap_runs(tmp_path)
     assert result.reason == "max-steps"
-    assert [(r.step, r.actor) for r in result.trace] == [(0, "Alice"), (0, "Bob"), (1, "Bob"), (1, "Alice")]
-    for record in result.trace:
+    assert [(r.step, r.actor) for r in records] == [(0, "Alice"), (0, "Bob"), (1, "Bob"), (1, "Alice")]
+    for record in records:
         assert [c.caller for c in record.model_calls][-3:] == update_callers(record.actor)
 
 
@@ -928,13 +944,13 @@ def test_the_same_actor_twice_acts_on_its_committed_pass(tmp_path):
     # Bob's first pass completes before his second turn's briefing, so that
     # turn's act prompt shows the pass's answers, and the window his first
     # pass committed holds only what he saw before it.
-    result, _ = overlap_runs(tmp_path)
-    _, first, second, _ = result.trace
+    _, records, _ = overlap_runs(tmp_path)
+    _, first, second, _ = records
     assert first.actor == second.actor == "Bob"
     assert {name: first.agent_states[name] for name in PASS_STATES} == dict.fromkeys(PASS_STATES, "")
     assert {name: second.agent_states[name] for name in PASS_STATES} == PASS_STATES
     assert second.agent_states["recent observations"] == "\n".join(
-        o.text for record in result.trace[:2] for o in record.observations if o.recipient == "Bob"
+        o.text for record in records[:2] for o in record.observations if o.recipient == "Bob"
     )
 
 
@@ -942,7 +958,7 @@ def test_the_same_actor_across_a_step_boundary_is_not_asked_ahead(tmp_path):
     # Bob's second act reads the pass of his first turn, which has not run
     # when that turn resolves, so he is asked in his own turn.  Alice's
     # second act is asked ahead during it.
-    _, model = overlap_runs(tmp_path)
+    _, _, model = overlap_runs(tmp_path)
     assert acts_made(model) == [("Alice", False), ("Bob", True), ("Bob", False), ("Alice", True)]
 
 
@@ -967,15 +983,15 @@ def test_every_act_asked_ahead_is_the_act_made(tmp_path, changes):
     # but the first and Bob's repeat is made once, ahead, and recorded: in
     # player mode at the time the clock shows one step on, as a rendered
     # choice prompt, and with seed 0 (Alice, Bob twice) across a step.
-    result, model = overlap_runs(tmp_path, **changes)
+    result, records, model = overlap_runs(tmp_path, **changes)
     assert result.reason == "max-steps"
-    actors = [r.actor for r in result.trace]
+    actors = [r.actor for r in records]
     assert acts_made(model) == [(actor, i > 0 and actor != actors[i - 1]) for i, actor in enumerate(actors)]
-    assert [r.action.timestamp for r in result.trace] == [r.timestamp for r in result.trace]
+    assert [r.action.timestamp for r in records] == [r.timestamp for r in records]
     if "clock" in changes:
-        assert [r.timestamp for r in result.trace] == [T0 + timedelta(minutes=30 * i) for i in range(4)]
+        assert [r.timestamp for r in records] == [T0 + timedelta(minutes=30 * i) for i in range(4)]
     if "action_spec" in changes:
-        assert {r.action.text for r in result.trace} == set(CHOICE_SPEC["options"])
+        assert {r.action.text for r in records} == set(CHOICE_SPEC["options"])
     if "seed" in changes:
         assert actors == ["Alice", "Bob", "Alice", "Bob"]
 
@@ -983,19 +999,19 @@ def test_every_act_asked_ahead_is_the_act_made(tmp_path, changes):
 def test_a_failing_update_call_of_the_first_actor_leaves_no_next_record(tmp_path):
     # Alice's identity call fails while Bob's act call, asked ahead, is
     # out.  Bob's act is taken, but his record is never written.
-    result, model = overlap_runs(tmp_path, fail_on=ALICE_IDENTITY)
+    result, records, model = overlap_runs(tmp_path, fail_on=ALICE_IDENTITY)
     assert result.reason == "error"
     assert "Alice/identity failed during update" in result.error
-    (alice,) = result.trace
+    (alice,) = records
     assert [c.caller for c in alice.model_calls][-1] == "component:Alice/situation:update"
     assert acts_made(model) == [("Alice", False), ("Bob", True)]
 
 
 def test_a_failing_act_of_the_next_actor_follows_the_whole_previous_record(tmp_path):
-    result, model = overlap_runs(tmp_path, fail_on=BOB_ACTS)
+    result, records, model = overlap_runs(tmp_path, fail_on=BOB_ACTS)
     assert result.reason == "error"
     assert BOB_ACTS in result.error
-    alice, bob = result.trace
+    alice, bob = records
     assert [c.caller for c in alice.model_calls][-3:] == update_callers("Alice")
     assert (bob.actor, bob.action, bob.model_calls) == ("Bob", None, [])
     assert acts_made(model) == [("Alice", False), ("Bob", True)]
@@ -1003,9 +1019,9 @@ def test_a_failing_act_of_the_next_actor_follows_the_whole_previous_record(tmp_p
 
 def test_a_phrase_terminator_ending_the_rounds_mid_round_keeps_the_held_record(tmp_path):
     gm = {"components": [*OVERLAP_CONFIG["gm"]["components"], {"type": "phrase_terminator", "phrase": "rang the bell"}]}
-    result, model = overlap_runs(tmp_path, gm=gm)
+    result, records, model = overlap_runs(tmp_path, gm=gm)
     assert result.reason == "component-terminated"
-    (alice,) = result.trace
+    (alice,) = records
     assert [c.caller for c in alice.model_calls][-3:] == update_callers("Alice")
     # Bob's act was asked ahead, answered before the episode returned, and
     # dropped unrecorded.
@@ -1026,10 +1042,11 @@ def test_an_act_asked_ahead_is_waited_for_when_the_rounds_end():
     model.sample_text("warm up")
     players = [GenerativeAgent(name, model) for name in ("Alice", "Bob")]
     gm = make_gm(players=players, model=model, components=[PhraseTerminator("rang the bell")])
+    records = collect_records(gm)
     result = gm.run_episode(max_steps=1)
     assert result.reason == "component-terminated"
     assert acts_made(model) == [("Alice", False), ("Bob", True)]
-    assert [r.actor for r in result.trace] == ["Alice"]
+    assert [r.actor for r in records] == ["Alice"]
 
 
 def test_no_act_is_asked_ahead_past_the_clocks_last_minute():
@@ -1042,24 +1059,26 @@ def test_no_act_is_asked_ahead_past_the_clocks_last_minute():
         model.sample_text("warm up")
         clock = GameClock(datetime(9999, 12, 31, 23, 0), step_minutes=60, mode=ClockMode.ADVANCE_PER_PLAYER)
         players = [GenerativeAgent(name, model) for name in ("Alice", "Bob")]
-        result = make_gm(players=players, model=model, clock=clock).run_episode(max_steps=1)
+        gm = make_gm(players=players, model=model, clock=clock)
+        records = collect_records(gm)
+        result = gm.run_episode(max_steps=1)
         assert result.reason == "error"
         assert "cannot move 60 minutes past 9999-12-31T23:00" in result.error
         assert acts_made(model) == [("Alice", False)]
-        lines.append([r.to_json_line() for r in result.trace])
+        lines.append([r.to_json_line() for r in records])
     assert lines[0] == lines[1]
 
 
 def test_a_questionnaire_comes_after_the_last_turns_whole_record(tmp_path):
     questionnaires = [{"name": "debrief", "questions": [{"call_to_action": "How was the day, {name}?"}]}]
-    result, _ = overlap_runs(tmp_path, questionnaires=questionnaires)
+    result, records, _ = overlap_runs(tmp_path, questionnaires=questionnaires)
     assert result.reason == "max-steps"
-    assert [(r.kind, r.actor) for r in result.trace[3:]] == [
+    assert [(r.kind, r.actor) for r in records[3:]] == [
         ("turn", "Alice"),
         ("questionnaire", "Alice"),
         ("questionnaire", "Bob"),
     ]
-    assert [c.caller for c in result.trace[3].model_calls][-3:] == update_callers("Alice")
+    assert [c.caller for c in records[3].model_calls][-3:] == update_callers("Alice")
 
 
 ALICE_OUTCOME = "by Alice: waves at Bob\nRelevant state:"
@@ -1074,10 +1093,11 @@ def test_the_next_players_act_is_out_with_the_outcome_call():
     model.sample_text("warm up")
     players = [GenerativeAgent(name, model, components=three_questions_components()) for name in ("Alice", "Bob")]
     gm = make_gm(players=players, model=model)
+    records = collect_records(gm)
     result = gm.run_episode(max_steps=1)
     assert result.reason == "max-steps"
     assert not barrier.broken
-    alice, bob = result.trace
+    alice, bob = records
     assert [c.caller for c in alice.model_calls] == [
         "agent:Alice:act",
         "gm:resolve:state",
@@ -1109,8 +1129,8 @@ def test_a_pass_commits_only_the_observations_it_was_built_over(tmp_path):
     # Alice's first pass completes during Bob's turn, after the whisperer
     # told her about his action.  Her window keeps those lines for her next
     # pass, as when her pass completed before Bob's resolution began.
-    result, _ = overlap_runs(tmp_path, add=(Whisperer,))
-    alice, bob, _, alice_again = result.trace
+    _, records, _ = overlap_runs(tmp_path, add=(Whisperer,))
+    alice, bob, _, alice_again = records
     assert [o.text for o in bob.observations if o.recipient == "Alice"][:1] == [
         "Bob's action was checked: pass.",
     ]

@@ -24,7 +24,7 @@ from gabm.grounding import (
 from gabm.kernel import ActionSpec, GameClock, OutputKind
 from gabm.model import ScriptedModel, ScriptRule
 
-from conftest import memory_texts
+from conftest import collect_records, memory_texts
 
 T0 = datetime(2024, 5, 1, 9, 0)
 
@@ -174,12 +174,13 @@ def test_affordable_trade_settles_atomically_through_a_turn():
         ],
         actors=["Alice"],
     )
-    result = gm.run_episode(max_steps=1)
+    records = collect_records(gm)
+    gm.run_episode(max_steps=1)
     assert inventory.inventory.get("Alice", "beans") == Decimal("2.00")
     assert inventory.inventory.get("Alice", "coin") == Decimal("7.00")
     assert inventory.inventory.get("Bob", "beans") == Decimal("3.00")
     assert inventory.inventory.get("Bob", "coin") == Decimal("3.00")
-    amendments = [note for note in result.trace[0].notes if "Amendment" in note]
+    amendments = [note for note in records[0].notes if "Amendment" in note]
     assert amendments == [
         "inventory: Amendment: transfer of 2.00 beans from Bob to Alice for 3.00 coin succeeded."
     ]
@@ -204,8 +205,9 @@ def test_unaffordable_attempt_is_vetoed_and_narrated_as_failure():
         actors=["Bob"],
     )
     bob = gm.player("Bob")
-    result = gm.run_episode(max_steps=1)
-    record = next(r for r in result.trace if r.actor == "Bob")
+    records = collect_records(gm)
+    gm.run_episode(max_steps=1)
+    record = next(r for r in records if r.actor == "Bob")
     assert record.event == "Bob reached for the beans but the deal fell through."
     assert inventory.inventory.get("Alice", "beans") == Decimal("5.00")
     assert inventory.inventory.get("Bob", "coin") == Decimal("1.00")
@@ -235,7 +237,9 @@ def test_an_action_another_inventory_vetoes_settles_in_none(purse_first):
         clock=GameClock(T0, step_minutes=60),
         components=[purse, ledger] if purse_first else [ledger, purse],
     )
-    [record] = gm.run_episode(max_steps=1).trace
+    records = collect_records(gm)
+    gm.run_episode(max_steps=1)
+    [record] = records
     assert record.event == "Alice reached for the beans but could not pay."
     assert not any("Amendment" in note for note in record.notes)
     assert ledger.state() == "Alice has 0.00 beans, 5.00 coin.\nBob has 2.00 beans, 0.00 coin."
@@ -319,19 +323,21 @@ def questionnaire_gm():
 
 def test_questionnaire_records_answers_per_player():
     gm, questionnaire = questionnaire_gm()
+    records = collect_records(gm)
     for name in ("Alice", "Bob"):
         assert administer_questionnaire(questionnaire, gm, name) == ["Agree", "7"]
-    assert [r.kind for r in gm.trace] == ["questionnaire"] * 4
-    assert [r.actor for r in gm.trace] == ["Alice", "Alice", "Bob", "Bob"]
-    assert [r.action.text for r in gm.trace] == ["Agree", "7"] * 2
+    assert [r.kind for r in records] == ["questionnaire"] * 4
+    assert [r.actor for r in records] == ["Alice", "Alice", "Bob", "Bob"]
+    assert [r.action.text for r in records] == ["Agree", "7"] * 2
 
 
 def test_questionnaire_leaves_clock_and_state_alone():
     gm, questionnaire = questionnaire_gm()
+    records = collect_records(gm)
     administer_questionnaire(questionnaire, gm, "Alice")
     assert gm.clock.current_time == T0
     assert gm.clock.step_index == 0
-    assert [r.event for r in gm.trace] == ["", ""]  # no events were resolved
+    assert [r.event for r in records] == ["", ""]  # no events were resolved
 
 
 def test_questionnaire_no_response_fallback():
@@ -345,8 +351,9 @@ def test_questionnaire_no_response_fallback():
             ActionSpec("Yes or no, {name}?", OutputKind.CHOICE, ("yes", "no")),
         ],
     )
+    records = collect_records(gm)
     assert administer_questionnaire(questionnaire, gm, "Alice") == ["no-response"]
-    assert any("no usable answer" in note for note in gm.trace[0].notes)
+    assert any("no usable answer" in note for note in records[0].notes)
 
 
 def test_questionnaire_requires_questions():

@@ -22,7 +22,7 @@ from gabm.phone import (
     translate_action,
 )
 
-from conftest import memory_texts
+from conftest import collect_records, memory_texts
 
 T0 = datetime(2024, 5, 1, 9, 0)
 
@@ -372,8 +372,9 @@ def test_scene_trigger_fires_only_for_phone_events_by_phone_owners():
         components=[SceneTrigger()],
         phones=universe,
     )
-    result = gm.run_episode(max_steps=1)
-    by_actor = {record.actor: record for record in result.trace}
+    records = collect_records(gm)
+    gm.run_episode(max_steps=1)
+    by_actor = {record.actor: record for record in records}
     assert by_actor["Alice"].notes == ["scene start: phone: Alice", "scene end: phone: Alice"]
     assert "phone:scene:done" in [c.caller for c in by_actor["Alice"].model_calls]
     assert by_actor["Bob"].notes == []
@@ -416,9 +417,10 @@ def test_phone_scene_notes_reach_the_turn_record(rules, note):
         components=[SceneTrigger()],
         phones=universe,
     )
+    records = collect_records(gm)
     result = gm.run_episode(max_steps=1)
     assert result.reason == "max-steps"
-    notes = result.trace[0].notes
+    notes = records[0].notes
     start = notes.index("scene start: phone: Alice")
     assert note in notes[start:notes.index("scene end: phone: Alice")]
 
@@ -440,12 +442,13 @@ def test_scene_trigger_repairs_an_unusable_detect_answer_as_it_is_applied():
         components=[SceneTrigger()],
         phones=universe_with_phone("Alice"),
     )
+    records = collect_records(gm)
     result = gm.run_episode(max_steps=1)
     assert result.reason == "max-steps"
-    detects = [c for c in result.trace[0].model_calls if c.caller == "phone:detect"]
+    detects = [c for c in records[0].model_calls if c.caller == "phone:detect"]
     assert [c.response for c in detects] == ["perhaps", "yes"]
     assert detects[1].prompt == detects[0].prompt + "\n" + _CHOICE_REPAIR
-    assert "scene start: phone: Alice" in result.trace[0].notes
+    assert "scene start: phone: Alice" in records[0].notes
 
 
 def test_scene_trigger_skips_actor_without_phone():
@@ -465,10 +468,11 @@ def test_scene_trigger_skips_actor_without_phone():
             components=[SceneTrigger()],
             phones=phones,
         )
-        result = gm.run_episode(max_steps=1)
-        assert result.trace[0].event == "Bob fiddled with his phone."
-        assert result.trace[0].notes == ["Bob has no phone; scene skipped"]
-        assert "phone:scene:done" not in [c.caller for c in result.trace[0].model_calls]
+        records = collect_records(gm)
+        gm.run_episode(max_steps=1)
+        assert records[0].event == "Bob fiddled with his phone."
+        assert records[0].notes == ["Bob has no phone; scene skipped"]
+        assert "phone:scene:done" not in [c.caller for c in records[0].model_calls]
 
 
 def test_app_state_is_shared_across_scenes_and_phones():
@@ -497,7 +501,9 @@ def scene_trigger_turn(detect_answer: str):
         components=[SceneTrigger()],
         phones=universe_with_phone("Alice"),
     )
-    (record,) = gm.run_episode(max_steps=1).trace
+    records = collect_records(gm)
+    gm.run_episode(max_steps=1)
+    (record,) = records
     return record
 
 

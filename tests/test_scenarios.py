@@ -50,7 +50,8 @@ def test_calendar_config_has_two_agents():
 
 def test_calendar_meeting_and_notification():
     built = build(load_config(SCENARIOS / "calendar.json"))
-    outcome = run_built_scenario(built)
+    records = []
+    outcome = run_built_scenario(built, on_record=records.append)
     assert outcome.result.reason == "max-steps"
     meetings = built.gm.phones.phones["Alice"][0].meetings
     assert len(meetings) == 1
@@ -58,7 +59,7 @@ def test_calendar_meeting_and_notification():
     assert set(meetings[0].participants) == {"Alice", "Bob"}
     notified = [
         obs.text
-        for record in outcome.result.trace
+        for record in records
         for obs in record.observations
         if obs.recipient == "Bob" and obs.text.startswith("New meeting")
     ]
@@ -83,7 +84,8 @@ def test_calendar_on_the_last_day_skips_the_meeting_for_tomorrow_and_replays(tmp
 
 def test_magic_beans_ledger_matches_hand_computation():
     built = build(load_config(SCENARIOS / "magic_beans.json"))
-    outcome = run_built_scenario(built)
+    records = []
+    outcome = run_built_scenario(built, on_record=records.append)
     # Round 1: Alice buys 3 beans for 6 coin; Carol's 4-coin bid is vetoed.
     # Round 2: Alice sells 1 bean back for 1 coin.
     assert outcome.result.grounded["inventory"] == (
@@ -93,7 +95,7 @@ def test_magic_beans_ledger_matches_hand_computation():
     )
     invalid = [
         (obs.recipient, obs.text)
-        for record in outcome.result.trace
+        for record in records
         for obs in record.observations
         if obs.text.startswith("Your action was invalid")
     ]
@@ -102,8 +104,9 @@ def test_magic_beans_ledger_matches_hand_computation():
 
 def test_three_questions_trace_shows_exactly_those_components():
     built = build(load_config(SCENARIOS / "three_questions.json"))
-    outcome = run_built_scenario(built)
-    turns = [r for r in outcome.result.trace if r.kind == "turn"]
+    records = []
+    run_built_scenario(built, on_record=records.append)
+    turns = [r for r in records if r.kind == "turn"]
     assert len(turns) == 8
     for record in turns:
         assert sorted(record.agent_states) == ["disposition", "identity", "situation"]
@@ -282,13 +285,14 @@ def test_cyberball_behind_a_scripted_stand_in_ends_and_replays(tmp_path):
     config = load_config(SCENARIOS / "cyberball.json")
     built = build(config, model=cyberball_stand_in())
     out = tmp_path / "trace.jsonl"
+    records = []
     with open(out, "w", encoding="utf-8") as handle:
-        outcome = run_built_scenario(built, out=handle)
+        outcome = run_built_scenario(built, out=handle, on_record=records.append)
     assert outcome.result.reason == "component-terminated"
-    turns = [r for r in outcome.result.trace if r.kind == "turn"]
+    turns = [r for r in records if r.kind == "turn"]
     assert turns[-1].event == "Caleb walked off, and the game ended."
     assert {r.step for r in turns} == {0, 1, 2}
-    questionnaires = [r for r in outcome.result.trace if r.kind == "questionnaire"]
+    questionnaires = [r for r in records if r.kind == "questionnaire"]
     answers = {
         name: [r.action.text for r in questionnaires if r.actor == name] for name in ("Ava", "Ben", "Caleb")
     }
@@ -303,7 +307,7 @@ def test_cyberball_behind_a_scripted_stand_in_ends_and_replays(tmp_path):
     assert [c.response for c in ben_belonging.model_calls] == ["it depends", "agree"]
     report = replay(out)
     assert report.ok, report.detail
-    assert report.records_checked == len(outcome.result.trace)
+    assert report.records_checked == len(records)
 
 
 def test_a_dropped_scenario_holds_no_reference_cycle(tmp_path):

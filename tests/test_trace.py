@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
+import weakref
 from datetime import datetime
 from pathlib import Path
 
@@ -12,7 +14,7 @@ from gabm import trace as trace_mod
 from gabm.config import build, config_from_dict, load_config
 from gabm.errors import BackendUnavailable, SimulationError
 from gabm.kernel import canonical_json
-from gabm.model import EchoModel, ScriptedModel
+from gabm.model import EchoModel, ReplayModel, ScriptedModel
 from gabm.trace import (
     TraceHeader,
     TraceWriter,
@@ -221,9 +223,10 @@ def test_questionnaires_skipped_after_error(tmp_path):
     config_path = tmp_path / "scenario.json"
     config_path.write_text(json.dumps(raw), encoding="utf-8")
     built = build(load_config(config_path))
-    outcome = run_built_scenario(built)
+    records = []
+    outcome = run_built_scenario(built, on_record=records.append)
     assert outcome.result.reason == "error"
-    assert all(r.kind == "turn" for r in outcome.result.trace)
+    assert all(r.kind == "turn" for r in records)
 
 
 class QuestionnaireOutage(ScriptedModel):
@@ -242,7 +245,8 @@ class QuestionnaireOutage(ScriptedModel):
 def test_a_questionnaire_the_backend_fails_ends_the_run_in_error(tmp_path):
     built = build(load_config(write_scenario(tmp_path)), model=QuestionnaireOutage())
     out = io.StringIO()
-    outcome = run_built_scenario(built, out=out)
+    records = []
+    outcome = run_built_scenario(built, out=out, on_record=records.append)
     result = outcome.result
     assert (result.reason, result.error) == ("error", "endpoint went away")
     assert result.grounded["inventory"].startswith("Alice has 0.00 beans, 5.00 coin.")
@@ -250,9 +254,9 @@ def test_a_questionnaire_the_backend_fails_ends_the_run_in_error(tmp_path):
     # as the failure leaves it, and Bob is never asked.
     lines = out.getvalue().splitlines()
     assert lines[0] == make_header(built).to_json_line()
-    assert lines[1:] == [record.to_json_line() for record in result.trace]
-    assert [r.kind for r in result.trace] == ["turn"] * 4 + ["questionnaire"]
-    assert (result.trace[-1].actor, result.trace[-1].action) == ("Alice", None)
+    assert lines[1:] == [record.to_json_line() for record in records]
+    assert [r.kind for r in records] == ["turn"] * 4 + ["questionnaire"]
+    assert (records[-1].actor, records[-1].action) == ("Alice", None)
     assert outcome.records_written == 5
 
 
@@ -328,6 +332,16 @@ def test_run_without_sink_still_counts_records(tmp_path):
 
 
 SCENARIOS = Path(config_mod.__file__).parent / "scenarios"
+
+
+def test_no_record_outlives_its_sink():
+    # The run keeps no record it wrote, so once the sink drops one it is gone.
+    built = build(load_config(SCENARIOS / "three_questions.json"), max_steps_override=50)
+    written = []
+    outcome = run_built_scenario(built, on_record=lambda record: written.append(weakref.ref(record)))
+    gc.collect()
+    assert outcome.records_written == len(written) == 200
+    assert [ref for ref in written if ref() is not None] == []
 
 
 def shipped_and_non_ascii_configs(tmp_path: Path) -> list:
@@ -585,3 +599,27 @@ def test_replay_gives_the_outcome_of_a_full_read(tmp_path, magic_beans_lines, ca
     path = tmp_path / "trace.jsonl"
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     assert replay_outcome(path) == expected
+
+
+def test_replay_stops_at_the_first_differing_record(tmp_path, monkeypatch):
+    # Record 1 is written once record 2's first calls are answered, so the
+    # replay that finds it differs has made no call past record 2's.
+    path = tmp_path / "trace.jsonl"
+    with open(path, "w", encoding="utf-8") as handle:
+        run_built_scenario(build(load_config(SCENARIOS / "three_questions.json"), max_steps_override=20), out=handle)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 81  # the header and 80 records
+    first_three = sum(len(json.loads(line)["model_calls"]) for line in lines[1:4])
+    _response(2, "Somebody else answered.")(lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    made = []
+    sample_text = ReplayModel.sample_text
+
+    def counted(self, prompt, **kwargs):
+        made.append(prompt)
+        return sample_text(self, prompt, **kwargs)
+
+    monkeypatch.setattr(ReplayModel, "sample_text", counted)
+    report = replay(path)
+    assert (report.ok, report.records_checked, report.detail) == (False, 1, "record 1 differs")
+    assert 0 < len(made) <= first_three
