@@ -1,7 +1,7 @@
 """Command line entry points: run, audit, replay, validate-config.
 
-Exit codes: 0 success, 1 config or input validation failure, 2 episode
-abort, 3 replay divergence.
+Exit codes: 0 success, 1 validation, read or write error, 2 episode abort,
+3 replay divergence.
 """
 
 from __future__ import annotations
@@ -71,24 +71,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
     # Open the trace before building, so an unwritable path costs no model
     # calls; a build that fails removes it again, leaving no headless trace.
+    # A write that fails, such as on a full disk, ends the run.
     try:
-        handle = open(args.out, "w", encoding="utf-8") if args.out else None
+        with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as handle:
+            try:
+                built = config_mod.build(
+                    cfg,
+                    script_override=args.script,
+                    seed_override=args.seed,
+                    max_steps_override=args.max_steps,
+                )
+            except SimulationError as exc:
+                print(f"cannot build scenario: {exc}", file=sys.stderr)
+                built = None
+            else:
+                outcome = trace_mod.run_built_scenario(built, out=handle)
     except OSError as exc:
         print(f"cannot write trace: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    with handle or contextlib.nullcontext():
-        try:
-            built = config_mod.build(
-                cfg,
-                script_override=args.script,
-                seed_override=args.seed,
-                max_steps_override=args.max_steps,
-            )
-        except SimulationError as exc:
-            print(f"cannot build scenario: {exc}", file=sys.stderr)
-            built = None
-        else:
-            outcome = trace_mod.run_built_scenario(built, out=handle)
     if built is None:
         # Only a regular file: --out may name a device such as /dev/null.
         if args.out and os.path.isfile(args.out):
@@ -145,13 +145,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     )
     if args.extract_pairs:
         try:
-            handle = open(args.extract_pairs, "w", encoding="utf-8")
+            with open(args.extract_pairs, "w", encoding="utf-8") as handle:
+                for pair in trace_mod.extract_pairs(records):
+                    handle.write(json.dumps(pair, sort_keys=True, ensure_ascii=False) + "\n")
         except OSError as exc:
             print(f"cannot write pairs: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-        with handle:
-            for pair in trace_mod.extract_pairs(records):
-                handle.write(json.dumps(pair, sort_keys=True, ensure_ascii=False) + "\n")
         print(f"wrote {len(records)} record(s) worth of pairs to {args.extract_pairs}")
     else:
         print(trace_mod.render_report(records))

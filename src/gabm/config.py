@@ -92,7 +92,6 @@ class ScenarioConfig:
 
     raw: dict
     base_dir: Path
-    path: Path | None = None
 
     @cached_property
     def _encoded(self) -> tuple[str, str]:
@@ -556,9 +555,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigValidationError(
             [ConfigIssue("MalformedField", str(path), f"not valid JSON: {exc}")]
         ) from exc
-    config = config_from_dict(raw, path.parent)
-    config.path = path
-    return config
+    return config_from_dict(raw, path.parent)
 
 
 def config_from_dict(raw: dict, base_dir: str | Path = ".", check_files: bool = True) -> ScenarioConfig:

@@ -292,8 +292,9 @@ def run_phone_scene(parent_gm: GameMaster, owner_name: str, trigger: str = "") -
     The phone is the owner's in ``parent_gm.phones``.  Each step asks
     whether the owner has finished, then has the owner act on the phone
     and grounds the act through ``translate_action``.  The owner observes
-    each result; a step that fits no app ends the scene.  The scene's notes
-    go to the parent's open record.
+    each result; a step that fits no app ends the scene, and so does a
+    "finished?" answer that stays unusable.  The scene's notes go to the
+    parent's open record.
     """
     owner = parent_gm.player(owner_name)
     universe = parent_gm.phones
@@ -312,12 +313,16 @@ def run_phone_scene(parent_gm: GameMaster, owner_name: str, trigger: str = "") -
         log = [f"Trigger: {trigger}"] if trigger else []
         for _ in range(universe.max_actions):
             so_far = "\n".join(log) if log else "(nothing yet)"
-            _, done = model.sample_choice(
-                f"{owner.name} is using the phone. Activity so far:\n{so_far}\n"
-                f"Has {owner.name} finished using the phone?",
-                ("yes", "no"),
-                caller="phone:scene:done",
-            )
+            try:
+                _, done = model.sample_choice(
+                    f"{owner.name} is using the phone. Activity so far:\n{so_far}\n"
+                    f"Has {owner.name} finished using the phone?",
+                    ("yes", "no"),
+                    caller="phone:scene:done",
+                )
+            except NoMatchingOption:
+                note("finished answer unusable; assuming finished")
+                return
             if done == "yes":
                 return
             spec = ActionSpec("What does {name} do on the phone right now? It is {time}.")

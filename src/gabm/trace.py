@@ -27,9 +27,10 @@ reads ``read_trace``, which builds every record.  Replay reads the file
 once, lazily, feeding each line's model calls back and comparing each
 record with its line as it is written, up to the first difference.  A
 header that names another engine version is reported as such, whatever
-its records hold.  Otherwise, only when that is not OK does it read the
-trace with ``read_trace(path, strict=True)``, so its errors and their
-precedence are those of a replay that builds every record first.
+its records hold.  Otherwise replay goes on, in the same pass, to parse
+every line no record matched and keep none, so a malformed line anywhere
+is reported ahead of any other verdict, as when every record is built
+before the run.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import json
 from collections import deque
 from contextlib import closing, suppress
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -151,30 +153,34 @@ def _load(line: str):
     return json.loads(line)
 
 
-def read_trace(path: str | Path, strict: bool = False) -> ReadTrace:
-    """Read a trace file; corrupt lines are reported, not fatal, unless strict.
+def _parse(line_no: int, line: str) -> TraceHeader | TraceRecord:
+    """Line ``line_no`` of a trace from ``_trace_lines``: line 1 as its
+    header, any other line as a record; SimulationError if it is malformed."""
+    try:
+        return (TraceHeader if line_no == 1 else TraceRecord).from_dict(_load(line))
+    except (KeyError, TypeError, ValueError) as exc:
+        where = "header" if line_no == 1 else f"record on line {line_no}"
+        raise SimulationError(f"bad trace {where}: {exc}") from exc
+
+
+def read_trace(path: str | Path) -> ReadTrace:
+    """Read a trace file; corrupt lines are reported, not fatal.
 
     A line that is not UTF-8 is a corrupt line, as is one that is not JSON.
     """
-    header: TraceHeader | None = None
-    records: list[TraceRecord] = []
-    errors: list[tuple[int, str]] = []
+    read = ReadTrace(header=None, records=[])
     for line_no, line in _trace_lines(path):
-        if line_no == 1:
-            try:
-                header = TraceHeader.from_dict(_load(line))
-            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-                if strict:
-                    raise SimulationError(f"bad trace header: {exc}") from exc
-                errors.append((line_no, f"bad header: {exc}"))
-            continue
         try:
-            records.append(TraceRecord.from_dict(_load(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            if strict:
-                raise SimulationError(f"bad trace record on line {line_no}: {exc}") from exc
-            errors.append((line_no, str(exc)))
-    return ReadTrace(header=header, records=records, errors=errors)
+            parsed = _parse(line_no, line)
+        except SimulationError as exc:
+            # The line number goes beside the message, not in it.
+            read.errors.append((line_no, ("bad header: " if line_no == 1 else "") + str(exc.__cause__)))
+            continue
+        if line_no == 1:
+            read.header = parsed
+        else:
+            read.records.append(parsed)
+    return read
 
 
 @dataclass
@@ -304,64 +310,65 @@ class _Diverged(Exception):
     """Stops a replay's run at its first record that differs from its line."""
 
 
-def _rerun(path: str | Path, header: TraceHeader | None, lines: Iterator[str]) -> ReplayReport:
-    """Re-run ``header``'s scenario on the model calls of the record
-    ``lines``, checking each record against its line as it is written."""
+def _embedded_config(path: str | Path, header: TraceHeader | None) -> config_mod.ScenarioConfig | str:
+    """The config ``header`` embeds, or why its scenario cannot be re-run."""
     if header is None:
-        return ReplayReport(ok=False, records_checked=0, detail="trace has no header")
+        return "trace has no header"
     # The header's overrides take the config's own field types, as ``gabm run``'s do.
     for name, ftype in (("seed", config_mod.SEED), ("max_steps", config_mod.MAX_STEPS)):
         value = getattr(header, name)
         if not ftype.accepts(value):
-            return ReplayReport(
-                ok=False, records_checked=0, detail=f"header {name} {ftype.must}, got {value!r}"
-            )
+            return f"header {name} {ftype.must}, got {value!r}"
     try:
         # The recorded calls stand in for the model, so the script file
         # need not exist where the trace is replayed.
-        cfg = config_mod.config_from_dict(
-            header.config, base_dir=Path(path).parent, check_files=False
-        )
+        cfg = config_mod.config_from_dict(header.config, base_dir=Path(path).parent, check_files=False)
     except ConfigValidationError as exc:
-        return ReplayReport(ok=False, records_checked=0, detail=f"embedded config invalid: {exc}")
-    if cfg.config_hash() != header.config_hash:
-        return ReplayReport(ok=False, records_checked=0, detail="config hash mismatch in header")
-    held: deque[str] = deque()  # lines the model has read that no record has taken
+        return f"embedded config invalid: {exc}"
+    return cfg if cfg.config_hash() == header.config_hash else "config hash mismatch in header"
+
+
+def _rerun(
+    cfg: config_mod.ScenarioConfig, header: TraceHeader, lines: Iterator[tuple[int, str]], held: deque
+) -> tuple[int, int | None, str]:
+    """Re-run ``cfg`` on the model calls of the numbered record ``lines``,
+    checking each record against its line as it is written.
+
+    Returns the records that matched, the records written (None if one
+    differed) and the last line a record took.  ``held`` is left with the
+    lines read that no record matched, the differing one first.
+    """
 
     def calls() -> Iterator[ModelCall]:
-        for line in lines:
-            held.append(line)
-            yield from map(ModelCall.from_dict, _load(line)["model_calls"])
+        for line_no, line in lines:
+            held.append((line_no, line))
+            try:
+                yield from map(ModelCall.from_dict, _load(line)["model_calls"])
+            except (KeyError, TypeError, ValueError) as exc:
+                # Ends the run as a failed call does; replay then names the line.
+                raise SimulationError(f"bad trace record on line {line_no}: {exc}") from exc
 
-    checked, last, diverged = 0, "", False  # ``last``: the last line a record took
+    checked, last = 0, ""
 
     def compare(record: TraceRecord) -> None:
-        nonlocal checked, last, diverged
-        if diverged:
-            return  # written while _Diverged unwinds
+        nonlocal checked, last
         # A record whose calls the model has not reached yet has none.
         line = held.popleft() if held else next(lines, None)
         if line is None:
             return  # past the recorded lines, the run ends at its next call
-        last, diverged = line, line != record.to_json_line()
-        if diverged:
+        last = line[1]
+        if last != record.to_json_line():
+            held.appendleft(line)
             raise _Diverged
         checked += 1
 
     built = config_mod.build(
         cfg, model=ReplayModel(calls()), seed_override=header.seed, max_steps_override=header.max_steps
     )
+    written = None
     with suppress(_Diverged):
-        regenerated = run_built_scenario(built, on_record=compare).records_written
-    if diverged:
-        detail = f"record {checked} differs"
-    else:
-        recorded = checked + len(held) + sum(1 for _ in lines)
-        if recorded == regenerated:
-            return ReplayReport(ok=True, records_checked=checked)
-        detail = f"length mismatch: recorded {recorded} records, regenerated {regenerated}"
-    step = _load(last)["step"] if last else 0
-    return ReplayReport(ok=False, records_checked=checked, divergence_step=step, detail=detail)
+        written = run_built_scenario(built, on_record=compare).records_written
+    return checked, written, last
 
 
 def replay(path: str | Path) -> ReplayReport:
@@ -370,36 +377,48 @@ def replay(path: str | Path) -> ReplayReport:
     The verdict is OK only when the regenerated trace matches the recorded
     one byte for byte; the first differing record is reported otherwise.
 
-    Replay reads the trace once, lazily, and builds no record; a line that
+    Replay reads the trace once, lazily, and keeps no record; a line that
     is not UTF-8 stops that read.  Each record is compared with its line as
     it is written, and the run stops at the first difference, so only the
     lines the model has read ahead are held: about two, as a turn's record
     is written after the next turn's first calls.  A recorded line equal
     to its regenerated line is the canonical encoding of a record the
-    engine made, which ``read_trace`` reads back, so the OK verdict needs
-    no other check.
+    engine made, which ``read_trace`` reads back, so it needs no parse.
+    In the same pass, every other line, the held ones and then the rest,
+    is parsed after the run and dropped, and the first malformed one raises
+    SimulationError.  So a malformed line is reported ahead of a
+    divergence, a length mismatch or a header that cannot be re-run, as
+    when every record is built before the run.  A line whose model calls
+    do not parse ends the run as a failed call does, and that parse then
+    names it.
     A header that names another engine version is reported without
     reading any record, because the records of another version may be in
-    another format: a 0.2.0 record has no observation groups, and a strict
-    read would report that instead of the version.  Any other outcome
-    re-reads the trace with ``read_trace(path, strict=True)`` first, so a
-    malformed line is reported ahead of anything else, as when every record
-    is built before the run.
+    another format: a 0.2.0 record has no observation groups, and a full
+    parse would report that instead of the version.
     """
-    try:
-        with closing(_trace_lines(path)) as numbered:
-            line_no, line = next(numbered, (0, ""))
-            header = TraceHeader.from_dict(_load(line)) if line_no == 1 else None
-            # Another engine version may embed, retrieve or record differently,
-            # so its traces are not expected to replay byte for byte.
-            if header is not None and header.engine_version != config_mod.ENGINE_VERSION:
-                must = f"header engine_version must be {config_mod.ENGINE_VERSION!r}"
-                return ReplayReport(ok=False, records_checked=0, detail=f"{must}, got {header.engine_version!r}")
-            # Without a header, no record line is read.
-            report = _rerun(path, header, (text for _, text in numbered))
-    except Exception:
-        read_trace(path, strict=True)
-        raise
-    if not report.ok:
-        read_trace(path, strict=True)  # a malformed line is reported first
-    return report
+    held: deque[tuple[int, str]] = deque()  # lines read that no record matched
+    with closing(_trace_lines(path)) as numbered:
+        # Line 1, if not blank, is the header; without one, no run reads a record line.
+        held.extend(islice(numbered, 1))
+        header = _parse(*held.popleft()) if held and held[0][0] == 1 else None
+        # Another engine version may embed, retrieve or record differently,
+        # so its traces are not expected to replay byte for byte.
+        if header is not None and header.engine_version != config_mod.ENGINE_VERSION:
+            must = f"header engine_version must be {config_mod.ENGINE_VERSION!r}"
+            return ReplayReport(ok=False, records_checked=0, detail=f"{must}, got {header.engine_version!r}")
+        cfg = _embedded_config(path, header)
+        checked, written, last = (0, 0, "") if isinstance(cfg, str) else _rerun(cfg, header, numbered, held)
+        recorded = checked
+        for line_no, line in chain(held, numbered):
+            _parse(line_no, line)  # raises at the first malformed line
+            recorded += 1
+    if isinstance(cfg, str):
+        return ReplayReport(ok=False, records_checked=0, detail=cfg)
+    if written is None:
+        detail = f"record {checked} differs"
+    elif written == recorded:
+        return ReplayReport(ok=True, records_checked=checked)
+    else:
+        detail = f"length mismatch: recorded {recorded} records, regenerated {written}"
+    step = _load(last)["step"] if last else 0
+    return ReplayReport(ok=False, records_checked=checked, divergence_step=step, detail=detail)

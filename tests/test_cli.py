@@ -12,7 +12,7 @@ from gabm.config import build, load_config
 from gabm.game_master import OBSERVERS_QUESTION, STATE_QUESTION
 from gabm.kernel import canonical_json
 from gabm.phone import DETECT_PHONE_QUESTION
-from gabm.trace import replay, run_built_scenario
+from gabm.trace import read_trace, replay, run_built_scenario
 
 from test_game_master import POST_EXTRACT, PRE_EXTRACT, BatchModel
 from test_trace import CONFIG, SCRIPT, QuestionnaireOutage, write_scenario
@@ -334,6 +334,29 @@ def test_audit_reports_an_unwritable_pairs_path(tmp_path, capsys):
     assert err.startswith("cannot write pairs:") and err.count("\n") == 1
 
 
+full_device = pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+
+
+@full_device
+def test_run_that_cannot_write_its_trace_fails_in_one_line(tmp_path, capsys):
+    # /dev/full opens, but every write to it fails with ENOSPC.
+    config_path = write_scenario(tmp_path)
+    assert main(["run", "--config", str(config_path), "--out", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write trace:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@full_device
+def test_audit_that_cannot_write_its_pairs_fails_in_one_line(tmp_path, capsys):
+    _, out = run_trace(tmp_path)
+    capsys.readouterr()
+    assert main(["audit", "--trace", str(out), "--extract-pairs", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write pairs:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_audit_missing_trace(tmp_path, capsys):
     assert main(["audit", "--trace", str(tmp_path / "absent.jsonl")]) == 1
     assert "cannot read trace" in capsys.readouterr().err
@@ -480,7 +503,7 @@ def magic_beans_trace(tmp_path, flat: bool) -> tuple[Path, list[str]]:
 
 
 def test_replay_names_the_engine_version_of_an_old_format_trace(tmp_path, capsys):
-    # Read strictly, the first record with observations of a 0.2.0-format
+    # Parsed in full, the first record with observations of a 0.2.0-format
     # trace is malformed; the header names the cause.
     out, lines = magic_beans_trace(tmp_path, flat=True)
     header = json.loads(lines[0])
@@ -582,3 +605,20 @@ def test_run_exits_two_when_the_backend_fails_inside_a_resolution_batch(
     out = tmp_path / "trace.jsonl"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
     assert f"episode aborted: backend lost while asking {fail_on!r}" in capsys.readouterr().err
+
+
+def test_an_unusable_finished_answer_ends_the_phone_scene_not_the_episode(tmp_path, capsys):
+    scenarios = Path(gabm.config.__file__).parent / "scenarios"
+    script = json.loads((scenarios / "calendar_script.json").read_text(encoding="utf-8"))
+    script["rules"].insert(0, {"contains": "Has Alice finished using the phone", "response": "maybe later"})
+    script_path = tmp_path / "maybe_script.json"
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    out = tmp_path / "trace.jsonl"
+    argv = ["run", "--config", str(scenarios / "calendar.json"), "--script", str(script_path), "--out", str(out)]
+    assert main(argv) == 0
+    assert "termination: max-steps" in capsys.readouterr().out
+    records = read_trace(out).records
+    notes = [note for record in records for note in record.notes]
+    assert "phone scene: finished answer unusable; assuming finished" in notes
+    assert "scene start: phone: Alice" in "\n".join(notes)
+    assert main(["replay", "--trace", str(out)]) == 0

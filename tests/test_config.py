@@ -82,7 +82,6 @@ def test_valid_config_loads(tmp_path):
     config = load_config(path)
     assert config.seed == 7
     assert config.max_steps == 2
-    assert config.path == path
     assert config.base_dir == tmp_path
 
 

@@ -13,7 +13,7 @@ from gabm import config as config_mod
 from gabm import trace as trace_mod
 from gabm.config import build, config_from_dict, load_config
 from gabm.errors import BackendUnavailable, SimulationError
-from gabm.kernel import canonical_json
+from gabm.kernel import TraceRecord, canonical_json
 from gabm.model import EchoModel, ReplayModel, ScriptedModel
 from gabm.trace import (
     TraceHeader,
@@ -129,8 +129,8 @@ def test_corrupt_lines_reported_with_numbers(tmp_path):
     assert len(read.records) == 5
     assert len(read.errors) == 1
     assert read.errors[0][0] == 3  # 1-based line number
-    with pytest.raises(SimulationError):
-        read_trace(out, strict=True)
+    with pytest.raises(SimulationError, match="^bad trace record on line 3: "):
+        replay(out)
 
 
 def test_a_line_that_is_not_utf8_is_one_corrupt_line(tmp_path):
@@ -145,8 +145,6 @@ def test_a_line_that_is_not_utf8_is_one_corrupt_line(tmp_path):
     reason = "'utf-8' codec can't decode byte 0xff in position"
     [(line_no, message)] = read.errors
     assert line_no == 4 and message.startswith(reason)
-    with pytest.raises(SimulationError, match=f"^bad trace record on line 4: {reason}"):
-        read_trace(out, strict=True)
     with pytest.raises(SimulationError, match=f"^bad trace record on line 4: {reason}"):
         replay(out)
 
@@ -407,7 +405,9 @@ def test_a_run_whose_model_answers_a_lone_surrogate_goes_on_and_replays(tmp_path
     with open(out, "w", encoding="utf-8") as handle:
         outcome = run_built_scenario(build(config, model=model), out=handle)
     assert outcome.result.reason == "max-steps"
-    records = read_trace(out, strict=True).records
+    read = read_trace(out)
+    assert read.errors == []
+    records = read.records
     assert records[0].event == "They chatted about beans. \ufffd"
     assert replay(out).ok
 
@@ -421,7 +421,9 @@ def test_a_run_before_the_year_1000_writes_four_digit_years_and_replays(tmp_path
     out = tmp_path / "trace.jsonl"
     with open(out, "w", encoding="utf-8") as handle:
         run_built_scenario(build(config_from_dict(raw, base_dir=tmp_path)), out=handle)
-    records = read_trace(out, strict=True).records
+    read = read_trace(out)
+    assert read.errors == []
+    records = read.records
     assert json.loads(out.read_text(encoding="utf-8").splitlines()[1])["time"] == "0999-12-31T23:00"
     assert records[-1].timestamp == datetime(1000, 1, 1, 0, 0)
     assert replay(out) == trace_mod.ReplayReport(ok=True, records_checked=6)
@@ -429,8 +431,8 @@ def test_a_run_before_the_year_1000_writes_four_digit_years_and_replays(tmp_path
 
 # ---- replay equivalence ------------------------------------------------------
 #
-# Replay reads only the header, the record lines and their model calls, and
-# re-reads the trace strictly for any outcome but OK.  Each case below edits
+# Replay reads the header and the model calls of the record lines as it
+# runs, then parses every line no record matched.  Each case below edits
 # the lines of the magic_beans fixture trace (a header and 6 records, steps
 # 0 0 0 1 1 1) in place; the expected outcome is the report or exception of
 # the replay that built every record before it ran, pinned from it.  Where
@@ -469,7 +471,7 @@ def _wrong(line: int, field: str, value, kind: str = "str") -> str:
 
 def _not_json(line: int):
     """The expected outcome for edited lines whose line ``line`` is not JSON:
-    the strict read's error, with the decoder's own text for that line."""
+    the full parse's error, with the decoder's own text for that line."""
 
     def expected(lines: list[str]) -> str:
         with pytest.raises(json.JSONDecodeError) as decoding:
@@ -553,8 +555,9 @@ REPLAY_CASES = {
         (False, 0, None, "header seed must be an integer in [0, 2^64), got -1"),
     ),
 }
-# A retyped model call fails the model-call read itself; a retyped step is
-# found only by the strict read, after the header check or the run.  A
+# A retyped model call ends the run as a failed call does; a retyped step
+# is found only by the parse of the lines no record matched.  Either is
+# reported ahead of a header that cannot be re-run and of a divergence.  A
 # header of another engine version is reported ahead of either: no record
 # of it is read.
 for retype, edit, error in (
@@ -623,3 +626,35 @@ def test_replay_stops_at_the_first_differing_record(tmp_path, monkeypatch):
     report = replay(path)
     assert (report.ok, report.records_checked, report.detail) == (False, 1, "record 1 differs")
     assert 0 < len(made) <= first_three
+
+
+def test_a_diverging_replay_keeps_no_record(tmp_path, monkeypatch):
+    # After the run stops at record 1, replay parses every line no record
+    # matched, to report a malformed one first, and drops each at once.
+    path = tmp_path / "trace.jsonl"
+    with open(path, "w", encoding="utf-8") as handle:
+        run_built_scenario(build(load_config(SCENARIOS / "three_questions.json"), max_steps_override=50), out=handle)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 201  # the header and 200 records
+    _response(2, "Somebody else answered.")(lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    built, alive, most = 0, 0, 0
+    from_dict = TraceRecord.from_dict
+
+    def dropped() -> None:
+        nonlocal alive
+        alive -= 1
+
+    def tracked(cls, data):
+        nonlocal built, alive, most
+        record = from_dict(data)
+        weakref.finalize(record, dropped)
+        built, alive = built + 1, alive + 1
+        most = max(most, alive)
+        return record
+
+    monkeypatch.setattr(TraceRecord, "from_dict", classmethod(tracked))
+    report = replay(path)
+    assert (report.ok, report.records_checked, report.detail) == (False, 1, "record 1 differs")
+    assert built == 199  # every record line but record 0, which matched
+    assert most == 1
